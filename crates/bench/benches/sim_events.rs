@@ -4,8 +4,9 @@
 //! without moving any simulated number, so they get their own bench.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use redn_bench::heapqueue::BaselineHeapQueue;
 use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
-use rnic_sim::engine::{BaselineHeapQueue, EventKind, EventQueue};
+use rnic_sim::engine::{EventKind, EventQueue};
 use rnic_sim::ids::{ProcessId, WqId};
 use rnic_sim::mem::Access;
 use rnic_sim::qp::QpConfig;

@@ -22,9 +22,10 @@
 //! simulator, so the partition — and therefore every simulated number —
 //! is identical for any thread count, and stats merge in shard order.
 
+use redn_bench::heapqueue::BaselineHeapQueue;
 use redn_bench::servebench::{closed_point, SweepConfig};
 use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
-use rnic_sim::engine::{BaselineHeapQueue, EventKind, EventQueue};
+use rnic_sim::engine::{EventKind, EventQueue};
 use rnic_sim::ids::WqId;
 use rnic_sim::qp::QpConfig;
 use rnic_sim::sim::Simulator;

@@ -19,6 +19,7 @@
 //! | [`servebench`] | serving-layer throughput sweep (`BENCH_throughput.json`) |
 //! | [`clusterbench`] | sharded cluster row + kill-a-node failover soak |
 //! | [`tenantbench`] | packed multi-tenant row + noisy-neighbor enforcement |
+//! | [`heapqueue`] | the `BinaryHeap` event queue `sim_events` benchmarks the wheel against |
 
 #![warn(missing_docs)]
 
@@ -26,6 +27,7 @@ pub mod clusterbench;
 pub mod contention;
 pub mod crash;
 pub mod hashbench;
+pub mod heapqueue;
 pub mod listbench;
 pub mod mcbench;
 pub mod micro;

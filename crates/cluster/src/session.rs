@@ -177,7 +177,7 @@ impl PutSession {
     /// the claimed instance.
     pub fn put(&mut self, sim: &mut Simulator, key: u64, value: &[u8]) -> Result<u64> {
         let inst = self.repl.take_instance()?;
-        let slot = self.repl.response_tag(inst) as u64;
+        let slot = u64::from(self.repl.response_tag(inst)?);
         let rec = encode_record(inst + 1, key, value, self.repl.value_len());
         let rec_len = self.repl.record_len();
         let addr = self.req.addr + slot * rec_len as u64;
@@ -226,7 +226,11 @@ impl PutSession {
                 // request slot — the window frees it only below) goes
                 // into the shard's read index.
                 let rec_len = self.repl.record_len() as u64;
-                let slot = u64::from(self.repl.response_tag(inst));
+                let slot = u64::from(
+                    self.repl
+                        .response_tag(inst)
+                        .expect("sent instance is in the window"),
+                );
                 let value = sim
                     .mem_read(
                         self.client,
@@ -382,7 +386,7 @@ impl ClusterSession {
             }
         }
         for (s, p) in puts.iter().enumerate() {
-            let fp = p.offload().footprint();
+            let fp = p.offload().footprint().expect("chains are self-recycling");
             verifier.add(fp.clone().named(format!("shard {}: {}", s, fp.name)));
         }
         let isolation = verifier.verify();

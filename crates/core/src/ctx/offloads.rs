@@ -14,19 +14,17 @@ use rnic_sim::sim::Simulator;
 use crate::ctx::caps::{ClientDest, TableRegion, ValueSource};
 use crate::offloads::hash_lookup::{HashGetOffload, HashGetVariant};
 use crate::offloads::list::ListWalkOffload;
+use crate::offloads::service::FrameSpec;
 use crate::program::ConstPool;
 
 /// Resolved deployment parameters of a hash-get offload (internal; built
 /// only by [`HashGetBuilder`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct HashGetSpec {
+    pub(crate) frame: FrameSpec,
     pub(crate) table: TableRegion,
     pub(crate) values: ValueSource,
-    pub(crate) dest: ClientDest,
     pub(crate) variant: HashGetVariant,
-    pub(crate) port: usize,
-    pub(crate) pipeline_depth: u32,
-    pub(crate) pu_base: usize,
 }
 
 /// Fluent builder for the hash-table `get` offload (Fig 9). Obtain from
@@ -111,8 +109,7 @@ impl HashGetBuilder {
     /// Deploy the offload's queues. The caller connects a client QP to
     /// `offload.tp.qp` and [`arm`](HashGetOffload::arm)s instances.
     pub fn build(self, sim: &mut Simulator) -> Result<HashGetOffload> {
-        let spec = self.resolve()?;
-        HashGetOffload::deploy(sim, self.node, self.owner, spec)
+        HashGetOffload::deploy(sim, self.resolve()?)
     }
 
     /// Deploy the **self-recycling** variant (§3.4 WQ recycling applied
@@ -122,9 +119,11 @@ impl HashGetBuilder {
     /// ring — and the NIC re-arms everything itself between rounds. After
     /// this call the host never posts, never rings a doorbell, and never
     /// pushes pool bytes for this offload again; it only claims slots
-    /// ([`HashGetOffload::take_instance`]) and retires them
-    /// ([`HashGetOffload::complete_instance`]) as responses drain. Runs
-    /// unbounded until halted or the simulation ends.
+    /// ([`take_instance`](crate::offloads::service::InstanceWindow::take_instance))
+    /// and retires them
+    /// ([`complete_instance`](crate::offloads::service::InstanceWindow::complete_instance))
+    /// as responses drain. Runs unbounded until halted or the simulation
+    /// ends.
     ///
     /// Probes run back-to-back on one ring, so `Parallel` is rejected —
     /// use `Sequential` for two-candidate tables.
@@ -145,28 +144,34 @@ impl HashGetBuilder {
         pool: &mut ConstPool,
         opts: crate::ir::DeployOpts,
     ) -> Result<HashGetOffload> {
-        let spec = self.resolve()?;
-        HashGetOffload::deploy_recycled(sim, self.node, self.owner, spec, pool, opts)
+        HashGetOffload::deploy_recycled(sim, self.resolve()?, pool, opts)
     }
 
     fn resolve(&self) -> Result<HashGetSpec> {
         if self.pipeline_depth == 0 {
             return Err(Error::InvalidWr("hash-get pipeline_depth must be >= 1"));
         }
+        let table = self
+            .table
+            .ok_or(Error::InvalidWr("hash-get deployment needs .table(...)"))?;
+        let values = self
+            .values
+            .ok_or(Error::InvalidWr("hash-get deployment needs .values(...)"))?;
         Ok(HashGetSpec {
-            table: self
-                .table
-                .ok_or(Error::InvalidWr("hash-get deployment needs .table(...)"))?,
-            values: self
-                .values
-                .ok_or(Error::InvalidWr("hash-get deployment needs .values(...)"))?,
-            dest: self.dest.ok_or(Error::InvalidWr(
-                "hash-get deployment needs .respond_to(...)",
-            ))?,
+            frame: FrameSpec {
+                node: self.node,
+                owner: self.owner,
+                port: self.port,
+                pu_base: self.pu_base,
+                depth: self.pipeline_depth,
+                dest: self.dest.ok_or(Error::InvalidWr(
+                    "hash-get deployment needs .respond_to(...)",
+                ))?,
+                stride: values.value_len.max(8) as u64,
+            },
+            table,
+            values,
             variant: self.variant,
-            port: self.port,
-            pipeline_depth: self.pipeline_depth,
-            pu_base: self.pu_base,
         })
     }
 }
@@ -174,14 +179,11 @@ impl HashGetBuilder {
 /// Resolved deployment parameters of a list-walk offload (internal).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ListWalkSpec {
+    pub(crate) frame: FrameSpec,
     pub(crate) list: TableRegion,
     pub(crate) value_len: u32,
-    pub(crate) dest: ClientDest,
     pub(crate) max_nodes: usize,
     pub(crate) break_on_match: bool,
-    pub(crate) port: usize,
-    pub(crate) pipeline_depth: u32,
-    pub(crate) pu_base: usize,
 }
 
 /// Fluent builder for the linked-list traversal offload (Fig 12/13).
@@ -279,8 +281,7 @@ impl ListWalkBuilder {
     /// Deploy the offload's queues. The caller connects a client QP to
     /// `offload.tp.qp` and [`arm`](ListWalkOffload::arm)s instances.
     pub fn build(self, sim: &mut Simulator) -> Result<ListWalkOffload> {
-        let spec = self.resolve()?;
-        ListWalkOffload::deploy(sim, self.node, self.owner, spec)
+        ListWalkOffload::deploy(sim, self.resolve()?)
     }
 
     /// Deploy the **self-recycling** variant (§3.4 WQ recycling applied
@@ -308,32 +309,40 @@ impl ListWalkBuilder {
         pool: &mut ConstPool,
         opts: crate::ir::DeployOpts,
     ) -> Result<ListWalkOffload> {
-        let spec = self.resolve()?;
-        ListWalkOffload::deploy_recycled(sim, self.node, self.owner, spec, pool, opts)
+        ListWalkOffload::deploy_recycled(sim, self.resolve()?, pool, opts)
     }
 
     fn resolve(&self) -> Result<ListWalkSpec> {
         if self.pipeline_depth == 0 {
             return Err(Error::InvalidWr("list-walk pipeline_depth must be >= 1"));
         }
+        if self.max_nodes == 0 {
+            return Err(Error::InvalidWr("list-walk max_nodes must be >= 1"));
+        }
         if self.break_on_match && self.pipeline_depth > 1 {
             return Err(Error::InvalidWr(
                 "break_on_match walks suppress completions and are single-instance",
             ));
         }
+        let list = self
+            .list
+            .ok_or(Error::InvalidWr("list-walk deployment needs .list(...)"))?;
         Ok(ListWalkSpec {
-            list: self
-                .list
-                .ok_or(Error::InvalidWr("list-walk deployment needs .list(...)"))?,
+            frame: FrameSpec {
+                node: self.node,
+                owner: self.owner,
+                port: self.port,
+                pu_base: self.pu_base,
+                depth: self.pipeline_depth,
+                dest: self.dest.ok_or(Error::InvalidWr(
+                    "list-walk deployment needs .respond_to(...)",
+                ))?,
+                stride: self.value_len.max(8) as u64,
+            },
+            list,
             value_len: self.value_len,
-            dest: self.dest.ok_or(Error::InvalidWr(
-                "list-walk deployment needs .respond_to(...)",
-            ))?,
             max_nodes: self.max_nodes,
             break_on_match: self.break_on_match,
-            port: self.port,
-            pipeline_depth: self.pipeline_depth,
-            pu_base: self.pu_base,
         })
     }
 }

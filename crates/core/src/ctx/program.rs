@@ -8,8 +8,9 @@
 //! and patch-point addresses stay symbolic until deployment; callers
 //! never do `next_wait_count()` arithmetic, and deployment runs the IR
 //! optimizer (WAIT elision, const deduplication) and the §3.1 static
-//! verifier before anything is posted. [`ChainProgram::deploy_unchecked`]
-//! is the escape hatch for programs the checker cannot see through.
+//! verifier before anything is posted ([`ChainProgram::deploy_with`]
+//! takes the IR's [`DeployOpts`] switches for programs the checker
+//! cannot see through).
 //!
 //! Deployment is two-phase, mirroring the hardware reality that injection
 //! must land *after* the action WQEs are in the ring but *before* the
@@ -211,27 +212,11 @@ impl<'c> ChainProgram<'c> {
         self.deploy_with(sim, DeployOpts::default())
     }
 
-    /// Deploy without the static checks (the escape hatch; the
-    /// optimizer still runs).
-    ///
-    /// **Waived rules**: the three `redn_core::ir::verify` families
-    /// (§3.1 fetch-horizon hazard, unreachable ENABLE targets,
-    /// non-monotonic recycled thresholds) *and* the
-    /// `redn_core::ir::analysis` suite (happens-before deadlock and
-    /// horizon cycles, recycled induction, symbolic bounds). Nothing in
-    /// the shipped tree deploys through this path; it exists for user
-    /// programs whose ordering is established outside the IR.
-    pub fn deploy_unchecked(self, sim: &mut Simulator) -> Result<ArmedProgram> {
-        self.deploy_with(
-            sim,
-            DeployOpts {
-                optimize: true,
-                verify: false,
-            },
-        )
-    }
-
-    /// Deploy with explicit IR switches.
+    /// Deploy with explicit IR switches. `verify: false` is the escape
+    /// hatch for programs whose ordering is established outside the IR:
+    /// it waives the three `redn_core::ir::verify` rule families *and*
+    /// the `redn_core::ir::analysis` suite (see
+    /// [`IrProgram::deploy_unchecked`]); the optimizer still runs.
     pub fn deploy_with(self, sim: &mut Simulator, opts: DeployOpts) -> Result<ArmedProgram> {
         let lowered = self.p.deploy_with(sim, self.ctx.pool_mut(), opts, None)?;
         let Lowered::Linear(mut lowered) = lowered else {

@@ -25,8 +25,9 @@
 //!
 //! Per-program passes (1)–(2) run automatically inside
 //! [`IrProgram::deploy`](super::IrProgram::deploy) whenever
-//! `DeployOpts::verify` is set (the default); `deploy_unchecked` waives
-//! them together with the PR 5 rules. Pass (3) runs at fleet/cluster
+//! `DeployOpts::verify` is set (the default); clearing it
+//! ([`IrProgram::deploy_unchecked`](super::IrProgram::deploy_unchecked))
+//! waives them together with the PR 5 rules. Pass (3) runs at fleet/cluster
 //! deployment, over the [`Footprint`]s lowering collects for free.
 //!
 //! Everything reports through [`AnalysisReport`], which renders to JSON

@@ -17,19 +17,17 @@
 //!    completion flag, starving the next iteration's WAIT — the loop
 //!    exits early instead of walking the remaining nodes.
 //!
-//! Two deployment modes, at parity with the hash-get offload (both
-//! implement [`OffloadService`](crate::offloads::service::OffloadService)):
+//! This module is the pointer-chase **body** and the request payload
+//! encoding; triggering, instance claim/tag/retire accounting and the
+//! framing of a self-recycling round are the shared frame in
+//! [`service`](crate::offloads::service). Two deployment modes:
 //!
 //! * **host-armed** ([`ListWalkBuilder::build`]): every walk instance is
-//!   staged by a host [`ListWalkOffload::arm`] call. With
-//!   `pipeline_depth > 1`, armed instances land their responses in
-//!   per-instance client slots and carry the instance id as the
-//!   response immediate, so several walks can be in flight at once.
+//!   staged by a host [`ListWalkOffload::arm`] call (the only mode the
+//!   `+break` variant runs in).
 //! * **self-recycling** ([`ListWalkBuilder::build_recycled`]): one ring
 //!   of `pipeline_depth` walk instances is staged at deploy and the NIC
-//!   re-arms it forever (§3.4 WQ recycling — restore WRITEs from
-//!   pristine response images, FETCH_ADD threshold fix-ups, a cyclic
-//!   trigger-RECV ring). The R3 key-copy is folded into the trigger
+//!   re-arms it forever. The R3 key-copy is folded into the trigger
 //!   RECV's scatter (the client repeats `x` once per iteration), which
 //!   caps `max_nodes` at 15 under the 16-SGE RECV limit — exactly the
 //!   trade-off §5.3 describes.
@@ -37,17 +35,19 @@
 //! [`ListWalkBuilder::build`]: crate::ctx::ListWalkBuilder::build
 //! [`ListWalkBuilder::build_recycled`]: crate::ctx::ListWalkBuilder::build_recycled
 
+use std::ops::{Deref, DerefMut};
+
 use rnic_sim::error::{Error, Result};
-use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::Opcode;
 use rnic_sim::wqe::header_word;
 
-use crate::ctx::{ChainQueueBuilder, ListWalkSpec, TriggerPointBuilder};
+use crate::ctx::{ChainQueueBuilder, ListWalkSpec};
 use crate::encode::{operand48, WqeField};
-use crate::ir::analysis::Footprint;
-use crate::ir::{DeployOpts, EnableTarget, Kind, Loc, OpBuild, PassReport, SgeSpec, WaitCond};
-use crate::offloads::rpc::TriggerPoint;
+use crate::ir::{
+    CId, DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, OpId, SgeSpec, WaitCond,
+};
+use crate::offloads::service::{OffloadService, RecycledFrame, ServiceFrame};
 use crate::program::{ChainQueue, ConstPool};
 
 /// Offset of the next pointer in a node.
@@ -84,174 +84,183 @@ pub fn encode_node(next: u64, key: u64, value: &[u8]) -> Vec<u8> {
     b
 }
 
-/// The server-side list-walk offload.
+/// The server-side list-walk offload: a [`ServiceFrame`] (trigger point,
+/// instance window, client slot layout) plus the pointer-chase body.
 pub struct ListWalkOffload {
-    /// Client-facing trigger endpoint.
-    pub tp: TriggerPoint,
+    frame: ServiceFrame,
     spec: ListWalkSpec,
-    /// Instances handed out to in-flight requests (see
-    /// [`ListWalkOffload::take_instance`]).
-    posted: u64,
-    /// recv CQ completion count at creation (see hash_lookup).
-    trigger_base: u64,
-    node: NodeId,
-    /// IR optimizer report of the deployed round (recycled mode only).
-    report: Option<PassReport>,
-    /// Non-interference footprint of the deployed round (recycled mode
-    /// only — host-armed instances are staged per `arm` call on shared
-    /// queues, so no single static footprint describes them).
-    footprint: Option<Footprint>,
-    backend: Backend,
+    /// The host-armed mode's long-lived queues (`None` when
+    /// self-recycling: the whole round lives on the frame's ring).
+    host: Option<HostQueues>,
 }
 
-/// How armed walk instances come to exist.
-enum Backend {
-    /// Every instance is staged by a host `arm` call.
-    HostArmed {
-        chain: ChainQueue,
-        ctrl: ChainQueue,
-        /// Loopback queue holding break placeholders (their WRITEs target
-        /// the *server's* response ring, so they cannot ride the
-        /// client-facing QP, whose one-sided verbs address client memory).
-        brk_q: Option<ChainQueue>,
-        armed: u64,
-        /// ctrl CQ completion count at deploy. Only the per-iteration R3
-        /// WRITEs are signaled on the control queue, so instance `k`'s
-        /// `i`-th R3 completes at exactly `ctrl_cqe_base + k*N + i + 1` —
-        /// absolute and monotonic, robust when many instances are armed
-        /// before any runs (pipelined arming).
-        ctrl_cqe_base: u64,
-    },
-    /// One ring of `slots` walk instances built at deploy re-arms itself
-    /// on the NIC every round (§3.4 WQ recycling).
-    Recycled {
-        /// The walk ring (managed, self-enabling).
-        ring: ChainQueue,
-        /// Instances per round (== pipeline depth).
-        slots: u64,
-        /// Responses handed back by the client (frees ring slots).
-        completed: u64,
-        /// Ring slots per round, for round accounting.
-        round_len: u64,
-    },
+/// Queues every host `arm` call stages one walk instance onto.
+#[derive(Clone, Copy)]
+struct HostQueues {
+    chain: ChainQueue,
+    ctrl: ChainQueue,
+    /// Loopback queue holding break placeholders (their WRITEs target
+    /// the *server's* response ring, so they cannot ride the
+    /// client-facing QP, whose one-sided verbs address client memory).
+    brk_q: Option<ChainQueue>,
+    /// ctrl CQ completion count at deploy. Only the per-iteration R3
+    /// WRITEs are signaled on the control queue, so instance `k`'s
+    /// `i`-th R3 completes at exactly `ctrl_cqe_base + k*N + i + 1` —
+    /// absolute and monotonic, robust when many instances are armed
+    /// before any runs (pipelined arming).
+    ctrl_cqe_base: u64,
+}
+
+impl Deref for ListWalkOffload {
+    type Target = ServiceFrame;
+    fn deref(&self) -> &ServiceFrame {
+        &self.frame
+    }
+}
+
+impl DerefMut for ListWalkOffload {
+    fn deref_mut(&mut self) -> &mut ServiceFrame {
+        &mut self.frame
+    }
+}
+
+impl OffloadService for ListWalkOffload {
+    fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
+        ListWalkOffload::arm(self, sim, pool).map(|_| ())
+    }
+}
+
+/// One iteration's response placeholder: a NOOP carrying the WRITE_IMM
+/// of the iteration's staged value. The local address is fixed; only
+/// the id bits (stored key) are patched per request.
+fn response_slot_op(spec: &ListWalkSpec, staging: CId, slot: u64, imm: u64) -> OpBuild {
+    OpBuild::new(Kind::Write {
+        src: Loc::cst(staging),
+        len: spec.value_len,
+        dst: spec.frame.slot_loc(slot),
+        imm: Some(imm as u32),
+    })
+    .signaled()
+    .placeholder()
+    .label("response slot")
+}
+
+/// One iteration's node READ, scattering `next` -> `next_target` (the
+/// next iteration's READ.remote_addr, or scratch for the last), key(6B)
+/// -> `id_of`'s id bits (whatever WQE the CAS will test), pad(2B) ->
+/// scratch, value -> `staging`.
+fn node_read(
+    p: &mut IrProgram,
+    spec: &ListWalkSpec,
+    next_target: Loc,
+    id_of: OpId,
+    scratch: CId,
+    staging: CId,
+) -> OpBuild {
+    let table = p.const_sges(vec![
+        SgeSpec {
+            target: next_target,
+            len: 8,
+        },
+        SgeSpec {
+            target: Loc::field(id_of, WqeField::Id),
+            len: 6,
+        },
+        SgeSpec {
+            target: Loc::cst_off(scratch, 8),
+            len: 2,
+        },
+        SgeSpec {
+            target: Loc::cst(staging),
+            len: spec.value_len,
+        },
+    ]);
+    OpBuild::new(Kind::ReadSgl {
+        table,
+        entries: 4,
+        src: Loc::raw(0, spec.list.rkey()), // patched: head / prev next
+    })
+    .signaled()
+    .label("node READ")
+}
+
+/// The conditional CAS (compare id bits patched with `x`): on a key
+/// match, transmutes `target` into `into`.
+fn key_cas(target: OpId, into: Opcode) -> OpBuild {
+    OpBuild::new(Kind::Transmute { target, y: 0, into })
+        .signaled()
+        .label("key CAS")
 }
 
 impl ListWalkOffload {
-    /// Deploy the offload's queues (called by
+    /// Deploy the host-armed offload's queues (called by
     /// [`ListWalkBuilder`](crate::ctx::ListWalkBuilder)).
-    pub(crate) fn deploy(
-        sim: &mut Simulator,
-        node: NodeId,
-        owner: ProcessId,
-        spec: ListWalkSpec,
-    ) -> Result<ListWalkOffload> {
-        assert!(spec.max_nodes >= 1);
-        let npus = sim.nic_config(node).pus_per_port;
-        let pu = |off: usize| (spec.pu_base + off) % npus;
-        let tp = TriggerPointBuilder::new(node, owner)
-            .on_pu(pu(0))
-            .on_port(spec.port)
-            .build(sim)?;
-        let chain = ChainQueueBuilder::new(node, owner)
+    pub(crate) fn deploy(sim: &mut Simulator, spec: ListWalkSpec) -> Result<ListWalkOffload> {
+        let f = spec.frame;
+        let frame = ServiceFrame::host_armed(sim, f)?;
+        let chain = ChainQueueBuilder::new(f.node, f.owner)
             .managed()
             .depth(2048)
-            .on_pu(pu(1))
-            .on_port(spec.port)
+            .on_pu(f.pu(sim, 1))
+            .on_port(f.port)
             .build(sim)?;
         // The control (and break) queues take the third PU of the
         // client's stride, matching the fleet's host-armed budget of 3
         // PUs per service — without the pin every client's control
         // chain would stack on PU 0 of its port.
-        let ctrl = ChainQueueBuilder::new(node, owner)
+        let ctrl = ChainQueueBuilder::new(f.node, f.owner)
             .depth(4096)
-            .on_pu(pu(2))
-            .on_port(spec.port)
+            .on_pu(f.pu(sim, 2))
+            .on_port(f.port)
             .build(sim)?;
         let brk_q = if spec.break_on_match {
             Some(
-                ChainQueueBuilder::new(node, owner)
+                ChainQueueBuilder::new(f.node, f.owner)
                     .managed()
                     .depth(2048)
-                    .on_pu(pu(2))
-                    .on_port(spec.port)
+                    .on_pu(f.pu(sim, 2))
+                    .on_port(f.port)
                     .build(sim)?,
             )
         } else {
             None
         };
-        let trigger_base = sim.cq_total(tp.recv_cq);
-        let ctrl_cqe_base = sim.cq_total(ctrl.cq);
         Ok(ListWalkOffload {
-            tp,
+            frame,
             spec,
-            posted: 0,
-            trigger_base,
-            node,
-            report: None,
-            footprint: None,
-            backend: Backend::HostArmed {
+            host: Some(HostQueues {
                 chain,
                 ctrl,
                 brk_q,
-                armed: 0,
-                ctrl_cqe_base,
-            },
+                ctrl_cqe_base: sim.cq_total(ctrl.cq),
+            }),
         })
     }
 
-    /// The IR optimizer's before/after verb accounting for one recycled
-    /// round (`None` for host-armed offloads).
-    pub fn ir_report(&self) -> Option<PassReport> {
-        self.report
-    }
-
-    /// The deployed round's non-interference footprint (`None` for
-    /// host-armed offloads — their instances are staged per `arm` call,
-    /// so the static footprint of one round does not exist).
-    pub fn footprint(&self) -> Option<&Footprint> {
-        self.footprint.as_ref()
-    }
-
-    /// Optimized WQEs per request (one recycled round divided by its
-    /// instances); `None` for host-armed offloads.
-    pub fn verbs_per_op(&self) -> Option<f64> {
-        self.report
-            .map(|r| r.after.total() as f64 / f64::from(self.spec.pipeline_depth))
-    }
-
     /// Deploy the self-recycling variant (§3.4 applied to list
-    /// traversal): one ring of `pipeline_depth` walk instances is staged
-    /// **once** and the NIC re-arms it between rounds. Per instance `k`
-    /// the ring holds (`N` = `max_nodes`, probes strictly serialized by
+    /// traversal): the frame's recycled round (see
+    /// [`service`](crate::offloads::service)) with this body per
+    /// instance (`N` = `max_nodes`, probes strictly serialized by
     /// `wait_prev` — a list walk is a pointer chase):
     ///
     /// ```text
-    /// WAIT(recv_cq, T_k)            -- released by trigger k  (+K/round)
     /// READ_0                        -- node -> next READ / resp id / staging
     /// CAS_0   (wait_prev)           -- key match? NOOP -> WRITE_IMM
     /// READ_1  (wait_prev)           -- remote addr patched by READ_0
     /// ...
-    /// ENABLE(resp, (k+1)*N) (wait_prev)                      (+N*K/round)
     /// ```
     ///
-    /// and per round, after all K instances, the same tail as the
-    /// recycled hash-get: WAIT for all `K*N` responses, one restore
-    /// WRITE over the pristine response images, FETCH_ADD fix-ups and
-    /// the self-ENABLE appended by [`RecycledLoopBuilder`].
-    ///
-    /// The R3 key-copy is folded into the trigger RECV scatter: the
-    /// client payload is `[N0(8B)][x(6B) × N]` (see
+    /// The response ring holds `N` restore-marked placeholders per
+    /// instance. The R3 key-copy is folded into the trigger RECV
+    /// scatter: the client payload is `[N0(8B)][x(6B) × N]` (see
     /// [`ListWalkOffload::client_payload`]), capping `N` at
     /// [`RECYCLED_MAX_NODES`].
     pub(crate) fn deploy_recycled(
         sim: &mut Simulator,
-        node: NodeId,
-        owner: ProcessId,
         spec: ListWalkSpec,
         pool: &mut ConstPool,
         opts: DeployOpts,
     ) -> Result<ListWalkOffload> {
-        assert!(spec.max_nodes >= 1);
         if spec.break_on_match {
             return Err(Error::InvalidWr(
                 "break_on_match suppresses completions; recycled walks need absolute counts",
@@ -262,215 +271,71 @@ impl ListWalkOffload {
                 "recycled list-walk folds the key into the 16-SGE trigger scatter: max_nodes <= 15",
             ));
         }
-        let npus = sim.nic_config(node).pus_per_port;
-        let pu = |off: usize| (spec.pu_base + off) % npus;
-        let k = spec.pipeline_depth as u64;
-        let n = spec.max_nodes as u64;
-        let resp_slots = k * n;
-
-        let tp = TriggerPointBuilder::new(node, owner)
-            .on_pu(pu(0))
-            .on_port(spec.port)
-            .sq_depth(resp_slots as u32)
-            .rq_depth(k as u32)
-            .build(sim)?;
-        let trigger_base = sim.cq_total(tp.recv_cq);
-        let send_base = sim.cq_total(tp.send_cq);
-        let tp_queue = ChainQueue {
-            qp: tp.qp,
-            peer: tp.qp, // unused
-            sq: sim.sq_of(tp.qp),
-            cq: tp.send_cq,
-            ring: tp.ring,
-            managed: true,
-            depth: resp_slots as u32,
-            node,
-        };
-        let stride = spec.value_len.max(8) as u64;
-
-        // The whole round as one typed IR program: per-iteration staging
-        // cells and response placeholders (restore-marked — the optimizer
-        // merges their per-round re-arms into one scatter WRITE), and per
-        // instance the wait_prev-serialized READ→CAS pointer chase.
-        let (mut p, ring) = crate::ir::IrProgram::recycled(crate::ir::RingSpec {
-            node,
-            owner,
-            pu: Some(pu(1)),
-            port: spec.port,
-        });
-        let resp_q = p.chain(tp_queue);
+        let k = u64::from(spec.frame.depth);
+        let n = spec.max_nodes;
+        let mut f = RecycledFrame::begin(sim, spec.frame, n as u64, 1)?;
 
         // Per-(instance, iteration) value staging buffers plus a shared
         // scrap sink for final next pointers and key pads. Mutable cells:
         // the dedup pass never merges them.
-        let staging: Vec<_> = (0..resp_slots)
-            .map(|_| p.const_zeroed(spec.value_len as u64))
+        let staging: Vec<_> = (0..k as usize * n)
+            .map(|_| f.p.const_zeroed(spec.value_len as u64))
             .collect();
-        let scratch = p.const_zeroed(16);
-
-        // Response ring: K*N pristine WRITE_IMM-carrying NOOPs. The
-        // local address is the iteration's staging buffer (fixed); only
-        // the id bits (stored key) are patched per request.
-        let mut resp_ops = Vec::with_capacity(resp_slots as usize);
+        let scratch = f.p.const_zeroed(16);
+        let mut resp_ops = Vec::with_capacity(staging.len());
         for inst in 0..k {
             for i in 0..n {
-                resp_ops.push(
-                    p.push(
-                        resp_q,
-                        OpBuild::new(Kind::Write {
-                            src: Loc::cst(staging[(inst * n + i) as usize]),
-                            len: spec.value_len,
-                            dst: Loc::raw(spec.dest.addr + inst * stride, spec.dest.rkey()),
-                            imm: Some(inst as u32),
-                        })
-                        .signaled()
-                        .placeholder()
-                        .restore()
-                        .label("response slot"),
-                    ),
-                );
+                let stage_buf = staging[inst as usize * n + i];
+                let op = response_slot_op(&spec, stage_buf, inst, inst).restore();
+                resp_ops.push(f.p.push(f.resp_q, op));
             }
         }
 
         let mut scatter_ids = Vec::with_capacity(k as usize);
         for inst in 0..k {
-            p.push(
-                ring,
-                OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                    cq: tp.recv_cq,
-                    count: trigger_base + inst + 1,
-                }))
-                .bump(k)
-                .label("trigger wait"),
-            );
+            f.trigger_wait(inst);
+            let at = inst as usize * n;
             // Forward-allocate the READs: READ_i's scatter aims at
             // READ_{i+1}'s remote-address field (the pointer chase).
-            let reads: Vec<_> = (0..n).map(|_| p.alloc(ring)).collect();
-            let mut head_entry = None;
-            let mut key_entries = Vec::with_capacity(n as usize);
+            let reads: Vec<_> = (0..n).map(|_| f.p.alloc(f.ring)).collect();
+            // Trigger payload is [N0][x × N]: head entry first, then one
+            // key entry per iteration's CAS (the folded R3).
+            let mut entries = vec![SgeSpec {
+                target: Loc::field(reads[0], WqeField::RemoteAddr),
+                len: 8,
+            }];
             for i in 0..n {
-                let resp = resp_ops[(inst * n + i) as usize];
-                // READ scatter: next -> next iteration's READ.remote_addr
-                // (or scratch for the last), key(6B) -> response id,
-                // pad(2B) -> scratch, value -> staging.
-                let next_target = if i + 1 < n {
-                    Loc::field(reads[(i + 1) as usize], WqeField::RemoteAddr)
-                } else {
-                    Loc::cst(scratch)
+                let resp = resp_ops[at + i];
+                let next_target = match reads.get(i + 1) {
+                    Some(&next) => Loc::field(next, WqeField::RemoteAddr),
+                    None => Loc::cst(scratch),
                 };
-                let table = p.const_sges(vec![
-                    SgeSpec {
-                        target: next_target,
-                        len: 8,
-                    },
-                    SgeSpec {
-                        target: Loc::field(resp, WqeField::Id),
-                        len: 6,
-                    },
-                    SgeSpec {
-                        target: Loc::cst_off(scratch, 8),
-                        len: 2,
-                    },
-                    SgeSpec {
-                        target: Loc::cst(staging[(inst * n + i) as usize]),
-                        len: spec.value_len,
-                    },
-                ]);
-                let mut read = OpBuild::new(Kind::ReadSgl {
-                    table,
-                    entries: 4,
-                    src: Loc::raw(0, spec.list.rkey()), // patched: head / prev next
-                })
-                .signaled()
-                .label("node READ");
+                let mut read =
+                    node_read(&mut f.p, &spec, next_target, resp, scratch, staging[at + i]);
                 if i > 0 {
                     // The pointer chase: READ_i's remote address is
                     // patched by READ_{i-1}'s scatter.
                     read = read.wait_prev();
                 }
-                p.place(reads[i as usize], read);
-                if i == 0 {
-                    head_entry = Some(SgeSpec {
-                        target: Loc::field(reads[0], WqeField::RemoteAddr),
-                        len: 8,
-                    });
-                }
-                let cas = p.push(
-                    ring,
-                    OpBuild::new(Kind::Transmute {
-                        target: resp,
-                        y: 0, // compare id bits patched with x
-                        into: Opcode::WriteImm,
-                    })
-                    .signaled()
-                    .wait_prev()
-                    .label("key CAS"),
-                );
-                key_entries.push(SgeSpec {
+                f.p.place(reads[i], read);
+                let cas =
+                    f.p.push(f.ring, key_cas(resp, Opcode::WriteImm).wait_prev());
+                entries.push(SgeSpec {
                     target: Loc::field_off(cas, WqeField::Operand, 2),
                     len: 6,
                 });
             }
-            p.push(
-                ring,
-                OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(
-                    resp_ops[((inst + 1) * n - 1) as usize],
-                )))
-                .wait_prev()
-                .bump(resp_slots)
-                .label("response release"),
-            );
-            // Trigger payload is [N0][x × N]: head entry first, then one
-            // key entry per iteration's CAS (the folded R3).
-            let mut entries = vec![head_entry.expect("n >= 1")];
-            entries.extend(key_entries);
-            scatter_ids.push(p.scatter(entries));
+            f.release(resp_ops[at + n - 1], true);
+            scatter_ids.push(f.p.scatter(entries));
         }
-        // Round tail: all of this round's responses executed; the
-        // restore WRITE over the pristine response images is synthesized
-        // from the restore marks.
-        p.push(
-            ring,
-            OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                cq: tp.send_cq,
-                count: send_base + resp_slots,
-            }))
-            .bump(resp_slots)
-            .label("responses-executed wait"),
-        );
-
-        let lowered = p.deploy_with(sim, pool, opts, None)?.into_recycled();
-
-        // The trigger-RECV ring: one scatter program per instance, posted
-        // once and recycled by the NIC as the ring wraps.
-        for sid in &scatter_ids {
-            tp.post_trigger_recv(sim, pool, &lowered.scatter(*sid))?;
-        }
-        sim.set_rq_cyclic(tp.qp)?;
-
-        // Claim the trigger point's CQs — created outside the IR, owned
-        // by this offload (see hash_lookup's recycled deploy).
-        let mut footprint = lowered
-            .footprint()
-            .clone()
-            .named(format!("list-walk(n={})@node{}", spec.max_nodes, node.0));
-        footprint.claim_cq(tp.recv_cq);
-        footprint.claim_cq(tp.send_cq);
-
+        let name = format!("list-walk(n={})@node{}", n, spec.frame.node.0);
+        let frame = f.finish(sim, pool, opts, name, 0, |lowered, inst| {
+            lowered.scatter(scatter_ids[inst as usize])
+        })?;
         Ok(ListWalkOffload {
-            tp,
+            frame,
             spec,
-            posted: 0,
-            trigger_base,
-            node,
-            report: Some(lowered.report()),
-            footprint: Some(footprint),
-            backend: Backend::Recycled {
-                ring: lowered.lp.queue,
-                slots: k,
-                completed: 0,
-                round_len: lowered.lp.round_len,
-            },
+            host: None,
         })
     }
 
@@ -481,46 +346,24 @@ impl ListWalkOffload {
     /// in its own client slot and carries the instance id as immediate
     /// data, so several walks can be armed (and in flight) at once.
     pub fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<usize> {
-        let resp_depth = sim.wq_depth(sim.sq_of(self.tp.qp));
-        let Backend::HostArmed {
-            chain,
-            ctrl,
-            brk_q,
-            armed,
-            ctrl_cqe_base,
-        } = self.backend
-        else {
-            return Err(Error::InvalidWr(
-                "self-recycling offloads are primed once at deploy; arm() is host-armed only",
-            ));
-        };
-        let trigger_count = self.trigger_base + armed + 1;
-        let instance = armed;
-        let slot = instance % self.spec.pipeline_depth as u64;
-        let resp_addr = self.spec.dest.addr + slot * self.response_stride();
+        let (instance, trigger_count) = self.frame.next_arm()?;
+        let slot = self.frame.slot(instance)?;
+        let tp = self.frame.tp;
+        let host = self.host.expect("host-armed frame has queues");
         let spec = self.spec;
         // With breaks, suppressed completions make posted != CQE count, so
         // break offloads are single-shot: gate on the live CQ totals.
-        let resp_cqe_base = sim.cq_total(self.tp.send_cq);
+        let resp_cqe_base = sim.cq_total(tp.send_cq);
 
         // One linear IR program per walk instance (see the hash-get arm
         // for the pattern): responses and break placeholders on managed
         // queues, the READ→CAS unroll on the managed chain queue, and the
         // WAIT/ENABLE doorbell ladder on the unmanaged control queue.
-        let mut p = crate::ir::IrProgram::linear();
-        let resp_qid = p.chain(ChainQueue {
-            qp: self.tp.qp,
-            peer: self.tp.qp,
-            sq: sim.sq_of(self.tp.qp),
-            cq: self.tp.send_cq,
-            ring: self.tp.ring,
-            managed: true,
-            depth: resp_depth,
-            node: self.node,
-        });
-        let chain_qid = p.chain(chain);
-        let ctrl_qid = p.chain(ctrl);
-        let brk_qid = brk_q.map(|q| p.chain(q));
+        let mut p = IrProgram::linear();
+        let resp_qid = p.chain(tp.response_queue(sim));
+        let chain_qid = p.chain(host.chain);
+        let ctrl_qid = p.chain(host.ctrl);
+        let brk_qid = host.brk_q.map(|q| p.chain(q));
 
         // The client's key is scattered once into a pool cell; each
         // iteration's R3 WRITE copies it into that iteration's CAS.
@@ -537,21 +380,10 @@ impl ListWalkOffload {
         let mut resp_ops = Vec::with_capacity(spec.max_nodes);
         let mut break_ops = Vec::new();
         for &stage_buf in staging.iter() {
-            let resp = p.push(
-                resp_qid,
-                OpBuild::new(Kind::Write {
-                    src: Loc::cst(stage_buf),
-                    len: spec.value_len,
-                    dst: Loc::raw(resp_addr, spec.dest.rkey()),
-                    imm: Some(instance as u32),
-                })
-                .signaled()
-                .placeholder()
-                .label("response slot"),
-            );
+            let resp = p.push(resp_qid, response_slot_op(&spec, stage_buf, slot, instance));
             resp_ops.push(resp);
 
-            if spec.break_on_match {
+            if let Some(brk_qid) = brk_qid {
                 // Break placeholder: NOOP -> WRITE(12B) onto the response
                 // slot, turning it into an *unsignaled* WRITE_IMM. Lives
                 // on a server loopback queue so its WRITE addresses
@@ -562,7 +394,7 @@ impl ListWalkOffload {
                 let image_c = p.const_bytes(image);
                 break_ops.push(
                     p.push(
-                        brk_qid.expect("break queue"),
+                        brk_qid,
                         OpBuild::new(Kind::Write {
                             src: Loc::cst(image_c),
                             len: 12,
@@ -584,48 +416,18 @@ impl ListWalkOffload {
         let cases: Vec<_> = (0..spec.max_nodes).map(|_| p.alloc(chain_qid)).collect();
 
         for i in 0..spec.max_nodes {
-            // READ scatter: next -> next iteration's READ.remote_addr (or
-            // scratch for the last), key(6B) -> the id bits of whatever
-            // WQE the CAS will test (break placeholder when breaking, the
-            // response otherwise), pad(2B) -> scratch, value -> staging.
-            let next_target = if i + 1 < spec.max_nodes {
-                Loc::field(reads[i + 1], WqeField::RemoteAddr)
-            } else {
-                Loc::cst(scratch)
+            let next_target = match reads.get(i + 1) {
+                Some(&next) => Loc::field(next, WqeField::RemoteAddr),
+                None => Loc::cst(scratch),
             };
-            let id_target = if spec.break_on_match {
-                break_ops[i]
-            } else {
-                resp_ops[i]
+            // The conditional tests (and transmutes) either the break
+            // NOOP (break variant) or the response NOOP directly.
+            let (id_target, into) = match break_ops.get(i) {
+                Some(&brk) => (brk, Opcode::Write),
+                None => (resp_ops[i], Opcode::WriteImm),
             };
-            let table = p.const_sges(vec![
-                SgeSpec {
-                    target: next_target,
-                    len: 8,
-                },
-                SgeSpec {
-                    target: Loc::field(id_target, WqeField::Id),
-                    len: 6,
-                },
-                SgeSpec {
-                    target: Loc::cst_off(scratch, 8),
-                    len: 2,
-                },
-                SgeSpec {
-                    target: Loc::cst(staging[i]),
-                    len: spec.value_len,
-                },
-            ]);
-            p.place(
-                reads[i],
-                OpBuild::new(Kind::ReadSgl {
-                    table,
-                    entries: 4,
-                    src: Loc::raw(0, spec.list.rkey()), // patched: head / prev next
-                })
-                .signaled()
-                .label("node READ"),
-            );
+            let read = node_read(&mut p, &spec, next_target, id_target, scratch, staging[i]);
+            p.place(reads[i], read);
 
             // The trigger gate must precede anything that consumes the
             // scattered arguments (x_cell is only valid after the RECV).
@@ -633,7 +435,7 @@ impl ListWalkOffload {
                 p.push(
                     ctrl_qid,
                     OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                        cq: self.tp.recv_cq,
+                        cq: tp.recv_cq,
                         count: trigger_count,
                     }))
                     .label("trigger wait"),
@@ -653,92 +455,54 @@ impl ListWalkOffload {
                 .signaled()
                 .label("R3 key copy"),
             );
-
-            // The conditional: transmute either the break NOOP (break
-            // variant) or the response NOOP directly.
-            let into = if spec.break_on_match {
-                Opcode::Write
-            } else {
-                Opcode::WriteImm
-            };
-            p.place(
-                cases[i],
-                OpBuild::new(Kind::Transmute {
-                    target: id_target,
-                    y: 0, // compare id bits patched with x
-                    into,
-                })
-                .signaled()
-                .label("key CAS"),
-            );
+            p.place(cases[i], key_cas(id_target, into));
 
             // Release the READ after (a) trigger/previous iteration and
             // (b) the R3 write completed. Only the R3 WRITEs are signaled
             // on the control queue, so instance k's i-th R3 completes at
             // the absolute, monotonic `ctrl_cqe_base + k*N + i + 1` —
             // correct even with many instances armed before any runs.
-            let r3_done = ctrl_cqe_base + instance * spec.max_nodes as u64 + i as u64 + 1;
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                    cq: ctrl.cq,
+            let r3_done = host.ctrl_cqe_base + instance * spec.max_nodes as u64 + i as u64 + 1;
+            let mut ctrl = |kind: Kind, label: &'static str| {
+                p.push(ctrl_qid, OpBuild::new(kind).label(label));
+            };
+            ctrl(
+                Kind::Wait(WaitCond::Absolute {
+                    cq: host.ctrl.cq,
                     count: r3_done,
-                }))
-                .label("R3 wait"),
+                }),
+                "R3 wait",
             );
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(reads[i])))
-                    .label("READ release"),
+            ctrl(
+                Kind::Enable(EnableTarget::OpsThrough(reads[i])),
+                "READ release",
             );
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Wait(WaitCond::OpDonePosted(reads[i]))).label("READ wait"),
+            ctrl(Kind::Wait(WaitCond::OpDonePosted(reads[i])), "READ wait");
+            ctrl(
+                Kind::Enable(EnableTarget::OpsThrough(cases[i])),
+                "CAS release",
             );
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(cases[i]))).label("CAS release"),
-            );
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Wait(WaitCond::OpDonePosted(cases[i]))).label("CAS wait"),
-            );
-
-            if spec.break_on_match {
+            ctrl(Kind::Wait(WaitCond::OpDonePosted(cases[i])), "CAS wait");
+            let respond = Kind::Enable(EnableTarget::OpsThrough(resp_ops[i]));
+            match break_ops.get(i) {
                 // Release the break WQE; wait for it; release the
                 // response; gate the next iteration on the response's
                 // completion (suppressed by a taken break).
-                p.push(
-                    ctrl_qid,
-                    OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(break_ops[i])))
-                        .label("break release"),
-                );
-                p.push(
-                    ctrl_qid,
-                    OpBuild::new(Kind::Wait(WaitCond::OpDonePosted(break_ops[i])))
-                        .label("break wait"),
-                );
-                p.push(
-                    ctrl_qid,
-                    OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(resp_ops[i])))
-                        .label("response release"),
-                );
-                p.push(
-                    ctrl_qid,
-                    OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                        cq: self.tp.send_cq,
-                        count: resp_cqe_base + i as u64 + 1,
-                    }))
-                    .label("response wait"),
-                );
-            } else {
+                Some(&brk) => {
+                    ctrl(Kind::Enable(EnableTarget::OpsThrough(brk)), "break release");
+                    ctrl(Kind::Wait(WaitCond::OpDonePosted(brk)), "break wait");
+                    ctrl(respond, "response release");
+                    ctrl(
+                        Kind::Wait(WaitCond::Absolute {
+                            cq: tp.send_cq,
+                            count: resp_cqe_base + i as u64 + 1,
+                        }),
+                        "response wait",
+                    );
+                }
                 // Plain variant: release the response; all iterations
                 // always run (Fig 5 semantics).
-                p.push(
-                    ctrl_qid,
-                    OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(resp_ops[i])))
-                        .label("response release"),
-                );
+                None => ctrl(respond, "response release"),
             }
         }
 
@@ -757,7 +521,7 @@ impl ListWalkOffload {
         let wr_count = p.queue_len(resp_qid)
             + p.queue_len(chain_qid)
             + p.queue_len(ctrl_qid)
-            + brk_qid.map(|q| p.queue_len(q)).unwrap_or(0);
+            + brk_qid.map_or(0, |q| p.queue_len(q));
 
         let mut lowered = p.deploy(sim, pool)?.into_linear();
         lowered.post(sim, chain_qid)?;
@@ -767,12 +531,8 @@ impl ListWalkOffload {
         }
         lowered.post(sim, ctrl_qid)?;
 
-        let entries = lowered.scatter(sid);
-        self.tp.post_trigger_recv(sim, pool, &entries)?;
-        let Backend::HostArmed { ref mut armed, .. } = self.backend else {
-            unreachable!("checked above");
-        };
-        *armed += 1;
+        tp.post_trigger_recv(sim, pool, &lowered.scatter(sid))?;
+        self.frame.note_armed();
         Ok(wr_count)
     }
 
@@ -780,110 +540,18 @@ impl ListWalkOffload {
     /// self-recycling (the folded R3 scatters the key into every
     /// iteration's CAS, so the client repeats it once per iteration).
     pub fn client_payload(&self, head: u64, key: u64) -> Vec<u8> {
-        let recycled = matches!(self.backend, Backend::Recycled { .. });
-        let reps = if recycled { self.spec.max_nodes } else { 1 };
-        let mut p = Vec::with_capacity(client_payload_len(self.spec.max_nodes, recycled));
+        let len = client_payload_len(self.spec.max_nodes, self.is_recycled());
+        let mut p = Vec::with_capacity(len);
         p.extend_from_slice(&head.to_le_bytes());
-        for _ in 0..reps {
+        while p.len() < len {
             p.extend_from_slice(&operand48(key).to_le_bytes()[..6]);
         }
         p
     }
 
-    /// Instances armed so far. A self-recycling offload re-arms itself,
-    /// so its horizon is always `posted + instances_available`.
-    pub fn armed(&self) -> u64 {
-        match self.backend {
-            Backend::HostArmed { armed, .. } => armed,
-            Backend::Recycled { .. } => self.posted + self.instances_available(),
-        }
-    }
-
-    /// Whether this offload re-arms itself on the NIC (zero host work per
-    /// request) rather than through host `arm` calls.
-    pub fn is_recycled(&self) -> bool {
-        matches!(self.backend, Backend::Recycled { .. })
-    }
-
-    /// Recycle rounds the walk ring has completed (0 for host-armed
-    /// offloads).
-    pub fn rounds(&self, sim: &Simulator) -> u64 {
-        match self.backend {
-            Backend::Recycled {
-                ring, round_len, ..
-            } => sim.wq_executed(ring.sq) / round_len,
-            Backend::HostArmed { .. } => 0,
-        }
-    }
-
-    /// The immediate a response for `instance` carries: the global
-    /// instance id when host-armed, the ring slot when self-recycling.
-    pub fn response_tag(&self, instance: u64) -> u32 {
-        match self.backend {
-            Backend::HostArmed { .. } => instance as u32,
-            Backend::Recycled { slots, .. } => (instance % slots) as u32,
-        }
-    }
-
     /// Maximum nodes walked per request — the unroll factor.
     pub fn max_nodes(&self) -> usize {
         self.spec.max_nodes
-    }
-
-    /// Instances a pipelined client may keep in flight concurrently.
-    pub fn pipeline_depth(&self) -> u32 {
-        self.spec.pipeline_depth
-    }
-
-    /// Byte distance between consecutive client response slots.
-    pub fn response_stride(&self) -> u64 {
-        self.spec.value_len.max(8) as u64
-    }
-
-    /// Client response-slot address for `instance` (slot `instance %
-    /// pipeline_depth` of the advertised destination buffer).
-    pub fn response_slot(&self, instance: u64) -> u64 {
-        self.spec.dest.addr + (instance % self.spec.pipeline_depth as u64) * self.response_stride()
-    }
-
-    /// Claim the next armed instance for a request about to be posted
-    /// (see [`HashGetOffload::take_instance`] — the accounting is
-    /// identical).
-    ///
-    /// [`HashGetOffload::take_instance`]: crate::offloads::hash_lookup::HashGetOffload::take_instance
-    pub fn take_instance(&mut self) -> Result<u64> {
-        if self.instances_available() == 0 {
-            return Err(Error::InvalidWr(
-                "no armed list-walk instance available (re-arm or complete before posting)",
-            ));
-        }
-        let instance = self.posted;
-        self.posted += 1;
-        Ok(instance)
-    }
-
-    /// Retire one in-flight instance of a self-recycling walk — its
-    /// response was reaped (or the request abandoned), so its ring slot
-    /// is free for the next round. No-op for host-armed offloads, whose
-    /// slots are replenished by `arm`.
-    pub fn complete_instance(&mut self) {
-        if let Backend::Recycled {
-            ref mut completed, ..
-        } = self.backend
-        {
-            *completed = (*completed + 1).min(self.posted);
-        }
-    }
-
-    /// Armed instances not yet claimed by
-    /// [`take_instance`](ListWalkOffload::take_instance).
-    pub fn instances_available(&self) -> u64 {
-        match self.backend {
-            Backend::HostArmed { armed, .. } => armed - self.posted,
-            Backend::Recycled {
-                slots, completed, ..
-            } => slots - (self.posted - completed),
-        }
     }
 }
 
@@ -891,6 +559,7 @@ impl ListWalkOffload {
 mod tests {
     use super::*;
     use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
+    use rnic_sim::ids::{NodeId, ProcessId};
     use rnic_sim::mem::Access;
     use rnic_sim::qp::QpConfig;
     use rnic_sim::wqe::WorkRequest;
@@ -1012,10 +681,10 @@ mod tests {
             Some(cqe) => {
                 assert_eq!(
                     cqe.imm,
-                    Some(off.response_tag(instance)),
+                    Some(off.response_tag(instance).unwrap()),
                     "response immediate must be the slot-stable tag"
                 );
-                let slot = off.response_slot(instance);
+                let slot = off.response_slot(instance).unwrap();
                 Some(r.sim.mem_read(r.client, slot, 1).unwrap()[0])
             }
         }
@@ -1165,7 +834,9 @@ mod tests {
         for i in 0..4u64 {
             assert!(imms.contains(&(i as u32)), "instance {i} reported");
             assert_eq!(
-                r.sim.mem_read(r.client, off.response_slot(i), 1).unwrap()[0],
+                r.sim
+                    .mem_read(r.client, off.response_slot(i).unwrap(), 1)
+                    .unwrap()[0],
                 (i + 1) as u8,
                 "instance {i} value in its own slot"
             );

@@ -7,14 +7,15 @@
 //!   (Fig 9), in sequential and PU-parallel variants (Fig 11).
 //! * [`list`] — linked-list traversal (Fig 12), with and without `break`
 //!   (Fig 13).
-//! * [`service`] — the [`OffloadService`](service::OffloadService) trait:
-//!   the uniform runtime surface (prime / claim / retire / recycle
-//!   accounting) every serving offload family implements, so
-//!   heterogeneous fleets can deploy them side by side on one NIC.
 //! * [`replicate`] — chain-replicated PUTs: the primary's NIC forwards
 //!   each acked record to backup journals and acks the client, with zero
 //!   host involvement in steady state (§3.4 recycling on the write
 //!   path).
+//! * [`service`] — the one serving **frame** the three families above
+//!   plug their bodies into: trigger point, instance window (claim /
+//!   retire / tag / slot accounting), the recycled round's framing, and
+//!   the [`OffloadService`](service::OffloadService) trait that lets
+//!   heterogeneous fleets drive them side by side on one NIC.
 
 pub mod hash_lookup;
 pub mod list;

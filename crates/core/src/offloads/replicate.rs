@@ -8,7 +8,12 @@
 //! stages it **once** and then never touches the replication path again
 //! — no posts, no doorbells, no arm calls in steady state.
 //!
-//! Per in-flight PUT slot `k` (of `pipeline_depth` slots):
+//! The chain is one more body plugged into the shared serving frame
+//! ([`service`](crate::offloads::service)): the frame supplies the
+//! trigger point, the instance window (here with a `start_slot` base)
+//! and the recycled round's trigger WAIT / ack release / tail; this
+//! module supplies the forward-and-ack body. Per in-flight PUT slot `k`
+//! (of `pipeline_depth` slots):
 //!
 //! 1. the client SENDs `[seq(8B)][key(8B)][value]`; the trigger RECV's
 //!    scatter program lands it in staging slot `k` on the primary;
@@ -36,13 +41,12 @@
 //! [`Simulator::kill_process`]: rnic_sim::sim::Simulator::kill_process
 //! [`CqeStatus::RnrError`]: rnic_sim::cq::CqeStatus::RnrError
 
-use crate::ctx::{ClientDest, TriggerPointBuilder};
+use std::ops::{Deref, DerefMut};
+
+use crate::ctx::ClientDest;
 use crate::encode::WqeField;
-use crate::ir::analysis::Footprint;
-use crate::ir::{
-    DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, PassReport, RingSpec, WaitCond,
-};
-use crate::offloads::rpc::TriggerPoint;
+use crate::ir::{DeployOpts, EnableTarget, Kind, Loc, OpBuild, WaitCond};
+use crate::offloads::service::{FrameSpec, RecycledFrame, ServiceFrame};
 use crate::program::{ChainQueue, ConstPool};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -226,17 +230,16 @@ impl ReplicationBuilder {
         self
     }
 
-    /// Deploy the chain as one verifier-checked recycled IR program.
-    ///
-    /// Per instance `k` on the control ring (all thresholds `+K` per
-    /// round, `K = pipeline_depth`):
+    /// Deploy the chain as one verifier-checked recycled IR program: the
+    /// frame's round (see [`service`](crate::offloads::service); the
+    /// trigger WAIT means "client PUT k landed in staging", the released
+    /// response is the ack) with this body per instance `k` (thresholds
+    /// `+K` per round, `K = pipeline_depth`):
     ///
     /// ```text
-    /// WAIT(recv_cq, T_k)            -- client PUT k landed in staging
     /// ENABLE(fwd_b, k+1)   per b    -- release the forward WRITEs
     /// WAIT(fwd_cq_b, F_k)  per b    -- record durable on backup b
     /// FETCH_ADD(fwd_b[k].raddr, K*rec_len)  -- journal append pointer
-    /// ENABLE(ack, k+1)              -- seq WRITE_IMM back to client
     /// ```
     pub fn build_recycled(
         self,
@@ -272,29 +275,18 @@ impl ReplicationBuilder {
                 ));
             }
         }
-        let npus = sim.nic_config(self.node).pus_per_port;
-        let pu = |off: usize| (self.pu_base + off) % npus;
-
-        // Client-facing trigger point: the RQ holds the K trigger RECVs,
-        // the managed SQ holds the K ack WRITE_IMMs.
-        let tp = TriggerPointBuilder::new(self.node, self.owner)
-            .on_pu(pu(0))
-            .on_port(self.port)
-            .sq_depth(k as u32)
-            .rq_depth(k as u32)
-            .build(sim)?;
-        let trigger_base = sim.cq_total(tp.recv_cq);
-        let send_base = sim.cq_total(tp.send_cq);
-        let ack_queue = ChainQueue {
-            qp: tp.qp,
-            peer: tp.qp, // unused
-            sq: sim.sq_of(tp.qp),
-            cq: tp.send_cq,
-            ring: tp.ring,
-            managed: true,
-            depth: k as u32,
+        let spec = FrameSpec {
             node: self.node,
+            owner: self.owner,
+            port: self.port,
+            pu_base: self.pu_base,
+            depth: self.pipeline_depth,
+            dest: ack,
+            stride: 8,
         };
+        // One ack WRITE_IMM per instance; the control ring takes the PU
+        // after the forward queues'.
+        let mut f = RecycledFrame::begin(sim, spec, 1, 1 + self.backups.len())?;
 
         // Staging ring: K record slots the trigger RECVs scatter into and
         // the forward/ack WRITEs gather from. Dies with the primary.
@@ -302,6 +294,7 @@ impl ReplicationBuilder {
         let stage_addr = sim.alloc(self.node, stage_len, 64)?;
         let stage =
             sim.register_mr_owned(self.node, stage_addr, stage_len, Access::all(), self.owner)?;
+        let staged = |inst: u64| stage.addr + inst * rec_len as u64;
 
         // One managed cross-node forward queue per backup. Unlike
         // ChainQueueBuilder's loopback pairs, the peer endpoint lives on
@@ -315,7 +308,7 @@ impl ReplicationBuilder {
                 .sq_depth(k as u32)
                 .rq_depth(8)
                 .on_port(self.port)
-                .on_pu(pu(1 + bi))
+                .on_pu(spec.pu(sim, 1 + bi))
                 .managed();
             let qp = sim.create_qp_owned(self.node, cfg, self.owner)?;
             let pcq = sim.create_cq(j.node, 64)?;
@@ -338,15 +331,7 @@ impl ReplicationBuilder {
             });
         }
         let fwd_bases: Vec<u64> = fwd.iter().map(|q| sim.cq_total(q.cq)).collect();
-
-        let (mut p, ring) = IrProgram::recycled(RingSpec {
-            node: self.node,
-            owner: self.owner,
-            pu: Some(pu(1 + self.backups.len())),
-            port: self.port,
-        });
-        let ack_q = p.chain(ack_queue);
-        let fwd_qs: Vec<_> = fwd.iter().map(|q| p.chain(*q)).collect();
+        let fwd_qs: Vec<_> = fwd.iter().map(|q| f.p.chain(*q)).collect();
 
         // Bound-queue rounds: the ack WRITE_IMM per slot (seq goes back
         // to the client) and the forward WRITE per (backup, slot). Both
@@ -355,12 +340,12 @@ impl ReplicationBuilder {
         // ahead by the FETCH_ADDs below.
         let ack_ops: Vec<_> = (0..k)
             .map(|inst| {
-                p.push(
-                    ack_q,
+                f.p.push(
+                    f.resp_q,
                     OpBuild::new(Kind::Write {
-                        src: Loc::raw(stage.addr + inst * rec_len as u64, stage.lkey),
+                        src: Loc::raw(staged(inst), stage.lkey),
                         len: 8,
-                        dst: Loc::raw(ack.addr + inst * 8, ack.rkey()),
+                        dst: spec.slot_loc(inst),
                         imm: Some(inst as u32),
                     })
                     .signaled()
@@ -375,10 +360,10 @@ impl ReplicationBuilder {
             .map(|(j, q)| {
                 (0..k)
                     .map(|inst| {
-                        p.push(
+                        f.p.push(
                             *q,
                             OpBuild::new(Kind::Write {
-                                src: Loc::raw(stage.addr + inst * rec_len as u64, stage.lkey),
+                                src: Loc::raw(staged(inst), stage.lkey),
                                 len: rec_len,
                                 dst: Loc::raw(j.slot_addr(self.start_slot + inst), j.mr.rkey),
                                 imm: None,
@@ -392,26 +377,18 @@ impl ReplicationBuilder {
             .collect();
 
         for inst in 0..k {
-            p.push(
-                ring,
-                OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                    cq: tp.recv_cq,
-                    count: trigger_base + inst + 1,
-                }))
-                .bump(k)
-                .label("put trigger wait"),
-            );
+            f.trigger_wait(inst);
             for ops in &fwd_ops {
-                p.push(
-                    ring,
+                f.p.push(
+                    f.ring,
                     OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(ops[inst as usize])))
                         .bump(k)
                         .label("forward release"),
                 );
             }
             for (bi, q) in fwd.iter().enumerate() {
-                p.push(
-                    ring,
+                f.p.push(
+                    f.ring,
                     OpBuild::new(Kind::Wait(WaitCond::Absolute {
                         cq: q.cq,
                         count: fwd_bases[bi] + inst + 1,
@@ -421,8 +398,8 @@ impl ReplicationBuilder {
                 );
             }
             for ops in &fwd_ops {
-                p.push(
-                    ring,
+                f.p.push(
+                    f.ring,
                     OpBuild::new(Kind::FetchAdd {
                         target: Loc::field(ops[inst as usize], WqeField::RemoteAddr),
                         delta: k * rec_len as u64,
@@ -430,96 +407,54 @@ impl ReplicationBuilder {
                     .label("journal append bump"),
                 );
             }
-            p.push(
-                ring,
-                OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(
-                    ack_ops[inst as usize],
-                )))
-                .bump(k)
-                .label("ack release"),
-            );
+            // The durable WAITs above already order the ack: no fence.
+            f.release(ack_ops[inst as usize], false);
         }
-        // Round tail: all K acks of this round executed before the ring
-        // wraps (paces the loop to client-visible completion).
-        p.push(
-            ring,
-            OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                cq: tp.send_cq,
-                count: send_base + k,
-            }))
-            .bump(k)
-            .label("acks-executed wait"),
-        );
 
-        let lowered = p.deploy_with(sim, pool, opts, None)?.into_recycled();
-
-        // The cyclic trigger-RECV ring: each slot scatters a whole
-        // incoming record into its staging slot, re-armed by the NIC
-        // forever.
-        for inst in 0..k {
-            tp.post_trigger_recv(
-                sim,
-                pool,
-                &[(stage.addr + inst * rec_len as u64, stage.lkey, rec_len)],
-            )?;
-        }
-        sim.set_rq_cyclic(tp.qp)?;
-
-        // Claim the trigger point's CQs — created outside the IR, owned
-        // by this chain (see hash_lookup's recycled deploy).
-        let mut footprint = lowered.footprint().clone().named(format!(
-            "replicate(f={})@node{}",
-            fwd.len(),
-            self.node.0
-        ));
-        footprint.claim_cq(tp.recv_cq);
-        footprint.claim_cq(tp.send_cq);
-
+        // Each trigger RECV scatters a whole incoming record into its
+        // staging slot.
+        let name = format!("replicate(f={})@node{}", fwd.len(), self.node.0);
+        let frame = f.finish(sim, pool, opts, name, self.start_slot, |_, inst| {
+            vec![(staged(inst), stage.lkey, rec_len)]
+        })?;
         Ok(ReplicationOffload {
-            tp,
-            node: self.node,
+            frame,
             value_len: self.value_len,
-            depth: k,
-            base: self.start_slot,
-            posted: 0,
-            completed: 0,
-            fwd,
             backups: self.backups,
-            report: lowered.report(),
-            footprint,
         })
     }
 }
 
-/// A deployed NIC-resident replication chain on a shard primary.
+/// A deployed NIC-resident replication chain on a shard primary: a
+/// [`ServiceFrame`] whose body forwards into the backups' journals.
 ///
-/// Host-side it is pure accounting: [`take_instance`] claims a window
-/// slot before the client SENDs, [`complete_instance`] retires it when
-/// the ack is reaped. The NIC does everything else.
-///
-/// [`take_instance`]: ReplicationOffload::take_instance
-/// [`complete_instance`]: ReplicationOffload::complete_instance
+/// Host-side it is pure accounting — the frame's window:
+/// `take_instance` claims a slot before the client SENDs (the claimed
+/// instance's PUT must carry `seq = instance + 1` and lands in journal
+/// slot `instance` on every backup; the first instance of a rebuilt
+/// chain is its `start_slot`), `complete_instance` retires it when the
+/// ack is reaped, `response_tag` is the ack's immediate and
+/// `response_slot` the client ack slot. The NIC does everything else.
 pub struct ReplicationOffload {
-    /// The client-facing endpoint (connect the putting client here).
-    pub tp: TriggerPoint,
-    node: NodeId,
+    frame: ServiceFrame,
     value_len: u32,
-    depth: u64,
-    base: u64,
-    posted: u64,
-    completed: u64,
-    fwd: Vec<ChainQueue>,
     backups: Vec<ReplicationLog>,
-    report: PassReport,
-    footprint: Footprint,
+}
+
+impl Deref for ReplicationOffload {
+    type Target = ServiceFrame;
+    fn deref(&self) -> &ServiceFrame {
+        &self.frame
+    }
+}
+
+impl DerefMut for ReplicationOffload {
+    fn deref_mut(&mut self) -> &mut ServiceFrame {
+        &mut self.frame
+    }
 }
 
 impl ReplicationOffload {
-    /// Node the chain runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Bytes per value.
     pub fn value_len(&self) -> u32 {
         self.value_len
@@ -530,81 +465,17 @@ impl ReplicationOffload {
         record_len(self.value_len)
     }
 
-    /// In-flight PUT window.
-    pub fn pipeline_depth(&self) -> u32 {
-        self.depth as u32
-    }
-
     /// The journals this chain replicates into.
     pub fn journals(&self) -> &[ReplicationLog] {
         &self.backups
     }
 
-    /// The cross-node forward queues (exposed for failover drills that
-    /// inspect or re-wire the chain).
-    pub fn forward_queues(&self) -> &[ChainQueue] {
-        &self.fwd
-    }
-
-    /// The optimizer's before/after verb accounting for one round.
-    pub fn ir_report(&self) -> PassReport {
-        self.report
-    }
-
-    /// The deployed chain's non-interference footprint (ring slots,
-    /// journal windows, ack slots, owned CQs/SQs) for the deployment
-    /// verifier.
-    pub fn footprint(&self) -> &Footprint {
-        &self.footprint
-    }
-
-    /// Optimized control-ring WQEs per replicated PUT.
+    /// Optimized control-ring WQEs per replicated PUT (a chain is always
+    /// self-recycling, so unlike the frame's accessor this is total).
     pub fn verbs_per_op(&self) -> f64 {
-        self.report.after.total() as f64 / self.depth as f64
-    }
-
-    /// Claim the next window slot; the claimed instance's PUT must carry
-    /// `seq = instance + 1` and lands in journal slot `instance` on
-    /// every backup. Errors when the window is full (reap acks and
-    /// [`complete_instance`](ReplicationOffload::complete_instance)
-    /// first).
-    pub fn take_instance(&mut self) -> Result<u64> {
-        if self.instances_available() == 0 {
-            return Err(Error::InvalidWr(
-                "replication window full (reap acks before posting)",
-            ));
-        }
-        let instance = self.base + self.posted;
-        self.posted += 1;
-        Ok(instance)
-    }
-
-    /// Retire one in-flight instance (its ack was reaped). Pure host
-    /// accounting — the NIC already re-armed the slot.
-    pub fn complete_instance(&mut self) {
-        self.completed = (self.completed + 1).min(self.posted);
-    }
-
-    /// Window slots not currently in flight.
-    pub fn instances_available(&self) -> u64 {
-        self.depth - (self.posted - self.completed)
-    }
-
-    /// First journal slot this chain appends to (0 for a fresh chain,
-    /// the recovered-record count for a post-failover rebuild).
-    pub fn start_slot(&self) -> u64 {
-        self.base
-    }
-
-    /// The immediate an ack for `instance` carries (its window slot).
-    pub fn response_tag(&self, instance: u64) -> u32 {
-        ((instance - self.base) % self.depth) as u32
-    }
-
-    /// Client ack-slot offset (bytes) for `instance` within the
-    /// advertised ack buffer.
-    pub fn ack_offset(&self, instance: u64) -> u64 {
-        ((instance - self.base) % self.depth) * 8
+        self.frame
+            .verbs_per_op()
+            .expect("chains are self-recycling")
     }
 }
 
@@ -622,7 +493,6 @@ mod tests {
         cqp: rnic_sim::ids::QpId,
         pid: ProcessId,
         req: MemoryRegion,
-        ack: MemoryRegion,
         pool: ConstPool,
     }
 
@@ -710,7 +580,6 @@ mod tests {
             cqp,
             pid,
             req,
-            ack,
             pool,
         }
     }
@@ -734,7 +603,7 @@ mod tests {
         rig.sim.run().unwrap();
         let recv_cq = rig.sim.recv_cq_of(rig.cqp);
         let acks = rig.sim.poll_cq(recv_cq, 16);
-        let slot = rig.repl.response_tag(inst);
+        let slot = rig.repl.response_tag(inst).unwrap();
         let cqe = acks
             .iter()
             .find(|c| c.imm == Some(slot))
@@ -742,7 +611,7 @@ mod tests {
         assert_eq!(cqe.status, rnic_sim::cq::CqeStatus::Success);
         let seq = rig
             .sim
-            .mem_read_u64(rig.client, rig.ack.addr + rig.repl.ack_offset(inst))
+            .mem_read_u64(rig.client, rig.repl.response_slot(inst).unwrap())
             .unwrap();
         assert_eq!(seq, inst + 1, "acked seq");
         rig.repl.complete_instance();
@@ -787,7 +656,7 @@ mod tests {
             let inst = put(&mut rig, i, &[1; 16]);
             reap_ack(&mut rig, inst);
         }
-        let primary = rig.repl.node();
+        let primary = rig.repl.tp.node;
         let doorbells = rig.sim.node_doorbells(primary);
         let posts = rig.sim.node_posts(primary);
         // Two more full rounds: the primary host does nothing.
@@ -801,22 +670,13 @@ mod tests {
     }
 
     #[test]
-    fn window_overflow_is_a_typed_error() {
-        let mut rig = rig(1);
-        for _ in 0..DEPTH {
-            rig.repl.take_instance().unwrap();
-        }
-        assert!(rig.repl.take_instance().is_err());
-    }
-
-    #[test]
     fn killed_primary_fails_in_flight_puts_with_typed_errors() {
         let mut rig = rig(1);
         let inst = put(&mut rig, 7, &[3; 16]);
         reap_ack(&mut rig, inst);
         // Kill the primary's serving process: chain queues die, journal
         // (backup pid 0) survives.
-        assert!(rig.sim.kill_process(rig.repl.node(), rig.pid));
+        assert!(rig.sim.kill_process(rig.repl.tp.node, rig.pid));
         let inst = put(&mut rig, 8, &[4; 16]);
         rig.sim.run().unwrap();
         let send_cq = rig.sim.send_cq_of(rig.cqp);

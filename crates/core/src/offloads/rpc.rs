@@ -16,7 +16,7 @@ use rnic_sim::mem::MemoryRegion;
 use rnic_sim::sim::Simulator;
 use rnic_sim::wqe::{Sge, WorkRequest, SGE_SIZE};
 
-use crate::program::ConstPool;
+use crate::program::{ChainQueue, ConstPool};
 
 /// A server-side trigger endpoint: the client-facing QP whose receive CQ
 /// fires offloaded chains, and whose *managed* send queue carries the
@@ -36,6 +36,22 @@ pub struct TriggerPoint {
 }
 
 impl TriggerPoint {
+    /// The endpoint's managed send queue as a chain queue, so programs
+    /// can stage the response WQEs they patch and release onto it.
+    pub fn response_queue(&self, sim: &Simulator) -> ChainQueue {
+        let sq = sim.sq_of(self.qp);
+        ChainQueue {
+            qp: self.qp,
+            peer: self.qp, // unused: responses go to the connected client
+            sq,
+            cq: self.send_cq,
+            ring: self.ring,
+            managed: true,
+            depth: sim.wq_depth(sq),
+            node: self.node,
+        }
+    }
+
     /// Post a trigger RECV whose scatter list injects the incoming
     /// payload into the given `(addr, lkey, len)` targets, in order.
     /// Builds the SGE table in the constant pool. Returns the RECV index.

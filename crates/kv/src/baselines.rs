@@ -46,9 +46,9 @@ pub fn run_until_cqe(sim: &mut Simulator, cq: CqId) -> Result<Option<Cqe>> {
 /// its request and response buffers into `slots` independent slots so
 /// that many requests can be in flight at once (one slot per in-flight
 /// instance — the client-side mirror of the offload's `pipeline_depth`).
-/// The response-slot stride matches
-/// [`HashGetOffload::response_stride`](redn_core::offloads::hash_lookup::HashGetOffload::response_stride):
-/// `max_value.max(8)` bytes.
+/// The response-slot stride matches the one the offload builders give
+/// the serving frame (`redn_core::offloads::service`): `max_value.max(8)`
+/// bytes.
 pub struct ClientEndpoint {
     /// Client node.
     pub node: NodeId,

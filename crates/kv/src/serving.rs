@@ -54,7 +54,7 @@ use crate::liststore::ListStore;
 use crate::memcached::{redn_get, MemcachedServer};
 use crate::session::{Completion, Session, SessionOpts};
 use crate::tenancy::{
-    CreditPacer, NicGeometry, Placement, TenantPacker, TenantRuntime, TenantSpec,
+    pu_stride, CreditPacer, NicGeometry, Placement, TenantPacker, TenantRuntime, TenantSpec,
 };
 use crate::workload::{latency_stats, LatencyStats, Workload};
 
@@ -528,6 +528,56 @@ pub struct ServingFleet {
     isolation: AnalysisReport,
 }
 
+/// An open loop's timetable: client `i`'s `j`-th request is scheduled at
+/// `start + j * interval + i * stagger`.
+#[derive(Clone, Copy)]
+struct Schedule {
+    start: Time,
+    interval_ps: u64,
+    stagger_ps: u64,
+}
+
+impl Schedule {
+    fn at(self, i: usize, j: u64) -> Time {
+        self.start + Time::from_ps(j * self.interval_ps + i as u64 * self.stagger_ps)
+    }
+}
+
+/// How a run's requests arrive at the generator.
+#[derive(Clone, Copy)]
+enum Arrival {
+    /// Closed loop: each client keeps `k` requests outstanding (capped
+    /// at its pipeline depth).
+    Closed { k: u32 },
+    /// Open loop: requests arrive on a fixed timetable.
+    Open(Schedule),
+}
+
+impl Arrival {
+    /// Requests client `c` (index `i`) should post at `now`: the closed
+    /// loop's window refill, or every due open-loop request the
+    /// pipeline has room for.
+    fn due(self, c: &FleetClient, i: usize, ops_per_client: u64, now: Time) -> u64 {
+        let inflight = c.inflight.len() as u64;
+        match self {
+            Arrival::Closed { k } => {
+                let room = u64::from(k.clamp(1, c.depth)).saturating_sub(inflight);
+                room.min(ops_per_client - c.posted)
+            }
+            Arrival::Open(sched) => {
+                let mut due = 0u64;
+                while c.posted + due < ops_per_client
+                    && sched.at(i, c.posted + due) <= now
+                    && inflight + due < u64::from(c.depth)
+                {
+                    due += 1;
+                }
+                due
+            }
+        }
+    }
+}
+
 /// Safety net for runs wedged by a lost completion: simulated time spent
 /// past this bound aborts the run and reports the remainder as timeouts.
 const RUN_DEADLINE: Time = Time::from_secs(5);
@@ -605,20 +655,18 @@ impl ServingFleet {
                 // the Table 4 dual-port scaling), then hand each client
                 // the next free PU range on its port so clients spread
                 // over the PUs instead of stacking on PU 0. The range is
-                // sized by the client's own service: a self-recycling
-                // one occupies 2 PUs (trigger + its ring), a host-armed
-                // one up to 3 (trigger/merge + chains) — a running
-                // cursor per port keeps mixed strides from overlapping.
+                // sized by the client's own service (`pu_stride`) — a
+                // running cursor per port keeps mixed strides from
+                // overlapping.
                 // A packed multi-tenant spec carries its own placements
                 // (the TenantPacker already did this arithmetic across
                 // tenants) and bypasses the cursor.
-                let stride = if svc.self_recycling { 2 } else { 3 };
                 let (port, pu_base) = match &spec.placements {
                     Some(pl) => (pl[i].port, pl[i].pu_base % npus),
                     None => {
                         let port = i % ports;
                         let base = pu_next[port] % npus;
-                        pu_next[port] += stride;
+                        pu_next[port] += pu_stride(svc);
                         (port, base)
                     }
                 };
@@ -791,25 +839,20 @@ impl ServingFleet {
     }
 
     /// Pass a client's ask through its tenant's pacer (if any): returns
-    /// how many posts are granted now, and — when throttled — notes the
-    /// earliest time a credit accrues in `credit_wake` so the run loop
-    /// can jump there instead of spinning.
+    /// how many posts are granted now, and — when throttled — the
+    /// earliest time a credit accrues, so the run loop can jump there
+    /// instead of spinning.
     fn grant_posts(
         pacers: &mut [Option<CreditPacer>],
         tenant: Option<usize>,
         now: Time,
         want: u64,
-        credit_wake: &mut Option<Time>,
-    ) -> u64 {
+    ) -> (u64, Option<Time>) {
         let Some(pacer) = tenant.and_then(|t| pacers[t].as_mut()) else {
-            return want;
+            return (want, None);
         };
         let granted = pacer.grant(now, want);
-        if granted < want {
-            let at = pacer.next_credit_at(now);
-            *credit_wake = Some(credit_wake.map_or(at, |w| w.min(at)));
-        }
-        granted
+        (granted, (granted < want).then(|| pacer.next_credit_at(now)))
     }
 
     /// Closed-loop run: every client keeps `k_outstanding` requests in
@@ -825,50 +868,8 @@ impl ServingFleet {
         ops_per_client: u64,
         k_outstanding: u32,
     ) -> Result<FleetStats> {
-        let start = sim.now();
-        let deadline = start + RUN_DEADLINE;
-        self.begin_run(sim, pool)?;
-        let base = self.counter_base(sim);
-        loop {
-            let mut all_done = true;
-            // Earliest time a throttled tenant accrues a credit — the
-            // wake-up target when pacing has idled the whole simulator.
-            let mut credit_wake: Option<Time> = None;
-            for ci in 0..self.clients.len() {
-                let c = &mut self.clients[ci];
-                let (lats, arms, last_done) = c.reap(sim, pool, ops_per_client)?;
-                let is_get = c.session.is_get();
-                let tenant = c.tenant;
-                self.record_reaped(lats, arms, is_get, tenant, last_done);
-                // Refill the window up to K with the next requests and
-                // fire the whole burst under a single doorbell.
-                let c = &mut self.clients[ci];
-                let k = u64::from(k_outstanding.clamp(1, c.depth));
-                let room = k.saturating_sub(c.inflight.len() as u64);
-                let want = room.min(ops_per_client - c.posted);
-                let refill =
-                    Self::grant_posts(&mut self.pacers, tenant, sim.now(), want, &mut credit_wake);
-                let c = &mut self.clients[ci];
-                c.post_burst(sim, refill)?;
-                if c.reaped < ops_per_client {
-                    all_done = false;
-                }
-            }
-            if all_done {
-                break;
-            }
-            if sim.now() > deadline {
-                break;
-            }
-            if !sim.step()? {
-                // Drained: only paced posts remain. Jump to the credit.
-                match credit_wake {
-                    Some(t) if t > sim.now() && t <= deadline => sim.run_until(t)?,
-                    _ => break,
-                }
-            }
-        }
-        Ok(self.finish(sim, pool, start, None, base))
+        let arrival = Arrival::Closed { k: k_outstanding };
+        self.run(sim, pool, ops_per_client, arrival, None)
     }
 
     /// Open-loop run: every client *schedules* a request every
@@ -889,47 +890,57 @@ impl ServingFleet {
             return Err(Error::InvalidWr("open-loop offered rate must be positive"));
         }
         let interval_ps = (1e12 / offered_per_client).round() as u64;
-        let nclients = self.clients.len() as u64;
+        let arrival = Arrival::Open(Schedule {
+            start: sim.now(),
+            interval_ps,
+            stagger_ps: interval_ps / (self.clients.len() as u64).max(1),
+        });
+        let offered = offered_per_client * self.clients.len() as f64;
+        self.run(sim, pool, ops_per_client, arrival, Some(offered))
+    }
+
+    /// The generator loop behind both run modes: per tick, every client
+    /// reaps, works out how many posts its [`Arrival`] wants now, passes
+    /// the ask through its tenant's pacer and fires the grant as one
+    /// burst; then simulated time advances the way the mode needs.
+    fn run(
+        &mut self,
+        sim: &mut Simulator,
+        pool: &mut ConstPool,
+        ops_per_client: u64,
+        arrival: Arrival,
+        offered: Option<f64>,
+    ) -> Result<FleetStats> {
         let start = sim.now();
         let deadline = start + RUN_DEADLINE;
         self.begin_run(sim, pool)?;
         let base = self.counter_base(sim);
-        // Client i's j-th request is scheduled at start + j*interval + i*stagger.
-        let sched = |i: u64, j: u64| {
-            start + Time::from_ps(j * interval_ps + i * (interval_ps / nclients.max(1)))
-        };
         loop {
             let mut all_done = true;
-            let mut next_due: Option<Time> = None;
-            for i in 0..self.clients.len() {
-                let c = &mut self.clients[i];
+            // Earliest future time a client has something to post: a
+            // throttled tenant's next credit, or (open loop) the next
+            // scheduled request of a client with window room.
+            let mut next_wake: Option<Time> = None;
+            for ci in 0..self.clients.len() {
+                let c = &mut self.clients[ci];
                 let (lats, arms, last_done) = c.reap(sim, pool, ops_per_client)?;
                 let is_get = c.session.is_get();
                 let tenant = c.tenant;
                 self.record_reaped(lats, arms, is_get, tenant, last_done);
-                let c = &mut self.clients[i];
-                // Post every due request the window has room for, as one
-                // burst under a single doorbell, then backdate each
-                // pending handle to its scheduled time. A rate-capped
-                // tenant's due posts are additionally gated by its
-                // pacer: the shortfall stays scheduled (so its latency
-                // keeps accruing from the scheduled time — pacing delay
-                // is charged to the overdriven tenant, not hidden).
-                let depth = u64::from(c.depth);
-                let mut due = 0u64;
-                while c.posted + due < ops_per_client
-                    && sched(i as u64, c.posted + due) <= sim.now()
-                    && (c.inflight.len() as u64) + due < depth
-                {
-                    due += 1;
-                }
-                let mut credit_wake: Option<Time> = None;
-                let granted =
-                    Self::grant_posts(&mut self.pacers, tenant, sim.now(), due, &mut credit_wake);
-                let c = &mut self.clients[i];
-                if granted > 0 {
-                    let first = c.posted;
-                    c.post_burst(sim, granted)?;
+                let c = &self.clients[ci];
+                let want = arrival.due(c, ci, ops_per_client, sim.now());
+                // A rate-capped tenant's posts are additionally gated by
+                // its pacer. In an open loop the shortfall stays
+                // scheduled, so its latency keeps accruing from the
+                // scheduled time — pacing delay is charged to the
+                // overdriven tenant, not hidden.
+                let (granted, credit_wake) =
+                    Self::grant_posts(&mut self.pacers, tenant, sim.now(), want);
+                let c = &mut self.clients[ci];
+                let first = c.posted;
+                c.post_burst(sim, granted)?;
+                if let Arrival::Open(sched) = arrival {
+                    // Backdate each new pending handle to its scheduled time.
                     let len = c.inflight.len();
                     for (j, pending) in c
                         .inflight
@@ -937,7 +948,7 @@ impl ServingFleet {
                         .skip(len - granted as usize)
                         .enumerate()
                     {
-                        pending.scheduled_at = sched(i as u64, first + j as u64);
+                        pending.scheduled_at = sched.at(ci, first + j as u64);
                     }
                 }
                 if c.reaped < ops_per_client {
@@ -945,35 +956,51 @@ impl ServingFleet {
                 }
                 // A credit-gated client's next post happens when its
                 // tenant's credit accrues, not at the (already-passed)
-                // scheduled time — report that as its due time instead,
-                // so a drained simulator jumps to the credit.
-                if let Some(t) = credit_wake {
-                    let t = t.max(sim.now());
-                    next_due = Some(next_due.map_or(t, |d: Time| d.min(t)));
-                } else if c.posted < ops_per_client && (c.inflight.len() as u64) < depth {
-                    let due = sched(i as u64, c.posted);
-                    next_due = Some(next_due.map_or(due, |t: Time| t.min(due)));
+                // scheduled time.
+                let wake = match (credit_wake, arrival) {
+                    (Some(t), _) => Some(t.max(sim.now())),
+                    (None, Arrival::Open(sched))
+                        if c.posted < ops_per_client
+                            && (c.inflight.len() as u64) < u64::from(c.depth) =>
+                    {
+                        Some(sched.at(ci, c.posted))
+                    }
+                    _ => None,
+                };
+                if let Some(t) = wake {
+                    next_wake = Some(next_wake.map_or(t, |w| w.min(t)));
                 }
             }
-            if all_done {
+            if all_done || sim.now() > deadline {
                 break;
             }
-            if sim.now() > deadline {
-                break;
-            }
-            match next_due {
-                // Nothing to do until the next scheduled post: jump there.
-                Some(t) if t > sim.now() => sim.run_until(t)?,
-                // A post is due now (window full) or only reaps remain.
-                _ => {
+            let jump = next_wake.filter(|&t| t > sim.now());
+            match arrival {
+                // Closed loop: event by event, so every completion is
+                // reaped and refilled at once; when the simulator drains
+                // only paced posts remain — jump to the credit.
+                Arrival::Closed { .. } => {
                     if !sim.step()? {
-                        break;
+                        match jump.filter(|&t| t <= deadline) {
+                            Some(t) => sim.run_until(t)?,
+                            None => break,
+                        }
                     }
                 }
+                // Open loop: nothing to do until the next scheduled
+                // post — jump there; otherwise a post is due now (window
+                // full) or only reaps remain.
+                Arrival::Open(_) => match jump {
+                    Some(t) => sim.run_until(t)?,
+                    None => {
+                        if !sim.step()? {
+                            break;
+                        }
+                    }
+                },
             }
         }
-        let offered = offered_per_client * self.clients.len() as f64;
-        Ok(self.finish(sim, pool, start, Some(offered), base))
+        Ok(self.finish(sim, pool, start, offered, base))
     }
 
     /// Reset per-run accounting and top every host-armed client's

@@ -166,22 +166,13 @@ impl Session {
             .pipeline_depth(opts.pipeline_depth)
             .on_port(opts.port)
             .on_pu(opts.pu_base);
-        let mut off = if opts.self_recycling {
+        let off = if opts.self_recycling {
             builder.build_recycled(sim, ctx.pool_mut())?
         } else {
             builder.build(sim)?
         };
-        sim.connect_qps(ep.qp, off.tp.qp)?;
-        OffloadService::prime(&mut off, sim, ctx.pool_mut())?;
-        Ok(Session {
-            ep,
-            bound: Bound::Get {
-                off,
-                table: server.table.clone(),
-            },
-            cqe_buf: Vec::new(),
-            reap_buf: Vec::new(),
-        })
+        let table = server.table.clone();
+        Session::bind(sim, ctx, ep, Bound::Get { off, table })
     }
 
     /// Deploy a list-walk service against `store` through `ctx` and
@@ -217,19 +208,31 @@ impl Session {
             .pipeline_depth(opts.pipeline_depth)
             .on_port(opts.port)
             .on_pu(opts.pu_base);
-        let mut off = if opts.self_recycling {
+        let off = if opts.self_recycling {
             builder.build_recycled(sim, ctx.pool_mut())?
         } else {
             builder.build(sim)?
         };
-        sim.connect_qps(ep.qp, off.tp.qp)?;
-        OffloadService::prime(&mut off, sim, ctx.pool_mut())?;
-        Ok(Session {
+        Session::bind(sim, ctx, ep, Bound::Walk { off })
+    }
+
+    /// Connect `ep` to the freshly deployed service and prime a
+    /// host-armed one to a full pipeline.
+    fn bind(
+        sim: &mut Simulator,
+        ctx: &mut OffloadCtx,
+        ep: ClientEndpoint,
+        bound: Bound,
+    ) -> Result<Session> {
+        let mut session = Session {
             ep,
-            bound: Bound::Walk { off },
+            bound,
             cqe_buf: Vec::new(),
             reap_buf: Vec::new(),
-        })
+        };
+        sim.connect_qps(session.ep.qp, session.service().tp.qp)?;
+        session.service_mut().prime(sim, ctx.pool_mut())?;
+        Ok(session)
     }
 
     /// The session's client endpoint (response slots, RECV accounting).
@@ -237,7 +240,8 @@ impl Session {
         &self.ep
     }
 
-    /// The bound service, through its uniform runtime surface.
+    /// The bound service: its family's `arm` plus, by dereference, the
+    /// shared [`ServiceFrame`](redn_core::offloads::service::ServiceFrame).
     pub fn service(&self) -> &dyn OffloadService {
         match &self.bound {
             Bound::Get { off, .. } => off,
@@ -261,18 +265,12 @@ impl Session {
     /// The IR optimizer's before/after verb accounting for the bound
     /// service's recycled round (`None` for host-armed services).
     pub fn ir_report(&self) -> Option<redn_core::ir::PassReport> {
-        match &self.bound {
-            Bound::Get { off, .. } => off.ir_report(),
-            Bound::Walk { off } => off.ir_report(),
-        }
+        self.service().ir_report()
     }
 
     /// Optimized WQEs per request of the bound recycled service.
     pub fn verbs_per_op(&self) -> Option<f64> {
-        match &self.bound {
-            Bound::Get { off, .. } => off.verbs_per_op(),
-            Bound::Walk { off } => off.verbs_per_op(),
-        }
+        self.service().verbs_per_op()
     }
 
     /// Post one lookup (a one-element [`Session::get_burst`]).
@@ -360,9 +358,14 @@ impl Session {
     }
 
     /// The response tag `instance`'s completion will carry (see
-    /// [`OffloadService::response_tag`]).
+    /// [`InstanceWindow::response_tag`]); an instance the service never
+    /// handed out gets a tag no completion carries.
+    ///
+    /// [`InstanceWindow::response_tag`]: redn_core::offloads::service::InstanceWindow::response_tag
     pub fn response_tag(&self, instance: u64) -> u64 {
-        u64::from(self.service().response_tag(instance))
+        self.service()
+            .response_tag(instance)
+            .map_or(u64::MAX, u64::from)
     }
 
     /// Retire one reaped in-flight instance (slot accounting).
@@ -379,7 +382,7 @@ impl Session {
 
     /// Read the first `len` bytes of `instance`'s response slot.
     pub fn read_value(&self, sim: &Simulator, instance: u64, len: u64) -> Result<Vec<u8>> {
-        sim.mem_read(self.ep.node, self.service().response_slot(instance), len)
+        sim.mem_read(self.ep.node, self.service().response_slot(instance)?, len)
     }
 }
 
@@ -472,6 +475,25 @@ mod tests {
         }
         // A get through a walk session is a typed error.
         assert!(session.get(&mut sim, 1).is_err());
+    }
+
+    #[test]
+    fn zero_node_walk_is_a_typed_error_in_both_modes() {
+        // `max_nodes(0)` used to pass the builder and die on an assert
+        // inside the deploy; a public entry point must return an error.
+        let (mut sim, c, s) = rig();
+        let store = ListStore::create(&mut sim, s, 2, 4, 64, ProcessId(0)).unwrap();
+        let mut ctx = OffloadCtx::builder(s).build(&mut sim).unwrap();
+        for self_recycling in [true, false] {
+            let opts = SessionOpts {
+                self_recycling,
+                ..SessionOpts::default()
+            };
+            let err = Session::connect_walk(&mut sim, &mut ctx, &store, c, 0, opts)
+                .err()
+                .expect("a zero-node walk must be rejected");
+            assert!(format!("{err}").contains("max_nodes"), "got: {err}");
+        }
     }
 
     #[test]

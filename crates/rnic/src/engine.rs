@@ -345,49 +345,6 @@ impl EventQueue {
     }
 }
 
-/// The pre-wheel global `BinaryHeap` queue, kept (API-compatible with
-/// [`EventQueue`]'s hot methods) as the committed baseline the
-/// `sim_events` wheel-vs-heap bench and its CI gate compare against.
-#[derive(Default)]
-pub struct BaselineHeapQueue {
-    heap: BinaryHeap<Event>,
-    next_seq: u64,
-    processed: u64,
-}
-
-impl BaselineHeapQueue {
-    /// Create an empty queue.
-    pub fn new() -> BaselineHeapQueue {
-        BaselineHeapQueue::default()
-    }
-
-    /// Schedule `kind` at absolute time `at`.
-    pub fn schedule(&mut self, at: Time, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event { at, seq, kind });
-    }
-
-    /// Pop the next event (earliest time, then earliest scheduled).
-    pub fn pop(&mut self) -> Option<Event> {
-        let e = self.heap.pop();
-        if e.is_some() {
-            self.processed += 1;
-        }
-        e
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// A single FIFO server: jobs occupy it back to back.
 ///
 /// Used for the serialized per-port resources: the managed-WQE fetch
@@ -591,37 +548,6 @@ mod tests {
             order.push((at, seq));
         }
         order
-    }
-
-    #[test]
-    fn wheel_matches_baseline_heap_order_exactly() {
-        use std::cell::RefCell;
-        let wheel = RefCell::new(EventQueue::new());
-        let wheel_order = churn(
-            |at| {
-                wheel
-                    .borrow_mut()
-                    .schedule(at, EventKind::WqAdvance { wq: WqId(0) })
-            },
-            || wheel.borrow_mut().pop().map(|e| (e.at, e.seq)),
-        );
-        let heap = RefCell::new(BaselineHeapQueue::new());
-        let heap_order = churn(
-            |at| {
-                heap.borrow_mut()
-                    .schedule(at, EventKind::WqAdvance { wq: WqId(0) })
-            },
-            || heap.borrow_mut().pop().map(|e| (e.at, e.seq)),
-        );
-        assert_eq!(wheel_order.len(), heap_order.len());
-        assert_eq!(
-            wheel_order, heap_order,
-            "wheel must replay the heap's exact order"
-        );
-        // And the order is the (time, seq) total order.
-        for w in wheel_order.windows(2) {
-            assert!(w[0] < w[1]);
-        }
     }
 
     #[test]
