@@ -67,6 +67,16 @@ pub struct PutReap {
     pub failures: Vec<PutFailure>,
 }
 
+/// One unresolved PUT occupying a window slot.
+#[derive(Clone, Copy, Debug)]
+struct PendingPut {
+    instance: u64,
+    key: u64,
+    /// Index of its SEND on the session's QP — what a send-side error
+    /// CQE names.
+    wqe_index: u64,
+}
+
 /// One client's write path to one shard: a window of in-flight PUTs
 /// into that shard's NIC-resident replication chain.
 ///
@@ -85,10 +95,12 @@ pub struct PutSession {
     req: MemoryRegion,
     ack: MemoryRegion,
     client: NodeId,
-    /// (instance, key) per SEND posted on `qp`, indexed by wqe_index.
-    sent: Vec<(u64, u64)>,
-    /// Send indices already resolved (acked or failed).
-    resolved: Vec<bool>,
+    /// Unresolved PUTs by window slot — `pipeline_depth` entries, however
+    /// many puts the session has carried. An ack names its slot in the
+    /// CQE immediate and must carry the sequence number this table holds
+    /// for that slot; anything else (a corrupted ack word, a late ack for
+    /// a superseded occupant) resolves nothing.
+    pending: Vec<Option<PendingPut>>,
 }
 
 impl PutSession {
@@ -162,8 +174,7 @@ impl PutSession {
             req,
             ack,
             client,
-            sent: Vec::new(),
-            resolved: Vec::new(),
+            pending: vec![None; depth as usize],
         })
     }
 
@@ -182,13 +193,15 @@ impl PutSession {
         let rec_len = self.repl.record_len();
         let addr = self.req.addr + slot * rec_len as u64;
         sim.mem_write(self.client, addr, &rec)?;
-        let idx = sim.post_send(
+        let wqe_index = sim.post_send(
             self.qp,
             WorkRequest::send(addr, self.req.lkey, rec_len).signaled(),
         )?;
-        debug_assert_eq!(idx as usize, self.sent.len());
-        self.sent.push((inst, key));
-        self.resolved.push(false);
+        self.pending[slot as usize] = Some(PendingPut {
+            instance: inst,
+            key,
+            wqe_index,
+        });
         Ok(inst)
     }
 
@@ -198,72 +211,75 @@ impl PutSession {
     }
 
     /// Drain both CQs: acks from the recv side, typed failures from the
-    /// send side. Does not step the simulator.
+    /// send side. Does not step the simulator. Everything the NIC wrote
+    /// (the immediate, the ack word, the request slot) is validated
+    /// against the session's own table; a mismatch skips the CQE or
+    /// fails the put, never panics.
     pub fn reap(&mut self, sim: &mut Simulator) -> PutReap {
         let mut out = PutReap::default();
         for cqe in sim.poll_cq(self.recv_cq, 64) {
             if cqe.status != CqeStatus::Success {
                 continue;
             }
-            let Some(slot) = cqe.imm else { continue };
+            let Some(slot) = cqe.imm.map(u64::from) else {
+                continue;
+            };
             // The ack slot holds the acked seq; instance = seq - 1.
             let seq = sim
-                .mem_read_u64(self.client, self.ack.addr + slot as u64 * 8)
+                .mem_read_u64(self.client, self.ack.addr + slot * 8)
                 .unwrap_or(0);
-            if seq == 0 {
+            let Some(put) = self
+                .pending
+                .get_mut(slot as usize)
+                .and_then(|p| p.take_if(|p| p.instance.checked_add(1) == Some(seq)))
+            else {
                 continue;
-            }
-            let inst = seq - 1;
-            if let Some(pos) = self
-                .sent
-                .iter()
-                .position(|&(i, _)| i == inst)
-                .filter(|&p| !self.resolved[p])
-            {
-                self.resolved[pos] = true;
-                let key = self.sent[pos].1;
-                // State-machine apply: the acked record (still in its
-                // request slot — the window frees it only below) goes
-                // into the shard's read index.
-                let rec_len = self.repl.record_len() as u64;
-                let slot = u64::from(
-                    self.repl
-                        .response_tag(inst)
-                        .expect("sent instance is in the window"),
-                );
-                let value = sim
-                    .mem_read(
-                        self.client,
-                        self.req.addr + slot * rec_len + 16,
-                        u64::from(self.repl.value_len()),
-                    )
-                    .expect("request slot readable");
-                self.table
-                    .borrow_mut()
-                    .insert(sim, key, &value)
-                    .expect("apply readable record")
-                    .then_some(())
-                    .expect("shard table full applying acked put");
-                out.acks.push(PutAck {
-                    instance: inst,
-                    seq,
-                    key,
+            };
+            // State-machine apply: the acked record (still in its
+            // request slot — the window frees it only below) goes
+            // into the shard's read index.
+            let rec_len = self.repl.record_len() as u64;
+            match sim.mem_read(
+                self.client,
+                self.req.addr + slot * rec_len + 16,
+                u64::from(self.repl.value_len()),
+            ) {
+                Ok(value) => {
+                    self.table
+                        .borrow_mut()
+                        .insert(sim, put.key, &value)
+                        .expect("apply readable record")
+                        .then_some(())
+                        .expect("shard table full applying acked put");
+                    out.acks.push(PutAck {
+                        instance: put.instance,
+                        seq,
+                        key: put.key,
+                        at: cqe.time,
+                    });
+                }
+                Err(_) => out.failures.push(PutFailure {
+                    instance: put.instance,
+                    key: put.key,
+                    status: CqeStatus::ProtectionError,
                     at: cqe.time,
-                });
-                self.repl.complete_instance();
+                }),
             }
+            self.repl.complete_instance();
         }
         for cqe in sim.poll_cq(self.send_cq, 64) {
             if cqe.status == CqeStatus::Success {
                 continue;
             }
-            let pos = cqe.wqe_index as usize;
-            if pos < self.sent.len() && !self.resolved[pos] {
-                self.resolved[pos] = true;
-                let (instance, key) = self.sent[pos];
+            let failed = self
+                .pending
+                .iter_mut()
+                .find(|p| p.is_some_and(|p| p.wqe_index == cqe.wqe_index))
+                .and_then(Option::take);
+            if let Some(put) = failed {
                 out.failures.push(PutFailure {
-                    instance,
-                    key,
+                    instance: put.instance,
+                    key: put.key,
                     status: cqe.status,
                     at: cqe.time,
                 });
@@ -289,7 +305,6 @@ pub struct ClusterSession {
     /// untenanted lane when connected via [`ClusterSession::connect`]).
     gets: Vec<Session>,
     puts: Vec<PutSession>,
-    nshards: usize,
     /// Tenant lanes sharing the shards (0 = untenanted).
     ntenants: usize,
     value_len: u32,
@@ -400,7 +415,6 @@ impl ClusterSession {
         Ok(ClusterSession {
             gets,
             puts,
-            nshards: n,
             ntenants: tenants.len(),
             value_len: cluster.spec.value_len,
             isolation,
@@ -411,11 +425,6 @@ impl ClusterSession {
     /// via the single-operator [`ClusterSession::connect`]).
     pub fn ntenants(&self) -> usize {
         self.ntenants
-    }
-
-    /// The get session tenant lane `t` uses for shard `s`.
-    pub fn get_session_for(&mut self, t: usize, s: usize) -> &mut Session {
-        &mut self.gets[t * self.nshards + s]
     }
 
     /// The connect-time non-interference proof over every shard's get
@@ -499,5 +508,63 @@ impl ClusterSession {
             ));
         }
         Err(Error::InvalidWr("put never completed (shard unreachable)"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterSpec;
+
+    /// A deployed small cluster, a connected session, the shard under
+    /// test and `put_depth` keys it owns.
+    fn rig() -> (Simulator, ClusterSession, usize, Vec<u64>) {
+        let (mut sim, mut cluster) = Cluster::deploy(ClusterSpec::small()).unwrap();
+        let session =
+            ClusterSession::connect(&mut sim, &mut cluster, SessionOpts::default()).unwrap();
+        let s = cluster.shard_for(1);
+        let keys = (1..)
+            .filter(|&k| cluster.shard_for(k) == s)
+            .take(cluster.spec.put_depth as usize)
+            .collect();
+        (sim, session, s, keys)
+    }
+
+    #[test]
+    fn in_flight_table_stays_at_pipeline_depth() {
+        let (mut sim, mut session, s, keys) = rig();
+        let put = session.put_session_mut(s);
+        let depth = keys.len();
+        for round in 0..10u8 {
+            for &key in &keys {
+                put.put(&mut sim, key, &[round; 16]).unwrap();
+            }
+            assert_eq!(put.in_flight(), depth as u64);
+            sim.run().unwrap();
+            assert_eq!(put.reap(&mut sim).acks.len(), depth);
+            assert_eq!(put.pending.len(), depth, "one entry per window slot");
+            assert!(put.pending.iter().all(Option::is_none));
+        }
+        assert_eq!(put.in_flight(), 0);
+    }
+
+    #[test]
+    fn corrupted_ack_word_resolves_nothing_and_does_not_panic() {
+        let (mut sim, mut session, s, keys) = rig();
+        let put = session.put_session_mut(s);
+        for &key in &keys {
+            put.put(&mut sim, key, &[7; 16]).unwrap();
+        }
+        sim.run().unwrap();
+        // Slot 0's ack word names a sequence far outside the window,
+        // slot 1's the (valid) sequence of slot 2's occupant.
+        sim.mem_write_u64(put.client, put.ack.addr, u64::MAX)
+            .unwrap();
+        sim.mem_write_u64(put.client, put.ack.addr + 8, 3).unwrap();
+        let reaped = put.reap(&mut sim);
+        let acked: Vec<u64> = reaped.acks.iter().map(|a| a.instance).collect();
+        assert_eq!(acked, [2, 3], "only acks matching their slot's put count");
+        assert!(reaped.failures.is_empty());
+        assert_eq!(put.in_flight(), 2, "the two unmatched puts stay in flight");
     }
 }

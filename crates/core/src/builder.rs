@@ -150,12 +150,6 @@ impl ChainBuilder {
         self.counts
     }
 
-    /// A copy of the staged WRs (pristine images for self-restoring
-    /// loops).
-    pub fn staged_wrs(&self) -> &[WorkRequest] {
-        &self.wrs
-    }
-
     /// Post everything. Unmanaged queues get one doorbell; managed queues
     /// stay quiet until ENABLEd (by a verb or [`Simulator::host_enable`]).
     pub fn post(self, sim: &mut Simulator) -> Result<Vec<Staged>> {

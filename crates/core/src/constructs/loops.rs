@@ -315,12 +315,6 @@ impl RecycledLoopBuilder {
         b
     }
 
-    /// Address of `field` of the WQE that the next [`Self::stage`] call
-    /// will create — for wiring intra-ring self-modification.
-    pub fn next_slot_addr(&self, field: WqeField) -> u64 {
-        self.queue.slot_addr(self.wrs.len() as u64) + field.offset()
-    }
-
     /// Slot address for an already-staged relative index.
     pub fn slot_field_addr(&self, rel_idx: usize, field: WqeField) -> u64 {
         self.queue.slot_addr(rel_idx as u64) + field.offset()

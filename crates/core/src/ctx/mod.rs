@@ -32,7 +32,7 @@
 //! ```
 //!
 //! Offload deployment collects **typed capabilities** instead of loose
-//! keys (see [`caps`]): `ctx.hash_get().table(t).values(v).respond_to(d)
+//! keys (see `caps`): `ctx.hash_get().table(t).values(v).respond_to(d)
 //! .variant(Parallel).build(&mut sim)`.
 //!
 //! This module is the *only* construction path: the raw constructors it
@@ -171,12 +171,6 @@ impl OffloadCtx {
     /// node/owner/port.
     pub fn trigger_point(&self) -> TriggerPointBuilder {
         TriggerPointBuilder::new(self.node, self.owner).on_port(self.port)
-    }
-
-    /// Fluent builder for an extra constant pool (the context already
-    /// owns one — see [`OffloadCtx::pool_mut`]).
-    pub fn const_pool(&self) -> ConstPoolBuilder {
-        ConstPoolBuilder::new(self.node, self.owner)
     }
 
     /// Start a [`ChainProgram`] over the context's cached control/action

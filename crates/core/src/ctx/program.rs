@@ -74,21 +74,13 @@ impl<'c> ChainProgram<'c> {
         }
     }
 
-    /// Gate everything staged after this on the next SEND arriving at
-    /// `tp` (the client-invocation edge of Fig 1). The WAIT threshold is
-    /// computed from the trigger CQ's live completion count.
-    ///
-    /// This arms for the **next** trigger from now. When arming several
-    /// program instances ahead of any client SEND, pass each instance's
-    /// ordinal via [`ChainProgram::on_nth_trigger`] instead — otherwise
-    /// every instance waits for the same (first) SEND.
-    pub fn on_trigger(&mut self, sim: &Simulator, tp: &TriggerPoint) -> &mut Self {
-        self.on_nth_trigger(sim, tp, 1)
-    }
-
-    /// Gate on the `n`-th future SEND arriving at `tp` (1 = the next
-    /// one). Use this to arm pipelined instances: instance `k` (0-based)
-    /// of a batch armed back-to-back passes `n = k + 1`.
+    /// Gate everything staged after this on the `n`-th future SEND
+    /// arriving at `tp` (1 = the next one) — the client-invocation edge of
+    /// Fig 1. The WAIT threshold is computed from the trigger CQ's live
+    /// completion count. When arming several program instances ahead of
+    /// any client SEND, instance `k` (0-based) of a batch armed
+    /// back-to-back passes `n = k + 1` — otherwise every instance waits
+    /// for the same (first) SEND.
     pub fn on_nth_trigger(&mut self, sim: &Simulator, tp: &TriggerPoint, n: u64) -> &mut Self {
         let count = tp.wait_count_after(sim, n);
         self.wait_on(tp.recv_cq, count)
@@ -171,16 +163,6 @@ impl<'c> ChainProgram<'c> {
             .push(self.ctrl, OpBuild::new(Kind::Raw(wr)).label("raw ctrl"))
     }
 
-    /// Stage a raw verb on the managed action queue. The op must be
-    /// covered by an ENABLE (or declare the queue externally enabled via
-    /// the underlying program) — the verifier checks.
-    pub fn stage_action(&mut self, wr: WorkRequest) -> OpId {
-        self.p.push(
-            self.actions,
-            OpBuild::new(Kind::Raw(wr)).label("raw action"),
-        )
-    }
-
     /// The control queue (CQ ids for audit trails, ring keys for
     /// scatter targets).
     pub fn ctrl_queue(&self) -> ChainQueue {
@@ -190,12 +172,6 @@ impl<'c> ChainProgram<'c> {
     /// The managed action queue.
     pub fn action_queue(&self) -> ChainQueue {
         self.act_q
-    }
-
-    /// The underlying IR program (escape hatch for typed staging beyond
-    /// the combinators).
-    pub fn ir_mut(&mut self) -> (&mut IrProgram, QId, QId) {
-        (&mut self.p, self.ctrl, self.actions)
     }
 
     /// Table 2 verb accounting of everything staged through the

@@ -3,7 +3,7 @@
 //! PR 5's verifier ([`super::verify`]) rejects three *local* hazard
 //! shapes. This module is the global layer on top of it:
 //!
-//! 1. **Happens-before analysis** ([`hb`]) — an explicit HB graph built
+//! 1. **Happens-before analysis** (`hb`) — an explicit HB graph built
 //!    from WAIT conditions, ENABLE horizons, `wait_prev` fences, and
 //!    (for linear programs) runtime patch edges. Any cycle is a
 //!    deadlock the NIC would park in forever: a circular wait, or an
@@ -12,13 +12,13 @@
 //!    *inductive threshold invariant*: every per-round bump must equal
 //!    the count the round actually produces, or round `n+1` waits on a
 //!    threshold round `n` can never reach.
-//! 2. **Symbolic bounds analysis** ([`bounds`]) — every READ / WRITE /
+//! 2. **Symbolic bounds analysis** (`bounds`) — every READ / WRITE /
 //!    atomic / scatter target is resolved symbolically (constants to
 //!    their pool extents, patch points to trailing WQE-slot extents,
 //!    raw addresses to live registered regions, and post-patch values
 //!    propagated through `Loc::Field { RemoteAddr }` patch writes) and
 //!    proven in-bounds *before* a single WQE is staged.
-//! 3. **Non-interference** ([`interference`]) — [`DeploymentVerifier`]
+//! 3. **Non-interference** (`interference`) — [`DeploymentVerifier`]
 //!    takes the write/ring/CQ [`Footprint`] of every program co-resident
 //!    on a node and proves no program's patch points, response slots,
 //!    journal windows, or CQ thresholds alias another's.

@@ -14,7 +14,7 @@
 //! * [`service`] — the one serving **frame** the three families above
 //!   plug their bodies into: trigger point, instance window (claim /
 //!   retire / tag / slot accounting), the recycled round's framing, and
-//!   the [`OffloadService`](service::OffloadService) trait that lets
+//!   the [`OffloadService`] trait that lets
 //!   heterogeneous fleets drive them side by side on one NIC.
 
 pub mod hash_lookup;

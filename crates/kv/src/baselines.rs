@@ -73,7 +73,6 @@ pub struct ClientEndpoint {
     /// Pipelined request/response slots (1 for synchronous endpoints).
     pub slots: u32,
     req_slot_len: u64,
-    resp_slot_len: u64,
     /// RedN-path RECV/response bookkeeping (see `reserve_response_recv`):
     /// RECVs posted, responses reaped, requests posted, requests
     /// abandoned (timed-out misses whose RECV is recycled).
@@ -135,7 +134,6 @@ impl ClientEndpoint {
             resp_lkey: resp_mr.lkey,
             slots,
             req_slot_len,
-            resp_slot_len,
             recvs_posted: Cell::new(0),
             responses_reaped: Cell::new(0),
             requests_posted: Cell::new(0),
@@ -152,11 +150,6 @@ impl ClientEndpoint {
     /// trigger payload may occupy.
     pub fn req_slot_len(&self) -> u64 {
         self.req_slot_len
-    }
-
-    /// Response address of `slot` (wraps modulo the slot count).
-    pub fn resp_slot(&self, slot: u64) -> u64 {
-        self.resp_buf + (slot % self.slots as u64) * self.resp_slot_len
     }
 
     // -- Trigger-burst engine (Session::get_burst / walk_burst) -------

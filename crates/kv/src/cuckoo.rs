@@ -1,6 +1,6 @@
 //! Cuckoo hash table (paper §5.4).
 //!
-//! The paper's Memcached integration "employs cuckoo hashing [24]"
+//! The paper's Memcached integration "employs cuckoo hashing \[24\]"
 //! (MemC3). Each key has two candidate buckets; inserts into full
 //! candidates relocate the incumbent to its alternate bucket, BFS-free
 //! greedy style with a bounded kick chain.

@@ -5,7 +5,7 @@
 //! hash table must be rebuilt — "at least 1 second to bootstrap, and 1.25
 //! additional seconds to build its metadata and hashtables". RedN keeps
 //! serving: the RDMA resources are owned by an empty *hull parent*
-//! process ([38]), so the child's crash frees nothing the NIC needs, and
+//! process (\[38\]), so the child's crash frees nothing the NIC needs, and
 //! the offload never notices.
 //!
 //! OS panics are the stronger case: host execution stops entirely, but

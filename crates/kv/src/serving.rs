@@ -16,7 +16,7 @@
 //!   between rounds, zero steady-state host arm calls / doorbells /
 //!   posts / pool pushes) or host-armed;
 //! * every client drives its service through a typed
-//!   [`Session`](crate::session::Session): requests are posted with
+//!   [`Session`]: requests are posted with
 //!   `get_burst`/`walk_burst` (one doorbell per generator tick) and
 //!   reaped as typed [`Completion`]s; reaping retires the instance slot;
 //! * two load generators: **closed-loop** (each client keeps K requests
@@ -129,13 +129,6 @@ impl ServiceSpec {
             self_recycling,
             tenant: None,
         }
-    }
-
-    /// Tag the block with its tenant index (builder style; normally done
-    /// by [`TenantPacker`]).
-    pub fn for_tenant(mut self, tenant: usize) -> ServiceSpec {
-        self.tenant = Some(tenant);
-        self
     }
 }
 

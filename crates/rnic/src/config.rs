@@ -225,16 +225,6 @@ impl NicConfig {
         NicConfig::with_generation(Generation::ConnectX5)
     }
 
-    /// ConnectX-3 preset (2 PUs/port — Table 1).
-    pub fn connectx3() -> NicConfig {
-        NicConfig::with_generation(Generation::ConnectX3)
-    }
-
-    /// ConnectX-6 preset (16 PUs/port — Table 1).
-    pub fn connectx6() -> NicConfig {
-        NicConfig::with_generation(Generation::ConnectX6)
-    }
-
     /// Enable the second port (doubles PUs and fetch engines, shares the
     /// PCIe bus — Table 4).
     pub fn dual_port(mut self) -> NicConfig {
@@ -356,13 +346,6 @@ impl LinkConfig {
     pub fn back_to_back() -> LinkConfig {
         LinkConfig {
             one_way: Time::from_ps(125_000),
-        }
-    }
-
-    /// A link with one switch hop (~0.3 µs extra round trip).
-    pub fn one_switch() -> LinkConfig {
-        LinkConfig {
-            one_way: Time::from_ps(275_000),
         }
     }
 }

@@ -277,11 +277,6 @@ impl EventQueue {
         }
     }
 
-    /// Number of lanes the queue is sharded into.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Schedule `kind` at absolute time `at` (lane 0).
     pub fn schedule(&mut self, at: Time, kind: EventKind) {
         self.schedule_lane(at, 0, kind);

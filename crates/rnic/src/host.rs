@@ -9,7 +9,7 @@
 //! * context-switch and scheduler-quantum penalties once runnable threads
 //!   exceed cores (the tail-latency mechanism behind Fig 15),
 //! * processes that own RDMA resources, with the parent/"hull" ownership
-//!   trick of §5.6 ([38]): a crashed child's resources survive if an empty
+//!   trick of §5.6 (\[38\]): a crashed child's resources survive if an empty
 //!   parent process holds them.
 
 use crate::config::HostConfig;

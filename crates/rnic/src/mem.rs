@@ -228,7 +228,7 @@ impl HostMemory {
     }
 
     /// Re-parent all regions of `from` to `to` — the "empty hull parent"
-    /// trick of §5.6 ([38]): resources registered by the hull survive the
+    /// trick of §5.6 (\[38\]): resources registered by the hull survive the
     /// child's crash.
     pub fn reparent(&mut self, from: ProcessId, to: ProcessId) -> usize {
         let mut n = 0;

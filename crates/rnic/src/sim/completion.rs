@@ -1,0 +1,360 @@
+//! Stage 4 — completion: the initiator learns the outcome (`Complete`):
+//! READ data / atomic old values are written back, the CQE becomes
+//! *observable* (`PushCqe` for receive-side entries that pay `t_cqe`
+//! first), WAIT-parked queues wake, and host listeners are notified
+//! (`Notify`) after their pickup delay.
+
+use super::{ListenMode, Simulator};
+use crate::cq::{Cqe, CqeStatus};
+use crate::engine::EventKind;
+use crate::error::Result;
+use crate::ids::{CqId, WqId};
+use crate::net::Payload;
+use crate::time::Time;
+use crate::trace::TraceEvent;
+use crate::wq::WqBlock;
+
+impl Simulator {
+    /// Schedule a CQE push `delay` after now (keeps WAIT wake-ups at the
+    /// correct simulated time). `Cqe` is `Copy`, so this rides a plain
+    /// event instead of a boxed one-shot closure.
+    pub(super) fn after_cqe(&mut self, cq: CqId, cqe: Cqe, delay: Time) {
+        self.events
+            .schedule(self.now + delay, EventKind::PushCqe { cq, cqe });
+    }
+
+    /// Push a CQE: wake WAIT-parked queues and notify host listeners.
+    pub(super) fn push_cqe(&mut self, cq: CqId, mut cqe: Cqe) {
+        cqe.time = self.now;
+        let mut woken = std::mem::take(&mut self.woken_buf);
+        woken.clear();
+        self.cqs[cq.index()].push_into(cqe, &mut woken);
+        self.trace.record(
+            self.now,
+            TraceEvent::Cqe {
+                cq,
+                wq: cqe.wq,
+                idx: cqe.wqe_index,
+            },
+        );
+        for &wq in &woken {
+            if self.wqs[wq.index()].block != WqBlock::Dead {
+                self.wqs[wq.index()].block = WqBlock::None;
+                let _ = self.advance_wq(wq);
+            }
+        }
+        self.woken_buf = woken;
+        // Host listener notification.
+        if let Some(key) = self.cqs[cq.index()].listener {
+            let l = self.listeners.live_mut(key);
+            let host = &self.hosts[l.node.index()];
+            if !l.scheduled && host.os_alive {
+                let delay = match l.mode {
+                    ListenMode::Polling => host.config.t_poll_pickup,
+                    ListenMode::Event => host.config.t_event_wake,
+                };
+                l.scheduled = true;
+                self.events
+                    .schedule(self.now + delay, EventKind::Notify { key });
+            }
+        }
+    }
+
+    pub(super) fn on_notify(&mut self, key: u64) -> Result<()> {
+        let Some(l) = self.listeners.get_mut(key) else {
+            return Ok(());
+        };
+        l.scheduled = false;
+        let cq = l.cq;
+        if !self.hosts[l.node.index()].os_alive {
+            return Ok(());
+        }
+        let Some(mut cb) = l.cb.take() else {
+            return Ok(());
+        };
+        let mut batch = std::mem::take(&mut self.notify_buf);
+        loop {
+            batch.clear();
+            if self.cqs[cq.index()].poll_into(64, &mut batch) == 0 {
+                break;
+            }
+            for &cqe in &batch {
+                cb(self, cqe);
+            }
+        }
+        batch.clear();
+        self.notify_buf = batch;
+        // The listener may have been removed by its own callback.
+        if let Some(l) = self.listeners.get_mut(key) {
+            l.cb = Some(cb);
+        }
+        Ok(())
+    }
+
+    /// Initiator-side completion bookkeeping.
+    pub(super) fn on_complete(&mut self, wq_id: WqId, idx: u64, msg: u64) -> Result<()> {
+        let inf = self.inflight.remove(msg).expect("inflight");
+        let node = self.wqs[wq_id.index()].node;
+        // Writebacks: READ data / atomic old value.
+        let mut status = inf.status;
+        if status == CqeStatus::Success && !inf.result.is_empty() && inf.result_sink.0 != 0 {
+            status = if inf.result_sgl {
+                // Scatter the READ response across the local SGE table.
+                let (table, count) = inf.result_sink;
+                self.scatter_local(node, table, count as usize, &inf.result)
+                    .1
+            } else {
+                let (addr, lkey) = inf.result_sink;
+                self.nic_write_traced(node, lkey, addr, &inf.result, false)
+            };
+        }
+        let wq = &mut self.wqs[wq_id.index()];
+        wq.completed += 1;
+        if wq.block == WqBlock::WaitPrev {
+            wq.block = WqBlock::None;
+        }
+        if inf.signaled || status != CqeStatus::Success {
+            let cqe = Cqe {
+                wq: wq_id,
+                qp: inf.src_qp,
+                wqe_index: idx,
+                opcode: inf.opcode,
+                status,
+                byte_len: inf.byte_len,
+                imm: None,
+                time: self.now,
+            };
+            let cq = self.qps[inf.src_qp.index()].send_cq;
+            self.push_cqe(cq, cqe);
+        }
+        // Recycle the message's byte buffers for the next in-flight op.
+        match inf.payload {
+            Payload::Send { bytes } | Payload::Write { bytes, .. } => self.buf_pool.put(bytes),
+            Payload::Read { .. } | Payload::Atomic { .. } => {}
+        }
+        self.buf_pool.put(inf.result);
+        self.advance_wq(wq_id)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::*;
+    use crate::mem::Access;
+    use crate::qp::QpConfig;
+    use crate::wqe::WorkRequest;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    #[test]
+    fn cq_overrun_is_observable_and_wait_counting_survives_it() {
+        // A pipelined fleet drives far more completions than a host may
+        // poll; when a CQ fills, pollable entries drop (observably — the
+        // overrun flag) but the monotonic count that WAIT thresholds use
+        // keeps advancing, so chains parked past the overrun still fire.
+        let (mut sim, a, b) = two_nodes();
+        let small = sim.create_cq(a, 2).unwrap();
+        let qp1 = sim.create_qp(a, QpConfig::new(small)).unwrap();
+        let qp2 = sim.create_qp(a, QpConfig::new(small)).unwrap();
+        let peer1 = {
+            let cq_b = sim.create_cq(b, 64).unwrap();
+            sim.create_qp(b, QpConfig::new(cq_b)).unwrap()
+        };
+        let peer2 = {
+            let cq_b = sim.create_cq(b, 64).unwrap();
+            sim.create_qp(b, QpConfig::new(cq_b)).unwrap()
+        };
+        sim.connect_qps(qp1, peer1).unwrap();
+        sim.connect_qps(qp2, peer2).unwrap();
+        let src = sim.alloc(a, 64, 8).unwrap();
+        let smr = sim.register_mr(a, src, 64, Access::all()).unwrap();
+        let dst = sim.alloc(b, 64, 8).unwrap();
+        let dmr = sim.register_mr(b, dst, 64, Access::all()).unwrap();
+
+        // Six signaled writes through a depth-2 CQ: four entries drop.
+        for _ in 0..6 {
+            sim.post_send(
+                qp1,
+                WorkRequest::write(src, smr.lkey, 8, dst, dmr.rkey).signaled(),
+            )
+            .unwrap();
+        }
+        sim.run().unwrap();
+        assert!(sim.cq_overrun(small), "overrun must be observable");
+        assert_eq!(sim.cq_total(small), 6, "monotonic count keeps advancing");
+        assert_eq!(sim.poll_cq(small, 16).len(), 2, "only depth entries poll");
+
+        // A WAIT parked beyond the overrun still releases: threshold 8
+        // needs two more completions, which arrive via the second QP.
+        sim.mem_write_u64(b, dst + 8, 0).unwrap();
+        sim.post_send(qp1, WorkRequest::wait(small, 8)).unwrap();
+        sim.post_send(qp1, WorkRequest::write(src, smr.lkey, 8, dst + 8, dmr.rkey))
+            .unwrap();
+        sim.run().unwrap();
+        assert_eq!(
+            sim.mem_read_u64(b, dst + 8).unwrap(),
+            0,
+            "flag write must stay parked behind the WAIT"
+        );
+        for _ in 0..2 {
+            sim.post_send(
+                qp2,
+                WorkRequest::write(src, smr.lkey, 8, dst, dmr.rkey).signaled(),
+            )
+            .unwrap();
+        }
+        sim.mem_write_u64(a, src, 0x5EED).unwrap();
+        sim.run().unwrap();
+        assert_eq!(sim.cq_total(small), 8);
+        assert_eq!(
+            sim.mem_read_u64(b, dst + 8).unwrap(),
+            0x5EED,
+            "WAIT threshold crossed the overrun and released the chain"
+        );
+    }
+
+    #[test]
+    fn recycled_ring_wait_counting_survives_cq_overrun() {
+        // The recycled-path extension of the overrun test above: a §3.4
+        // self-recycling ring whose WAIT thresholds are FETCH_ADD-bumped
+        // every round keeps cycling even after its (tiny, never-polled)
+        // CQ overruns — absolute thresholds ride the monotonic count, so
+        // dropped pollable entries cost nothing.
+        let (mut sim, n) = solo();
+        let cq = sim.create_cq(n, 2).unwrap();
+        let mqp = sim
+            .create_qp(n, QpConfig::new(cq).managed().sq_depth(4))
+            .unwrap();
+        let peer = sim.create_qp(n, QpConfig::new(cq)).unwrap();
+        sim.connect_qps(mqp, peer).unwrap();
+        let ring = sim.register_sq_ring(mqp, crate::ids::ProcessId(0)).unwrap();
+        let ctr = sim.alloc(n, 8, 8).unwrap();
+        let cmr = sim.register_mr(n, ctr, 8, Access::all()).unwrap();
+        let msq = sim.sq_of(mqp);
+
+        // Ring: two head FADDs bump the tail WAIT (+2 signaled per
+        // round) and the self-ENABLE (+4 slots per round), both
+        // initialized one delta low.
+        let wait_op = sim.sq_wqe_addr(mqp, 2) + 48; // operand offset
+        let enable_op = sim.sq_wqe_addr(mqp, 3) + 48;
+        sim.post_send_quiet(
+            mqp,
+            WorkRequest::fetch_add(ctr, cmr.rkey, 1, 0, 0).signaled(),
+        )
+        .unwrap();
+        sim.post_send_quiet(
+            mqp,
+            WorkRequest::fetch_add(wait_op, ring.rkey, 2, 0, 0).signaled(),
+        )
+        .unwrap();
+        sim.post_send_quiet(mqp, WorkRequest::wait(cq, 0)).unwrap();
+        sim.post_send_quiet(mqp, WorkRequest::enable(msq, 4))
+            .unwrap();
+        // Head FADD for the enable threshold rides the counter FADD's
+        // slot? No — patch it via a second bump from the host once; the
+        // ring's own FADD (slot 1) covers the WAIT. Rewrite slot 0 to
+        // bump the ENABLE as well would lose the counter, so bump the
+        // enable from slot 0's completion path instead: replace slot 0
+        // with a FADD on the enable operand and count rounds via the
+        // WAIT-bump word.
+        sim.rewrite_sq_wqe(
+            mqp,
+            0,
+            WorkRequest::fetch_add(enable_op, ring.rkey, 4, 0, 0).signaled(),
+        )
+        .unwrap();
+        sim.host_enable(mqp, 4).unwrap();
+        sim.run_until(Time::from_us(120)).unwrap();
+
+        assert!(sim.cq_overrun(cq), "the 2-deep CQ must overrun");
+        let rounds = sim.wq_executed(msq) / 4;
+        assert!(rounds >= 5, "ring kept cycling past the overrun: {rounds}");
+        // The WAIT threshold advanced monotonically (+2 per round) and
+        // never exceeded the monotonic completion count by more than one
+        // round's delta.
+        let wait_thresh = sim.mem_read_u64(n, wait_op).unwrap();
+        assert!(
+            wait_thresh == 2 * rounds || wait_thresh == 2 * (rounds + 1),
+            "threshold {wait_thresh} advances by exactly 2 per round ({rounds} rounds)"
+        );
+        assert!(sim.cq_total(cq) >= wait_thresh.saturating_sub(2));
+    }
+
+    #[test]
+    fn wait_enable_cross_channel_trigger() {
+        // A chain parked on WAIT(recv_cq, 1) runs only after a SEND lands:
+        // the paper's Fig 3 trigger pattern.
+        let (mut sim, a, b) = two_nodes();
+        let client_cq = sim.create_cq(a, 16).unwrap();
+        let qp_client = sim.create_qp(a, QpConfig::new(client_cq)).unwrap();
+        let recv_cq = sim.create_cq(b, 16).unwrap();
+        let chain_cq = sim.create_cq(b, 16).unwrap();
+        let qp_server = sim
+            .create_qp(b, QpConfig::new(chain_cq).recv_cq(recv_cq))
+            .unwrap();
+        sim.connect_qps(qp_client, qp_server).unwrap();
+
+        // Loopback pair on the server for the chain's WRITE.
+        let lb_cq = sim.create_cq(b, 16).unwrap();
+        let lb1 = sim.create_qp(b, QpConfig::new(lb_cq)).unwrap();
+        let lb2 = sim.create_qp(b, QpConfig::new(lb_cq)).unwrap();
+        sim.connect_qps(lb1, lb2).unwrap();
+
+        let flag = sim.alloc(b, 8, 8).unwrap();
+        let fmr = sim.register_mr(b, flag, 8, Access::all()).unwrap();
+        let one = sim.alloc(b, 8, 8).unwrap();
+        let omr = sim.register_mr(b, one, 8, Access::all()).unwrap();
+        sim.mem_write_u64(b, one, 1).unwrap();
+
+        // Server chain: WAIT for one receive completion, then WRITE 1 to
+        // flag (loopback).
+        sim.post_recv(qp_server, WorkRequest::recv(0, 0, 0))
+            .unwrap();
+        sim.post_send_batch(
+            lb1,
+            &[
+                WorkRequest::wait(recv_cq, 1),
+                WorkRequest::write(one, omr.lkey, 8, flag, fmr.rkey),
+            ],
+        )
+        .unwrap();
+        sim.run().unwrap();
+        // Chain is parked; flag untouched.
+        assert_eq!(sim.mem_read_u64(b, flag).unwrap(), 0);
+
+        // Client trigger.
+        let src = sim.alloc(a, 8, 8).unwrap();
+        let smr = sim.register_mr(a, src, 8, Access::all()).unwrap();
+        sim.post_send(qp_client, WorkRequest::send(src, smr.lkey, 8))
+            .unwrap();
+        sim.run().unwrap();
+        assert_eq!(sim.mem_read_u64(b, flag).unwrap(), 1);
+    }
+
+    #[test]
+    fn cq_listener_polling_sees_completions() {
+        let (mut sim, a, b) = two_nodes();
+        let (qp_a, qp_b, _cq_a, cq_b) = qp_pair(&mut sim, a, b);
+        let dst = sim.alloc(b, 8, 8).unwrap();
+        let dmr = sim.register_mr(b, dst, 8, Access::all()).unwrap();
+        let src = sim.alloc(a, 8, 8).unwrap();
+        let smr = sim.register_mr(a, src, 8, Access::all()).unwrap();
+
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let seen2 = seen.clone();
+        sim.set_cq_listener(
+            cq_b,
+            ListenMode::Polling,
+            Box::new(move |_sim, cqe| {
+                seen2.borrow_mut().push(cqe.wqe_index);
+            }),
+        );
+        sim.post_recv(qp_b, WorkRequest::recv(dst, dmr.lkey, 8))
+            .unwrap();
+        sim.post_send(qp_a, WorkRequest::send(src, smr.lkey, 8))
+            .unwrap();
+        sim.run().unwrap();
+        assert_eq!(seen.borrow().as_slice(), &[0]);
+    }
+}

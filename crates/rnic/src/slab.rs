@@ -90,6 +90,14 @@ impl<T> Slab<T> {
         e.value.as_mut()
     }
 
+    /// Mutable access to an entry the caller knows is live (e.g. the
+    /// in-flight record an undelivered event still refers to); a miss is a
+    /// bug in the caller's key bookkeeping.
+    #[track_caller]
+    pub(crate) fn live_mut(&mut self, key: u64) -> &mut T {
+        self.get_mut(key).expect("stale slab key")
+    }
+
     /// Remove and return the value for `key`. The slot's generation bumps,
     /// so the key (and any copy of it) stops resolving immediately.
     pub fn remove(&mut self, key: u64) -> Option<T> {
