@@ -1,6 +1,7 @@
 //! Microbenchmarks: Tables 1–3, Figures 7–8 (paper §2.2, §5.1).
 
 use redn_core::ctx::OffloadCtx;
+use redn_core::ir::{DeployOpts, IrProgram, Kind, Lowered, OpBuild, RingSpec, WaitCond};
 use rnic_sim::config::{Generation, HostConfig, NicConfig, SimConfig};
 use rnic_sim::error::Result;
 use rnic_sim::mem::Access;
@@ -221,6 +222,38 @@ pub fn if_throughput(count: usize) -> Result<f64> {
     Ok(count as f64 / elapsed)
 }
 
+/// The minimal recycled `while`: one conditional-style CAS + one ADD of
+/// `delta` on `word`, then a WAIT for both — the paper's accounting; the
+/// rest of the ring is the recycling machinery itself. Lowered with the
+/// optimizer off, so the round keeps the paper's shape (in-body WAIT
+/// fix-up, tail WAIT + self-ENABLE): 8 slots.
+fn while_ring(
+    sim: &mut Simulator,
+    ctx: &mut OffloadCtx,
+    word: u64,
+    rkey: u32,
+    delta: u64,
+) -> Result<Lowered> {
+    let (mut p, ring) = IrProgram::recycled(RingSpec {
+        node: ctx.node(),
+        owner: ctx.owner(),
+        pu: None,
+        port: ctx.port(),
+    });
+    for wr in [
+        WorkRequest::cas(word, rkey, u64::MAX, 0, 0, 0),
+        WorkRequest::fetch_add(word, rkey, delta, 0, 0),
+    ] {
+        p.push(ring, OpBuild::new(Kind::Raw(wr.signaled())));
+    }
+    p.push(ring, OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)));
+    let opts = DeployOpts {
+        optimize: false,
+        verify: true,
+    };
+    p.deploy_with(sim, ctx.pool_mut(), opts, None)
+}
+
 /// Throughput of a recycled `while` loop: rounds per second of a minimal
 /// conditional ring (Table 3's "while recycled" row).
 pub fn recycled_while_throughput(run_us: u64) -> Result<f64> {
@@ -231,14 +264,9 @@ pub fn recycled_while_throughput(run_us: u64) -> Result<f64> {
         .build(&mut sim)?;
     let ctr = sim.alloc(node, 8, 8)?;
     let cmr = sim.register_mr(node, ctr, 8, Access::all())?;
-    let mut lb = ctx.recycled_loop(&mut sim, 8)?;
-    // Minimal loop body: one conditional-style CAS + one ADD, as in the
-    // paper's accounting (the rest is the recycling machinery itself).
-    lb.stage(WorkRequest::cas(ctr, cmr.rkey, u64::MAX, 0, 0, 0).signaled());
-    lb.stage(WorkRequest::fetch_add(ctr, cmr.rkey, 1, 0, 0).signaled());
-    lb.stage_wait_all();
-    let lp = lb.finish(&mut sim, ctx.pool_mut())?;
+    let lowered = while_ring(&mut sim, &mut ctx, ctr, cmr.rkey, 1)?;
     sim.run_until(Time::from_us(run_us))?;
+    let lp = lowered.ring().expect("a recycled program lowers to a ring");
     let rounds = lp.rounds(&sim);
     Ok(rounds as f64 / run_us as f64)
 }
@@ -314,17 +342,14 @@ pub fn table2() -> Result<Vec<Row>> {
     ));
 
     // Recycled loop: one full ring round of the minimal loop.
-    let mut lb = ctx.recycled_loop(&mut sim, 16)?;
-    lb.stage(WorkRequest::cas(buf, mr.rkey, u64::MAX, 0, 0, 0).signaled());
-    lb.stage(WorkRequest::fetch_add(buf, mr.rkey, 0, 0, 0).signaled());
-    lb.stage_wait_all();
-    let lp = lb.finish(&mut sim, ctx.pool_mut())?;
-    let rc = lp.counts;
+    let rc = while_ring(&mut sim, &mut ctx, buf, mr.rkey, 0)?
+        .report()
+        .after;
     rows.push(Row::new(
         "while (recycled, per round)",
         format!("{}C + {}A + {}E", rc.copies, rc.atomics, rc.ordering),
         "3C + 2A + 4E",
-        "ours counts ring padding + fix-ups",
+        "ours counts fix-ups",
     ));
     rows.push(Row::new(
         "operand limit",

@@ -39,7 +39,7 @@ pub fn appendix_a() -> Result<Vec<Row>> {
     unit.mov_imm(&mut p, ctrl_q, 0, 0x42); // immediate
     unit.mov_load(&mut p, ctrl_q, patched_q, 2, 1, 0); // indirect
     unit.mov_load(&mut p, ctrl_q, patched_q, 3, 1, 8); // indexed
-    let mut lowered = p.deploy(&mut sim, ctx.pool_mut())?.into_linear();
+    let mut lowered = p.deploy(&mut sim, ctx.pool_mut())?;
     lowered.post(&mut sim, patched_q)?;
     lowered.post(&mut sim, ctrl_q)?;
     sim.mem_write_u64(node, data + 24, 0xD00D)?;

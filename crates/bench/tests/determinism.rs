@@ -1,19 +1,14 @@
-//! Determinism regression suite for the event-engine overhaul.
+//! Determinism regression suite for the event engine.
 //!
 //! The engine's contract is that simulated results are a pure function of
-//! the program — not of lane count, worker threads, or allocator state.
-//! This suite runs the tier-1 calibration set (Fig 7/8 points, Tables
-//! 1/3/4), a serving-fleet throughput row, and a cluster failover run
-//! under a 1-lane and an N-lane event queue, and asserts the rendered
-//! results are byte-identical. A separate test drives a traced multi-verb
-//! scenario through both lane configs and compares the raw event traces.
-//!
-//! Everything runs in one `#[test]` per concern because the lane default
-//! comes from `REDN_SIM_THREADS`, read at `SimConfig::default()` — the
-//! env var is process-global, so each test sets it around a full pass
-//! rather than interleaving (`cargo test` runs tests in threads; these
-//! are the only tests in this binary that touch the variable, and they
-//! serialize on a mutex).
+//! the program — not of allocator state, hash order or anything else
+//! that differs between two runs in one process. This suite runs the
+//! tier-1 calibration set (Fig 7/8 points, Tables 1/3/4), a
+//! serving-fleet throughput row, and a cluster failover run twice and
+//! asserts the rendered results are byte-identical. A separate test
+//! drives a traced multi-verb scenario repeatedly — also under
+//! different values of the ignored `SimConfig.lanes` field — and
+//! compares the raw event traces.
 
 use redn_bench::clusterbench::{failover_point, ClusterSweepConfig};
 use redn_bench::micro::{fig7, fig8, table1, table3};
@@ -23,10 +18,6 @@ use rnic_sim::mem::Access;
 use rnic_sim::qp::QpConfig;
 use rnic_sim::sim::Simulator;
 use rnic_sim::wqe::WorkRequest;
-use std::sync::Mutex;
-
-/// Serializes env-var mutation across the tests in this binary.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Render one full calibration + serving + failover pass as text.
 fn calibration_pass() -> String {
@@ -63,18 +54,12 @@ fn calibration_pass() -> String {
 }
 
 #[test]
-fn calibration_results_identical_across_lane_counts() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    // SAFETY: single-threaded with respect to other env readers — every
-    // env-touching test in this binary holds ENV_LOCK.
-    unsafe { std::env::set_var("REDN_SIM_THREADS", "1") };
-    assert_eq!(SimConfig::default().lanes, 1);
-    let one = calibration_pass();
-    unsafe { std::env::set_var("REDN_SIM_THREADS", "4") };
-    assert_eq!(SimConfig::default().lanes, 4);
-    let four = calibration_pass();
-    unsafe { std::env::remove_var("REDN_SIM_THREADS") };
-    assert_eq!(one, four, "lane count changed a calibration result");
+fn calibration_results_identical_across_runs() {
+    assert_eq!(
+        calibration_pass(),
+        calibration_pass(),
+        "two runs of the calibration set rendered differently"
+    );
 }
 
 /// A traced two-node scenario mixing every verb family: WRITE, READ,
@@ -140,9 +125,9 @@ fn traced_scenario(lanes: usize) -> Vec<String> {
 
 #[test]
 fn event_trace_identical_across_lane_counts() {
-    let _guard = ENV_LOCK.lock().unwrap();
+    // `lanes` is accepted and ignored: one wheel, whatever it says.
     let one = traced_scenario(1);
-    for lanes in [2, 4, 8] {
+    for lanes in [1, 4] {
         let n = traced_scenario(lanes);
         assert_eq!(one, n, "trace diverged at lanes={lanes}");
     }

@@ -33,8 +33,8 @@ use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::Opcode;
 use rnic_sim::wqe::WorkRequest;
 
-use crate::builder::VerbCounts;
 use crate::encode::{operand48, wide_segments, WqeField, OPERAND_BITS};
+use crate::ir::VerbCounts;
 use crate::ir::{
     ConstRef, EnableTarget, FieldRef, IrProgram, Kind, Loc, OpBuild, OpId, QId, WaitCond,
 };
@@ -453,7 +453,7 @@ mod tests {
         act: QId,
         inject: impl FnOnce(&mut Simulator),
     ) {
-        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap().into_linear();
+        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap();
         lowered.post(&mut r.sim, act).unwrap();
         inject(&mut r.sim);
         lowered.post(&mut r.sim, ctrl).unwrap();
@@ -518,7 +518,7 @@ mod tests {
         let act = p.chain(r.act);
         let action = WorkRequest::write(r.one, r.one_lkey, 8, r.flag, r.flag_rkey);
         let parts = IfEq::build(&mut p, ctrl, act, 5, action, None);
-        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap().into_linear();
+        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap();
         let report = lowered.report();
         assert_eq!(report.waits_elided, 1);
         assert_eq!(report.before.ordering, 2);

@@ -19,16 +19,18 @@
 //!   (the monotonic `wqe_count` fix-ups of §3.4). Slots that get
 //!   transmuted or patched during a round are restored from pristine
 //!   images before the ring wraps, so every round starts from the same
-//!   code.
+//!   code. A ring is an [`IrProgram::recycled`](crate::ir::IrProgram::recycled)
+//!   program; lowering lays the round out and this module keeps only
+//!   the handle to the running ring.
 
 use rnic_sim::error::Result;
 use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::Opcode;
 use rnic_sim::wqe::{header_word, WorkRequest};
 
-use crate::builder::{Staged, VerbCounts};
 use crate::encode::{operand48, WqeField};
-use crate::program::{ChainQueue, ConstPool};
+use crate::ir::VerbCounts;
+use crate::program::ChainQueue;
 
 /// A built unrolled `while` loop searching for a match among `n`
 /// per-iteration constants.
@@ -227,286 +229,24 @@ impl UnrolledWhile {
     }
 }
 
-/// Builder for a CPU-free unbounded loop via WQ recycling (§3.4).
+/// A running CPU-free loop (§3.4 WQ recycling): the handle
+/// [`Lowered::ring`](crate::ir::Lowered::ring) gives to a deployed
+/// [`IrProgram::recycled`](crate::ir::IrProgram::recycled) program.
 ///
-/// The body is staged into a managed ring whose depth equals one round.
-/// `finish` appends:
-///
-/// 1. restore WRITEs re-arming every marked slot from a pristine image,
-/// 2. one FETCH_ADD per WAIT (bumping its threshold by the signaled count
-///    per round) plus one for the tail WAIT and one for the self-ENABLE,
-/// 3. the tail `WAIT` (all of this round's completions) + `ENABLE`
-///    (self, next round).
-///
-/// The ring then re-executes forever — surviving host crashes, since no
-/// CPU ever touches it again — until something transmutes the tail ENABLE
-/// (a compiled halt) or the simulation stops it.
-pub struct RecycledLoopBuilder {
-    queue: ChainQueue,
-    wrs: Vec<WorkRequest>,
-    /// Indices (relative) of staged WAITs whose `operand` needs per-round
-    /// bumping.
-    wait_slots: Vec<usize>,
-    /// Slots whose `operand` needs a *caller-chosen* per-round bump:
-    /// WAITs on foreign CQs and ENABLEs of foreign queues, whose deltas
-    /// the self-CQ accounting cannot know (see
-    /// [`RecycledLoopBuilder::stage_bumped`]).
-    custom_bumps: Vec<(usize, u64)>,
-    /// Slots to restore each round, with their pristine images.
-    restore_slots: Vec<usize>,
-    signaled: u64,
-    cq_base: u64,
-}
-
-/// Options for [`RecycledLoopBuilder::finish_with`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FinishOpts {
-    /// Replace the tail WAIT with a `wait_prev` fence on the tail
-    /// self-ENABLE (the IR optimizer's tail elision): the ENABLE then
-    /// waits for *every* WQE of the round to complete — a strict
-    /// superset of the WAIT's threshold — and both the WAIT slot and its
-    /// head FETCH_ADD fix-up disappear. Must stay off when something
-    /// patches the tail ENABLE at run time (a compiled halt), because
-    /// the fence does not delay the ENABLE's own fetch snapshot.
-    pub elide_tail_wait: bool,
-}
-
-/// A running recycled loop.
+/// The ring re-executes forever — surviving host crashes, since no CPU
+/// ever touches it again — until something turns its tail ENABLE into a
+/// NOOP ([`RecycledLoop::halt`], or a compiled halt doing the same with
+/// a chain WRITE) or the simulation stops it. What one round holds, and
+/// in what order, is `redn_core::ir::lower`'s business alone.
+#[derive(Clone, Copy, Debug)]
 pub struct RecycledLoop {
     /// The ring.
     pub queue: ChainQueue,
     /// Slots per round (== ring depth).
     pub round_len: u64,
-    /// Signaled completions per round.
-    pub signaled_per_round: u64,
-    /// Verb accounting for one round.
-    pub counts: VerbCounts,
-    /// The tail ENABLE slot — transmute its header to NOOP to halt.
-    pub tail_enable: Staged,
-}
-
-impl RecycledLoopBuilder {
-    /// Start building a recycled loop on a *fresh* managed queue.
-    ///
-    /// Slots 0 and 1 are reserved for the loop's own maintenance (the
-    /// head fetch-and-adds that bump the tail WAIT/ENABLE counts for the
-    /// *next* round — placed at the head so they execute a full ring
-    /// ahead of the slots they patch). User WRs start at slot 2.
-    pub fn new(sim: &Simulator, queue: ChainQueue) -> RecycledLoopBuilder {
-        assert!(queue.managed, "recycled loops need a managed ring");
-        assert_eq!(
-            sim.sq_posted(queue.qp),
-            0,
-            "recycled loops need a fresh ring (depth == round length)"
-        );
-        let mut b = RecycledLoopBuilder {
-            queue,
-            wrs: Vec::new(),
-            wait_slots: Vec::new(),
-            custom_bumps: Vec::new(),
-            restore_slots: Vec::new(),
-            signaled: 0,
-            cq_base: sim.cq_total(queue.cq),
-        };
-        // Head placeholders (rewritten in finish); signaled so their
-        // completions are part of every round's accounting.
-        b.stage(WorkRequest::noop().signaled());
-        b.stage(WorkRequest::noop().signaled());
-        b
-    }
-
-    /// Slot address for an already-staged relative index.
-    pub fn slot_field_addr(&self, rel_idx: usize, field: WqeField) -> u64 {
-        self.queue.slot_addr(rel_idx as u64) + field.offset()
-    }
-
-    /// Stage a body WR. Returns its relative slot index.
-    pub fn stage(&mut self, wr: WorkRequest) -> usize {
-        if wr.wqe.signaled() {
-            self.signaled += 1;
-        }
-        self.wrs.push(wr);
-        self.wrs.len() - 1
-    }
-
-    /// Stage a WAIT on this ring's own CQ for all signaled WRs staged so
-    /// far in this round. Its threshold is auto-bumped every round.
-    pub fn stage_wait_all(&mut self) -> usize {
-        let count = self.cq_base + self.signaled;
-        let idx = self.stage(WorkRequest::wait(self.queue.cq, count));
-        self.wait_slots.push(idx);
-        idx
-    }
-
-    /// Stage a WR whose `operand` word advances by `per_round_delta` each
-    /// round — WAITs on *foreign* CQs (trigger counts) and ENABLEs of
-    /// *foreign* queues (response-ring release points), whose deltas this
-    /// ring's own completion accounting cannot derive. `finish` emits one
-    /// FETCH_ADD per such slot in the round's fix-up section, executing a
-    /// full ring ahead of the slot's re-fetch (§3.4's monotonic
-    /// `wqe_count` fix-ups, generalized across queues).
-    pub fn stage_bumped(&mut self, wr: WorkRequest, per_round_delta: u64) -> usize {
-        let idx = self.stage(wr);
-        self.custom_bumps.push((idx, per_round_delta));
-        idx
-    }
-
-    /// Mark a staged slot for per-round restoration from its pristine
-    /// image (transmuted NOOPs, patched address fields).
-    pub fn mark_restore(&mut self, rel_idx: usize) {
-        if !self.restore_slots.contains(&rel_idx) {
-            self.restore_slots.push(rel_idx);
-        }
-    }
-
-    /// Number of body WRs staged so far.
-    pub fn len(&self) -> usize {
-        self.wrs.len()
-    }
-
-    /// Whether the body is empty.
-    pub fn is_empty(&self) -> bool {
-        self.wrs.is_empty()
-    }
-
-    /// Append the maintenance tail, pad to the ring depth, post, and arm
-    /// the first round. The ring must have room for the tail:
-    /// `2 (head) + body + restores + wait fix-ups + 2 (tail)`.
-    ///
-    /// Count bookkeeping (all thresholds absolute, per §3.4's monotonic
-    /// `wqe_count` semantics), with `S` = signaled completions per round,
-    /// `L` = ring depth:
-    ///
-    /// * body WAIT at slot `j` is initialized for round 0; its FADD (+`S`)
-    ///   sits in the fix-up section *after* the body, executing later in
-    ///   the same round — one full wrap before the slot is re-fetched;
-    /// * the tail WAIT/ENABLE are patched by the two *head* FADDs, which
-    ///   execute at the very start of each round, a full ring ahead of the
-    ///   tail. They are therefore initialized one delta low
-    ///   (`W0 − S`, `2L − L`), so the round-0 head bump lands them on the
-    ///   correct round-0 values.
-    pub fn finish(self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<RecycledLoop> {
-        self.finish_with(sim, pool, FinishOpts::default())
-    }
-
-    /// As [`RecycledLoopBuilder::finish`], with explicit options (the IR
-    /// lowering's entry point).
-    pub fn finish_with(
-        mut self,
-        sim: &mut Simulator,
-        pool: &mut ConstPool,
-        opts: FinishOpts,
-    ) -> Result<RecycledLoop> {
-        let pool_mr = pool.mr();
-        let ring_rkey = self.queue.ring.rkey;
-        let depth = self.queue.depth as u64;
-
-        // 1. Restore WRITEs (signaled: the tail WAIT must cover them).
-        let restore_list = std::mem::take(&mut self.restore_slots);
-        for rel in &restore_list {
-            assert!(
-                !self.wait_slots.contains(rel) && !self.custom_bumps.iter().any(|(i, _)| i == rel),
-                "restoring a bumped slot would clobber its advanced threshold"
-            );
-            let pristine = self.wrs[*rel].wqe.encode();
-            let image_addr = pool.push_bytes(sim, &pristine)?;
-            let slot_addr = self.queue.slot_addr(*rel as u64);
-            self.stage(
-                WorkRequest::write(image_addr, pool_mr.lkey, 64, slot_addr, ring_rkey).signaled(),
-            );
-        }
-
-        // 2. S is known once every signaled WR is staged. Remaining to
-        // stage: one signaled FADD per bumped slot (body WAITs plus
-        // custom-delta slots); the tail WAIT/ENABLE are unsignaled.
-        let s_per_round =
-            self.signaled + self.wait_slots.len() as u64 + self.custom_bumps.len() as u64;
-
-        // Fix-ups: executed after the slots they patch, preparing the next
-        // round — body WAITs advance by S, custom slots by their own
-        // deltas.
-        let wait_list = self.wait_slots.clone();
-        for rel in &wait_list {
-            let target = self.slot_field_addr(*rel, WqeField::Operand);
-            self.stage(WorkRequest::fetch_add(target, ring_rkey, s_per_round, 0, 0).signaled());
-        }
-        let bump_list = std::mem::take(&mut self.custom_bumps);
-        for (rel, delta) in &bump_list {
-            let target = self.slot_field_addr(*rel, WqeField::Operand);
-            self.stage(WorkRequest::fetch_add(target, ring_rkey, *delta, 0, 0).signaled());
-        }
-        debug_assert_eq!(self.signaled, s_per_round);
-
-        // 3. Padding, then the tail: WAIT + self-ENABLE as the last two
-        // slots of the ring — or, with the tail WAIT elided, just the
-        // self-ENABLE fenced by `wait_prev` (every WQE of the round must
-        // have completed before it issues, a superset of the WAIT).
-        let tail_n: u64 = if opts.elide_tail_wait { 1 } else { 2 };
-        let used = self.wrs.len() as u64 + tail_n;
-        assert!(
-            used <= depth,
-            "recycled loop needs {used} slots but the ring has {depth}"
-        );
-        for _ in used..depth {
-            self.stage(WorkRequest::noop());
-        }
-        let tail_enable_rel;
-        if opts.elide_tail_wait {
-            tail_enable_rel = self.wrs.len();
-            self.stage(WorkRequest::enable(self.queue.sq, depth).wait_prev());
-        } else {
-            let tail_wait_rel = self.wrs.len();
-            tail_enable_rel = tail_wait_rel + 1;
-            // Initialized one delta low (W0 − S = cq_base); the head
-            // FADDs bump them at the start of round 0.
-            let w_init = self.cq_base;
-            self.stage(WorkRequest::wait(self.queue.cq, w_init));
-            self.stage(WorkRequest::enable(self.queue.sq, depth));
-            // Head slot 0: bump the tail WAIT's threshold for next round.
-            let tail_wait_operand = self.slot_field_addr(tail_wait_rel, WqeField::Operand);
-            self.wrs[0] =
-                WorkRequest::fetch_add(tail_wait_operand, ring_rkey, s_per_round, 0, 0).signaled();
-        }
-        debug_assert_eq!(self.wrs.len() as u64, depth);
-
-        // 4. Rewrite the remaining head placeholder(s) into tail fix-ups.
-        // (With the tail WAIT elided, head slot 0 stays a signaled NOOP —
-        // its completion is already part of S.)
-        let tail_enable_operand = self.slot_field_addr(tail_enable_rel, WqeField::Operand);
-        self.wrs[1] =
-            WorkRequest::fetch_add(tail_enable_operand, ring_rkey, depth, 0, 0).signaled();
-
-        let tail_enable_idx = depth - 1;
-        let tail_enable = Staged {
-            index: tail_enable_idx,
-            slot: self.queue.slot_addr(tail_enable_idx),
-            queue: self.queue,
-        };
-
-        // Count classes for one round.
-        let mut counts = VerbCounts::default();
-        for wr in &self.wrs {
-            match wr.wqe.opcode.class() {
-                rnic_sim::verbs::VerbClass::Copy => counts.copies += 1,
-                rnic_sim::verbs::VerbClass::Atomic => counts.atomics += 1,
-                rnic_sim::verbs::VerbClass::Ordering => counts.ordering += 1,
-            }
-        }
-
-        // Post everything (managed: no doorbell) and arm round 0.
-        for wr in &self.wrs {
-            sim.post_send_quiet(self.queue.qp, *wr)?;
-        }
-        sim.host_enable(self.queue.qp, depth)?;
-
-        Ok(RecycledLoop {
-            queue: self.queue,
-            round_len: depth,
-            signaled_per_round: s_per_round,
-            counts,
-            tail_enable,
-        })
-    }
+    /// Address of the tail ENABLE's slot — turn its header into a NOOP
+    /// to halt.
+    pub tail_enable: u64,
 }
 
 impl RecycledLoop {
@@ -518,7 +258,7 @@ impl RecycledLoop {
     /// Halt the loop host-side by patching the tail ENABLE into a NOOP.
     /// (Compiled halts do the same with a chain WRITE.)
     pub fn halt(&self, sim: &mut Simulator) -> Result<()> {
-        let addr = self.tail_enable.addr(WqeField::Header);
+        let addr = self.tail_enable + WqeField::Header.offset();
         sim.mem_write_u64(self.queue.node, addr, header_word(Opcode::Noop, 0))
     }
 }
@@ -527,10 +267,11 @@ impl RecycledLoop {
 mod tests {
     use super::*;
     use crate::ctx::ChainQueueBuilder;
-    use crate::encode::{cond_compare, cond_swap};
+    use crate::ir::{IrProgram, Kind, Loc, OpBuild, QId, RingSpec, WaitCond};
+    use crate::program::ConstPool;
     use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
     use rnic_sim::ids::{NodeId, ProcessId};
-    use rnic_sim::mem::Access;
+    use rnic_sim::mem::{Access, MemoryRegion};
     use rnic_sim::time::Time;
 
     struct Rig {
@@ -592,7 +333,7 @@ mod tests {
         let ctrl = p.chain(r.ctrl);
         let dyn_q = p.chain(r.dyn_q);
         let lw = UnrolledWhile::build(&mut p, ctrl, dyn_q, &values, &responses, brk);
-        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap().into_linear();
+        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap();
         lowered.post(&mut r.sim, dyn_q).unwrap();
         lw.inject_x(&mut r.sim, x).unwrap();
         lowered.post(&mut r.sim, ctrl).unwrap();
@@ -644,7 +385,7 @@ mod tests {
         let ctrl = p.chain(r.ctrl);
         let dyn_q = p.chain(r.dyn_q);
         let lw = UnrolledWhile::build(&mut p, ctrl, dyn_q, &values, &responses, true);
-        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap().into_linear();
+        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap();
         lowered.post(&mut r.sim, dyn_q).unwrap();
         lw.inject_x(&mut r.sim, 42).unwrap();
         lowered.post(&mut r.sim, ctrl).unwrap();
@@ -653,91 +394,102 @@ mod tests {
         assert_eq!(r.sim.wq_executed(r.dyn_q.sq), 2); // break + response only
     }
 
+    /// A one-node rig for ring tests: simulator, pool, a counter word
+    /// and a fresh recycled program.
+    fn ring_rig() -> (Simulator, NodeId, ConstPool, MemoryRegion, IrProgram, QId) {
+        let mut sim = Simulator::new(SimConfig::default());
+        let node = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
+        let pool = ConstPool::create(&mut sim, node, 4096, ProcessId(0)).unwrap();
+        let ctr = sim.alloc(node, 8, 8).unwrap();
+        let cmr = sim.register_mr(node, ctr, 8, Access::all()).unwrap();
+        let (p, ring) = IrProgram::recycled(RingSpec {
+            node,
+            owner: ProcessId(0),
+            pu: None,
+            port: 0,
+        });
+        (sim, node, pool, cmr, p, ring)
+    }
+
     #[test]
     fn recycled_loop_runs_without_cpu() {
         // A ring whose body increments a counter once per round. After
-        // arming, the host never touches it again.
-        let mut sim = Simulator::new(SimConfig::default());
-        let node = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
-        let queue = ChainQueueBuilder::new(node, ProcessId(0))
-            .managed()
-            .depth(8)
-            .build(&mut sim)
-            .unwrap();
-        let mut pool = ConstPool::create(&mut sim, node, 4096, ProcessId(0)).unwrap();
-        let ctr = sim.alloc(node, 8, 8).unwrap();
-        let cmr = sim.register_mr(node, ctr, 8, Access::all()).unwrap();
-
-        let mut lb = RecycledLoopBuilder::new(&sim, queue);
-        lb.stage(WorkRequest::fetch_add(ctr, cmr.rkey, 1, 0, 0).signaled());
-        lb.stage_wait_all();
-        assert_eq!(lb.len(), 4); // 2 reserved head slots + 2 body WRs
-        assert!(!lb.is_empty());
-        let lp = lb.finish(&mut sim, &mut pool).unwrap();
+        // deploy armed it, the host never touches it again.
+        let (mut sim, node, mut pool, ctr, mut p, ring) = ring_rig();
+        p.push(
+            ring,
+            OpBuild::new(Kind::FetchAdd {
+                target: Loc::raw(ctr.addr, ctr.rkey),
+                delta: 1,
+            })
+            .signaled(),
+        );
+        p.push(ring, OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)));
+        let lowered = p.deploy(&mut sim, &mut pool).unwrap();
+        let lp = *lowered.ring().expect("a recycled program lowers to a ring");
+        let host_work = (sim.node_doorbells(node), sim.node_posts(node));
 
         // Run for a bounded simulated time; the loop would run forever.
         sim.run_until(Time::from_us(200)).unwrap();
-        let rounds = sim.mem_read_u64(node, ctr).unwrap();
+        let rounds = sim.mem_read_u64(node, ctr.addr).unwrap();
         assert!(rounds >= 10, "expected >= 10 rounds, got {rounds}");
         assert!(lp.rounds(&sim) >= rounds - 1);
+        assert_eq!(
+            (sim.node_doorbells(node), sim.node_posts(node)),
+            host_work,
+            "no doorbell, no post after arming"
+        );
 
-        // Halt and drain: the counter stops.
+        // Halt and drain: the counter stops, no events remain.
         lp.halt(&mut sim).unwrap();
         sim.run().unwrap();
-        let after_halt = sim.mem_read_u64(node, ctr).unwrap();
-        // Let "more time" pass: nothing changes (no events remain).
         assert_eq!(sim.pending_events(), 0);
-        assert!(after_halt >= rounds);
+        assert!(sim.mem_read_u64(node, ctr.addr).unwrap() >= rounds);
     }
 
     #[test]
     fn recycled_loop_with_restore_retransmutes_every_round() {
-        // Body: a NOOP pre-armed as FETCH_ADD via host patching would stay
-        // transmuted; with mark_restore it is re-armed each round. We use
-        // a CAS in the ring that transmutes the NOOP to FETCH_ADD, and
-        // verify the counter advances every round (i.e., restore happens).
-        let mut sim = Simulator::new(SimConfig::default());
-        let node = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
-        let queue = ChainQueueBuilder::new(node, ProcessId(0))
-            .managed()
-            .depth(16)
-            .build(&mut sim)
-            .unwrap();
-        let mut pool = ConstPool::create(&mut sim, node, 8192, ProcessId(0)).unwrap();
-        let ctr = sim.alloc(node, 8, 8).unwrap();
-        let cmr = sim.register_mr(node, ctr, 8, Access::all()).unwrap();
-
-        let mut lb = RecycledLoopBuilder::new(&sim, queue);
-        // The slot after the CAS is a NOOP carrying FETCH_ADD fields; the
-        // CAS always matches (id preset 7) and transmutes it.
-        let carrier_header = lb.slot_field_addr(lb.len() + 1, WqeField::Header);
-        lb.stage(
-            WorkRequest::cas(
-                carrier_header,
-                queue.ring.rkey,
-                cond_compare(7),
-                cond_swap(Opcode::FetchAdd, 7),
-                0,
-                0,
-            )
+        // A CAS that always matches (id preset 7) transmutes the NOOP
+        // after it into a FETCH_ADD; the restore mark re-arms the NOOP
+        // before the ring wraps, so the CAS matches again next round.
+        let (mut sim, node, mut pool, ctr, mut p, ring) = ring_rig();
+        let carrier = p.alloc(ring);
+        p.push(
+            ring,
+            OpBuild::new(Kind::Transmute {
+                target: carrier,
+                y: 7,
+                into: Opcode::FetchAdd,
+            })
             .signaled(),
         );
-        let mut add = WorkRequest::fetch_add(ctr, cmr.rkey, 1, 0, 0).signaled();
-        add.wqe.opcode = Opcode::Noop;
-        add.wqe.id = 7;
-        let s1 = lb.stage(add);
-        lb.stage_wait_all();
-        lb.mark_restore(s1);
-        let _lp = lb.finish(&mut sim, &mut pool).unwrap();
+        p.place(
+            carrier,
+            OpBuild::new(Kind::FetchAdd {
+                target: Loc::raw(ctr.addr, ctr.rkey),
+                delta: 1,
+            })
+            .signaled()
+            .placeholder_id(7)
+            .restore(),
+        );
+        p.push(ring, OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)));
+        let lowered = p.deploy(&mut sim, &mut pool).unwrap();
+        let lp = *lowered.ring().expect("a recycled program lowers to a ring");
+        let header = lowered.addr_of(carrier, WqeField::Header);
+        let pristine = sim.mem_read_u64(node, header).unwrap();
+        assert_eq!(pristine, header_word(Opcode::Noop, 7));
 
         sim.run_until(Time::from_us(400)).unwrap();
-        let count = sim.mem_read_u64(node, ctr).unwrap();
-        // Each round adds exactly 1; without restore the CAS would fail
-        // after round 0 (header no longer NOOP) and the count would stick
-        // at... still grow, actually, since the slot would stay FETCH_ADD.
-        // The discriminating check: the CAS keeps *succeeding*, which we
-        // observe indirectly by the loop not faulting and the counter
-        // advancing strictly per round.
+        let count = sim.mem_read_u64(node, ctr.addr).unwrap();
         assert!(count >= 5, "counter {count}");
+        // Exactly one add per round means the CAS matched every round —
+        // it only does while the slot is a NOOP again each time.
+        assert!(lp.rounds(&sim).abs_diff(count) <= 1, "{count} adds");
+        // Halted, the ring finishes its round, restore WRITE included:
+        // the slot is back to its pristine image.
+        lp.halt(&mut sim).unwrap();
+        sim.run().unwrap();
+        assert_eq!(sim.mem_read_u64(node, header).unwrap(), pristine);
     }
 }

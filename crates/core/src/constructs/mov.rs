@@ -329,7 +329,7 @@ mod tests {
         let ctrl = p.chain(r.ctrl);
         let patched = p.chain(r.patched);
         emit(&mut p, ctrl, patched, &r.unit);
-        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap().into_linear();
+        let mut lowered = p.deploy(&mut r.sim, &mut r.pool).unwrap();
         lowered.post(&mut r.sim, patched).unwrap();
         lowered.post(&mut r.sim, ctrl).unwrap();
         r.sim.run().unwrap();

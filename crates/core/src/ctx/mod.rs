@@ -48,14 +48,13 @@ mod queues;
 pub use caps::{ClientDest, TableRegion, ValueSource};
 pub use offloads::{HashGetBuilder, ListWalkBuilder};
 pub(crate) use offloads::{HashGetSpec, ListWalkSpec};
-pub use program::{ArmedProgram, ChainProgram, LaunchedProgram};
+pub use program::{ArmedProgram, ChainProgram};
 pub use queues::{ChainQueueBuilder, ConstPoolBuilder, TriggerPointBuilder};
 
 use rnic_sim::error::Result;
 use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::sim::Simulator;
 
-use crate::constructs::loops::RecycledLoopBuilder;
 use crate::program::{ChainQueue, ConstPool};
 use crate::turing::compile::CompiledTm;
 use crate::turing::machine::TuringMachine;
@@ -207,14 +206,6 @@ impl OffloadCtx {
         Ok(ChainProgram::new(self, ctrl_q, act_q))
     }
 
-    /// Start a CPU-free recycled loop (§3.4) on a fresh managed ring of
-    /// `depth` slots. Finish it with
-    /// [`RecycledLoopBuilder::finish`]`(sim, ctx.pool_mut())`.
-    pub fn recycled_loop(&self, sim: &mut Simulator, depth: u32) -> Result<RecycledLoopBuilder> {
-        let queue = self.chain_queue().managed().depth(depth).build(sim)?;
-        Ok(RecycledLoopBuilder::new(sim, queue))
-    }
-
     /// Fluent hash-get offload deployment (Fig 9/11).
     pub fn hash_get(&self) -> HashGetBuilder {
         HashGetBuilder::new(self.node, self.owner, self.port)
@@ -293,20 +284,31 @@ mod tests {
 
     #[test]
     fn recycled_loop_via_ctx_runs() {
+        use crate::ir::{IrProgram, Kind, Loc, OpBuild, RingSpec, WaitCond};
         use rnic_sim::mem::Access;
         use rnic_sim::time::Time;
-        use rnic_sim::wqe::WorkRequest;
         let (mut sim, node) = rig();
         let mut ctx = OffloadCtx::new(&mut sim, node).unwrap();
         let ctr = sim.alloc(node, 8, 8).unwrap();
         let cmr = sim.register_mr(node, ctr, 8, Access::all()).unwrap();
-        let mut lb = ctx.recycled_loop(&mut sim, 8).unwrap();
-        lb.stage(WorkRequest::fetch_add(ctr, cmr.rkey, 1, 0, 0).signaled());
-        lb.stage_wait_all();
-        let lp = lb.finish(&mut sim, ctx.pool_mut()).unwrap();
+        // A §3.4 ring is a recycled IR program deployed against the
+        // context's pool; lowering creates its queue.
+        let (mut p, ring) = IrProgram::recycled(RingSpec {
+            node: ctx.node(),
+            owner: ctx.owner(),
+            pu: None,
+            port: ctx.port(),
+        });
+        let add = Kind::FetchAdd {
+            target: Loc::raw(ctr, cmr.rkey),
+            delta: 1,
+        };
+        p.push(ring, OpBuild::new(add).signaled());
+        p.push(ring, OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)));
+        let lowered = p.deploy(&mut sim, ctx.pool_mut()).unwrap();
         sim.run_until(Time::from_us(100)).unwrap();
         assert!(sim.mem_read_u64(node, ctr).unwrap() >= 5);
-        lp.halt(&mut sim).unwrap();
+        lowered.ring().unwrap().halt(&mut sim).unwrap();
         sim.run().unwrap();
     }
 }

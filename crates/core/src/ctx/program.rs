@@ -32,12 +32,11 @@ use rnic_sim::ids::CqId;
 use rnic_sim::sim::Simulator;
 use rnic_sim::wqe::WorkRequest;
 
-use crate::builder::{Staged, VerbCounts};
 use crate::constructs::cond::{IfEq, IfEqWide, IfLe};
 use crate::constructs::mov::{MovUnit, RegisterFile};
 use crate::ctx::OffloadCtx;
 use crate::ir::{
-    DeployOpts, IrProgram, Kind, LinearLowered, Lowered, OpBuild, OpId, PassReport, QId, WaitCond,
+    DeployOpts, IrProgram, Kind, Lowered, OpBuild, OpId, PassReport, QId, VerbCounts, WaitCond,
 };
 use crate::offloads::rpc::TriggerPoint;
 use crate::program::ChainQueue;
@@ -194,21 +193,17 @@ impl<'c> ChainProgram<'c> {
     /// the `redn_core::ir::analysis` suite (see
     /// [`IrProgram::deploy_unchecked`]); the optimizer still runs.
     pub fn deploy_with(self, sim: &mut Simulator, opts: DeployOpts) -> Result<ArmedProgram> {
-        let lowered = self.p.deploy_with(sim, self.ctx.pool_mut(), opts, None)?;
-        let Lowered::Linear(mut lowered) = lowered else {
-            unreachable!("chain programs are linear")
-        };
-        let action_handles = lowered.post(sim, self.actions)?;
+        let mut lowered = self.p.deploy_with(sim, self.ctx.pool_mut(), opts, None)?;
+        lowered.post(sim, self.actions)?;
         Ok(ArmedProgram {
             lowered,
             ctrl: self.ctrl,
-            action_handles,
         })
     }
 
     /// Deploy and immediately launch — for programs whose operands are
     /// injected by RECV scatter (or that take none).
-    pub fn run(self, sim: &mut Simulator) -> Result<LaunchedProgram> {
+    pub fn run(self, sim: &mut Simulator) -> Result<()> {
         self.deploy(sim)?.launch(sim)
     }
 }
@@ -216,38 +211,20 @@ impl<'c> ChainProgram<'c> {
 /// A program whose action WQEs are posted; awaiting operand injection and
 /// [`ArmedProgram::launch`].
 pub struct ArmedProgram {
-    lowered: LinearLowered,
+    lowered: Lowered,
     ctrl: QId,
-    action_handles: Vec<Staged>,
 }
 
 impl ArmedProgram {
-    /// Handles to the posted action WQEs.
-    pub fn action_handles(&self) -> &[Staged] {
-        &self.action_handles
-    }
-
     /// What the IR optimizer did to the program.
     pub fn report(&self) -> PassReport {
         self.lowered.report()
     }
 
     /// Post the control queue (ringing its doorbell): the NIC takes over.
-    pub fn launch(mut self, sim: &mut Simulator) -> Result<LaunchedProgram> {
-        let ctrl_handles = self.lowered.post(sim, self.ctrl)?;
-        Ok(LaunchedProgram {
-            action_handles: self.action_handles,
-            ctrl_handles,
-        })
+    pub fn launch(mut self, sim: &mut Simulator) -> Result<()> {
+        self.lowered.post(sim, self.ctrl)
     }
-}
-
-/// A fully posted chain program.
-pub struct LaunchedProgram {
-    /// Handles to the action WQEs.
-    pub action_handles: Vec<Staged>,
-    /// Handles to the control WQEs.
-    pub ctrl_handles: Vec<Staged>,
 }
 
 #[cfg(test)]
@@ -409,6 +386,48 @@ mod tests {
     }
 
     #[test]
+    fn oversize_program_posts_nothing_and_leaves_its_queues_usable() {
+        use rnic_sim::error::Error;
+        let (mut sim, node) = rig();
+        let mut ctx = OffloadCtx::new(&mut sim, node).unwrap();
+        let buf = sim.alloc(node, 16, 8).unwrap();
+        let mr = sim.register_mr(node, buf, 16, Access::all()).unwrap();
+        sim.mem_write_u64(node, buf, 0x77).unwrap();
+        let ctrl_q = ctx.chain_queue().depth(2).build(&mut sim).unwrap();
+        let act_q = ctx
+            .chain_queue()
+            .managed()
+            .depth(4)
+            .build(&mut sim)
+            .unwrap();
+        let copy = WorkRequest::write(buf, mr.lkey, 8, buf + 8, mr.rkey).signaled();
+
+        // Two WQEs too many for the control ring; the action ring's one
+        // WQE would fit.
+        let mut prog = ChainProgram::new(&mut ctx, ctrl_q, act_q);
+        prog.if_eq(7, copy);
+        for _ in 0..4 {
+            prog.stage_ctrl(copy);
+        }
+        let full = prog.run(&mut sim);
+        assert!(matches!(full, Err(Error::WqFull(wq)) if wq == ctrl_q.sq));
+        for q in [ctrl_q, act_q] {
+            assert_eq!(sim.sq_posted(q.qp), 0, "no orphaned WQE on {}", q.sq);
+        }
+        assert_eq!(sim.node_doorbells(node), 0);
+
+        // A program that fits, on the same queues, runs — and is all
+        // that runs.
+        let mut prog = ChainProgram::new(&mut ctx, ctrl_q, act_q);
+        prog.stage_ctrl(copy);
+        prog.run(&mut sim).unwrap();
+        sim.run().unwrap();
+        assert_eq!(sim.mem_read_u64(node, buf + 8).unwrap(), 0x77);
+        assert_eq!(sim.wq_executed(ctrl_q.sq), 1);
+        assert_eq!(sim.wq_executed(act_q.sq), 0);
+    }
+
+    #[test]
     fn run_collapses_deploy_and_launch() {
         let (mut sim, node) = rig();
         let mut ctx = OffloadCtx::new(&mut sim, node).unwrap();
@@ -417,8 +436,7 @@ mod tests {
         sim.mem_write_u64(node, buf, 0x77).unwrap();
         let mut prog = ctx.chain_program(&mut sim).unwrap();
         prog.stage_ctrl(WorkRequest::write(buf, mr.lkey, 8, buf + 8, mr.rkey).signaled());
-        let launched = prog.run(&mut sim).unwrap();
-        assert_eq!(launched.ctrl_handles.len(), 1);
+        prog.run(&mut sim).unwrap();
         sim.run().unwrap();
         assert_eq!(sim.mem_read_u64(node, buf + 8).unwrap(), 0x77);
     }

@@ -1,5 +1,7 @@
-//! Lowering: from typed IR to staged WQEs, with the optimizer in the
-//! middle.
+//! Lowering: from typed IR to posted WQEs, with the optimizer in the
+//! middle. This is the only code that turns ops into work requests, and
+//! `round_layout` the only place that knows what a recycled round
+//! looks like.
 //!
 //! Lowering happens at `deploy` time, against the live simulator:
 //!
@@ -10,166 +12,105 @@
 //!    with it); restore merging — contiguous restore-marked slots share
 //!    one pristine-image WRITE; const-pool deduplication — identical
 //!    resolved constants intern to one cell.
-//! 2. **Slot allocation** — every op gets its monotonic WQE index and
-//!    ring-slot address (post-pass positions).
+//! 2. **Layout** — every queue becomes a list of slots: a bound
+//!    queue's ops in order, the ring's whole §3.4 round. Ring depth,
+//!    monotonic WQE indices, slot addresses, the tail-ENABLE address and
+//!    both [`PassReport`] verb counts are read off those lists (`before`
+//!    is the same function applied to the pre-pass op list).
 //! 3. **Const placement** — SGE tables and WQE images are resolved
 //!    against the allocated slots and pushed (interned) into the pool.
-//! 4. **Threshold resolution** — WAIT counts and ENABLE horizons become
-//!    absolute monotonic counts against live CQ/queue state.
-//! 5. **Staging** — [`ChainBuilder`] for linear queues (callers post in
-//!    the order deployment requires), [`RecycledLoopBuilder`] for the
-//!    ring (head fix-ups, tail WAIT/ENABLE, posting and arming).
+//! 4. **Staging** — one loop turns every slot into its work request,
+//!    WAIT counts and ENABLE horizons resolved to absolute monotonic
+//!    counts against live CQ/queue state.
+//! 5. **Posting** — room is checked on every queue before any WQE is
+//!    written, so a program is posted whole or not at all. A recycled
+//!    program is posted and armed here; a linear one hands its queues
+//!    to the caller ([`Lowered::post`]) to post in the order its
+//!    protocol requires.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use rnic_sim::error::{Error, Result};
+use rnic_sim::ids::CqId;
 use rnic_sim::sim::Simulator;
-use rnic_sim::verbs::VerbClass;
+use rnic_sim::verbs::{Opcode, VerbClass};
 use rnic_sim::wqe::{WorkRequest, FLAG_SIGNALED, FLAG_WAIT_PREV, ID_MASK, WQE_SIZE};
 
 use super::analysis::Footprint;
 use super::verify::PatchMap;
 use super::{
     ConstInterner, ConstSpec, DeployOpts, EnableTarget, IrProgram, Kind, Loc, Mode, OpId,
-    PassReport, QId, QueueSlot, Resolution, ScatterId, SgeSpec, WaitCond,
+    PassReport, QId, QueueSlot, Resolution, ScatterId, SgeSpec, VerbCounts, WaitCond,
 };
-use crate::builder::{ChainBuilder, Staged, VerbCounts};
-use crate::constructs::loops::{FinishOpts, RecycledLoop, RecycledLoopBuilder};
+use crate::constructs::loops::RecycledLoop;
 use crate::ctx::ChainQueueBuilder;
 use crate::encode::{cond_compare, cond_swap, WqeField};
 use crate::program::{ChainQueue, ConstPool};
-use rnic_sim::verbs::Opcode;
 
-/// A deployed linear program: staged builders awaiting `post`, in
-/// whatever order the emitter's protocol requires (actions before
-/// control, responses before triggers, ...).
-pub struct LinearLowered {
-    builders: Vec<Option<ChainBuilder>>,
+/// Result of [`IrProgram::deploy`]: the program's resolved addresses,
+/// its report and footprint, and its WQEs — already posted and running
+/// for a recycled program, awaiting [`Lowered::post`] for a linear one.
+pub struct Lowered {
+    /// Per [`QId`]: the queue's work requests until they are posted.
+    staged: Vec<Option<(ChainQueue, Vec<WorkRequest>)>>,
+    ring: Option<RecycledLoop>,
     report: PassReport,
     res: Rc<RefCell<Resolution>>,
     footprint: Footprint,
-}
-
-impl LinearLowered {
-    /// Post one queue's staged chain (doorbell for unmanaged queues).
-    pub fn post(&mut self, sim: &mut Simulator, q: QId) -> Result<Vec<Staged>> {
-        match self.builders[q.0].take() {
-            Some(b) => b.post(sim),
-            None => Ok(Vec::new()),
-        }
-    }
-
-    /// What the optimizer did.
-    pub fn report(&self) -> PassReport {
-        self.report
-    }
-
-    /// Resolved absolute address of `field` of `op`'s WQE slot.
-    pub fn addr_of(&self, op: OpId, field: WqeField) -> u64 {
-        self.res.borrow().op_slot[op.0].expect("lowered") + field.offset()
-    }
-
-    /// A resolved external scatter list (trigger-RECV injection targets).
-    pub fn scatter(&self, s: ScatterId) -> Vec<(u64, u32, u32)> {
-        self.res.borrow().scatters[s.0].clone().expect("lowered")
-    }
-
-    /// The program's non-interference footprint (see
-    /// [`analysis::DeploymentVerifier`](super::analysis::DeploymentVerifier)).
-    pub fn footprint(&self) -> &Footprint {
-        &self.footprint
-    }
-}
-
-/// A deployed recycled program: posted, armed, running.
-pub struct RecycledLowered {
-    /// The live ring.
-    pub lp: RecycledLoop,
-    report: PassReport,
-    res: Rc<RefCell<Resolution>>,
-    footprint: Footprint,
-}
-
-impl RecycledLowered {
-    /// What the optimizer did (per round).
-    pub fn report(&self) -> PassReport {
-        self.report
-    }
-
-    /// Resolved absolute address of `field` of `op`'s WQE slot.
-    pub fn addr_of(&self, op: OpId, field: WqeField) -> u64 {
-        self.res.borrow().op_slot[op.0].expect("lowered") + field.offset()
-    }
-
-    /// A resolved external scatter list (trigger-RECV injection targets).
-    pub fn scatter(&self, s: ScatterId) -> Vec<(u64, u32, u32)> {
-        self.res.borrow().scatters[s.0].clone().expect("lowered")
-    }
-
-    /// The program's non-interference footprint (see
-    /// [`analysis::DeploymentVerifier`](super::analysis::DeploymentVerifier)).
-    pub fn footprint(&self) -> &Footprint {
-        &self.footprint
-    }
-}
-
-/// Result of [`IrProgram::deploy`].
-pub enum Lowered {
-    /// A linear program (post the builders to launch).
-    Linear(LinearLowered),
-    /// A recycled ring (already posted and armed).
-    Recycled(RecycledLowered),
 }
 
 impl Lowered {
-    /// What the optimizer did.
+    /// Post one queue's WQEs, all or none (doorbell for unmanaged
+    /// queues). A linear program's caller posts its queues in whatever
+    /// order its protocol requires (actions before control, responses
+    /// before triggers, ...). A queue that is already posted — every
+    /// queue of a recycled program is, by deploy — is left alone.
+    pub fn post(&mut self, sim: &mut Simulator, q: QId) -> Result<()> {
+        if let Some((queue, wrs)) = &self.staged[q.0] {
+            if !wrs.is_empty() {
+                check_room(sim, queue, wrs.len())?;
+                sim.post_send_batch(queue.qp, wrs)?;
+            }
+            self.staged[q.0] = None;
+        }
+        Ok(())
+    }
+
+    /// What the optimizer did (per round, for a recycled program).
     pub fn report(&self) -> PassReport {
-        match self {
-            Lowered::Linear(l) => l.report(),
-            Lowered::Recycled(r) => r.report(),
-        }
+        self.report
     }
 
-    /// Resolved address of `field` of `op`'s slot.
+    /// Resolved absolute address of `field` of `op`'s WQE slot.
     pub fn addr_of(&self, op: OpId, field: WqeField) -> u64 {
-        match self {
-            Lowered::Linear(l) => l.addr_of(op, field),
-            Lowered::Recycled(r) => r.addr_of(op, field),
-        }
+        self.res.borrow().op_slot[op.0].expect("lowered") + field.offset()
     }
 
-    /// A resolved external scatter list.
+    /// A resolved external scatter list (trigger-RECV injection targets).
     pub fn scatter(&self, s: ScatterId) -> Vec<(u64, u32, u32)> {
-        match self {
-            Lowered::Linear(l) => l.scatter(s),
-            Lowered::Recycled(r) => r.scatter(s),
-        }
+        self.res.borrow().scatters[s.0].clone().expect("lowered")
     }
 
-    /// The program's non-interference footprint.
+    /// The program's non-interference footprint (see
+    /// [`analysis::DeploymentVerifier`](super::analysis::DeploymentVerifier)).
     pub fn footprint(&self) -> &Footprint {
-        match self {
-            Lowered::Linear(l) => l.footprint(),
-            Lowered::Recycled(r) => r.footprint(),
-        }
+        &self.footprint
     }
 
-    /// The linear variant (panics on a recycled program).
-    pub fn into_linear(self) -> LinearLowered {
-        match self {
-            Lowered::Linear(l) => l,
-            Lowered::Recycled(_) => panic!("expected a linear lowering"),
-        }
+    /// The running ring of a recycled program; `None` for a linear one.
+    pub fn ring(&self) -> Option<&RecycledLoop> {
+        self.ring.as_ref()
     }
+}
 
-    /// The recycled variant (panics on a linear program).
-    pub fn into_recycled(self) -> RecycledLowered {
-        match self {
-            Lowered::Recycled(r) => r,
-            Lowered::Linear(_) => panic!("expected a recycled lowering"),
-        }
+/// `Err(WqFull)` unless `q` can take `n` more WQEs right now (none
+/// always fit).
+fn check_room(sim: &Simulator, q: &ChainQueue, n: usize) -> Result<()> {
+    if n > 0 && n as u64 > sim.sq_room(q.qp)? {
+        return Err(Error::WqFull(q.sq));
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -243,69 +184,180 @@ fn elide_waits(p: &mut IrProgram, pm: &PatchMap) -> usize {
     elided
 }
 
-/// Contiguous runs of restore-marked ops, per queue (in queue order).
-fn restore_runs(p: &IrProgram, merge: bool) -> Vec<Vec<OpId>> {
-    let mut runs: Vec<Vec<OpId>> = Vec::new();
+/// Runs of restore-marked ops as `(first op, length)`, per queue in
+/// queue order: one run per marked op, or — with `merge` — one per
+/// stretch of contiguous marked ops.
+fn restore_runs(p: &IrProgram, merge: bool) -> Vec<(OpId, usize)> {
+    let mut runs: Vec<(OpId, usize)> = Vec::new();
     for ops in &p.queue_ops {
-        let mut prev_pos: Option<usize> = None;
-        for (pos, id) in ops.iter().enumerate() {
-            if !p.op(*id).restore {
-                continue;
+        let mut prev_marked = false;
+        for id in ops {
+            let marked = p.op(*id).restore;
+            if marked && prev_marked && merge {
+                runs.last_mut().expect("run open").1 += 1;
+            } else if marked {
+                runs.push((*id, 1));
             }
-            let contiguous = merge && pos > 0 && prev_pos == Some(pos - 1);
-            if contiguous {
-                runs.last_mut().expect("run open").push(*id);
-            } else {
-                runs.push(vec![*id]);
-            }
-            prev_pos = Some(pos);
+            prev_marked = marked;
         }
     }
     runs
 }
 
-fn count_class(counts: &mut VerbCounts, class: VerbClass) {
-    match class {
-        VerbClass::Copy => counts.copies += 1,
-        VerbClass::Atomic => counts.atomics += 1,
-        VerbClass::Ordering => counts.ordering += 1,
+// ---------------------------------------------------------------------
+// Layout
+// ---------------------------------------------------------------------
+
+/// What one WQE slot of a lowered queue holds. A bound queue is its ops
+/// in order (`Body` only); the ring's round adds the §3.4 maintenance
+/// slots around them.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// An op of the program.
+    Body(OpId),
+    /// A signaled NOOP.
+    Noop,
+    /// The WRITE re-arming restore run `n` from its pristine images.
+    Restore(usize),
+    /// A FETCH_ADD advancing the operand word (WAIT threshold, ENABLE
+    /// horizon) of the ring slot at this index for the next round.
+    Fixup(usize, Step),
+    /// WAIT for every completion of this round.
+    TailWait,
+    /// ENABLE of the ring itself, one more round.
+    TailEnable { fenced: bool },
+}
+
+/// How far a [`Slot::Fixup`] advances its target per round.
+#[derive(Clone, Copy)]
+enum Step {
+    /// `S`, the round's signaled completions.
+    Signaled,
+    /// `L`, the ring depth.
+    Depth,
+    /// The op's own [`OpBuild::bump`](super::OpBuild::bump).
+    By(u64),
+}
+
+impl Slot {
+    /// Whether the slot completes with a CQE.
+    fn signaled(self, p: &IrProgram) -> bool {
+        match self {
+            Slot::Body(id) => p.op(id).signaled,
+            Slot::TailWait | Slot::TailEnable { .. } => false,
+            Slot::Noop | Slot::Restore(_) | Slot::Fixup(..) => true,
+        }
+    }
+
+    /// Table 2 class of the WQE staged in the slot (a placeholder is
+    /// staged as a NOOP, whatever verb it carries).
+    fn class(self, p: &IrProgram) -> VerbClass {
+        match self {
+            Slot::Body(id) if p.op(id).placeholder.is_none() => p.op(id).kind.class(),
+            Slot::Body(_) | Slot::Noop | Slot::Restore(_) => VerbClass::Copy,
+            Slot::Fixup(..) => VerbClass::Atomic,
+            Slot::TailWait | Slot::TailEnable { .. } => VerbClass::Ordering,
+        }
     }
 }
 
-/// The Table 2 classes a naive (pass-free) lowering of the current op
-/// list would stage, including the recycled ring's structural overhead.
-fn naive_counts(p: &IrProgram) -> VerbCounts {
-    let mut c = VerbCounts::default();
-    let mut restores = 0usize;
-    let mut fixups = 0usize;
-    let mut recycled = false;
-    let ring = match p.mode {
-        Mode::Recycled { ring } => {
-            recycled = true;
-            Some(ring)
-        }
-        Mode::Linear => None,
+/// One round of the recycled ring. The ring queue is created with
+/// exactly `slots.len()` WQE slots, so slot `i` is WQE index `i` of
+/// round 0 and `slots.len()` is the ring depth `L`.
+struct Round {
+    ring: QId,
+    slots: Vec<Slot>,
+    /// Index of the tail ENABLE (what [`Loc::TailEnable`] names).
+    tail_enable: usize,
+}
+
+/// The §3.4 round layout:
+///
+/// ```text
+/// [0]    FETCH_ADD  tail WAIT threshold += S   } the head runs a full
+/// [1]    FETCH_ADD  tail ENABLE horizon += L   } ring ahead of the tail
+/// [2..]  the program's ring ops
+///        one restore WRITE per (merged) run of restore-marked slots
+///        one FETCH_ADD (+S) per LocalAllSignaled WAIT
+///        one FETCH_ADD (+ its delta) per bumped op
+/// [L-2]  tail WAIT: all S completions of this round
+/// [L-1]  tail ENABLE: this ring, L more
+/// ```
+///
+/// Everything but the tail pair is signaled, and `S` counts exactly
+/// those. Fix-ups sit after the body so each runs later in the same
+/// round, one full wrap before its target is fetched again; the two
+/// tail slots are instead patched from the head, so they are staged one
+/// step low and the first round's head brings them up to date.
+///
+/// With `elide_tail` the tail WAIT and its fix-up go: the ENABLE is
+/// fenced by `wait_prev` (every WQE of the round complete — a superset
+/// of the WAIT) and slot 0 holds a signaled NOOP, so body indices and
+/// `S` do not depend on it. That is only sound while nothing patches
+/// the tail ENABLE at run time (a compiled halt): the fence does not
+/// delay the ENABLE's own fetch snapshot.
+fn round_layout(p: &IrProgram, ring: QId, restore_runs: usize, elide_tail: bool) -> Round {
+    let body = &p.queue_ops[ring.0];
+    let mut slots = Vec::with_capacity(2 * body.len() + restore_runs + 4);
+    slots.extend([Slot::Noop; 2]); // the head; aimed below, once the tail has indices
+    let body_at = slots.len();
+    slots.extend(body.iter().map(|id| Slot::Body(*id)));
+    slots.extend((0..restore_runs).map(Slot::Restore));
+    let fixups_at = slots.len();
+    for (i, id) in body.iter().enumerate() {
+        let by = match p.op(*id) {
+            op if matches!(op.kind, Kind::Wait(WaitCond::LocalAllSignaled)) => Step::Signaled,
+            op => match op.bump {
+                Some(delta) => Step::By(delta),
+                None => continue,
+            },
+        };
+        slots.push(Slot::Fixup(body_at + i, by));
+    }
+    // The LocalAllSignaled WAITs' fix-ups go first (a stable sort: body
+    // order within each kind). No fix-up depends on another.
+    slots[fixups_at..].sort_by_key(|f| matches!(f, Slot::Fixup(_, Step::By(_))));
+    if !elide_tail {
+        slots[0] = Slot::Fixup(slots.len(), Step::Signaled);
+        slots.push(Slot::TailWait);
+    }
+    let tail_enable = slots.len();
+    slots[1] = Slot::Fixup(tail_enable, Step::Depth);
+    slots.push(Slot::TailEnable { fenced: elide_tail });
+    Round {
+        ring,
+        slots,
+        tail_enable,
+    }
+}
+
+/// Queue `qi`'s slots in WQE order: the round for the ring, the ops
+/// themselves for a bound queue.
+fn queue_slots<'a>(
+    p: &'a IrProgram,
+    qi: usize,
+    round: Option<&'a Round>,
+) -> impl Iterator<Item = Slot> + 'a {
+    let (ring_slots, ops): (&[Slot], &[OpId]) = match round {
+        Some(r) if r.ring.0 == qi => (&r.slots, &[]),
+        _ => (&[], &p.queue_ops[qi]),
     };
-    for (qi, ops) in p.queue_ops.iter().enumerate() {
-        for id in ops {
-            let op = p.op(*id);
-            count_class(&mut c, op.kind.class());
-            if op.restore {
-                restores += 1;
-            }
-            if Some(QId(qi)) == ring
-                && (op.bump.is_some() || matches!(op.kind, Kind::Wait(WaitCond::LocalAllSignaled)))
-            {
-                fixups += 1;
-            }
+    ring_slots
+        .iter()
+        .copied()
+        .chain(ops.iter().map(|id| Slot::Body(*id)))
+}
+
+/// Table 2 classes of everything the program stages (per round, for a
+/// recycled program).
+fn verb_counts(p: &IrProgram, round: Option<&Round>) -> VerbCounts {
+    let mut counts = VerbCounts::default();
+    for qi in 0..p.queues.len() {
+        for slot in queue_slots(p, qi, round) {
+            counts.add(slot.class(p));
         }
     }
-    if recycled {
-        c.copies += restores; // one restore WRITE per pristine slot
-        c.atomics += 2 + fixups; // head FADDs + per-slot fix-ups
-        c.ordering += 2; // tail WAIT + self-ENABLE
-    }
-    c
+    counts
 }
 
 // ---------------------------------------------------------------------
@@ -318,6 +370,8 @@ struct ResolveCtx<'p> {
     pool_rkey: u32,
     /// Tail-ENABLE slot address + ring keys (recycled only).
     tail: Option<(u64, u32, u32)>,
+    /// Per queue: its CQ's completion count when lowering began.
+    cq_base: &'p [u64],
 }
 
 impl<'p> ResolveCtx<'p> {
@@ -406,9 +460,41 @@ impl<'p> ResolveCtx<'p> {
         }
     }
 
-    /// Build the concrete work request for one op (flags and placeholder
-    /// transform applied; WAIT/ENABLE counts filled by the caller).
-    fn build_wr(&self, res: &Resolution, id: OpId) -> WorkRequest {
+    /// The absolute `(CQ, completion count)` a WAIT parks on (§3.4's
+    /// monotonic `wqe_count` semantics). `all_signaled` is what
+    /// [`WaitCond::LocalAllSignaled`] resolves to: the count `id`'s CQ
+    /// reaches once every signaled WQE before `id` on its queue is done.
+    fn threshold(
+        &self,
+        res: &Resolution,
+        id: OpId,
+        cond: &WaitCond,
+        all_signaled: u64,
+    ) -> (CqId, u64) {
+        let queue_of = |op: OpId| self.p.ops[op.0].queue;
+        match cond {
+            WaitCond::Absolute { cq, count } => (*cq, *count),
+            WaitCond::LocalAllSignaled => (self.queue(queue_of(id)).cq, all_signaled),
+            WaitCond::OpDonePosted(x) => (
+                self.queue(queue_of(*x)).cq,
+                res.op_index[x.0].expect("op placed") + 1,
+            ),
+            WaitCond::OpDoneSignaled(x) => {
+                let xq = queue_of(*x);
+                let ops = &self.p.queue_ops[xq.0];
+                let pos = ops.iter().position(|o| o == x).expect("op placed");
+                let signaled_through = ops[..=pos]
+                    .iter()
+                    .filter(|o| self.p.op(**o).signaled)
+                    .count() as u64;
+                (self.queue(xq).cq, self.cq_base[xq.0] + signaled_through)
+            }
+        }
+    }
+
+    /// The work request staged for op `id`: operands, thresholds and
+    /// horizons resolved, flags and the placeholder transform applied.
+    fn wr_of(&self, res: &Resolution, id: OpId, all_signaled: u64) -> WorkRequest {
         let op = self.p.op(id);
         let mut wr = match &op.kind {
             Kind::Noop => WorkRequest::noop(),
@@ -455,11 +541,15 @@ impl<'p> ResolveCtx<'p> {
                 let (ra, rk) = self.loc(res, target, false);
                 WorkRequest::max(ra, rk, *operand)
             }
-            // Counts resolved at staging time; placeholders here.
-            Kind::Wait(WaitCond::Absolute { cq, count }) => WorkRequest::wait(*cq, *count),
-            Kind::Wait(_) => WorkRequest::wait(rnic_sim::ids::CqId(0), 0),
+            Kind::Wait(cond) => {
+                let (cq, count) = self.threshold(res, id, cond, all_signaled);
+                WorkRequest::wait(cq, count)
+            }
             Kind::Enable(EnableTarget::Foreign { sq, count }) => WorkRequest::enable(*sq, *count),
-            Kind::Enable(_) => WorkRequest::enable(rnic_sim::ids::WqId(0), 0),
+            Kind::Enable(EnableTarget::OpsThrough(x)) => WorkRequest::enable(
+                self.queue(self.p.ops[x.0].queue).sq,
+                res.op_index[x.0].expect("op placed") + 1,
+            ),
             Kind::Raw(wr) => *wr,
         };
         if op.signaled {
@@ -488,8 +578,16 @@ pub(crate) fn lower(
     pm: &PatchMap,
     interner: Option<&mut ConstInterner>,
 ) -> Result<Lowered> {
+    let ring = match p.mode {
+        Mode::Recycled { ring } => Some(ring),
+        Mode::Linear => None,
+    };
     let mut report = PassReport {
-        before: naive_counts(p),
+        // The naive lowering: no pass run, a restore WRITE per marked slot.
+        before: {
+            let naive = ring.map(|r| round_layout(p, r, restore_runs(p, false).len(), false));
+            verb_counts(p, naive.as_ref())
+        },
         ..PassReport::default()
     };
     let pool_used_base = pool.used();
@@ -500,43 +598,32 @@ pub(crate) fn lower(
         report.waits_elided = elide_waits(p, pm);
     }
     let runs = restore_runs(p, opts.optimize);
-    let n_restore_ops: usize = runs.iter().map(|r| r.len()).sum();
-    report.restores_merged = n_restore_ops - runs.len();
-    let elide_tail = opts.optimize && !pm.tail_patched;
+    report.restores_merged = runs.iter().map(|(_, len)| len).sum::<usize>() - runs.len();
 
-    // ---- the recycled ring queue (created with exact depth) ----------
-    let ring_q = match p.mode {
-        Mode::Recycled { ring } => {
-            let mut body = 0usize;
-            let mut fixups = 0usize;
-            for id in &p.queue_ops[ring.0] {
-                body += 1;
-                let op = p.op(*id);
-                if op.bump.is_some() || matches!(op.kind, Kind::Wait(WaitCond::LocalAllSignaled)) {
-                    fixups += 1;
-                }
-            }
-            let tail_n = if elide_tail { 1 } else { 2 };
-            let depth = 2 + body + runs.len() + fixups + tail_n;
-            let QueueSlot::Ring(spec, slot) = &p.queues[ring.0] else {
+    // ---- layout: the round, on a ring of exactly its depth ------------
+    let round = match ring {
+        Some(ring) => {
+            let round = round_layout(p, ring, runs.len(), opts.optimize && !pm.tail_patched);
+            let QueueSlot::Ring(spec, _) = p.queues[ring.0] else {
                 unreachable!("mode says ring");
             };
             let mut qb = ChainQueueBuilder::new(spec.node, spec.owner)
                 .managed()
-                .depth(depth as u32)
+                .depth(round.slots.len() as u32)
                 .on_port(spec.port);
             if let Some(pu) = spec.pu {
                 qb = qb.on_pu(pu);
             }
-            let q = qb.build(sim)?;
-            let _ = slot;
-            p.queues[ring.0] = QueueSlot::Ring(*spec, Some(q));
-            Some((ring, q, depth))
+            p.queues[ring.0] = QueueSlot::Ring(spec, Some(qb.build(sim)?));
+            Some(round)
         }
-        Mode::Linear => None,
+        None => None,
     };
+    let round = round.as_ref();
+    report.after = verb_counts(p, round);
+    report.ring_slots = round.map_or(0, |r| r.slots.len() as u32);
 
-    // ---- slot allocation --------------------------------------------
+    // ---- slot allocation ---------------------------------------------
     let nops = p.ops.len();
     {
         let mut res = p.resolution.borrow_mut();
@@ -551,16 +638,17 @@ pub(crate) fn lower(
         let Some(q) = slot.bound() else {
             return Err(Error::InvalidWr("IR queue not bound"));
         };
-        let is_ring = ring_q.map(|(r, ..)| r.0) == Some(qi);
-        // The ring reserves two head slots for the tail fix-up FADDs.
-        base_index[qi] = if is_ring { 2 } else { sim.sq_posted(q.qp) };
+        // The ring is fresh; a bound queue continues where it stands.
+        base_index[qi] = sim.sq_posted(q.qp);
         cq_base[qi] = sim.cq_total(q.cq);
         let mut res = p.resolution.borrow_mut();
         res.node = Some(q.node);
-        for (pos, id) in p.queue_ops[qi].iter().enumerate() {
-            let index = base_index[qi] + pos as u64;
-            res.op_index[id.0] = Some(index);
-            res.op_slot[id.0] = Some(q.slot_addr(index));
+        for (pos, slot) in queue_slots(p, qi, round).enumerate() {
+            if let Slot::Body(id) = slot {
+                let index = base_index[qi] + pos as u64;
+                res.op_index[id.0] = Some(index);
+                res.op_slot[id.0] = Some(q.slot_addr(index));
+            }
         }
     }
 
@@ -569,7 +657,11 @@ pub(crate) fn lower(
         p,
         pool_lkey: pool.mr().lkey,
         pool_rkey: pool.mr().rkey,
-        tail: ring_q.map(|(_, q, depth)| (q.slot_addr(depth as u64 - 1), q.ring.lkey, q.ring.rkey)),
+        tail: round.map(|r| {
+            let q = p.queues[r.ring.0].bound().expect("ring bound above");
+            (q.slot_addr(r.tail_enable as u64), q.ring.lkey, q.ring.rkey)
+        }),
+        cq_base: &cq_base,
     };
     let mut local_interner = ConstInterner::new();
     let interner = match interner {
@@ -577,14 +669,20 @@ pub(crate) fn lower(
         None => &mut local_interner,
     };
     let interner_base_saved = interner.saved_bytes;
+    let mut place = |sim: &mut Simulator, pool: &mut ConstPool, bytes: &[u8]| {
+        if opts.optimize {
+            interner.intern(sim, pool, bytes)
+        } else {
+            pool.push_bytes(sim, bytes)
+        }
+    };
     for ci in 0..p.consts.len() {
         let resolved = {
             let res = p.resolution.borrow();
             ctx.resolve_const(&res, &p.consts[ci])
         };
         let addr = match resolved {
-            Some(bytes) if opts.optimize => interner.intern(sim, pool, &bytes)?,
-            Some(bytes) => pool.push_bytes(sim, &bytes)?,
+            Some(bytes) => place(sim, pool, &bytes)?,
             None => {
                 let ConstSpec::Zeroed(len) = &p.consts[ci] else {
                     unreachable!("only zeroed consts resolve to None");
@@ -612,211 +710,172 @@ pub(crate) fn lower(
         super::analysis::interference::collect(p, sim, &res)
     };
 
-    // ---- staging -----------------------------------------------------
-    let mut counts_after = VerbCounts::default();
-    match ring_q {
-        None => {
-            // Linear: one ChainBuilder per queue, staged in queue order.
-            let mut builders: Vec<Option<ChainBuilder>> = Vec::with_capacity(p.queues.len());
-            for slot in &p.queues {
-                let QueueSlot::Bound(q) = slot else {
-                    unreachable!("linear programs have no ring")
-                };
-                builders.push(Some(ChainBuilder::new(sim, *q)));
-            }
-            for (qi, ops) in p.queue_ops.iter().enumerate() {
-                for id in ops {
-                    let wr = {
-                        let res = p.resolution.borrow();
-                        let mut wr = ctx.build_wr(&res, *id);
-                        fill_counts(
-                            p,
-                            &res,
-                            *id,
-                            &mut wr,
-                            &cq_base,
-                            Some(builders[qi].as_ref().expect("present")),
-                        );
-                        wr
+    // ---- staging: one work request per slot --------------------------
+    // Bound queues before the ring, for building and for posting: a
+    // restore image is the staged bytes of the slots it re-arms, and the
+    // response rings must hold their WQEs before the ring's ENABLEs
+    // release them.
+    let bound_then_ring = || {
+        let bound = (0..p.queues.len()).filter(move |qi| Some(QId(*qi)) != ring);
+        bound.chain(ring.map(|r| r.0))
+    };
+    // Per round: the ring's depth `L` and its signaled completions `S`.
+    let (depth, s) = round.map_or((0, 0), |r| {
+        let s = r.slots.iter().filter(|slot| slot.signaled(p)).count();
+        (r.slots.len() as u64, s as u64)
+    });
+    let mut staged: Vec<Option<(ChainQueue, Vec<WorkRequest>)>> = vec![None; p.queues.len()];
+    for qi in bound_then_ring() {
+        let q = *ctx.queue(QId(qi));
+        let res = p.resolution.borrow();
+        let slots = queue_slots(p, qi, round);
+        let mut wrs: Vec<WorkRequest> = Vec::with_capacity(slots.size_hint().0);
+        // What the queue's CQ reaches once everything staged so far is done.
+        let mut all_signaled = cq_base[qi];
+        for slot in slots {
+            let wr = match slot {
+                Slot::Body(id) => ctx.wr_of(&res, id, all_signaled),
+                Slot::Noop => WorkRequest::noop().signaled(),
+                Slot::Restore(n) => {
+                    let (first, len) = runs[n];
+                    let tq = p.ops[first.0].queue;
+                    let at = res.op_index[first.0].expect("op placed") - base_index[tq.0];
+                    // The run's own queue is either staged already or
+                    // the ring being staged right now.
+                    let pristine = match &staged[tq.0] {
+                        Some((_, wrs)) => wrs,
+                        None => &wrs,
                     };
-                    count_class(&mut counts_after, wr.wqe.opcode.class());
-                    let staged = builders[qi].as_mut().expect("present").stage(wr);
-                    debug_assert_eq!(
-                        Some(staged.slot),
-                        p.resolution.borrow().op_slot[id.0],
-                        "slot allocation must match the builder"
-                    );
+                    let image: Vec<u8> = pristine[at as usize..][..len]
+                        .iter()
+                        .flat_map(|wr| wr.wqe.encode())
+                        .collect();
+                    WorkRequest::write(
+                        place(sim, pool, &image)?,
+                        ctx.pool_lkey,
+                        image.len() as u32,
+                        res.op_slot[first.0].expect("op placed"),
+                        ctx.queue(tq).ring.rkey,
+                    )
+                    .signaled()
                 }
-            }
-            report.after = counts_after;
-            report.const_bytes_saved = interner.saved_bytes - interner_base_saved;
-            report.pool_high_water = pool.high_water();
-            report.pool_bytes_placed = pool.used() - pool_used_base;
-            report.pool_leases_taken = pool.leases() - pool_leases_base;
-            Ok(Lowered::Linear(LinearLowered {
-                builders,
-                report,
-                res: Rc::clone(&p.resolution),
-                footprint,
-            }))
-        }
-        Some((ring, ring_queue, depth)) => {
-            // Recycled: stage + post the bound queues first (response
-            // rings must exist before the ring's ENABLEs release them),
-            // then build the ring through RecycledLoopBuilder.
-            for (qi, slot) in p.queues.iter().enumerate() {
-                let QueueSlot::Bound(q) = slot else { continue };
-                let mut b = ChainBuilder::new(sim, *q);
-                for id in &p.queue_ops[qi] {
-                    let wr = {
-                        let res = p.resolution.borrow();
-                        let mut wr = ctx.build_wr(&res, *id);
-                        fill_counts(p, &res, *id, &mut wr, &cq_base, Some(&b));
-                        wr
+                Slot::Fixup(target, by) => {
+                    let delta = match by {
+                        Step::Signaled => s,
+                        Step::Depth => depth,
+                        Step::By(delta) => delta,
                     };
-                    count_class(&mut counts_after, wr.wqe.opcode.class());
-                    b.stage(wr);
+                    let operand = q.field_addr(target as u64, WqeField::Operand);
+                    WorkRequest::fetch_add(operand, q.ring.rkey, delta, 0, 0).signaled()
                 }
-                b.post(sim)?;
-            }
-
-            let mut lb = RecycledLoopBuilder::new(sim, ring_queue);
-            for id in &p.queue_ops[ring.0] {
-                let op = p.op(*id);
-                if matches!(op.kind, Kind::Wait(WaitCond::LocalAllSignaled)) {
-                    // The ring builder computes (and auto-bumps) the
-                    // all-signaled-so-far threshold itself.
-                    let rel = lb.stage_wait_all();
-                    debug_assert_eq!(
-                        Some(ring_queue.slot_addr(rel as u64)),
-                        p.resolution.borrow().op_slot[id.0]
-                    );
-                    continue;
-                }
-                let wr = {
-                    let res = p.resolution.borrow();
-                    let mut wr = ctx.build_wr(&res, *id);
-                    fill_counts(p, &res, *id, &mut wr, &cq_base, None);
-                    wr
-                };
-                match op.bump {
-                    Some(delta) => lb.stage_bumped(wr, delta),
-                    None => lb.stage(wr),
-                };
-            }
-            // Restore WRITEs: one per (merged) run of pristine slots.
-            for run in &runs {
-                let first = run[0];
-                let target_q = ctx.queue(p.ops[first.0].queue);
-                let mut image = Vec::with_capacity(run.len() * WQE_SIZE as usize);
-                {
-                    let res = p.resolution.borrow();
-                    for id in run {
-                        image.extend_from_slice(&ctx.build_wr(&res, *id).wqe.encode());
+                // The tail pair is staged one step low (`W0 - S`,
+                // `2L - L`): the head fix-ups run first, in round 0 too.
+                Slot::TailWait => WorkRequest::wait(q.cq, cq_base[qi]),
+                Slot::TailEnable { fenced } => {
+                    let enable = WorkRequest::enable(q.sq, depth);
+                    if fenced {
+                        enable.wait_prev()
+                    } else {
+                        enable
                     }
                 }
-                let image_addr = if opts.optimize {
-                    interner.intern(sim, pool, &image)?
-                } else {
-                    pool.push_bytes(sim, &image)?
-                };
-                let dst = p.resolution.borrow().op_slot[first.0].expect("placed");
-                lb.stage(
-                    WorkRequest::write(
-                        image_addr,
-                        pool.mr().lkey,
-                        image.len() as u32,
-                        dst,
-                        target_q.ring.rkey,
-                    )
-                    .signaled(),
-                );
-            }
-            let lp = lb.finish_with(
-                sim,
-                pool,
-                FinishOpts {
-                    elide_tail_wait: elide_tail,
-                },
-            )?;
-            debug_assert_eq!(
-                lp.round_len, depth as u64,
-                "depth precomputation must match"
-            );
-            // Per-round cost: the ring's slots plus the bound-queue WQEs
-            // (response placeholders re-execute every round too).
-            report.after = lp.counts.merge(&counts_after);
-            report.const_bytes_saved = interner.saved_bytes - interner_base_saved;
-            report.pool_high_water = pool.high_water();
-            report.ring_slots = depth as u32;
-            report.pool_bytes_placed = pool.used() - pool_used_base;
-            report.pool_leases_taken = pool.leases() - pool_leases_base;
-            Ok(Lowered::Recycled(RecycledLowered {
-                lp,
-                report,
-                res: Rc::clone(&p.resolution),
-                footprint,
-            }))
+            };
+            all_signaled += u64::from(slot.signaled(p));
+            wrs.push(wr);
         }
+        drop(res);
+        staged[qi] = Some((q, wrs));
     }
+    report.const_bytes_saved = interner.saved_bytes - interner_base_saved;
+    report.pool_high_water = pool.high_water();
+    report.pool_bytes_placed = pool.used() - pool_used_base;
+    report.pool_leases_taken = pool.leases() - pool_leases_base;
+
+    // ---- posting: the whole program or nothing ------------------------
+    for (q, wrs) in staged.iter().flatten() {
+        check_room(sim, q, wrs.len())?;
+    }
+    let mut lowered = Lowered {
+        staged,
+        ring: None,
+        report,
+        res: Rc::clone(&p.resolution),
+        footprint,
+    };
+    if let Some(round) = round {
+        for qi in bound_then_ring() {
+            lowered.post(sim, QId(qi))?;
+        }
+        let queue = *ctx.queue(round.ring);
+        sim.host_enable(queue.qp, depth)?;
+        lowered.ring = Some(RecycledLoop {
+            queue,
+            round_len: depth,
+            tail_enable: queue.slot_addr(round.tail_enable as u64),
+        });
+    }
+    Ok(lowered)
 }
 
-/// Fill the WAIT count / ENABLE horizon of `wr` from the resolved
-/// program state. `builder` is the op's own queue's builder (linear
-/// staging) — the live `next_wait_count` source for
-/// [`WaitCond::LocalAllSignaled`]; ring ops pass `None` (the
-/// [`RecycledLoopBuilder`] computes its own).
-fn fill_counts(
-    p: &IrProgram,
-    res: &Resolution,
-    id: OpId,
-    wr: &mut WorkRequest,
-    cq_base: &[u64],
-    builder: Option<&ChainBuilder>,
-) {
-    let op = p.op(id);
-    match &op.kind {
-        Kind::Wait(WaitCond::LocalAllSignaled) => {
-            let b = builder.expect("LocalAllSignaled outside the ring needs its builder");
-            *wr = WorkRequest::wait(b.cq(), b.next_wait_count());
-            if op.wait_prev {
-                wr.wqe.flags |= FLAG_WAIT_PREV;
-            }
-            if op.signaled {
-                wr.wqe.flags |= FLAG_SIGNALED;
-            }
-        }
-        Kind::Wait(WaitCond::OpDonePosted(x)) => {
-            let xq = p.ops[x.0].queue;
-            let q = p.queues[xq.0].bound().expect("bound");
-            let count = res.op_index[x.0].expect("placed") + 1;
-            let mut w = WorkRequest::wait(q.cq, count);
-            w.wqe.flags = wr.wqe.flags;
-            *wr = w;
-        }
-        Kind::Wait(WaitCond::OpDoneSignaled(x)) => {
-            let xq = p.ops[x.0].queue;
-            let q = p.queues[xq.0].bound().expect("bound");
-            let pos = p.queue_ops[xq.0]
-                .iter()
-                .position(|o| o == x)
-                .expect("placed");
-            let signaled_through = p.queue_ops[xq.0][..=pos]
-                .iter()
-                .filter(|o| p.op(**o).signaled)
-                .count() as u64;
-            let mut w = WorkRequest::wait(q.cq, cq_base[xq.0] + signaled_through);
-            w.wqe.flags = wr.wqe.flags;
-            *wr = w;
-        }
-        Kind::Enable(EnableTarget::OpsThrough(x)) => {
-            let xq = p.ops[x.0].queue;
-            let q = p.queues[xq.0].bound().expect("bound");
-            let count = res.op_index[x.0].expect("placed") + 1;
-            let mut e = WorkRequest::enable(q.sq, count);
-            e.wqe.flags = wr.wqe.flags;
-            *wr = e;
-        }
-        _ => {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::{OpBuild, RingSpec};
+    use rnic_sim::ids::{NodeId, ProcessId};
+
+    /// One letter per slot, and where each fix-up aims.
+    fn sketch(round: &Round) -> (String, Vec<usize>) {
+        let letters = round.slots.iter().map(|slot| match slot {
+            Slot::Body(_) => 'b',
+            Slot::Noop => 'n',
+            Slot::Restore(_) => 'r',
+            Slot::Fixup(_, by) => match by {
+                Step::Signaled => 'S',
+                Step::Depth => 'L',
+                Step::By(_) => '+',
+            },
+            Slot::TailWait => 'W',
+            Slot::TailEnable { fenced: false } => 'E',
+            Slot::TailEnable { fenced: true } => 'F',
+        });
+        let targets = round.slots.iter().filter_map(|slot| match slot {
+            Slot::Fixup(target, _) => Some(*target),
+            _ => None,
+        });
+        (letters.collect(), targets.collect())
+    }
+
+    #[test]
+    fn round_layout_is_head_body_restores_fixups_tail() {
+        let (mut p, ring) = IrProgram::recycled(RingSpec {
+            node: NodeId(0),
+            owner: ProcessId(0),
+            pu: None,
+            port: 0,
+        });
+        let trigger = Kind::Wait(WaitCond::Absolute {
+            cq: CqId(0),
+            count: 1,
+        });
+        p.push(ring, OpBuild::new(trigger).bump(4));
+        p.push(ring, OpBuild::new(Kind::Noop).signaled().restore());
+        p.push(ring, OpBuild::new(Kind::Noop).signaled().restore());
+        p.push(ring, OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)));
+
+        // Naive: a restore WRITE per marked slot, tail WAIT kept. The
+        // head aims at the tail pair; the LocalAllSignaled fix-up comes
+        // before the bumped op's, though its WAIT comes after.
+        let round = round_layout(&p, ring, 2, false);
+        assert_eq!(sketch(&round), ("SLbbbbrrS+WE".into(), vec![10, 11, 5, 2]));
+        assert_eq!(round.tail_enable, 11);
+        let signaled = |r: &Round| r.slots.iter().filter(|s| s.signaled(&p)).count();
+        assert_eq!(signaled(&round), 8, "all but two WAITs and the tail pair");
+
+        // Optimized: one merged restore, the tail WAIT elided — slot 0
+        // is a NOOP, so the body stays where it was.
+        let round = round_layout(&p, ring, 1, true);
+        assert_eq!(sketch(&round), ("nLbbbbrS+F".into(), vec![9, 5, 2]));
+        assert_eq!(round.tail_enable, 9);
+        assert_eq!(signaled(&round), 7);
     }
 }

@@ -20,12 +20,12 @@
 //! be **optimized** (WAIT elision, constant-pool deduplication, restore
 //! merging — see [`lower`]) and **verified** (the §3.1 fetch-horizon
 //! hazard, unreachable ENABLEs, non-monotonic recycled WAIT thresholds —
-//! see [`verify`]) before a single WQE exists. Lowering then allocates
-//! ring slots, const-pool offsets and absolute CQ thresholds against the
-//! live simulator, with [`ChainBuilder`](crate::builder::ChainBuilder)
-//! (linear programs) and
-//! [`RecycledLoopBuilder`](crate::constructs::loops::RecycledLoopBuilder)
-//! (recycled rings) as the staging back-ends.
+//! see [`verify`]) before a single WQE exists. [`lower`] is then the
+//! one place ops become WQEs: it lays every queue out slot by slot (the
+//! recycled ring's §3.4 round included), allocates const-pool offsets
+//! and absolute CQ thresholds against the live simulator, and posts —
+//! so what bytes and counts an [`IrProgram`] becomes has exactly one
+//! definition. The result is a [`Lowered`].
 //!
 //! [`ChainProgram`]: crate::ctx::ChainProgram
 
@@ -40,14 +40,13 @@ use std::rc::Rc;
 use rnic_sim::error::Result;
 use rnic_sim::ids::{CqId, NodeId, ProcessId, WqId};
 use rnic_sim::sim::Simulator;
-use rnic_sim::verbs::Opcode;
+use rnic_sim::verbs::{Opcode, VerbClass};
 use rnic_sim::wqe::WorkRequest;
 
-use crate::builder::VerbCounts;
 use crate::encode::WqeField;
 use crate::program::{ChainQueue, ConstPool};
 
-pub use lower::{LinearLowered, Lowered, RecycledLowered};
+pub use lower::Lowered;
 
 /// Handle to a queue declared in an [`IrProgram`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,8 +283,7 @@ pub enum Kind {
 
 impl Kind {
     /// The Table 2 verb class this op lowers to.
-    pub fn class(&self) -> rnic_sim::verbs::VerbClass {
-        use rnic_sim::verbs::VerbClass;
+    pub fn class(&self) -> VerbClass {
         match self {
             Kind::Noop | Kind::Write { .. } | Kind::Read { .. } | Kind::ReadSgl { .. } => {
                 VerbClass::Copy
@@ -376,10 +374,9 @@ impl OpBuild {
 /// Program shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Mode {
-    /// Staged once, posted via [`crate::builder::ChainBuilder`]s.
+    /// Staged once; the caller posts each queue ([`Lowered::post`]).
     Linear,
-    /// One self-re-arming ring round (§3.4), lowered through
-    /// [`crate::constructs::loops::RecycledLoopBuilder`].
+    /// One self-re-arming ring round (§3.4), posted and armed by deploy.
     Recycled {
         /// The ring queue (created by lowering, exact depth).
         ring: QId,
@@ -555,6 +552,42 @@ impl ConstInterner {
         let addr = pool.push_bytes(sim, bytes)?;
         self.map.insert(bytes.to_vec(), addr);
         Ok(addr)
+    }
+}
+
+/// Verb-class accounting, as in the paper's Table 2.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerbCounts {
+    /// Copy verbs (READ/WRITE/SEND/RECV/NOOP).
+    pub copies: usize,
+    /// Atomic verbs (CAS/ADD/MAX/MIN).
+    pub atomics: usize,
+    /// Ordering verbs (WAIT/ENABLE).
+    pub ordering: usize,
+}
+
+impl VerbCounts {
+    /// Count one verb of `class`.
+    pub(crate) fn add(&mut self, class: VerbClass) {
+        match class {
+            VerbClass::Copy => self.copies += 1,
+            VerbClass::Atomic => self.atomics += 1,
+            VerbClass::Ordering => self.ordering += 1,
+        }
+    }
+
+    /// Total verbs counted.
+    pub fn total(&self) -> usize {
+        self.copies + self.atomics + self.ordering
+    }
+
+    /// Merge two counts.
+    pub fn merge(&self, other: &VerbCounts) -> VerbCounts {
+        VerbCounts {
+            copies: self.copies + other.copies,
+            atomics: self.atomics + other.atomics,
+            ordering: self.ordering + other.ordering,
+        }
     }
 }
 

@@ -405,9 +405,8 @@ impl HashGetOffload {
         let trigger_table = p.const_sges(scatter_entries);
         let table_ref = p.const_ref(trigger_table);
 
-        let mut lowered = p
-            .deploy_with(sim, pool, DeployOpts::default(), Some(&mut host.interner))?
-            .into_linear();
+        let mut lowered =
+            p.deploy_with(sim, pool, DeployOpts::default(), Some(&mut host.interner))?;
         // Post order: probe chains (quiet), control ladders (doorbell),
         // merge, then the response placeholders.
         for qid in chain_qids.iter().chain(&ctrl_qids) {

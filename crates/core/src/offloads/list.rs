@@ -523,7 +523,7 @@ impl ListWalkOffload {
             + p.queue_len(ctrl_qid)
             + brk_qid.map_or(0, |q| p.queue_len(q));
 
-        let mut lowered = p.deploy(sim, pool)?.into_linear();
+        let mut lowered = p.deploy(sim, pool)?;
         lowered.post(sim, chain_qid)?;
         lowered.post(sim, resp_qid)?;
         if let Some(q) = brk_qid {

@@ -61,8 +61,8 @@ use crate::constructs::loops::RecycledLoop;
 use crate::ctx::{ClientDest, TriggerPointBuilder};
 use crate::ir::analysis::Footprint;
 use crate::ir::{
-    DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, OpId, PassReport, QId,
-    RecycledLowered, RingSpec, WaitCond,
+    DeployOpts, EnableTarget, IrProgram, Kind, Loc, Lowered, OpBuild, OpId, PassReport, QId,
+    RingSpec, WaitCond,
 };
 use crate::offloads::rpc::TriggerPoint;
 use crate::program::ConstPool;
@@ -434,7 +434,7 @@ impl RecycledFrame {
         opts: DeployOpts,
         name: String,
         start_slot: u64,
-        trigger_scatter: impl Fn(&RecycledLowered, u64) -> Vec<(u64, u32, u32)>,
+        trigger_scatter: impl Fn(&Lowered, u64) -> Vec<(u64, u32, u32)>,
     ) -> Result<ServiceFrame> {
         let tp = self.tp;
         self.p.push(
@@ -446,7 +446,7 @@ impl RecycledFrame {
             .bump(self.resp_slots)
             .label("responses-executed wait"),
         );
-        let lowered = self.p.deploy_with(sim, pool, opts, None)?.into_recycled();
+        let lowered = self.p.deploy_with(sim, pool, opts, None)?;
         for inst in 0..u64::from(self.spec.depth) {
             tp.post_trigger_recv(sim, pool, &trigger_scatter(&lowered, inst))?;
         }
@@ -464,7 +464,7 @@ impl RecycledFrame {
             round: Some(Round {
                 report: lowered.report(),
                 footprint,
-                lp: lowered.lp,
+                lp: *lowered.ring().expect("a recycled program lowers to a ring"),
             }),
         })
     }

@@ -336,10 +336,10 @@ impl CompiledTm {
             );
         }
 
-        let lowered = p.deploy_with(sim, pool, opts, None)?.into_recycled();
+        let lowered = p.deploy_with(sim, pool, opts, None)?;
         Ok(CompiledTm {
             report: lowered.report(),
-            lp: lowered.lp,
+            lp: *lowered.ring().expect("a recycled program lowers to a ring"),
             node,
             tape_addr,
             tape_len: tape.len(),

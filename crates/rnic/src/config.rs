@@ -366,18 +366,17 @@ pub struct SimConfig {
     /// programs (which are, after all, Turing complete) into clean errors
     /// rather than hangs.
     pub max_events: u64,
-    /// Number of event-wheel lanes the queue is sharded into (clamped to
-    /// at least 1). Lanes absorb scheduling work per NIC port; the pop
-    /// side merges lane heads in `(time, seq)` order, so the observable
-    /// event order — and every trace and artifact — is identical for any
-    /// lane count. Defaults from the `REDN_SIM_THREADS` environment
-    /// variable (also the worker-thread count of sharded bench sweeps).
+    /// Ignored: the event queue is a single timing wheel. The field
+    /// stays only because the standalone `benchmark/` package spells
+    /// this struct out field by field.
     pub lanes: usize,
 }
 
 impl SimConfig {
-    /// Lane/worker count from `REDN_SIM_THREADS`, clamped to `1..=64`;
-    /// 1 when unset or unparsable.
+    /// Worker-thread count for sweeps that run independent simulators
+    /// side by side (`sim_events --large`), from `REDN_SIM_THREADS`:
+    /// clamped to `1..=64`; 1 when unset or unparsable. No simulator
+    /// reads it.
     pub fn threads_from_env() -> usize {
         std::env::var("REDN_SIM_THREADS")
             .ok()
@@ -391,7 +390,7 @@ impl Default for SimConfig {
         SimConfig {
             trace: false,
             max_events: 500_000_000,
-            lanes: SimConfig::threads_from_env(),
+            lanes: 1,
         }
     }
 }

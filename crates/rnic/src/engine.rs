@@ -10,12 +10,10 @@
 //! within the near horizon land in unsorted per-tick buckets (sorted only
 //! when their bucket drains — O(1) schedule, cache-friendly drain) and
 //! far-future events sit in a sorted overflow level that cascades into the
-//! wheel as the cursor approaches. The wheel is additionally **sharded
-//! into lanes** (one per NIC port in multi-lane configurations): each lane
-//! is an independent wheel, and `pop` merges lane heads in global
-//! `(time, seq)` order, so the observable event order — and with it every
-//! trace and artifact — is byte-identical no matter how many lanes the
-//! queue is split into. See DESIGN.md "Event engine".
+//! wheel as the cursor approaches. There is one wheel per simulator: a
+//! `Simulator` is single-threaded, and parallelism comes from running
+//! independent simulators side by side (one per shard, as the large
+//! `sim_events` sweep does). See DESIGN.md "Event engine".
 
 use crate::cq::Cqe;
 use crate::ids::{CqId, NodeId, QpId, WqId};
@@ -135,7 +133,7 @@ fn bucket_of(at: Time) -> u64 {
     at.as_ps() >> BUCKET_SHIFT
 }
 
-/// One lane's hierarchical wheel: unsorted near-future buckets plus a
+/// The hierarchical wheel: unsorted near-future buckets plus a
 /// sorted overflow level. Invariants:
 ///
 /// * events in `buckets` have absolute bucket index in
@@ -238,20 +236,17 @@ impl Wheel {
         ev
     }
 
-    /// The next event's `(time, seq)` without popping.
-    fn peek_key(&mut self) -> Option<(Time, u64)> {
+    /// The next event's time without popping.
+    fn peek_time(&mut self) -> Option<Time> {
         self.ensure_current();
-        self.current.last().map(|e| (e.at, e.seq))
+        self.current.last().map(|e| e.at)
     }
 }
 
-/// The event queue: one timing wheel per lane, merged in `(time, seq)`
-/// order. A single-lane queue behaves exactly like the classic global
-/// queue; multi-lane configurations let callers segregate independent
-/// traffic (per NIC port) onto contention-free lanes while the merge rule
-/// keeps the observable order — and thus determinism — unchanged.
+/// The event queue: a timing wheel popping in `(time, seq)` order, `seq`
+/// being the order events were scheduled in.
 pub struct EventQueue {
-    lanes: Vec<Wheel>,
+    wheel: Wheel,
     next_seq: u64,
     processed: u64,
 }
@@ -263,52 +258,25 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Create an empty single-lane queue.
+    /// Create an empty queue.
     pub fn new() -> EventQueue {
-        EventQueue::with_lanes(1)
-    }
-
-    /// Create an empty queue with `lanes` wheels (clamped to at least 1).
-    pub fn with_lanes(lanes: usize) -> EventQueue {
         EventQueue {
-            lanes: (0..lanes.max(1)).map(|_| Wheel::new()).collect(),
+            wheel: Wheel::new(),
             next_seq: 0,
             processed: 0,
         }
     }
 
-    /// Schedule `kind` at absolute time `at` (lane 0).
+    /// Schedule `kind` at absolute time `at`.
     pub fn schedule(&mut self, at: Time, kind: EventKind) {
-        self.schedule_lane(at, 0, kind);
-    }
-
-    /// Schedule `kind` at absolute time `at` on `lane` (wrapped into
-    /// range). Lane choice never affects the pop order — only which wheel
-    /// absorbs the scheduling work.
-    pub fn schedule_lane(&mut self, at: Time, lane: usize, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let n = self.lanes.len();
-        self.lanes[lane % n].insert(Event { at, seq, kind });
+        self.wheel.insert(Event { at, seq, kind });
     }
 
-    /// Pop the next event (earliest time, then earliest scheduled — a
-    /// global total order across all lanes).
+    /// Pop the next event (earliest time, then earliest scheduled).
     pub fn pop(&mut self) -> Option<Event> {
-        let ev = if self.lanes.len() == 1 {
-            self.lanes[0].pop()
-        } else {
-            let mut best: Option<(usize, (Time, u64))> = None;
-            for i in 0..self.lanes.len() {
-                if let Some(key) = self.lanes[i].peek_key() {
-                    if best.is_none_or(|(_, bk)| key < bk) {
-                        best = Some((i, key));
-                    }
-                }
-            }
-            let (lane, _) = best?;
-            self.lanes[lane].pop()
-        };
+        let ev = self.wheel.pop();
         if ev.is_some() {
             self.processed += 1;
         }
@@ -317,21 +285,17 @@ impl EventQueue {
 
     /// Peek at the next event time without popping.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.lanes
-            .iter_mut()
-            .filter_map(|l| l.peek_key())
-            .min()
-            .map(|(at, _)| at)
+        self.wheel.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.len).sum()
+        self.wheel.len
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(|l| l.len == 0)
+        self.wheel.len == 0
     }
 
     /// Events processed so far (for the runaway-program budget).
@@ -500,80 +464,6 @@ mod tests {
         assert_eq!(c.at, Time::from_us(5));
         assert!(q.pop().is_none());
         assert_eq!(q.processed(), 3);
-    }
-
-    /// Drive a queue through a deterministic pseudo-random schedule/pop
-    /// mix and return the observed `(time, seq)` order.
-    fn churn(
-        mut schedule: impl FnMut(Time),
-        mut pop: impl FnMut() -> Option<(Time, u64)>,
-    ) -> Vec<(Time, u64)> {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut order = Vec::new();
-        let mut now = Time::ZERO;
-        for round in 0..200 {
-            for _ in 0..(rng() % 50) {
-                // Mix of near (same-bucket), mid-horizon and far-future
-                // times, always >= now (the simulator's invariant).
-                let delta = match rng() % 4 {
-                    0 => rng() % 1_000,      // same/adjacent bucket
-                    1 => rng() % 100_000,    // near window
-                    2 => rng() % 10_000_000, // past the wheel horizon
-                    _ => rng() % 200,        // dense ties
-                };
-                schedule(now + Time::from_ps(delta));
-            }
-            for _ in 0..(rng() % 40 + if round > 150 { 60 } else { 0 }) {
-                match pop() {
-                    Some((at, seq)) => {
-                        now = at;
-                        order.push((at, seq));
-                    }
-                    None => break,
-                }
-            }
-        }
-        while let Some((at, seq)) = pop() {
-            order.push((at, seq));
-        }
-        order
-    }
-
-    #[test]
-    fn multi_lane_merge_preserves_global_order() {
-        use std::cell::RefCell;
-        for lanes in [2usize, 3, 8] {
-            let q = RefCell::new(EventQueue::with_lanes(lanes));
-            let lane = RefCell::new(0usize);
-            let order = churn(
-                |at| {
-                    let mut l = lane.borrow_mut();
-                    *l += 1;
-                    q.borrow_mut()
-                        .schedule_lane(at, *l, EventKind::WqAdvance { wq: WqId(0) });
-                },
-                || q.borrow_mut().pop().map(|e| (e.at, e.seq)),
-            );
-            let single = RefCell::new(EventQueue::new());
-            let single_order = churn(
-                |at| {
-                    single
-                        .borrow_mut()
-                        .schedule(at, EventKind::WqAdvance { wq: WqId(0) })
-                },
-                || single.borrow_mut().pop().map(|e| (e.at, e.seq)),
-            );
-            assert_eq!(
-                order, single_order,
-                "{lanes}-lane order differs from 1-lane"
-            );
-        }
     }
 
     #[test]

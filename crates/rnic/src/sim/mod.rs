@@ -132,11 +132,10 @@ impl Simulator {
     /// Create an empty simulator.
     pub fn new(cfg: SimConfig) -> Simulator {
         let trace = Trace::new(cfg.trace);
-        let events = EventQueue::with_lanes(cfg.lanes);
         Simulator {
             cfg,
             now: Time::ZERO,
-            events,
+            events: EventQueue::new(),
             mems: Vec::new(),
             nics: Vec::new(),
             hosts: Vec::new(),

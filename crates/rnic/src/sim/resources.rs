@@ -10,7 +10,7 @@ use crate::mem::{Access, HostMemory, MemoryRegion};
 use crate::qp::{QpConfig, QueuePair};
 use crate::rate::RateLimiter;
 use crate::time::Time;
-use crate::wq::{WorkQueue, WqKind};
+use crate::wq::{WorkQueue, WqBlock, WqKind};
 use crate::wqe::WQE_SIZE;
 
 impl Simulator {
@@ -221,6 +221,18 @@ impl Simulator {
     /// index).
     pub fn sq_posted(&self, qp: QpId) -> u64 {
         self.wqs[self.sq_of(qp).index()].posted
+    }
+
+    /// How many WQEs the SQ can take right now before a post fails with
+    /// [`Error::WqFull`]. A dead QP — the other reason a post is refused
+    /// — is an error here too, so a caller posting several queues can
+    /// vet all of them before writing to any.
+    pub fn sq_room(&self, qp: QpId) -> Result<u64> {
+        let wq = &self.wqs[self.sq_of(qp).index()];
+        if wq.block == WqBlock::Dead {
+            return Err(Error::BadQpState(qp, "QP is dead"));
+        }
+        Ok(wq.room())
     }
 
     /// Number of WQEs posted to the RQ so far.

@@ -287,15 +287,25 @@ mod tests {
         let src = sim.alloc(a, 8, 8).unwrap();
         let smr = sim.register_mr(a, src, 8, Access::all()).unwrap();
 
+        assert_eq!(
+            sim.sq_room(qp_a).unwrap(),
+            u64::from(sim.wq_depth(sim.sq_of(qp_a)))
+        );
         sim.kill_process(b, pid);
         sim.post_send(qp_a, WorkRequest::send(src, smr.lkey, 8).signaled())
             .unwrap();
+        assert_eq!(
+            sim.sq_room(qp_a).unwrap() + 1,
+            u64::from(sim.wq_depth(sim.sq_of(qp_a)))
+        );
         sim.run().unwrap();
         let cqes = sim.poll_cq(cq_a, 4);
         assert_eq!(cqes.len(), 1);
         assert_eq!(cqes[0].status, CqeStatus::RnrError);
-        // Posting on the dead QP fails outright.
+        // Posting on the dead QP fails outright, and `sq_room` says so
+        // beforehand.
         assert!(sim.post_send(qp_b, WorkRequest::noop()).is_err());
+        assert!(sim.sq_room(qp_b).is_err());
     }
 
     #[test]

@@ -177,8 +177,11 @@ mod tests {
         assert!(Opcode::Send.is_write_class());
         assert!(!Opcode::Read.is_write_class());
         assert_eq!(Opcode::Noop.class(), VerbClass::Copy);
+        assert_eq!(Opcode::Read.class(), VerbClass::Copy);
         assert_eq!(Opcode::FetchAdd.class(), VerbClass::Atomic);
+        assert_eq!(Opcode::Min.class(), VerbClass::Atomic);
         assert_eq!(Opcode::Enable.class(), VerbClass::Ordering);
+        assert_eq!(Opcode::Wait.class(), VerbClass::Ordering);
     }
 
     #[test]

@@ -171,12 +171,20 @@ impl WorkQueue {
         self.depth as u64 * WQE_SIZE
     }
 
-    /// Whether the host can post another WQE without overwriting one the
-    /// NIC has not executed yet. (A cyclic RQ's `executed` outruns
-    /// `posted`, hence the saturating difference — such rings are full by
+    /// How many WQEs the host can post without overwriting one the NIC
+    /// has not executed yet. (A cyclic RQ's `executed` outruns `posted`,
+    /// hence the saturating differences — such rings are full by
     /// construction and never posted to again.)
+    pub fn room(&self) -> u64 {
+        if self.cyclic {
+            return 0;
+        }
+        (self.depth as u64).saturating_sub(self.posted.saturating_sub(self.executed))
+    }
+
+    /// Whether the host can post another WQE.
     pub fn has_room(&self) -> bool {
-        self.posted.saturating_sub(self.executed) < self.depth as u64 && !self.cyclic
+        self.room() > 0
     }
 
     /// Highest WQE index (exclusive) the NIC may currently fetch.
@@ -272,11 +280,13 @@ mod tests {
     #[test]
     fn room_accounting() {
         let mut q = wq(2, false);
-        assert!(q.has_room());
+        assert_eq!(q.room(), 2);
         q.posted = 2;
         assert!(!q.has_room());
         q.executed = 1;
-        assert!(q.has_room());
+        assert_eq!(q.room(), 1);
+        q.cyclic = true;
+        assert!(!q.has_room());
     }
 
     #[test]

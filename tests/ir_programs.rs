@@ -3,7 +3,10 @@
 //! hazard), and the golden optimized WQE counts of the shipped offloads.
 
 use redn::core::ctx::{ChainQueueBuilder, ClientDest, OffloadCtx, TableRegion, ValueSource};
-use redn::core::ir::{DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, RingSpec, WaitCond};
+use redn::core::encode::WqeField;
+use redn::core::ir::{
+    DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, RingSpec, VerbCounts, WaitCond,
+};
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::core::program::ConstPool;
 use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
@@ -243,6 +246,197 @@ fn const_dedup_interns_identical_bytes() {
     assert_eq!(ra.addr(), rb.addr(), "identical bytes intern to one cell");
     assert_ne!(r1.addr(), r2.addr(), "zeroed cells stay distinct");
     assert_eq!(lowered.report().const_bytes_saved, 8);
+}
+
+/// A queue that already carried a program: the next program's WQE
+/// indices continue at its live `sq_posted`, slot addresses follow, and
+/// a `LocalAllSignaled` threshold starts from its CQ's live total.
+#[test]
+fn indices_and_thresholds_track_a_reused_queue() {
+    let (mut sim, node, mut pool) = rig();
+    let q = ChainQueueBuilder::new(node, ProcessId(0))
+        .depth(32)
+        .build(&mut sim)
+        .unwrap();
+    let mut first = IrProgram::linear();
+    let qid = first.chain(q);
+    first.push(qid, OpBuild::new(Kind::Noop).signaled());
+    first.push(qid, OpBuild::new(Kind::Noop).signaled());
+    let mut lowered = first.deploy(&mut sim, &mut pool).unwrap();
+    lowered.post(&mut sim, qid).unwrap();
+    sim.run().unwrap();
+    assert_eq!((sim.sq_posted(q.qp), sim.cq_total(q.cq)), (2, 2));
+
+    let mut second = IrProgram::linear();
+    let qid = second.chain(q);
+    let noop = second.push(qid, OpBuild::new(Kind::Noop).signaled());
+    let wait = second.push(qid, OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)));
+    // Keep the WAIT: nothing follows it for the elision pass to fence.
+    let mut lowered = second.deploy(&mut sim, &mut pool).unwrap();
+    assert_eq!(
+        lowered.addr_of(noop, WqeField::Header),
+        q.field_addr(2, WqeField::Header),
+        "the second program starts at WQE index 2"
+    );
+    let operand = lowered.addr_of(wait, WqeField::Operand);
+    assert_eq!(operand, q.slot_addr(3) + 48, "one 64-byte slot further");
+    lowered.post(&mut sim, qid).unwrap();
+    assert_eq!(
+        sim.mem_read_u64(node, operand).unwrap(),
+        3,
+        "two completions already on the CQ, plus this program's NOOP"
+    );
+    sim.run().unwrap();
+    assert_eq!(sim.wq_executed(q.sq), 4, "the WAIT's threshold was reached");
+}
+
+/// Posting is per queue, in the caller's order: an unmanaged queue gets
+/// one doorbell for its whole batch, a managed one none (it waits for
+/// its ENABLE), a queue with nothing staged is not touched, and posting
+/// a queue twice posts it once.
+#[test]
+fn post_rings_one_doorbell_per_unmanaged_queue() {
+    let (mut sim, node, mut pool) = rig();
+    let queue = |sim: &mut Simulator, managed: bool| {
+        let b = ChainQueueBuilder::new(node, ProcessId(0)).depth(32);
+        let b = if managed { b.managed() } else { b };
+        b.build(sim).unwrap()
+    };
+    let (ctrl, act, idle) = (
+        queue(&mut sim, false),
+        queue(&mut sim, true),
+        queue(&mut sim, false),
+    );
+    let buf = sim.alloc(node, 24, 8).unwrap();
+    let mr = sim.register_mr(node, buf, 24, Access::all()).unwrap();
+    sim.mem_write_u64(node, buf, 0x55).unwrap();
+    let copy_to = |off: u64| Kind::Write {
+        src: Loc::raw(buf, mr.lkey),
+        len: 8,
+        dst: Loc::raw(buf + off, mr.rkey),
+        imm: None,
+    };
+
+    let mut p = IrProgram::linear();
+    let (ctrl_q, act_q, idle_q) = (p.chain(ctrl), p.chain(act), p.chain(idle));
+    let action = p.push(act_q, OpBuild::new(copy_to(16)));
+    p.push(ctrl_q, OpBuild::new(copy_to(8)).signaled());
+    p.push(ctrl_q, OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)));
+    p.push(
+        ctrl_q,
+        OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(action))),
+    );
+    let mut lowered = p.deploy(&mut sim, &mut pool).unwrap();
+    assert_eq!(
+        sim.node_posts(node),
+        0,
+        "deploy of a linear program posts nothing"
+    );
+
+    lowered.post(&mut sim, act_q).unwrap();
+    lowered.post(&mut sim, idle_q).unwrap();
+    assert_eq!((sim.sq_posted(act.qp), sim.sq_posted(idle.qp)), (1, 0));
+    assert_eq!(sim.node_doorbells(node), 0);
+    lowered.post(&mut sim, ctrl_q).unwrap();
+    lowered.post(&mut sim, ctrl_q).unwrap();
+    assert_eq!(sim.node_doorbells(node), 1);
+    let posted = sim.node_posts(node);
+
+    sim.run().unwrap();
+    assert_eq!(sim.mem_read_u64(node, buf + 8).unwrap(), 0x55);
+    assert_eq!(sim.mem_read_u64(node, buf + 16).unwrap(), 0x55);
+    assert_eq!(sim.verbs_executed(node), posted, "each WQE ran once");
+}
+
+/// All or nothing holds for a recycled program too: its bound queues
+/// and its ring are posted by deploy, and a round that does not fit one
+/// of them leaves every queue as it was.
+#[test]
+fn recycled_round_too_big_for_a_bound_queue_posts_nothing() {
+    let (mut sim, node, mut pool) = rig();
+    let resp = ChainQueueBuilder::new(node, ProcessId(0))
+        .managed()
+        .depth(2)
+        .build(&mut sim)
+        .unwrap();
+    // `n` signaled NOOPs on the bound queue per round, released and
+    // awaited by the ring.
+    let round = |n: u64| {
+        let (mut p, ring) = IrProgram::recycled(RingSpec {
+            node,
+            owner: ProcessId(0),
+            pu: None,
+            port: 0,
+        });
+        let resp_q = p.chain(resp);
+        let mut last = None;
+        for _ in 0..n {
+            last = Some(p.push(resp_q, OpBuild::new(Kind::Noop).signaled()));
+        }
+        let release = Kind::Enable(EnableTarget::OpsThrough(last.unwrap()));
+        p.push(ring, OpBuild::new(release).bump(n));
+        let done = Kind::Wait(WaitCond::Absolute {
+            cq: resp.cq,
+            count: n,
+        });
+        p.push(ring, OpBuild::new(done).bump(n));
+        p
+    };
+
+    let err = match round(3).deploy(&mut sim, &mut pool) {
+        Err(e) => e,
+        Ok(_) => panic!("three WQEs cannot fit a two-slot queue"),
+    };
+    assert!(matches!(err, rnic_sim::error::Error::WqFull(wq) if wq == resp.sq));
+    assert_eq!(sim.node_posts(node), 0, "neither the queue nor the ring");
+    assert_eq!(sim.node_doorbells(node), 0, "and nothing was armed");
+
+    let lowered = round(2).deploy(&mut sim, &mut pool).unwrap();
+    sim.run_until(rnic_sim::time::Time::from_us(100)).unwrap();
+    let lp = lowered.ring().unwrap();
+    assert!(lp.rounds(&sim) >= 2, "the fitting round recycles");
+    assert!(sim.wq_executed(resp.sq) >= 2 * lp.rounds(&sim));
+}
+
+/// `PassReport` counts what is staged, by the paper's Table 2 classes: a
+/// placeholder is staged as a NOOP — a copy — whatever verb it carries.
+#[test]
+fn pass_report_counts_follow_table2_classes() {
+    let (mut sim, node, mut pool) = rig();
+    let q = ChainQueueBuilder::new(node, ProcessId(0))
+        .managed()
+        .depth(32)
+        .build(&mut sim)
+        .unwrap();
+    let word = sim.alloc(node, 8, 8).unwrap();
+    let mr = sim.register_mr(node, word, 8, Access::all()).unwrap();
+    let add = Kind::FetchAdd {
+        target: Loc::raw(word, mr.rkey),
+        delta: 1,
+    };
+    let mut p = IrProgram::linear();
+    let qid = p.chain(q);
+    p.external_enable(qid);
+    p.push(qid, OpBuild::new(Kind::Noop));
+    p.push(qid, OpBuild::new(add.clone()));
+    p.push(qid, OpBuild::new(add).placeholder());
+    p.push(
+        qid,
+        OpBuild::new(Kind::Wait(WaitCond::Absolute { cq: q.cq, count: 0 })),
+    );
+    p.push(
+        qid,
+        OpBuild::new(Kind::Enable(EnableTarget::Foreign { sq: q.sq, count: 5 })),
+    );
+    let rep = p.deploy(&mut sim, &mut pool).unwrap().report();
+    let want = VerbCounts {
+        copies: 2,
+        atomics: 1,
+        ordering: 2,
+    };
+    assert_eq!((rep.before, rep.after), (want, want));
+    assert_eq!(want.total(), 5);
+    assert_eq!(want.merge(&want).total(), 10);
 }
 
 fn serving_rig() -> (Simulator, NodeId, NodeId) {

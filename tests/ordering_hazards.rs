@@ -2,9 +2,14 @@
 //! only correct under doorbell ordering. Running the *same* modification
 //! against an unmanaged (prefetching) queue silently executes stale code
 //! — the §3.1 consistency hazard that motivates managed queues.
+//!
+//! Everything here is posted with raw verbs, below the IR on purpose:
+//! `IrProgram::deploy` would refuse the unmanaged variant (the verifier
+//! rejects patching a WQE on a prefetching queue), and this test exists
+//! to show what that rule prevents.
 
-use redn::core::builder::ChainBuilder;
 use redn::core::ctx::ChainQueueBuilder;
+use redn::core::encode::WqeField;
 use redn::prelude::*;
 use rnic_sim::config::SimConfig;
 use rnic_sim::ids::ProcessId;
@@ -44,17 +49,15 @@ fn run_conditional(managed_target: bool) -> bool {
     // Action placeholder: NOOP formatted as WRITE(one -> flag), id = 7.
     let mut placeholder = WorkRequest::write(one, omr.lkey, 8, flag, fmr.rkey).with_id(7);
     placeholder.wqe.opcode = Opcode::Noop;
-    let mut act_b = ChainBuilder::new(&sim, act);
-    let staged = act_b.stage(placeholder);
-    act_b.post(&mut sim).unwrap();
-
     // On an UNMANAGED queue the post rings the doorbell: the NIC
-    // prefetches the NOOP before the CAS lands. On a managed queue the
-    // fetch waits for the ENABLE below.
-    let mut ctrl_b = ChainBuilder::new(&sim, ctrl);
-    ctrl_b.stage(
+    // prefetches the NOOP before the CAS lands. On a managed queue
+    // (`post_send` stays quiet there) the fetch waits for the ENABLE
+    // below.
+    let idx = sim.post_send(act.qp, placeholder).unwrap();
+
+    for wr in [
         WorkRequest::cas(
-            staged.addr(redn::core::encode::WqeField::Header),
+            act.field_addr(idx, WqeField::Header),
             act.ring.rkey,
             helpers::cond_compare(7),
             helpers::cond_swap(Opcode::Write, 7),
@@ -62,10 +65,12 @@ fn run_conditional(managed_target: bool) -> bool {
             0,
         )
         .signaled(),
-    );
-    ctrl_b.stage(WorkRequest::wait(ctrl.cq, 1));
-    ctrl_b.stage(WorkRequest::enable(act.sq, staged.index + 1));
-    ctrl_b.post(&mut sim).unwrap();
+        WorkRequest::wait(ctrl.cq, 1),
+        WorkRequest::enable(act.sq, idx + 1),
+    ] {
+        sim.post_send_quiet(ctrl.qp, wr).unwrap();
+    }
+    sim.ring_doorbell(ctrl.qp).unwrap();
     sim.run().unwrap();
     sim.mem_read_u64(node, flag).unwrap() == 1
 }
@@ -100,28 +105,27 @@ fn memory_shows_the_modification_either_way() {
         .unwrap();
     let mut placeholder = WorkRequest::noop().with_id(9);
     placeholder.wqe.opcode = Opcode::Noop;
-    let mut act_b = ChainBuilder::new(&sim, act);
-    let staged = act_b.stage(placeholder);
-    act_b.post(&mut sim).unwrap();
+    let idx = sim.post_send(act.qp, placeholder).unwrap();
     sim.run().unwrap();
 
     let ctrl = ChainQueueBuilder::new(node, ProcessId(0))
         .build(&mut sim)
         .unwrap();
-    let mut ctrl_b = ChainBuilder::new(&sim, ctrl);
-    ctrl_b.stage(WorkRequest::cas(
-        staged.addr(redn::core::encode::WqeField::Header),
-        act.ring.rkey,
-        helpers::cond_compare(9),
-        helpers::cond_swap(Opcode::Write, 9),
-        0,
-        0,
-    ));
-    ctrl_b.post(&mut sim).unwrap();
+    let header = act.field_addr(idx, WqeField::Header);
+    sim.post_send(
+        ctrl.qp,
+        WorkRequest::cas(
+            header,
+            act.ring.rkey,
+            helpers::cond_compare(9),
+            helpers::cond_swap(Opcode::Write, 9),
+            0,
+            0,
+        ),
+    )
+    .unwrap();
     sim.run().unwrap();
-    let word = sim
-        .mem_read_u64(node, staged.addr(redn::core::encode::WqeField::Header))
-        .unwrap();
+    let word = sim.mem_read_u64(node, header).unwrap();
     let (op, id) = rnic_sim::wqe::split_header(word);
     assert_eq!(op, Opcode::Write as u16);
     assert_eq!(id, 9);
