@@ -110,6 +110,9 @@ impl Cluster {
         sim.connect_mesh(&all, LinkConfig::back_to_back());
 
         let router = ShardRouter::new(0..spec.nodes);
+        // Route the key space once, not once per node.
+        let owner: Vec<usize> = (1..=spec.nkeys).map(|key| router.route(key)).collect();
+        let mut value = vec![0u8; spec.value_len as usize];
         let mut shards = Vec::with_capacity(spec.nodes);
         for (i, &node) in nodes.iter().enumerate() {
             let pid = sim.spawn_process(node, "shard-serve", Some(ProcessId(0)));
@@ -117,12 +120,9 @@ impl Cluster {
             // Populate only this shard's partition, with the same value
             // convention as `MemcachedServer::populate` so get paths
             // verify identically.
-            for key in 1..=spec.nkeys {
-                if router.route(key) != i {
-                    continue;
-                }
-                let v = vec![(key & 0xFF) as u8; spec.value_len as usize];
-                if !server.table.borrow_mut().insert(sim, key, &v)? {
+            for key in (1..=spec.nkeys).filter(|key| owner[(key - 1) as usize] == i) {
+                value.fill((key & 0xFF) as u8);
+                if !server.table.borrow_mut().insert(sim, key, &value)? {
                     return Err(Error::InvalidWr("shard table full during populate"));
                 }
             }

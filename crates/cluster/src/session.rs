@@ -20,7 +20,7 @@ use redn_core::offloads::replicate::{
 };
 use redn_kv::cuckoo::CuckooTable;
 use redn_kv::session::{Completion, Session, SessionOpts};
-use rnic_sim::cq::CqeStatus;
+use rnic_sim::cq::{Cqe, CqeStatus};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{CqId, NodeId, ProcessId, QpId};
 use rnic_sim::mem::{Access, MemoryRegion};
@@ -101,6 +101,10 @@ pub struct PutSession {
     /// for that slot; anything else (a corrupted ack word, a late ack for
     /// a superseded occupant) resolves nothing.
     pending: Vec<Option<PendingPut>>,
+    /// Scratch reused across reaps: the polled CQEs and the acked value
+    /// being applied, so an idle reap allocates nothing.
+    cqe_buf: Vec<Cqe>,
+    value_buf: Vec<u8>,
 }
 
 impl PutSession {
@@ -175,6 +179,8 @@ impl PutSession {
             ack,
             client,
             pending: vec![None; depth as usize],
+            cqe_buf: Vec::new(),
+            value_buf: Vec::new(),
         })
     }
 
@@ -217,7 +223,10 @@ impl PutSession {
     /// fails the put, never panics.
     pub fn reap(&mut self, sim: &mut Simulator) -> PutReap {
         let mut out = PutReap::default();
-        for cqe in sim.poll_cq(self.recv_cq, 64) {
+        let mut cqes = std::mem::take(&mut self.cqe_buf);
+        cqes.clear();
+        sim.poll_cq_into(self.recv_cq, 64, &mut cqes);
+        for cqe in cqes.drain(..) {
             if cqe.status != CqeStatus::Success {
                 continue;
             }
@@ -239,15 +248,17 @@ impl PutSession {
             // request slot — the window frees it only below) goes
             // into the shard's read index.
             let rec_len = self.repl.record_len() as u64;
-            match sim.mem_read(
-                self.client,
+            let value = sim.mem(self.client).read(
                 self.req.addr + slot * rec_len + 16,
                 u64::from(self.repl.value_len()),
-            ) {
+            );
+            match value {
                 Ok(value) => {
+                    self.value_buf.clear();
+                    self.value_buf.extend_from_slice(value);
                     self.table
                         .borrow_mut()
-                        .insert(sim, put.key, &value)
+                        .insert(sim, put.key, &self.value_buf)
                         .expect("apply readable record")
                         .then_some(())
                         .expect("shard table full applying acked put");
@@ -267,7 +278,8 @@ impl PutSession {
             }
             self.repl.complete_instance();
         }
-        for cqe in sim.poll_cq(self.send_cq, 64) {
+        sim.poll_cq_into(self.send_cq, 64, &mut cqes);
+        for cqe in cqes.drain(..) {
             if cqe.status == CqeStatus::Success {
                 continue;
             }
@@ -286,6 +298,7 @@ impl PutSession {
                 self.repl.complete_instance();
             }
         }
+        self.cqe_buf = cqes;
         out
     }
 

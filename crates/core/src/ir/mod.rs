@@ -435,6 +435,32 @@ pub(crate) enum ConstSpec {
     Images(Vec<ImageWqe>),
 }
 
+/// An op as diagnostics name it: its label (if any), its position on its
+/// queue and its ids. `Copy`, so an analysis carries it for free and
+/// renders it only into a diagnostic it actually emits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpName {
+    label: &'static str,
+    pos: Option<u32>,
+    op: u32,
+    queue: u32,
+}
+
+impl std::fmt::Display for OpName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pos = self.pos.map_or("?".to_string(), |p| p.to_string());
+        if self.label.is_empty() {
+            write!(f, "WQE #{} (op {}, queue q{})", pos, self.op, self.queue)
+        } else {
+            write!(
+                f,
+                "WQE '{}' (#{} on queue q{})",
+                self.label, pos, self.queue
+            )
+        }
+    }
+}
+
 pub(crate) struct OpRec {
     pub(crate) queue: QId,
     pub(crate) op: Option<OpBuild>,
@@ -799,17 +825,20 @@ impl IrProgram {
     }
 
     pub(crate) fn label_of(&self, id: OpId) -> String {
-        let rec = &self.ops[id.0];
-        let label = rec.op.as_ref().map(|o| o.label).unwrap_or("");
-        let pos = self.queue_ops[rec.queue.0]
+        let pos = self.queue_ops[self.ops[id.0].queue.0]
             .iter()
-            .position(|x| *x == id)
-            .map(|p| p.to_string())
-            .unwrap_or_else(|| "?".to_string());
-        if label.is_empty() {
-            format!("WQE #{} (op {}, queue q{})", pos, id.0, rec.queue.0)
-        } else {
-            format!("WQE '{}' (#{} on queue q{})", label, pos, rec.queue.0)
+            .position(|x| *x == id);
+        self.name_at(id, pos).to_string()
+    }
+
+    /// `id` as diagnostics name it, given its position on its queue.
+    pub(crate) fn name_at(&self, id: OpId, pos: Option<usize>) -> OpName {
+        let rec = &self.ops[id.0];
+        OpName {
+            label: rec.op.as_ref().map(|o| o.label).unwrap_or(""),
+            pos: pos.map(|p| p as u32),
+            op: id.0 as u32,
+            queue: rec.queue.0 as u32,
         }
     }
 

@@ -426,14 +426,21 @@ impl HashGetOffload {
     /// the scatter entries are laid out probe-major, so the payload is
     /// `[addr_0, key, addr_1, key]` for two probes.
     pub fn client_payload(&self, key: u64, bucket_addrs: &[u64]) -> Vec<u8> {
+        let mut p = Vec::with_capacity(14 * bucket_addrs.len());
+        self.client_payload_into(key, bucket_addrs, &mut p);
+        p
+    }
+
+    /// [`HashGetOffload::client_payload`] into a caller-owned buffer
+    /// (cleared first), so a session stages requests without allocating.
+    pub fn client_payload_into(&self, key: u64, bucket_addrs: &[u64], p: &mut Vec<u8>) {
         let probes = self.spec.variant.buckets();
         assert_eq!(bucket_addrs.len(), probes, "one bucket address per probe");
-        let mut p = Vec::new();
+        p.clear();
         for &addr in bucket_addrs {
             p.extend_from_slice(&addr.to_le_bytes());
             p.extend_from_slice(&operand48(key).to_le_bytes()[..6]);
         }
-        p
     }
 
     /// The probe variant this offload was deployed with.

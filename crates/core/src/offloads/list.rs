@@ -540,13 +540,21 @@ impl ListWalkOffload {
     /// self-recycling (the folded R3 scatters the key into every
     /// iteration's CAS, so the client repeats it once per iteration).
     pub fn client_payload(&self, head: u64, key: u64) -> Vec<u8> {
+        let mut p = Vec::new();
+        self.client_payload_into(head, key, &mut p);
+        p
+    }
+
+    /// [`ListWalkOffload::client_payload`] into a caller-owned buffer
+    /// (cleared first), so a session stages requests without allocating.
+    pub fn client_payload_into(&self, head: u64, key: u64, p: &mut Vec<u8>) {
         let len = client_payload_len(self.spec.max_nodes, self.is_recycled());
-        let mut p = Vec::with_capacity(len);
+        p.clear();
+        p.reserve(len);
         p.extend_from_slice(&head.to_le_bytes());
         while p.len() < len {
             p.extend_from_slice(&operand48(key).to_le_bytes()[..6]);
         }
-        p
     }
 
     /// Maximum nodes walked per request — the unroll factor.

@@ -80,6 +80,9 @@ pub struct ClientEndpoint {
     responses_reaped: Cell<u64>,
     requests_posted: Cell<u64>,
     requests_abandoned: Cell<u64>,
+    /// The trigger payload being staged (reused, so staging allocates
+    /// nothing in steady state).
+    payload: RefCell<Vec<u8>>,
 }
 
 impl ClientEndpoint {
@@ -138,6 +141,7 @@ impl ClientEndpoint {
             responses_reaped: Cell::new(0),
             requests_posted: Cell::new(0),
             requests_abandoned: Cell::new(0),
+            payload: RefCell::default(),
         })
     }
 
@@ -155,19 +159,22 @@ impl ClientEndpoint {
     // -- Trigger-burst engine (Session::get_burst / walk_burst) -------
 
     /// Stage one trigger request into `instance`'s request slot: reserve
-    /// its response RECV, write the payload, and queue the trigger SEND
-    /// (no doorbell — bursts ring once). Returns the slot index.
+    /// its response RECV, write the payload `fill` produces, and queue the
+    /// trigger SEND (no doorbell — bursts ring once). Returns the slot
+    /// index.
     pub(crate) fn stage_trigger(
         &self,
         sim: &mut Simulator,
         instance: u64,
         depth: u32,
-        payload: &[u8],
+        fill: impl FnOnce(&mut Vec<u8>),
     ) -> Result<u64> {
         let slot = instance % depth as u64;
         self.reserve_response_recv(sim)?;
         let req = self.req_slot(slot);
-        sim.mem_write(self.node, req, payload)?;
+        let mut payload = self.payload.borrow_mut();
+        fill(&mut payload);
+        sim.mem_write(self.node, req, &payload)?;
         sim.post_send_quiet(
             self.qp,
             redn_core::offloads::rpc::trigger_send(req, self.req_lkey, payload.len() as u32),
@@ -176,22 +183,23 @@ impl ClientEndpoint {
     }
 
     /// Post `count` trigger requests as one burst under a single
-    /// doorbell. The window is validated up front (`depth` vs this
-    /// endpoint's slots, `available` instances vs `count`), so an
-    /// over-sized burst errors cleanly with nothing posted; `post_one`
-    /// claims an instance, builds the payload, and stages it via
-    /// [`ClientEndpoint::stage_trigger`]. A mid-burst error still rings
-    /// the doorbell for the already-staged requests — they are on the
-    /// wire — but their handles are lost with the error; that path
-    /// indicates a programming bug, not a capacity condition.
+    /// doorbell, appending their handles to `out`. The window is
+    /// validated up front (`depth` vs this endpoint's slots, `available`
+    /// instances vs `count`), so an over-sized burst errors cleanly with
+    /// nothing posted; `post_one` claims an instance, builds the payload,
+    /// and stages it via [`ClientEndpoint::stage_trigger`]. A mid-burst
+    /// error still rings the doorbell for the already-staged requests —
+    /// they are on the wire, and their handles are in `out` — but that
+    /// path indicates a programming bug, not a capacity condition.
     pub(crate) fn post_trigger_burst<P>(
         &self,
         sim: &mut Simulator,
         depth: u32,
         available: u64,
         count: usize,
+        out: &mut Vec<P>,
         mut post_one: impl FnMut(&mut Simulator, usize) -> Result<P>,
-    ) -> Result<Vec<P>> {
+    ) -> Result<()> {
         if self.slots < depth {
             return Err(Error::InvalidWr(
                 "client endpoint has fewer slots than the offload's pipeline depth",
@@ -202,7 +210,7 @@ impl ClientEndpoint {
                 "burst exceeds the offload's available instances (re-arm or complete first)",
             ));
         }
-        let mut out = Vec::with_capacity(count);
+        let staged = out.len();
         let mut result = Ok(());
         for i in 0..count {
             match post_one(sim, i) {
@@ -213,10 +221,10 @@ impl ClientEndpoint {
                 }
             }
         }
-        if !out.is_empty() {
+        if out.len() > staged {
             sim.ring_doorbell(self.qp)?;
         }
-        result.map(|()| out)
+        result
     }
 
     // -- RedN-path RECV accounting ------------------------------------

@@ -164,27 +164,30 @@ pub struct ReapedGet {
 /// rings **one** doorbell for the whole burst — a closed-loop generator
 /// refilling a K-deep window pays one MMIO per tick instead of K — and
 /// validates the burst against the offload's available instances
-/// *before* anything is staged.
+/// *before* anything is staged. Handles are appended to `out`.
 pub(crate) fn post_get_burst(
     sim: &mut Simulator,
     off: &mut HashGetOffload,
     ep: &ClientEndpoint,
     table: &Rc<RefCell<CuckooTable>>,
     keys: &[u64],
-) -> Result<Vec<PendingGet>> {
+    out: &mut Vec<PendingGet>,
+) -> Result<()> {
     let depth = off.pipeline_depth();
     ep.post_trigger_burst(
         sim,
         depth,
         off.instances_available(),
         keys.len(),
+        out,
         |sim, i| {
             let key = keys[i];
             let instance = off.take_instance()?;
             let cands = table.borrow().candidate_addrs(key);
             let n = off.variant().buckets();
-            let payload = off.client_payload(key, &cands[..n]);
-            let slot = ep.stage_trigger(sim, instance, depth, &payload)?;
+            let slot = ep.stage_trigger(sim, instance, depth, |p| {
+                off.client_payload_into(key, &cands[..n], p)
+            })?;
             Ok(PendingGet {
                 instance,
                 key,
@@ -196,20 +199,12 @@ pub(crate) fn post_get_burst(
 }
 
 /// Reap up to `max` response completions from `ep`'s receive CQ,
-/// keeping the endpoint's RECV accounting in step. Does not step the
-/// simulator (the engine behind
-/// [`Session::reap`](crate::session::Session::reap)).
-pub(crate) fn reap_gets(sim: &mut Simulator, ep: &ClientEndpoint, max: usize) -> Vec<ReapedGet> {
-    let mut cqes = Vec::new();
-    let mut out = Vec::new();
-    reap_gets_into(sim, ep, max, &mut cqes, &mut out);
-    out
-}
-
-/// Allocation-free [`reap_gets`]: drains completions through the caller's
-/// scratch `cqes` buffer and appends typed reaps to `out`. Long-lived
-/// clients (sessions, fleet generators) reuse one pair of buffers across
-/// every reap instead of allocating two `Vec`s per poll.
+/// keeping the endpoint's RECV accounting in step: drains them through
+/// the caller's scratch `cqes` buffer and appends typed reaps to `out`.
+/// Does not step the simulator (the engine behind
+/// [`Session::reap_into`](crate::session::Session::reap_into)).
+/// Long-lived clients (sessions, fleet generators) reuse one pair of
+/// buffers across every reap instead of allocating two `Vec`s per poll.
 pub(crate) fn reap_gets_into(
     sim: &mut Simulator,
     ep: &ClientEndpoint,
@@ -246,11 +241,13 @@ pub fn redn_get(
 ) -> Result<(Time, bool)> {
     off.arm(sim, pool)?;
     let start = sim.now();
-    let _pending = post_get_burst(sim, off, ep, &server.table, &[key])?;
+    post_get_burst(sim, off, ep, &server.table, &[key], &mut Vec::new())?;
     let deadline = sim.now() + Time::from_us(200);
+    let (mut cqes, mut reaped) = (Vec::new(), Vec::new());
     loop {
         // A single get is outstanding, so any completion is ours.
-        if !reap_gets(sim, ep, 1).is_empty() {
+        reap_gets_into(sim, ep, 1, &mut cqes, &mut reaped);
+        if !reaped.is_empty() {
             return Ok((sim.now() - start, true));
         }
         if sim.now() > deadline || !sim.step()? {

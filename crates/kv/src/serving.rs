@@ -37,7 +37,7 @@
 //! the next same-slot completion's attribution (stats only; values
 //! always land in the right client slot).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use redn_core::ctx::OffloadCtx;
 use redn_core::ir::analysis::{AnalysisReport, DeploymentVerifier};
@@ -45,14 +45,14 @@ use redn_core::offloads::hash_lookup::HashGetVariant;
 use redn_core::offloads::service::OffloadService;
 use redn_core::program::ConstPool;
 use rnic_sim::error::{Error, Result};
-use rnic_sim::ids::NodeId;
+use rnic_sim::ids::{CqId, NodeId};
 use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
 
 use crate::baselines::ClientEndpoint;
 use crate::liststore::ListStore;
-use crate::memcached::{redn_get, MemcachedServer};
-use crate::session::{Completion, Session, SessionOpts};
+use crate::memcached::{redn_get, MemcachedServer, PendingGet};
+use crate::session::{Completion, PendingWalk, Session, SessionOpts};
 use crate::tenancy::{
     pu_stride, CreditPacer, NicGeometry, Placement, TenantPacker, TenantRuntime, TenantSpec,
 };
@@ -316,6 +316,12 @@ pub struct FleetStats {
     /// Allocations the serving pool has served in total (leases). Flat
     /// across steady-state runs for the same reason.
     pub pool_leases: u64,
+    /// Times the generator polled a client's recv CQ. The generator only
+    /// visits clients with something to reap or post, so this grows with
+    /// completions, not with clients × events.
+    pub reap_calls: u64,
+    /// The polls among `reap_calls` that reaped at least one completion.
+    pub reap_useful: u64,
     /// Per-tenant split of the run (one entry per [`FleetSpec::tenants`]
     /// entry, in spec order; empty for a single-operator fleet). Every
     /// aggregate above is the sum/merge of these slices plus any
@@ -369,6 +375,8 @@ impl FleetStats {
             client_doorbells: self.client_doorbells + other.client_doorbells,
             pool_high_water: self.pool_high_water + other.pool_high_water,
             pool_leases: self.pool_leases + other.pool_leases,
+            reap_calls: self.reap_calls + other.reap_calls,
+            reap_useful: self.reap_useful + other.reap_useful,
             per_tenant,
         }
     }
@@ -408,33 +416,76 @@ struct FleetClient {
     self_recycling: bool,
     /// Owning tenant index (see [`ServiceSpec::tenant`]).
     tenant: Option<usize>,
-    /// Scratch completion buffer reused across reaps.
-    comp_buf: Vec<Completion>,
+    /// The recv CQ's monotonic CQE count at the last reap: unchanged
+    /// means the CQ is still empty, and polling it would be a no-op.
+    cq_seen: u64,
 }
 
-/// One client's reap: `(scheduled, posted)` completion-latency pairs,
-/// host arm calls made, and the latest completion time seen.
-type Reaped = (Vec<(Time, Time)>, u64, Option<Time>);
+/// One owner's (the fleet's, or one tenant's) accounting of a run: every
+/// completion's scheduled-time and post-time latency in reap order, host
+/// arm calls, and the last completion seen (a tenant's run span).
+#[derive(Clone, Default)]
+struct Log {
+    sched: Vec<Time>,
+    svc: Vec<Time>,
+    arms: u64,
+    last_done: Option<Time>,
+}
+
+/// One run's accounting: the whole fleet's, the hash-get share of its
+/// arm calls, the generator's CQ polls, and the same split per tenant
+/// (indexed like `FleetSpec::tenants`).
+#[derive(Default)]
+struct RunLog {
+    all: Log,
+    get_arms: u64,
+    reap_calls: u64,
+    reap_useful: u64,
+    tenants: Vec<Log>,
+}
+
+impl RunLog {
+    /// The fleet's log plus, for a tenanted client, its owner's.
+    fn of(&mut self, tenant: Option<usize>) -> impl Iterator<Item = &mut Log> {
+        let tenant = tenant.map(|t| &mut self.tenants[t]);
+        [Some(&mut self.all), tenant].into_iter().flatten()
+    }
+}
+
+/// Completion, request and handle buffers reused by every client's
+/// [`FleetClient::reap`] and [`FleetClient::post_burst`], so a
+/// steady-state tick allocates nothing.
+#[derive(Default)]
+struct PostScratch {
+    done: Vec<Completion>,
+    keys: Vec<u64>,
+    pairs: Vec<(u64, u64)>,
+    gets: Vec<PendingGet>,
+    walks: Vec<PendingWalk>,
+}
 
 impl FleetClient {
-    /// Reap every pending completion: record it, retire its instance
-    /// slot, and (host-armed, while requests remain) re-arm one
-    /// instance per completion. Returns the `(scheduled, posted)`
-    /// completion-latency pairs, the number of host arm calls, and the
-    /// latest completion time seen (for per-tenant run spans).
+    /// Reap every pending completion: record it in `log`, retire its
+    /// instance slot, and (host-armed, while requests remain) re-arm one
+    /// instance per completion.
     fn reap(
         &mut self,
         sim: &mut Simulator,
         pool: &mut ConstPool,
         ops_per_client: u64,
-    ) -> Result<Reaped> {
-        let mut lats = Vec::new();
+        log: &mut RunLog,
+        buf: &mut PostScratch,
+    ) -> Result<()> {
+        let total = sim.cq_total(self.session.endpoint().recv_cq);
+        if std::mem::replace(&mut self.cq_seen, total) == total {
+            return Ok(());
+        }
         let mut arms = 0u64;
-        let mut last_done: Option<Time> = None;
-        let mut reaped = std::mem::take(&mut self.comp_buf);
-        reaped.clear();
-        self.session.reap_into(sim, 1024, &mut reaped);
-        for done in reaped.drain(..) {
+        buf.done.clear();
+        self.session.reap_into(sim, 1024, &mut buf.done);
+        log.reap_calls += 1;
+        log.reap_useful += u64::from(!buf.done.is_empty());
+        for done in buf.done.drain(..) {
             let tag = done.tag();
             if let Some(pos) = self
                 .inflight
@@ -442,12 +493,12 @@ impl FleetClient {
                 .position(|p| self.session.response_tag(p.instance) == tag)
             {
                 let pending = self.inflight.remove(pos).expect("position just found");
-                lats.push((
-                    done.at() - pending.scheduled_at,
-                    done.at() - pending.posted_at,
-                ));
+                for log in log.of(self.tenant) {
+                    log.sched.push(done.at() - pending.scheduled_at);
+                    log.svc.push(done.at() - pending.posted_at);
+                    log.last_done = log.last_done.max(Some(done.at()));
+                }
                 self.reaped += 1;
-                last_done = Some(last_done.map_or(done.at(), |t| t.max(done.at())));
                 self.session.complete();
             }
             // Replace the consumed instance from the host in host-armed
@@ -457,39 +508,41 @@ impl FleetClient {
                 arms += 1;
             }
         }
-        self.comp_buf = reaped;
-        Ok((lats, arms, last_done))
+        log.of(self.tenant).for_each(|log| log.arms += arms);
+        log.get_arms += if self.session.is_get() { arms } else { 0 };
+        Ok(())
     }
 
     /// Post `n` requests from the stream as one burst (one doorbell).
-    fn post_burst(&mut self, sim: &mut Simulator, n: u64) -> Result<()> {
+    fn post_burst(&mut self, sim: &mut Simulator, n: u64, buf: &mut PostScratch) -> Result<()> {
         if n == 0 {
             return Ok(());
         }
         let now = sim.now();
+        let pending = |instance, posted_at| Pending {
+            instance,
+            scheduled_at: now,
+            posted_at,
+        };
         match &mut self.stream {
             Stream::Keys(w) => {
-                let keys: Vec<u64> = (0..n).map(|_| w.next_key()).collect();
-                for p in self.session.get_burst(sim, &keys)? {
-                    self.inflight.push_back(Pending {
-                        instance: p.instance,
-                        scheduled_at: now,
-                        posted_at: p.posted_at,
-                    });
-                }
+                buf.keys.clear();
+                buf.keys.extend((0..n).map(|_| w.next_key()));
+                buf.gets.clear();
+                self.session.get_burst_into(sim, &buf.keys, &mut buf.gets)?;
+                let posted = buf.gets.iter().map(|p| pending(p.instance, p.posted_at));
+                self.inflight.extend(posted);
             }
             Stream::Walks { reqs, cursor } => {
-                let pairs: Vec<(u64, u64)> = (0..n as usize)
-                    .map(|i| reqs[(*cursor + i) % reqs.len()])
-                    .collect();
+                buf.pairs.clear();
+                buf.pairs
+                    .extend((0..n as usize).map(|i| reqs[(*cursor + i) % reqs.len()]));
                 *cursor = (*cursor + n as usize) % reqs.len();
-                for p in self.session.walk_burst(sim, &pairs)? {
-                    self.inflight.push_back(Pending {
-                        instance: p.instance,
-                        scheduled_at: now,
-                        posted_at: p.posted_at,
-                    });
-                }
+                buf.walks.clear();
+                self.session
+                    .walk_burst_into(sim, &buf.pairs, &mut buf.walks)?;
+                let posted = buf.walks.iter().map(|p| pending(p.instance, p.posted_at));
+                self.inflight.extend(posted);
             }
         }
         self.posted += n;
@@ -501,18 +554,13 @@ impl FleetClient {
 pub struct ServingFleet {
     spec: FleetSpec,
     clients: Vec<FleetClient>,
-    sched_latencies: Vec<Time>,
-    svc_latencies: Vec<Time>,
+    /// Each client's (watched) recv CQ → its index: how the generator
+    /// reads the simulator's ready list.
+    recv_cqs: HashMap<CqId, usize>,
     server_node: NodeId,
     client_node: NodeId,
-    get_arm_calls: u64,
-    walk_arm_calls: u64,
-    /// Per-tenant accounting, indexed like `spec.tenants` (all empty for
-    /// a single-operator fleet).
-    tenant_sched: Vec<Vec<Time>>,
-    tenant_svc: Vec<Vec<Time>>,
-    tenant_arms: Vec<u64>,
-    tenant_last_done: Vec<Option<Time>>,
+    log: RunLog,
+    scratch: PostScratch,
     /// One trigger-path pacer per rate-capped tenant, rebuilt at each
     /// run's start.
     pacers: Vec<Option<CreditPacer>>,
@@ -637,6 +685,7 @@ impl ServingFleet {
         let mut pool_spent = vec![0u64; ntenants];
         let mut ring_spent = vec![0u64; ntenants];
         let mut clients = Vec::with_capacity(spec.total_clients());
+        let mut recv_cqs = HashMap::new();
         let mut workloads = workloads.into_iter();
         let mut walk_idx = 0usize;
         let mut i = 0usize; // global client index, for port sharding
@@ -721,6 +770,8 @@ impl ServingFleet {
                         }
                     }
                 }
+                sim.watch_cq(session.endpoint().recv_cq);
+                recv_cqs.insert(session.endpoint().recv_cq, clients.len());
                 clients.push(FleetClient {
                     session,
                     stream,
@@ -730,7 +781,7 @@ impl ServingFleet {
                     depth: svc.pipeline_depth,
                     self_recycling: svc.self_recycling,
                     tenant: svc.tenant,
-                    comp_buf: Vec::new(),
+                    cq_seen: 0,
                 });
                 i += 1;
             }
@@ -770,16 +821,11 @@ impl ServingFleet {
         Ok(ServingFleet {
             spec,
             clients,
-            sched_latencies: Vec::new(),
-            svc_latencies: Vec::new(),
+            recv_cqs,
             server_node: server.node,
             client_node,
-            get_arm_calls: 0,
-            walk_arm_calls: 0,
-            tenant_sched: vec![Vec::new(); ntenants],
-            tenant_svc: vec![Vec::new(); ntenants],
-            tenant_arms: vec![0; ntenants],
-            tenant_last_done: vec![None; ntenants],
+            log: RunLog::default(),
+            scratch: PostScratch::default(),
             pacers: vec![None; ntenants],
             isolation,
         })
@@ -796,56 +842,6 @@ impl ServingFleet {
     /// The fleet's geometry.
     pub fn spec(&self) -> &FleetSpec {
         &self.spec
-    }
-
-    /// Fold one client's reaped completions into the fleet's run
-    /// accounting (latency vectors, per-family arm-call counters, and —
-    /// for a tenanted client — the owner's own split).
-    fn record_reaped(
-        &mut self,
-        lats: Vec<(Time, Time)>,
-        arms: u64,
-        is_get: bool,
-        tenant: Option<usize>,
-        last_done: Option<Time>,
-    ) {
-        if let Some(t) = tenant {
-            for &(sched, svc) in &lats {
-                self.tenant_sched[t].push(sched);
-                self.tenant_svc[t].push(svc);
-            }
-            self.tenant_arms[t] += arms;
-            if let Some(at) = last_done {
-                self.tenant_last_done[t] =
-                    Some(self.tenant_last_done[t].map_or(at, |prev| prev.max(at)));
-            }
-        }
-        for (sched, svc) in lats {
-            self.sched_latencies.push(sched);
-            self.svc_latencies.push(svc);
-        }
-        if is_get {
-            self.get_arm_calls += arms;
-        } else {
-            self.walk_arm_calls += arms;
-        }
-    }
-
-    /// Pass a client's ask through its tenant's pacer (if any): returns
-    /// how many posts are granted now, and — when throttled — the
-    /// earliest time a credit accrues, so the run loop can jump there
-    /// instead of spinning.
-    fn grant_posts(
-        pacers: &mut [Option<CreditPacer>],
-        tenant: Option<usize>,
-        now: Time,
-        want: u64,
-    ) -> (u64, Option<Time>) {
-        let Some(pacer) = tenant.and_then(|t| pacers[t].as_mut()) else {
-            return (want, None);
-        };
-        let granted = pacer.grant(now, want);
-        (granted, (granted < want).then(|| pacer.next_credit_at(now)))
     }
 
     /// Closed-loop run: every client keeps `k_outstanding` requests in
@@ -892,10 +888,13 @@ impl ServingFleet {
         self.run(sim, pool, ops_per_client, arrival, Some(offered))
     }
 
-    /// The generator loop behind both run modes: per tick, every client
-    /// reaps, works out how many posts its [`Arrival`] wants now, passes
+    /// The generator behind both run modes. A client's *visit* reaps its
+    /// recv CQ, works out how many posts its [`Arrival`] wants now, passes
     /// the ask through its tenant's pacer and fires the grant as one
-    /// burst; then simulated time advances the way the mode needs.
+    /// burst; then simulated time advances the way the mode needs. Each
+    /// turn visits — in ascending client index — only the clients for
+    /// which a visit can do anything (DESIGN.md "`redn_kv::serving`" has
+    /// the argument that every skipped visit would have been a no-op).
     fn run(
         &mut self,
         sim: &mut Simulator,
@@ -907,67 +906,95 @@ impl ServingFleet {
         let start = sim.now();
         let deadline = start + RUN_DEADLINE;
         self.begin_run(sim, pool)?;
-        let base = self.counter_base(sim);
+        // The host-involvement counters at run start.
+        let base = (
+            sim.node_doorbells(self.server_node),
+            sim.node_posts(self.server_node),
+            sim.node_doorbells(self.client_node),
+        );
+        let n = self.clients.len();
+        // This turn's visit set: every client on the first turn.
+        let mut todo: Vec<usize> = (0..n).collect();
+        // Clients whose ask the pacer cut short: visited again next turn,
+        // because `CreditPacer::shed` counts every re-ask.
+        let mut unmet: Vec<usize> = Vec::new();
+        let mut ready: Vec<CqId> = Vec::new();
+        // Open loop (empty otherwise): when each unthrottled client with
+        // window room and posts left is next scheduled to post. A scan of
+        // this array per turn is what finds due posts and the next idle
+        // jump; at the client counts run here it is cheaper than a heap
+        // of due times.
+        let open = matches!(arrival, Arrival::Open(_));
+        let mut next_due = vec![None::<Time>; if open { n } else { 0 }];
+        let mut unfinished = if ops_per_client > 0 { n } else { 0 };
         loop {
-            let mut all_done = true;
+            let now = sim.now();
+            // An idle client of a rate-capped tenant would still have
+            // asked its pacer for 0 posts, and that call accrues credit in
+            // `f64`: keep the accrual sequence by asking once per turn.
+            for pacer in self.pacers.iter_mut().flatten() {
+                pacer.grant(now, 0);
+            }
+            sim.drain_ready_cqs(&mut ready);
+            let due = next_due.iter().enumerate();
+            let due = due.filter_map(|(ci, t)| t.is_some_and(|t| t <= now).then_some(ci));
+            todo.extend(
+                ready
+                    .drain(..)
+                    .filter_map(|cq| self.recv_cqs.get(&cq).copied()),
+            );
+            todo.extend(due);
+            todo.sort_unstable();
+            todo.dedup();
             // Earliest future time a client has something to post: a
             // throttled tenant's next credit, or (open loop) the next
             // scheduled request of a client with window room.
             let mut next_wake: Option<Time> = None;
-            for ci in 0..self.clients.len() {
+            for ci in todo.drain(..) {
                 let c = &mut self.clients[ci];
-                let (lats, arms, last_done) = c.reap(sim, pool, ops_per_client)?;
-                let is_get = c.session.is_get();
-                let tenant = c.tenant;
-                self.record_reaped(lats, arms, is_get, tenant, last_done);
-                let c = &self.clients[ci];
-                let want = arrival.due(c, ci, ops_per_client, sim.now());
+                let was_done = c.reaped >= ops_per_client;
+                c.reap(sim, pool, ops_per_client, &mut self.log, &mut self.scratch)?;
+                let want = arrival.due(c, ci, ops_per_client, now);
                 // A rate-capped tenant's posts are additionally gated by
                 // its pacer. In an open loop the shortfall stays
                 // scheduled, so its latency keeps accruing from the
                 // scheduled time — pacing delay is charged to the
-                // overdriven tenant, not hidden.
-                let (granted, credit_wake) =
-                    Self::grant_posts(&mut self.pacers, tenant, sim.now(), want);
-                let c = &mut self.clients[ci];
+                // overdriven tenant, not hidden. When throttled, the
+                // earliest time a credit accrues is where the run jumps
+                // to instead of spinning.
+                let mut pacer = c.tenant.and_then(|t| self.pacers[t].as_mut());
+                let granted = pacer.as_mut().map_or(want, |p| p.grant(now, want));
+                let credit_wake = pacer
+                    .filter(|_| granted < want)
+                    .map(|p| p.next_credit_at(now));
                 let first = c.posted;
-                c.post_burst(sim, granted)?;
-                if let Arrival::Open(sched) = arrival {
-                    // Backdate each new pending handle to its scheduled time.
-                    let len = c.inflight.len();
-                    for (j, pending) in c
-                        .inflight
-                        .iter_mut()
-                        .skip(len - granted as usize)
-                        .enumerate()
-                    {
-                        pending.scheduled_at = sched.at(ci, first + j as u64);
-                    }
-                }
-                if c.reaped < ops_per_client {
-                    all_done = false;
-                }
+                c.post_burst(sim, granted, &mut self.scratch)?;
+                unfinished -= usize::from(!was_done && c.reaped >= ops_per_client);
                 // A credit-gated client's next post happens when its
                 // tenant's credit accrues, not at the (already-passed)
                 // scheduled time.
-                let wake = match (credit_wake, arrival) {
-                    (Some(t), _) => Some(t.max(sim.now())),
-                    (None, Arrival::Open(sched))
-                        if c.posted < ops_per_client
-                            && (c.inflight.len() as u64) < u64::from(c.depth) =>
-                    {
-                        Some(sched.at(ci, c.posted))
-                    }
-                    _ => None,
-                };
-                if let Some(t) = wake {
+                if let Some(t) = credit_wake {
+                    unmet.push(ci);
+                    let t = t.max(now);
                     next_wake = Some(next_wake.map_or(t, |w| w.min(t)));
                 }
+                if let Arrival::Open(sched) = arrival {
+                    // Backdate each new pending handle to its scheduled time.
+                    let len = c.inflight.len();
+                    let new = c.inflight.iter_mut().skip(len - granted as usize);
+                    for (j, pending) in new.enumerate() {
+                        pending.scheduled_at = sched.at(ci, first + j as u64);
+                    }
+                    let room = c.posted < ops_per_client && (len as u64) < u64::from(c.depth);
+                    next_due[ci] = (credit_wake.is_none() && room).then(|| sched.at(ci, c.posted));
+                }
             }
-            if all_done || sim.now() > deadline {
+            std::mem::swap(&mut todo, &mut unmet);
+            if unfinished == 0 || now > deadline {
                 break;
             }
-            let jump = next_wake.filter(|&t| t > sim.now());
+            let next_wake = next_due.iter().flatten().copied().chain(next_wake).min();
+            let jump = next_wake.filter(|&t| t > now);
             match arrival {
                 // Closed loop: event by event, so every completion is
                 // reaped and refilled at once; when the simulator drains
@@ -1003,15 +1030,12 @@ impl ServingFleet {
     /// fleet would otherwise drain the pipeline dry. Self-recycling
     /// services re-arm on the NIC — nothing to do.
     fn begin_run(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        self.get_arm_calls = 0;
-        self.walk_arm_calls = 0;
-        self.sched_latencies.clear();
-        self.svc_latencies.clear();
-        for t in 0..self.spec.tenants.len() {
-            self.tenant_sched[t].clear();
-            self.tenant_svc[t].clear();
-            self.tenant_arms[t] = 0;
-            self.tenant_last_done[t] = None;
+        let ntenants = self.spec.tenants.len();
+        self.log = RunLog {
+            tenants: vec![Log::default(); ntenants],
+            ..RunLog::default()
+        };
+        for t in 0..ntenants {
             // Rebuild each rate-capped tenant's pacer at the run's
             // clock: a burst allowance of the tenant's total pipeline
             // depth lets it fill its windows once, after which refills
@@ -1034,15 +1058,6 @@ impl ServingFleet {
             }
         }
         Ok(())
-    }
-
-    /// Snapshot the host-involvement counters at run start.
-    fn counter_base(&self, sim: &Simulator) -> (u64, u64, u64) {
-        (
-            sim.node_doorbells(self.server_node),
-            sim.node_posts(self.server_node),
-            sim.node_doorbells(self.client_node),
-        )
     }
 
     /// Collect stats and abandon whatever is still in flight.
@@ -1100,7 +1115,9 @@ impl ServingFleet {
                 // completion. A rate-capped tenant finishing long after
                 // its neighbors must not dilute their throughput (nor
                 // have its own inflated by the fleet-wide clock).
-                let t_elapsed = self.tenant_last_done[t].map_or(elapsed, |at| at - start);
+                let t_elapsed = self.log.tenants[t]
+                    .last_done
+                    .map_or(elapsed, |at| at - start);
                 let t_secs = t_elapsed.as_secs_f64();
                 TenantStats {
                     tenant: self.spec.tenants[t].name.clone(),
@@ -1113,9 +1130,9 @@ impl ServingFleet {
                     } else {
                         0.0
                     },
-                    latency: stats_of(&self.tenant_sched[t]),
-                    service_latency: stats_of(&self.tenant_svc[t]),
-                    host_arm_calls: self.tenant_arms[t],
+                    latency: stats_of(&self.log.tenants[t].sched),
+                    service_latency: stats_of(&self.log.tenants[t].svc),
+                    host_arm_calls: self.log.tenants[t].arms,
                     timeouts: tenant_timeouts[t],
                     shed_posts: self.pacers[t].as_ref().map_or(0, |p| p.shed()),
                 }
@@ -1127,18 +1144,20 @@ impl ServingFleet {
             walk_ops: ops - get_ops,
             elapsed,
             ops_per_sec: if secs > 0.0 { ops as f64 / secs } else { 0.0 },
-            latency: stats_of(&self.sched_latencies),
-            service_latency: stats_of(&self.svc_latencies),
+            latency: stats_of(&self.log.all.sched),
+            service_latency: stats_of(&self.log.all.svc),
             timeouts,
             offered_ops_per_sec: offered,
-            host_arm_calls: self.get_arm_calls + self.walk_arm_calls,
-            get_arm_calls: self.get_arm_calls,
-            walk_arm_calls: self.walk_arm_calls,
+            host_arm_calls: self.log.all.arms,
+            get_arm_calls: self.log.get_arms,
+            walk_arm_calls: self.log.all.arms - self.log.get_arms,
             server_doorbells: sim.node_doorbells(self.server_node) - base.0,
             server_posts: sim.node_posts(self.server_node) - base.1,
             client_doorbells: sim.node_doorbells(self.client_node) - base.2,
             pool_high_water: pool.high_water(),
             pool_leases: pool.leases(),
+            reap_calls: self.log.reap_calls,
+            reap_useful: self.log.reap_useful,
             per_tenant,
         }
     }
@@ -1463,6 +1482,8 @@ mod tests {
             client_doorbells: 10,
             pool_high_water: 4096,
             pool_leases: 7,
+            reap_calls: 50,
+            reap_useful: 40,
             per_tenant: vec![],
         };
         let mut b = a.clone();

@@ -282,12 +282,24 @@ impl Session {
     /// Post a burst of lookups under one doorbell. Errors on a walk
     /// session, or when the burst exceeds the available instances.
     pub fn get_burst(&mut self, sim: &mut Simulator, keys: &[u64]) -> Result<Vec<PendingGet>> {
+        let mut out = Vec::with_capacity(keys.len());
+        self.get_burst_into(sim, keys, &mut out).map(|()| out)
+    }
+
+    /// Allocation-free [`Session::get_burst`]: appends the handles to
+    /// `out`, so a generator reuses one buffer across every tick.
+    pub fn get_burst_into(
+        &mut self,
+        sim: &mut Simulator,
+        keys: &[u64],
+        out: &mut Vec<PendingGet>,
+    ) -> Result<()> {
         let Bound::Get { off, table } = &mut self.bound else {
             return Err(Error::InvalidWr(
                 "session is bound to a list-walk service; use walk()/walk_burst()",
             ));
         };
-        post_get_burst(sim, off, &self.ep, table, keys)
+        post_get_burst(sim, off, &self.ep, table, keys, out)
     }
 
     /// Post one traversal (a one-element [`Session::walk_burst`]).
@@ -304,6 +316,18 @@ impl Session {
         sim: &mut Simulator,
         reqs: &[(u64, u64)],
     ) -> Result<Vec<PendingWalk>> {
+        let mut out = Vec::with_capacity(reqs.len());
+        self.walk_burst_into(sim, reqs, &mut out).map(|()| out)
+    }
+
+    /// Allocation-free [`Session::walk_burst`]: appends the handles to
+    /// `out`.
+    pub fn walk_burst_into(
+        &mut self,
+        sim: &mut Simulator,
+        reqs: &[(u64, u64)],
+        out: &mut Vec<PendingWalk>,
+    ) -> Result<()> {
         let Bound::Walk { off } = &mut self.bound else {
             return Err(Error::InvalidWr(
                 "session is bound to a hash-get service; use get()/get_burst()",
@@ -316,11 +340,13 @@ impl Session {
             depth,
             off.instances_available(),
             reqs.len(),
+            out,
             |sim, i| {
                 let (head, key) = reqs[i];
                 let instance = off.take_instance()?;
-                let payload = off.client_payload(head, key);
-                let slot = ep.stage_trigger(sim, instance, depth, &payload)?;
+                let slot = ep.stage_trigger(sim, instance, depth, |p| {
+                    off.client_payload_into(head, key, p)
+                })?;
                 Ok(PendingWalk {
                     instance,
                     head,

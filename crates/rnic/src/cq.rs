@@ -73,6 +73,12 @@ pub struct CompletionQueue {
     /// event-driven thread). Stored as a slab index into the simulator's
     /// callback table.
     pub listener: Option<u64>,
+    /// Whether a host watches this CQ (see `Simulator::watch_cq`); an
+    /// unwatched CQ — the default — records nothing.
+    pub watched: bool,
+    /// Whether the CQ already sits in the simulator's ready list: a
+    /// watched CQ is listed once per drain, however many CQEs arrive.
+    pub ready: bool,
 }
 
 impl CompletionQueue {
@@ -88,21 +94,16 @@ impl CompletionQueue {
             waiters: Vec::new(),
             overrun: false,
             listener: None,
+            watched: false,
+            ready: false,
         }
     }
 
     /// Append a completion. Always bumps the monotonic counter; drops the
-    /// pollable entry (and flags overrun) if the queue is full. Returns the
-    /// list of work queues whose WAIT threshold is now satisfied.
-    pub fn push(&mut self, cqe: Cqe) -> Vec<WqId> {
-        let mut woken = Vec::new();
-        self.push_into(cqe, &mut woken);
-        woken
-    }
-
-    /// Allocation-free [`CompletionQueue::push`]: satisfied waiters are
-    /// appended to `woken` (not cleared first) — the event loop reuses one
-    /// buffer across every CQE.
+    /// pollable entry (and flags overrun) if the queue is full. The work
+    /// queues whose WAIT threshold is now satisfied are appended to `woken`
+    /// (not cleared first) — the event loop reuses one buffer across
+    /// every CQE.
     pub fn push_into(&mut self, cqe: Cqe, woken: &mut Vec<WqId>) {
         self.total += 1;
         self.last_completion = cqe.time;
@@ -153,6 +154,13 @@ impl CompletionQueue {
 mod tests {
     use super::*;
 
+    /// `push_into` returning the woken queues.
+    fn push(cq: &mut CompletionQueue, cqe: Cqe) -> Vec<WqId> {
+        let mut woken = Vec::new();
+        cq.push_into(cqe, &mut woken);
+        woken
+    }
+
     fn cqe(idx: u64) -> Cqe {
         Cqe {
             wq: WqId(0),
@@ -169,8 +177,8 @@ mod tests {
     #[test]
     fn push_and_poll() {
         let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 4);
-        cq.push(cqe(0));
-        cq.push(cqe(1));
+        push(&mut cq, cqe(0));
+        push(&mut cq, cqe(1));
         assert_eq!(cq.total, 2);
         let polled = cq.poll(10);
         assert_eq!(polled.len(), 2);
@@ -184,7 +192,7 @@ mod tests {
     fn overrun_drops_entries_but_keeps_count() {
         let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 2);
         for i in 0..5 {
-            cq.push(cqe(i));
+            push(&mut cq, cqe(i));
         }
         assert!(cq.overrun);
         assert_eq!(cq.total, 5);
@@ -195,14 +203,14 @@ mod tests {
     fn waiters_release_at_threshold() {
         let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 16);
         // Already satisfied: park returns true and does not enqueue.
-        cq.push(cqe(0));
+        push(&mut cq, cqe(0));
         assert!(cq.park(WqId(1), 1));
         assert!(cq.waiters.is_empty());
 
         assert!(!cq.park(WqId(1), 3));
         assert!(!cq.park(WqId(2), 2));
-        assert!(cq.push(cqe(1)).contains(&WqId(2))); // total = 2
-        let woken = cq.push(cqe(2)); // total = 3
+        assert!(push(&mut cq, cqe(1)).contains(&WqId(2))); // total = 2
+        let woken = push(&mut cq, cqe(2)); // total = 3
         assert!(woken.contains(&WqId(1)));
         assert!(cq.waiters.is_empty());
     }
@@ -212,7 +220,7 @@ mod tests {
         let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 16);
         assert!(!cq.park(WqId(1), 1));
         assert!(!cq.park(WqId(2), 1));
-        let woken = cq.push(cqe(0));
+        let woken = push(&mut cq, cqe(0));
         assert_eq!(woken.len(), 2);
     }
 }

@@ -7,13 +7,14 @@
 //! order, no thread interleaving.
 //!
 //! The queue is a **hierarchical timing wheel**, not a binary heap: events
-//! within the near horizon land in unsorted per-tick buckets (sorted only
-//! when their bucket drains — O(1) schedule, cache-friendly drain) and
-//! far-future events sit in a sorted overflow level that cascades into the
-//! wheel as the cursor approaches. There is one wheel per simulator: a
-//! `Simulator` is single-threaded, and parallelism comes from running
-//! independent simulators side by side (one per shard, as the large
-//! `sim_events` sweep does). See DESIGN.md "Event engine".
+//! within the near horizon are chained, unsorted, from their tick's bucket
+//! head into one event slab (sorted only when their bucket drains — O(1)
+//! schedule, no allocation per bucket) and far-future events sit in a
+//! sorted overflow level that cascades into the wheel as the cursor
+//! approaches. There is one wheel per simulator: a `Simulator` is
+//! single-threaded, and parallelism comes from running independent
+//! simulators side by side (one per shard, as the large `sim_events` sweep
+//! does). See DESIGN.md "Event engine".
 
 use crate::cq::Cqe;
 use crate::ids::{CqId, NodeId, QpId, WqId};
@@ -133,26 +134,47 @@ fn bucket_of(at: Time) -> u64 {
     at.as_ps() >> BUCKET_SHIFT
 }
 
-/// The hierarchical wheel: unsorted near-future buckets plus a
-/// sorted overflow level. Invariants:
+/// "No node": the empty bucket head, free-list tail and chain terminator.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the wheel's event slab: a near-horizon event chained to the
+/// next event of its bucket, or a vacant slot chained into the free list.
+#[derive(Debug)]
+struct Node {
+    ev: Option<Event>,
+    next: u32,
+}
+
+/// The hierarchical wheel: near-future events live in one slab, chained
+/// per bucket from a `u32` head, plus a sorted overflow level. Nothing is
+/// allocated per bucket: the slab, `current` and `overflow` grow to the
+/// peak number of pending events and are reused from then on, so
+/// steady-state `schedule`/`pop` never calls the allocator and the wheel
+/// retains O(peak pending events) memory however many buckets the cursor
+/// has swept. Invariants:
 ///
-/// * events in `buckets` have absolute bucket index in
+/// * events chained from `heads` have absolute bucket index in
 ///   `[cursor, cursor + NUM_BUCKETS)`;
-/// * events in `current` (the bucket being drained, sorted descending so
-///   `Vec::pop` yields the earliest) order before everything in `buckets`;
+/// * events in `current` (the bucket being drained: `(at, seq, slab
+///   index)` sorted descending so `Vec::pop` yields the earliest) order
+///   before everything chained from `heads`;
 /// * events in `overflow` had bucket index `>= cursor + NUM_BUCKETS` when
-///   inserted and cascade into `buckets` as the cursor approaches —
+///   inserted and cascade into the slab as the cursor approaches —
 ///   always at least `NUM_BUCKETS` ticks before they could fire, so no
 ///   ordering is ever lost to the overflow level.
 #[derive(Debug, Default)]
 struct Wheel {
-    buckets: Vec<Vec<Event>>,
+    /// Slab index of each bucket's most recently scheduled event.
+    heads: Vec<u32>,
+    nodes: Vec<Node>,
+    /// Head of the LIFO chain of vacant `nodes` slots.
+    free: u32,
     /// Absolute bucket index of the next bucket to drain.
     cursor: u64,
     /// Sorted (descending) run of the bucket currently draining.
-    current: Vec<Event>,
+    current: Vec<(Time, u64, u32)>,
     overflow: BinaryHeap<Event>,
-    /// Events held in `buckets` (excludes `current` and `overflow`).
+    /// Events chained from `heads` (excludes `current` and `overflow`).
     near_len: usize,
     len: usize,
 }
@@ -160,9 +182,29 @@ struct Wheel {
 impl Wheel {
     fn new() -> Wheel {
         Wheel {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; NUM_BUCKETS],
+            free: NIL,
             ..Wheel::default()
         }
+    }
+
+    /// Store `ev` in a vacant slab slot chained to `next`.
+    fn alloc(&mut self, ev: Event, next: u32) -> u32 {
+        let node = Node { ev: Some(ev), next };
+        if self.free == NIL {
+            self.nodes.push(node);
+            return (self.nodes.len() - 1) as u32;
+        }
+        let idx = self.free;
+        self.free = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+        idx
+    }
+
+    /// Chain `ev` onto its near-horizon bucket.
+    fn link(&mut self, ev: Event) {
+        let slot = (bucket_of(ev.at) as usize) & (NUM_BUCKETS - 1);
+        self.heads[slot] = self.alloc(ev, self.heads[slot]);
+        self.near_len += 1;
     }
 
     fn insert(&mut self, ev: Event) {
@@ -172,13 +214,11 @@ impl Wheel {
             // Fires inside (or before) the bucket being drained — the
             // simulator only schedules at `>= now`, so this slots into the
             // current run. Keep it sorted descending.
-            let pos = self
-                .current
-                .partition_point(|e| (e.at, e.seq) > (ev.at, ev.seq));
-            self.current.insert(pos, ev);
+            let run = (ev.at, ev.seq, self.alloc(ev, NIL));
+            let pos = self.current.partition_point(|e| *e > run);
+            self.current.insert(pos, run);
         } else if b < self.cursor + NUM_BUCKETS as u64 {
-            self.buckets[(b as usize) & (NUM_BUCKETS - 1)].push(ev);
-            self.near_len += 1;
+            self.link(ev);
         } else {
             self.overflow.push(ev);
         }
@@ -187,13 +227,13 @@ impl Wheel {
     /// Cascade overflow events that now fall inside the near window.
     fn migrate(&mut self) {
         let limit = self.cursor + NUM_BUCKETS as u64;
-        while let Some(head) = self.overflow.peek() {
-            if bucket_of(head.at) >= limit {
-                break;
-            }
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|head| bucket_of(head.at) < limit)
+        {
             let ev = self.overflow.pop().expect("peeked");
-            self.buckets[(bucket_of(ev.at) as usize) & (NUM_BUCKETS - 1)].push(ev);
-            self.near_len += 1;
+            self.link(ev);
         }
     }
 
@@ -212,34 +252,39 @@ impl Wheel {
             self.cursor = bucket_of(self.overflow.peek().expect("non-empty").at);
         }
         self.migrate();
-        // A non-empty bucket exists within the window now.
-        loop {
+        // A non-empty bucket exists within the window now. (Slicing to
+        // the bucket count lets the scan index without bounds checks.)
+        let heads = &mut self.heads[..NUM_BUCKETS];
+        let mut idx = loop {
             let slot = (self.cursor as usize) & (NUM_BUCKETS - 1);
-            if !self.buckets[slot].is_empty() {
-                let mut run = std::mem::take(&mut self.buckets[slot]);
-                self.near_len -= run.len();
-                run.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-                self.current = run;
-                self.cursor += 1;
-                return;
-            }
             self.cursor += 1;
+            if heads[slot] != NIL {
+                break std::mem::replace(&mut heads[slot], NIL);
+            }
+        };
+        while idx != NIL {
+            let node = &self.nodes[idx as usize];
+            let ev = node.ev.as_ref().expect("chained slab slot");
+            self.current.push((ev.at, ev.seq, idx));
+            idx = node.next;
         }
+        self.near_len -= self.current.len();
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
     }
 
     fn pop(&mut self) -> Option<Event> {
         self.ensure_current();
-        let ev = self.current.pop();
-        if ev.is_some() {
-            self.len -= 1;
-        }
-        ev
+        let (_, _, idx) = self.current.pop()?;
+        let node = &mut self.nodes[idx as usize];
+        node.next = std::mem::replace(&mut self.free, idx);
+        self.len -= 1;
+        node.ev.take()
     }
 
     /// The next event's time without popping.
     fn peek_time(&mut self) -> Option<Time> {
         self.ensure_current();
-        self.current.last().map(|e| e.at)
+        self.current.last().map(|e| e.0)
     }
 }
 
@@ -481,6 +526,79 @@ mod tests {
             vec![Time::from_ns(10), Time::from_ms(1), Time::from_secs(2)]
         );
         assert!(q.is_empty());
+    }
+
+    /// xorshift64*, seeded per run so a failure names a replayable seed.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+    }
+
+    /// Random interleavings of `schedule`, `pop` and `peek_time` against
+    /// a `BinaryHeap` popping in `(at, seq)` order: times at, inside and
+    /// far beyond the 8.4 µs horizon and *earlier* than the bucket being
+    /// drained, with idle jumps and overflow cascades.
+    #[test]
+    fn wheel_matches_a_binary_heap_on_random_interleavings() {
+        const HORIZON_PS: u64 = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        for seed in 1..=200u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut q = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let (mut seq, mut popped) = (0u64, 0u64);
+            // Time of the last pop: the simulator never schedules before it.
+            let mut now = 0u64;
+            for step in 0..4_000 {
+                let ctx = |what: &str| format!("seed {seed}, step {step}: {what}");
+                match rng.below(10) {
+                    0..=5 => {
+                        let at = now
+                            + match rng.below(8) {
+                                0 => 0,
+                                1 => rng.below(1 << BUCKET_SHIFT),
+                                2..=4 => rng.below(HORIZON_PS),
+                                5 => HORIZON_PS - 1 + rng.below(3),
+                                6 => HORIZON_PS * (1 + rng.below(4)) + rng.below(HORIZON_PS),
+                                _ => rng.below(1_000 * HORIZON_PS),
+                            };
+                        q.schedule(Time::from_ps(at), EventKind::Callback { key: seq });
+                        reference.push(std::cmp::Reverse((at, seq)));
+                        seq += 1;
+                    }
+                    6 => {
+                        let want = reference.peek().map(|r| Time::from_ps(r.0 .0));
+                        assert_eq!(q.peek_time(), want, "{}", ctx("peek_time"));
+                    }
+                    _ => {
+                        let want = reference.pop().map(|r| r.0);
+                        let got = q.pop().map(|e| match e.kind {
+                            EventKind::Callback { key } => (e.at.as_ps(), e.seq, key),
+                            _ => unreachable!(),
+                        });
+                        assert_eq!(got, want.map(|(at, s)| (at, s, s)), "{}", ctx("pop"));
+                        if let Some((at, _)) = want {
+                            now = at;
+                            popped += 1;
+                        }
+                    }
+                }
+                assert_eq!(q.len(), reference.len(), "{}", ctx("len"));
+                assert_eq!(q.is_empty(), reference.is_empty(), "{}", ctx("is_empty"));
+                assert_eq!(q.processed(), popped, "{}", ctx("processed"));
+            }
+            while let Some(std::cmp::Reverse((at, s))) = reference.pop() {
+                let e = q
+                    .pop()
+                    .unwrap_or_else(|| panic!("seed {seed}: wheel drained early"));
+                assert_eq!((e.at.as_ps(), e.seq), (at, s), "seed {seed}: final drain");
+            }
+            assert!(q.pop().is_none(), "seed {seed}: wheel holds extra events");
+        }
     }
 
     #[test]

@@ -28,7 +28,15 @@ impl Simulator {
         cqe.time = self.now;
         let mut woken = std::mem::take(&mut self.woken_buf);
         woken.clear();
-        self.cqs[cq.index()].push_into(cqe, &mut woken);
+        let q = &mut self.cqs[cq.index()];
+        q.push_into(cqe, &mut woken);
+        // Ready set: a watched CQ is listed once until the host drains
+        // the list. The CQE was *pushed*; whether its value was placed is
+        // still for the host to read.
+        if q.watched && !q.ready {
+            q.ready = true;
+            self.ready_cqs.push(cq);
+        }
         self.trace.record(
             self.now,
             TraceEvent::Cqe {
@@ -330,6 +338,57 @@ mod tests {
             .unwrap();
         sim.run().unwrap();
         assert_eq!(sim.mem_read_u64(b, flag).unwrap(), 1);
+    }
+
+    #[test]
+    fn watched_cq_is_listed_once_per_drain_and_grows_nothing() {
+        let (mut sim, n) = solo();
+        let watched = sim.create_cq(n, 4).unwrap();
+        let plain = sim.create_cq(n, 4).unwrap();
+        let other = sim.create_cq(n, 4).unwrap();
+        let cqe = Cqe {
+            wq: WqId(0),
+            qp: crate::ids::QpId(0),
+            wqe_index: 0,
+            opcode: crate::verbs::Opcode::Noop,
+            status: CqeStatus::Success,
+            byte_len: 0,
+            imm: None,
+            time: Time::ZERO,
+        };
+        sim.watch_cq(watched);
+        sim.watch_cq(other);
+        sim.push_cqe(plain, cqe);
+        assert!(sim.ready_cqs.is_empty(), "an unwatched CQ records nothing");
+
+        // A watched CQ nobody drains: one entry, however many CQEs.
+        sim.push_cqe(watched, cqe);
+        let capacity = sim.ready_cqs.capacity();
+        for _ in 0..1_000_000 {
+            sim.push_cqe(watched, cqe);
+        }
+        assert_eq!(sim.ready_cqs, [watched]);
+        assert_eq!(sim.ready_cqs.capacity(), capacity);
+        assert_eq!(
+            sim.cqs[watched.index()].entries.len(),
+            4,
+            "CQ depth bounds it"
+        );
+        assert_eq!(sim.cq_total(watched), 1_000_001);
+
+        sim.push_cqe(other, cqe);
+        let mut ready = Vec::new();
+        sim.drain_ready_cqs(&mut ready);
+        assert_eq!(ready, [watched, other], "first-arrival order, each once");
+        ready.clear();
+        sim.drain_ready_cqs(&mut ready);
+        assert!(ready.is_empty(), "nothing new since the drain");
+
+        // The drain re-arms readiness.
+        sim.push_cqe(other, cqe);
+        sim.push_cqe(other, cqe);
+        sim.drain_ready_cqs(&mut ready);
+        assert_eq!(ready, [other]);
     }
 
     #[test]

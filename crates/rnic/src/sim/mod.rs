@@ -125,6 +125,9 @@ pub struct Simulator {
     woken_buf: Vec<WqId>,
     /// Reusable scratch for listener poll batches inside `on_notify`.
     notify_buf: Vec<Cqe>,
+    /// Watched CQs that received a CQE since the last
+    /// [`Simulator::drain_ready_cqs`] — each at most once.
+    ready_cqs: Vec<CqId>,
     trace: Trace,
 }
 
@@ -151,6 +154,7 @@ impl Simulator {
             buf_pool: BufPool::new(),
             woken_buf: Vec::new(),
             notify_buf: Vec::new(),
+            ready_cqs: Vec::new(),
             trace,
         }
     }

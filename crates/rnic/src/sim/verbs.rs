@@ -145,6 +145,26 @@ impl Simulator {
         self.cqs[cq.index()].poll_into(max, out)
     }
 
+    /// Watch `cq`: the first CQE pushed to a watched CQ after each
+    /// [`Simulator::drain_ready_cqs`] lists it once, so a host polling
+    /// many CQs visits only those with news. Readiness means *a CQE was
+    /// pushed* — the host still polls the CQ and reads the placed value
+    /// as before. An unwatched CQ pays one branch per CQE and records
+    /// nothing; the list (one per simulator) never outgrows the number
+    /// of watched CQs.
+    pub fn watch_cq(&mut self, cq: CqId) {
+        self.cqs[cq.index()].watched = true;
+    }
+
+    /// Append the watched CQs that received a CQE since the previous
+    /// call to `out`, in first-arrival order, and clear the list.
+    pub fn drain_ready_cqs(&mut self, out: &mut Vec<CqId>) {
+        for cq in &self.ready_cqs {
+            self.cqs[cq.index()].ready = false;
+        }
+        out.append(&mut self.ready_cqs);
+    }
+
     // ------------------------------------------------------------------
     // Host-side scheduling
     // ------------------------------------------------------------------

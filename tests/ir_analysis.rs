@@ -448,3 +448,73 @@ fn pass_report_carries_the_pool_high_water_mark() {
         pool.high_water()
     );
 }
+
+/// The deployment verifier at 32, 64 and 128 co-resident programs: the
+/// report still counts every pair, a real deployment stays clean, one
+/// duplicated program is caught against exactly its twin, and the cost
+/// grows with the number of spans, not with the number of pairs (the
+/// pairwise rules took 16× as long at 128 programs as at 32).
+#[test]
+fn deployment_verifier_scales_with_spans_not_pairs() {
+    use redn::kv::session::{Session, SessionOpts};
+    let (mut sim, client, server_node) = serving_rig();
+    let server = MemcachedServer::create(&mut sim, server_node, 4096, 64, ProcessId(0)).unwrap();
+    server.populate(&mut sim, 64).unwrap();
+    let mut ctx = OffloadCtx::builder(server_node)
+        .pool_capacity(1 << 24)
+        .build(&mut sim)
+        .unwrap();
+    let npus = sim.nic_config(server_node).pus_per_port;
+    let sessions: Vec<Session> = (0..128)
+        .map(|i| {
+            let opts = SessionOpts {
+                pipeline_depth: 4,
+                self_recycling: true,
+                port: i % 2,
+                pu_base: (i / 2 * 2) % npus,
+            };
+            let variant = HashGetVariant::Sequential;
+            Session::connect_get(&mut sim, &mut ctx, &server, client, variant, opts).unwrap()
+        })
+        .collect();
+    let verifier = |n: usize| {
+        let mut v = DeploymentVerifier::new(format!("{n} programs"));
+        for (i, s) in sessions[..n].iter().enumerate() {
+            let fp = s.service().footprint().expect("self-recycling");
+            v.add(fp.clone().named(format!("client {i}")));
+        }
+        v
+    };
+    let mut best_us = Vec::new();
+    for n in [32usize, 64, 128] {
+        let v = verifier(n);
+        let mut best = f64::INFINITY;
+        for _ in 0..5 {
+            let t0 = std::time::Instant::now();
+            let report = v.verify();
+            best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+            assert!(report.clean(), "{:?}", report.diagnostics);
+            assert_eq!((report.programs, report.checked), (n, n * (n - 1) / 2));
+        }
+        best_us.push(best);
+    }
+    assert!(
+        best_us[2] < 8.0 * best_us[0],
+        "verify grew quadratically: {best_us:?} us at 32/64/128 programs"
+    );
+
+    // A program deployed twice clashes with its twin and with nobody else.
+    let mut v = verifier(128);
+    let twin = sessions[17].service().footprint().unwrap();
+    v.add(twin.clone().named("twin"));
+    let report = v.verify();
+    assert_eq!(report.checked, 129 * 128 / 2);
+    assert!(!report.clean());
+    for d in &report.diagnostics {
+        assert!(
+            d.message.contains("client 17") && d.message.contains("twin"),
+            "{}",
+            d.message
+        );
+    }
+}
