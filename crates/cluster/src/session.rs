@@ -220,82 +220,85 @@ impl PutSession {
     /// send side. Does not step the simulator. Everything the NIC wrote
     /// (the immediate, the ack word, the request slot) is validated
     /// against the session's own table; a mismatch skips the CQE or
-    /// fails the put, never panics.
+    /// fails the put, never panics. A CQ with nothing to report costs
+    /// its poll and nothing else.
     pub fn reap(&mut self, sim: &mut Simulator) -> PutReap {
         let mut out = PutReap::default();
         let mut cqes = std::mem::take(&mut self.cqe_buf);
         cqes.clear();
-        sim.poll_cq_into(self.recv_cq, 64, &mut cqes);
-        for cqe in cqes.drain(..) {
-            if cqe.status != CqeStatus::Success {
-                continue;
-            }
-            let Some(slot) = cqe.imm.map(u64::from) else {
-                continue;
-            };
-            // The ack slot holds the acked seq; instance = seq - 1.
-            let seq = sim
-                .mem_read_u64(self.client, self.ack.addr + slot * 8)
-                .unwrap_or(0);
-            let Some(put) = self
-                .pending
-                .get_mut(slot as usize)
-                .and_then(|p| p.take_if(|p| p.instance.checked_add(1) == Some(seq)))
-            else {
-                continue;
-            };
-            // State-machine apply: the acked record (still in its
-            // request slot — the window frees it only below) goes
-            // into the shard's read index.
-            let rec_len = self.repl.record_len() as u64;
-            let value = sim.mem(self.client).read(
-                self.req.addr + slot * rec_len + 16,
-                u64::from(self.repl.value_len()),
-            );
-            match value {
-                Ok(value) => {
-                    self.value_buf.clear();
-                    self.value_buf.extend_from_slice(value);
-                    self.table
-                        .borrow_mut()
-                        .insert(sim, put.key, &self.value_buf)
-                        .expect("apply readable record")
-                        .then_some(())
-                        .expect("shard table full applying acked put");
-                    out.acks.push(PutAck {
+        if sim.poll_cq_into(self.recv_cq, 64, &mut cqes) > 0 {
+            for cqe in cqes.drain(..) {
+                if cqe.status != CqeStatus::Success {
+                    continue;
+                }
+                let Some(slot) = cqe.imm.map(u64::from) else {
+                    continue;
+                };
+                // The ack slot holds the acked seq; instance = seq - 1.
+                let seq = sim
+                    .mem_read_u64(self.client, self.ack.addr + slot * 8)
+                    .unwrap_or(0);
+                let Some(put) = self
+                    .pending
+                    .get_mut(slot as usize)
+                    .and_then(|p| p.take_if(|p| p.instance.checked_add(1) == Some(seq)))
+                else {
+                    continue;
+                };
+                // State-machine apply: the acked record (still in its
+                // request slot — the window frees it only below) goes
+                // into the shard's read index.
+                let rec_len = self.repl.record_len() as u64;
+                let value = sim.mem(self.client).read(
+                    self.req.addr + slot * rec_len + 16,
+                    u64::from(self.repl.value_len()),
+                );
+                match value {
+                    Ok(value) => {
+                        self.value_buf.clear();
+                        self.value_buf.extend_from_slice(value);
+                        self.table
+                            .borrow_mut()
+                            .insert(sim, put.key, &self.value_buf)
+                            .expect("apply readable record")
+                            .then_some(())
+                            .expect("shard table full applying acked put");
+                        out.acks.push(PutAck {
+                            instance: put.instance,
+                            seq,
+                            key: put.key,
+                            at: cqe.time,
+                        });
+                    }
+                    Err(_) => out.failures.push(PutFailure {
                         instance: put.instance,
-                        seq,
                         key: put.key,
+                        status: CqeStatus::ProtectionError,
+                        at: cqe.time,
+                    }),
+                }
+                self.repl.complete_instance();
+            }
+        }
+        if sim.poll_cq_into(self.send_cq, 64, &mut cqes) > 0 {
+            for cqe in cqes.drain(..) {
+                if cqe.status == CqeStatus::Success {
+                    continue;
+                }
+                let failed = self
+                    .pending
+                    .iter_mut()
+                    .find(|p| p.is_some_and(|p| p.wqe_index == cqe.wqe_index))
+                    .and_then(Option::take);
+                if let Some(put) = failed {
+                    out.failures.push(PutFailure {
+                        instance: put.instance,
+                        key: put.key,
+                        status: cqe.status,
                         at: cqe.time,
                     });
+                    self.repl.complete_instance();
                 }
-                Err(_) => out.failures.push(PutFailure {
-                    instance: put.instance,
-                    key: put.key,
-                    status: CqeStatus::ProtectionError,
-                    at: cqe.time,
-                }),
-            }
-            self.repl.complete_instance();
-        }
-        sim.poll_cq_into(self.send_cq, 64, &mut cqes);
-        for cqe in cqes.drain(..) {
-            if cqe.status == CqeStatus::Success {
-                continue;
-            }
-            let failed = self
-                .pending
-                .iter_mut()
-                .find(|p| p.is_some_and(|p| p.wqe_index == cqe.wqe_index))
-                .and_then(Option::take);
-            if let Some(put) = failed {
-                out.failures.push(PutFailure {
-                    instance: put.instance,
-                    key: put.key,
-                    status: cqe.status,
-                    at: cqe.time,
-                });
-                self.repl.complete_instance();
             }
         }
         self.cqe_buf = cqes;
@@ -388,6 +391,11 @@ impl ClusterSession {
                 cluster.spec.value_len,
             )?;
             puts.push(PutSession::connect(sim, cluster, s, &[journal], 0)?);
+        }
+        // Each shard's pool lent its programs one working set; they are
+        // all up.
+        for shard in &mut cluster.shards {
+            shard.ctx.pool_mut().release_scratch();
         }
         // Tenant isolation across the whole deployment: every shard node
         // co-hosts its own get offload(s) and replication chain, and

@@ -32,7 +32,7 @@ use rnic_sim::wqe::{SGE_SIZE, WQE_SIZE};
 use super::{Diagnostic, Rule};
 use crate::encode::WqeField;
 use crate::ir::verify::PatchMap;
-use crate::ir::{CId, ConstSpec, IrProgram, Kind, Loc, OpId, QueueSlot, SgeSpec};
+use crate::ir::{CId, ConstSpec, IrProgram, Kind, Loc, OpId, OpName, QueueSlot, SgeSpec};
 
 /// Byte extent of a constant's pool cell.
 fn const_extent(p: &IrProgram, c: CId) -> u64 {
@@ -61,7 +61,28 @@ fn queue_nodes(p: &IrProgram, sim: &Simulator, qi: usize) -> (NodeId, Option<Nod
     }
 }
 
+/// Who performs an access, as a diagnostic names it. `Copy` data until a
+/// diagnostic is actually emitted: proving a clean program formats
+/// nothing.
+#[derive(Clone, Copy)]
+enum Who {
+    Op(OpName),
+    SgeTable(usize),
+    Scatter(usize),
+}
+
+impl std::fmt::Display for Who {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Who::Op(op) => op.fmt(f),
+            Who::SgeTable(c) => write!(f, "SGE table c{c}"),
+            Who::Scatter(s) => write!(f, "external scatter s{s}"),
+        }
+    }
+}
+
 /// One symbolic access an op performs.
+#[derive(Clone, Copy)]
 struct Access<'a> {
     loc: &'a Loc,
     len: u64,
@@ -70,60 +91,43 @@ struct Access<'a> {
     what: &'static str,
 }
 
-fn accesses_of<'a>(p: &'a IrProgram, op: OpId) -> Vec<Access<'a>> {
+/// The (at most two) accesses of `op`, local side first.
+fn accesses_of(p: &IrProgram, op: OpId) -> [Option<Access<'_>>; 2] {
+    let access = |loc, len, local, what| {
+        Some(Access {
+            loc,
+            len,
+            local,
+            what,
+        })
+    };
     match &p.op(op).kind {
-        Kind::Write { src, len, dst, .. } => vec![
-            Access {
-                loc: src,
-                len: *len as u64,
-                local: true,
-                what: "gather source",
-            },
-            Access {
-                loc: dst,
-                len: *len as u64,
-                local: false,
-                what: "scatter destination",
-            },
+        Kind::Write { src, len, dst, .. } => [
+            access(src, *len as u64, true, "gather source"),
+            access(dst, *len as u64, false, "scatter destination"),
         ],
-        Kind::Read { dst, len, src } => vec![
-            Access {
-                loc: dst,
-                len: *len as u64,
-                local: true,
-                what: "READ sink",
-            },
-            Access {
-                loc: src,
-                len: *len as u64,
-                local: false,
-                what: "READ source",
-            },
+        Kind::Read { dst, len, src } => [
+            access(dst, *len as u64, true, "READ sink"),
+            access(src, *len as u64, false, "READ source"),
         ],
-        // ReadSgl's source length is the sum of its table's entries —
-        // resolved separately in `analyze`.
-        Kind::ReadSgl { .. } => Vec::new(),
         Kind::CasRaw { target, .. }
         | Kind::FetchAdd { target, .. }
-        | Kind::MaxOf { target, .. } => {
-            vec![Access {
-                loc: target,
-                len: 8,
-                local: false,
-                what: "atomic target",
-            }]
-        }
-        _ => Vec::new(),
+        | Kind::MaxOf { target, .. } => [access(target, 8, false, "atomic target"), None],
+        // ReadSgl's source length is the sum of its table's entries —
+        // resolved separately in `analyze`.
+        _ => [None, None],
     }
 }
 
 /// Check one symbolic access; returns whether a check was performed.
+/// Offsets, lengths and addresses are program constants: an end that
+/// does not fit `u64` is out of bounds (and is printed saturated).
 #[allow(clippy::too_many_arguments)]
 fn check_access(
     p: &IrProgram,
     sim: &Simulator,
-    who: &str,
-    a: &Access<'_>,
+    who: Who,
+    a: Access<'_>,
     local_node: NodeId,
     remote_node: Option<NodeId>,
     skip_raw: bool,
@@ -132,7 +136,7 @@ fn check_access(
     match a.loc {
         Loc::Const { c, off } => {
             let extent = const_extent(p, *c);
-            if off + a.len > extent {
+            if off.checked_add(a.len).is_none_or(|end| end > extent) {
                 out.push(Diagnostic {
                     rule: Rule::OutOfBounds,
                     message: format!(
@@ -140,7 +144,7 @@ fn check_access(
                          cell (offset {} + length {})",
                         who,
                         a.what,
-                        off + a.len,
+                        off.saturating_add(a.len),
                         extent,
                         off,
                         a.len
@@ -151,13 +155,13 @@ fn check_access(
         }
         Loc::Field { op, field, off } => {
             let tq = p.ops[op.0].queue;
-            let Some(pos) = p.queue_ops[tq.0].iter().position(|x| x == op) else {
+            let Some(pos) = p.pos_of(*op) else {
                 return false; // unplaced; the verifier's structural check owns this
             };
             // The slot plus every contiguous trailing slot staged behind
             // the target on the same queue.
             let avail = ((p.queue_ops[tq.0].len() - pos) as u64 * WQE_SIZE)
-                .saturating_sub(field.offset() + off);
+                .saturating_sub(field.offset().saturating_add(*off));
             if a.len > avail {
                 out.push(Diagnostic {
                     rule: Rule::OutOfBounds,
@@ -167,7 +171,7 @@ fn check_access(
                         who,
                         a.what,
                         a.len,
-                        p.label_of(*op),
+                        p.name_of(*op),
                         avail,
                         tq.0
                     ),
@@ -188,7 +192,8 @@ fn check_access(
             let Some(r) = sim.mr_by_key(node, *key, !a.local) else {
                 return false; // key not registered there (a later-connected peer)
             };
-            if *addr < r.addr || addr + a.len > r.addr + r.len {
+            let end = addr.checked_add(a.len);
+            if *addr < r.addr || end.is_none_or(|end| end > r.addr + r.len) {
                 out.push(Diagnostic {
                     rule: Rule::OutOfBounds,
                     message: format!(
@@ -197,7 +202,7 @@ fn check_access(
                         who,
                         a.what,
                         addr,
-                        addr + a.len,
+                        end.unwrap_or(u64::MAX),
                         r.addr,
                         r.addr + r.len,
                         key,
@@ -221,8 +226,8 @@ fn check_post_patch(
 ) -> usize {
     let mut checked = 0;
     for e in &pm.edges {
-        let Some(pw) = e.patcher else { continue };
-        if p.ops[pw.0].op.is_none() || p.ops[e.target.0].op.is_none() {
+        let Some(pw) = e.patcher() else { continue };
+        if p.ops[pw.0].op.is_none() || p.ops[e.target().0].op.is_none() {
             continue;
         }
         let Kind::Write { src, len, dst, .. } = &p.op(pw).kind else {
@@ -243,7 +248,10 @@ fn check_post_patch(
         let ConstSpec::Bytes(bytes) = &p.consts[c.0] else {
             continue; // only literal constants fold
         };
-        let Some(window) = bytes.get(*off as usize..*off as usize + 8) else {
+        let window = usize::try_from(*off)
+            .ok()
+            .and_then(|at| bytes.get(at..at.checked_add(8)?));
+        let Some(window) = window else {
             continue; // extent diagnostic already emitted by the direct check
         };
         let new_addr = u64::from_le_bytes(window.try_into().expect("8 bytes"));
@@ -280,15 +288,16 @@ fn check_post_patch(
             continue;
         };
         checked += 1;
-        if new_addr < r.addr || new_addr + tlen > r.addr + r.len {
+        let end = new_addr.checked_add(tlen);
+        if new_addr < r.addr || end.is_none_or(|end| end > r.addr + r.len) {
             out.push(Diagnostic {
                 rule: Rule::OutOfBounds,
                 message: format!(
                     "out-of-bounds post-patch WRITE: {} patches {}'s RemoteAddr to \
                      0x{:x}, but the target's {}-byte access then overruns region \
                      [0x{:x}..0x{:x}) (key {}) on node {}",
-                    p.label_of(pw),
-                    p.label_of(*t),
+                    p.name_of(pw),
+                    p.name_of(*t),
                     new_addr,
                     tlen,
                     r.addr,
@@ -313,10 +322,10 @@ pub(crate) fn analyze(
     for (qi, ops) in p.queue_ops.iter().enumerate() {
         let (local_node, remote_node) = queue_nodes(p, sim, qi);
         for id in ops {
-            let who = p.label_of(*id);
+            let who = Who::Op(p.name_of(*id));
             let skip_raw = pm.is_target(*id);
-            for a in accesses_of(p, *id) {
-                if check_access(p, sim, &who, &a, local_node, remote_node, skip_raw, out) {
+            for a in accesses_of(p, *id).into_iter().flatten() {
+                if check_access(p, sim, who, a, local_node, remote_node, skip_raw, out) {
                     checked += 1;
                 }
             }
@@ -349,7 +358,7 @@ pub(crate) fn analyze(
                         local: false,
                         what: "READ source",
                     };
-                    if check_access(p, sim, &who, &a, local_node, remote_node, skip_raw, out) {
+                    if check_access(p, sim, who, a, local_node, remote_node, skip_raw, out) {
                         checked += 1;
                     }
                 }
@@ -359,7 +368,7 @@ pub(crate) fn analyze(
     // SGE tables and external scatter lists land bytes at run time:
     // every entry target must be in-bounds too. (Raw entry targets are
     // client/trigger-side; only symbolic ones are provable here.)
-    let mut check_entries = |entries: &[SgeSpec], who: &str, out: &mut Vec<Diagnostic>| {
+    let mut check_entries = |entries: &[SgeSpec], who: Who, out: &mut Vec<Diagnostic>| {
         for e in entries {
             let a = Access {
                 loc: &e.target,
@@ -368,7 +377,7 @@ pub(crate) fn analyze(
                 what: "scatter entry",
             };
             if matches!(e.target, Loc::Const { .. } | Loc::Field { .. })
-                && check_access(p, sim, who, &a, NodeId(0), None, true, out)
+                && check_access(p, sim, who, a, NodeId(0), None, true, out)
             {
                 checked += 1;
             }
@@ -376,11 +385,11 @@ pub(crate) fn analyze(
     };
     for (ci, c) in p.consts.iter().enumerate() {
         if let ConstSpec::Sges(entries) = c {
-            check_entries(entries, &format!("SGE table c{}", ci), out);
+            check_entries(entries, Who::SgeTable(ci), out);
         }
     }
     for (si, entries) in p.scatters.iter().enumerate() {
-        check_entries(entries, &format!("external scatter s{}", si), out);
+        check_entries(entries, Who::Scatter(si), out);
     }
     checked += check_post_patch(p, sim, pm, out);
     checked

@@ -52,33 +52,40 @@ pub(crate) struct HbStats {
     pub(crate) edges: usize,
 }
 
-fn issue(op: OpId) -> usize {
-    op.0 * 2
+fn issue(op: OpId) -> u32 {
+    op.0 as u32 * 2
 }
 
-fn complete(op: OpId) -> usize {
-    op.0 * 2 + 1
+fn complete(op: OpId) -> u32 {
+    op.0 as u32 * 2 + 1
 }
 
-struct Graph {
-    adj: Vec<Vec<(usize, Edge)>>,
-    edges: usize,
+/// The HB graph and the search's working memory, all flat and all reused
+/// from one program to the next. The graph is two CSR arrays (`start`,
+/// `adj`), filled by emitting the edges twice — once to count every
+/// node's out-degree, once to place — so every node's out-edges sit in
+/// emission order and the search, and with it which cycle is reported
+/// first, does not depend on the layout.
+#[derive(Default)]
+pub(crate) struct Graph {
+    /// Node `u`'s out-edges are `adj[start[u]..start[u + 1]]`.
+    start: Vec<u32>,
+    adj: Vec<(u32, Edge)>,
+    /// Ascending `(queue, horizon, the ENABLE raising it)`.
+    horizons: Vec<(usize, usize, OpId)>,
+    /// DFS colors: 0 = white, 1 = on stack, 2 = done.
+    color: Vec<u8>,
+    /// DFS stack: `(node, next out-edge, edge kind that led here)`.
+    stack: Vec<(u32, u32, Edge)>,
 }
 
-impl Graph {
-    fn add(&mut self, from: usize, to: usize, kind: Edge) {
-        self.adj[from].push((to, kind));
-        self.edges += 1;
-    }
-}
-
-/// Build the HB graph and report the first cycle (if any).
-pub(crate) fn analyze(p: &IrProgram, pm: &PatchMap, out: &mut Vec<Diagnostic>) -> HbStats {
-    let n = p.ops.len() * 2;
-    let mut g = Graph {
-        adj: vec![Vec::new(); n],
-        edges: 0,
-    };
+/// Emit every HB edge of `p` as `(from, to, kind)`, in a fixed order.
+fn for_each_edge(
+    p: &IrProgram,
+    pm: &PatchMap,
+    horizons: &[(usize, usize, OpId)],
+    mut edge: impl FnMut(u32, u32, Edge),
+) {
     let ring = match p.mode {
         Mode::Recycled { ring } => Some(ring),
         Mode::Linear => None,
@@ -88,25 +95,25 @@ pub(crate) fn analyze(p: &IrProgram, pm: &PatchMap, out: &mut Vec<Diagnostic>) -
         for (pos, id) in ops.iter().enumerate() {
             let op = p.op(*id);
             // An op completes after it issues.
-            g.add(issue(*id), complete(*id), Edge::Program);
+            edge(issue(*id), complete(*id), Edge::Program);
             if pos > 0 {
                 let prev = ops[pos - 1];
                 // One QP issues its WQEs in order and posts CQEs in order.
-                g.add(issue(prev), issue(*id), Edge::Program);
-                g.add(complete(prev), complete(*id), Edge::Program);
+                edge(issue(prev), issue(*id), Edge::Program);
+                edge(complete(prev), complete(*id), Edge::Program);
                 // A WAIT parks the queue: nothing behind it issues until
                 // its threshold is met.
                 if matches!(p.op(prev).kind, Kind::Wait(_)) {
-                    g.add(complete(prev), issue(*id), Edge::Wait);
+                    edge(complete(prev), issue(*id), Edge::Wait);
                 }
                 if op.wait_prev {
-                    g.add(complete(prev), issue(*id), Edge::Fence);
+                    edge(complete(prev), issue(*id), Edge::Fence);
                 }
             }
             // OpDone thresholds order completions across queues.
             if let Kind::Wait(WaitCond::OpDonePosted(x) | WaitCond::OpDoneSignaled(x)) = &op.kind {
                 if p.ops[x.0].op.is_some() {
-                    g.add(complete(*x), complete(*id), Edge::Wait);
+                    edge(complete(*x), complete(*id), Edge::Wait);
                 }
             }
         }
@@ -114,30 +121,27 @@ pub(crate) fn analyze(p: &IrProgram, pm: &PatchMap, out: &mut Vec<Diagnostic>) -
 
     // ENABLE releases: a managed op issues only once the first covering
     // horizon is raised. "First" = the ENABLE with the smallest horizon
-    // past the op (exactly the one that releases it when horizons rise
-    // monotonically, as the PR 5 verifier's rule 3 enforces for rings).
-    let mut horizons: Vec<Vec<(usize, OpId)>> = vec![Vec::new(); p.queues.len()];
-    for (i, rec) in p.ops.iter().enumerate() {
-        let Some(op) = rec.op.as_ref() else { continue };
-        if let Kind::Enable(EnableTarget::OpsThrough(t)) = &op.kind {
-            let tq = p.ops[t.0].queue;
-            if let Some(pos) = p.queue_ops[tq.0].iter().position(|x| x == t) {
-                horizons[tq.0].push((pos + 1, OpId(i)));
-            }
-        }
-    }
-    for (qi, hs) in horizons.iter().enumerate() {
+    // past the op, the lowest op id among equals (exactly the one that
+    // releases it when horizons rise monotonically, as the PR 5
+    // verifier's rule 3 enforces for rings). `horizons` is sorted, so
+    // each next op's releaser is found by moving one cursor forward.
+    let mut next = 0;
+    for (qi, ops) in p.queue_ops.iter().enumerate() {
         let q = QId(qi);
+        let first = next;
+        while horizons.get(next).is_some_and(|h| h.0 == qi) {
+            next += 1;
+        }
         if Some(q) == ring || !p.queues[qi].managed() || p.external_enable.contains(&q) {
             continue; // the ring self-enables; doorbells and host enables are external
         }
-        for (pos, id) in p.queue_ops[qi].iter().enumerate() {
-            let releaser = hs
-                .iter()
-                .filter(|(h, _)| *h > pos)
-                .min_by_key(|(h, e)| (*h, e.0));
-            if let Some((_, e)) = releaser {
-                g.add(complete(*e), issue(*id), Edge::Release);
+        let mut at = first;
+        for (pos, id) in ops.iter().enumerate() {
+            while at < next && horizons[at].1 <= pos {
+                at += 1;
+            }
+            if at < next {
+                edge(complete(horizons[at].2), issue(*id), Edge::Release);
             }
         }
     }
@@ -147,60 +151,98 @@ pub(crate) fn analyze(p: &IrProgram, pm: &PatchMap, out: &mut Vec<Diagnostic>) -
     // journal-pointer FETCH_ADD), which is not a same-round ordering.
     if ring.is_none() {
         for e in &pm.edges {
-            if let Some(patcher) = e.patcher {
-                if p.ops[e.target.0].op.is_some() && p.ops[patcher.0].op.is_some() {
-                    g.add(complete(patcher), issue(e.target), Edge::Patch);
+            if let Some(patcher) = e.patcher() {
+                if p.ops[e.target().0].op.is_some() && p.ops[patcher.0].op.is_some() {
+                    edge(complete(patcher), issue(e.target()), Edge::Patch);
                 }
             }
         }
     }
+}
 
-    let stats = HbStats {
-        nodes: n,
-        edges: g.edges,
-    };
-    if let Some(cycle) = find_cycle(&g) {
+/// Build the HB graph in `g` and report the first cycle (if any).
+pub(crate) fn analyze(
+    p: &IrProgram,
+    pm: &PatchMap,
+    g: &mut Graph,
+    out: &mut Vec<Diagnostic>,
+) -> HbStats {
+    let n = p.ops.len() * 2;
+    g.horizons.clear();
+    for (i, rec) in p.ops.iter().enumerate() {
+        let Some(op) = rec.op.as_ref() else { continue };
+        if let Kind::Enable(EnableTarget::OpsThrough(t)) = &op.kind {
+            if let Some(pos) = p.pos_of(*t) {
+                g.horizons.push((p.ops[t.0].queue.0, pos + 1, OpId(i)));
+            }
+        }
+    }
+    g.horizons.sort_unstable();
+
+    // Count, prefix-sum, place: `start[u]` is node `u`'s fill cursor
+    // during placement and is shifted back down one node afterwards.
+    g.start.clear();
+    g.start.resize(n + 1, 0);
+    for_each_edge(p, pm, &g.horizons, |from, _, _| {
+        g.start[from as usize + 1] += 1;
+    });
+    for u in 0..n {
+        g.start[u + 1] += g.start[u];
+    }
+    let edges = g.start[n] as usize;
+    g.adj.clear();
+    g.adj.resize(edges, (0, Edge::Program));
+    for_each_edge(p, pm, &g.horizons, |from, to, kind| {
+        let at = &mut g.start[from as usize];
+        g.adj[*at as usize] = (to, kind);
+        *at += 1;
+    });
+    g.start.copy_within(0..n, 1);
+    g.start[0] = 0;
+
+    if let Some(cycle) = find_cycle(g) {
         out.push(report_cycle(p, &cycle));
     }
-    stats
+    HbStats { nodes: n, edges }
 }
 
 /// Iterative colored DFS; returns the first cycle as `(node, edge kind
 /// taken out of it)` pairs in traversal order.
-fn find_cycle(g: &Graph) -> Option<Vec<(usize, Edge)>> {
-    let n = g.adj.len();
-    // 0 = white, 1 = on stack, 2 = done.
-    let mut color = vec![0u8; n];
-    for start in 0..n {
-        if color[start] != 0 {
+fn find_cycle(g: &mut Graph) -> Option<Vec<(usize, Edge)>> {
+    let n = g.start.len() - 1;
+    g.color.clear();
+    g.color.resize(n, 0);
+    for root in 0..n as u32 {
+        if g.color[root as usize] != 0 {
             continue;
         }
-        // (node, next out-edge index, edge kind that led here)
-        let mut stack: Vec<(usize, usize, Edge)> = vec![(start, 0, Edge::Program)];
-        color[start] = 1;
-        while let Some(top) = stack.last_mut() {
-            let (u, i) = (top.0, top.1);
-            if i >= g.adj[u].len() {
-                color[u] = 2;
-                stack.pop();
+        g.stack.clear();
+        g.stack.push((root, g.start[root as usize], Edge::Program));
+        g.color[root as usize] = 1;
+        while let Some(top) = g.stack.last_mut() {
+            let (u, i) = (top.0 as usize, top.1);
+            if i >= g.start[u + 1] {
+                g.color[u] = 2;
+                g.stack.pop();
                 continue;
             }
             top.1 += 1;
-            let (v, kind) = g.adj[u][i];
-            match color[v] {
+            let (v, kind) = g.adj[i as usize];
+            match g.color[v as usize] {
                 0 => {
-                    color[v] = 1;
-                    stack.push((v, 0, kind));
+                    g.color[v as usize] = 1;
+                    g.stack.push((v, g.start[v as usize], kind));
                 }
                 1 => {
                     // Cycle: v .. u on the stack, closed by (u → v, kind).
+                    let stack = &g.stack;
                     let from = stack.iter().position(|&(x, ..)| x == v).expect("on stack");
                     let mut cycle: Vec<(usize, Edge)> = Vec::new();
                     for w in from..stack.len() {
                         // The edge *out of* stack[w] is the one that led
                         // to stack[w + 1] (or the closing edge for u).
                         let out_kind = stack.get(w + 1).map(|&(.., k)| k).unwrap_or(kind);
-                        cycle.push((stack[w].0, out_kind));
+                        cycle.push((stack[w].0 as usize, out_kind));
                     }
                     return Some(cycle);
                 }
@@ -214,7 +256,7 @@ fn find_cycle(g: &Graph) -> Option<Vec<(usize, Edge)>> {
 fn report_cycle(p: &IrProgram, cycle: &[(usize, Edge)]) -> Diagnostic {
     let mut labels: Vec<String> = Vec::new();
     for (node, _) in cycle {
-        let l = p.label_of(OpId(node / 2));
+        let l = p.name_of(OpId(node / 2)).to_string();
         if labels.last() != Some(&l) {
             labels.push(l);
         }
@@ -285,7 +327,7 @@ pub(crate) fn induction(p: &IrProgram, out: &mut Vec<Diagnostic>) {
                             "recycled induction failure: {} advances queue q{}'s horizon \
                              by {} per round, but the queue re-executes {} ops per round \
                              — after one cycle the horizon is {} the ops it must release",
-                            p.label_of(*id),
+                            p.name_of(*id),
                             tq.0,
                             d,
                             per_round,
@@ -318,7 +360,7 @@ pub(crate) fn induction(p: &IrProgram, out: &mut Vec<Diagnostic>) {
                              threshold by {} per round, but one round completes {} \
                              signaled ops on that CQ — round 2 waits on a count the \
                              ring {} reach",
-                            p.label_of(*id),
+                            p.name_of(*id),
                             d,
                             signaled_per_round,
                             if d > signaled_per_round {

@@ -215,12 +215,12 @@ pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footp
                 what: SpanKind::RecycledRing,
             });
         } else {
-            for (pos, id) in ops.iter().enumerate() {
+            for id in ops {
                 fp.rings.push(Span {
                     space: Space::Node(q.node),
                     addr: res.op_slot[id.0].expect("lowered"),
                     len: rnic_sim::wqe::WQE_SIZE,
-                    what: SpanKind::Slot(p.name_at(*id, Some(pos))),
+                    what: SpanKind::Slot(p.name_of(*id)),
                 });
             }
         }
@@ -230,8 +230,8 @@ pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footp
         if !fp.owned_sqs.contains(&q.sq) {
             fp.owned_sqs.push(q.sq);
         }
-        for (pos, id) in ops.iter().enumerate() {
-            let who = p.name_at(*id, Some(pos));
+        for id in ops {
+            let who = p.name_of(*id);
             match &p.op(*id).kind {
                 Kind::Write { len, dst, .. } => {
                     fp.writes.extend(span_of(
@@ -286,6 +286,14 @@ pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footp
     // Waits on own CQs are self-pacing, not cross-program thresholds.
     fp.wait_cqs.retain(|cq| !fp.owned_cqs.contains(cq));
     fp.enable_sqs.retain(|sq| !fp.owned_sqs.contains(sq));
+    // A serving frame keeps its footprint for as long as it serves:
+    // hand it over without the lists' growth slack.
+    fp.writes.shrink_to_fit();
+    fp.rings.shrink_to_fit();
+    fp.owned_cqs.shrink_to_fit();
+    fp.wait_cqs.shrink_to_fit();
+    fp.owned_sqs.shrink_to_fit();
+    fp.enable_sqs.shrink_to_fit();
     fp
 }
 
@@ -520,6 +528,12 @@ enum Clash {
 /// would meet them. Sorting hits sorts the diagnostics.
 type Hit = (usize, usize, Clash, usize, usize);
 
+/// The diagnostics golden's reader/writer, shared with the integration
+/// tests.
+#[cfg(test)]
+#[path = "../../../../../tests/common/mod.rs"]
+mod golden;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,15 +722,21 @@ mod tests {
         }
     }
 
+    /// Two to eight random co-resident footprints.
+    fn random_deployment(seed: u64) -> DeploymentVerifier {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut v = DeploymentVerifier::new("random");
+        for prog in 0..2 + rng.below(7) as usize {
+            v.add(random_footprint(&mut rng, prog));
+        }
+        v
+    }
+
     #[test]
     fn sweep_reports_exactly_what_the_pairwise_rules_report() {
         let mut dirty = 0;
         for seed in 1..=1000u64 {
-            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut v = DeploymentVerifier::new("random");
-            for prog in 0..2 + rng.below(7) as usize {
-                v.add(random_footprint(&mut rng, prog));
-            }
+            let v = random_deployment(seed);
             let report = v.verify();
             let got: Vec<String> = report.diagnostics.into_iter().map(|d| d.message).collect();
             let want = pairwise(&v);
@@ -726,6 +746,22 @@ mod tests {
             dirty += usize::from(!want.is_empty());
         }
         assert!(dirty > 500, "the generator must produce clashes: {dirty}");
+    }
+
+    /// The full text of the first seeds' clashes, pinned in the shared
+    /// diagnostics golden (generated at the parent commit).
+    #[test]
+    fn seeded_clashes_read_as_they_did_at_the_parent() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/analysis_diagnostics.txt"
+        );
+        for seed in 1..=6u64 {
+            let report = random_deployment(seed).verify();
+            let lines: Vec<String> = report.diagnostics.into_iter().map(|d| d.message).collect();
+            let key = format!("interference::seed_{seed}");
+            golden::check_diagnostic(path, &key, &lines.join("\n"));
+        }
     }
 
     #[test]

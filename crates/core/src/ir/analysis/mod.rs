@@ -181,21 +181,10 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// Run the per-program pass suite (happens-before + recycled induction +
 /// symbolic bounds) over a program that has not been lowered yet.
 pub fn analyze(p: &IrProgram, sim: &Simulator, subject: &str) -> AnalysisReport {
-    analyze_with(p, &verify::patch_map(p), sim, subject)
-}
-
-/// As [`analyze`], over a precomputed patch map (deploy shares one map
-/// between the verifier, the analyzer, and the optimizer).
-pub(crate) fn analyze_with(
-    p: &IrProgram,
-    pm: &PatchMap,
-    sim: &Simulator,
-    subject: &str,
-) -> AnalysisReport {
     let mut diagnostics = Vec::new();
-    let stats = hb::analyze(p, pm, &mut diagnostics);
-    hb::induction(p, &mut diagnostics);
-    let checked = bounds::analyze(p, pm, sim, &mut diagnostics);
+    let pm = verify::patch_map(p);
+    let mut graph = hb::Graph::default();
+    let (stats, checked) = run_passes(p, &pm, &mut graph, sim, &mut diagnostics);
     AnalysisReport {
         subject: subject.to_string(),
         programs: 1,
@@ -207,11 +196,33 @@ pub(crate) fn analyze_with(
     }
 }
 
+/// The three passes, over a precomputed patch map (deploy shares one
+/// map between the verifier, the analyzer, and the optimizer) and a
+/// reusable happens-before workspace. Returns the HB graph's size and
+/// the number of accesses proven.
+fn run_passes(
+    p: &IrProgram,
+    pm: &PatchMap,
+    graph: &mut hb::Graph,
+    sim: &Simulator,
+    out: &mut Vec<Diagnostic>,
+) -> (hb::HbStats, usize) {
+    let stats = hb::analyze(p, pm, graph, out);
+    hb::induction(p, out);
+    (stats, bounds::analyze(p, pm, sim, out))
+}
+
 /// Deploy-time gate: the first diagnostic is a hard error, exactly like
-/// the PR 5 verifier's rules.
-pub(crate) fn check(p: &IrProgram, pm: &PatchMap, sim: &Simulator) -> Result<()> {
-    let report = analyze_with(p, pm, sim, "deploy");
-    match report.diagnostics.into_iter().next() {
+/// the PR 5 verifier's rules. A clean program allocates nothing here.
+pub(crate) fn check(
+    p: &IrProgram,
+    pm: &PatchMap,
+    graph: &mut hb::Graph,
+    sim: &Simulator,
+) -> Result<()> {
+    let mut diagnostics = Vec::new();
+    run_passes(p, pm, graph, sim, &mut diagnostics);
+    match diagnostics.into_iter().next() {
         Some(d) => Err(Error::Verifier(format!(
             "analysis[{}]: {}",
             d.rule.name(),

@@ -35,12 +35,12 @@ use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::CqId;
 use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::{Opcode, VerbClass};
-use rnic_sim::wqe::{WorkRequest, FLAG_SIGNALED, FLAG_WAIT_PREV, ID_MASK, WQE_SIZE};
+use rnic_sim::wqe::{WorkRequest, FLAG_SIGNALED, FLAG_WAIT_PREV, ID_MASK};
 
 use super::analysis::Footprint;
 use super::verify::PatchMap;
 use super::{
-    ConstInterner, ConstSpec, DeployOpts, EnableTarget, IrProgram, Kind, Loc, Mode, OpId,
+    ConstInterner, ConstSpec, DeployOpts, EnableTarget, ImageWqe, IrProgram, Kind, Loc, Mode, OpId,
     PassReport, QId, QueueSlot, Resolution, ScatterId, SgeSpec, VerbCounts, WaitCond,
 };
 use crate::constructs::loops::RecycledLoop;
@@ -98,6 +98,13 @@ impl Lowered {
         &self.footprint
     }
 
+    /// The footprint by value, for a caller done with everything else
+    /// the lowering produced (a serving frame keeps only this, the
+    /// report and the ring).
+    pub fn into_footprint(self) -> Footprint {
+        self.footprint
+    }
+
     /// The running ring of a recycled program; `None` for a linear one.
     pub fn ring(&self) -> Option<&RecycledLoop> {
         self.ring.as_ref()
@@ -125,11 +132,12 @@ fn check_room(sim: &Simulator, q: &ChainQueue, n: usize) -> Result<()> {
 /// preserved; patch targets are excluded because their bytes are
 /// snapshotted at fetch time, which `wait_prev` (unlike a parked WAIT on
 /// a managed queue) does not delay.
-fn elide_waits(p: &mut IrProgram, pm: &PatchMap) -> usize {
+fn elide_waits(p: &mut IrProgram, pm: &PatchMap, referenced: &mut Vec<bool>) -> usize {
     // Ops another op's threshold or horizon names (OpDone*, OpsThrough)
     // must survive the pass: eliding one would detach a referenced op
     // and resolution would have no slot for it.
-    let mut referenced = vec![false; p.ops.len()];
+    referenced.clear();
+    referenced.resize(p.ops.len(), false);
     for rec in &p.ops {
         if let Some(op) = &rec.op {
             match &op.kind {
@@ -173,8 +181,7 @@ fn elide_waits(p: &mut IrProgram, pm: &PatchMap) -> usize {
                 Some(pos) => {
                     let next = p.queue_ops[qi][pos + 1];
                     p.ops[next.0].op.as_mut().expect("placed").wait_prev = true;
-                    let wait = p.queue_ops[qi].remove(pos);
-                    p.ops[wait.0].op = None; // detached
+                    p.detach(QId(qi), pos);
                     elided += 1;
                 }
                 None => break,
@@ -187,8 +194,8 @@ fn elide_waits(p: &mut IrProgram, pm: &PatchMap) -> usize {
 /// Runs of restore-marked ops as `(first op, length)`, per queue in
 /// queue order: one run per marked op, or — with `merge` — one per
 /// stretch of contiguous marked ops.
-fn restore_runs(p: &IrProgram, merge: bool) -> Vec<(OpId, usize)> {
-    let mut runs: Vec<(OpId, usize)> = Vec::new();
+fn restore_runs(p: &IrProgram, merge: bool, runs: &mut Vec<(OpId, usize)>) {
+    runs.clear();
     for ops in &p.queue_ops {
         let mut prev_marked = false;
         for id in ops {
@@ -201,7 +208,6 @@ fn restore_runs(p: &IrProgram, merge: bool) -> Vec<(OpId, usize)> {
             prev_marked = marked;
         }
     }
-    runs
 }
 
 // ---------------------------------------------------------------------
@@ -264,9 +270,9 @@ impl Slot {
 /// One round of the recycled ring. The ring queue is created with
 /// exactly `slots.len()` WQE slots, so slot `i` is WQE index `i` of
 /// round 0 and `slots.len()` is the ring depth `L`.
-struct Round {
+struct Round<'a> {
     ring: QId,
-    slots: Vec<Slot>,
+    slots: &'a [Slot],
     /// Index of the tail ENABLE (what [`Loc::TailEnable`] names).
     tail_enable: usize,
 }
@@ -296,9 +302,18 @@ struct Round {
 /// `S` do not depend on it. That is only sound while nothing patches
 /// the tail ENABLE at run time (a compiled halt): the fence does not
 /// delay the ENABLE's own fetch snapshot.
-fn round_layout(p: &IrProgram, ring: QId, restore_runs: usize, elide_tail: bool) -> Round {
+///
+/// The round is laid out in `slots` (cleared first) and borrows it.
+fn round_layout<'a>(
+    p: &IrProgram,
+    ring: QId,
+    restore_runs: usize,
+    elide_tail: bool,
+    slots: &'a mut Vec<Slot>,
+) -> Round<'a> {
     let body = &p.queue_ops[ring.0];
-    let mut slots = Vec::with_capacity(2 * body.len() + restore_runs + 4);
+    slots.clear();
+    slots.reserve(2 * body.len() + restore_runs + 4);
     slots.extend([Slot::Noop; 2]); // the head; aimed below, once the tail has indices
     let body_at = slots.len();
     slots.extend(body.iter().map(|id| Slot::Body(*id)));
@@ -336,10 +351,10 @@ fn round_layout(p: &IrProgram, ring: QId, restore_runs: usize, elide_tail: bool)
 fn queue_slots<'a>(
     p: &'a IrProgram,
     qi: usize,
-    round: Option<&'a Round>,
+    round: Option<&'a Round<'a>>,
 ) -> impl Iterator<Item = Slot> + 'a {
     let (ring_slots, ops): (&[Slot], &[OpId]) = match round {
-        Some(r) if r.ring.0 == qi => (&r.slots, &[]),
+        Some(r) if r.ring.0 == qi => (r.slots, &[]),
         _ => (&[], &p.queue_ops[qi]),
     };
     ring_slots
@@ -350,7 +365,7 @@ fn queue_slots<'a>(
 
 /// Table 2 classes of everything the program stages (per round, for a
 /// recycled program).
-fn verb_counts(p: &IrProgram, round: Option<&Round>) -> VerbCounts {
+fn verb_counts(p: &IrProgram, round: Option<&Round<'_>>) -> VerbCounts {
     let mut counts = VerbCounts::default();
     for qi in 0..p.queues.len() {
         for slot in queue_slots(p, qi, round) {
@@ -370,8 +385,11 @@ struct ResolveCtx<'p> {
     pool_rkey: u32,
     /// Tail-ENABLE slot address + ring keys (recycled only).
     tail: Option<(u64, u32, u32)>,
-    /// Per queue: its CQ's completion count when lowering began.
-    cq_base: &'p [u64],
+    /// Per queue: the WQE index of its first staged slot and its CQ's
+    /// completion count, both as lowering began.
+    bases: &'p [(u64, u64)],
+    /// Per op: the signaled ops on its queue up to and including it.
+    signaled_through: &'p [u64],
 }
 
 impl<'p> ResolveCtx<'p> {
@@ -404,59 +422,52 @@ impl<'p> ResolveCtx<'p> {
         }
     }
 
-    fn resolve_sges(&self, res: &Resolution, entries: &[SgeSpec]) -> Vec<(u64, u32, u32)> {
-        entries
-            .iter()
-            .map(|e| {
-                let (addr, key) = self.loc(res, &e.target, true);
-                (addr, key, e.len)
-            })
-            .collect()
+    fn resolve_sges<'a>(
+        &'a self,
+        res: &'a Resolution,
+        entries: &'a [SgeSpec],
+    ) -> impl Iterator<Item = (u64, u32, u32)> + 'a {
+        entries.iter().map(move |e| {
+            let (addr, key) = self.loc(res, &e.target, true);
+            (addr, key, e.len)
+        })
     }
 
-    fn resolve_const(&self, res: &Resolution, spec: &ConstSpec) -> Option<Vec<u8>> {
-        match spec {
-            ConstSpec::Bytes(b) => Some(b.clone()),
-            ConstSpec::Zeroed(_) => None,
-            ConstSpec::Sges(entries) => {
-                let mut bytes = Vec::with_capacity(entries.len() * 16);
-                for (addr, key, len) in self.resolve_sges(res, entries) {
-                    bytes.extend_from_slice(
-                        &rnic_sim::wqe::Sge {
-                            addr,
-                            lkey: key,
-                            len,
-                        }
-                        .encode(),
-                    );
+    /// Append an SGE-table constant's pool bytes, resolved against the
+    /// allocated slots, to `bytes`.
+    fn encode_sges(&self, res: &Resolution, entries: &[SgeSpec], bytes: &mut Vec<u8>) {
+        for (addr, key, len) in self.resolve_sges(res, entries) {
+            let sge = rnic_sim::wqe::Sge {
+                addr,
+                lkey: key,
+                len,
+            };
+            bytes.extend_from_slice(&sge.encode());
+        }
+    }
+
+    /// Append a WQE-image constant's pool bytes, its symbolic field
+    /// patches applied, to `bytes`.
+    fn encode_images(&self, res: &Resolution, wqes: &[ImageWqe], bytes: &mut Vec<u8>) {
+        for w in wqes {
+            let mut enc = w.wr.wqe.encode();
+            for (field, loc) in &w.patches {
+                let local = matches!(field, WqeField::LocalAddr);
+                let (addr, key) = self.loc(res, loc, local);
+                enc[field.offset() as usize..(field.offset() + 8) as usize]
+                    .copy_from_slice(&addr.to_le_bytes());
+                // An address patch carries its key: the emitter cannot
+                // know ring keys that only exist after lowering.
+                let key_off = match field {
+                    WqeField::LocalAddr => Some(WqeField::Lkey.offset()),
+                    WqeField::RemoteAddr => Some(WqeField::Rkey.offset()),
+                    _ => None,
+                };
+                if let Some(off) = key_off {
+                    enc[off as usize..off as usize + 4].copy_from_slice(&key.to_le_bytes());
                 }
-                Some(bytes)
             }
-            ConstSpec::Images(wqes) => {
-                let mut bytes = Vec::with_capacity(wqes.len() * WQE_SIZE as usize);
-                for w in wqes {
-                    let mut enc = w.wr.wqe.encode();
-                    for (field, loc) in &w.patches {
-                        let local = matches!(field, WqeField::LocalAddr);
-                        let (addr, key) = self.loc(res, loc, local);
-                        enc[field.offset() as usize..(field.offset() + 8) as usize]
-                            .copy_from_slice(&addr.to_le_bytes());
-                        // An address patch carries its key: the emitter
-                        // cannot know ring keys that only exist after
-                        // lowering.
-                        let key_off = match field {
-                            WqeField::LocalAddr => Some(WqeField::Lkey.offset()),
-                            WqeField::RemoteAddr => Some(WqeField::Rkey.offset()),
-                            _ => None,
-                        };
-                        if let Some(off) = key_off {
-                            enc[off as usize..off as usize + 4].copy_from_slice(&key.to_le_bytes());
-                        }
-                    }
-                    bytes.extend_from_slice(&enc);
-                }
-                Some(bytes)
-            }
+            bytes.extend_from_slice(&enc);
         }
     }
 
@@ -481,13 +492,10 @@ impl<'p> ResolveCtx<'p> {
             ),
             WaitCond::OpDoneSignaled(x) => {
                 let xq = queue_of(*x);
-                let ops = &self.p.queue_ops[xq.0];
-                let pos = ops.iter().position(|o| o == x).expect("op placed");
-                let signaled_through = ops[..=pos]
-                    .iter()
-                    .filter(|o| self.p.op(**o).signaled)
-                    .count() as u64;
-                (self.queue(xq).cq, self.cq_base[xq.0] + signaled_through)
+                // No count exists for an op that is on no queue.
+                self.p.pos_of(*x).expect("op placed");
+                let cq_base = self.bases[xq.0].1;
+                (self.queue(xq).cq, cq_base + self.signaled_through[x.0])
             }
         }
     }
@@ -570,14 +578,46 @@ impl<'p> ResolveCtx<'p> {
 // The lowering driver
 // ---------------------------------------------------------------------
 
+/// Lowering's working lists, reused from one program to the next (see
+/// [`Scratch`](super::Scratch)): nothing here outlives a `lower` call
+/// except as capacity.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    /// WAIT elision: the ops some threshold or horizon names.
+    referenced: Vec<bool>,
+    /// Restore runs, `(first op, length)`.
+    runs: Vec<(OpId, usize)>,
+    /// The recycled round.
+    slots: Vec<Slot>,
+    /// See [`ResolveCtx::bases`] and [`ResolveCtx::signaled_through`].
+    bases: Vec<(u64, u64)>,
+    signaled_through: Vec<u64>,
+    /// The constant (SGE table, WQE images, restore image) being placed.
+    bytes: Vec<u8>,
+    /// Deduplicates one program's constants when the caller brought no
+    /// interner of its own; cleared per program, so what a program
+    /// places never depends on what was deployed before it.
+    interner: ConstInterner,
+}
+
 pub(crate) fn lower(
     p: &mut IrProgram,
     sim: &mut Simulator,
     pool: &mut ConstPool,
     opts: DeployOpts,
     pm: &PatchMap,
+    ws: &mut Workspace,
     interner: Option<&mut ConstInterner>,
 ) -> Result<Lowered> {
+    let Workspace {
+        referenced,
+        runs,
+        slots,
+        bases,
+        signaled_through,
+        bytes,
+        interner: local_interner,
+    } = ws;
     let ring = match p.mode {
         Mode::Recycled { ring } => Some(ring),
         Mode::Linear => None,
@@ -585,7 +625,8 @@ pub(crate) fn lower(
     let mut report = PassReport {
         // The naive lowering: no pass run, a restore WRITE per marked slot.
         before: {
-            let naive = ring.map(|r| round_layout(p, r, restore_runs(p, false).len(), false));
+            restore_runs(p, false, runs);
+            let naive = ring.map(|r| round_layout(p, r, runs.len(), false, slots));
             verb_counts(p, naive.as_ref())
         },
         ..PassReport::default()
@@ -595,15 +636,16 @@ pub(crate) fn lower(
 
     // ---- passes ------------------------------------------------------
     if opts.optimize {
-        report.waits_elided = elide_waits(p, pm);
+        report.waits_elided = elide_waits(p, pm, referenced);
     }
-    let runs = restore_runs(p, opts.optimize);
+    restore_runs(p, opts.optimize, runs);
     report.restores_merged = runs.iter().map(|(_, len)| len).sum::<usize>() - runs.len();
 
     // ---- layout: the round, on a ring of exactly its depth ------------
     let round = match ring {
         Some(ring) => {
-            let round = round_layout(p, ring, runs.len(), opts.optimize && !pm.tail_patched);
+            let elide_tail = opts.optimize && !pm.tail_patched;
+            let round = round_layout(p, ring, runs.len(), elide_tail, slots);
             let QueueSlot::Ring(spec, _) = p.queues[ring.0] else {
                 unreachable!("mode says ring");
             };
@@ -632,23 +674,29 @@ pub(crate) fn lower(
         res.const_addr = vec![None; p.consts.len()];
         res.scatters = vec![None; p.scatters.len()];
     }
-    let mut base_index = vec![0u64; p.queues.len()];
-    let mut cq_base = vec![0u64; p.queues.len()];
+    bases.clear();
+    signaled_through.clear();
+    signaled_through.resize(nops, 0);
     for (qi, slot) in p.queues.iter().enumerate() {
         let Some(q) = slot.bound() else {
             return Err(Error::InvalidWr("IR queue not bound"));
         };
         // The ring is fresh; a bound queue continues where it stands.
-        base_index[qi] = sim.sq_posted(q.qp);
-        cq_base[qi] = sim.cq_total(q.cq);
+        let base_index = sim.sq_posted(q.qp);
+        bases.push((base_index, sim.cq_total(q.cq)));
         let mut res = p.resolution.borrow_mut();
         res.node = Some(q.node);
         for (pos, slot) in queue_slots(p, qi, round).enumerate() {
             if let Slot::Body(id) = slot {
-                let index = base_index[qi] + pos as u64;
+                let index = base_index + pos as u64;
                 res.op_index[id.0] = Some(index);
                 res.op_slot[id.0] = Some(q.slot_addr(index));
             }
+        }
+        let mut signaled = 0;
+        for id in &p.queue_ops[qi] {
+            signaled += u64::from(p.op(*id).signaled);
+            signaled_through[id.0] = signaled;
         }
     }
 
@@ -661,12 +709,15 @@ pub(crate) fn lower(
             let q = p.queues[r.ring.0].bound().expect("ring bound above");
             (q.slot_addr(r.tail_enable as u64), q.ring.lkey, q.ring.rkey)
         }),
-        cq_base: &cq_base,
+        bases,
+        signaled_through,
     };
-    let mut local_interner = ConstInterner::new();
     let interner = match interner {
         Some(i) => i,
-        None => &mut local_interner,
+        None => {
+            local_interner.clear();
+            local_interner
+        }
     };
     let interner_base_saved = interner.saved_bytes;
     let mut place = |sim: &mut Simulator, pool: &mut ConstPool, bytes: &[u8]| {
@@ -676,18 +727,18 @@ pub(crate) fn lower(
             pool.push_bytes(sim, bytes)
         }
     };
-    for ci in 0..p.consts.len() {
-        let resolved = {
-            let res = p.resolution.borrow();
-            ctx.resolve_const(&res, &p.consts[ci])
-        };
-        let addr = match resolved {
-            Some(bytes) => place(sim, pool, &bytes)?,
-            None => {
-                let ConstSpec::Zeroed(len) = &p.consts[ci] else {
-                    unreachable!("only zeroed consts resolve to None");
-                };
-                pool.reserve(sim, *len)?
+    for (ci, spec) in p.consts.iter().enumerate() {
+        bytes.clear();
+        let addr = match spec {
+            ConstSpec::Bytes(b) => place(sim, pool, b)?,
+            ConstSpec::Zeroed(len) => pool.reserve(sim, *len)?,
+            ConstSpec::Sges(entries) => {
+                ctx.encode_sges(&p.resolution.borrow(), entries, bytes);
+                place(sim, pool, bytes)?
+            }
+            ConstSpec::Images(wqes) => {
+                ctx.encode_images(&p.resolution.borrow(), wqes, bytes);
+                place(sim, pool, bytes)?
             }
         };
         p.resolution.borrow_mut().const_addr[ci] = Some(addr);
@@ -695,9 +746,7 @@ pub(crate) fn lower(
 
     // ---- scatter resolution ------------------------------------------
     for (si, entries) in p.scatters.iter().enumerate() {
-        let res = p.resolution.borrow();
-        let resolved = ctx.resolve_sges(&res, entries);
-        drop(res);
+        let resolved = ctx.resolve_sges(&p.resolution.borrow(), entries).collect();
         p.resolution.borrow_mut().scatters[si] = Some(resolved);
     }
 
@@ -727,11 +776,12 @@ pub(crate) fn lower(
     let mut staged: Vec<Option<(ChainQueue, Vec<WorkRequest>)>> = vec![None; p.queues.len()];
     for qi in bound_then_ring() {
         let q = *ctx.queue(QId(qi));
+        let (_, cq_base) = bases[qi];
         let res = p.resolution.borrow();
         let slots = queue_slots(p, qi, round);
         let mut wrs: Vec<WorkRequest> = Vec::with_capacity(slots.size_hint().0);
         // What the queue's CQ reaches once everything staged so far is done.
-        let mut all_signaled = cq_base[qi];
+        let mut all_signaled = cq_base;
         for slot in slots {
             let wr = match slot {
                 Slot::Body(id) => ctx.wr_of(&res, id, all_signaled),
@@ -739,21 +789,21 @@ pub(crate) fn lower(
                 Slot::Restore(n) => {
                     let (first, len) = runs[n];
                     let tq = p.ops[first.0].queue;
-                    let at = res.op_index[first.0].expect("op placed") - base_index[tq.0];
+                    let at = res.op_index[first.0].expect("op placed") - bases[tq.0].0;
                     // The run's own queue is either staged already or
                     // the ring being staged right now.
                     let pristine = match &staged[tq.0] {
                         Some((_, wrs)) => wrs,
                         None => &wrs,
                     };
-                    let image: Vec<u8> = pristine[at as usize..][..len]
-                        .iter()
-                        .flat_map(|wr| wr.wqe.encode())
-                        .collect();
+                    bytes.clear();
+                    for wr in &pristine[at as usize..][..len] {
+                        bytes.extend_from_slice(&wr.wqe.encode());
+                    }
                     WorkRequest::write(
-                        place(sim, pool, &image)?,
+                        place(sim, pool, bytes)?,
                         ctx.pool_lkey,
-                        image.len() as u32,
+                        bytes.len() as u32,
                         res.op_slot[first.0].expect("op placed"),
                         ctx.queue(tq).ring.rkey,
                     )
@@ -770,7 +820,7 @@ pub(crate) fn lower(
                 }
                 // The tail pair is staged one step low (`W0 - S`,
                 // `2L - L`): the head fix-ups run first, in round 0 too.
-                Slot::TailWait => WorkRequest::wait(q.cq, cq_base[qi]),
+                Slot::TailWait => WorkRequest::wait(q.cq, cq_base),
                 Slot::TailEnable { fenced } => {
                     let enable = WorkRequest::enable(q.sq, depth);
                     if fenced {
@@ -820,11 +870,63 @@ pub(crate) fn lower(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{OpBuild, RingSpec};
+    use crate::ir::{verify, OpBuild, RingSpec};
+    use proptest::prelude::*;
+    use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
     use rnic_sim::ids::{NodeId, ProcessId};
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The op → queue-position index against the linear scan it
+        /// replaced, after every step of a random build — forward
+        /// allocations placed late or never, ops interleaved over three
+        /// queues — and after WAIT elision has detached ops.
+        #[test]
+        fn position_index_agrees_with_the_scan(
+            script in prop::collection::vec((0usize..3, 0u8..6), 0..48),
+        ) {
+            let mut sim = Simulator::new(SimConfig::default());
+            let node = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
+            let mut p = IrProgram::linear();
+            let mut queues = Vec::new();
+            for _ in 0..3 {
+                let q = ChainQueueBuilder::new(node, ProcessId(0)).managed().depth(64);
+                queues.push(p.chain(q.build(&mut sim).unwrap()));
+            }
+            let agrees = |p: &IrProgram| {
+                (0..p.ops.len()).all(|i| p.pos_of(OpId(i)) == p.scan_pos(OpId(i)))
+            };
+            let mut forward = Vec::new();
+            for (q, action) in script {
+                let wait = OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled));
+                match action {
+                    0 => forward.push(p.alloc(queues[q])),
+                    1 => {
+                        if let Some(id) = forward.pop() {
+                            p.place(id, OpBuild::new(Kind::Noop).signaled());
+                        }
+                    }
+                    2 | 3 => {
+                        p.push(queues[q], wait);
+                    }
+                    _ => {
+                        p.push(queues[q], OpBuild::new(Kind::Noop).signaled());
+                    }
+                }
+                prop_assert!(agrees(&p), "after {action} on queue {q}");
+            }
+            let placed = p.queue_ops.iter().map(Vec::len).sum::<usize>();
+            let pm = verify::patch_map(&p);
+            let elided = elide_waits(&mut p, &pm, &mut Vec::new());
+            prop_assert!(agrees(&p), "after eliding {elided} WAITs");
+            let unplaced = (0..p.ops.len()).filter(|i| p.pos_of(OpId(*i)).is_none()).count();
+            prop_assert_eq!(unplaced, p.ops.len() - placed + elided);
+        }
+    }
+
     /// One letter per slot, and where each fix-up aims.
-    fn sketch(round: &Round) -> (String, Vec<usize>) {
+    fn sketch(round: &Round<'_>) -> (String, Vec<usize>) {
         let letters = round.slots.iter().map(|slot| match slot {
             Slot::Body(_) => 'b',
             Slot::Noop => 'n',
@@ -865,15 +967,16 @@ mod tests {
         // Naive: a restore WRITE per marked slot, tail WAIT kept. The
         // head aims at the tail pair; the LocalAllSignaled fix-up comes
         // before the bumped op's, though its WAIT comes after.
-        let round = round_layout(&p, ring, 2, false);
+        let mut slots = Vec::new();
+        let round = round_layout(&p, ring, 2, false, &mut slots);
         assert_eq!(sketch(&round), ("SLbbbbrrS+WE".into(), vec![10, 11, 5, 2]));
         assert_eq!(round.tail_enable, 11);
-        let signaled = |r: &Round| r.slots.iter().filter(|s| s.signaled(&p)).count();
+        let signaled = |r: &Round<'_>| r.slots.iter().filter(|s| s.signaled(&p)).count();
         assert_eq!(signaled(&round), 8, "all but two WAITs and the tail pair");
 
         // Optimized: one merged restore, the tail WAIT elided — slot 0
         // is a NOOP, so the body stays where it was.
-        let round = round_layout(&p, ring, 1, true);
+        let round = round_layout(&p, ring, 1, true, &mut slots);
         assert_eq!(sketch(&round), ("nLbbbbrS+F".into(), vec![9, 5, 2]));
         assert_eq!(round.tail_enable, 9);
         assert_eq!(signaled(&round), 7);

@@ -34,10 +34,11 @@ pub mod lower;
 pub mod verify;
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
-use rnic_sim::error::Result;
+use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{CqId, NodeId, ProcessId, WqId};
 use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::{Opcode, VerbClass};
@@ -448,7 +449,17 @@ pub struct OpName {
 
 impl std::fmt::Display for OpName {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let pos = self.pos.map_or("?".to_string(), |p| p.to_string());
+        /// A queue position, `?` for an op that is on no queue.
+        struct Pos(Option<u32>);
+        impl std::fmt::Display for Pos {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                match self.0 {
+                    Some(pos) => write!(f, "{pos}"),
+                    None => f.write_str("?"),
+                }
+            }
+        }
+        let pos = Pos(self.pos);
         if self.label.is_empty() {
             write!(f, "WQE #{} (op {}, queue q{})", pos, self.op, self.queue)
         } else {
@@ -461,9 +472,18 @@ impl std::fmt::Display for OpName {
     }
 }
 
+/// [`OpRec::pos`] of an op that is on no queue: allocated but not placed
+/// yet, or detached by the WAIT-elision pass.
+const NO_POS: u32 = u32::MAX;
+
 pub(crate) struct OpRec {
     pub(crate) queue: QId,
     pub(crate) op: Option<OpBuild>,
+    /// The op's position on its queue — the op → queue-position index
+    /// the verifier, both analyses and lowering share. `place` writes it
+    /// and `detach` (the one way an op leaves a queue) keeps it current,
+    /// so nobody scans `queue_ops` for an op.
+    pos: u32,
 }
 
 /// Addresses assigned by lowering, shared with [`FieldRef`] handles so
@@ -551,11 +571,53 @@ impl ConstRef {
 /// cell. Persist one across host-armed `arm` calls and steady-state
 /// re-arms stop consuming pool capacity — the dedup pass, applied over
 /// time as well as space.
+///
+/// It remembers where each constant went, not what it was: a candidate
+/// is found through a word-at-a-time content hash and confirmed against
+/// the pool cell itself, so a lookup copies nothing and a hit can never
+/// name a cell whose bytes have since changed.
 #[derive(Default)]
 pub struct ConstInterner {
-    map: HashMap<Vec<u8>, u64>,
+    /// Content hash → `(address, length)` of the cell placed under it.
+    cells: HashMap<u64, (u64, u32), BuildHasherDefault<ContentHash>>,
     /// Bytes avoided via hits (monotonic).
     pub saved_bytes: u64,
+}
+
+/// Hasher state for keys that already are [`content_hash`]es.
+#[derive(Default)]
+struct ContentHash(u64);
+
+impl Hasher for ContentHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keyed by u64 content hashes only");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Multiply-rotate over 8-byte words (FxHash's mixer), the halves folded
+/// together at the end so both the map's bucket bits (low) and its tag
+/// bits (high) see every input bit. Constants are the program's own
+/// bytes, never attacker-chosen keys.
+fn content_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = mix(0, bytes.len() as u64);
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    for b in words.remainder() {
+        h = mix(h, u64::from(*b));
+    }
+    h ^ h.rotate_left(32)
 }
 
 impl ConstInterner {
@@ -564,21 +626,55 @@ impl ConstInterner {
         ConstInterner::default()
     }
 
+    /// Forget every placement (keeping the map's capacity and
+    /// `saved_bytes`).
+    pub(crate) fn clear(&mut self) {
+        self.cells.clear();
+    }
+
     /// Place `bytes` in the pool, reusing an identical earlier placement.
+    /// (Two different constants with one 64-bit hash: the later one is
+    /// placed but not remembered — it only loses its own dedup.)
     pub fn intern(
         &mut self,
         sim: &mut Simulator,
         pool: &mut ConstPool,
         bytes: &[u8],
     ) -> Result<u64> {
-        if let Some(&addr) = self.map.get(bytes) {
-            self.saved_bytes += bytes.len() as u64;
-            return Ok(addr);
+        match self.cells.entry(content_hash(bytes)) {
+            Entry::Occupied(hit) => {
+                let (addr, len) = *hit.get();
+                if len as usize == bytes.len()
+                    && sim.mem(pool.node).read(addr, len.into())? == bytes
+                {
+                    self.saved_bytes += bytes.len() as u64;
+                    return Ok(addr);
+                }
+                pool.push_bytes(sim, bytes)
+            }
+            Entry::Vacant(vacant) => {
+                let len = u32::try_from(bytes.len())
+                    .map_err(|_| Error::InvalidWr("constant larger than any const pool"))?;
+                let addr = pool.push_bytes(sim, bytes)?;
+                vacant.insert((addr, len));
+                Ok(addr)
+            }
         }
-        let addr = pool.push_bytes(sim, bytes)?;
-        self.map.insert(bytes.to_vec(), addr);
-        Ok(addr)
     }
+}
+
+/// The working memory of a deploy: the patch map, the happens-before
+/// graph and search stacks, and lowering's lists. It lives in the
+/// [`ConstPool`] a program deploys onto — the one object every deploy of
+/// a fleet or a cluster shard already threads through — so the programs
+/// of a deployment grow it once and reuse it, and no caller sizes,
+/// passes or even sees it. Nothing in it carries meaning from one
+/// deploy to the next: every user clears what it reads.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pm: verify::PatchMap,
+    hb: analysis::hb::Graph,
+    lower: lower::Workspace,
 }
 
 /// Verb-class accounting, as in the paper's Table 2.
@@ -728,7 +824,11 @@ impl IrProgram {
     /// Allocate an op slot on `q` without placing it yet — for forward
     /// references (an op that patches a later op).
     pub fn alloc(&mut self, q: QId) -> OpId {
-        self.ops.push(OpRec { queue: q, op: None });
+        self.ops.push(OpRec {
+            queue: q,
+            op: None,
+            pos: NO_POS,
+        });
         OpId(self.ops.len() - 1)
     }
 
@@ -746,9 +846,10 @@ impl IrProgram {
                 op.wait_prev = true;
             }
         }
-        let q = self.ops[id.0].queue;
-        self.ops[id.0].op = Some(op);
-        self.queue_ops[q.0].push(id);
+        let rec = &mut self.ops[id.0];
+        rec.op = Some(op);
+        rec.pos = self.queue_ops[rec.queue.0].len() as u32;
+        self.queue_ops[rec.queue.0].push(id);
         id
     }
 
@@ -824,19 +925,38 @@ impl IrProgram {
         self.ops[id.0].op.as_ref().expect("op not placed")
     }
 
-    pub(crate) fn label_of(&self, id: OpId) -> String {
-        let pos = self.queue_ops[self.ops[id.0].queue.0]
-            .iter()
-            .position(|x| *x == id);
-        self.name_at(id, pos).to_string()
+    /// `id`'s position on its queue; `None` while it is on no queue.
+    pub(crate) fn pos_of(&self, id: OpId) -> Option<usize> {
+        let pos = self.ops[id.0].pos;
+        (pos != NO_POS).then_some(pos as usize)
     }
 
-    /// `id` as diagnostics name it, given its position on its queue.
-    pub(crate) fn name_at(&self, id: OpId, pos: Option<usize>) -> OpName {
+    /// Take the op at `pos` of queue `q` out of the program (the
+    /// WAIT-elision pass): the ops behind it move up one position.
+    pub(crate) fn detach(&mut self, q: QId, pos: usize) {
+        let id = self.queue_ops[q.0].remove(pos);
+        let rec = &mut self.ops[id.0];
+        (rec.op, rec.pos) = (None, NO_POS);
+        for later in &self.queue_ops[q.0][pos..] {
+            self.ops[later.0].pos -= 1;
+        }
+    }
+
+    /// The linear scan [`IrProgram::pos_of`] replaced, kept as its oracle.
+    #[cfg(test)]
+    fn scan_pos(&self, id: OpId) -> Option<usize> {
+        self.queue_ops[self.ops[id.0].queue.0]
+            .iter()
+            .position(|x| *x == id)
+    }
+
+    /// `id` as diagnostics name it. `Copy` data: an analysis carries it
+    /// and formats it only into a diagnostic it actually emits.
+    pub(crate) fn name_of(&self, id: OpId) -> OpName {
         let rec = &self.ops[id.0];
         OpName {
             label: rec.op.as_ref().map(|o| o.label).unwrap_or(""),
-            pos: pos.map(|p| p as u32),
+            pos: self.pos_of(id).map(|p| p as u32),
             op: id.0 as u32,
             queue: rec.queue.0 as u32,
         }
@@ -879,14 +999,30 @@ impl IrProgram {
         opts: DeployOpts,
         interner: Option<&mut ConstInterner>,
     ) -> Result<Lowered> {
+        // The pool lends its scratch for the duration (see [`Scratch`]).
+        let mut scratch = pool.scratch.take().unwrap_or_default();
+        let lowered = self.deploy_in(sim, pool, opts, interner, &mut scratch);
+        pool.scratch = Some(scratch);
+        lowered
+    }
+
+    fn deploy_in(
+        &mut self,
+        sim: &mut Simulator,
+        pool: &mut ConstPool,
+        opts: DeployOpts,
+        interner: Option<&mut ConstInterner>,
+        scratch: &mut Scratch,
+    ) -> Result<Lowered> {
         // The patch-edge map feeds the verifier, the analyzer, and the
         // WAIT-elision pass; compute it once (host-armed offloads deploy
         // a program per armed instance, so this is on the serving path).
-        let pm = verify::patch_map(&self);
+        let Scratch { pm, hb, lower } = scratch;
+        pm.rebuild(self);
         if opts.verify {
-            verify::verify_with(&self, &pm)?;
-            analysis::check(&self, &pm, sim)?;
+            verify::verify_with(self, pm)?;
+            analysis::check(self, pm, hb, sim)?;
         }
-        lower::lower(&mut self, sim, pool, opts, &pm, interner)
+        lower::lower(self, sim, pool, opts, pm, lower, interner)
     }
 }

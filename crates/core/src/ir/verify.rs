@@ -28,111 +28,122 @@ use super::{ConstSpec, EnableTarget, IrProgram, Kind, Loc, Mode, OpId, WaitCond}
 use crate::encode::WqeField;
 
 /// A runtime patch edge: `patcher` writes into `target`'s WQE slot.
+/// Packed: a program has a few edges per op and the map is kept between
+/// deploys.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PatchEdge {
-    pub(crate) patcher: Option<OpId>,
-    pub(crate) target: OpId,
+    /// `u32::MAX`: patched from outside the op list (a trigger scatter,
+    /// the restore chain, a fix-up).
+    patcher: u32,
+    target: u32,
+}
+
+impl PatchEdge {
+    /// The op doing the patching, if it is an op of the program.
+    pub(crate) fn patcher(&self) -> Option<OpId> {
+        (self.patcher != u32::MAX).then_some(OpId(self.patcher as usize))
+    }
+
+    /// The op whose WQE slot is written.
+    pub(crate) fn target(&self) -> OpId {
+        OpId(self.target as usize)
+    }
 }
 
 /// Every patch edge in the program, plus whether the recycled tail
-/// ENABLE is itself a runtime patch target (a compiled halt).
+/// ENABLE is itself a runtime patch target (a compiled halt). Rebuilt in
+/// place per deploy, so a scratch-owned map allocates once.
+#[derive(Default)]
 pub(crate) struct PatchMap {
     pub(crate) edges: Vec<PatchEdge>,
     pub(crate) tail_patched: bool,
+    /// One bit per op: some edge targets it.
+    targets: Vec<u64>,
 }
 
 impl PatchMap {
     pub(crate) fn is_target(&self, op: OpId) -> bool {
-        self.edges.iter().any(|e| e.target == op)
+        self.targets[op.0 / 64] >> (op.0 % 64) & 1 == 1
     }
-}
 
-/// Collect the runtime patch edges of a program (shared by the verifier
-/// and the WAIT-elision pass).
-pub(crate) fn patch_map(p: &IrProgram) -> PatchMap {
-    let mut edges: Vec<PatchEdge> = Vec::new();
-    let mut tail_patched = false;
-    fn add_loc(
-        edges: &mut Vec<PatchEdge>,
-        tail_patched: &mut bool,
-        patcher: Option<OpId>,
-        loc: &Loc,
-    ) {
+    fn add(&mut self, patcher: Option<OpId>, target: OpId) {
+        self.edges.push(PatchEdge {
+            patcher: patcher.map_or(u32::MAX, |op| op.0 as u32),
+            target: target.0 as u32,
+        });
+        self.targets[target.0 / 64] |= 1 << (target.0 % 64);
+    }
+
+    fn add_loc(&mut self, patcher: Option<OpId>, loc: &Loc) {
         match loc {
-            Loc::Field { op, .. } => edges.push(PatchEdge {
-                patcher,
-                target: *op,
-            }),
-            Loc::TailEnable { .. } => *tail_patched = true,
+            Loc::Field { op, .. } => self.add(patcher, *op),
+            Loc::TailEnable { .. } => self.tail_patched = true,
             _ => {}
         }
     }
-    for (i, rec) in p.ops.iter().enumerate() {
-        let Some(op) = rec.op.as_ref() else { continue };
-        let id = OpId(i);
-        match &op.kind {
-            Kind::Write { dst, .. } => add_loc(&mut edges, &mut tail_patched, Some(id), dst),
-            Kind::Read { dst, .. } => add_loc(&mut edges, &mut tail_patched, Some(id), dst),
-            Kind::Transmute { target, .. } => edges.push(PatchEdge {
-                patcher: Some(id),
-                target: *target,
-            }),
-            Kind::CasRaw { target, .. }
-            | Kind::FetchAdd { target, .. }
-            | Kind::MaxOf { target, .. } => {
-                add_loc(&mut edges, &mut tail_patched, Some(id), target)
+
+    /// Collect the runtime patch edges of `p` (shared by the verifier,
+    /// the analyses and the WAIT-elision pass), replacing what the map
+    /// held.
+    pub(crate) fn rebuild(&mut self, p: &IrProgram) {
+        self.edges.clear();
+        self.tail_patched = false;
+        self.targets.clear();
+        self.targets.resize(p.ops.len().div_ceil(64), 0);
+        for (i, rec) in p.ops.iter().enumerate() {
+            let Some(op) = rec.op.as_ref() else { continue };
+            let id = OpId(i);
+            match &op.kind {
+                Kind::Write { dst, .. } | Kind::Read { dst, .. } => self.add_loc(Some(id), dst),
+                Kind::Transmute { target, .. } => self.add(Some(id), *target),
+                Kind::CasRaw { target, .. }
+                | Kind::FetchAdd { target, .. }
+                | Kind::MaxOf { target, .. } => self.add_loc(Some(id), target),
+                _ => {}
             }
-            _ => {}
-        }
-        // A restore-marked op is re-patched every round by the restore
-        // chain the lowering synthesizes.
-        if op.restore {
-            edges.push(PatchEdge {
-                patcher: None,
-                target: id,
-            });
-        }
-        // A bumped op's operand word is advanced by a FETCH_ADD fix-up.
-        if op.bump.is_some() {
-            edges.push(PatchEdge {
-                patcher: None,
-                target: id,
-            });
-        }
-    }
-    // External scatter lists (trigger RECVs) inject into WQE fields.
-    for entries in &p.scatters {
-        for e in entries {
-            add_loc(&mut edges, &mut tail_patched, None, &e.target);
-        }
-    }
-    // Every SGE-table constant scatters into its targets at run time —
-    // whether a READ in this program consumes it or a trigger RECV posted
-    // outside does.
-    for c in &p.consts {
-        if let ConstSpec::Sges(entries) = c {
-            for e in entries {
-                add_loc(&mut edges, &mut tail_patched, None, &e.target);
+            // A restore-marked op is re-patched every round by the restore
+            // chain the lowering synthesizes.
+            if op.restore {
+                self.add(None, id);
+            }
+            // A bumped op's operand word is advanced by a FETCH_ADD fix-up.
+            if op.bump.is_some() {
+                self.add(None, id);
             }
         }
-    }
-    // Image constants: a RemoteAddr patch makes the image WQE write
-    // *through* the named location at run time.
-    for c in &p.consts {
-        if let ConstSpec::Images(wqes) = c {
-            for w in wqes {
-                for (field, loc) in &w.patches {
+        // External scatter lists (trigger RECVs) inject into WQE fields.
+        for e in p.scatters.iter().flatten() {
+            self.add_loc(None, &e.target);
+        }
+        // Every SGE-table constant scatters into its targets at run time —
+        // whether a READ in this program consumes it or a trigger RECV
+        // posted outside does.
+        for c in &p.consts {
+            if let ConstSpec::Sges(entries) = c {
+                for e in entries {
+                    self.add_loc(None, &e.target);
+                }
+            }
+        }
+        // Image constants: a RemoteAddr patch makes the image WQE write
+        // *through* the named location at run time.
+        for c in &p.consts {
+            if let ConstSpec::Images(wqes) = c {
+                for (field, loc) in wqes.iter().flat_map(|w| &w.patches) {
                     if *field == WqeField::RemoteAddr {
-                        add_loc(&mut edges, &mut tail_patched, None, loc);
+                        self.add_loc(None, loc);
                     }
                 }
             }
         }
     }
-    PatchMap {
-        edges,
-        tail_patched,
-    }
+}
+
+/// A fresh patch map of `p`.
+pub(crate) fn patch_map(p: &IrProgram) -> PatchMap {
+    let mut pm = PatchMap::default();
+    pm.rebuild(p);
+    pm
 }
 
 fn err(msg: String) -> Error {
@@ -160,10 +171,10 @@ pub(crate) fn verify_with(p: &IrProgram, pm: &PatchMap) -> Result<()> {
 
     // Rule 1: §3.1 fetch-horizon hazard.
     for e in &pm.edges {
-        let tq = p.ops[e.target.0].queue;
+        let tq = p.ops[e.target().0].queue;
         if !p.queues[tq.0].managed() {
-            let who = match e.patcher {
-                Some(patcher) => p.label_of(patcher),
+            let who = match e.patcher() {
+                Some(patcher) => p.name_of(patcher).to_string(),
                 None => "an external scatter/restore".to_string(),
             };
             return Err(err(format!(
@@ -171,7 +182,7 @@ pub(crate) fn verify_with(p: &IrProgram, pm: &PatchMap) -> Result<()> {
                  prefetch the target past its fetch horizon before the patch lands; \
                  stage the target on a managed queue",
                 who,
-                p.label_of(e.target),
+                p.name_of(e.target()),
                 tq.0
             )));
         }
@@ -192,17 +203,16 @@ pub(crate) fn verify_with(p: &IrProgram, pm: &PatchMap) -> Result<()> {
                 return Err(err(format!(
                     "ENABLE targets {} on UNMANAGED queue q{} — unmanaged queues fetch \
                      from their doorbell, not from ENABLE horizons",
-                    p.label_of(*t),
+                    p.name_of(*t),
                     tq.0
                 )));
             }
-            let pos = p.queue_ops[tq.0].iter().position(|x| x == t);
-            match pos {
+            match p.pos_of(*t) {
                 Some(pos) => horizon[tq.0] = horizon[tq.0].max(pos + 1),
                 None => {
                     return Err(err(format!(
                         "ENABLE targets {} which is not placed on any queue",
-                        p.label_of(*t)
+                        p.name_of(*t)
                     )))
                 }
             }
@@ -218,7 +228,7 @@ pub(crate) fn verify_with(p: &IrProgram, pm: &PatchMap) -> Result<()> {
                 "unreachable ENABLE target: {} on managed queue q{} is never covered by \
                  any ENABLE horizon (got {} of {} ops) — the queue would park forever; \
                  declare external_enable(q{}) if the host releases it",
-                p.label_of(ops[horizon[qi]]),
+                p.name_of(ops[horizon[qi]]),
                 qi,
                 horizon[qi],
                 ops.len(),
@@ -235,20 +245,20 @@ pub(crate) fn verify_with(p: &IrProgram, pm: &PatchMap) -> Result<()> {
         if !on_ring && op.bump.is_some() {
             return Err(err(format!(
                 "{} carries a per-round bump but is not on the recycled ring",
-                p.label_of(id)
+                p.name_of(id)
             )));
         }
         if op.restore && ring.is_none() {
             return Err(err(format!(
                 "{} is restore-marked but the program has no recycled ring",
-                p.label_of(id)
+                p.name_of(id)
             )));
         }
         if op.restore && op.bump.is_some() {
             return Err(err(format!(
                 "{} is both restore-marked and bumped — restoring would clobber the \
                  advanced threshold",
-                p.label_of(id)
+                p.name_of(id)
             )));
         }
         if on_ring {
@@ -258,21 +268,21 @@ pub(crate) fn verify_with(p: &IrProgram, pm: &PatchMap) -> Result<()> {
                         "non-monotonic WAIT threshold across ring cycles: {} waits on \
                          an absolute count with no positive per-round bump — round 2 \
                          would reuse round 1's threshold",
-                        p.label_of(id)
+                        p.name_of(id)
                     )));
                 }
                 Kind::Wait(WaitCond::LocalAllSignaled) if op.bump.is_some() => {
                     return Err(err(format!(
                         "{}: LocalAllSignaled thresholds are auto-bumped by the ring; \
                          remove the custom bump",
-                        p.label_of(id)
+                        p.name_of(id)
                     )));
                 }
                 Kind::Wait(WaitCond::OpDonePosted(_)) | Kind::Wait(WaitCond::OpDoneSignaled(_)) => {
                     return Err(err(format!(
                         "{}: per-op thresholds are not supported inside a recycled \
                          ring (use LocalAllSignaled or an absolute count with a bump)",
-                        p.label_of(id)
+                        p.name_of(id)
                     )));
                 }
                 Kind::Enable(_) if op.bump.unwrap_or(0) == 0 => {
@@ -280,7 +290,7 @@ pub(crate) fn verify_with(p: &IrProgram, pm: &PatchMap) -> Result<()> {
                         "non-monotonic ENABLE horizon across ring cycles: {} re-executes \
                          every round but its horizon never advances (add a per-round \
                          bump)",
-                        p.label_of(id)
+                        p.name_of(id)
                     )));
                 }
                 _ => {}

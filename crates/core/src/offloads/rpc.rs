@@ -78,11 +78,12 @@ impl TriggerPoint {
         scatter: &[(u64, u32, u32)],
     ) -> Result<(u64, u32)> {
         assert!(scatter.len() <= 16, "RECVs can only perform 16 scatters");
-        let mut table = Vec::with_capacity(scatter.len() * SGE_SIZE as usize);
-        for &(addr, lkey, len) in scatter {
-            table.extend_from_slice(&Sge { addr, lkey, len }.encode());
+        let mut table = [0u8; 16 * SGE_SIZE as usize];
+        for (entry, &(addr, lkey, len)) in table.chunks_exact_mut(SGE_SIZE as usize).zip(scatter) {
+            entry.copy_from_slice(&Sge { addr, lkey, len }.encode());
         }
-        let table_addr = pool.push_bytes(sim, &table)?;
+        let table = &table[..scatter.len() * SGE_SIZE as usize];
+        let table_addr = pool.push_bytes(sim, table)?;
         self.post_trigger_recv_prebuilt(sim, table_addr, scatter.len() as u32)?;
         Ok((table_addr, scatter.len() as u32))
     }

@@ -451,7 +451,9 @@ impl RecycledFrame {
             tp.post_trigger_recv(sim, pool, &trigger_scatter(&lowered, inst))?;
         }
         sim.set_rq_cyclic(tp.qp)?;
-        let mut footprint = lowered.footprint().clone().named(name);
+        let report = lowered.report();
+        let lp = *lowered.ring().expect("a recycled program lowers to a ring");
+        let mut footprint = lowered.into_footprint().named(name);
         for cq in [tp.recv_cq, tp.send_cq] {
             footprint.claim_cq(cq);
         }
@@ -462,9 +464,9 @@ impl RecycledFrame {
             stride: self.spec.stride,
             trigger_base: self.trigger_base,
             round: Some(Round {
-                report: lowered.report(),
+                report,
                 footprint,
-                lp: *lowered.ring().expect("a recycled program lowers to a ring"),
+                lp,
             }),
         })
     }

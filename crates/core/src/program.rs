@@ -74,6 +74,9 @@ pub struct ConstPool {
     leases: u64,
     mr: MemoryRegion,
     budget: Option<Budget>,
+    /// Host-side working memory of the deploys onto this pool: absent
+    /// until the first one, and again after a release.
+    pub(crate) scratch: Option<Box<crate::ir::Scratch>>,
 }
 
 impl ConstPool {
@@ -94,6 +97,7 @@ impl ConstPool {
             leases: 0,
             mr,
             budget: None,
+            scratch: None,
         })
     }
 
@@ -155,6 +159,15 @@ impl ConstPool {
         }
     }
 
+    /// Free the working memory that deploys onto this pool have grown
+    /// (see `ir::Scratch`; the next deploy grows it again). Whoever
+    /// deploys many programs in a row — a fleet, a cluster session —
+    /// calls this once they are up, so the memory that made their
+    /// deploys cheap is not held while they serve.
+    pub fn release_scratch(&mut self) {
+        self.scratch = None;
+    }
+
     /// Stash a u64 constant; returns its address.
     pub fn push_u64(&mut self, sim: &mut Simulator, v: u64) -> Result<u64> {
         self.push_bytes(sim, &v.to_le_bytes())
@@ -162,7 +175,12 @@ impl ConstPool {
 
     /// Reserve zeroed space (e.g. a register or a scratch word).
     pub fn reserve(&mut self, sim: &mut Simulator, len: u64) -> Result<u64> {
-        self.push_bytes(sim, &vec![0u8; len as usize])
+        // Registers and staging cells are small: no buffer per cell.
+        const ZEROS: [u8; 256] = [0; 256];
+        match ZEROS.get(..len as usize) {
+            Some(zeros) => self.push_bytes(sim, zeros),
+            None => self.push_bytes(sim, &vec![0u8; len as usize]),
+        }
     }
 
     /// Bytes used so far.

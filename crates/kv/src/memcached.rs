@@ -205,15 +205,16 @@ pub(crate) fn post_get_burst(
 /// [`Session::reap_into`](crate::session::Session::reap_into)).
 /// Long-lived clients (sessions, fleet generators) reuse one pair of
 /// buffers across every reap instead of allocating two `Vec`s per poll.
+/// Returns how many completions were reaped.
 pub(crate) fn reap_gets_into(
     sim: &mut Simulator,
     ep: &ClientEndpoint,
     max: usize,
     cqes: &mut Vec<Cqe>,
     out: &mut Vec<ReapedGet>,
-) {
+) -> usize {
     cqes.clear();
-    sim.poll_cq_into(ep.recv_cq, max, cqes);
+    let reaped = sim.poll_cq_into(ep.recv_cq, max, cqes);
     for cqe in cqes.iter() {
         ep.note_response_reaped();
         out.push(ReapedGet {
@@ -221,6 +222,7 @@ pub(crate) fn reap_gets_into(
             at: cqe.time,
         });
     }
+    reaped
 }
 
 /// Synchronous RedN get: arms one instance, triggers it, waits for the

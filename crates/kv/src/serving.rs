@@ -786,6 +786,9 @@ impl ServingFleet {
                 i += 1;
             }
         }
+        // Every program is up: the deploys' shared working memory has
+        // done its job.
+        ctx.pool_mut().release_scratch();
         // Tenant isolation: prove pairwise non-interference across the
         // co-deployed services before any request flows. Self-recycling
         // services publish their round's footprint (response slots, ring

@@ -371,7 +371,9 @@ impl Session {
     /// generators call this with one buffer per client per run.
     pub fn reap_into(&mut self, sim: &mut Simulator, max: usize, out: &mut Vec<Completion>) {
         self.reap_buf.clear();
-        reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, &mut self.reap_buf);
+        if reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, &mut self.reap_buf) == 0 {
+            return;
+        }
         match self.bound {
             Bound::Get { .. } => out.extend(self.reap_buf.drain(..).map(Completion::Get)),
             Bound::Walk { .. } => out.extend(self.reap_buf.drain(..).map(|g| {

@@ -142,8 +142,12 @@ impl CompletionQueue {
     /// Allocation-free [`CompletionQueue::poll`]: drains up to `max`
     /// entries into `out` (appending) and returns how many were reaped.
     /// Clients reuse one buffer per reap loop instead of allocating a
-    /// fresh `Vec` per call.
+    /// fresh `Vec` per call. An idle poll — most polls of a busy-polling
+    /// host find nothing — is one compare.
     pub fn poll_into(&mut self, max: usize, out: &mut Vec<Cqe>) -> usize {
+        if self.entries.is_empty() {
+            return 0;
+        }
         let n = max.min(self.entries.len());
         out.extend(self.entries.drain(..n));
         n

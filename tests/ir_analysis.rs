@@ -20,6 +20,27 @@ use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::mem::Access;
 use rnic_sim::sim::Simulator;
 
+mod common;
+
+/// Pin a negative's full diagnostic text (see `tests/common/mod.rs`).
+fn golden(key: &str, message: &str) {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/analysis_diagnostics.txt"
+    );
+    common::check_diagnostic(path, &format!("ir_analysis::{key}"), message);
+}
+
+/// Every diagnostic of a report, one per line.
+fn messages(report: &analysis::AnalysisReport) -> String {
+    let lines: Vec<&str> = report
+        .diagnostics
+        .iter()
+        .map(|d| d.message.as_str())
+        .collect();
+    lines.join("\n")
+}
+
 fn rig() -> (Simulator, NodeId, ConstPool) {
     let mut sim = Simulator::new(SimConfig::default());
     let node = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
@@ -85,6 +106,7 @@ fn seeded_wait_cycle_is_rejected_naming_both_waits() {
     assert!(msg.contains("circular wait"), "{msg}");
     assert!(msg.contains("wait-in-a"), "{msg}");
     assert!(msg.contains("wait-in-b"), "{msg}");
+    golden("seeded_wait_cycle", &msg);
 }
 
 /// An ENABLE staged *behind* a WAIT that gates on the very op the
@@ -128,6 +150,7 @@ fn seeded_unraisable_horizon_is_rejected() {
     let msg = format!("{err}");
     assert!(msg.contains("unraisable-horizon"), "{msg}");
     assert!(msg.contains("late enable"), "{msg}");
+    golden("seeded_unraisable_horizon", &msg);
 }
 
 /// A recycled ring whose per-round ENABLE bump is smaller than the ops
@@ -167,6 +190,7 @@ fn seeded_recycled_induction_failure_is_rejected() {
     assert!(msg.contains("recycled-induction"), "{msg}");
     assert!(msg.contains("short bump"), "{msg}");
     assert!(msg.contains("2 ops per round"), "{msg}");
+    golden("seeded_recycled_induction_failure", &msg);
 }
 
 /// A runtime patch that rewrites a WRITE's remote address to one past
@@ -226,6 +250,195 @@ fn seeded_out_of_bounds_post_patch_write_is_rejected() {
     assert!(msg.contains("out-of-bounds post-patch WRITE"), "{msg}");
     assert!(msg.contains("oob patcher"), "{msg}");
     assert!(msg.contains("patched writer"), "{msg}");
+    golden("seeded_out_of_bounds_post_patch_write", &msg);
+}
+
+/// A managed, externally enabled queue on a one-node rig plus a 64-byte
+/// registered region: the stage for the bounds negatives below.
+fn bounds_rig() -> (
+    Simulator,
+    ConstPool,
+    redn::core::program::ChainQueue,
+    rnic_sim::mem::MemoryRegion,
+) {
+    let (mut sim, node, pool) = rig();
+    let q = ChainQueueBuilder::new(node, ProcessId(0))
+        .managed()
+        .depth(32)
+        .build(&mut sim)
+        .unwrap();
+    let data = sim.alloc(node, 64, 8).unwrap();
+    let region = sim.register_mr(node, data, 64, Access::all()).unwrap();
+    (sim, pool, q, region)
+}
+
+/// One of each direct (no patch involved) bounds violation, in one
+/// program: a gather past its constant cell, a WRITE past its registered
+/// region, a patch wider than the WQE slots trailing its target, an
+/// SGE-list READ naming more entries than its table holds, and a table
+/// entry and an external scatter entry past their cells.
+#[test]
+fn seeded_direct_out_of_bounds_accesses_are_all_reported() {
+    use redn::core::ir::SgeSpec;
+    let (sim, _pool, q, region) = bounds_rig();
+    let mut p = IrProgram::linear();
+    let qid = p.chain(q);
+    p.external_enable(qid);
+    let cell = p.const_bytes(vec![0xCD; 8]);
+    let write = |src: Loc, len: u32, dst: Loc, label: &'static str| {
+        let kind = Kind::Write {
+            src,
+            len,
+            dst,
+            imm: None,
+        };
+        OpBuild::new(kind).signaled().label(label)
+    };
+    let in_region = Loc::raw(region.addr, region.rkey);
+    p.push(
+        qid,
+        write(Loc::cst_off(cell, 4), 8, in_region, "short gather"),
+    );
+    p.push(
+        qid,
+        write(
+            Loc::cst(cell),
+            8,
+            Loc::raw(region.addr + 60, region.rkey),
+            "region overrun",
+        ),
+    );
+    let table = p.const_sges(vec![SgeSpec {
+        target: Loc::cst_off(cell, 6),
+        len: 4,
+    }]);
+    p.push(
+        qid,
+        OpBuild::new(Kind::ReadSgl {
+            table,
+            entries: 3,
+            src: in_region,
+        })
+        .signaled()
+        .label("wide READ"),
+    );
+    let last = p.alloc(qid);
+    p.push(
+        qid,
+        write(
+            Loc::cst(cell),
+            8,
+            Loc::field_off(last, WqeField::Header, 60),
+            "slot overrun",
+        ),
+    );
+    p.place(last, OpBuild::new(Kind::Noop)); // unlabelled: named by position and ids
+    p.scatter(vec![SgeSpec {
+        target: Loc::cst_off(cell, 1),
+        len: 8,
+    }]);
+
+    let report = analysis::analyze(&p, &sim, "direct-bounds");
+    assert_eq!(report.diagnostics.len(), 6, "{:?}", report.diagnostics);
+    for d in &report.diagnostics {
+        assert_eq!(d.rule.name(), "out-of-bounds");
+    }
+    let all = messages(&report);
+    for who in [
+        "short gather",
+        "region overrun",
+        "wide READ",
+        "slot overrun",
+        "SGE table c1",
+        "external scatter s0",
+    ] {
+        assert!(all.contains(who), "{who}: {all}");
+    }
+    golden("seeded_direct_out_of_bounds_accesses", &all);
+}
+
+/// Offsets and addresses are program constants: sums that wrap `u64` are
+/// out of bounds, not a panic (debug) or a small in-bounds number
+/// (release). Run under both `cargo test` and `cargo test --release`.
+#[test]
+fn wrapping_direct_accesses_are_out_of_bounds_not_a_panic() {
+    let (sim, _pool, q, region) = bounds_rig();
+    let mut p = IrProgram::linear();
+    let qid = p.chain(q);
+    p.external_enable(qid);
+    let cell = p.const_bytes(vec![0xCD; 8]);
+    // 8 bytes at offset 2^64 - 4 "end" at offset 4 if the sum wraps.
+    p.push(
+        qid,
+        OpBuild::new(Kind::Write {
+            src: Loc::cst_off(cell, u64::MAX - 3),
+            len: 8,
+            dst: Loc::raw(u64::MAX - 3, region.rkey),
+            imm: None,
+        })
+        .signaled()
+        .label("wrapping write"),
+    );
+    let report = analysis::analyze(&p, &sim, "wrapping-direct");
+    assert_eq!(report.diagnostics.len(), 2, "{:?}", report.diagnostics);
+    for (d, what) in report
+        .diagnostics
+        .iter()
+        .zip(["gather source", "scatter destination"])
+    {
+        assert_eq!(d.rule.name(), "out-of-bounds");
+        assert!(d.message.starts_with("out-of-bounds: "), "{}", d.message);
+        assert!(d.message.contains("wrapping write"), "{}", d.message);
+        assert!(d.message.contains(what), "{}", d.message);
+    }
+}
+
+/// The post-patch twin: a patch value of `2^64 - 4` makes the patched
+/// WRITE's end wrap to 4, which a wrapping comparison accepts.
+#[test]
+fn wrapping_post_patch_address_is_rejected_not_accepted() {
+    let (mut sim, mut pool, victim, region) = bounds_rig();
+    let node = victim.node;
+    let ctrl = ChainQueueBuilder::new(node, ProcessId(0))
+        .depth(32)
+        .build(&mut sim)
+        .unwrap();
+    let mut p = IrProgram::linear();
+    let ctrl_q = p.chain(ctrl);
+    let victim_q = p.chain(victim);
+    p.external_enable(victim_q);
+    let payload = p.const_bytes(vec![0xAB; 8]);
+    let target = p.push(
+        victim_q,
+        OpBuild::new(Kind::Write {
+            src: Loc::cst(payload),
+            len: 8,
+            dst: Loc::raw(region.addr, region.rkey),
+            imm: None,
+        })
+        .signaled()
+        .label("patched writer"),
+    );
+    let bad_addr = p.const_bytes((u64::MAX - 3).to_le_bytes().to_vec());
+    p.push(
+        ctrl_q,
+        OpBuild::new(Kind::Write {
+            src: Loc::cst(bad_addr),
+            len: 8,
+            dst: Loc::field(target, WqeField::RemoteAddr),
+            imm: None,
+        })
+        .signaled()
+        .label("wrapping patcher"),
+    );
+    let err = match p.deploy(&mut sim, &mut pool) {
+        Err(e) => e,
+        Ok(_) => panic!("a wrapped post-patch end must not pass the region check"),
+    };
+    let msg = format!("{err}");
+    assert!(msg.contains("out-of-bounds post-patch WRITE"), "{msg}");
+    assert!(msg.contains("wrapping patcher"), "{msg}");
+    assert!(msg.contains("0xfffffffffffffffc"), "{msg}");
 }
 
 /// Two self-recycling hash-get rings answering into the *same* client
@@ -275,6 +488,7 @@ fn seeded_rings_aliasing_a_response_slot_are_flagged() {
     let json = report.to_json();
     assert!(json.contains("\"clean\":false"), "{json}");
     assert!(json.contains("\"rule\":\"interference\""), "{json}");
+    golden("seeded_rings_aliasing_a_response_slot", &messages(&report));
 }
 
 // ---------------------------------------------------------------- //
@@ -517,4 +731,5 @@ fn deployment_verifier_scales_with_spans_not_pairs() {
             d.message
         );
     }
+    golden("deployment_verifier_twin", &messages(&report));
 }

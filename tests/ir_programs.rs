@@ -14,6 +14,17 @@ use rnic_sim::ids::{CqId, NodeId, ProcessId};
 use rnic_sim::mem::Access;
 use rnic_sim::sim::Simulator;
 
+mod common;
+
+/// Pin a negative's full diagnostic text (see `tests/common/mod.rs`).
+fn golden(key: &str, message: &str) {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/analysis_diagnostics.txt"
+    );
+    common::check_diagnostic(path, &format!("ir_programs::{key}"), message);
+}
+
 fn rig() -> (Simulator, NodeId, ConstPool) {
     let mut sim = Simulator::new(SimConfig::default());
     let node = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
@@ -77,6 +88,7 @@ fn seeded_section_3_1_hazard_is_rejected_naming_the_wqe() {
         "diagnostic names the patcher: {msg}"
     );
     assert!(msg.contains("UNMANAGED"), "{msg}");
+    golden("seeded_section_3_1_hazard", &msg);
 }
 
 /// The same program on a *managed* victim queue (with the target covered
@@ -147,6 +159,7 @@ fn unreachable_enable_target_is_rejected() {
     let msg = format!("{err}");
     assert!(msg.contains("unreachable ENABLE"), "{msg}");
     assert!(msg.contains("orphan"), "{msg}");
+    golden("unreachable_enable_target", &msg);
 }
 
 /// A WAIT in a recycled ring with an absolute threshold and no per-round
@@ -177,6 +190,7 @@ fn non_monotonic_recycled_wait_is_rejected() {
     let msg = format!("{err}");
     assert!(msg.contains("non-monotonic WAIT"), "{msg}");
     assert!(msg.contains("stale wait"), "{msg}");
+    golden("non_monotonic_recycled_wait", &msg);
 }
 
 /// `deploy_unchecked` is the escape hatch: the same seeded hazard lowers
