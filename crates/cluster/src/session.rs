@@ -67,6 +67,9 @@ pub struct PutReap {
     pub failures: Vec<PutFailure>,
 }
 
+/// CQEs one [`PutSession::reap`] takes from each of its CQs at most.
+const POLL_BATCH: usize = 64;
+
 /// One unresolved PUT occupying a window slot.
 #[derive(Clone, Copy, Debug)]
 struct PendingPut {
@@ -105,6 +108,9 @@ pub struct PutSession {
     /// being applied, so an idle reap allocates nothing.
     cqe_buf: Vec<Cqe>,
     value_buf: Vec<u8>,
+    /// Sum of the two CQs' monotonic CQE counts at the last reap that
+    /// emptied both: while it stands, neither holds anything.
+    cq_seen: u64,
 }
 
 impl PutSession {
@@ -181,6 +187,7 @@ impl PutSession {
             pending: vec![None; depth as usize],
             cqe_buf: Vec::new(),
             value_buf: Vec::new(),
+            cq_seen: 0,
         })
     }
 
@@ -220,13 +227,26 @@ impl PutSession {
     /// send side. Does not step the simulator. Everything the NIC wrote
     /// (the immediate, the ack word, the request slot) is validated
     /// against the session's own table; a mismatch skips the CQE or
-    /// fails the put, never panics. A CQ with nothing to report costs
-    /// its poll and nothing else.
+    /// fails the put, never panics. An idle reap — no CQE pushed to
+    /// either CQ since a reap emptied both — is one compare, inlined
+    /// into the caller's loop.
+    #[inline]
     pub fn reap(&mut self, sim: &mut Simulator) -> PutReap {
+        let total = sim.cq_total(self.recv_cq) + sim.cq_total(self.send_cq);
+        if total == self.cq_seen {
+            return PutReap::default();
+        }
+        self.drain(sim, total)
+    }
+
+    /// The polls behind [`PutSession::reap`], `total` being the two CQs'
+    /// CQE counts now.
+    fn drain(&mut self, sim: &mut Simulator, total: u64) -> PutReap {
         let mut out = PutReap::default();
         let mut cqes = std::mem::take(&mut self.cqe_buf);
         cqes.clear();
-        if sim.poll_cq_into(self.recv_cq, 64, &mut cqes) > 0 {
+        let acked = sim.poll_cq_into(self.recv_cq, POLL_BATCH, &mut cqes);
+        if acked > 0 {
             for cqe in cqes.drain(..) {
                 if cqe.status != CqeStatus::Success {
                     continue;
@@ -280,7 +300,8 @@ impl PutSession {
                 self.repl.complete_instance();
             }
         }
-        if sim.poll_cq_into(self.send_cq, 64, &mut cqes) > 0 {
+        let sent = sim.poll_cq_into(self.send_cq, POLL_BATCH, &mut cqes);
+        if sent > 0 {
             for cqe in cqes.drain(..) {
                 if cqe.status == CqeStatus::Success {
                     continue;
@@ -300,6 +321,10 @@ impl PutSession {
                     self.repl.complete_instance();
                 }
             }
+        }
+        // A poll that came back full may have left CQEs behind.
+        if acked.max(sent) < POLL_BATCH {
+            self.cq_seen = total;
         }
         self.cqe_buf = cqes;
         out

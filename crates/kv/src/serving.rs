@@ -416,9 +416,6 @@ struct FleetClient {
     self_recycling: bool,
     /// Owning tenant index (see [`ServiceSpec::tenant`]).
     tenant: Option<usize>,
-    /// The recv CQ's monotonic CQE count at the last reap: unchanged
-    /// means the CQ is still empty, and polling it would be a no-op.
-    cq_seen: u64,
 }
 
 /// One owner's (the fleet's, or one tenant's) accounting of a run: every
@@ -476,13 +473,11 @@ impl FleetClient {
         log: &mut RunLog,
         buf: &mut PostScratch,
     ) -> Result<()> {
-        let total = sim.cq_total(self.session.endpoint().recv_cq);
-        if std::mem::replace(&mut self.cq_seen, total) == total {
+        buf.done.clear();
+        if !self.session.reap_into(sim, 1024, &mut buf.done) {
             return Ok(());
         }
         let mut arms = 0u64;
-        buf.done.clear();
-        self.session.reap_into(sim, 1024, &mut buf.done);
         log.reap_calls += 1;
         log.reap_useful += u64::from(!buf.done.is_empty());
         for done in buf.done.drain(..) {
@@ -781,7 +776,6 @@ impl ServingFleet {
                     depth: svc.pipeline_depth,
                     self_recycling: svc.self_recycling,
                     tenant: svc.tenant,
-                    cq_seen: 0,
                 });
                 i += 1;
             }
@@ -916,10 +910,13 @@ impl ServingFleet {
             sim.node_doorbells(self.client_node),
         );
         let n = self.clients.len();
-        // This turn's visit set: every client on the first turn.
+        // This turn's visit set — every client on the first turn — and
+        // who is in it.
         let mut todo: Vec<usize> = (0..n).collect();
-        // Clients whose ask the pacer cut short: visited again next turn,
-        // because `CreditPacer::shed` counts every re-ask.
+        let mut queued = vec![true; n];
+        // Throttled clients: the pacer cut their last ask short, and
+        // `CreditPacer::shed` counts the ask again every turn until it is
+        // met.
         let mut unmet: Vec<usize> = Vec::new();
         let mut ready: Vec<CqId> = Vec::new();
         // Open loop (empty otherwise): when each unthrottled client with
@@ -932,28 +929,42 @@ impl ServingFleet {
         let mut unfinished = if ops_per_client > 0 { n } else { 0 };
         loop {
             let now = sim.now();
-            // An idle client of a rate-capped tenant would still have
-            // asked its pacer for 0 posts, and that call accrues credit in
-            // `f64`: keep the accrual sequence by asking once per turn.
+            // Every client's ask accrues its tenant's credit in `f64`,
+            // and after the first ask of a turn the rest accrue nothing:
+            // one accrual per turn keeps the sequence, whoever is visited.
             for pacer in self.pacers.iter_mut().flatten() {
-                pacer.grant(now, 0);
+                pacer.accrue(now);
             }
             sim.drain_ready_cqs(&mut ready);
+            let news = ready.drain(..);
+            let news = news.filter_map(|cq| self.recv_cqs.get(&cq).copied());
             let due = next_due.iter().enumerate();
             let due = due.filter_map(|(ci, t)| t.is_some_and(|t| t <= now).then_some(ci));
-            todo.extend(
-                ready
-                    .drain(..)
-                    .filter_map(|cq| self.recv_cqs.get(&cq).copied()),
-            );
-            todo.extend(due);
+            for ci in news.chain(due) {
+                if !std::mem::replace(&mut queued[ci], true) {
+                    todo.push(ci);
+                }
+            }
+            // A throttled client with no news, whose tenant still holds
+            // less than one credit, is not visited: the visit would reap
+            // nothing, be granted nothing and post nothing. Its ask is
+            // shed all the same.
+            unmet.retain(|&ci| {
+                let c = &self.clients[ci];
+                let pacer = c.tenant.and_then(|t| self.pacers[t].as_mut());
+                let pacer = pacer.expect("only a pacer cuts an ask short");
+                if !queued[ci] && !pacer.has_credit() {
+                    pacer.defer(arrival.due(c, ci, ops_per_client, now));
+                    return true;
+                }
+                if !std::mem::replace(&mut queued[ci], true) {
+                    todo.push(ci);
+                }
+                false
+            });
             todo.sort_unstable();
-            todo.dedup();
-            // Earliest future time a client has something to post: a
-            // throttled tenant's next credit, or (open loop) the next
-            // scheduled request of a client with window room.
-            let mut next_wake: Option<Time> = None;
             for ci in todo.drain(..) {
+                queued[ci] = false;
                 let c = &mut self.clients[ci];
                 let was_done = c.reaped >= ops_per_client;
                 c.reap(sim, pool, ops_per_client, &mut self.log, &mut self.scratch)?;
@@ -962,24 +973,15 @@ impl ServingFleet {
                 // its pacer. In an open loop the shortfall stays
                 // scheduled, so its latency keeps accruing from the
                 // scheduled time — pacing delay is charged to the
-                // overdriven tenant, not hidden. When throttled, the
-                // earliest time a credit accrues is where the run jumps
-                // to instead of spinning.
-                let mut pacer = c.tenant.and_then(|t| self.pacers[t].as_mut());
-                let granted = pacer.as_mut().map_or(want, |p| p.grant(now, want));
-                let credit_wake = pacer
-                    .filter(|_| granted < want)
-                    .map(|p| p.next_credit_at(now));
+                // overdriven tenant, not hidden.
+                let pacer = c.tenant.and_then(|t| self.pacers[t].as_mut());
+                let granted = pacer.map_or(want, |p| p.grant(now, want));
+                let throttled = granted < want;
                 let first = c.posted;
                 c.post_burst(sim, granted, &mut self.scratch)?;
                 unfinished -= usize::from(!was_done && c.reaped >= ops_per_client);
-                // A credit-gated client's next post happens when its
-                // tenant's credit accrues, not at the (already-passed)
-                // scheduled time.
-                if let Some(t) = credit_wake {
+                if throttled {
                     unmet.push(ci);
-                    let t = t.max(now);
-                    next_wake = Some(next_wake.map_or(t, |w| w.min(t)));
                 }
                 if let Arrival::Open(sched) = arrival {
                     // Backdate each new pending handle to its scheduled time.
@@ -988,42 +990,56 @@ impl ServingFleet {
                     for (j, pending) in new.enumerate() {
                         pending.scheduled_at = sched.at(ci, first + j as u64);
                     }
+                    // A credit-gated client's next post happens when its
+                    // tenant's credit accrues, not at the (already-passed)
+                    // scheduled time.
                     let room = c.posted < ops_per_client && (len as u64) < u64::from(c.depth);
-                    next_due[ci] = (credit_wake.is_none() && room).then(|| sched.at(ci, c.posted));
+                    next_due[ci] = (!throttled && room).then(|| sched.at(ci, c.posted));
                 }
             }
-            std::mem::swap(&mut todo, &mut unmet);
             if unfinished == 0 || now > deadline {
                 break;
             }
-            let next_wake = next_due.iter().flatten().copied().chain(next_wake).min();
-            let jump = next_wake.filter(|&t| t > now);
             match arrival {
                 // Closed loop: event by event, so every completion is
                 // reaped and refilled at once; when the simulator drains
                 // only paced posts remain — jump to the credit.
                 Arrival::Closed { .. } => {
                     if !sim.step()? {
-                        match jump.filter(|&t| t <= deadline) {
+                        let wake = self.credit_wake(&unmet, now);
+                        match wake.filter(|&t| t > now && t <= deadline) {
                             Some(t) => sim.run_until(t)?,
                             None => break,
                         }
                     }
                 }
-                // Open loop: nothing to do until the next scheduled
-                // post — jump there; otherwise a post is due now (window
-                // full) or only reaps remain.
-                Arrival::Open(_) => match jump {
-                    Some(t) => sim.run_until(t)?,
-                    None => {
-                        if !sim.step()? {
-                            break;
+                // Open loop: nothing to do until the next scheduled post
+                // or credit — jump there; otherwise a post is due now
+                // (window full) or only reaps remain.
+                Arrival::Open(_) => {
+                    let wake = self.credit_wake(&unmet, now);
+                    let wake = next_due.iter().flatten().copied().chain(wake).min();
+                    match wake.filter(|&t| t > now) {
+                        Some(t) => sim.run_until(t)?,
+                        None => {
+                            if !sim.step()? {
+                                break;
+                            }
                         }
                     }
-                },
+                }
             }
         }
         Ok(self.finish(sim, pool, start, offered, base))
+    }
+
+    /// The earliest time a throttled client's tenant holds a whole credit
+    /// — where a run with nothing else to do jumps to instead of
+    /// spinning. Worked out only at such a jump.
+    fn credit_wake(&self, unmet: &[usize], now: Time) -> Option<Time> {
+        let tenants = unmet.iter().filter_map(|&ci| self.clients[ci].tenant);
+        let pacers = tenants.filter_map(|t| self.pacers[t].as_ref());
+        pacers.map(|p| p.next_credit_at(now).max(now)).min()
     }
 
     /// Reset per-run accounting and top every host-armed client's

@@ -142,6 +142,9 @@ pub struct Session {
     cqe_buf: Vec<Cqe>,
     /// Scratch typed-reap buffer reused across reaps.
     reap_buf: Vec<ReapedGet>,
+    /// The recv CQ's monotonic CQE count at the last poll that emptied
+    /// it: while the count stands there, the CQ holds nothing.
+    cq_seen: u64,
 }
 
 impl Session {
@@ -229,6 +232,7 @@ impl Session {
             bound,
             cqe_buf: Vec::new(),
             reap_buf: Vec::new(),
+            cq_seen: 0,
         };
         sim.connect_qps(session.ep.qp, session.service().tp.qp)?;
         session.service_mut().prime(sim, ctx.pool_mut())?;
@@ -368,11 +372,41 @@ impl Session {
 
     /// Allocation-free [`Session::reap`]: appends typed completions to
     /// `out`, recycling the session's internal scratch buffers. Fleet
-    /// generators call this with one buffer per client per run.
-    pub fn reap_into(&mut self, sim: &mut Simulator, max: usize, out: &mut Vec<Completion>) {
+    /// generators call this with one buffer per client per run. Returns
+    /// whether the CQ was polled: an idle reap — no CQE pushed since a
+    /// poll emptied the CQ — is this one compare, inlined into the
+    /// caller's loop. The count only says a CQE *may* be there; every
+    /// reap that does happen polls the CQ and reads the completions as
+    /// placed.
+    #[inline]
+    pub fn reap_into(
+        &mut self,
+        sim: &mut Simulator,
+        max: usize,
+        out: &mut Vec<Completion>,
+    ) -> bool {
+        let total = sim.cq_total(self.ep.recv_cq);
+        if total == self.cq_seen {
+            return false;
+        }
+        self.poll_into(sim, total, max, out);
+        true
+    }
+
+    /// The poll behind [`Session::reap_into`], `total` being the CQ's
+    /// CQE count now.
+    fn poll_into(
+        &mut self,
+        sim: &mut Simulator,
+        total: u64,
+        max: usize,
+        out: &mut Vec<Completion>,
+    ) {
         self.reap_buf.clear();
-        if reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, &mut self.reap_buf) == 0 {
-            return;
+        let reaped = reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, &mut self.reap_buf);
+        // A poll that came back full may have left CQEs behind.
+        if reaped < max {
+            self.cq_seen = total;
         }
         match self.bound {
             Bound::Get { .. } => out.extend(self.reap_buf.drain(..).map(Completion::Get)),

@@ -426,7 +426,9 @@ impl CreditPacer {
         }
     }
 
-    fn accrue(&mut self, now: Time) {
+    /// Accrue the credit earned since the last accrual (none at the same
+    /// `now`): the first thing every [`CreditPacer::grant`] does.
+    pub(crate) fn accrue(&mut self, now: Time) {
         if now > self.last {
             let dt = (now - self.last).as_secs_f64();
             self.credits = (self.credits + self.rate_per_sec * dt).min(self.burst);
@@ -438,10 +440,25 @@ impl CreditPacer {
     /// shed (deferred) load.
     pub fn grant(&mut self, now: Time, want: u64) -> u64 {
         self.accrue(now);
-        let granted = (self.credits.floor() as u64).min(want);
+        // `credits >= 0`, so the cast's truncation is `floor`.
+        let granted = (self.credits as u64).min(want);
         self.credits -= granted as f64;
         self.shed += want - granted;
         granted
+    }
+
+    /// Whether a grant at the time of the last accrual has a whole credit
+    /// to hand out.
+    pub(crate) fn has_credit(&self) -> bool {
+        self.credits >= 1.0
+    }
+
+    /// Count `want` posts as shed without asking: all a
+    /// [`CreditPacer::grant`] at the time of the last accrual does while
+    /// [`CreditPacer::has_credit`] is false.
+    pub(crate) fn defer(&mut self, want: u64) {
+        debug_assert!(!self.has_credit());
+        self.shed += want;
     }
 
     /// When (at or after `now`) at least one credit will be available.

@@ -408,19 +408,21 @@ impl FifoResource {
 }
 
 /// A pool of identical FIFO servers (CPU cores, processing units).
-/// Jobs go to the earliest-free server.
+/// Jobs go to the earliest-free server, or to a named one (PU pinning).
 ///
-/// Earliest-free selection runs off a lazy min-heap of
-/// `(free_at, server)` entries rather than an O(n) scan — wide PU pools
-/// made the scan hot. Entries go stale when a server is re-acquired (each
-/// acquire pushes the new finish time); stale entries are skipped on pop
-/// by checking against the authoritative `free_at` table. Tie-breaking is
-/// identical to the old first-minimum scan: the heap orders by
-/// `(free_at, server index)`, so equal times pick the lowest index.
+/// Earliest-free selection runs off a min-heap holding one
+/// `(free_at, server)` entry per server rather than an O(n) scan. Pinned
+/// acquires — the per-WQE path: a queue's PU is fixed — touch only the
+/// `free_at` table and mark the heap stale; the next pooled acquire
+/// refills it in place, so neither kind allocates. Tie-breaking is that
+/// of a first-minimum scan: the heap orders by `(free_at, server index)`,
+/// so equal times pick the lowest index.
 #[derive(Clone, Debug)]
 pub struct PoolResource {
     free_at: Vec<Time>,
     ready: BinaryHeap<std::cmp::Reverse<(Time, usize)>>,
+    /// A pinned acquire has moved a `free_at` since `ready` was filled.
+    stale: bool,
     busy_total: Time,
 }
 
@@ -431,28 +433,28 @@ impl PoolResource {
         PoolResource {
             free_at: vec![Time::ZERO; n],
             ready: (0..n).map(|i| std::cmp::Reverse((Time::ZERO, i))).collect(),
+            stale: false,
             busy_total: Time::ZERO,
         }
     }
 
     /// Acquire any server at `now` for `dur`; returns (server, finish).
     pub fn acquire(&mut self, now: Time, dur: Time) -> (usize, Time) {
-        let i = loop {
-            let std::cmp::Reverse((t, i)) = *self.ready.peek().expect("non-empty pool");
-            if self.free_at[i] == t {
-                self.ready.pop();
-                break i;
-            }
-            // Stale entry: the server was re-acquired (pinned or pooled)
-            // after this entry was pushed.
-            self.ready.pop();
-        };
-        let start = now.max(self.free_at[i]);
-        self.free_at[i] = start + dur;
+        if std::mem::take(&mut self.stale) {
+            self.ready.clear();
+            let entries = self.free_at.iter().enumerate();
+            self.ready
+                .extend(entries.map(|(i, t)| std::cmp::Reverse((*t, i))));
+        }
+        // Re-key the earliest entry where it sits; the heap re-orders
+        // itself when `top` goes out of scope.
+        let mut top = self.ready.peek_mut().expect("non-empty pool");
+        let (free_at, i) = top.0;
+        let finish = now.max(free_at) + dur;
+        *top = std::cmp::Reverse((finish, i));
+        self.free_at[i] = finish;
         self.busy_total += dur;
-        self.ready.push(std::cmp::Reverse((self.free_at[i], i)));
-        self.maybe_compact();
-        (i, self.free_at[i])
+        (i, finish)
     }
 
     /// Acquire a *specific* server (PU pinning). Returns `(start, finish)`
@@ -461,23 +463,8 @@ impl PoolResource {
         let start = now.max(self.free_at[server]);
         self.free_at[server] = start + dur;
         self.busy_total += dur;
-        self.ready
-            .push(std::cmp::Reverse((self.free_at[server], server)));
-        self.maybe_compact();
+        self.stale = true;
         (start, self.free_at[server])
-    }
-
-    /// Drop accumulated stale entries once they dominate the heap (only
-    /// reachable under heavy pinned/pooled mixing; keeps the heap O(n)).
-    fn maybe_compact(&mut self) {
-        if self.ready.len() > 4 * self.free_at.len().max(8) {
-            self.ready = self
-                .free_at
-                .iter()
-                .enumerate()
-                .map(|(i, t)| std::cmp::Reverse((*t, i)))
-                .collect();
-        }
     }
 
     /// Number of servers.

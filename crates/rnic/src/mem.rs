@@ -20,6 +20,11 @@ use crate::ids::{NodeId, ProcessId};
 /// null-ish addresses faulting, which catches builder bugs early.
 pub const ARENA_BASE: u64 = 0x1_0000;
 
+/// The first key a host hands out. Keys are issued in pairs and never
+/// reused: registration `i` owns lkey `FIRST_KEY + 2i` and rkey
+/// `FIRST_KEY + 2i + 1`.
+const FIRST_KEY: u32 = 0x100;
+
 /// Minimal bitflags without a dependency: generates a transparent wrapper
 /// with `contains`/`union` plus the constants declared in the macro body.
 macro_rules! bitflags_lite {
@@ -101,8 +106,10 @@ pub struct HostMemory {
     node: NodeId,
     data: Vec<u8>,
     brk: u64,
-    regions: Vec<MemoryRegion>,
-    next_key: u32,
+    /// Registrations by ordinal (see [`FIRST_KEY`]): a key resolves by
+    /// index, whatever the number of regions. A deregistered or
+    /// reclaimed region leaves a `None` tombstone behind.
+    regions: Vec<Option<MemoryRegion>>,
 }
 
 impl HostMemory {
@@ -113,7 +120,6 @@ impl HostMemory {
             data: vec![0; capacity as usize],
             brk: ARENA_BASE,
             regions: Vec::new(),
-            next_key: 0x100,
         }
     }
 
@@ -196,35 +202,33 @@ impl HostMemory {
     ) -> Result<MemoryRegion> {
         // Validate the range exists.
         self.offset(addr, len)?;
-        let lkey = self.next_key;
-        let rkey = self.next_key + 1;
-        self.next_key += 2;
+        let lkey = FIRST_KEY + 2 * self.regions.len() as u32;
         let mr = MemoryRegion {
             addr,
             len,
             lkey,
-            rkey,
+            rkey: lkey + 1,
             access,
             owner,
         };
-        self.regions.push(mr);
+        self.regions.push(Some(mr));
         Ok(mr)
     }
 
     /// Deregister by lkey. Returns whether a region was removed.
     pub fn deregister(&mut self, lkey: u32) -> bool {
-        let before = self.regions.len();
-        self.regions.retain(|r| r.lkey != lkey);
-        self.regions.len() != before
+        let slot = Self::slot_of(lkey, false).and_then(|i| self.regions.get_mut(i));
+        slot.is_some_and(|r| r.take().is_some())
     }
 
     /// Drop every region owned by `owner` — what the OS does when a process
     /// dies and nothing else holds the RDMA resources (§5.6).
     /// Returns how many regions were reclaimed.
     pub fn reclaim_owner(&mut self, owner: ProcessId) -> usize {
-        let before = self.regions.len();
-        self.regions.retain(|r| r.owner != owner);
-        before - self.regions.len()
+        let slots = self.regions.iter_mut();
+        slots
+            .filter_map(|slot| slot.take_if(|r| r.owner == owner))
+            .count()
     }
 
     /// Re-parent all regions of `from` to `to` — the "empty hull parent"
@@ -232,7 +236,7 @@ impl HostMemory {
     /// child's crash.
     pub fn reparent(&mut self, from: ProcessId, to: ProcessId) -> usize {
         let mut n = 0;
-        for r in &mut self.regions {
+        for r in self.regions.iter_mut().flatten() {
             if r.owner == from {
                 r.owner = to;
                 n += 1;
@@ -241,10 +245,15 @@ impl HostMemory {
         n
     }
 
+    /// The ordinal of the registration that was issued `key` as its rkey
+    /// (`remote`) or lkey: parity tells the two apart.
+    fn slot_of(key: u32, remote: bool) -> Option<usize> {
+        let ordinal = key.checked_sub(FIRST_KEY)?;
+        (ordinal % 2 == u32::from(remote)).then_some((ordinal / 2) as usize)
+    }
+
     fn find_key(&self, key: u32, remote: bool) -> Option<&MemoryRegion> {
-        self.regions
-            .iter()
-            .find(|r| if remote { r.rkey == key } else { r.lkey == key })
+        self.regions.get(Self::slot_of(key, remote)?)?.as_ref()
     }
 
     /// The registered region a key resolves to (rkey when `remote`, lkey
@@ -276,7 +285,13 @@ impl HostMemory {
         let r = self
             .find_key(key, remote)
             .ok_or_else(|| viol("key not registered"))?;
-        if addr < r.addr || addr + len > r.addr + r.len {
+        // A self-modifying chain can patch any address into a WQE:
+        // neither sum may wrap.
+        let inside = match (addr.checked_add(len), r.addr.checked_add(r.len)) {
+            (Some(end), Some(limit)) => addr >= r.addr && end <= limit,
+            _ => false,
+        };
+        if !inside {
             return Err(viol("outside registered range"));
         }
         let needed = match (remote, write, atomic) {
@@ -335,7 +350,7 @@ impl HostMemory {
 
     /// Number of live registrations (for tests and the failure harness).
     pub fn region_count(&self) -> usize {
-        self.regions.len()
+        self.regions.iter().flatten().count()
     }
 }
 
@@ -438,6 +453,163 @@ mod tests {
         assert!(m.deregister(mr.lkey));
         assert!(!m.deregister(mr.lkey));
         assert!(m.nic_read(mr.rkey, a, 8, true).is_err());
+    }
+
+    /// The reason of the key violation `r` must be.
+    fn violation<T: std::fmt::Debug>(r: Result<T>) -> &'static str {
+        match r {
+            Err(Error::KeyViolation { reason, .. }) => reason,
+            other => panic!("expected a key violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wild_nic_addresses_are_key_violations_not_overflows() {
+        // A self-modifying chain can patch any address into a WQE.
+        let mut m = mem();
+        let a = m.alloc(64, 8).unwrap();
+        let mr = m.register(a, 64, Access::all(), P0).unwrap();
+        let outside = |r: Result<()>| assert_eq!(violation(r), "outside registered range");
+        outside(m.nic_write(mr.rkey, u64::MAX - 3, &[0; 8], true));
+        outside(m.nic_write(mr.lkey, u64::MAX - 3, &[0; 8], false));
+        let mut out = vec![0xAB];
+        outside(m.nic_read_into(mr.rkey, u64::MAX - 3, 8, true, &mut out));
+        assert_eq!(out, [0xAB], "a refused read leaves the buffer alone");
+        outside(m.nic_read_into(mr.rkey, a, u64::MAX, true, &mut out));
+        outside(m.nic_atomic(mr.rkey, u64::MAX - 7, |v| v + 1).map(drop));
+        assert_eq!(m.read(a, 64).unwrap(), [0; 64], "nothing was written");
+    }
+
+    /// The representation and linear scan the ordinal table replaced,
+    /// kept as its oracle.
+    #[derive(Default)]
+    struct ScanTable(Vec<MemoryRegion>);
+
+    impl ScanTable {
+        fn find_key(&self, key: u32, remote: bool) -> Option<&MemoryRegion> {
+            let mut live = self.0.iter();
+            live.find(|r| if remote { r.rkey == key } else { r.lkey == key })
+        }
+    }
+
+    /// Every key that was ever issued, the keys around them and the
+    /// extremes resolve as the scan says, both as lkeys and as rkeys.
+    fn assert_agrees(m: &HostMemory, scan: &ScanTable, issued: u32, ctx: &str) {
+        assert_eq!(m.region_count(), scan.0.len(), "{ctx}: region_count");
+        let around = (FIRST_KEY - 4)..(FIRST_KEY + 2 * issued + 4);
+        for key in around.chain([0, 1, u32::MAX - 1, u32::MAX]) {
+            for remote in [false, true] {
+                let (got, want) = (m.find_key(key, remote), scan.find_key(key, remote));
+                assert_eq!(got, want, "{ctx}: key {key:#x}, remote {remote}");
+                assert_eq!(m.region_by_key(key, remote), want, "{ctx}: region_by_key");
+            }
+        }
+    }
+
+    #[test]
+    fn key_table_resolves_exactly_the_live_keys() {
+        let mut m = mem();
+        let a = m.alloc(256, 8).unwrap();
+        let mrs: Vec<MemoryRegion> = (0..4)
+            .map(|i| {
+                let owner = if i < 2 { P0 } else { P1 };
+                m.register(a + 64 * i, 64, Access::all(), owner).unwrap()
+            })
+            .collect();
+        assert_eq!((mrs[0].lkey, mrs[0].rkey), (FIRST_KEY, FIRST_KEY + 1));
+        // An lkey presented as an rkey, and the reverse, is refused.
+        assert!(m.nic_read(mrs[1].rkey, a + 64, 8, true).is_ok());
+        assert!(m.nic_read(mrs[1].lkey, a + 64, 8, false).is_ok());
+        let swapped = m.nic_read(mrs[1].lkey, a + 64, 8, true);
+        assert_eq!(violation(swapped), "key not registered");
+        let swapped = m.nic_read(mrs[1].rkey, a + 64, 8, false);
+        assert_eq!(violation(swapped), "key not registered");
+        // Below the first key, the extremes, one past the last issued.
+        let past = mrs[3].rkey + 1;
+        for key in [0, FIRST_KEY - 1, u32::MAX, past, past + 1] {
+            assert_eq!(m.region_by_key(key, false), None, "lkey {key:#x}");
+            assert_eq!(m.region_by_key(key, true), None, "rkey {key:#x}");
+            assert!(!m.deregister(key));
+        }
+        // A deregistered pair resolves to "key not registered".
+        assert!(m.deregister(mrs[1].lkey));
+        assert!(!m.deregister(mrs[1].rkey), "deregister takes the lkey");
+        assert_eq!(
+            violation(m.nic_read(mrs[1].rkey, a + 64, 8, true)),
+            "key not registered"
+        );
+        assert_eq!(
+            violation(m.nic_read(mrs[1].lkey, a + 64, 8, false)),
+            "key not registered"
+        );
+        assert_eq!(m.region_count(), 3);
+        // Reparenting changes no lookup.
+        assert_eq!(m.reparent(P0, P1), 1);
+        assert_eq!(m.region_by_key(mrs[0].rkey, true).unwrap().owner, P1);
+        assert_eq!(m.region_by_key(mrs[0].lkey, false).unwrap().addr, a);
+        // A reclaim tombstones its owner's regions; registering afterwards
+        // hands out fresh keys and the survivors still resolve.
+        let keep = m.register(a, 32, Access::all(), P0).unwrap();
+        assert_eq!(m.reclaim_owner(P1), 3);
+        assert_eq!(m.region_count(), 1);
+        let fresh = m.register(a + 32, 32, Access::all(), P1).unwrap();
+        assert_eq!(fresh.lkey, keep.lkey + 2, "keys are never reused");
+        assert_eq!(m.region_by_key(fresh.rkey, true), Some(&fresh));
+        assert_eq!(m.region_by_key(keep.lkey, false), Some(&keep));
+        assert_eq!(m.region_by_key(mrs[0].rkey, true), None);
+        assert_eq!(m.region_count(), 2);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn key_table_agrees_with_the_linear_scan(seed in proptest::any::<u64>()) {
+            // The ops come from `seed` alone, so the seed a failure
+            // prints replays it.
+            let mut state = seed | 1;
+            let mut below = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let mut m = mem();
+            let a = m.alloc(4096, 8).unwrap();
+            let mut scan = ScanTable::default();
+            let mut issued = 0u32;
+            for step in 0..200 {
+                let ctx = format!("seed {seed}, step {step}");
+                let owner = ProcessId(below(3) as u32);
+                match below(8) {
+                    0..=3 => {
+                        let (off, len) = (below(64) * 32, 1 + below(2048));
+                        let access = Access(below(32) as u8);
+                        let mr = m.register(a + off, len, access, owner).unwrap();
+                        scan.0.push(mr);
+                        issued += 1;
+                    }
+                    4..=5 => {
+                        // Any key near the issued range: live, dead, an
+                        // rkey, never issued.
+                        let lkey = FIRST_KEY - 2 + below(2 * u64::from(issued) + 6) as u32;
+                        let before = scan.0.len();
+                        scan.0.retain(|r| r.lkey != lkey);
+                        assert_eq!(m.deregister(lkey), scan.0.len() != before, "{ctx}");
+                    }
+                    6 => {
+                        let before = scan.0.len();
+                        scan.0.retain(|r| r.owner != owner);
+                        assert_eq!(m.reclaim_owner(owner), before - scan.0.len(), "{ctx}");
+                    }
+                    _ => {
+                        let to = ProcessId(below(3) as u32);
+                        let mine = scan.0.iter_mut().filter(|r| r.owner == owner);
+                        let moved = mine.map(|r| r.owner = to).count();
+                        assert_eq!(m.reparent(owner, to), moved, "{ctx}");
+                    }
+                }
+                assert_agrees(&m, &scan, issued, &ctx);
+            }
+        }
     }
 
     #[test]

@@ -503,6 +503,28 @@ mod tests {
     }
 
     #[test]
+    fn wild_remote_address_is_a_protection_error_not_a_panic() {
+        // What a self-modifying chain's stray patch produces: a valid
+        // rkey with an address whose end wraps past 2^64.
+        let (mut sim, a, b) = two_nodes();
+        let (qp_a, _qp_b, cq_a, _) = qp_pair(&mut sim, a, b);
+        let src = sim.alloc(a, 8, 8).unwrap();
+        let smr = sim.register_mr(a, src, 8, Access::all()).unwrap();
+        let dst = sim.alloc(b, 64, 8).unwrap();
+        let dmr = sim.register_mr(b, dst, 64, Access::all()).unwrap();
+        let wild = u64::MAX - 3;
+        sim.post_send(qp_a, WorkRequest::write(src, smr.lkey, 8, wild, dmr.rkey))
+            .unwrap();
+        sim.post_send(qp_a, WorkRequest::read(src, smr.lkey, 8, wild, dmr.rkey))
+            .unwrap();
+        sim.run().unwrap();
+        let cqes = sim.poll_cq(cq_a, 8);
+        assert_eq!(cqes.len(), 2);
+        assert!(cqes.iter().all(|c| c.status == CqeStatus::ProtectionError));
+        assert_eq!(sim.mem_read(b, dst, 64).unwrap(), [0; 64]);
+    }
+
+    #[test]
     fn recv_sgl_scatters_into_multiple_targets() {
         let (mut sim, a, b) = two_nodes();
         let (qp_a, qp_b, _cq_a, cq_b) = qp_pair(&mut sim, a, b);

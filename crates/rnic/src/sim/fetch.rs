@@ -107,7 +107,6 @@ impl Simulator {
             }
             self.wqs[wq_id.index()].cache_snapshot(i, bytes);
         }
-        self.wqs[wq_id.index()].fetched = idx + batch;
         self.advance_wq(wq_id)
     }
 }

@@ -26,11 +26,11 @@ impl Simulator {
             WqBlock::None => {}
         }
         let idx = wq.executed;
-        let Some(&(_, bytes)) = wq.fetch_cache.iter().find(|(i, _)| *i == idx) else {
+        let Some(bytes) = wq.next_snapshot() else {
             return Ok(());
         };
         let node = wq.node;
-        let Ok(wqe) = Wqe::decode(&bytes) else {
+        let Ok(wqe) = Wqe::decode(bytes) else {
             // Corrupted WQE: fault the WQE, keep the queue moving.
             self.fault_wqe(wq_id, idx, "undecodable WQE", CqeStatus::BadWqe);
             return self.try_issue(wq_id);
@@ -88,9 +88,8 @@ impl Simulator {
         }
         let (start, finish) =
             self.nics[node.index()].pus[wq.port].acquire_at(wq.pu, earliest, t_issue);
-        wq.take_snapshot(idx);
+        wq.take_snapshot();
         wq.executing = Some((idx, wqe, start));
-        wq.executed = idx + 1;
         wq.next_issue_at = start + t_chain_gap;
         wq.stat_executed += 1;
         self.nics[node.index()].stat_verbs += 1;
@@ -111,8 +110,8 @@ impl Simulator {
     /// reason and complete it with `status` one CQE delay from now.
     fn fault_wqe(&mut self, wq_id: WqId, idx: u64, reason: &'static str, status: CqeStatus) {
         let wq = &mut self.wqs[wq_id.index()];
-        wq.take_snapshot(idx);
-        wq.executed = idx + 1;
+        debug_assert_eq!(idx, wq.executed);
+        wq.take_snapshot();
         let t_cqe = self.nics[wq.node.index()].config.t_cqe;
         self.trace_fault(wq_id, idx, reason);
         self.complete_local(wq_id, idx, Opcode::Noop, true, status, self.now + t_cqe);
@@ -404,6 +403,56 @@ mod tests {
         let comp_marginal = run_chain(true);
         assert!((wq_marginal - 0.17).abs() < 0.02, "wq {wq_marginal}");
         assert!((comp_marginal - 0.19).abs() < 0.02, "comp {comp_marginal}");
+    }
+
+    #[test]
+    fn fetch_cache_is_a_fifo_over_executed_to_fetched() {
+        // An unmanaged queue deep enough to hold two prefetched batches,
+        // with a corrupted WQE and a WAIT on a missing CQ in the stream
+        // (both consumed by `fault_wqe`, not by a normal issue): after
+        // every event the cache is exactly [executed, fetched), oldest
+        // first.
+        let (mut sim, a, b) = two_nodes();
+        let (qp_a, _qp_b, cq_a, _) = qp_pair(&mut sim, a, b);
+        let posted = 40u64;
+        let wrs: Vec<WorkRequest> = (0..posted)
+            .map(|i| {
+                let mut wr = match i {
+                    9 => WorkRequest::wait(CqId(999), 1),
+                    _ => WorkRequest::noop(),
+                };
+                wr.wqe.id = i;
+                wr.signaled()
+            })
+            .collect();
+        sim.post_send_batch(qp_a, &wrs).unwrap();
+        let corrupt = sim.sq_wqe_addr(qp_a, 5);
+        sim.mem_write_u64(a, corrupt, u64::MAX).unwrap();
+        let sq = sim.sq_of(qp_a);
+        let mut deepest = 0;
+        while sim.step().unwrap() {
+            let wq = &sim.wqs[sq.index()];
+            assert_eq!(wq.fetch_cache.len() as u64, wq.fetched - wq.executed);
+            for (k, bytes) in wq.fetch_cache.iter().enumerate() {
+                let idx = wq.executed + k as u64;
+                match Wqe::decode(bytes) {
+                    Ok(wqe) => assert_eq!(wqe.id, idx, "cache slot {k}"),
+                    Err(_) => assert_eq!(idx, 5, "only WQE 5 is corrupt"),
+                }
+            }
+            deepest = deepest.max(wq.fetch_cache.len());
+        }
+        assert!(deepest > 16, "two batches were cached at once: {deepest}");
+        let wq = &sim.wqs[sq.index()];
+        assert_eq!((wq.executed, wq.fetched), (posted, posted));
+        let cqes = sim.poll_cq(cq_a, 64);
+        assert_eq!(cqes.len() as u64, posted);
+        let faulted: Vec<u64> = cqes
+            .iter()
+            .filter(|c| c.status != CqeStatus::Success)
+            .map(|c| c.wqe_index)
+            .collect();
+        assert_eq!(faulted, [5, 9]);
     }
 
     #[test]

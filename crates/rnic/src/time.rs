@@ -116,7 +116,16 @@ impl Time {
     #[inline]
     pub fn transfer(bytes: u64, gbps: f64) -> Time {
         debug_assert!(gbps > 0.0);
-        Time(((bytes as f64) * 8000.0 / gbps).round() as u64)
+        let ps = (bytes as f64) * 8000.0 / gbps;
+        // `ps.round() as u64` without the libm call (`round` is not an
+        // instruction on baseline x86-64). For `ps >= 0` the cast
+        // truncates, `whole as f64` is exact (below 2^53 every integer
+        // is a double; from 2^52 up `ps` is itself an integer) and so is
+        // the difference, the fraction of `ps`: rounding half away from
+        // zero adds one exactly when it is at least a half. Saturation,
+        // NaN and negative quotients also cast the way `round` does.
+        let whole = ps as u64;
+        Time(whole.saturating_add(u64::from(ps - whole as f64 >= 0.5)))
     }
 }
 
@@ -219,6 +228,40 @@ mod tests {
         // 64 KiB at 92 Gbps ≈ 5.699 µs (the paper's Table 4 ceiling).
         let t = Time::transfer(64 * 1024, 92.0);
         assert!((t.as_us_f64() - 5.699).abs() < 0.01);
+    }
+
+    #[test]
+    fn transfer_rounds_exactly_as_f64_round() {
+        let reference = |bytes: u64, gbps: f64| ((bytes as f64) * 8000.0 / gbps).round() as u64;
+        // Every bandwidth a shipped `NicConfig` carries (IB link, gen3 and
+        // gen4 PCIe stage and bus), every payload up to 64 KiB.
+        for gbps in [92.0, 100.0, 126.0, 200.0, 252.0] {
+            for bytes in 0..=64 * 1024 {
+                assert_eq!(
+                    Time::transfer(bytes, gbps).as_ps(),
+                    reference(bytes, gbps),
+                    "{bytes} B at {gbps} Gbps"
+                );
+            }
+        }
+        // Exact halves, the double just below one, the 2^52 / 2^53 edges
+        // and saturation.
+        for (bytes, gbps) in [
+            (1, 16_000.0),
+            (3, 16_000.0),
+            (1, 16_000.000_000_000_002),
+            ((1 << 52) + 1, 8000.0),
+            ((1 << 53) + 2, 8000.0),
+            (u64::MAX, 8000.0),
+            (u64::MAX, 1e-3),
+            (1, f64::MIN_POSITIVE),
+        ] {
+            assert_eq!(
+                Time::transfer(bytes, gbps).as_ps(),
+                reference(bytes, gbps),
+                "{bytes} B at {gbps} Gbps"
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::ids::{CqId, NodeId, QpId, WqId};
 use crate::rate::RateLimiter;
 use crate::time::Time;
 use crate::wqe::{Wqe, WQE_SIZE};
+use std::collections::VecDeque;
 
 /// Which half of a QP a queue implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,11 +80,13 @@ pub struct WorkQueue {
     /// Fetch limit for managed queues (raised by ENABLE verbs). Ignored
     /// when unmanaged.
     pub enabled_until: u64,
-    /// Snapshots of fetched-but-not-yet-executed WQEs, with their indices.
-    /// This models the NIC's WQE cache: execution uses these bytes, not
-    /// host memory ("the execution outcome reflects the WRs at the time
-    /// they were fetched", §3.1).
-    pub fetch_cache: Vec<(u64, WqeBytes)>,
+    /// Snapshots of the fetched-but-not-yet-executed WQEs — exactly
+    /// indices `[executed, fetched)`, oldest first: fetches append in
+    /// index order and issue consumes from the front. This models the
+    /// NIC's WQE cache: execution uses these bytes, not host memory ("the
+    /// execution outcome reflects the WRs at the time they were
+    /// fetched", §3.1).
+    pub fetch_cache: VecDeque<WqeBytes>,
     /// Whether a fetch DMA is currently in flight.
     pub fetch_inflight: bool,
     /// The WQE currently being issued: `(index, decoded wqe, issue start)`.
@@ -145,7 +148,7 @@ impl WorkQueue {
             fetched: 0,
             executed: 0,
             enabled_until: 0,
-            fetch_cache: Vec::new(),
+            fetch_cache: VecDeque::new(),
             fetch_inflight: false,
             executing: None,
             port,
@@ -206,21 +209,31 @@ impl WorkQueue {
         self.fetched < self.fetch_limit()
     }
 
-    /// Take the cached snapshot for execution index `idx`, if present.
-    pub fn take_snapshot(&mut self, idx: u64) -> Option<WqeBytes> {
-        let pos = self.fetch_cache.iter().position(|(i, _)| *i == idx)?;
-        Some(self.fetch_cache.remove(pos).1)
+    /// The snapshot the queue issues next — WQE `executed` — if it has
+    /// been fetched.
+    pub fn next_snapshot(&self) -> Option<&WqeBytes> {
+        self.fetch_cache.front()
     }
 
-    /// Whether a snapshot for `idx` is cached (without consuming it).
-    pub fn has_snapshot(&self, idx: u64) -> bool {
-        self.fetch_cache.iter().any(|(i, _)| *i == idx)
+    /// Consume the snapshot of the next WQE to issue, if it has been
+    /// fetched, and move `executed` past it.
+    pub fn take_snapshot(&mut self) -> Option<WqeBytes> {
+        debug_assert_eq!(
+            self.fetch_cache.len() as u64,
+            self.fetched - self.executed,
+            "the cache holds exactly [executed, fetched)"
+        );
+        let bytes = self.fetch_cache.pop_front()?;
+        self.executed += 1;
+        Some(bytes)
     }
 
-    /// Record a fetched snapshot.
+    /// Record the snapshot of WQE `idx`, which must be the next in fetch
+    /// order, and move `fetched` past it.
     pub fn cache_snapshot(&mut self, idx: u64, bytes: WqeBytes) {
-        debug_assert!(!self.has_snapshot(idx));
-        self.fetch_cache.push((idx, bytes));
+        debug_assert_eq!(idx, self.fetched, "fetch is in index order");
+        self.fetch_cache.push_back(bytes);
+        self.fetched = idx + 1;
     }
 }
 
@@ -291,17 +304,36 @@ mod tests {
 
     #[test]
     fn snapshot_cache_round_trip() {
+        // The cache is a FIFO over [executed, fetched): fetches append in
+        // index order, issue consumes from the front.
         let mut q = wq(4, true);
-        let w = Wqe {
-            id: 7,
-            ..Wqe::default()
-        };
-        q.cache_snapshot(5, w.encode());
-        assert!(q.has_snapshot(5));
-        assert!(!q.has_snapshot(4));
-        assert_eq!(q.take_snapshot(4), None);
-        let bytes = q.take_snapshot(5).unwrap();
-        assert_eq!(Wqe::decode(&bytes).unwrap().id, 7);
-        assert_eq!(q.take_snapshot(5), None);
+        (q.executed, q.fetched) = (5, 5);
+        assert_eq!(q.next_snapshot(), None);
+        assert_eq!(q.take_snapshot(), None);
+        for id in 5..8 {
+            let w = Wqe {
+                id,
+                ..Wqe::default()
+            };
+            q.cache_snapshot(id, w.encode());
+        }
+        assert_eq!((q.executed, q.fetched, q.fetch_cache.len()), (5, 8, 3));
+        for id in 5..8 {
+            let peeked = *q.next_snapshot().unwrap();
+            let bytes = q.take_snapshot().unwrap();
+            assert_eq!(bytes, peeked);
+            assert_eq!(Wqe::decode(&bytes).unwrap().id, id);
+            assert_eq!(q.executed, id + 1);
+        }
+        assert_eq!(q.take_snapshot(), None);
+        assert_eq!(q.executed, 8, "an empty cache consumes nothing");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "fetch is in index order")]
+    fn snapshot_out_of_fetch_order_is_a_bug() {
+        let mut q = wq(4, true);
+        q.cache_snapshot(1, Wqe::default().encode());
     }
 }

@@ -8,52 +8,11 @@
 use rnic_sim::engine::{EventKind, EventQueue};
 use rnic_sim::ids::WqId;
 use rnic_sim::time::Time;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn note(calls: u64, bytes: i64) {
-    if COUNTING.with(Cell::get) {
-        CALLS.with(|c| c.set(c.get() + calls));
-        LIVE_BYTES.with(|b| b.set(b.get() + bytes));
-    }
-}
-
-// SAFETY: every method forwards to `System` with its arguments unchanged;
-// the bookkeeping touches only const-initialised thread-locals, which
-// neither allocate nor run destructors.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as i64);
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, -(layout.size() as i64));
-        // SAFETY: forwarded unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, new_size as i64 - layout.size() as i64);
-        // SAFETY: forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as i64);
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
+mod common;
 
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: common::CountingAlloc = common::CountingAlloc;
 
 /// Bucket width (2^12 ps) and count of the wheel under test.
 const BUCKET_PS: u64 = 1 << 12;
@@ -82,7 +41,7 @@ fn stream(q: &mut EventQueue, n: u64) {
 
 #[test]
 fn steady_state_wheel_never_allocates_and_retains_a_constant() {
-    COUNTING.with(|c| c.set(true));
+    common::counting(true);
     let mut q = EventQueue::new();
     q.schedule(Time::ZERO, EventKind::WqAdvance { wq: WqId(0) });
     // Warm-up: the slab, the current run and the overflow heap reach
@@ -91,23 +50,23 @@ fn steady_state_wheel_never_allocates_and_retains_a_constant() {
     stream(&mut q, 1_200);
     let swept = q.peek_time().expect("pending").as_ps() / BUCKET_PS;
     assert!(swept < BUCKETS, "warm-up must stay inside one rotation");
-    let (calls, live) = (CALLS.with(Cell::get), LIVE_BYTES.with(Cell::get));
+    let (calls, live) = (common::calls(), common::live_bytes());
 
     stream(&mut q, 1_000_000);
     let rotations = (q.peek_time().expect("pending").as_ps() / BUCKET_PS - swept) / BUCKETS;
     assert!(rotations >= 100, "the cursor must sweep every bucket often");
     assert_eq!(
-        CALLS.with(Cell::get) - calls,
+        common::calls() - calls,
         0,
         "a 1 M-event steady-state stream must not call the allocator"
     );
     assert_eq!(
-        LIVE_BYTES.with(Cell::get) - live,
+        common::live_bytes() - live,
         0,
         "retained bytes must not depend on how many buckets were swept"
     );
     // And the constant is small: the queue as a whole (8 KB of bucket
     // heads, the slab, the run, the overflow heap) stays under 32 KB.
     assert!(live < 32 << 10, "queue retains {live} bytes");
-    COUNTING.with(|c| c.set(false));
+    common::counting(false);
 }

@@ -489,6 +489,37 @@ fn tenant_mix(r: &Rig) -> FleetSpec {
     FleetSpec::tenants(NicGeometry::of(&r.sim, r.server.node), &tenants).unwrap()
 }
 
+/// Every tenant capped below what its windows ask for: between credits
+/// the simulator drains, so the run only moves on by jumping to the next
+/// credit — the one place a closed loop works that time out.
+fn all_capped(r: &Rig) -> FleetSpec {
+    let tenants = [
+        TenantSpec::new("slow")
+            .with_gets(2, 16, HashGetVariant::Sequential, true)
+            .rate_cap(60_000.0),
+        TenantSpec::new("slower")
+            .with_walks(2, 16, 4, true)
+            .rate_cap(35_000.0),
+    ];
+    FleetSpec::tenants(NicGeometry::of(&r.sim, r.server.node), &tenants).unwrap()
+}
+
+/// Two capped tenants with unequal caps, depths and client counts beside
+/// an uncapped one, run with K below every depth: several throttled
+/// clients per pacer, whose windows ask for different amounts.
+fn two_capped(r: &Rig) -> FleetSpec {
+    let tenants = [
+        TenantSpec::new("capped-a")
+            .with_gets(3, 16, HashGetVariant::Sequential, true)
+            .rate_cap(120_000.0),
+        TenantSpec::new("free").with_walks(2, 16, 4, true),
+        TenantSpec::new("capped-b")
+            .with_gets(2, 8, HashGetVariant::Sequential, true)
+            .rate_cap(70_000.0),
+    ];
+    FleetSpec::tenants(NicGeometry::of(&r.sim, r.server.node), &tenants).unwrap()
+}
+
 const SHAPES: &[Shape] = &[
     Shape {
         name: "closed K=16, 8 clients",
@@ -526,6 +557,26 @@ const SHAPES: &[Shape] = &[
             offered_per_client: 150_000.0,
         },
         ops_per_client: 60,
+    },
+    Shape {
+        name: "every tenant capped, closed K=16",
+        spec: all_capped,
+        arrival: Arrival::Closed { k: 16 },
+        ops_per_client: 60,
+    },
+    Shape {
+        name: "every tenant capped, open loop",
+        spec: all_capped,
+        arrival: Arrival::Open {
+            offered_per_client: 90_000.0,
+        },
+        ops_per_client: 60,
+    },
+    Shape {
+        name: "two capped tenants, unequal caps and depths, closed K=6",
+        spec: two_capped,
+        arrival: Arrival::Closed { k: 6 },
+        ops_per_client: 70,
     },
     Shape {
         name: "host-armed",
