@@ -40,6 +40,7 @@ use redn_core::ctx::OffloadCtx;
 use redn_core::ir::analysis::{self, AnalysisReport};
 use redn_core::ir::{EnableTarget, IrProgram, Kind, Loc, OpBuild, WaitCond};
 use redn_core::offloads::hash_lookup::HashGetVariant;
+use redn_core::offloads::OffloadService;
 use redn_core::turing::machine::TuringMachine;
 use redn_kv::baselines::ClientEndpoint;
 use redn_kv::liststore::ListStore;

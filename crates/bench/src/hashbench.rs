@@ -3,7 +3,7 @@
 
 use redn_core::ctx::{OffloadCtx, TableRegion, ValueSource};
 use redn_core::offloads::hash_lookup::HashGetVariant;
-use redn_core::offloads::rpc;
+use redn_core::offloads::{rpc, OffloadService};
 use rnic_sim::config::NicConfig;
 use rnic_sim::error::Result;
 use rnic_sim::ids::ProcessId;

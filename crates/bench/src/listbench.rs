@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use redn_core::ctx::{OffloadCtx, TableRegion};
 use redn_core::offloads::list::{encode_node, NODE_HEADER};
-use redn_core::offloads::rpc;
+use redn_core::offloads::{rpc, OffloadService};
 use rnic_sim::error::Result;
 use rnic_sim::mem::Access;
 use rnic_sim::qp::QpConfig;
@@ -89,7 +89,7 @@ pub fn redn_walk(range: usize, with_break: bool, reps: usize) -> Result<(f64, f6
         }
         let mut off = b.build(&mut rig.sim)?;
         rig.sim.connect_qps(ep.qp, off.tp.qp)?;
-        let _staged = off.arm(&mut rig.sim, ctx.pool_mut())?;
+        off.arm(&mut rig.sim, ctx.pool_mut())?;
         let verbs_before = rig.sim.verbs_executed(rig.server);
         rig.sim.post_recv(ep.qp, WorkRequest::recv(0, 0, 0))?;
         let payload = off.client_payload(rig.nodes_base, key);

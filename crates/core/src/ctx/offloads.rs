@@ -107,7 +107,8 @@ impl HashGetBuilder {
     }
 
     /// Deploy the offload's queues. The caller connects a client QP to
-    /// `offload.tp.qp` and [`arm`](HashGetOffload::arm)s instances.
+    /// `offload.tp.qp` and [`arm`](crate::offloads::service::OffloadService::arm)s
+    /// instances.
     pub fn build(self, sim: &mut Simulator) -> Result<HashGetOffload> {
         HashGetOffload::deploy(sim, self.resolve()?)
     }
@@ -279,7 +280,8 @@ impl ListWalkBuilder {
     }
 
     /// Deploy the offload's queues. The caller connects a client QP to
-    /// `offload.tp.qp` and [`arm`](ListWalkOffload::arm)s instances.
+    /// `offload.tp.qp` and [`arm`](crate::offloads::service::OffloadService::arm)s
+    /// instances.
     pub fn build(self, sim: &mut Simulator) -> Result<ListWalkOffload> {
         ListWalkOffload::deploy(sim, self.resolve()?)
     }

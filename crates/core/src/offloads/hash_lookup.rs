@@ -27,8 +27,10 @@
 //! shared frame in [`service`](crate::offloads::service), in both modes:
 //!
 //! * **host-armed** ([`HashGetBuilder::build`]): every instance is
-//!   staged by a host [`HashGetOffload::arm`] call — the latency-bench
-//!   mode (it keeps the Fig 11 PU-parallel probes);
+//!   staged by a host [`OffloadService::arm`] call — the latency-bench
+//!   mode (it keeps the Fig 11 PU-parallel probes); the frame claims,
+//!   lowers, posts and triggers it, this module adds the WAIT/ENABLE
+//!   ladder;
 //! * **self-recycling** ([`HashGetBuilder::build_recycled`]): one round
 //!   of `pipeline_depth` instances is staged at deploy and the NIC
 //!   re-arms it forever, leaving zero host work on the serving path.
@@ -38,7 +40,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use crate::ctx::{ChainQueueBuilder, HashGetSpec};
+use crate::ctx::HashGetSpec;
 use crate::encode::{operand48, WqeField};
 use crate::ir::{
     ConstInterner, DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, OpId, QId, SgeSpec,
@@ -127,8 +129,73 @@ impl DerefMut for HashGetOffload {
 }
 
 impl OffloadService for HashGetOffload {
+    /// Stage the chain for one future get request. With
+    /// `pipeline_depth > 1` several instances can be armed (and in
+    /// flight) at once; the host re-arms consumed instances as
+    /// completions drain. SGE tables are memoized per ring-cycle
+    /// position, so steady-state re-arms push no new bytes into the pool.
+    ///
+    /// One linear IR program per instance: the response placeholder on
+    /// the trigger QP's managed SQ, the READ→CAS probe pairs on the
+    /// managed chain queues, and the WAIT/ENABLE doorbell ladders on the
+    /// unmanaged control/merge queues. Patch points (the READ's scatter
+    /// into the response WQE, the trigger RECV's injections) stay
+    /// symbolic; the verifier checks them against the §3.1 rule on every
+    /// arm.
     fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        HashGetOffload::arm(self, sim, pool)
+        let mut arm = self.frame.begin_arm(sim)?;
+        let host = self.host.as_mut().expect("host-armed frame has queues");
+        let seq_two = self.spec.variant == HashGetVariant::Sequential;
+        let probes = if seq_two { 2 } else { host.chains.len() };
+        let chain_qids: Vec<_> = host.chains.iter().map(|q| arm.p.chain(*q)).collect();
+        let ctrl_qids: Vec<_> = host.ctrls.iter().map(|q| arm.p.chain(*q)).collect();
+        let merge_qid = arm.p.chain(host.merge);
+
+        let mut scatter = Vec::with_capacity(2 * probes);
+        let mut cas_ops = Vec::with_capacity(probes);
+        let mut last_resp = None;
+        for pr in 0..probes {
+            let lane = if seq_two { 0 } else { pr };
+            let (chain_qid, ctrl_qid) = (chain_qids[lane], ctrl_qids[lane]);
+            let resp_op = response_slot_op(&self.spec, arm.slot, arm.instance);
+            let resp = arm.p.push(arm.resp_q, resp_op);
+            last_resp = Some(resp);
+            // The resolved table bytes repeat every ring cycle and intern
+            // to the same pool cell — steady-state arms push nothing.
+            let read = bucket_read(&mut arm.p, chain_qid, &self.spec, resp);
+            let cas = arm.p.push(chain_qid, key_cas(resp));
+            cas_ops.push(cas);
+            scatter.extend(probe_scatter(read, cas));
+
+            // Control chain: trigger -> READ -> CAS under doorbell order.
+            arm.trigger_wait(ctrl_qid);
+            let mut ctrl = |kind: Kind, label: &'static str| {
+                arm.p.push(ctrl_qid, OpBuild::new(kind).label(label));
+            };
+            ctrl(Kind::Enable(EnableTarget::OpsThrough(read)), "READ release");
+            ctrl(Kind::Wait(WaitCond::OpDonePosted(read)), "READ wait");
+            ctrl(Kind::Enable(EnableTarget::OpsThrough(cas)), "CAS release");
+        }
+
+        // Merge: release the response WQEs only after every probe's CAS
+        // completed (prevents a fast probe from releasing a slow probe's
+        // untransmuted response).
+        for cas in &cas_ops {
+            let done = OpBuild::new(Kind::Wait(WaitCond::OpDonePosted(*cas)));
+            arm.p.push(merge_qid, done.label("probe-done wait"));
+        }
+        let release = Kind::Enable(EnableTarget::OpsThrough(
+            last_resp.expect("at least one probe"),
+        ));
+        arm.p
+            .push(merge_qid, OpBuild::new(release).label("response release"));
+        // Post order: probe chains (quiet), control ladders (doorbell),
+        // merge, then the response placeholders.
+        let resp_q = arm.resp_q;
+        let order = chain_qids.iter().chain(&ctrl_qids).copied();
+        let order = order.chain([merge_qid, resp_q]);
+        self.frame
+            .finish_arm(sim, pool, arm, scatter, order, Some(&mut host.interner))
     }
 }
 
@@ -209,29 +276,15 @@ impl HashGetOffload {
         let frame = ServiceFrame::host_armed(sim, f)?;
         let parallel = spec.variant == HashGetVariant::Parallel;
         let lanes = if parallel { 2 } else { 1 };
-        let mut chains = Vec::new();
-        let mut ctrls = Vec::new();
+        let mut chains = Vec::with_capacity(lanes);
+        let mut ctrls = Vec::with_capacity(lanes);
         for i in 0..lanes {
-            let mut chain_b = ChainQueueBuilder::new(f.node, f.owner)
-                .managed()
-                .depth(1024)
-                .on_port(f.port);
-            let mut ctrl_b = ChainQueueBuilder::new(f.node, f.owner)
-                .depth(2048)
-                .on_port(f.port);
             // Parallel probes ride different PUs (§3.5 "Parallelism").
-            if parallel {
-                chain_b = chain_b.on_pu(f.pu(sim, i + 1));
-                ctrl_b = ctrl_b.on_pu(f.pu(sim, i + 1));
-            }
-            chains.push(chain_b.build(sim)?);
-            ctrls.push(ctrl_b.build(sim)?);
+            let pu = parallel.then_some(i + 1);
+            chains.push(f.queue(sim, 1024, pu).managed().build(sim)?);
+            ctrls.push(f.queue(sim, 2048, pu).build(sim)?);
         }
-        let merge = ChainQueueBuilder::new(f.node, f.owner)
-            .depth(2048)
-            .on_pu(f.pu(sim, 0))
-            .on_port(f.port)
-            .build(sim)?;
+        let merge = f.queue(sim, 2048, Some(0)).build(sim)?;
         Ok(HashGetOffload {
             frame,
             spec,
@@ -312,114 +365,6 @@ impl HashGetOffload {
             spec,
             host: None,
         })
-    }
-
-    /// Stage the chain for one future get request (host-armed mode only;
-    /// self-recycling offloads are primed once at deploy). Instances
-    /// trigger in arming order, one per client SEND. With
-    /// `pipeline_depth > 1` the instance's response lands in its own
-    /// client slot and carries the instance id as immediate data, so
-    /// several instances can be armed (and in flight) at once; the host
-    /// re-arms consumed instances as completions drain. SGE tables are
-    /// memoized per ring-cycle position, so steady-state re-arms push no
-    /// new bytes into the pool.
-    pub fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        let (instance, trigger_count) = self.frame.next_arm()?;
-        let slot = self.frame.slot(instance)?;
-        let recv_cq = self.frame.tp.recv_cq;
-        let host = self.host.as_mut().expect("host-armed frame has queues");
-        let seq_two = self.spec.variant == HashGetVariant::Sequential;
-        let probes = if seq_two { 2 } else { host.chains.len() };
-
-        // One linear IR program per instance: the response placeholder on
-        // the trigger QP's managed SQ, the READ→CAS probe pairs on the
-        // managed chain queues, and the WAIT/ENABLE doorbell ladders on
-        // the unmanaged control/merge queues. Patch points (the READ's
-        // scatter into the response WQE, the trigger RECV's injections)
-        // stay symbolic; the verifier checks them against the §3.1 rule
-        // on every arm.
-        let mut p = IrProgram::linear();
-        let resp_qid = p.chain(self.frame.tp.response_queue(sim));
-        let chain_qids: Vec<_> = host.chains.iter().map(|q| p.chain(*q)).collect();
-        let ctrl_qids: Vec<_> = host.ctrls.iter().map(|q| p.chain(*q)).collect();
-        let merge_qid = p.chain(host.merge);
-
-        let mut scatter_entries: Vec<SgeSpec> = Vec::new();
-        let mut cas_ops = Vec::new();
-        let mut last_resp = None;
-        for pr in 0..probes {
-            let lane = if seq_two { 0 } else { pr };
-            let (chain_qid, ctrl_qid) = (chain_qids[lane], ctrl_qids[lane]);
-            let resp = p.push(resp_qid, response_slot_op(&self.spec, slot, instance));
-            last_resp = Some(resp);
-            // The resolved table bytes repeat every ring cycle and intern
-            // to the same pool cell — steady-state arms push nothing.
-            let read = bucket_read(&mut p, chain_qid, &self.spec, resp);
-            let cas = p.push(chain_qid, key_cas(resp));
-            cas_ops.push(cas);
-            scatter_entries.extend(probe_scatter(read, cas));
-
-            // Control chain: trigger -> READ -> CAS under doorbell order.
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                    cq: recv_cq,
-                    count: trigger_count,
-                }))
-                .label("trigger wait"),
-            );
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(read))).label("READ release"),
-            );
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Wait(WaitCond::OpDonePosted(read))).label("READ wait"),
-            );
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(cas))).label("CAS release"),
-            );
-        }
-
-        // Merge: release the response WQEs only after every probe's CAS
-        // completed (prevents a fast probe from releasing a slow probe's
-        // untransmuted response).
-        for cas in &cas_ops {
-            p.push(
-                merge_qid,
-                OpBuild::new(Kind::Wait(WaitCond::OpDonePosted(*cas))).label("probe-done wait"),
-            );
-        }
-        p.push(
-            merge_qid,
-            OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(
-                last_resp.expect("at least one probe"),
-            )))
-            .label("response release"),
-        );
-        // The trigger RECV's SGE table is a first-class program constant:
-        // lowering resolves, encodes, and interns it like every other
-        // table (steady-state arms reuse a cycle-old cell).
-        let n_entries = scatter_entries.len() as u32;
-        let trigger_table = p.const_sges(scatter_entries);
-        let table_ref = p.const_ref(trigger_table);
-
-        let mut lowered =
-            p.deploy_with(sim, pool, DeployOpts::default(), Some(&mut host.interner))?;
-        // Post order: probe chains (quiet), control ladders (doorbell),
-        // merge, then the response placeholders.
-        for qid in chain_qids.iter().chain(&ctrl_qids) {
-            lowered.post(sim, *qid)?;
-        }
-        lowered.post(sim, merge_qid)?;
-        lowered.post(sim, resp_qid)?;
-
-        self.frame
-            .tp
-            .post_trigger_recv_prebuilt(sim, table_ref.addr(), n_entries)?;
-        self.frame.note_armed();
-        Ok(())
     }
 
     /// Client payload for a get: `[bucket_addr ...][key 6B]` per probe —

@@ -23,8 +23,9 @@
 //! [`service`](crate::offloads::service). Two deployment modes:
 //!
 //! * **host-armed** ([`ListWalkBuilder::build`]): every walk instance is
-//!   staged by a host [`ListWalkOffload::arm`] call (the only mode the
-//!   `+break` variant runs in).
+//!   staged by a host [`OffloadService::arm`] call (the only mode the
+//!   `+break` variant runs in); the frame claims, lowers, posts and
+//!   triggers it, this module adds the WAIT/ENABLE ladder.
 //! * **self-recycling** ([`ListWalkBuilder::build_recycled`]): one ring
 //!   of `pipeline_depth` walk instances is staged at deploy and the NIC
 //!   re-arms it forever. The R3 key-copy is folded into the trigger
@@ -42,7 +43,7 @@ use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::Opcode;
 use rnic_sim::wqe::header_word;
 
-use crate::ctx::{ChainQueueBuilder, ListWalkSpec};
+use crate::ctx::ListWalkSpec;
 use crate::encode::{operand48, WqeField};
 use crate::ir::{
     CId, DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, OpId, SgeSpec, WaitCond,
@@ -125,8 +126,169 @@ impl DerefMut for ListWalkOffload {
 }
 
 impl OffloadService for ListWalkOffload {
+    /// Stage one walk instance (the paper reports ~50 WRs without break
+    /// vs ~30 with, Fig 13). With `pipeline_depth > 1` several walks can
+    /// be armed (and in flight) at once.
+    ///
+    /// One linear IR program per walk instance: responses and break
+    /// placeholders on managed queues, the READ→CAS unroll on the
+    /// managed chain queue, and the WAIT/ENABLE doorbell ladder on the
+    /// unmanaged control queue.
     fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        ListWalkOffload::arm(self, sim, pool).map(|_| ())
+        let mut arm = self.frame.begin_arm(sim)?;
+        let tp = self.frame.tp;
+        let host = self.host.expect("host-armed frame has queues");
+        let spec = self.spec;
+        // With breaks, suppressed completions make posted != CQE count, so
+        // break offloads are single-shot: gate on the live CQ totals.
+        let resp_cqe_base = sim.cq_total(tp.send_cq);
+        let chain_qid = arm.p.chain(host.chain);
+        let ctrl_qid = arm.p.chain(host.ctrl);
+        let brk_qid = host.brk_q.map(|q| arm.p.chain(q));
+
+        // The client's key is scattered once into a pool cell; each
+        // iteration's R3 WRITE copies it into that iteration's CAS.
+        let x_cell = arm.p.const_zeroed(8);
+        // Per-iteration value staging buffers, plus scratch sinks for the
+        // last iteration's next pointer and the key pads.
+        let staging: Vec<_> = (0..spec.max_nodes)
+            .map(|_| arm.p.const_zeroed(spec.value_len as u64))
+            .collect();
+        let scratch = arm.p.const_zeroed(16);
+
+        // Stage responses (and break placeholders) first so READ scatter
+        // tables can reference their fields.
+        let mut resp_ops = Vec::with_capacity(spec.max_nodes);
+        let mut break_ops = Vec::new();
+        for &stage_buf in &staging {
+            let resp_op = response_slot_op(&spec, stage_buf, arm.slot, arm.instance);
+            let resp = arm.p.push(arm.resp_q, resp_op);
+            resp_ops.push(resp);
+
+            if let Some(brk_qid) = brk_qid {
+                // Break placeholder: NOOP -> WRITE(12B) onto the response
+                // slot, turning it into an *unsignaled* WRITE_IMM. Lives
+                // on a server loopback queue so its WRITE addresses
+                // server memory.
+                let mut image = Vec::with_capacity(12);
+                image.extend_from_slice(&header_word(Opcode::WriteImm, 0).to_le_bytes());
+                image.extend_from_slice(&0u32.to_le_bytes());
+                let image_c = arm.p.const_bytes(image);
+                let brk = OpBuild::new(Kind::Write {
+                    src: Loc::cst(image_c),
+                    len: 12,
+                    dst: Loc::field(resp, WqeField::Header),
+                    imm: None,
+                });
+                let brk = brk.signaled().placeholder().label("break placeholder");
+                break_ops.push(arm.p.push(brk_qid, brk));
+            }
+        }
+
+        // Forward-allocate the chain ops: READ_i's scatter aims at
+        // READ_{i+1}'s remote-address field, and each R3 WRITE aims at
+        // its iteration's CAS before the CAS is placed.
+        let reads: Vec<_> = (0..spec.max_nodes)
+            .map(|_| arm.p.alloc(chain_qid))
+            .collect();
+        let cases: Vec<_> = (0..spec.max_nodes)
+            .map(|_| arm.p.alloc(chain_qid))
+            .collect();
+        // The trigger gate must precede anything that consumes the
+        // scattered arguments (x_cell is only valid after the RECV).
+        arm.trigger_wait(ctrl_qid);
+
+        for i in 0..spec.max_nodes {
+            let next_target = match reads.get(i + 1) {
+                Some(&next) => Loc::field(next, WqeField::RemoteAddr),
+                None => Loc::cst(scratch),
+            };
+            // The conditional tests (and transmutes) either the break
+            // NOOP (break variant) or the response NOOP directly.
+            let (id_target, into) = match break_ops.get(i) {
+                Some(&brk) => (brk, Opcode::Write),
+                None => (resp_ops[i], Opcode::WriteImm),
+            };
+            let read = node_read(
+                &mut arm.p,
+                &spec,
+                next_target,
+                id_target,
+                scratch,
+                staging[i],
+            );
+            arm.p.place(reads[i], read);
+
+            // R3: copy the key operand into the CAS compare field (paper
+            // Fig 12's WRITE; x lives in a pool cell filled by the RECV).
+            let r3 = OpBuild::new(Kind::Write {
+                src: Loc::cst(x_cell),
+                len: 6,
+                dst: Loc::field_off(cases[i], WqeField::Operand, 2),
+                imm: None,
+            });
+            arm.p.push(ctrl_qid, r3.signaled().label("R3 key copy"));
+            arm.p.place(cases[i], key_cas(id_target, into));
+
+            // Release the READ after (a) trigger/previous iteration and
+            // (b) the R3 write completed. Only the R3 WRITEs are signaled
+            // on the control queue, so instance k's i-th R3 completes at
+            // the absolute, monotonic `ctrl_cqe_base + k*N + i + 1` —
+            // correct even with many instances armed before any runs.
+            let r3_done = host.ctrl_cqe_base + arm.instance * spec.max_nodes as u64 + i as u64 + 1;
+            let mut ctrl = |kind: Kind, label: &'static str| {
+                arm.p.push(ctrl_qid, OpBuild::new(kind).label(label));
+            };
+            let r3_wait = WaitCond::Absolute {
+                cq: host.ctrl.cq,
+                count: r3_done,
+            };
+            ctrl(Kind::Wait(r3_wait), "R3 wait");
+            ctrl(
+                Kind::Enable(EnableTarget::OpsThrough(reads[i])),
+                "READ release",
+            );
+            ctrl(Kind::Wait(WaitCond::OpDonePosted(reads[i])), "READ wait");
+            ctrl(
+                Kind::Enable(EnableTarget::OpsThrough(cases[i])),
+                "CAS release",
+            );
+            ctrl(Kind::Wait(WaitCond::OpDonePosted(cases[i])), "CAS wait");
+            let respond = Kind::Enable(EnableTarget::OpsThrough(resp_ops[i]));
+            match break_ops.get(i) {
+                // Release the break WQE; wait for it; release the
+                // response; gate the next iteration on the response's
+                // completion (suppressed by a taken break).
+                Some(&brk) => {
+                    ctrl(Kind::Enable(EnableTarget::OpsThrough(brk)), "break release");
+                    ctrl(Kind::Wait(WaitCond::OpDonePosted(brk)), "break wait");
+                    ctrl(respond, "response release");
+                    let resp_done = WaitCond::Absolute {
+                        cq: tp.send_cq,
+                        count: resp_cqe_base + i as u64 + 1,
+                    };
+                    ctrl(Kind::Wait(resp_done), "response wait");
+                }
+                // Plain variant: release the response; all iterations
+                // always run (Fig 5 semantics).
+                None => ctrl(respond, "response release"),
+            }
+        }
+
+        // Trigger RECV: N0 -> first READ's remote address, x -> x_cell.
+        let scatter = vec![
+            SgeSpec {
+                target: Loc::field(reads[0], WqeField::RemoteAddr),
+                len: 8,
+            },
+            SgeSpec {
+                target: Loc::cst(x_cell),
+                len: 6,
+            },
+        ];
+        let order = [chain_qid, arm.resp_q].into_iter().chain(brk_qid);
+        let order = order.chain([ctrl_qid]);
+        self.frame.finish_arm(sim, pool, arm, scatter, order, None)
     }
 }
 
@@ -198,32 +360,15 @@ impl ListWalkOffload {
     pub(crate) fn deploy(sim: &mut Simulator, spec: ListWalkSpec) -> Result<ListWalkOffload> {
         let f = spec.frame;
         let frame = ServiceFrame::host_armed(sim, f)?;
-        let chain = ChainQueueBuilder::new(f.node, f.owner)
-            .managed()
-            .depth(2048)
-            .on_pu(f.pu(sim, 1))
-            .on_port(f.port)
-            .build(sim)?;
+        let chain = f.queue(sim, 2048, Some(1)).managed().build(sim)?;
         // The control (and break) queues take the third PU of the
         // client's stride, matching the fleet's host-armed budget of 3
         // PUs per service — without the pin every client's control
         // chain would stack on PU 0 of its port.
-        let ctrl = ChainQueueBuilder::new(f.node, f.owner)
-            .depth(4096)
-            .on_pu(f.pu(sim, 2))
-            .on_port(f.port)
-            .build(sim)?;
-        let brk_q = if spec.break_on_match {
-            Some(
-                ChainQueueBuilder::new(f.node, f.owner)
-                    .managed()
-                    .depth(2048)
-                    .on_pu(f.pu(sim, 2))
-                    .on_port(f.port)
-                    .build(sim)?,
-            )
-        } else {
-            None
+        let ctrl = f.queue(sim, 4096, Some(2)).build(sim)?;
+        let brk_q = match spec.break_on_match {
+            true => Some(f.queue(sim, 2048, Some(2)).managed().build(sim)?),
+            false => None,
         };
         Ok(ListWalkOffload {
             frame,
@@ -337,203 +482,6 @@ impl ListWalkOffload {
             spec,
             host: None,
         })
-    }
-
-    /// Stage one walk instance (host-armed mode only; self-recycling
-    /// offloads are primed once at deploy). Returns the number of WRs
-    /// staged (the paper reports ~50 WRs without break vs ~30 with,
-    /// Fig 13). With `pipeline_depth > 1` the instance's response lands
-    /// in its own client slot and carries the instance id as immediate
-    /// data, so several walks can be armed (and in flight) at once.
-    pub fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<usize> {
-        let (instance, trigger_count) = self.frame.next_arm()?;
-        let slot = self.frame.slot(instance)?;
-        let tp = self.frame.tp;
-        let host = self.host.expect("host-armed frame has queues");
-        let spec = self.spec;
-        // With breaks, suppressed completions make posted != CQE count, so
-        // break offloads are single-shot: gate on the live CQ totals.
-        let resp_cqe_base = sim.cq_total(tp.send_cq);
-
-        // One linear IR program per walk instance (see the hash-get arm
-        // for the pattern): responses and break placeholders on managed
-        // queues, the READ→CAS unroll on the managed chain queue, and the
-        // WAIT/ENABLE doorbell ladder on the unmanaged control queue.
-        let mut p = IrProgram::linear();
-        let resp_qid = p.chain(tp.response_queue(sim));
-        let chain_qid = p.chain(host.chain);
-        let ctrl_qid = p.chain(host.ctrl);
-        let brk_qid = host.brk_q.map(|q| p.chain(q));
-
-        // The client's key is scattered once into a pool cell; each
-        // iteration's R3 WRITE copies it into that iteration's CAS.
-        let x_cell = p.const_zeroed(8);
-        // Per-iteration value staging buffers, plus scratch sinks for the
-        // last iteration's next pointer and the key pads.
-        let staging: Vec<_> = (0..spec.max_nodes)
-            .map(|_| p.const_zeroed(spec.value_len as u64))
-            .collect();
-        let scratch = p.const_zeroed(16);
-
-        // Stage responses (and break placeholders) first so READ scatter
-        // tables can reference their fields.
-        let mut resp_ops = Vec::with_capacity(spec.max_nodes);
-        let mut break_ops = Vec::new();
-        for &stage_buf in staging.iter() {
-            let resp = p.push(resp_qid, response_slot_op(&spec, stage_buf, slot, instance));
-            resp_ops.push(resp);
-
-            if let Some(brk_qid) = brk_qid {
-                // Break placeholder: NOOP -> WRITE(12B) onto the response
-                // slot, turning it into an *unsignaled* WRITE_IMM. Lives
-                // on a server loopback queue so its WRITE addresses
-                // server memory.
-                let mut image = Vec::with_capacity(12);
-                image.extend_from_slice(&header_word(Opcode::WriteImm, 0).to_le_bytes());
-                image.extend_from_slice(&0u32.to_le_bytes());
-                let image_c = p.const_bytes(image);
-                break_ops.push(
-                    p.push(
-                        brk_qid,
-                        OpBuild::new(Kind::Write {
-                            src: Loc::cst(image_c),
-                            len: 12,
-                            dst: Loc::field(resp, WqeField::Header),
-                            imm: None,
-                        })
-                        .signaled()
-                        .placeholder()
-                        .label("break placeholder"),
-                    ),
-                );
-            }
-        }
-
-        // Forward-allocate the chain ops: READ_i's scatter aims at
-        // READ_{i+1}'s remote-address field, and each R3 WRITE aims at
-        // its iteration's CAS before the CAS is placed.
-        let reads: Vec<_> = (0..spec.max_nodes).map(|_| p.alloc(chain_qid)).collect();
-        let cases: Vec<_> = (0..spec.max_nodes).map(|_| p.alloc(chain_qid)).collect();
-
-        for i in 0..spec.max_nodes {
-            let next_target = match reads.get(i + 1) {
-                Some(&next) => Loc::field(next, WqeField::RemoteAddr),
-                None => Loc::cst(scratch),
-            };
-            // The conditional tests (and transmutes) either the break
-            // NOOP (break variant) or the response NOOP directly.
-            let (id_target, into) = match break_ops.get(i) {
-                Some(&brk) => (brk, Opcode::Write),
-                None => (resp_ops[i], Opcode::WriteImm),
-            };
-            let read = node_read(&mut p, &spec, next_target, id_target, scratch, staging[i]);
-            p.place(reads[i], read);
-
-            // The trigger gate must precede anything that consumes the
-            // scattered arguments (x_cell is only valid after the RECV).
-            if i == 0 {
-                p.push(
-                    ctrl_qid,
-                    OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                        cq: tp.recv_cq,
-                        count: trigger_count,
-                    }))
-                    .label("trigger wait"),
-                );
-            }
-
-            // R3: copy the key operand into the CAS compare field (paper
-            // Fig 12's WRITE; x lives in a pool cell filled by the RECV).
-            p.push(
-                ctrl_qid,
-                OpBuild::new(Kind::Write {
-                    src: Loc::cst(x_cell),
-                    len: 6,
-                    dst: Loc::field_off(cases[i], WqeField::Operand, 2),
-                    imm: None,
-                })
-                .signaled()
-                .label("R3 key copy"),
-            );
-            p.place(cases[i], key_cas(id_target, into));
-
-            // Release the READ after (a) trigger/previous iteration and
-            // (b) the R3 write completed. Only the R3 WRITEs are signaled
-            // on the control queue, so instance k's i-th R3 completes at
-            // the absolute, monotonic `ctrl_cqe_base + k*N + i + 1` —
-            // correct even with many instances armed before any runs.
-            let r3_done = host.ctrl_cqe_base + instance * spec.max_nodes as u64 + i as u64 + 1;
-            let mut ctrl = |kind: Kind, label: &'static str| {
-                p.push(ctrl_qid, OpBuild::new(kind).label(label));
-            };
-            ctrl(
-                Kind::Wait(WaitCond::Absolute {
-                    cq: host.ctrl.cq,
-                    count: r3_done,
-                }),
-                "R3 wait",
-            );
-            ctrl(
-                Kind::Enable(EnableTarget::OpsThrough(reads[i])),
-                "READ release",
-            );
-            ctrl(Kind::Wait(WaitCond::OpDonePosted(reads[i])), "READ wait");
-            ctrl(
-                Kind::Enable(EnableTarget::OpsThrough(cases[i])),
-                "CAS release",
-            );
-            ctrl(Kind::Wait(WaitCond::OpDonePosted(cases[i])), "CAS wait");
-            let respond = Kind::Enable(EnableTarget::OpsThrough(resp_ops[i]));
-            match break_ops.get(i) {
-                // Release the break WQE; wait for it; release the
-                // response; gate the next iteration on the response's
-                // completion (suppressed by a taken break).
-                Some(&brk) => {
-                    ctrl(Kind::Enable(EnableTarget::OpsThrough(brk)), "break release");
-                    ctrl(Kind::Wait(WaitCond::OpDonePosted(brk)), "break wait");
-                    ctrl(respond, "response release");
-                    ctrl(
-                        Kind::Wait(WaitCond::Absolute {
-                            cq: tp.send_cq,
-                            count: resp_cqe_base + i as u64 + 1,
-                        }),
-                        "response wait",
-                    );
-                }
-                // Plain variant: release the response; all iterations
-                // always run (Fig 5 semantics).
-                None => ctrl(respond, "response release"),
-            }
-        }
-
-        // Trigger RECV: N0 -> first READ's remote address, x -> x_cell.
-        let sid = p.scatter(vec![
-            SgeSpec {
-                target: Loc::field(reads[0], WqeField::RemoteAddr),
-                len: 8,
-            },
-            SgeSpec {
-                target: Loc::cst(x_cell),
-                len: 6,
-            },
-        ]);
-
-        let wr_count = p.queue_len(resp_qid)
-            + p.queue_len(chain_qid)
-            + p.queue_len(ctrl_qid)
-            + brk_qid.map_or(0, |q| p.queue_len(q));
-
-        let mut lowered = p.deploy(sim, pool)?;
-        lowered.post(sim, chain_qid)?;
-        lowered.post(sim, resp_qid)?;
-        if let Some(q) = brk_qid {
-            lowered.post(sim, q)?;
-        }
-        lowered.post(sim, ctrl_qid)?;
-
-        tp.post_trigger_recv(sim, pool, &lowered.scatter(sid))?;
-        self.frame.note_armed();
-        Ok(wr_count)
     }
 
     /// Client payload: `[N0(8B)][x(6B)]` host-armed, `[N0(8B)][x(6B) × N]`
@@ -776,7 +724,9 @@ mod tests {
         let mut off = deploy(&mut r, 4, false);
         r.sim.connect_qps(r.cqp, off.tp.qp).unwrap();
         let mut pool = ConstPool::create(&mut r.sim, r.server, 1 << 18, ProcessId(0)).unwrap();
-        let wrs = off.arm(&mut r.sim, &mut pool).unwrap();
+        off.arm(&mut r.sim, &mut pool).unwrap();
+        // Every WQE the arm staged, less the trigger RECV.
+        let wrs = r.sim.node_posts(r.server) - 1;
         assert!(
             wrs > 30,
             "the paper's no-break variant uses ~50 WRs, got {wrs}"

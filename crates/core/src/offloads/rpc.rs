@@ -10,13 +10,17 @@
 //! the client only ever issues two-sided SENDs — it needs *no* rkeys to
 //! the server's memory, unlike one-sided designs such as FaRM.
 
-use rnic_sim::error::Result;
+use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{CqId, NodeId, QpId};
 use rnic_sim::mem::MemoryRegion;
 use rnic_sim::sim::Simulator;
 use rnic_sim::wqe::{Sge, WorkRequest, SGE_SIZE};
 
 use crate::program::{ChainQueue, ConstPool};
+
+/// Most entries a RECV scatters into — the ConnectX limit the paper
+/// leans on (§5.3).
+const RECV_SCATTER_LIMIT: usize = 16;
 
 /// A server-side trigger endpoint: the client-facing QP whose receive CQ
 /// fires offloaded chains, and whose *managed* send queue carries the
@@ -54,48 +58,38 @@ impl TriggerPoint {
 
     /// Post a trigger RECV whose scatter list injects the incoming
     /// payload into the given `(addr, lkey, len)` targets, in order.
-    /// Builds the SGE table in the constant pool. Returns the RECV index.
-    ///
-    /// At most 16 entries — the ConnectX limit the paper leans on (§5.3).
+    /// Builds the SGE table in the constant pool. Returns the RECV
+    /// index; more than 16 targets is refused as by
+    /// [`TriggerPoint::post_trigger_recv_prebuilt`].
     pub fn post_trigger_recv(
         &self,
         sim: &mut Simulator,
         pool: &mut ConstPool,
         scatter: &[(u64, u32, u32)],
     ) -> Result<u64> {
-        self.post_trigger_recv_staged(sim, pool, scatter)?;
-        Ok(sim.rq_posted(self.qp) - 1)
-    }
-
-    /// Like [`TriggerPoint::post_trigger_recv`], but also returns the
-    /// staged SGE table's `(address, entry count)` so callers that re-arm
-    /// the same injection targets can re-post without consuming pool
-    /// capacity ([`TriggerPoint::post_trigger_recv_prebuilt`]).
-    pub fn post_trigger_recv_staged(
-        &self,
-        sim: &mut Simulator,
-        pool: &mut ConstPool,
-        scatter: &[(u64, u32, u32)],
-    ) -> Result<(u64, u32)> {
-        assert!(scatter.len() <= 16, "RECVs can only perform 16 scatters");
-        let mut table = [0u8; 16 * SGE_SIZE as usize];
+        let mut table = [0u8; RECV_SCATTER_LIMIT * SGE_SIZE as usize];
         for (entry, &(addr, lkey, len)) in table.chunks_exact_mut(SGE_SIZE as usize).zip(scatter) {
             entry.copy_from_slice(&Sge { addr, lkey, len }.encode());
         }
-        let table = &table[..scatter.len() * SGE_SIZE as usize];
-        let table_addr = pool.push_bytes(sim, table)?;
-        self.post_trigger_recv_prebuilt(sim, table_addr, scatter.len() as u32)?;
-        Ok((table_addr, scatter.len() as u32))
+        let used = scatter.len().min(RECV_SCATTER_LIMIT) * SGE_SIZE as usize;
+        let table_addr = pool.push_bytes(sim, &table[..used])?;
+        let entries = u32::try_from(scatter.len()).unwrap_or(u32::MAX);
+        self.post_trigger_recv_prebuilt(sim, table_addr, entries)
     }
 
-    /// Post a trigger RECV over an SGE table staged earlier — the
-    /// pool-flat re-arm path.
+    /// Post a trigger RECV over an SGE table of `entries` entries at
+    /// `table_addr` — the one place a trigger RECV is written. Returns
+    /// the RECV index. More than 16 entries (the ConnectX scatter limit,
+    /// §5.3) is an `InvalidWr`, and nothing is posted.
     pub fn post_trigger_recv_prebuilt(
         &self,
         sim: &mut Simulator,
         table_addr: u64,
         entries: u32,
     ) -> Result<u64> {
+        if entries as usize > RECV_SCATTER_LIMIT {
+            return Err(Error::InvalidWr("RECVs can only perform 16 scatters"));
+        }
         sim.post_recv(self.qp, WorkRequest::recv_sgl(table_addr, entries))
     }
 
@@ -160,7 +154,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "16 scatters")]
     fn scatter_limit_enforced() {
         let mut sim = Simulator::new(SimConfig::default());
         let s = sim.add_node("server", HostConfig::default(), NicConfig::connectx5());
@@ -168,7 +161,22 @@ mod tests {
             .build(&mut sim)
             .unwrap();
         let mut pool = ConstPool::create(&mut sim, s, 4096, ProcessId(0)).unwrap();
+        // Both entry points refuse a 17-way scatter with a typed error
+        // and post nothing; 16 is fine.
         let entries = vec![(0x1_0000u64, 0u32, 1u32); 17];
-        let _ = tp.post_trigger_recv(&mut sim, &mut pool, &entries);
+        let err = tp.post_trigger_recv(&mut sim, &mut pool, &entries);
+        assert!(matches!(err, Err(Error::InvalidWr(m)) if m.contains("16 scatters")));
+        let table = pool.reserve(&mut sim, 17 * SGE_SIZE).unwrap();
+        assert!(tp.post_trigger_recv_prebuilt(&mut sim, table, 17).is_err());
+        assert_eq!(sim.rq_posted(tp.qp), 0);
+        assert_eq!(
+            tp.post_trigger_recv_prebuilt(&mut sim, table, 16).unwrap(),
+            0
+        );
+        assert_eq!(
+            tp.post_trigger_recv(&mut sim, &mut pool, &entries[..16])
+                .unwrap(),
+            1
+        );
     }
 }

@@ -11,13 +11,20 @@
 //! * [`ServiceFrame`] — a deployed frame: the [`TriggerPoint`], the
 //!   window, the client slot layout and (self-recycling mode) the
 //!   lowered round's report, footprint and ring;
-//! * `RecycledFrame` — the deploy-time half: it builds the trigger
+//! * `RecycledFrame` — the self-recycling deploy: it builds the trigger
 //!   point, exposes its managed SQ as the response queue, emits the
 //!   per-instance trigger WAIT and response-release ENABLE and the
 //!   round-tail WAIT with their per-round bumps, lowers the program,
 //!   posts the cyclic trigger-RECV ring and claims the trigger CQs in
 //!   the footprint;
-//! * [`OffloadService`] — what a family adds on top: `arm`.
+//! * `ServiceFrame::begin_arm` / `finish_arm` — its host-armed twin, one
+//!   instance per call: claim the instance, its slot and its trigger
+//!   count, open the program with the response queue chained, emit the
+//!   trigger WAIT; then lower, post the body's queues in the body's
+//!   order, post the trigger RECV over a program-constant SGE table and
+//!   count the arm;
+//! * [`OffloadService`] — what a family adds on top: `arm`, which is its
+//!   WAIT/ENABLE ladder between those two calls.
 //!
 //! One recycled round, `K = pipeline_depth` instances of `R` responses
 //! each (the frame's ops are marked `*`; everything else is the body):
@@ -38,8 +45,10 @@
 //!
 //! The host-armed mode (every instance staged by a family's `arm` call
 //! — the Fig 11 PU-parallel probes, the synchronous latency path and the
-//! `break` walk need it) shares the window, the trigger point and the
-//! slot layout; its WAIT/ENABLE ladders stay in the family bodies.
+//! `break` walk need it) shares the window, the trigger point, the slot
+//! layout and the arming steps above; only its WAIT/ENABLE ladders stay
+//! in the family bodies, because they are what the host-armed latency
+//! figures were calibrated on (a `wait_prev` body would move them).
 //!
 //! [`HashGetOffload`], [`ListWalkOffload`] and [`ReplicationOffload`]
 //! each *are* a frame plus a body: they dereference to their
@@ -58,11 +67,11 @@ use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::sim::Simulator;
 
 use crate::constructs::loops::RecycledLoop;
-use crate::ctx::{ClientDest, TriggerPointBuilder};
+use crate::ctx::{ChainQueueBuilder, ClientDest, TriggerPointBuilder};
 use crate::ir::analysis::Footprint;
 use crate::ir::{
-    DeployOpts, EnableTarget, IrProgram, Kind, Loc, Lowered, OpBuild, OpId, PassReport, QId,
-    RingSpec, WaitCond,
+    ConstInterner, DeployOpts, EnableTarget, IrProgram, Kind, Loc, Lowered, OpBuild, OpId,
+    PassReport, QId, RingSpec, SgeSpec, WaitCond,
 };
 use crate::offloads::rpc::TriggerPoint;
 use crate::program::ConstPool;
@@ -143,7 +152,7 @@ impl InstanceWindow {
     }
 
     /// Record that the host staged one more instance (host-armed only).
-    pub(crate) fn note_armed(&mut self) {
+    fn note_armed(&mut self) {
         if let Some(armed) = &mut self.armed {
             *armed += 1;
         }
@@ -222,6 +231,35 @@ impl FrameSpec {
             .on_pu(self.pu(sim, 0))
             .on_port(self.port)
     }
+
+    /// One of a host-armed body's long-lived loopback queues: `depth`
+    /// slots on this frame's port, pinned to the `pu`-th PU of the
+    /// offload's range when given.
+    pub(crate) fn queue(
+        &self,
+        sim: &Simulator,
+        depth: u32,
+        pu: Option<usize>,
+    ) -> ChainQueueBuilder {
+        let q = ChainQueueBuilder::new(self.node, self.owner)
+            .depth(depth)
+            .on_port(self.port);
+        match pu {
+            Some(off) => q.on_pu(self.pu(sim, off)),
+            None => q,
+        }
+    }
+}
+
+/// Instance `k`'s trigger WAIT: park until the `(k+1)`-th trigger RECV
+/// after `trigger_base` (absolute, monotonic). Both modes open an
+/// instance with it; a recycled ring bumps it a round ahead.
+fn trigger_wait_op(tp: &TriggerPoint, trigger_base: u64, k: u64) -> OpBuild {
+    OpBuild::new(Kind::Wait(WaitCond::Absolute {
+        cq: tp.recv_cq,
+        count: trigger_base + k + 1,
+    }))
+    .label("trigger wait")
 }
 
 /// The lowered round of a self-recycling frame.
@@ -275,13 +313,54 @@ impl ServiceFrame {
         })
     }
 
-    /// Host-armed only: the `(instance, trigger WAIT threshold)` the
-    /// next `arm` call stages.
-    pub(crate) fn next_arm(&self) -> Result<(u64, u64)> {
-        let armed = self.window.armed.ok_or(Error::InvalidWr(
+    /// Open the next host-armed instance: claim its id, client slot and
+    /// trigger count, and start its linear program with the trigger QP's
+    /// response queue chained. Errors on a self-recycling frame, which
+    /// is primed once at deploy.
+    pub(crate) fn begin_arm(&self, sim: &Simulator) -> Result<HostArm> {
+        let instance = self.window.armed.ok_or(Error::InvalidWr(
             "self-recycling offloads are primed once at deploy; arm() is host-armed only",
         ))?;
-        Ok((armed, self.trigger_base + armed + 1))
+        let mut p = IrProgram::linear();
+        let resp_q = p.chain(self.tp.response_queue(sim));
+        Ok(HostArm {
+            p,
+            resp_q,
+            instance,
+            slot: self.slot(instance)?,
+            trigger: trigger_wait_op(&self.tp, self.trigger_base, instance),
+        })
+    }
+
+    /// Close a host-armed instance: lower it (through the body's
+    /// persistent `interner`, if it keeps one), post its queues in
+    /// `post_order` — the body's protocol, actions before the ladders
+    /// that release them — then a trigger RECV scattering the client
+    /// payload into `scatter`'s targets, and count the instance armed.
+    /// The RECV's SGE table is a program constant like every other, so
+    /// an interner hands steady-state arms a cycle-old cell.
+    pub(crate) fn finish_arm(
+        &mut self,
+        sim: &mut Simulator,
+        pool: &mut ConstPool,
+        mut arm: HostArm,
+        scatter: Vec<SgeSpec>,
+        post_order: impl IntoIterator<Item = QId>,
+        interner: Option<&mut ConstInterner>,
+    ) -> Result<()> {
+        let entries = scatter.len() as u32;
+        let table = arm.p.const_sges(scatter);
+        let table = arm.p.const_ref(table);
+        let mut lowered = arm
+            .p
+            .deploy_with(sim, pool, DeployOpts::default(), interner)?;
+        for q in post_order {
+            lowered.post(sim, q)?;
+        }
+        self.tp
+            .post_trigger_recv_prebuilt(sim, table.addr(), entries)?;
+        self.window.note_armed();
+        Ok(())
     }
 
     /// The IR optimizer's before/after verb accounting for one recycled
@@ -336,6 +415,31 @@ pub trait OffloadService: DerefMut<Target = ServiceFrame> {
             self.arm(sim, pool)?;
         }
         Ok(())
+    }
+}
+
+/// One host-armed instance under construction
+/// ([`ServiceFrame::begin_arm`]): the family stages its body and its
+/// WAIT/ENABLE ladder into `p`, opening each ladder with
+/// [`trigger_wait`](HostArm::trigger_wait), then hands it to
+/// [`ServiceFrame::finish_arm`].
+pub(crate) struct HostArm {
+    /// The instance as one linear IR program.
+    pub(crate) p: IrProgram,
+    /// The trigger QP's managed SQ, holding the response WQEs.
+    pub(crate) resp_q: QId,
+    /// The claimed instance id (host-armed responses carry it as their
+    /// immediate).
+    pub(crate) instance: u64,
+    /// The client response slot the instance lands in.
+    pub(crate) slot: u64,
+    trigger: OpBuild,
+}
+
+impl HostArm {
+    /// Park `q` until this instance's trigger arrived.
+    pub(crate) fn trigger_wait(&mut self, q: QId) {
+        self.p.push(q, self.trigger.clone());
     }
 }
 
@@ -396,15 +500,8 @@ impl RecycledFrame {
 
     /// Open instance `inst` on the ring: park until its trigger arrived.
     pub(crate) fn trigger_wait(&mut self, inst: u64) {
-        self.p.push(
-            self.ring,
-            OpBuild::new(Kind::Wait(WaitCond::Absolute {
-                cq: self.tp.recv_cq,
-                count: self.trigger_base + inst + 1,
-            }))
-            .bump(u64::from(self.spec.depth))
-            .label("trigger wait"),
-        );
+        let op = trigger_wait_op(&self.tp, self.trigger_base, inst);
+        self.p.push(self.ring, op.bump(u64::from(self.spec.depth)));
     }
 
     /// Close an instance on the ring: release its responses up through
@@ -476,6 +573,7 @@ impl RecycledFrame {
 mod tests {
     use super::*;
     use crate::encode::WqeField;
+    use crate::program::ChainQueue;
     use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
     use rnic_sim::ids::QpId;
     use rnic_sim::mem::Access;
@@ -663,7 +761,10 @@ mod tests {
         let mut pool = ConstPool::create(&mut r.sim, r.server, 1 << 16, ProcessId(0)).unwrap();
         let mut frame = deploy_echo(&mut r, &mut pool, 0);
         assert!(frame.is_recycled());
-        assert!(frame.next_arm().is_err(), "arming is host-armed only");
+        assert!(
+            frame.begin_arm(&r.sim).is_err(),
+            "arming is host-armed only"
+        );
         assert_eq!(frame.footprint().unwrap().name, "echo");
         let rep = frame.ir_report().unwrap();
         assert_eq!(
@@ -716,24 +817,61 @@ mod tests {
         assert_eq!(frame.take_instance().unwrap(), 10);
     }
 
+    /// The echo body, host-armed: one instance per call, its response
+    /// released by an ENABLE on the unmanaged `ctrl` queue once the
+    /// trigger has landed the payload in the instance's cell.
+    fn arm_echo(r: &mut Rig, frame: &mut ServiceFrame, pool: &mut ConstPool, ctrl: ChainQueue) {
+        let mut arm = frame.begin_arm(&r.sim).unwrap();
+        let ctrl = arm.p.chain(ctrl);
+        let cell = arm.p.const_zeroed(8);
+        let resp = arm.p.push(
+            arm.resp_q,
+            OpBuild::new(Kind::Write {
+                src: Loc::cst(cell),
+                len: 8,
+                dst: r.spec.slot_loc(arm.slot),
+                imm: Some(arm.instance as u32),
+            })
+            .signaled(),
+        );
+        arm.trigger_wait(ctrl);
+        arm.p.push(
+            ctrl,
+            OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(resp))),
+        );
+        let scatter = vec![SgeSpec {
+            target: Loc::cst(cell),
+            len: 8,
+        }];
+        let order = [arm.resp_q, ctrl];
+        frame
+            .finish_arm(&mut r.sim, pool, arm, scatter, order, None)
+            .unwrap();
+    }
+
     #[test]
     fn host_armed_frame_numbers_arms_in_trigger_order() {
         let mut r = rig(2);
+        let mut pool = ConstPool::create(&mut r.sim, r.server, 1 << 16, ProcessId(0)).unwrap();
         let mut frame = ServiceFrame::host_armed(&mut r.sim, r.spec).unwrap();
+        r.sim.connect_qps(r.cqp, frame.tp.qp).unwrap();
         assert!(!frame.is_recycled());
         assert!(frame.footprint().is_none() && frame.ir_report().is_none());
         assert_eq!(frame.rounds(&r.sim), 0);
-        let base = r.sim.cq_total(frame.tp.recv_cq);
+        let ctrl = r.spec.queue(&r.sim, 64, None).build(&mut r.sim).unwrap();
         assert!(frame.take_instance().is_err(), "nothing armed yet");
-        for k in 0..3u64 {
-            // Instance k fires on the (k+1)-th trigger after deploy.
-            assert_eq!(frame.next_arm().unwrap(), (k, base + k + 1));
-            frame.note_armed();
+        // Three instances armed ahead of a depth-2 window: instance k
+        // fires on the (k+1)-th trigger after deploy, carries its global
+        // id as tag and lands in slot k mod 2 — `echo` checks both.
+        for _ in 0..3 {
+            arm_echo(&mut r, &mut frame, &mut pool, ctrl);
         }
-        assert_eq!(frame.instances_available(), 3);
-        assert_eq!(frame.take_instance().unwrap(), 0);
-        // Global ids as tags; client slots wrap at the depth.
+        assert_eq!((frame.armed(), frame.instances_available()), (3, 3));
+        for v in 0..3 {
+            echo(&mut r, &mut frame, 0xD0 + v);
+        }
         assert_eq!(frame.response_tag(2).unwrap(), 2);
         assert_eq!(frame.response_slot(2).unwrap(), r.spec.dest.addr);
+        assert!(frame.take_instance().is_err(), "completions do not re-arm");
     }
 }

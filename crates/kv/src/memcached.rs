@@ -18,6 +18,7 @@ use std::rc::Rc;
 
 use redn_core::ctx::{ClientDest, HashGetBuilder, OffloadCtx, TableRegion, ValueSource};
 use redn_core::offloads::hash_lookup::{HashGetOffload, HashGetVariant};
+use redn_core::offloads::OffloadService;
 use redn_core::program::ConstPool;
 use rnic_sim::cq::Cqe;
 use rnic_sim::error::{Error, Result};

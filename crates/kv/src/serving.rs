@@ -42,7 +42,6 @@ use std::collections::{HashMap, VecDeque};
 use redn_core::ctx::OffloadCtx;
 use redn_core::ir::analysis::{AnalysisReport, DeploymentVerifier};
 use redn_core::offloads::hash_lookup::HashGetVariant;
-use redn_core::offloads::service::OffloadService;
 use redn_core::program::ConstPool;
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{CqId, NodeId};
@@ -413,7 +412,6 @@ struct FleetClient {
     posted: u64,
     reaped: u64,
     depth: u32,
-    self_recycling: bool,
     /// Owning tenant index (see [`ServiceSpec::tenant`]).
     tenant: Option<usize>,
 }
@@ -478,6 +476,7 @@ impl FleetClient {
             return Ok(());
         }
         let mut arms = 0u64;
+        let host_armed = !self.session.service().is_recycled();
         log.reap_calls += 1;
         log.reap_useful += u64::from(!buf.done.is_empty());
         for done in buf.done.drain(..) {
@@ -498,7 +497,7 @@ impl FleetClient {
             }
             // Replace the consumed instance from the host in host-armed
             // mode (the §3.4 comparison row) — one arm per completion.
-            if self.posted < ops_per_client && !self.self_recycling {
+            if self.posted < ops_per_client && host_armed {
                 self.session.service_mut().arm(sim, pool)?;
                 arms += 1;
             }
@@ -774,7 +773,6 @@ impl ServingFleet {
                     posted: 0,
                     reaped: 0,
                     depth: svc.pipeline_depth,
-                    self_recycling: svc.self_recycling,
                     tenant: svc.tenant,
                 });
                 i += 1;
@@ -1072,9 +1070,7 @@ impl ServingFleet {
         for c in &mut self.clients {
             c.posted = 0;
             c.reaped = 0;
-            if !c.self_recycling {
-                OffloadService::prime(c.session.service_mut(), sim, pool)?;
-            }
+            c.session.service_mut().prime(sim, pool)?;
         }
         Ok(())
     }

@@ -25,6 +25,7 @@ use redn::core::ctx::{ClientDest, ConstPoolBuilder, OffloadCtx, TableRegion, Val
 use redn::core::ir::{DeployOpts, IrProgram, Kind, OpBuild, PassReport, RingSpec, WaitCond};
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::core::offloads::replicate::{ReplicationBuilder, ReplicationLog};
+use redn::core::offloads::OffloadService;
 use redn::core::program::ConstPool;
 use redn::core::turing::compile::CompiledTm;
 use redn::core::turing::machine::TuringMachine;
@@ -233,48 +234,66 @@ fn turing_ring(out: &mut String) {
     }
 }
 
-/// Two consecutive host-armed `arm`s: the second shows the interner
-/// reusing the first arm's pool cells.
+/// Two consecutive host-armed `arm`s per shape: the second shows the
+/// interner reusing the first arm's pool cells (hash-get) and the arm
+/// lowering against the queue state the first one left. Every hash-get
+/// variant (Fig 10/11, Table 4/5) and both walks (Fig 13 plain and
+/// `+break`) are pinned. `arm` is called through the trait so the test
+/// compiles on either side of the host-armed refactor.
 fn host_armed(out: &mut String) {
-    let mut r = rig();
-    let tmr = region(&mut r.sim, r.server, 8 * 16);
-    let vmr = region(&mut r.sim, r.server, 8 * 64);
-    let rmr = region(&mut r.sim, r.client, 2 * 8);
-    let mut ctx = OffloadCtx::builder(r.server).build(&mut r.sim).unwrap();
-    let mut off = ctx
-        .hash_get()
-        .table(TableRegion::of(&tmr))
-        .values(ValueSource::of(&vmr, 8))
-        .respond_to(ClientDest::of(&rmr))
-        .variant(HashGetVariant::Parallel)
-        .pipeline_depth(2)
-        .build(&mut r.sim)
-        .unwrap();
-    for arm in 1..=2 {
-        off.arm(&mut r.sim, ctx.pool_mut()).unwrap();
-        let label = format!("host-armed hash-get Parallel, arm {arm}");
-        dump(out, &label, &mut r, ctx.pool(), None);
+    for variant in [
+        HashGetVariant::Parallel,
+        HashGetVariant::Single,
+        HashGetVariant::Sequential,
+    ] {
+        let mut r = rig();
+        let tmr = region(&mut r.sim, r.server, 8 * 16);
+        let vmr = region(&mut r.sim, r.server, 8 * 64);
+        let rmr = region(&mut r.sim, r.client, 2 * 8);
+        let mut ctx = OffloadCtx::builder(r.server).build(&mut r.sim).unwrap();
+        let mut off = ctx
+            .hash_get()
+            .table(TableRegion::of(&tmr))
+            .values(ValueSource::of(&vmr, 8))
+            .respond_to(ClientDest::of(&rmr))
+            .variant(variant)
+            .pipeline_depth(2)
+            .build(&mut r.sim)
+            .unwrap();
+        for arm in 1..=2 {
+            OffloadService::arm(&mut off, &mut r.sim, ctx.pool_mut()).unwrap();
+            let label = format!("host-armed hash-get {variant:?}, arm {arm}");
+            dump(out, &label, &mut r, ctx.pool(), None);
+        }
     }
 
-    let mut r = rig();
-    let lmr = region(&mut r.sim, r.server, 4 * 80);
-    let rmr = region(&mut r.sim, r.client, 64);
-    let mut ctx = OffloadCtx::builder(r.server).build(&mut r.sim).unwrap();
-    // Break walks are single-instance; the second arm lowers against the
-    // queue state the first one left.
-    let mut off = ctx
-        .list_walk()
-        .list(TableRegion::of(&lmr))
-        .value_len(64)
-        .respond_to(ClientDest::of(&rmr))
-        .max_nodes(4)
-        .break_on_match()
-        .build(&mut r.sim)
-        .unwrap();
-    for arm in 1..=2 {
-        off.arm(&mut r.sim, ctx.pool_mut()).unwrap();
-        let label = format!("host-armed list-walk +break, arm {arm}");
-        dump(out, &label, &mut r, ctx.pool(), None);
+    // Break walks are single-instance; the plain walk pipelines two.
+    for (brk, depth) in [(true, 1u32), (false, 2)] {
+        let mut r = rig();
+        let lmr = region(&mut r.sim, r.server, 4 * 80);
+        let rmr = region(&mut r.sim, r.client, u64::from(depth) * 64);
+        let mut ctx = OffloadCtx::builder(r.server).build(&mut r.sim).unwrap();
+        let mut builder = ctx
+            .list_walk()
+            .list(TableRegion::of(&lmr))
+            .value_len(64)
+            .respond_to(ClientDest::of(&rmr))
+            .max_nodes(4)
+            .pipeline_depth(depth);
+        if brk {
+            builder = builder.break_on_match();
+        }
+        let mut off = builder.build(&mut r.sim).unwrap();
+        let shape = if brk {
+            "+break".to_string()
+        } else {
+            format!("depth {depth}")
+        };
+        for arm in 1..=2 {
+            OffloadService::arm(&mut off, &mut r.sim, ctx.pool_mut()).unwrap();
+            let label = format!("host-armed list-walk {shape}, arm {arm}");
+            dump(out, &label, &mut r, ctx.pool(), None);
+        }
     }
 }
 
