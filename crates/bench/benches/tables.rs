@@ -1,14 +1,14 @@
 //! Criterion bench over the contention and crash harnesses (Figs 15/16).
 use criterion::{criterion_group, criterion_main, Criterion};
-use redn_kv::failure::{run_crash_timeline, CrashPath};
-use redn_kv::isolation::{run_contention, ReaderPath};
+use redn_bench::contention::{run_contention, ReaderPath};
+use redn_bench::crash::{run_crash_timeline, CrashPath};
 use rnic_sim::time::Time;
 
 fn bench(c: &mut Criterion) {
     let p = run_contention(16, 25, ReaderPath::RedN).unwrap();
     println!(
         "fig15 RedN @16 writers: avg {:.2} us p99 {:.2} us (simulated)",
-        p.stats.avg_us, p.stats.p99_us
+        p.avg_us, p.p99_us
     );
     c.bench_function("fig15/redn_16_writers", |b| {
         b.iter(|| run_contention(16, 10, ReaderPath::RedN).unwrap())

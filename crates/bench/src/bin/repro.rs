@@ -197,16 +197,13 @@ fn main() {
                     format!("{} writers", r.writers),
                     format!(
                         "RedN avg {} p99 {} | 2-sided avg {} p99 {}",
-                        us(r.redn.stats.avg_us),
-                        us(r.redn.stats.p99_us),
-                        us(r.two_sided.stats.avg_us),
-                        us(r.two_sided.stats.p99_us)
+                        us(r.redn.avg_us),
+                        us(r.redn.p99_us),
+                        us(r.two_sided.avg_us),
+                        us(r.two_sided.p99_us)
                     ),
                     "RedN flat <7us; 2-sided tail exploding",
-                    format!(
-                        "p99 isolation {:.0}x",
-                        r.two_sided.stats.p99_us / r.redn.stats.p99_us
-                    ),
+                    format!("p99 isolation {:.0}x", r.two_sided.p99_us / r.redn.p99_us),
                 )
             })
             .collect();

@@ -12,11 +12,12 @@ use rnic_sim::qp::QpConfig;
 use rnic_sim::time::Time;
 use rnic_sim::wqe::WorkRequest;
 
-use redn_kv::baselines::{run_until_cqe, ClientEndpoint, OneSidedClient, TwoSidedMode};
-use redn_kv::hopscotch::HopscotchTable;
+use redn_kv::endpoint::{run_until_cqe, ClientEndpoint};
 use redn_kv::memcached::MemcachedServer;
 use redn_kv::workload::latency_stats;
 
+use crate::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
+use crate::hopscotch::{HopscotchTable, NEIGHBORHOOD};
 use crate::report::{bytes_label, Row};
 use crate::{testbed, testbed_with};
 
@@ -110,12 +111,9 @@ pub fn one_sided_latency(value_len: u32, placement: usize, reps: usize) -> Resul
             .expect("placement collision");
     }
     let client = OneSidedClient::create(&mut sim, c, &table)?;
-    let scq = sim.create_cq(s, 16)?;
-    let sqp = sim.create_qp(s, QpConfig::new(scq))?;
-    sim.connect_qps(client.ep.qp, sqp)?;
     let mut total = Time::ZERO;
     for &k in &keys {
-        let (lat, found) = client.get(&mut sim, k, &table.candidates(k))?;
+        let (lat, found) = client.get(&mut sim, k, &table.candidates(k), NEIGHBORHOOD)?;
         assert!(found);
         total += lat;
     }
@@ -129,12 +127,12 @@ pub fn two_sided_latency(value_len: u32, mode: TwoSidedMode, reps: usize) -> Res
     let server = MemcachedServer::create(&mut sim, s, 4096, value_len, ProcessId(0))?;
     server.populate(&mut sim, reps as u64)?;
     sim.set_runnable_threads(s, 1);
-    let rpc = server.two_sided_frontend(&mut sim, mode)?;
+    let rpc = TwoSidedServer::install(&mut sim, s, server.table.clone(), mode, server.owner)?;
     let ep = ClientEndpoint::create(&mut sim, c, value_len)?;
     sim.connect_qps(ep.qp, rpc.qp)?;
     let mut total = Time::ZERO;
     for k in 1..=reps as u64 {
-        let (lat, found) = redn_kv::baselines::two_sided_get(&mut sim, &ep, k)?;
+        let (lat, found) = two_sided_get(&mut sim, &ep, k)?;
         assert!(found);
         total += lat;
     }
@@ -177,7 +175,7 @@ pub fn fig11() -> Result<Vec<LatencyRow>> {
 }
 
 /// Table 5: RedN vs StRoM latency (median + p99; StRoM numbers quoted
-/// from the paper, which itself quotes [39]).
+/// from the paper, which itself quotes \[39\]).
 pub fn table5() -> Result<Vec<Row>> {
     let mut rows = Vec::new();
     for (v, strom_med, strom_p99) in [(64u32, 7.0, 7.0), (4096, 12.0, 13.0)] {

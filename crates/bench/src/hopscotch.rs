@@ -19,7 +19,7 @@ use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::mem::{Access, MemoryRegion};
 use rnic_sim::sim::Simulator;
 
-use crate::store::{h1, h2, ValueHeap};
+use redn_kv::store::{h1, h2, ValueHeap};
 
 /// FaRM's default neighborhood size.
 pub const NEIGHBORHOOD: u64 = 6;
@@ -132,8 +132,8 @@ impl HopscotchTable {
         Ok(idx)
     }
 
-    /// Host-side lookup (reference for tests and the two-sided server).
-    /// Returns the value slot address.
+    /// Host-side lookup (the reference tests check against). Returns the
+    /// value slot address.
     pub fn lookup(&self, key: u64) -> Option<u64> {
         for cand in self.candidates(key) {
             for off in 0..NEIGHBORHOOD {

@@ -17,7 +17,7 @@ use rnic_sim::sim::{ListenMode, Simulator};
 use rnic_sim::time::Time;
 use rnic_sim::wqe::WorkRequest;
 
-use redn_kv::baselines::{run_until_cqe, ClientEndpoint};
+use redn_kv::endpoint::{run_until_cqe, ClientEndpoint};
 
 use crate::testbed;
 

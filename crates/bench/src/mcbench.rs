@@ -9,18 +9,19 @@ use rnic_sim::error::Result;
 use rnic_sim::ids::ProcessId;
 use rnic_sim::time::Time;
 
-use redn_kv::baselines::{two_sided_get, ClientEndpoint, OneSidedClient, TwoSidedMode};
-use redn_kv::hopscotch::HopscotchTable;
+use redn_kv::endpoint::ClientEndpoint;
 use redn_kv::memcached::{redn_get, MemcachedServer};
 
+use crate::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
 use crate::hashbench::VALUE_SIZES;
+use crate::hopscotch::HopscotchTable;
 use crate::testbed;
 
 /// Average Memcached get latency for one value size:
 /// `(redn, one_sided, two_sided_vma)`.
 pub fn memcached_latency(value_len: u32, reps: usize) -> Result<(f64, f64, f64)> {
     // RedN + VMA share a testbed; one-sided gets its own (it uses the
-    // hopscotch helper with cuckoo-style candidate probes).
+    // hopscotch helper with cuckoo-style one-bucket candidate probes).
     let (mut sim, c, s) = testbed();
     let server = MemcachedServer::create(&mut sim, s, 4096, value_len, ProcessId(0))?;
     server.populate(&mut sim, reps as u64)?;
@@ -39,7 +40,13 @@ pub fn memcached_latency(value_len: u32, reps: usize) -> Result<(f64, f64, f64)>
         redn_total += lat;
     }
 
-    let vma = server.two_sided_frontend(&mut sim, TwoSidedMode::Vma)?;
+    let vma = TwoSidedServer::install(
+        &mut sim,
+        s,
+        server.table.clone(),
+        TwoSidedMode::Vma,
+        server.owner,
+    )?;
     let ep2 = ClientEndpoint::create(&mut sim, c, value_len)?;
     sim.connect_qps(ep2.qp, vma.qp)?;
     let mut vma_total = Time::ZERO;
@@ -66,12 +73,9 @@ pub fn memcached_latency(value_len: u32, reps: usize) -> Result<(f64, f64, f64)>
             .expect("collision");
     }
     let client = OneSidedClient::create(&mut sim2, c2, &table)?;
-    let scq = sim2.create_cq(s2, 16)?;
-    let sqp = sim2.create_qp(s2, rnic_sim::qp::QpConfig::new(scq))?;
-    sim2.connect_qps(client.ep.qp, sqp)?;
     let mut one_total = Time::ZERO;
     for k in 1..=reps as u64 {
-        let (lat, found) = client.get_cuckoo(&mut sim2, k, &table.candidates(k))?;
+        let (lat, found) = client.get(&mut sim2, k, &table.candidates(k), 1)?;
         assert!(found, "one-sided key {k}");
         one_total += lat;
     }

@@ -1,5 +1,5 @@
 //! Serving-layer throughput: ops/sec vs offered load over the pipelined
-//! [`ServingFleet`](redn_kv::serving::ServingFleet).
+//! [`ServingFleet`].
 //!
 //! The paper's Memcached evaluation (§5.4) drives 1M pipelined gets from
 //! many clients; this module measures that traffic shape in the
@@ -23,14 +23,14 @@
 
 use redn_core::ctx::OffloadCtx;
 use redn_core::offloads::hash_lookup::HashGetVariant;
-use rnic_sim::error::Result;
-use rnic_sim::ids::ProcessId;
+use rnic_sim::error::{Error, Result};
+use rnic_sim::ids::{NodeId, ProcessId};
+use rnic_sim::sim::Simulator;
 
+use redn_kv::endpoint::ClientEndpoint;
 use redn_kv::liststore::ListStore;
-use redn_kv::memcached::MemcachedServer;
-use redn_kv::serving::{
-    sync_baseline_ops_per_sec, FleetSpec, FleetStats, ServiceSpec, ServingFleet,
-};
+use redn_kv::memcached::{redn_get, MemcachedServer};
+use redn_kv::serving::{FleetSpec, FleetStats, ServiceSpec, ServingFleet};
 use redn_kv::session::{Session, SessionOpts};
 use redn_kv::workload::Workload;
 
@@ -532,6 +532,38 @@ pub fn closed_point(cfg: &SweepConfig, k: u32) -> Result<FleetStats> {
         gets_spec(cfg, cfg.self_recycling),
         |sim, ctx, fleet| fleet.run_closed_loop(sim, ctx.pool_mut(), cfg.ops_per_client, k),
     )
+}
+
+/// Back-to-back synchronous [`redn_get`]s on a single client — the
+/// pre-serving-layer request path, measured the same way fleet runs are
+/// so the two are directly comparable. Returns ops/sec.
+pub fn sync_baseline_ops_per_sec(
+    sim: &mut Simulator,
+    ctx: &mut OffloadCtx,
+    server: &MemcachedServer,
+    client_node: NodeId,
+    variant: HashGetVariant,
+    ops: u64,
+    workload: &mut Workload,
+) -> Result<f64> {
+    let value_len = server.table.borrow().heap.slot_len;
+    let ep = ClientEndpoint::create(sim, client_node, value_len)?;
+    let mut off = server
+        .redn_builder(ctx)
+        .respond_to(ep.dest())
+        .variant(variant)
+        .build(sim)?;
+    sim.connect_qps(ep.qp, off.tp.qp)?;
+    let start = sim.now();
+    for _ in 0..ops {
+        let key = workload.next_key();
+        let (_, found) = redn_get(sim, &mut off, ctx.pool_mut(), &ep, server, key)?;
+        if !found {
+            return Err(Error::InvalidWr("sync baseline key missed"));
+        }
+    }
+    let secs = (sim.now() - start).as_us_f64() / 1e6;
+    Ok(ops as f64 / secs)
 }
 
 /// Run the full sweep.

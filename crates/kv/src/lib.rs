@@ -1,19 +1,20 @@
-//! # redn-kv — key-value substrate for the RedN reproduction
+//! # redn-kv — the key-value system RedN serves
 //!
 //! The paper's evaluation (§5.2–§5.6) revolves around key-value `get`
-//! offloads and their baselines. This crate provides everything those
-//! experiments need on top of [`rnic_sim`] and [`redn_core`]:
+//! offloads. This crate is the system side of it, on top of
+//! [`rnic_sim`] and [`redn_core`]: the store, its Memcached-like server
+//! (§5.4), and the clients and serving layers that drive it through the
+//! NIC. The comparison points the paper measures it against (one-sided
+//! and two-sided baselines, the hopscotch table, the §5.5 contention and
+//! §5.6 crash rigs) live with the figures they feed, in `redn_bench`.
 //!
 //! * [`store`] — a registered value heap and deterministic hashing;
-//! * [`hopscotch`] — the hopscotch-style table of §5.2 (H = 2 candidate
-//!   buckets, 6-bucket neighborhoods for the FaRM-style one-sided reads);
 //! * [`cuckoo`] — the cuckoo table the paper's modified Memcached uses
 //!   (MemC3-style, two candidate buckets with relocation);
-//! * [`baselines`] — the paper's comparison points: **one-sided** lookups
-//!   (FaRM/Pilaf: two READs, no server CPU) and **two-sided** RPC
-//!   (polling / event-driven / VMA socket-stack flavors);
-//! * [`memcached`] — a Memcached-like server assembled from the pieces,
-//!   servable through any of the three frontends;
+//! * [`memcached`] — a Memcached-like server over the cuckoo table,
+//!   served by the RedN get offload;
+//! * [`endpoint`] — a client's QP, CQs and registered request/response
+//!   slots ([`ClientEndpoint`](endpoint::ClientEndpoint));
 //! * [`liststore`] — server-side linked-list region for the §3.3 / §5.3
 //!   list-walk offload (the list-side counterpart of the hash table);
 //! * [`session`] — typed client sessions ([`Session`](session::Session))
@@ -30,20 +31,13 @@
 //!   onto shared NIC PUs (admission gated on the deployment verifier),
 //!   and [`CreditPacer`](tenancy::CreditPacer) trigger-path pacing so an
 //!   overloaded tenant sheds its own load, not its neighbors';
-//! * [`workload`] — Memtier-like request generators;
-//! * [`isolation`] — the §5.5 contention harness (writer storms vs one
-//!   reader);
-//! * [`failure`] — the §5.6 crash/restart harness (hull-parent survival
-//!   vs vanilla restart+rebuild).
+//! * [`workload`] — Memtier-like request generators.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod baselines;
 pub mod cuckoo;
-pub mod failure;
-pub mod hopscotch;
-pub mod isolation;
+pub mod endpoint;
 pub mod liststore;
 pub mod memcached;
 pub mod serving;
@@ -54,9 +48,7 @@ pub mod workload;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::baselines::{OneSidedClient, TwoSidedMode, TwoSidedServer};
     pub use crate::cuckoo::CuckooTable;
-    pub use crate::hopscotch::HopscotchTable;
     pub use crate::liststore::ListStore;
     pub use crate::memcached::MemcachedServer;
     pub use crate::serving::{

@@ -5,13 +5,13 @@
 //! the addresses to the values are stored in big endian — to match the
 //! format used by the WR attributes" (our simulated WQEs are little-endian
 //! throughout, so the translation is the identity; the *registration* is
-//! the part that matters). `get` requests can then be served by three
-//! interchangeable frontends:
+//! the part that matters). `get` requests are then served by the RedN
+//! offload ([`redn_core::offloads::hash_lookup`]) with zero server CPU.
 //!
-//! * the RedN offload ([`redn_core::offloads::hash_lookup`]) — zero CPU;
-//! * the one-sided baseline ([`crate::baselines::OneSidedClient`]);
-//! * the two-sided RPC server ([`crate::baselines::TwoSidedServer`]),
-//!   optionally through the VMA socket-stack cost model.
+//! The paper's baselines over the same store — one-sided READs and the
+//! two-sided RPC server, optionally through the VMA socket-stack cost
+//! model — are experiment rigs, not frontends a deployment needs; they
+//! live in `redn_bench::baselines`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,8 +26,8 @@ use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
 
-use crate::baselines::{ClientEndpoint, TwoSidedMode, TwoSidedServer};
 use crate::cuckoo::CuckooTable;
+use crate::endpoint::ClientEndpoint;
 
 /// The Memcached-like store: a cuckoo table plus its registration state.
 pub struct MemcachedServer {
@@ -36,7 +36,8 @@ pub struct MemcachedServer {
     /// Owning process (crash-test subject; use the init process or a
     /// hull parent for crash-resilient offloads).
     pub owner: ProcessId,
-    /// The table (shared with two-sided listeners).
+    /// The table (shared with host-side listeners such as the two-sided
+    /// baseline).
     pub table: Rc<RefCell<CuckooTable>>,
 }
 
@@ -113,20 +114,6 @@ impl MemcachedServer {
             .respond_to(dest)
             .variant(variant)
             .build(sim)
-    }
-
-    /// Stand up the two-sided RPC frontend.
-    pub fn two_sided_frontend(
-        &self,
-        sim: &mut Simulator,
-        mode: TwoSidedMode,
-    ) -> Result<TwoSidedServer> {
-        TwoSidedServer::install(sim, self.node, self.table.clone(), mode, self.owner)
-    }
-
-    /// Candidate bucket addresses for `key` (clients hash locally).
-    pub fn candidate_addrs(&self, key: u64) -> [u64; 2] {
-        self.table.borrow().candidate_addrs(key)
     }
 }
 
@@ -336,37 +323,5 @@ mod tests {
         assert!(found);
         assert_eq!(sim.rq_posted(ep.qp) - before, 1);
         assert_eq!(ep.outstanding_recvs(), 0);
-    }
-
-    #[test]
-    fn redn_beats_two_sided_vma_on_latency() {
-        // The Fig 14 headline: RedN < one/two-sided for Memcached gets.
-        let (mut sim, c, s) = setup();
-        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
-        server.populate(&mut sim, 64).unwrap();
-        sim.set_runnable_threads(s, 1);
-
-        let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
-        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
-        let mut off = server
-            .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
-            .unwrap();
-        sim.connect_qps(ep.qp, off.tp.qp).unwrap();
-        let (redn_lat, found) =
-            redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, 7).unwrap();
-        assert!(found);
-
-        let vma = server
-            .two_sided_frontend(&mut sim, TwoSidedMode::Vma)
-            .unwrap();
-        let ep2 = ClientEndpoint::create(&mut sim, c, 64).unwrap();
-        sim.connect_qps(ep2.qp, vma.qp).unwrap();
-        let (vma_lat, found) = crate::baselines::two_sided_get(&mut sim, &ep2, 7).unwrap();
-        assert!(found);
-
-        assert!(
-            redn_lat < vma_lat,
-            "RedN {redn_lat:?} must beat two-sided VMA {vma_lat:?}"
-        );
     }
 }

@@ -48,9 +48,8 @@ use rnic_sim::ids::{CqId, NodeId};
 use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
 
-use crate::baselines::ClientEndpoint;
 use crate::liststore::ListStore;
-use crate::memcached::{redn_get, MemcachedServer, PendingGet};
+use crate::memcached::{MemcachedServer, PendingGet};
 use crate::session::{Completion, PendingWalk, Session, SessionOpts};
 use crate::tenancy::{
     pu_stride, CreditPacer, NicGeometry, Placement, TenantPacker, TenantRuntime, TenantSpec,
@@ -1176,38 +1175,6 @@ impl ServingFleet {
             per_tenant,
         }
     }
-}
-
-/// Back-to-back synchronous [`redn_get`]s on a single client — the
-/// pre-serving-layer request path, measured the same way fleet runs are
-/// so the two are directly comparable. Returns ops/sec.
-pub fn sync_baseline_ops_per_sec(
-    sim: &mut Simulator,
-    ctx: &mut OffloadCtx,
-    server: &MemcachedServer,
-    client_node: NodeId,
-    variant: HashGetVariant,
-    ops: u64,
-    workload: &mut Workload,
-) -> Result<f64> {
-    let value_len = server.table.borrow().heap.slot_len;
-    let ep = ClientEndpoint::create(sim, client_node, value_len)?;
-    let mut off = server
-        .redn_builder(ctx)
-        .respond_to(ep.dest())
-        .variant(variant)
-        .build(sim)?;
-    sim.connect_qps(ep.qp, off.tp.qp)?;
-    let start = sim.now();
-    for _ in 0..ops {
-        let key = workload.next_key();
-        let (_, found) = redn_get(sim, &mut off, ctx.pool_mut(), &ep, server, key)?;
-        if !found {
-            return Err(Error::InvalidWr("sync baseline key missed"));
-        }
-    }
-    let secs = (sim.now() - start).as_us_f64() / 1e6;
-    Ok(ops as f64 / secs)
 }
 
 #[cfg(test)]

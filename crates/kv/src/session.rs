@@ -33,8 +33,8 @@ use rnic_sim::ids::NodeId;
 use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
 
-use crate::baselines::ClientEndpoint;
 use crate::cuckoo::CuckooTable;
+use crate::endpoint::ClientEndpoint;
 use crate::liststore::ListStore;
 use crate::memcached::{post_get_burst, reap_gets_into, MemcachedServer, PendingGet, ReapedGet};
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example failure_resilience
 //! ```
 
-use redn::kv::failure::{run_crash_timeline, run_os_panic_probe, CrashPath};
+use redn_bench::crash::{outage, run_crash_timeline, run_os_panic_probe, CrashPath};
 use rnic_sim::time::Time;
 
 fn spark(v: f64) -> char {
@@ -36,8 +36,7 @@ fn main() {
         for p in &timeline {
             print!("{}", spark(p.normalized));
         }
-        let dead = timeline.iter().filter(|p| p.normalized < 0.05).count();
-        println!("   ({:.2} s of outage)", dead as f64 * 0.25);
+        println!("   ({:.2} s of outage)", outage(&timeline, 0.25).0);
     }
 
     println!("\nkernel panic: can the NIC still answer? (paper §5.6 'OS failure')");

@@ -6,7 +6,7 @@
 //! cargo run --release --example isolation
 //! ```
 
-use redn::kv::isolation::{run_contention, ReaderPath};
+use redn_bench::contention::fig15_row;
 
 fn main() {
     println!("reader get latency vs writer count (30 gets per point):\n");
@@ -15,11 +15,11 @@ fn main() {
         "writers", "RedN avg/p99 (us)", "two-sided avg/p99 (us)"
     );
     for writers in [0usize, 4, 8, 16] {
-        let redn = run_contention(writers, 30, ReaderPath::RedN).unwrap();
-        let two = run_contention(writers, 30, ReaderPath::TwoSided).unwrap();
+        let row = fig15_row(writers, 30).unwrap();
+        let (redn, two) = (row.redn, row.two_sided);
         println!(
             "{:>8}  {:>10.2} / {:<9.2}  {:>12.2} / {:<11.2}",
-            writers, redn.stats.avg_us, redn.stats.p99_us, two.stats.avg_us, two.stats.p99_us,
+            writers, redn.avg_us, redn.p99_us, two.avg_us, two.p99_us,
         );
     }
     println!(

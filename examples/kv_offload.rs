@@ -7,10 +7,11 @@
 
 use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
-use redn::kv::baselines::{two_sided_get, ClientEndpoint, OneSidedClient, TwoSidedMode};
-use redn::kv::hopscotch::HopscotchTable;
+use redn::kv::endpoint::ClientEndpoint;
 use redn::kv::memcached::{redn_get, MemcachedServer};
 use redn::prelude::*;
+use redn_bench::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
+use redn_bench::hopscotch::{HopscotchTable, NEIGHBORHOOD};
 use rnic_sim::config::{LinkConfig, SimConfig};
 use rnic_sim::ids::ProcessId;
 
@@ -46,7 +47,14 @@ fn main() {
     );
 
     // Two-sided VMA baseline.
-    let vma = mc.two_sided_frontend(&mut sim, TwoSidedMode::Vma).unwrap();
+    let vma = TwoSidedServer::install(
+        &mut sim,
+        server,
+        mc.table.clone(),
+        TwoSidedMode::Vma,
+        mc.owner,
+    )
+    .unwrap();
     let ep2 = ClientEndpoint::create(&mut sim, client, 64).unwrap();
     sim.connect_qps(ep2.qp, vma.qp).unwrap();
     let (vma_lat, found) = two_sided_get(&mut sim, &ep2, 42).unwrap();
@@ -60,12 +68,9 @@ fn main() {
     let mut hs = HopscotchTable::create(&mut sim, server, 1024, 64, ProcessId(0)).unwrap();
     hs.insert(&mut sim, 42, &[42u8; 64]).unwrap();
     let one = OneSidedClient::create(&mut sim, client, &hs).unwrap();
-    let scq = sim.create_cq(server, 16).unwrap();
-    let sqp = sim
-        .create_qp(server, rnic_sim::qp::QpConfig::new(scq))
+    let (one_lat, found) = one
+        .get(&mut sim, 42, &hs.candidates(42), NEIGHBORHOOD)
         .unwrap();
-    sim.connect_qps(one.ep.qp, sqp).unwrap();
-    let (one_lat, found) = one.get(&mut sim, 42, &hs.candidates(42)).unwrap();
     assert!(found);
     println!(
         "one-sided get(42) -> {:.2} us across two READ round trips",

@@ -8,7 +8,7 @@
 use redn::core::ctx::{OffloadCtx, TableRegion};
 use redn::core::offloads::list::{encode_node, NODE_HEADER};
 use redn::core::offloads::rpc;
-use redn::kv::baselines::{run_until_cqe, ClientEndpoint};
+use redn::kv::endpoint::{run_until_cqe, ClientEndpoint};
 use redn::prelude::*;
 use rnic_sim::config::{LinkConfig, SimConfig};
 use rnic_sim::wqe::WorkRequest;

@@ -10,8 +10,9 @@ use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::kv::liststore::ListStore;
 use redn::kv::memcached::MemcachedServer;
-use redn::kv::serving::{sync_baseline_ops_per_sec, FleetSpec, ServiceSpec, ServingFleet};
+use redn::kv::serving::{FleetSpec, ServiceSpec, ServingFleet};
 use redn::kv::workload::Workload;
+use redn_bench::servebench::sync_baseline_ops_per_sec;
 use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
 use rnic_sim::ids::ProcessId;
 use rnic_sim::sim::Simulator;

@@ -6,10 +6,15 @@
 //! * [`core`] ([`redn_core`]) — the RedN computational framework
 //!   (self-modifying chains, conditionals, loops, offloads, Turing
 //!   machines);
-//! * [`kv`] ([`redn_kv`]) — the Memcached-like key-value substrate and
-//!   the paper's baselines;
+//! * [`kv`] ([`redn_kv`]) — the Memcached-like key-value system RedN
+//!   serves: store, client endpoints, sessions, serving fleets, tenancy;
 //! * [`cluster`] ([`redn_cluster`]) — sharded multi-node serving with
 //!   NIC-resident chain replication and failover.
+//!
+//! The paper's comparison points (one- and two-sided baselines, the
+//! hopscotch table, the Fig 15/16 contention and crash rigs) are not
+//! re-exported: they live with the figures in `redn_bench`, which the
+//! examples and integration tests use directly.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture.
 

@@ -5,20 +5,13 @@
 
 use redn::core::ctx::{ClientDest, OffloadCtx, TableRegion, ValueSource};
 use redn::core::offloads::hash_lookup::HashGetVariant;
-use redn::kv::baselines::{two_sided_get, ClientEndpoint, OneSidedClient, TwoSidedMode};
-use redn::kv::hopscotch::HopscotchTable;
+use redn::kv::endpoint::ClientEndpoint;
 use redn::kv::memcached::{redn_get, MemcachedServer};
 use redn::prelude::*;
-use rnic_sim::config::{LinkConfig, SimConfig};
+use redn_bench::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
+use redn_bench::hopscotch::{HopscotchTable, NEIGHBORHOOD};
+use redn_bench::testbed;
 use rnic_sim::ids::ProcessId;
-
-fn testbed() -> (Simulator, rnic_sim::ids::NodeId, rnic_sim::ids::NodeId) {
-    let mut sim = Simulator::new(SimConfig::default());
-    let c = sim.add_node("client", HostConfig::default(), NicConfig::connectx5());
-    let s = sim.add_node("server", HostConfig::default(), NicConfig::connectx5());
-    sim.connect_nodes(c, s, LinkConfig::back_to_back());
-    (sim, c, s)
-}
 
 #[test]
 fn hash_get_deployed_via_ctx_round_trips_against_baselines() {
@@ -47,7 +40,14 @@ fn hash_get_deployed_via_ctx_round_trips_against_baselines() {
     assert_eq!(redn_value, 42, "value round-trips through the NIC");
 
     // Two-sided VMA baseline on the same store.
-    let vma = mc.two_sided_frontend(&mut sim, TwoSidedMode::Vma).unwrap();
+    let vma = TwoSidedServer::install(
+        &mut sim,
+        server,
+        mc.table.clone(),
+        TwoSidedMode::Vma,
+        mc.owner,
+    )
+    .unwrap();
     let ep2 = ClientEndpoint::create(&mut sim, client, 64).unwrap();
     sim.connect_qps(ep2.qp, vma.qp).unwrap();
     let (vma_lat, found) = two_sided_get(&mut sim, &ep2, 42).unwrap();
@@ -61,12 +61,9 @@ fn hash_get_deployed_via_ctx_round_trips_against_baselines() {
     let mut hs = HopscotchTable::create(&mut sim, server, 1024, 64, ProcessId(0)).unwrap();
     hs.insert(&mut sim, 42, &[42u8; 64]).unwrap();
     let one = OneSidedClient::create(&mut sim, client, &hs).unwrap();
-    let scq = sim.create_cq(server, 16).unwrap();
-    let sqp = sim
-        .create_qp(server, rnic_sim::qp::QpConfig::new(scq))
+    let (one_lat, found) = one
+        .get(&mut sim, 42, &hs.candidates(42), NEIGHBORHOOD)
         .unwrap();
-    sim.connect_qps(one.ep.qp, sqp).unwrap();
-    let (one_lat, found) = one.get(&mut sim, 42, &hs.candidates(42)).unwrap();
     assert!(found);
     assert_eq!(
         sim.mem_read(client, one.ep.resp_buf, 1).unwrap()[0],

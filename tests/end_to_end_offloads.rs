@@ -3,21 +3,12 @@
 
 use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
-use redn::kv::baselines::{two_sided_get, ClientEndpoint, OneSidedClient, TwoSidedMode};
-use redn::kv::hopscotch::HopscotchTable;
+use redn::kv::endpoint::ClientEndpoint;
 use redn::kv::memcached::{redn_get, MemcachedServer};
-use redn::prelude::*;
-use rnic_sim::config::{LinkConfig, SimConfig};
+use redn_bench::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
+use redn_bench::hopscotch::{HopscotchTable, NEIGHBORHOOD};
+use redn_bench::testbed;
 use rnic_sim::ids::ProcessId;
-use rnic_sim::qp::QpConfig;
-
-fn testbed() -> (Simulator, rnic_sim::ids::NodeId, rnic_sim::ids::NodeId) {
-    let mut sim = Simulator::new(SimConfig::default());
-    let c = sim.add_node("client", HostConfig::default(), NicConfig::connectx5());
-    let s = sim.add_node("server", HostConfig::default(), NicConfig::connectx5());
-    sim.connect_nodes(c, s, LinkConfig::back_to_back());
-    (sim, c, s)
-}
 
 #[test]
 fn memcached_get_three_frontends_agree() {
@@ -45,7 +36,8 @@ fn memcached_get_three_frontends_agree() {
     // Two-sided through the VMA socket stack (the Fig 14 baseline; the
     // paper calls raw polling RPC "competitive", so the decisive gap is
     // against VMA).
-    let rpc = mc.two_sided_frontend(&mut sim, TwoSidedMode::Vma).unwrap();
+    let rpc = TwoSidedServer::install(&mut sim, s, mc.table.clone(), TwoSidedMode::Vma, mc.owner)
+        .unwrap();
     let ep2 = ClientEndpoint::create(&mut sim, c, 64).unwrap();
     sim.connect_qps(ep2.qp, rpc.qp).unwrap();
     let (two_lat, found) = two_sided_get(&mut sim, &ep2, 7).unwrap();
@@ -70,10 +62,9 @@ fn one_sided_and_redn_read_identical_bytes() {
         .unwrap();
 
     let one = OneSidedClient::create(&mut sim, c, &table).unwrap();
-    let scq = sim.create_cq(s, 16).unwrap();
-    let sqp = sim.create_qp(s, QpConfig::new(scq)).unwrap();
-    sim.connect_qps(one.ep.qp, sqp).unwrap();
-    let (_, found) = one.get(&mut sim, 99, &table.candidates(99)).unwrap();
+    let (_, found) = one
+        .get(&mut sim, 99, &table.candidates(99), NEIGHBORHOOD)
+        .unwrap();
     assert!(found);
     assert_eq!(
         sim.mem_read(c, one.ep.resp_buf, 64).unwrap(),

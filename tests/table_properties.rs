@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use redn::kv::cuckoo::CuckooTable;
-use redn::kv::hopscotch::HopscotchTable;
 use redn::prelude::*;
+use redn_bench::hopscotch::HopscotchTable;
 use rnic_sim::config::SimConfig;
 use rnic_sim::ids::ProcessId;
 use std::collections::HashMap;
