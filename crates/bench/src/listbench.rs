@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use redn_core::ctx::{OffloadCtx, TableRegion};
-use redn_core::offloads::list::{encode_node, NODE_HEADER};
+use redn_core::offloads::list::{encode_node_into, NODE_HEADER};
 use redn_core::offloads::{rpc, OffloadService};
 use rnic_sim::error::Result;
 use rnic_sim::mem::Access;
@@ -39,6 +39,7 @@ fn build_list() -> Result<ListRig> {
     let node_size = NODE_HEADER + VALUE_LEN as u64;
     let base = sim.alloc(server, LIST_LEN as u64 * node_size, 64)?;
     let mr = sim.register_mr(server, base, LIST_LEN as u64 * node_size, Access::all())?;
+    let mut bytes = Vec::new();
     for i in 0..LIST_LEN as u64 {
         let addr = base + i * node_size;
         let next = if i + 1 < LIST_LEN as u64 {
@@ -47,7 +48,8 @@ fn build_list() -> Result<ListRig> {
             0
         };
         // Key of node i is 100 + i.
-        let bytes = encode_node(next, 100 + i, &vec![(i + 1) as u8; VALUE_LEN as usize]);
+        let value = [(i + 1) as u8; VALUE_LEN as usize];
+        encode_node_into(&mut bytes, next, 100 + i, &value);
         sim.mem_write(server, addr, &bytes)?;
     }
     Ok(ListRig {

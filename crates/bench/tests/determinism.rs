@@ -8,13 +8,22 @@
 //! asserts the rendered results are byte-identical. A separate test
 //! drives a traced multi-verb scenario repeatedly — also under
 //! different values of the ignored `SimConfig.lanes` field — and
-//! compares the raw event traces.
+//! compares the raw event traces. A third runs a traced serving pass on
+//! fresh, recycled and scribbled-over simulated DRAM.
+
+use std::fmt::Write;
 
 use redn_bench::clusterbench::{failover_point, ClusterSweepConfig};
 use redn_bench::micro::{fig7, fig8, table1, table3};
 use redn_bench::servebench::{closed_point, SweepConfig};
+use redn_core::ctx::OffloadCtx;
+use redn_core::offloads::hash_lookup::HashGetVariant;
+use redn_kv::memcached::MemcachedServer;
+use redn_kv::serving::{FleetSpec, ServingFleet};
+use redn_kv::workload::Workload;
 use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
-use rnic_sim::mem::Access;
+use rnic_sim::ids::ProcessId;
+use rnic_sim::mem::{Access, ARENA_BASE};
 use rnic_sim::qp::QpConfig;
 use rnic_sim::sim::Simulator;
 use rnic_sim::wqe::WorkRequest;
@@ -135,4 +144,72 @@ fn event_trace_identical_across_lane_counts() {
         one.iter().any(|l| l.contains("MemWrite")),
         "trace actually recorded memory traffic"
     );
+}
+
+/// A traced closed-loop serving pass — two recycled hash-get clients, a
+/// quarter of their keys missing — rendered as its fleet stats, its full
+/// event trace and every byte it allocated in either node's arena.
+fn traced_serving_pass() -> String {
+    let cfg = SimConfig {
+        trace: true,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(cfg);
+    let client = sim.add_node("client", HostConfig::default(), NicConfig::connectx5());
+    let nic = NicConfig::connectx5().dual_port();
+    let server_node = sim.add_node("server", HostConfig::default(), nic);
+    sim.connect_nodes(client, server_node, LinkConfig::back_to_back());
+    let server = MemcachedServer::create(&mut sim, server_node, 512, 64, ProcessId(0)).unwrap();
+    server.populate(&mut sim, 96).unwrap();
+    let mut ctx = OffloadCtx::builder(server_node)
+        .pool_capacity(1 << 20)
+        .build(&mut sim)
+        .unwrap();
+    let spec = FleetSpec::gets(2, 4, HashGetVariant::Sequential, true);
+    let keys = (0..2u64)
+        .map(|c| Workload::from_keys((0..32).map(|i| 1 + (i * 7 + c) % 128).collect()))
+        .collect();
+    let mut fleet =
+        ServingFleet::deploy(&mut sim, &mut ctx, &server, None, client, spec, keys).unwrap();
+    let stats = fleet
+        .run_closed_loop(&mut sim, ctx.pool_mut(), 32, 4)
+        .unwrap();
+    let mut out = format!("{stats:?}\n");
+    for (t, ev) in sim.trace().events() {
+        writeln!(out, "{t:?} {ev:?}").unwrap();
+    }
+    for node in [client, server_node] {
+        let len = sim.mem(node).allocated();
+        for word in sim.mem_read(node, ARENA_BASE, len).unwrap().chunks(64) {
+            writeln!(out, "{word:02x?}").unwrap();
+        }
+    }
+    out
+}
+
+/// Build a testbed of the same geometry and fill 4 MiB of each node's
+/// arena with 0xFF, so the arenas it hands back are dirty.
+fn scribble() {
+    let mut sim = Simulator::new(SimConfig::default());
+    for name in ["client", "server"] {
+        let node = sim.add_node(name, HostConfig::default(), NicConfig::connectx5());
+        let addr = sim.alloc(node, 4 << 20, 64).unwrap();
+        sim.mem_write(node, addr, &vec![0xFF; 4 << 20]).unwrap();
+    }
+}
+
+#[test]
+fn recycled_dram_serves_exactly_like_fresh_dram() {
+    let fresh = traced_serving_pass();
+    let recycled = traced_serving_pass();
+    scribble();
+    let scrubbed = traced_serving_pass();
+    let other_thread = std::thread::spawn(traced_serving_pass).join().unwrap();
+    assert!(fresh.lines().count() > 1000, "the pass was traced");
+    assert!(
+        fresh == recycled,
+        "a second pass on recycled arenas differs"
+    );
+    assert!(fresh == scrubbed, "a pass on scrubbed arenas differs");
+    assert!(fresh == other_thread, "a pass on a fresh thread differs");
 }

@@ -443,12 +443,12 @@ impl ClusterSession {
                     Some(name) => format!("{}/shard{}: {}", name, s, fp.name),
                     None => format!("shard {}: {}", s, fp.name),
                 };
-                verifier.add(fp.clone().named(label));
+                verifier.add_labelled(fp, label);
             }
         }
         for (s, p) in puts.iter().enumerate() {
             let fp = p.offload().footprint().expect("chains are self-recycling");
-            verifier.add(fp.clone().named(format!("shard {}: {}", s, fp.name)));
+            verifier.add_labelled(fp, format!("shard {}: {}", s, fp.name));
         }
         let isolation = verifier.verify();
         if let Some(d) = isolation.diagnostics.first() {

@@ -39,7 +39,7 @@ fn const_extent(p: &IrProgram, c: CId) -> u64 {
     match &p.consts[c.0] {
         ConstSpec::Bytes(b) => b.len() as u64,
         ConstSpec::Zeroed(len) => *len,
-        ConstSpec::Sges(entries) => entries.len() as u64 * SGE_SIZE,
+        ConstSpec::Sges(run) => run.len as u64 * SGE_SIZE,
         ConstSpec::Images(wqes) => wqes.len() as u64 * WQE_SIZE,
     }
 }
@@ -350,8 +350,8 @@ pub(crate) fn analyze(
                         ),
                     });
                 }
-                if let ConstSpec::Sges(table_entries) = &p.consts[table.0] {
-                    let total: u64 = table_entries.iter().map(|e| e.len as u64).sum();
+                if let ConstSpec::Sges(run) = &p.consts[table.0] {
+                    let total: u64 = p.sges(*run).iter().map(|e| e.len as u64).sum();
                     let a = Access {
                         loc: src,
                         len: total,
@@ -384,12 +384,12 @@ pub(crate) fn analyze(
         }
     };
     for (ci, c) in p.consts.iter().enumerate() {
-        if let ConstSpec::Sges(entries) = c {
-            check_entries(entries, Who::SgeTable(ci), out);
+        if let ConstSpec::Sges(run) = c {
+            check_entries(p.sges(*run), Who::SgeTable(ci), out);
         }
     }
-    for (si, entries) in p.scatters.iter().enumerate() {
-        check_entries(entries, Who::Scatter(si), out);
+    for (si, run) in p.scatters.iter().enumerate() {
+        check_entries(p.sges(*run), Who::Scatter(si), out);
     }
     checked += check_post_patch(p, sim, pm, out);
     checked

@@ -24,9 +24,8 @@
 //! shared identity, so a clean deployment of `n` programs is checked in
 //! O(spans · log spans), not O(n² · spans²).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
-use std::hash::Hash;
 
 use rnic_sim::ids::{CqId, NodeId, WqId};
 use rnic_sim::sim::Simulator;
@@ -145,14 +144,6 @@ impl Footprint {
             self.owned_cqs.push(cq);
         }
     }
-
-    fn display_name(&self) -> &str {
-        if self.name.is_empty() {
-            "unnamed program"
-        } else {
-            &self.name
-        }
-    }
 }
 
 /// Collect a deployed program's footprint (called by lowering once
@@ -268,16 +259,16 @@ pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footp
     }
     let home_qi = 0usize;
     for (ci, c) in p.consts.iter().enumerate() {
-        if let ConstSpec::Sges(entries) = c {
-            for (ei, e) in entries.iter().enumerate() {
+        if let ConstSpec::Sges(run) = c {
+            for (ei, e) in p.sges(*run).iter().enumerate() {
                 let what = SpanKind::SgeEntry(ci as u32, ei as u32);
                 fp.writes
                     .extend(span_of(home_qi, &e.target, e.len as u64, true, what));
             }
         }
     }
-    for (si, entries) in p.scatters.iter().enumerate() {
-        for (ei, e) in entries.iter().enumerate() {
+    for (si, run) in p.scatters.iter().enumerate() {
+        for (ei, e) in p.sges(*run).iter().enumerate() {
             let what = SpanKind::ScatterEntry(si as u32, ei as u32);
             fp.writes
                 .extend(span_of(home_qi, &e.target, e.len as u64, true, what));
@@ -298,34 +289,58 @@ pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footp
 }
 
 /// Proves pairwise non-interference across all programs co-resident on
-/// a node, emitting a machine-readable [`AnalysisReport`].
-pub struct DeploymentVerifier {
+/// a node, emitting a machine-readable [`AnalysisReport`]. It reads the
+/// footprints where they live — a fleet's services keep theirs — and
+/// owns only the ones handed to it by value.
+pub struct DeploymentVerifier<'a> {
     subject: String,
-    footprints: Vec<Footprint>,
+    /// Each program's footprint, and the label diagnostics name it by
+    /// when that is not the footprint's own name.
+    programs: Vec<(Cow<'a, Footprint>, Option<String>)>,
 }
 
-impl DeploymentVerifier {
+impl<'a> DeploymentVerifier<'a> {
     /// A verifier for one co-residency domain (usually one node).
-    pub fn new(subject: impl Into<String>) -> DeploymentVerifier {
+    pub fn new(subject: impl Into<String>) -> DeploymentVerifier<'a> {
         DeploymentVerifier {
             subject: subject.into(),
-            footprints: Vec::new(),
+            programs: Vec::new(),
         }
     }
 
-    /// Add one program's footprint.
+    /// Add one program's footprint, named by its own `name`.
     pub fn add(&mut self, fp: Footprint) {
-        self.footprints.push(fp);
+        self.programs.push((Cow::Owned(fp), None));
+    }
+
+    /// Add one program's footprint where it lives, under `label` instead
+    /// of its own name (a fleet's `tenant/offload` names): nothing of it
+    /// is copied.
+    pub fn add_labelled(&mut self, fp: &'a Footprint, label: String) {
+        self.programs.push((Cow::Borrowed(fp), Some(label)));
     }
 
     /// Footprints added so far.
     pub fn len(&self) -> usize {
-        self.footprints.len()
+        self.programs.len()
     }
 
     /// No footprints added.
     pub fn is_empty(&self) -> bool {
-        self.footprints.is_empty()
+        self.programs.is_empty()
+    }
+
+    fn fp(&self, prog: usize) -> &Footprint {
+        &self.programs[prog].0
+    }
+
+    /// The name diagnostics and the report give program `prog`.
+    fn name(&self, prog: usize) -> &str {
+        let (fp, label) = &self.programs[prog];
+        match label.as_deref().unwrap_or(&fp.name) {
+            "" => "unnamed program",
+            name => name,
+        }
     }
 
     /// Check every pair; the report is clean iff no pair interferes.
@@ -337,18 +352,14 @@ impl DeploymentVerifier {
         self.sweep_spans(&mut hits);
         let cqs: fn(&Footprint) -> (&[CqId], &[CqId]) = |fp| (&fp.owned_cqs, &fp.wait_cqs);
         let sqs: fn(&Footprint) -> (&[WqId], &[WqId]) = |fp| (&fp.owned_sqs, &fp.enable_sqs);
-        match_ids(&self.footprints, false, cqs, &mut hits);
-        match_ids(&self.footprints, true, sqs, &mut hits);
+        self.match_ids(false, cqs, &mut hits);
+        self.match_ids(true, sqs, &mut hits);
         hits.sort_unstable();
-        let n = self.footprints.len();
+        let n = self.programs.len();
         AnalysisReport {
             subject: self.subject.clone(),
             programs: n,
-            labels: self
-                .footprints
-                .iter()
-                .map(|fp| fp.display_name().to_string())
-                .collect(),
+            labels: (0..n).map(|prog| self.name(prog).to_string()).collect(),
             hb_nodes: 0,
             hb_edges: 0,
             checked: n * n.saturating_sub(1) / 2,
@@ -360,51 +371,103 @@ impl DeploymentVerifier {
     /// sort all spans by `(space, start)` and sweep, keeping the spans
     /// that still reach past the current start.
     fn sweep_spans(&self, hits: &mut Vec<Hit>) {
-        struct Iv<'a> {
-            span: &'a Span,
-            prog: usize,
-            ring: bool,
-            idx: usize,
-        }
-        let fps = self.footprints.iter();
+        // A span's sort word: its address space ranked as `Space` orders
+        // (33 bits), its start (64) and its index in `spans` (31), so no
+        // two words tie and sorting them sorts by `(space, start)`. (Not
+        // even 2^31 spans fit in memory, nor 2^32 programs.)
+        const AT: u32 = 31;
+        let rank = |space: Space| match space {
+            Space::Node(n) => u128::from(n.0),
+            Space::Key(k) => 1 << 32 | u128::from(k),
+        };
+        // Whose a span is: `(end, program, index)`, the index into the
+        // program's writes, or into its rings when the top bit is set
+        // (16 bytes, as the word is).
+        const RING: u32 = 1 << 31;
+        let fps = (0..self.len()).map(|prog| self.fp(prog));
         let total = fps.map(|fp| fp.writes.len() + fp.rings.len()).sum();
-        let mut ivs = Vec::with_capacity(total);
-        for (prog, fp) in self.footprints.iter().enumerate() {
-            for (ring, spans) in [(false, &fp.writes), (true, &fp.rings)] {
-                let iv = |(idx, span)| Iv {
-                    span,
-                    prog,
-                    ring,
-                    idx,
-                };
-                ivs.extend(spans.iter().enumerate().map(iv));
+        let (mut words, mut spans) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        for prog in 0..self.len() {
+            let fp = self.fp(prog);
+            let writes = fp.writes.iter().zip(0..);
+            for (span, who) in writes.chain(fp.rings.iter().zip(RING..)) {
+                let at = spans.len() as u128;
+                words.push(rank(span.space) << 95 | u128::from(span.addr) << AT | at);
+                spans.push((span.end(), prog as u32, who));
             }
         }
-        ivs.sort_unstable_by_key(|iv| (iv.span.space, iv.span.addr));
-        let mut active: Vec<&Iv<'_>> = Vec::new();
-        for x in &ivs {
+        words.sort_unstable();
+        // The spans that still reach past the current start:
+        // `(space, start, end, program, index)`.
+        let mut active: Vec<(u64, u64, u64, u32, u32)> = Vec::new();
+        for &word in &words {
+            let (space, x_start) = ((word >> 95) as u64, (word >> AT) as u64);
+            let (x_end, x_prog, x_who) = spans[word as usize & ((1 << AT) - 1)];
             // `y` overlaps `x` iff `x.addr < y.end && y.addr < x.end`; a
             // span failing the first test fails it for every later start.
-            active.retain(|y| y.span.space == x.span.space && x.span.addr < y.span.end());
-            for y in &active {
-                if y.prog != x.prog && y.span.addr < x.span.end() {
-                    let (a, b) = if x.prog < y.prog { (x, *y) } else { (*y, x) };
-                    let (clash, k, l) = match (a.ring, b.ring) {
-                        (false, false) => (Clash::Writes, a.idx, b.idx),
-                        (false, true) => (Clash::WriteInRing { flipped: false }, a.idx, b.idx),
-                        (true, false) => (Clash::WriteInRing { flipped: true }, b.idx, a.idx),
-                        (true, true) => (Clash::Rings, a.idx, b.idx),
+            active.retain(|y| y.0 == space && x_start < y.2);
+            for &(_, y_start, _, y_prog, y_who) in &active {
+                if y_prog != x_prog && y_start < x_end {
+                    let (a, b) = if x_prog < y_prog {
+                        ((x_prog, x_who), (y_prog, y_who))
+                    } else {
+                        ((y_prog, y_who), (x_prog, x_who))
                     };
-                    hits.push((a.prog, b.prog, clash, k, l));
+                    let (ka, kb) = ((a.1 & !RING) as usize, (b.1 & !RING) as usize);
+                    let (clash, k, l) = match (a.1 & RING != 0, b.1 & RING != 0) {
+                        (false, false) => (Clash::Writes, ka, kb),
+                        (false, true) => (Clash::WriteInRing { flipped: false }, ka, kb),
+                        (true, false) => (Clash::WriteInRing { flipped: true }, kb, ka),
+                        (true, true) => (Clash::Rings, ka, kb),
+                    };
+                    hits.push((a.0 as usize, b.0 as usize, clash, k, l));
                 }
             }
-            active.push(x);
+            active.push((space, x_start, x_end, x_prog, x_who));
+        }
+    }
+
+    /// Find, for one id family (CQs, or SQs when `sq`), every id one
+    /// program owns and another program owns or counts against, through
+    /// the sorted list of `(id, owner)` pairs — an id's owners are one
+    /// run of it, in program order. `ids` yields a program's `(owned,
+    /// counted-against)` lists.
+    fn match_ids<K: Copy + Ord>(
+        &self,
+        sq: bool,
+        ids: impl Fn(&Footprint) -> (&[K], &[K]),
+        hits: &mut Vec<Hit>,
+    ) {
+        let n = self.len();
+        let mut owners = Vec::with_capacity((0..n).map(|x| ids(self.fp(x)).0.len()).sum());
+        for x in 0..n {
+            owners.extend(ids(self.fp(x)).0.iter().map(|&id| (id, x)));
+        }
+        owners.sort_unstable();
+        owners.dedup();
+        let owners_of = |id: K| {
+            let from = owners.partition_point(|&(k, _)| k < id);
+            let run = owners[from..].iter().take_while(move |&&(k, _)| k == id);
+            run.map(|&(_, y)| y)
+        };
+        for x in 0..n {
+            let (owned, foreign) = ids(self.fp(x));
+            for (k, &id) in foreign.iter().enumerate() {
+                for y in owners_of(id).filter(|&y| y != x) {
+                    let flipped = y < x;
+                    hits.push((x.min(y), x.max(y), Clash::Foreign { flipped, sq }, k, 0));
+                }
+            }
+            for (k, &id) in owned.iter().enumerate() {
+                let later = owners_of(id).filter(|&y| y > x);
+                hits.extend(later.map(|y| (x, y, Clash::Shared { sq }, k, 0)));
+            }
         }
     }
 
     fn render(&self, &(i, j, clash, k, l): &Hit) -> Diagnostic {
-        let (a, b) = (&self.footprints[i], &self.footprints[j]);
-        let (an, bn) = (a.display_name(), b.display_name());
+        let (a, b) = (self.fp(i), self.fp(j));
+        let (an, bn) = (self.name(i), self.name(j));
         // The program the rule's subject clause names first, then the other.
         let flip = |flipped: bool| [(a, an, b, bn), (b, bn, a, an)][flipped as usize];
         let range = |s: &Span| format!("[0x{:x}..0x{:x})", s.addr, s.end());
@@ -473,40 +536,6 @@ impl DeploymentVerifier {
     }
 }
 
-/// Find, for one id family (CQs, or SQs when `sq`), every id one program
-/// owns and another program owns or counts against, through a map from
-/// each owned id to its owners. `ids` yields a program's `(owned,
-/// counted-against)` lists.
-fn match_ids<K: Copy + Eq + Hash>(
-    fps: &[Footprint],
-    sq: bool,
-    ids: impl Fn(&Footprint) -> (&[K], &[K]),
-    hits: &mut Vec<Hit>,
-) {
-    let mut owners: HashMap<K, Vec<usize>> = HashMap::new();
-    for (prog, fp) in fps.iter().enumerate() {
-        for id in ids(fp).0 {
-            let progs = owners.entry(*id).or_default();
-            if progs.last() != Some(&prog) {
-                progs.push(prog);
-            }
-        }
-    }
-    for (x, fp) in fps.iter().enumerate() {
-        let (owned, foreign) = ids(fp);
-        for (k, id) in foreign.iter().enumerate() {
-            for &y in owners.get(id).into_iter().flatten().filter(|&&y| y != x) {
-                let flipped = y < x;
-                hits.push((x.min(y), x.max(y), Clash::Foreign { flipped, sq }, k, 0));
-            }
-        }
-        for (k, id) in owned.iter().enumerate() {
-            let later = owners[id].iter().filter(|&&y| y > x);
-            hits.extend(later.map(|&y| (x, y, Clash::Shared { sq }, k, 0)));
-        }
-    }
-}
-
 /// How programs `a` and `b` (`a` added first) interfere, in the order a
 /// pair's diagnostics are reported. `flipped`: the rule's subject is `b`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -542,10 +571,18 @@ mod tests {
         a.space == b.space && a.addr < b.addr + b.len && b.addr < a.addr + a.len
     }
 
+    fn display_name(fp: &Footprint) -> &str {
+        if fp.name.is_empty() {
+            "unnamed program"
+        } else {
+            &fp.name
+        }
+    }
+
     /// The pairwise rule set the sweep replaced, kept verbatim: the oracle
     /// for what is reported and in which order.
     fn pair(a: &Footprint, b: &Footprint, out: &mut Vec<Diagnostic>) {
-        let (an, bn) = (a.display_name(), b.display_name());
+        let (an, bn) = (display_name(a), display_name(b));
         for wa in &a.writes {
             for wb in &b.writes {
                 if overlaps(wa, wb) {
@@ -660,11 +697,11 @@ mod tests {
         }
     }
 
-    fn pairwise(v: &DeploymentVerifier) -> Vec<String> {
+    fn pairwise(v: &DeploymentVerifier<'_>) -> Vec<String> {
         let mut out = Vec::new();
-        for i in 0..v.footprints.len() {
-            for j in (i + 1)..v.footprints.len() {
-                pair(&v.footprints[i], &v.footprints[j], &mut out);
+        for i in 0..v.len() {
+            for j in (i + 1)..v.len() {
+                pair(v.fp(i), v.fp(j), &mut out);
             }
         }
         out.into_iter().map(|d| d.message).collect()
@@ -723,7 +760,7 @@ mod tests {
     }
 
     /// Two to eight random co-resident footprints.
-    fn random_deployment(seed: u64) -> DeploymentVerifier {
+    fn random_deployment(seed: u64) -> DeploymentVerifier<'static> {
         let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut v = DeploymentVerifier::new("random");
         for prog in 0..2 + rng.below(7) as usize {
@@ -746,6 +783,30 @@ mod tests {
             dirty += usize::from(!want.is_empty());
         }
         assert!(dirty > 500, "the generator must produce clashes: {dirty}");
+    }
+
+    #[test]
+    fn a_borrowed_footprint_under_a_label_reports_as_a_renamed_copy() {
+        for seed in 1..=200u64 {
+            let owned = random_deployment(seed);
+            let mut borrowed = DeploymentVerifier::new("random");
+            let mut renamed = DeploymentVerifier::new("random");
+            for i in 0..owned.len() {
+                let label = if i % 5 == 3 {
+                    String::new()
+                } else {
+                    format!("tenant/p{i}")
+                };
+                borrowed.add_labelled(owned.fp(i), label.clone());
+                renamed.add(owned.fp(i).clone().named(label));
+            }
+            let (b, r) = (borrowed.verify(), renamed.verify());
+            assert_eq!(b.labels, r.labels, "seed {seed}");
+            let text = |rep: AnalysisReport| -> Vec<String> {
+                rep.diagnostics.into_iter().map(|d| d.message).collect()
+            };
+            assert_eq!(text(b), text(r), "seed {seed}");
+        }
     }
 
     /// The full text of the first seeds' clashes, pinned in the shared

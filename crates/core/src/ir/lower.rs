@@ -28,7 +28,7 @@
 //!    to the caller ([`Lowered::post`]) to post in the order its
 //!    protocol requires.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use rnic_sim::error::{Error, Result};
@@ -41,7 +41,7 @@ use super::analysis::Footprint;
 use super::verify::PatchMap;
 use super::{
     ConstInterner, ConstSpec, DeployOpts, EnableTarget, ImageWqe, IrProgram, Kind, Loc, Mode, OpId,
-    PassReport, QId, QueueSlot, Resolution, ScatterId, SgeSpec, VerbCounts, WaitCond,
+    PassReport, QId, QueueSlot, Resolution, ScatterId, SgeRun, SgeSpec, VerbCounts, WaitCond,
 };
 use crate::constructs::loops::RecycledLoop;
 use crate::ctx::ChainQueueBuilder;
@@ -87,9 +87,12 @@ impl Lowered {
         self.res.borrow().op_slot[op.0].expect("lowered") + field.offset()
     }
 
-    /// A resolved external scatter list (trigger-RECV injection targets).
-    pub fn scatter(&self, s: ScatterId) -> Vec<(u64, u32, u32)> {
-        self.res.borrow().scatters[s.0].clone().expect("lowered")
+    /// A resolved external scatter list (trigger-RECV injection targets),
+    /// borrowed.
+    pub(crate) fn scatter_entries(&self, s: ScatterId) -> Ref<'_, [(u64, u32, u32)]> {
+        Ref::map(self.res.borrow(), |res| {
+            SgeRun::of(&res.scatter_entries, res.scatters[s.0])
+        })
     }
 
     /// The program's non-interference footprint (see
@@ -672,7 +675,6 @@ pub(crate) fn lower(
         res.op_slot = vec![None; nops];
         res.op_index = vec![None; nops];
         res.const_addr = vec![None; p.consts.len()];
-        res.scatters = vec![None; p.scatters.len()];
     }
     bases.clear();
     signaled_through.clear();
@@ -732,8 +734,8 @@ pub(crate) fn lower(
         let addr = match spec {
             ConstSpec::Bytes(b) => place(sim, pool, b)?,
             ConstSpec::Zeroed(len) => pool.reserve(sim, *len)?,
-            ConstSpec::Sges(entries) => {
-                ctx.encode_sges(&p.resolution.borrow(), entries, bytes);
+            ConstSpec::Sges(run) => {
+                ctx.encode_sges(&p.resolution.borrow(), p.sges(*run), bytes);
                 place(sim, pool, bytes)?
             }
             ConstSpec::Images(wqes) => {
@@ -745,9 +747,18 @@ pub(crate) fn lower(
     }
 
     // ---- scatter resolution ------------------------------------------
-    for (si, entries) in p.scatters.iter().enumerate() {
-        let resolved = ctx.resolve_sges(&p.resolution.borrow(), entries).collect();
-        p.resolution.borrow_mut().scatters[si] = Some(resolved);
+    // One list for all of them, each a run of it.
+    let total = p.scatters.iter().map(|run| run.len).sum();
+    let mut entries = Vec::with_capacity(total);
+    let mut lists = Vec::with_capacity(p.scatters.len());
+    for &run in &p.scatters {
+        let start = entries.len();
+        entries.extend(ctx.resolve_sges(&p.resolution.borrow(), p.sges(run)));
+        lists.push(SgeRun { start, ..run });
+    }
+    {
+        let mut res = p.resolution.borrow_mut();
+        (res.scatter_entries, res.scatters) = (entries, lists);
     }
 
     // ---- non-interference footprint -----------------------------------

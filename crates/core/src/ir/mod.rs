@@ -430,10 +430,25 @@ pub(crate) enum ConstSpec {
     /// deduplicated.
     Zeroed(u64),
     /// An SGE table with symbolic targets — resolved, then dedupable.
-    Sges(Vec<SgeSpec>),
+    Sges(SgeRun),
     /// A block of encoded WQEs with symbolic field patches — resolved,
     /// then dedupable (the Turing compiler's action images).
     Images(Vec<ImageWqe>),
+}
+
+/// Where one SGE table's or external scatter list's entries sit in its
+/// program's SGE arena ([`IrProgram::sges`]): one `Vec` for all of them,
+/// not one per table.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SgeRun {
+    start: usize,
+    pub(crate) len: usize,
+}
+
+impl SgeRun {
+    pub(crate) fn of<T>(all: &[T], run: SgeRun) -> &[T] {
+        &all[run.start..][..run.len]
+    }
 }
 
 /// An op as diagnostics name it: its label (if any), its position on its
@@ -494,7 +509,10 @@ pub struct Resolution {
     pub(crate) op_slot: Vec<Option<u64>>,
     pub(crate) op_index: Vec<Option<u64>>,
     pub(crate) const_addr: Vec<Option<u64>>,
-    pub(crate) scatters: Vec<Option<Vec<(u64, u32, u32)>>>,
+    /// Every external scatter list, resolved to `(addr, lkey, len)`, end
+    /// to end; list `s` is the run `scatters[s]` of it.
+    pub(crate) scatter_entries: Vec<(u64, u32, u32)>,
+    pub(crate) scatters: Vec<SgeRun>,
 }
 
 /// A resolvable reference to a field of an op's (future) WQE slot — what
@@ -771,7 +789,9 @@ pub struct IrProgram {
     pub(crate) queue_ops: Vec<Vec<OpId>>,
     pub(crate) ops: Vec<OpRec>,
     pub(crate) consts: Vec<ConstSpec>,
-    pub(crate) scatters: Vec<Vec<SgeSpec>>,
+    pub(crate) scatters: Vec<SgeRun>,
+    /// The entries of every SGE table and external scatter list.
+    sges: Vec<SgeSpec>,
     /// Queues whose fetch horizon is raised outside the program
     /// (host_enable or a pre-existing chain) — exempt from the
     /// unreachable-ENABLE check.
@@ -789,6 +809,7 @@ impl IrProgram {
             ops: Vec::new(),
             consts: Vec::new(),
             scatters: Vec::new(),
+            sges: Vec::new(),
             external_enable: Vec::new(),
             resolution: Rc::new(RefCell::new(Resolution::default())),
         }
@@ -872,9 +893,24 @@ impl IrProgram {
     }
 
     /// An SGE table with symbolic targets (dedupable after resolution).
-    pub fn const_sges(&mut self, entries: Vec<SgeSpec>) -> CId {
-        self.consts.push(ConstSpec::Sges(entries));
+    pub fn const_sges(&mut self, entries: impl IntoIterator<Item = SgeSpec>) -> CId {
+        let run = self.push_sges(entries);
+        self.consts.push(ConstSpec::Sges(run));
         CId(self.consts.len() - 1)
+    }
+
+    fn push_sges(&mut self, entries: impl IntoIterator<Item = SgeSpec>) -> SgeRun {
+        let start = self.sges.len();
+        self.sges.extend(entries);
+        SgeRun {
+            start,
+            len: self.sges.len() - start,
+        }
+    }
+
+    /// The entries of an SGE table or external scatter list.
+    pub(crate) fn sges(&self, run: SgeRun) -> &[SgeSpec] {
+        SgeRun::of(&self.sges, run)
     }
 
     /// A block of encoded WQEs with symbolic patches (dedupable after
@@ -885,10 +921,10 @@ impl IrProgram {
     }
 
     /// Register an external scatter list (a trigger RECV's injection
-    /// targets); resolve it after deploy via
-    /// [`Lowered::scatter`].
-    pub fn scatter(&mut self, entries: Vec<SgeSpec>) -> ScatterId {
-        self.scatters.push(entries);
+    /// targets), resolved by lowering.
+    pub fn scatter(&mut self, entries: impl IntoIterator<Item = SgeSpec>) -> ScatterId {
+        let run = self.push_sges(entries);
+        self.scatters.push(run);
         ScatterId(self.scatters.len() - 1)
     }
 

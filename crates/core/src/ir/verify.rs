@@ -112,15 +112,17 @@ impl PatchMap {
             }
         }
         // External scatter lists (trigger RECVs) inject into WQE fields.
-        for e in p.scatters.iter().flatten() {
-            self.add_loc(None, &e.target);
+        for &run in &p.scatters {
+            for e in p.sges(run) {
+                self.add_loc(None, &e.target);
+            }
         }
         // Every SGE-table constant scatters into its targets at run time —
         // whether a READ in this program consumes it or a trigger RECV
         // posted outside does.
         for c in &p.consts {
-            if let ConstSpec::Sges(entries) = c {
-                for e in entries {
+            if let ConstSpec::Sges(run) = c {
+                for e in p.sges(*run) {
                     self.add_loc(None, &e.target);
                 }
             }

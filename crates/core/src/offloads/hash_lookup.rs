@@ -46,7 +46,7 @@ use crate::ir::{
     ConstInterner, DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, OpId, QId, SgeSpec,
     WaitCond,
 };
-use crate::offloads::service::{OffloadService, RecycledFrame, ServiceFrame};
+use crate::offloads::service::{OffloadService, RecycledFrame, ServiceFrame, TriggerScatter};
 use crate::program::{ChainQueue, ConstPool};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::sim::Simulator;
@@ -219,7 +219,7 @@ fn response_slot_op(spec: &HashGetSpec, slot: u64, imm: u64) -> OpBuild {
 /// value pointer into `resp`'s source address, the stored key into its
 /// id bits.
 fn bucket_read(p: &mut IrProgram, q: QId, spec: &HashGetSpec, resp: OpId) -> OpId {
-    let table = p.const_sges(vec![
+    let table = p.const_sges([
         SgeSpec {
             target: Loc::field(resp, WqeField::LocalAddr),
             len: 8,
@@ -334,32 +334,33 @@ impl HashGetOffload {
         }
 
         let mut scatter_ids = Vec::with_capacity(k as usize);
+        let (mut reads, mut cases) = (Vec::new(), Vec::new());
         for inst in 0..k {
             f.trigger_wait(inst);
             // Both probes' READs first (they overlap in flight), then the
             // CASes, each gated on every prior completion.
             let resps = &resp_ops[(inst * probes) as usize..((inst + 1) * probes) as usize];
-            let reads: Vec<_> = resps
-                .iter()
-                .map(|&resp| bucket_read(&mut f.p, f.ring, &spec, resp))
-                .collect();
-            let cases: Vec<_> = resps
-                .iter()
-                .map(|&resp| f.p.push(f.ring, key_cas(resp).wait_prev()))
-                .collect();
+            reads.clear();
+            reads.extend(
+                resps
+                    .iter()
+                    .map(|&resp| bucket_read(&mut f.p, f.ring, &spec, resp)),
+            );
+            cases.clear();
+            cases.extend(
+                resps
+                    .iter()
+                    .map(|&resp| f.p.push(f.ring, key_cas(resp).wait_prev())),
+            );
             f.release(resps[resps.len() - 1], true);
             // Trigger payload is probe-major ([addr, key] per probe).
-            let entries = reads
-                .iter()
-                .zip(&cases)
-                .flat_map(|(&read, &cas)| probe_scatter(read, cas))
-                .collect();
+            let entries = reads.iter().zip(&cases);
+            let entries = entries.flat_map(|(&read, &cas)| probe_scatter(read, cas));
             scatter_ids.push(f.p.scatter(entries));
         }
         let name = format!("hash-get({:?})@node{}", spec.variant, spec.frame.node.0);
-        let frame = f.finish(sim, pool, opts, name, 0, |lowered, inst| {
-            lowered.scatter(scatter_ids[inst as usize])
-        })?;
+        let scatter = TriggerScatter::Program(scatter_ids);
+        let frame = f.finish(sim, pool, opts, name, 0, scatter)?;
         Ok(HashGetOffload {
             frame,
             spec,

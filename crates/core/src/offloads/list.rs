@@ -48,7 +48,7 @@ use crate::encode::{operand48, WqeField};
 use crate::ir::{
     CId, DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, OpId, SgeSpec, WaitCond,
 };
-use crate::offloads::service::{OffloadService, RecycledFrame, ServiceFrame};
+use crate::offloads::service::{OffloadService, RecycledFrame, ServiceFrame, TriggerScatter};
 use crate::program::{ChainQueue, ConstPool};
 
 /// Offset of the next pointer in a node.
@@ -75,14 +75,14 @@ pub fn client_payload_len(max_nodes: usize, recycled: bool) -> usize {
     8 + 6 * if recycled { max_nodes } else { 1 }
 }
 
-/// Encode a list node.
-pub fn encode_node(next: u64, key: u64, value: &[u8]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(NODE_HEADER as usize + value.len());
-    b.extend_from_slice(&next.to_le_bytes());
-    b.extend_from_slice(&operand48(key).to_le_bytes()[..6]);
-    b.extend_from_slice(&[0u8; 2]);
-    b.extend_from_slice(value);
-    b
+/// Encode a list node into `out`, replacing what it held (one buffer
+/// serves a whole store's population).
+pub fn encode_node_into(out: &mut Vec<u8>, next: u64, key: u64, value: &[u8]) {
+    out.clear();
+    out.extend_from_slice(&next.to_le_bytes());
+    out.extend_from_slice(&operand48(key).to_le_bytes()[..6]);
+    out.extend_from_slice(&[0u8; 2]);
+    out.extend_from_slice(value);
 }
 
 /// The server-side list-walk offload: a [`ServiceFrame`] (trigger point,
@@ -319,7 +319,7 @@ fn node_read(
     scratch: CId,
     staging: CId,
 ) -> OpBuild {
-    let table = p.const_sges(vec![
+    let table = p.const_sges([
         SgeSpec {
             target: next_target,
             len: 8,
@@ -437,18 +437,21 @@ impl ListWalkOffload {
         }
 
         let mut scatter_ids = Vec::with_capacity(k as usize);
+        let (mut reads, mut entries) = (Vec::with_capacity(n), Vec::with_capacity(n + 1));
         for inst in 0..k {
             f.trigger_wait(inst);
             let at = inst as usize * n;
             // Forward-allocate the READs: READ_i's scatter aims at
             // READ_{i+1}'s remote-address field (the pointer chase).
-            let reads: Vec<_> = (0..n).map(|_| f.p.alloc(f.ring)).collect();
+            reads.clear();
+            reads.extend((0..n).map(|_| f.p.alloc(f.ring)));
             // Trigger payload is [N0][x × N]: head entry first, then one
             // key entry per iteration's CAS (the folded R3).
-            let mut entries = vec![SgeSpec {
+            entries.clear();
+            entries.push(SgeSpec {
                 target: Loc::field(reads[0], WqeField::RemoteAddr),
                 len: 8,
-            }];
+            });
             for i in 0..n {
                 let resp = resp_ops[at + i];
                 let next_target = match reads.get(i + 1) {
@@ -471,12 +474,11 @@ impl ListWalkOffload {
                 });
             }
             f.release(resp_ops[at + n - 1], true);
-            scatter_ids.push(f.p.scatter(entries));
+            scatter_ids.push(f.p.scatter(entries.iter().copied()));
         }
         let name = format!("list-walk(n={})@node{}", n, spec.frame.node.0);
-        let frame = f.finish(sim, pool, opts, name, 0, |lowered, inst| {
-            lowered.scatter(scatter_ids[inst as usize])
-        })?;
+        let scatter = TriggerScatter::Program(scatter_ids);
+        let frame = f.finish(sim, pool, opts, name, 0, scatter)?;
         Ok(ListWalkOffload {
             frame,
             spec,
@@ -558,6 +560,7 @@ mod tests {
         let lmr = sim
             .register_mr(server, nodes, n * NODE_SIZE, Access::all())
             .unwrap();
+        let mut bytes = Vec::new();
         for (i, &k) in list_keys.iter().enumerate() {
             let addr = nodes + i as u64 * NODE_SIZE;
             let next = if (i as u64) + 1 < n {
@@ -566,7 +569,7 @@ mod tests {
                 0
             };
             let value = vec![(i + 1) as u8; VAL_LEN as usize];
-            let bytes = encode_node(next, k, &value);
+            encode_node_into(&mut bytes, next, k, &value);
             sim.mem_write(server, addr, &bytes).unwrap();
         }
         let resp_len = VAL_LEN as u64 * slots;
@@ -898,11 +901,15 @@ mod tests {
 
     #[test]
     fn node_encoding_layout() {
-        let n = encode_node(0x1000, 0xABCD, &[7; 4]);
+        // A longer previous node must not leak into a shorter one.
+        let mut n = vec![0xEE; 64];
+        encode_node_into(&mut n, 0x1000, 0xABCD, &[7; 4]);
+        assert_eq!(n.len(), 20);
         assert_eq!(u64::from_le_bytes(n[0..8].try_into().unwrap()), 0x1000);
         let mut k = [0u8; 8];
         k[..6].copy_from_slice(&n[8..14]);
         assert_eq!(u64::from_le_bytes(k), 0xABCD);
+        assert_eq!(&n[14..16], &[0; 2]);
         assert_eq!(&n[16..20], &[7; 4]);
     }
 }

@@ -46,7 +46,7 @@ use std::ops::{Deref, DerefMut};
 use crate::ctx::ClientDest;
 use crate::encode::WqeField;
 use crate::ir::{DeployOpts, EnableTarget, Kind, Loc, OpBuild, WaitCond};
-use crate::offloads::service::{FrameSpec, RecycledFrame, ServiceFrame};
+use crate::offloads::service::{FrameSpec, RecycledFrame, ServiceFrame, TriggerScatter};
 use crate::program::{ChainQueue, ConstPool};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -414,9 +414,12 @@ impl ReplicationBuilder {
         // Each trigger RECV scatters a whole incoming record into its
         // staging slot.
         let name = format!("replicate(f={})@node{}", fwd.len(), self.node.0);
-        let frame = f.finish(sim, pool, opts, name, self.start_slot, |_, inst| {
-            vec![(staged(inst), stage.lkey, rec_len)]
-        })?;
+        let scatter = TriggerScatter::Staged {
+            base: stage.addr,
+            lkey: stage.lkey,
+            len: rec_len,
+        };
+        let frame = f.finish(sim, pool, opts, name, self.start_slot, scatter)?;
         Ok(ReplicationOffload {
             frame,
             value_len: self.value_len,

@@ -70,8 +70,8 @@ use crate::constructs::loops::RecycledLoop;
 use crate::ctx::{ChainQueueBuilder, ClientDest, TriggerPointBuilder};
 use crate::ir::analysis::Footprint;
 use crate::ir::{
-    ConstInterner, DeployOpts, EnableTarget, IrProgram, Kind, Loc, Lowered, OpBuild, OpId,
-    PassReport, QId, RingSpec, SgeSpec, WaitCond,
+    ConstInterner, DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, OpId, PassReport, QId,
+    RingSpec, ScatterId, SgeSpec, WaitCond,
 };
 use crate::offloads::rpc::TriggerPoint;
 use crate::program::ConstPool;
@@ -443,6 +443,17 @@ impl HostArm {
     }
 }
 
+/// Where a recycled frame's trigger RECV for instance `k` scatters the
+/// client payload.
+pub(crate) enum TriggerScatter {
+    /// Into the program's external scatter list `ids[k]`
+    /// ([`IrProgram::scatter`]), as lowering resolved it.
+    Program(Vec<ScatterId>),
+    /// Whole, into slot `k` of a registered staging array of `len`-byte
+    /// slots at `base`.
+    Staged { base: u64, lkey: u32, len: u32 },
+}
+
 /// A self-recycling frame under construction: the family pushes its
 /// response placeholders onto `resp_q` and its per-instance body onto
 /// `ring` between [`trigger_wait`](RecycledFrame::trigger_wait) and
@@ -518,12 +529,11 @@ impl RecycledFrame {
     }
 
     /// Close the round (tail WAIT for every response of the round), lower
-    /// it, post the cyclic trigger-RECV ring — `trigger_scatter(lowered,
-    /// k)` is instance k's payload-injection program — and claim the
-    /// trigger point's CQs in the footprint: they are created outside
-    /// the IR, but this offload owns them, and two offloads sharing a
-    /// trigger CQ is exactly the interference the deployment verifier
-    /// must flag.
+    /// it, post the cyclic trigger-RECV ring — `scatter` says where
+    /// instance k's payload lands — and claim the trigger point's CQs in
+    /// the footprint: they are created outside the IR, but this offload
+    /// owns them, and two offloads sharing a trigger CQ is exactly the
+    /// interference the deployment verifier must flag.
     pub(crate) fn finish(
         mut self,
         sim: &mut Simulator,
@@ -531,7 +541,7 @@ impl RecycledFrame {
         opts: DeployOpts,
         name: String,
         start_slot: u64,
-        trigger_scatter: impl Fn(&Lowered, u64) -> Vec<(u64, u32, u32)>,
+        scatter: TriggerScatter,
     ) -> Result<ServiceFrame> {
         let tp = self.tp;
         self.p.push(
@@ -545,7 +555,16 @@ impl RecycledFrame {
         );
         let lowered = self.p.deploy_with(sim, pool, opts, None)?;
         for inst in 0..u64::from(self.spec.depth) {
-            tp.post_trigger_recv(sim, pool, &trigger_scatter(&lowered, inst))?;
+            match &scatter {
+                TriggerScatter::Program(ids) => {
+                    let entries = lowered.scatter_entries(ids[inst as usize]);
+                    tp.post_trigger_recv(sim, pool, &entries)?
+                }
+                &TriggerScatter::Staged { base, lkey, len } => {
+                    let slot = base + inst * u64::from(len);
+                    tp.post_trigger_recv(sim, pool, &[(slot, lkey, len)])?
+                }
+            };
         }
         sim.set_rq_cyclic(tp.qp)?;
         let report = lowered.report();
@@ -705,7 +724,7 @@ mod tests {
     fn deploy_echo(r: &mut Rig, pool: &mut ConstPool, start_slot: u64) -> ServiceFrame {
         let spec = r.spec;
         let mut f = RecycledFrame::begin(&mut r.sim, spec, 1, 1).unwrap();
-        let mut cells = Vec::new();
+        let mut scatters = Vec::new();
         for inst in 0..u64::from(spec.depth) {
             let cell = f.p.const_zeroed(8);
             let resp = f.p.push(
@@ -720,9 +739,11 @@ mod tests {
             );
             f.trigger_wait(inst);
             f.release(resp, false);
-            cells.push(f.p.const_ref(cell));
+            scatters.push(f.p.scatter([SgeSpec {
+                target: Loc::cst(cell),
+                len: 8,
+            }]));
         }
-        let lkey = pool.mr().lkey;
         let frame = f
             .finish(
                 &mut r.sim,
@@ -730,7 +751,7 @@ mod tests {
                 DeployOpts::default(),
                 "echo".into(),
                 start_slot,
-                |_, inst| vec![(cells[inst as usize].addr(), lkey, 8)],
+                TriggerScatter::Program(scatters),
             )
             .unwrap();
         r.sim.connect_qps(r.cqp, frame.tp.qp).unwrap();

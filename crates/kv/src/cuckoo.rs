@@ -9,7 +9,7 @@
 //! [`redn_core::offloads::hash_lookup`] program serves both table types.
 
 use redn_core::offloads::hash_lookup::{encode_bucket, BUCKET_SIZE};
-use rnic_sim::error::Result;
+use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::mem::{Access, MemoryRegion};
 use rnic_sim::sim::Simulator;
@@ -34,7 +34,10 @@ pub struct CuckooTable {
 }
 
 impl CuckooTable {
-    /// Create a table.
+    /// Create a table of `nbuckets` buckets (a power of two), each with
+    /// a `value_len`-byte value slot. A bucket count that is not a power
+    /// of two is an `InvalidWr`; a table larger than the node's DRAM,
+    /// however large, is `OutOfMemory`.
     pub fn create(
         sim: &mut Simulator,
         node: NodeId,
@@ -42,9 +45,16 @@ impl CuckooTable {
         value_len: u32,
         owner: ProcessId,
     ) -> Result<CuckooTable> {
-        assert!(nbuckets.is_power_of_two());
-        let base = sim.alloc(node, nbuckets * BUCKET_SIZE, 64)?;
-        let mr = sim.register_mr_owned(node, base, nbuckets * BUCKET_SIZE, Access::all(), owner)?;
+        if !nbuckets.is_power_of_two() {
+            return Err(Error::InvalidWr(
+                "cuckoo tables need a power-of-two bucket count",
+            ));
+        }
+        let len = nbuckets
+            .checked_mul(BUCKET_SIZE)
+            .ok_or(Error::OutOfMemory(node))?;
+        let base = sim.alloc(node, len, 64)?;
+        let mr = sim.register_mr_owned(node, base, len, Access::all(), owner)?;
         let heap = ValueHeap::create(sim, node, nbuckets, value_len, owner)?;
         Ok(CuckooTable {
             node,
@@ -84,10 +94,13 @@ impl CuckooTable {
     }
 
     /// Insert (or update) `key -> value`. Returns false if the kick chain
-    /// exceeded its budget (table effectively full).
+    /// exceeded its budget (table effectively full). A value longer than
+    /// a slot is an `InvalidWr`, refused before a slot is taken.
     pub fn insert(&mut self, sim: &mut Simulator, key: u64, value: &[u8]) -> Result<bool> {
+        self.heap.check_fits(value)?;
+        let mut cands = self.candidates(key);
         // Update in place if present.
-        if let Some(slot) = self.lookup(key) {
+        if let Some(slot) = self.lookup_in(cands, key) {
             self.heap.write_value(sim, slot, value)?;
             return Ok(true);
         }
@@ -102,10 +115,10 @@ impl CuckooTable {
         // evict the occupant of one candidate and push the victim toward
         // its *alternate* bucket, repeating up to the kick budget. Failed
         // walks are unwound so no resident key is ever lost.
-        let mut idx = self.candidates(key)[0];
+        let mut idx = cands[0];
         let mut undo: Vec<(u64, u64, u64)> = Vec::new(); // (idx, key, slot)
         for _ in 0..MAX_KICKS {
-            let [a, b] = self.candidates(key);
+            let [a, b] = cands;
             if self.shadow[a as usize].0 == 0 {
                 self.write_bucket(sim, a, key, slot)?;
                 return Ok(true);
@@ -121,7 +134,8 @@ impl CuckooTable {
             self.write_bucket(sim, idx, key, slot)?;
             key = vk;
             slot = vs;
-            let [va, vb] = self.candidates(key);
+            cands = self.candidates(key);
+            let [va, vb] = cands;
             idx = if idx == va { vb } else { va };
         }
         // Budget exhausted: restore every displaced key; only the new key
@@ -134,13 +148,15 @@ impl CuckooTable {
 
     /// Host-side lookup: value slot address.
     pub fn lookup(&self, key: u64) -> Option<u64> {
-        for idx in self.candidates(key) {
-            let (k, slot) = self.shadow[idx as usize];
-            if k == key {
-                return Some(slot);
-            }
-        }
-        None
+        self.lookup_in(self.candidates(key), key)
+    }
+
+    /// [`CuckooTable::lookup`] over `key`'s already computed candidates.
+    fn lookup_in(&self, candidates: [u64; 2], key: u64) -> Option<u64> {
+        let held = candidates.map(|idx| self.shadow[idx as usize]);
+        held.into_iter()
+            .find(|&(k, _)| k == key)
+            .map(|(_, slot)| slot)
     }
 
     /// Which candidate (0 or 1) holds `key`, if any — used to check the
@@ -231,6 +247,42 @@ mod tests {
         let mut kb = [0u8; 8];
         kb[..6].copy_from_slice(&bytes[8..14]);
         assert_eq!(u64::from_le_bytes(kb), 42);
+    }
+
+    #[test]
+    fn a_bucket_count_that_is_not_a_power_of_two_is_an_error() {
+        let mut sim = Simulator::new(SimConfig::default());
+        let node = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
+        // An assert used to fire.
+        let odd = CuckooTable::create(&mut sim, node, 100, 64, ProcessId(0));
+        assert!(matches!(odd, Err(Error::InvalidWr(_))));
+        assert_eq!(sim.mem(node).allocated(), 0, "nothing was allocated");
+    }
+
+    #[test]
+    fn a_table_too_large_to_address_is_an_error() {
+        let mut sim = Simulator::new(SimConfig::default());
+        let node = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
+        // A power of two whose byte size does not fit in a u64: the
+        // product used to overflow.
+        let huge = CuckooTable::create(&mut sim, node, 1 << 62, 64, ProcessId(0));
+        assert!(matches!(huge, Err(Error::OutOfMemory(n)) if n == node));
+        assert_eq!(sim.mem(node).allocated(), 0, "nothing was allocated");
+    }
+
+    #[test]
+    fn an_oversize_value_is_refused_before_it_takes_a_slot() {
+        let (mut sim, mut t) = table(64);
+        // Used to take a slot, then trip write_value's assert.
+        let err = t.insert(&mut sim, 5, &[1; 65]);
+        assert!(matches!(err, Err(Error::InvalidWr(_))));
+        assert_eq!((t.heap.used(), t.len()), (0, 0), "no slot, no bucket");
+        assert!(t.insert(&mut sim, 5, &[2; 64]).unwrap());
+        let slot = t.lookup(5).unwrap();
+        // The update-in-place path refuses it too, leaving the value.
+        assert!(t.insert(&mut sim, 5, &[3; 65]).is_err());
+        assert_eq!(t.heap.read_value(&sim, slot, 64).unwrap(), [2; 64]);
+        assert_eq!(t.heap.used(), 1);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! offload.
 //!
 //! The paper's list-traversal experiments walk NIC-registered linked
-//! lists of `[next][key][value]` nodes ([`encode_node`]). A [`ListStore`]
-//! owns a registered region holding `nlists` disjoint singly-linked
-//! lists of `nodes_per_list` nodes each — the list-side counterpart of
+//! lists of `[next][key][value]` nodes ([`encode_node_into`]). A
+//! [`ListStore`] owns a registered region holding `nlists` disjoint
+//! singly-linked lists of `nodes_per_list` nodes each — the list-side
+//! counterpart of
 //! [`MemcachedServer`](crate::memcached::MemcachedServer)'s cuckoo
 //! table, so a heterogeneous [`ServingFleet`](crate::serving::ServingFleet)
 //! can deploy hash-get and list-walk services against one NIC.
@@ -14,7 +15,7 @@
 //! host round trip.
 
 use redn_core::ctx::{ListWalkBuilder, OffloadCtx, TableRegion};
-use redn_core::offloads::list::{encode_node, NODE_HEADER};
+use redn_core::offloads::list::{encode_node_into, NODE_HEADER};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::mem::{Access, MemoryRegion};
@@ -45,6 +46,8 @@ impl ListStore {
     /// Allocate, register, and populate the list region: `nlists`
     /// disjoint lists of `nodes_per_list` nodes, each node carrying
     /// [`ListStore::key_of`] and a value filled with the key's low byte.
+    /// A region larger than the node's DRAM, however large, is
+    /// `OutOfMemory`.
     pub fn create(
         sim: &mut Simulator,
         node: NodeId,
@@ -57,7 +60,10 @@ impl ListStore {
             return Err(Error::InvalidWr("list store needs >= 1 list and node"));
         }
         let node_size = NODE_HEADER + value_len as u64;
-        let total = nlists * nodes_per_list as u64 * node_size;
+        let total = nlists
+            .checked_mul(nodes_per_list as u64)
+            .and_then(|nodes| nodes.checked_mul(node_size))
+            .ok_or(Error::OutOfMemory(node))?;
         let base = sim.alloc(node, total, 64)?;
         let mr = sim.register_mr(node, base, total, Access::all())?;
         let store = ListStore {
@@ -69,6 +75,7 @@ impl ListStore {
             base,
             mr,
         };
+        let (mut value, mut bytes) = (vec![0; value_len as usize], Vec::new());
         for l in 0..nlists {
             for p in 0..nodes_per_list {
                 let addr = store.node_addr(l, p);
@@ -78,8 +85,9 @@ impl ListStore {
                     0
                 };
                 let key = store.key_of(l, p);
-                let value = vec![(key & 0xFF) as u8; value_len as usize];
-                sim.mem_write(node, addr, &encode_node(next, key, &value))?;
+                value.fill((key & 0xFF) as u8);
+                encode_node_into(&mut bytes, next, key, &value);
+                sim.mem_write(node, addr, &bytes)?;
             }
         }
         Ok(store)
@@ -173,6 +181,17 @@ mod tests {
             }
             assert_eq!(addr, 0, "list {l} must be null-terminated");
         }
+    }
+
+    #[test]
+    fn a_store_larger_than_any_address_space_is_an_error() {
+        let mut sim = Simulator::new(SimConfig::default());
+        let s = sim.add_node("server", HostConfig::default(), NicConfig::connectx5());
+        // nlists × nodes × node size does not fit in a u64 (the product
+        // used to overflow).
+        let huge = ListStore::create(&mut sim, s, 1 << 62, 4, 64, ProcessId(0));
+        assert!(matches!(huge, Err(Error::OutOfMemory(n)) if n == s));
+        assert_eq!(sim.mem(s).allocated(), 0);
     }
 
     #[test]

@@ -61,10 +61,11 @@ impl MemcachedServer {
     /// Insert keys `1..=n` with values tagged by key (population step all
     /// experiments share).
     pub fn populate(&self, sim: &mut Simulator, n: u64) -> Result<()> {
-        let value_len = self.table.borrow().heap.slot_len as usize;
+        let mut table = self.table.borrow_mut();
+        let mut v = vec![0; table.heap.slot_len as usize];
         for k in 1..=n {
-            let v = vec![(k & 0xFF) as u8; value_len];
-            if !self.table.borrow_mut().insert(sim, k, &v)? {
+            v.fill((k & 0xFF) as u8);
+            if !table.insert(sim, k, &v)? {
                 return Err(Error::InvalidWr("table full during populate"));
             }
         }

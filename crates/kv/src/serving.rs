@@ -801,7 +801,7 @@ impl ServingFleet {
                     }
                     None => format!("client {}: {}", ci, fp.name),
                 };
-                verifier.add(fp.clone().named(label));
+                verifier.add_labelled(fp, label);
             }
         }
         let isolation = verifier.verify();

@@ -1,6 +1,6 @@
 //! Shared storage substrate: a registered value heap and key hashing.
 
-use rnic_sim::error::Result;
+use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::mem::{Access, MemoryRegion};
 use rnic_sim::sim::Simulator;
@@ -48,7 +48,8 @@ pub struct ValueHeap {
 }
 
 impl ValueHeap {
-    /// Allocate and register a heap of `slots` × `slot_len` bytes.
+    /// Allocate and register a heap of `slots` × `slot_len` bytes
+    /// (`OutOfMemory` when that product does not even fit in a `u64`).
     pub fn create(
         sim: &mut Simulator,
         node: NodeId,
@@ -56,9 +57,11 @@ impl ValueHeap {
         slot_len: u32,
         owner: ProcessId,
     ) -> Result<ValueHeap> {
-        let base = sim.alloc(node, slots * slot_len as u64, 64)?;
-        let mr =
-            sim.register_mr_owned(node, base, slots * slot_len as u64, Access::all(), owner)?;
+        let len = slots
+            .checked_mul(u64::from(slot_len))
+            .ok_or(Error::OutOfMemory(node))?;
+        let base = sim.alloc(node, len, 64)?;
+        let mr = sim.register_mr_owned(node, base, len, Access::all(), owner)?;
         Ok(ValueHeap {
             node,
             base,
@@ -84,9 +87,18 @@ impl ValueHeap {
         Some(addr)
     }
 
-    /// Write a value into a slot (host-side store path).
+    /// Refuse a value longer than a slot.
+    pub(crate) fn check_fits(&self, value: &[u8]) -> Result<()> {
+        if value.len() > self.slot_len as usize {
+            return Err(Error::InvalidWr("value longer than its heap slot"));
+        }
+        Ok(())
+    }
+
+    /// Write a value into a slot (host-side store path); a value longer
+    /// than a slot is an `InvalidWr` and writes nothing.
     pub fn write_value(&self, sim: &mut Simulator, slot_addr: u64, value: &[u8]) -> Result<()> {
-        assert!(value.len() <= self.slot_len as usize);
+        self.check_fits(value)?;
         sim.mem_write(self.node, slot_addr, value)
     }
 
@@ -143,5 +155,33 @@ mod tests {
         heap.alloc_slot().unwrap();
         heap.alloc_slot().unwrap();
         assert!(heap.alloc_slot().is_none());
+    }
+
+    #[test]
+    fn a_heap_too_large_to_address_is_an_error() {
+        let mut sim = Simulator::new(SimConfig::default());
+        let n = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
+        // slots × slot_len does not fit in a u64: it used to overflow.
+        let huge = ValueHeap::create(&mut sim, n, 1 << 60, 64, ProcessId(0));
+        assert!(matches!(huge, Err(Error::OutOfMemory(node)) if node == n));
+        assert_eq!(sim.mem(n).allocated(), 0, "nothing was allocated");
+    }
+
+    #[test]
+    fn a_value_longer_than_its_slot_is_an_error() {
+        let mut sim = Simulator::new(SimConfig::default());
+        let n = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
+        // An assert used to fire.
+        let mut heap = ValueHeap::create(&mut sim, n, 2, 8, ProcessId(0)).unwrap();
+        let s0 = heap.alloc_slot().unwrap();
+        let s1 = heap.alloc_slot().unwrap();
+        let long = heap.write_value(&mut sim, s0, &[7; 9]);
+        assert!(matches!(long, Err(Error::InvalidWr(_))));
+        assert_eq!(
+            heap.read_value(&sim, s0, 16).unwrap(),
+            [0; 16],
+            "nothing written"
+        );
+        assert!(heap.write_value(&mut sim, s1, &[7; 8]).is_ok());
     }
 }

@@ -12,6 +12,22 @@
 //! a process dies without a "hull parent", its registrations are torn down
 //! and subsequent NIC accesses fault — exactly the failure mode the paper
 //! works around with an empty parent process holding the RDMA resources.
+//!
+//! **Recycled DRAM.** A node's arena is one zero-filled block the OS maps
+//! lazily (1 GiB by default), so a fresh testbed pays a page fault for
+//! every page it first touches, and the OS unmaps them all again on
+//! drop. A short-lived deployment would pay that for work it never does.
+//! So a dropped [`HostMemory`] hands its block to a per-thread free list
+//! that keeps at most eight blocks, and [`HostMemory::new`] takes a spare
+//! of the same capacity when there is one. It zeroes only the 4 KiB
+//! pages written since the block was last all zeros, so a new arena reads
+//! exactly as a fresh one does. The pages are tracked as one bit each,
+//! and the bitmap grows with `brk`, not with the capacity. The tracking
+//! rests on one invariant: [`HostMemory::write`] is the only code that
+//! mutates the arena's bytes. Every host store, NIC WRITE, scatter and
+//! atomic ends in it.
+
+use std::cell::RefCell;
 
 use crate::error::{Error, Result};
 use crate::ids::{NodeId, ProcessId};
@@ -19,6 +35,92 @@ use crate::ids::{NodeId, ProcessId};
 /// Base virtual address of the simulated arena. Starting above zero keeps
 /// null-ish addresses faulting, which catches builder bugs early.
 pub const ARENA_BASE: u64 = 0x1_0000;
+
+/// Bytes per dirty-tracked page of an arena.
+const PAGE: usize = 4096;
+
+/// Most dropped arenas one thread keeps for reuse.
+const SPARES_PER_THREAD: usize = 8;
+
+thread_local! {
+    /// Blocks of dropped arenas, each with the pages written since it was
+    /// last all zeros.
+    static SPARES: RefCell<Vec<Block>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The bytes of one arena and which of its pages are not all zeros: bit
+/// `p % 64` of `dirty[p / 64]` covers `data[p * PAGE..(p + 1) * PAGE]`.
+#[derive(Default)]
+struct Block {
+    data: Vec<u8>,
+    dirty: Vec<u64>,
+}
+
+impl Block {
+    /// An all-zero block of `len` bytes: a scrubbed spare of that length
+    /// if this thread has one, a fresh lazily mapped one otherwise.
+    fn zeroed(len: usize) -> Block {
+        let take = |spares: &RefCell<Vec<Block>>| {
+            let mut spares = spares.borrow_mut();
+            let i = spares.iter().position(|b| b.data.len() == len)?;
+            Some(spares.swap_remove(i))
+        };
+        match SPARES.try_with(take).ok().flatten() {
+            Some(mut block) => {
+                block.scrub();
+                block
+            }
+            None => Block {
+                data: vec![0; len],
+                dirty: Vec::new(),
+            },
+        }
+    }
+
+    /// Zero every dirty page and forget them.
+    fn scrub(&mut self) {
+        for (w, word) in self.dirty.iter().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let start = (w * 64 + bits.trailing_zeros() as usize) * PAGE;
+                let end = (start + PAGE).min(self.data.len());
+                self.data[start..end].fill(0);
+                bits &= bits - 1;
+            }
+        }
+        self.dirty.clear();
+    }
+
+    /// Track pages up to byte offset `end` (the arena's `brk`).
+    fn cover(&mut self, end: usize) {
+        let words = end.div_ceil(PAGE * 64);
+        if self.dirty.len() < words {
+            self.dirty.resize(words, 0);
+        }
+    }
+
+    /// Record that `len` bytes at `off` were written. Inline on every
+    /// store, so the rare write that crosses a page boundary is marked
+    /// out of line.
+    #[inline]
+    fn mark(&mut self, off: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let (first, last) = (off / PAGE, (off + len - 1) / PAGE);
+        self.dirty[first / 64] |= 1 << (first % 64);
+        if last > first {
+            self.mark_pages(first + 1, last);
+        }
+    }
+
+    #[cold]
+    fn mark_pages(&mut self, first: usize, last: usize) {
+        for page in first..=last {
+            self.dirty[page / 64] |= 1 << (page % 64);
+        }
+    }
+}
 
 /// The first key a host hands out. Keys are issued in pairs and never
 /// reused: registration `i` owns lkey `FIRST_KEY + 2i` and rkey
@@ -104,7 +206,7 @@ pub struct MemoryRegion {
 /// The byte-addressable memory of one simulated host.
 pub struct HostMemory {
     node: NodeId,
-    data: Vec<u8>,
+    block: Block,
     brk: u64,
     /// Registrations by ordinal (see [`FIRST_KEY`]): a key resolves by
     /// index, whatever the number of regions. A deregistered or
@@ -113,11 +215,13 @@ pub struct HostMemory {
 }
 
 impl HostMemory {
-    /// Create an arena of `capacity` bytes for `node`.
+    /// Create an all-zero arena of `capacity` bytes for `node`, on a
+    /// recycled block when this thread dropped one of that capacity (see
+    /// the module docs).
     pub fn new(node: NodeId, capacity: u64) -> HostMemory {
         HostMemory {
             node,
-            data: vec![0; capacity as usize],
+            block: Block::zeroed(capacity as usize),
             brk: ARENA_BASE,
             regions: Vec::new(),
         }
@@ -129,10 +233,11 @@ impl HostMemory {
         debug_assert!(align.is_power_of_two());
         let addr = (self.brk + align - 1) & !(align - 1);
         let end = addr.checked_add(len).ok_or(Error::OutOfMemory(self.node))?;
-        if end - ARENA_BASE > self.data.len() as u64 {
+        if end - ARENA_BASE > self.block.data.len() as u64 {
             return Err(Error::OutOfMemory(self.node));
         }
         self.brk = end;
+        self.block.cover((end - ARENA_BASE) as usize);
         Ok(addr)
     }
 
@@ -147,7 +252,7 @@ impl HostMemory {
             addr,
             len,
         })?;
-        if addr < ARENA_BASE || end - ARENA_BASE > self.data.len() as u64 || end > self.brk {
+        if addr < ARENA_BASE || end - ARENA_BASE > self.block.data.len() as u64 || end > self.brk {
             return Err(Error::BadAddress {
                 node: self.node,
                 addr,
@@ -160,13 +265,21 @@ impl HostMemory {
     /// Read `len` bytes at `addr` (no key check — host CPU access).
     pub fn read(&self, addr: u64, len: u64) -> Result<&[u8]> {
         let off = self.offset(addr, len)?;
-        Ok(&self.data[off..off + len as usize])
+        Ok(&self.block.data[off..off + len as usize])
     }
 
     /// Write bytes at `addr` (no key check — host CPU access).
+    ///
+    /// This is the only code that mutates the arena's bytes: every other
+    /// store (`write_u*`, the NIC-side writes and atomics) ends here, and
+    /// it marks the pages it touches dirty. A recycled block is zeroed
+    /// through those marks only, so a new path that wrote the bytes any
+    /// other way would leak them into the next arena.
+    #[inline(always)]
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<()> {
         let off = self.offset(addr, bytes.len() as u64)?;
-        self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        self.block.data[off..off + bytes.len()].copy_from_slice(bytes);
+        self.block.mark(off, bytes.len());
         Ok(())
     }
 
@@ -351,6 +464,20 @@ impl HostMemory {
     /// Number of live registrations (for tests and the failure harness).
     pub fn region_count(&self) -> usize {
         self.regions.iter().flatten().count()
+    }
+}
+
+impl Drop for HostMemory {
+    /// Hand the block to this thread's spares, unless it already keeps
+    /// `SPARES_PER_THREAD` (or is being torn down).
+    fn drop(&mut self) {
+        let block = std::mem::take(&mut self.block);
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.len() < SPARES_PER_THREAD {
+                spares.push(block);
+            }
+        });
     }
 }
 
@@ -610,6 +737,47 @@ mod tests {
                 assert_agrees(&m, &scan, issued, &ctx);
             }
         }
+    }
+
+    /// A capacity no other test uses, so the spares of it are the ones the
+    /// test dropped itself. Not a whole number of pages: the last one is
+    /// partial.
+    const ODD: u64 = 5 * PAGE as u64 + 100;
+
+    #[test]
+    fn a_recycled_arena_reads_as_a_fresh_one() {
+        let mut m = HostMemory::new(NodeId(0), ODD);
+        let base = m.alloc(ODD, 1).unwrap();
+        let page = PAGE as u64;
+        // Across a page boundary, the arena's last byte, nothing at all,
+        // an atomic.
+        m.write(base + page - 3, &[0xAA; 7]).unwrap();
+        m.write(base + ODD - 1, &[0xBB]).unwrap();
+        m.write(base + 2 * page, &[]).unwrap();
+        let mr = m.register(base, ODD, Access::all(), P0).unwrap();
+        m.nic_atomic(mr.rkey, base + 3 * page + 8, |_| u64::MAX)
+            .unwrap();
+        let block = m.block.data.as_ptr();
+        drop(m);
+
+        let other = HostMemory::new(NodeId(1), ODD + 1);
+        assert_ne!(other.block.data.as_ptr(), block, "another capacity");
+        let mut m = HostMemory::new(NodeId(0), ODD);
+        assert_eq!(m.block.data.as_ptr(), block, "the spare is reused");
+        assert_eq!((m.allocated(), m.region_count()), (0, 0));
+        assert!(m.read(ARENA_BASE, 1).is_err(), "nothing allocated yet");
+        m.alloc(ODD, 1).unwrap();
+        let bytes = m.read(ARENA_BASE, ODD).unwrap();
+        assert!(bytes.iter().all(|&b| b == 0), "every old byte reads zero");
+    }
+
+    #[test]
+    fn a_thread_keeps_a_bounded_number_of_spares() {
+        let arenas: Vec<HostMemory> = (0..SPARES_PER_THREAD + 3)
+            .map(|i| HostMemory::new(NodeId(i as u32), ODD + 2))
+            .collect();
+        drop(arenas);
+        SPARES.with(|s| assert_eq!(s.borrow().len(), SPARES_PER_THREAD));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ```
 
 use redn::core::ctx::{OffloadCtx, TableRegion};
-use redn::core::offloads::list::{encode_node, NODE_HEADER};
+use redn::core::offloads::list::{encode_node_into, NODE_HEADER};
 use redn::core::offloads::rpc;
 use redn::kv::endpoint::{run_until_cqe, ClientEndpoint};
 use redn::prelude::*;
@@ -29,6 +29,7 @@ fn main() {
         let mr = sim
             .register_mr(server, base, LIST_LEN * node_size, Access::all())
             .unwrap();
+        let mut bytes = Vec::new();
         for i in 0..LIST_LEN {
             let addr = base + i * node_size;
             let next = if i + 1 < LIST_LEN {
@@ -36,7 +37,8 @@ fn main() {
             } else {
                 0
             };
-            let bytes = encode_node(next, 100 + i, &vec![(i + 1) as u8; VALUE_LEN as usize]);
+            let value = [(i + 1) as u8; VALUE_LEN as usize];
+            encode_node_into(&mut bytes, next, 100 + i, &value);
             sim.mem_write(server, addr, &bytes).unwrap();
         }
 

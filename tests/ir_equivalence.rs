@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use redn::core::ctx::{ClientDest, OffloadCtx, TableRegion, ValueSource};
 use redn::core::ir::DeployOpts;
 use redn::core::offloads::hash_lookup::{encode_bucket, HashGetVariant, BUCKET_SIZE};
-use redn::core::offloads::list::encode_node;
+use redn::core::offloads::list::encode_node_into;
 use redn::core::program::ConstPool;
 use redn::core::turing::compile::CompiledTm;
 use redn::core::turing::machine::{Move, Rule, TuringMachine};
@@ -222,6 +222,7 @@ fn walk_rig(list_keys: &[u64], depth: u32, opts: DeployOpts) -> WalkRig {
     let lmr = sim
         .register_mr(server, nodes, n * node_size, Access::all())
         .unwrap();
+    let mut bytes = Vec::new();
     for (i, &k) in list_keys.iter().enumerate() {
         let addr = nodes + i as u64 * node_size;
         let next = if (i as u64) + 1 < n {
@@ -230,8 +231,8 @@ fn walk_rig(list_keys: &[u64], depth: u32, opts: DeployOpts) -> WalkRig {
             0
         };
         let value = vec![(i + 1) as u8; WALK_VAL as usize];
-        sim.mem_write(server, addr, &encode_node(next, k, &value))
-            .unwrap();
+        encode_node_into(&mut bytes, next, k, &value);
+        sim.mem_write(server, addr, &bytes).unwrap();
     }
     let resp_len = WALK_VAL as u64 * depth as u64;
     let resp = sim.alloc(client, resp_len, 8).unwrap();

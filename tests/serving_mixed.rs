@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
-use redn::core::offloads::list::{encode_node, NODE_HEADER};
+use redn::core::offloads::list::{encode_node_into, NODE_HEADER};
 use redn::kv::liststore::ListStore;
 use redn::kv::memcached::MemcachedServer;
 use redn::kv::serving::{FleetSpec, ServiceSpec, ServingFleet};
@@ -147,7 +147,7 @@ fn mixed_sessions_interleave_with_correct_values() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// encode_node is a faithful round-trip for every field the walk
+    /// encode_node_into is a faithful round-trip for every field the walk
     /// offload reads: the next pointer, the 48-bit key (the offload's
     /// operand width), and the value bytes.
     #[test]
@@ -156,7 +156,8 @@ proptest! {
         key in 1u64..(1 << 48),
         value in prop::collection::vec(any::<u8>(), 0..128),
     ) {
-        let bytes = encode_node(next, key, &value);
+        let mut bytes = vec![0xEE; 200];
+        encode_node_into(&mut bytes, next, key, &value);
         prop_assert_eq!(bytes.len(), NODE_HEADER as usize + value.len());
         let got_next = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
         prop_assert_eq!(got_next, next);
