@@ -10,7 +10,9 @@
 //! Measures the engine's hot paths with deterministic inputs: the
 //! hierarchical wheel vs the pre-overhaul `BinaryHeap` on the same event
 //! stream, the slab vs a `HashMap` on the same keyed window, and full
-//! WQE-lifecycle dispatch. A counting global allocator reports
+//! WQE-lifecycle dispatch, with that run's events per stage (per
+//! `EventKind`, and how many never entered the wheel — counts, so they
+//! repeat exactly). A counting global allocator reports
 //! allocations per op alongside wall-clock events/s — wall-clock numbers
 //! vary by machine, so CI gates the machine-independent rows (ratios,
 //! allocs/op, and the sweep's simulated throughput) rather than raw
@@ -174,8 +176,8 @@ fn hashmap_window(n: u64) -> u64 {
 }
 
 /// Full dispatch: `n` signaled loopback NOOPs through fetch/issue/CQE.
-/// Returns simulator events processed (the engine-op count).
-fn dispatch_storm(n: u64) -> u64 {
+/// Returns the simulator, drained.
+fn dispatch_storm(n: u64) -> Simulator {
     let mut sim = Simulator::new(SimConfig::default());
     let node = sim.add_node("solo", HostConfig::default(), NicConfig::connectx5());
     let cq = sim.create_cq(node, 16384).unwrap();
@@ -196,7 +198,23 @@ fn dispatch_storm(n: u64) -> u64 {
         remaining -= batch;
     }
     assert_eq!(completed, n);
-    sim.events_processed()
+    sim
+}
+
+/// The storm's events per stage: how many of each kind, and how many
+/// never entered the timing wheel.
+fn stages_json(sim: &Simulator) -> String {
+    let by_kind: Vec<String> = EventKind::NAMES
+        .iter()
+        .zip(sim.events_by_kind())
+        .map(|(name, n)| format!("\"{name}\":{n}"))
+        .collect();
+    format!(
+        "  \"dispatch_stages\": {{\"events\":{},\"bypassing_wheel\":{},\"by_kind\":{{{}}}}}",
+        sim.events_processed(),
+        sim.events_bypassing_wheel(),
+        by_kind.join(",")
+    )
 }
 
 /// The `--large` sweep: `shards` independent closed-loop testbeds run on
@@ -294,7 +312,8 @@ fn main() {
     let heap = measure(10, || heap_stream(n));
     let slab = measure(10, || slab_window(n));
     let hashmap = measure(10, || hashmap_window(n));
-    let dispatch = measure(3, || dispatch_storm(20_000));
+    let dispatch = measure(3, || dispatch_storm(20_000).events_processed());
+    let storm = dispatch_storm(20_000);
 
     let wheel_speedup = wheel.ops_per_sec() / heap.ops_per_sec();
     let slab_speedup = slab.ops_per_sec() / hashmap.ops_per_sec();
@@ -321,9 +340,10 @@ fn main() {
         hashmap.allocs_per_op()
     );
     println!(
-        "dispatch {:>12.0} ev/s  {:.4} allocs/event",
+        "dispatch {:>12.0} ev/s  {:.4} allocs/event  ({:.1} % never entered the wheel)",
         dispatch.ops_per_sec(),
-        dispatch.allocs_per_op()
+        dispatch.allocs_per_op(),
+        100.0 * storm.events_bypassing_wheel() as f64 / storm.events_processed() as f64
     );
 
     let mut out = String::from("{\n");
@@ -336,6 +356,8 @@ fn main() {
     out.push_str(&row_json("hashmap", &hashmap));
     out.push_str(",\n");
     out.push_str(&row_json("dispatch", &dispatch));
+    out.push_str(",\n");
+    out.push_str(&stages_json(&storm));
     out.push_str(&format!(
         ",\n  \"wheel_vs_heap_speedup\": {wheel_speedup:.3},\n  \"slab_vs_hashmap_speedup\": {slab_speedup:.3}"
     ));

@@ -11,20 +11,28 @@
 //! head into one event slab (sorted only when their bucket drains — O(1)
 //! schedule, no allocation per bucket) and far-future events sit in a
 //! sorted overflow level that cascades into the wheel as the cursor
-//! approaches. There is one wheel per simulator: a `Simulator` is
-//! single-threaded, and parallelism comes from running independent
-//! simulators side by side (one per shard, as the large `sim_events` sweep
-//! does). See DESIGN.md "Event engine".
+//! approaches. In front of the wheel, a one-event register holds an event
+//! known to be next, which then never enters the wheel. There is one
+//! wheel per simulator: a `Simulator` is single-threaded, and parallelism
+//! comes from running independent simulators side by side (one per shard,
+//! as the large `sim_events` sweep does). See DESIGN.md "Event engine".
 
-use crate::cq::Cqe;
-use crate::ids::{CqId, NodeId, QpId, WqId};
+use crate::cq::CqeStatus;
+use crate::ids::{NodeId, QpId, WqId};
 use crate::time::Time;
+use crate::verbs::Opcode;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Core simulator events. Host-side application logic is expressed through
 /// `Callback` events whose closures live in the simulator's callback slab.
-#[derive(Debug)]
+///
+/// An event carries only the *key* of the state it refers to — a queue
+/// id, an in-flight table key — never the state itself, so it stays 16
+/// bytes and [`Event`] 32 (an engine test pins both): every event is
+/// written once at `schedule` and read once at `pop`, and a wider payload
+/// cost a store-forwarding stall on each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// Try to make progress on a send queue (fetch/issue the next WQE).
     WqAdvance {
@@ -32,22 +40,19 @@ pub enum EventKind {
         wq: WqId,
     },
     /// A WQE fetch DMA finished; the snapshot is taken when this fires.
+    /// It covers WQEs from the queue's `fetched` index on, which nothing
+    /// but the snapshot itself moves while the fetch is in flight.
     FetchDone {
         /// Queue that fetched.
         wq: WqId,
-        /// Monotonic WQE index fetched.
-        idx: u64,
-        /// Whether it was a serialized managed fetch.
-        managed: bool,
         /// How many WQEs this DMA covered (prefetch batch).
         batch: u64,
     },
-    /// A PU finished issuing a WQE; data-path effects get scheduled.
+    /// A PU finished issuing the queue's executing WQE; data-path effects
+    /// get scheduled.
     IssueDone {
         /// Queue that issued.
         wq: WqId,
-        /// Monotonic WQE index issued.
-        idx: u64,
     },
     /// A request message arrives at the responder QP.
     Arrive {
@@ -56,23 +61,32 @@ pub enum EventKind {
         /// Message payload/metadata index in the in-flight table.
         msg: u64,
     },
-    /// The initiator observes the completion of a WQE.
+    /// The initiator observes the completion of a message; its queue,
+    /// WQE index, status and result are in the in-flight record.
     Complete {
+        /// In-flight table key.
+        msg: u64,
+    },
+    /// The initiator observes the completion of a WQE that never left the
+    /// NIC (NOOP, WAIT, ENABLE, a faulted WQE): no in-flight record.
+    CompleteLocal {
         /// Initiating queue.
         wq: WqId,
         /// Monotonic WQE index.
         idx: u64,
-        /// In-flight table index carrying status/result.
-        msg: u64,
+        /// The verb that executed.
+        opcode: Opcode,
+        /// The CQE's status, or `None` for an unsignaled success, which
+        /// pushes no CQE.
+        cqe: Option<CqeStatus>,
     },
-    /// A delayed CQE push (receive-side completions pay `t_cqe` before
-    /// they become observable; the entry rides in the event itself so the
-    /// hot path allocates nothing).
+    /// A delayed receive-side CQE push: it pays `t_cqe` before it becomes
+    /// observable. The entry is built from the in-flight record of the
+    /// message that consumed the RECV, which outlives this event (its
+    /// `Complete` fires no earlier and was scheduled later).
     PushCqe {
-        /// Destination CQ.
-        cq: CqId,
-        /// The entry to push.
-        cqe: Cqe,
+        /// In-flight table key.
+        msg: u64,
     },
     /// A host-side callback (application logic, timers, workload
     /// generators, crash injection).
@@ -87,8 +101,39 @@ pub enum EventKind {
     },
 }
 
+impl EventKind {
+    /// Variant names, in [`EventKind::index`] order.
+    pub const NAMES: [&'static str; 9] = [
+        "WqAdvance",
+        "FetchDone",
+        "IssueDone",
+        "Arrive",
+        "Complete",
+        "CompleteLocal",
+        "PushCqe",
+        "Callback",
+        "Notify",
+    ];
+
+    /// Dense index of the variant (per-kind counters).
+    #[inline]
+    pub fn index(&self) -> usize {
+        match self {
+            EventKind::WqAdvance { .. } => 0,
+            EventKind::FetchDone { .. } => 1,
+            EventKind::IssueDone { .. } => 2,
+            EventKind::Arrive { .. } => 3,
+            EventKind::Complete { .. } => 4,
+            EventKind::CompleteLocal { .. } => 5,
+            EventKind::PushCqe { .. } => 6,
+            EventKind::Callback { .. } => 7,
+            EventKind::Notify { .. } => 8,
+        }
+    }
+}
+
 /// An event with its firing time and tie-breaking sequence number.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Event {
     /// When the event fires.
     pub at: Time,
@@ -137,29 +182,36 @@ fn bucket_of(at: Time) -> u64 {
 /// "No node": the empty bucket head, free-list tail and chain terminator.
 const NIL: u32 = u32::MAX;
 
-/// One slot of the wheel's event slab: a near-horizon event chained to the
-/// next event of its bucket, or a vacant slot chained into the free list.
+/// One slot of the wheel's event slab: a pending event, chained to the
+/// next event of its bucket while it waits in the near window, or a
+/// vacant slot (holding the event it last held, never read again) chained
+/// into the free list.
 #[derive(Debug)]
 struct Node {
-    ev: Option<Event>,
+    ev: Event,
     next: u32,
 }
 
-/// The hierarchical wheel: near-future events live in one slab, chained
-/// per bucket from a `u32` head, plus a sorted overflow level. Nothing is
-/// allocated per bucket: the slab, `current` and `overflow` grow to the
-/// peak number of pending events and are reused from then on, so
+/// A pending event's sort key and slab index: what `current` and
+/// `overflow` hold.
+type Run = (Time, u64, u32);
+
+/// The hierarchical wheel: every pending event lives in one slab from
+/// `store` to `pop`; near-future ones are chained per bucket from a `u32`
+/// head, far-future ones are indexed by a sorted overflow level. Nothing
+/// is allocated per bucket: the slab, `current` and `overflow` grow to
+/// the peak number of pending events and are reused from then on, so
 /// steady-state `schedule`/`pop` never calls the allocator and the wheel
 /// retains O(peak pending events) memory however many buckets the cursor
 /// has swept. Invariants:
 ///
 /// * events chained from `heads` have absolute bucket index in
 ///   `[cursor, cursor + NUM_BUCKETS)`;
-/// * events in `current` (the bucket being drained: `(at, seq, slab
-///   index)` sorted descending so `Vec::pop` yields the earliest) order
-///   before everything chained from `heads`;
+/// * events in `current` (the bucket being drained, sorted descending so
+///   `Vec::pop` yields the earliest) order before everything chained from
+///   `heads`;
 /// * events in `overflow` had bucket index `>= cursor + NUM_BUCKETS` when
-///   inserted and cascade into the slab as the cursor approaches —
+///   inserted and are chained into their bucket as the cursor approaches —
 ///   always at least `NUM_BUCKETS` ticks before they could fire, so no
 ///   ordering is ever lost to the overflow level.
 #[derive(Debug, Default)]
@@ -176,8 +228,8 @@ struct Wheel {
     /// Absolute bucket index of the next bucket to drain.
     cursor: u64,
     /// Sorted (descending) run of the bucket currently draining.
-    current: Vec<(Time, u64, u32)>,
-    overflow: BinaryHeap<Event>,
+    current: Vec<Run>,
+    overflow: BinaryHeap<std::cmp::Reverse<Run>>,
     /// Events chained from `heads` (excludes `current` and `overflow`).
     near_len: usize,
     len: usize,
@@ -192,22 +244,49 @@ impl Wheel {
         }
     }
 
-    /// Store `ev` in a vacant slab slot chained to `next`.
-    fn alloc(&mut self, ev: Event, next: u32) -> u32 {
-        let node = Node { ev: Some(ev), next };
+    /// Write `ev` into a vacant slab slot and return its index; the event
+    /// is not filed yet. Inline, so the event is written once, straight
+    /// into its slot, not staged in a temporary the callee reloads.
+    #[inline(always)]
+    fn store(&mut self, ev: Event) -> u32 {
         if self.free == NIL {
-            self.nodes.push(node);
-            return (self.nodes.len() - 1) as u32;
+            self.grow();
         }
         let idx = self.free;
-        self.free = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+        let node = &mut self.nodes[idx as usize];
+        self.free = node.next;
+        node.ev = ev;
         idx
     }
 
-    /// Chain `ev` onto its near-horizon bucket.
-    fn link(&mut self, ev: Event) {
-        let slot = (bucket_of(ev.at) as usize) & (NUM_BUCKETS - 1);
-        self.heads[slot] = self.alloc(ev, self.heads[slot]);
+    /// Add one vacant slot to the slab. Out of line, so that `store`
+    /// never builds a whole `Node` to push.
+    #[inline(never)]
+    fn grow(&mut self) {
+        let vacant = Event {
+            at: Time::ZERO,
+            seq: 0,
+            kind: EventKind::WqAdvance { wq: WqId(0) },
+        };
+        self.free = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            ev: vacant,
+            next: NIL,
+        });
+    }
+
+    /// Return slot `idx` to the free list. Its event stays readable until
+    /// the next `store`.
+    #[inline(always)]
+    fn release(&mut self, idx: u32) {
+        self.nodes[idx as usize].next = std::mem::replace(&mut self.free, idx);
+    }
+
+    /// Chain slot `idx` onto the near-window bucket `slot`.
+    #[inline(always)]
+    fn link(&mut self, slot: usize, idx: u32) {
+        self.nodes[idx as usize].next = self.heads[slot];
+        self.heads[slot] = idx;
         self.occupied[slot / 64] |= 1 << (slot % 64);
         self.near_len += 1;
     }
@@ -231,49 +310,66 @@ impl Wheel {
             .expect("an occupied bucket within the window")
     }
 
-    fn insert(&mut self, ev: Event) {
-        let b = bucket_of(ev.at);
+    /// File the stored event in slot `idx`, due at `at`. Inline: the usual
+    /// case — a bucket inside the near window — is a chain link.
+    #[inline(always)]
+    fn file(&mut self, idx: u32, at: Time) {
         self.len += 1;
-        if b < self.cursor {
-            // Fires inside (or before) the bucket being drained — the
-            // simulator only schedules at `>= now`, so this slots into the
-            // current run. Keep it sorted descending.
-            let run = (ev.at, ev.seq, self.alloc(ev, NIL));
-            let pos = self.current.partition_point(|e| *e > run);
-            self.current.insert(pos, run);
-        } else if b < self.cursor + NUM_BUCKETS as u64 {
-            self.link(ev);
+        let bucket = bucket_of(at);
+        if bucket.wrapping_sub(self.cursor) < NUM_BUCKETS as u64 {
+            self.link((bucket as usize) & (NUM_BUCKETS - 1), idx);
         } else {
-            self.overflow.push(ev);
+            self.file_outside_window(idx);
         }
     }
 
-    /// Cascade overflow events that now fall inside the near window.
+    /// File slot `idx`, whose event is outside the near window.
+    #[inline(never)]
+    fn file_outside_window(&mut self, idx: u32) {
+        let ev = &self.nodes[idx as usize].ev;
+        let run = (ev.at, ev.seq, idx);
+        if bucket_of(ev.at) < self.cursor {
+            // Fires inside (or before) the bucket being drained — the
+            // simulator only schedules at `>= now`, so this slots into the
+            // current run. Keep it sorted descending.
+            let pos = self.current.partition_point(|e| *e > run);
+            self.current.insert(pos, run);
+        } else {
+            self.overflow.push(std::cmp::Reverse(run));
+        }
+    }
+
+    /// Chain overflow events that now fall inside the near window into
+    /// their buckets.
     fn migrate(&mut self) {
         let limit = self.cursor + NUM_BUCKETS as u64;
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|head| bucket_of(head.at) < limit)
-        {
-            let ev = self.overflow.pop().expect("peeked");
-            self.link(ev);
+        while let Some(&std::cmp::Reverse((at, _, idx))) = self.overflow.peek() {
+            if bucket_of(at) >= limit {
+                break;
+            }
+            self.overflow.pop();
+            self.link((bucket_of(at) as usize) & (NUM_BUCKETS - 1), idx);
         }
     }
 
     /// Make `current` hold the next run of events (no-op if non-empty or
     /// the wheel is drained).
+    #[inline(always)]
     fn ensure_current(&mut self) {
-        if !self.current.is_empty() {
-            return;
+        if self.current.is_empty() {
+            self.drain_next_bucket();
         }
+    }
+
+    /// Fill the empty `current` run from the next occupied bucket.
+    fn drain_next_bucket(&mut self) {
         if self.near_len == 0 {
             if self.overflow.is_empty() {
                 return;
             }
             // Idle jump: everything pending is past the horizon. Re-anchor
             // the (empty) wheel at the earliest overflow bucket.
-            self.cursor = bucket_of(self.overflow.peek().expect("non-empty").at);
+            self.cursor = bucket_of(self.overflow.peek().expect("non-empty").0 .0);
         }
         self.migrate();
         // A non-empty bucket exists within the window now: move the
@@ -285,21 +381,21 @@ impl Wheel {
         let mut idx = std::mem::replace(&mut self.heads[slot], NIL);
         while idx != NIL {
             let node = &self.nodes[idx as usize];
-            let ev = node.ev.as_ref().expect("chained slab slot");
-            self.current.push((ev.at, ev.seq, idx));
+            self.current.push((node.ev.at, node.ev.seq, idx));
             idx = node.next;
         }
         self.near_len -= self.current.len();
         self.current.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    fn pop(&mut self) -> Option<Event> {
+    /// Unfile the earliest event and release its slot; returns the slot.
+    #[inline]
+    fn pop(&mut self) -> Option<u32> {
         self.ensure_current();
         let (_, _, idx) = self.current.pop()?;
-        let node = &mut self.nodes[idx as usize];
-        node.next = std::mem::replace(&mut self.free, idx);
         self.len -= 1;
-        node.ev.take()
+        self.release(idx);
+        Some(idx)
     }
 
     /// The next event's time without popping.
@@ -310,11 +406,27 @@ impl Wheel {
 }
 
 /// The event queue: a timing wheel popping in `(time, seq)` order, `seq`
-/// being the order events were scheduled in.
+/// being the order events were scheduled in, in front of a one-event
+/// register.
+///
+/// Every event is written once, into a slot of the wheel's slab, and read
+/// once, from there; the wheel and the register move only slot indices.
+/// The register, when full, names an event that orders before everything
+/// filed in the wheel, so `pop` takes it without touching the wheel.
+/// `schedule` fills it only when that is known without looking into the
+/// wheel: the wheel is empty, or the new event is strictly earlier than
+/// the register's (which is then filed in the wheel). An event as early
+/// as the register's — same time, later `seq` — and every event while the
+/// register is empty but the wheel is not are filed in the wheel. Both
+/// rely on the simulator never scheduling before the last event popped.
 pub struct EventQueue {
     wheel: Wheel,
+    /// Slab slot of the register's event, or `NIL`.
+    next: u32,
     next_seq: u64,
-    processed: u64,
+    /// Events popped, `[out of the wheel, out of the register without
+    /// ever entering the wheel]`.
+    popped: [u64; 2],
 }
 
 impl Default for EventQueue {
@@ -328,45 +440,87 @@ impl EventQueue {
     pub fn new() -> EventQueue {
         EventQueue {
             wheel: Wheel::new(),
+            next: NIL,
             next_seq: 0,
-            processed: 0,
+            popped: [0; 2],
         }
     }
 
     /// Schedule `kind` at absolute time `at`.
+    #[inline(always)]
     pub fn schedule(&mut self, at: Time, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.wheel.insert(Event { at, seq, kind });
+        let idx = self.wheel.store(Event { at, seq, kind });
+        if self.next == NIL {
+            if self.wheel.len == 0 {
+                self.next = idx;
+            } else {
+                self.wheel.file(idx, at);
+            }
+            return;
+        }
+        let next_at = self.wheel.nodes[self.next as usize].ev.at;
+        if at < next_at {
+            let displaced = std::mem::replace(&mut self.next, idx);
+            self.wheel.file(displaced, next_at);
+        } else {
+            self.wheel.file(idx, at);
+        }
+    }
+
+    /// Pop the next event (earliest time, then earliest scheduled) and
+    /// return it where it waited: the slot stays untouched until the next
+    /// `schedule`. A caller that reads only the fields it needs reads
+    /// each as it was written, where copying the whole event out right
+    /// after the stores that built it would stall on them.
+    #[inline]
+    pub(crate) fn pop_in_place(&mut self) -> Option<&Event> {
+        let bypassed = self.next != NIL;
+        let idx = if bypassed {
+            let idx = std::mem::replace(&mut self.next, NIL);
+            self.wheel.release(idx);
+            idx
+        } else {
+            self.wheel.pop()?
+        };
+        self.popped[bypassed as usize] += 1;
+        Some(&self.wheel.nodes[idx as usize].ev)
     }
 
     /// Pop the next event (earliest time, then earliest scheduled).
     pub fn pop(&mut self) -> Option<Event> {
-        let ev = self.wheel.pop();
-        if ev.is_some() {
-            self.processed += 1;
-        }
-        ev
+        self.pop_in_place().copied()
     }
 
     /// Peek at the next event time without popping.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.wheel.peek_time()
+        match self.next {
+            NIL => self.wheel.peek_time(),
+            idx => Some(self.wheel.nodes[idx as usize].ev.at),
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel.len
+        self.wheel.len + usize::from(self.next != NIL)
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.wheel.len == 0
+        self.len() == 0
     }
 
     /// Events processed so far (for the runaway-program budget).
+    #[inline]
     pub fn processed(&self) -> u64 {
-        self.processed
+        self.popped[0] + self.popped[1]
+    }
+
+    /// Of [`EventQueue::processed`], the events that went from `schedule`
+    /// to `pop` through the register alone, never filed in the wheel.
+    pub fn bypassed(&self) -> u64 {
+        self.popped[1]
     }
 }
 
@@ -547,66 +701,102 @@ mod tests {
         }
     }
 
+    type Reference = BinaryHeap<std::cmp::Reverse<(u64, u64)>>;
+
+    /// Pop one event from the queue and one from the reference, check
+    /// they agree, and return the time popped.
+    fn pop_both(
+        q: &mut EventQueue,
+        reference: &mut Reference,
+        ctx: impl Fn() -> String,
+    ) -> Option<u64> {
+        let want = reference.pop().map(|r| r.0);
+        let got = q.pop().map(|e| match e.kind {
+            EventKind::Callback { key } => (e.at.as_ps(), e.seq, key),
+            _ => unreachable!(),
+        });
+        assert_eq!(got, want.map(|(at, s)| (at, s, s)), "{}: pop", ctx());
+        want.map(|(at, _)| at)
+    }
+
     /// Random interleavings of `schedule`, `pop` and `peek_time` against
     /// a `BinaryHeap` popping in `(at, seq)` order: times at, inside and
     /// far beyond the 8.4 µs horizon and *earlier* than the bucket being
-    /// drained, with idle jumps and overflow cascades.
+    /// drained, with idle jumps and overflow cascades; and, for the
+    /// register, schedules into an empty queue, strictly before the
+    /// register's event, at exactly its time and after it.
     #[test]
     fn wheel_matches_a_binary_heap_on_random_interleavings() {
         const HORIZON_PS: u64 = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
         for seed in 1..=200u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut q = EventQueue::new();
-            let mut reference = BinaryHeap::new();
+            let mut reference = Reference::new();
             let (mut seq, mut popped) = (0u64, 0u64);
             // Time of the last pop: the simulator never schedules before it.
             let mut now = 0u64;
             for step in 0..4_000 {
-                let ctx = |what: &str| format!("seed {seed}, step {step}: {what}");
-                match rng.below(10) {
-                    0..=5 => {
-                        let at = now
-                            + match rng.below(8) {
-                                0 => 0,
-                                1 => rng.below(1 << BUCKET_SHIFT),
-                                2..=4 => rng.below(HORIZON_PS),
-                                5 => HORIZON_PS - 1 + rng.below(3),
-                                6 => HORIZON_PS * (1 + rng.below(4)) + rng.below(HORIZON_PS),
-                                _ => rng.below(1_000 * HORIZON_PS),
-                            };
-                        q.schedule(Time::from_ps(at), EventKind::Callback { key: seq });
-                        reference.push(std::cmp::Reverse((at, seq)));
-                        seq += 1;
-                    }
-                    6 => {
+                let ctx = || format!("seed {seed}, step {step}");
+                let register =
+                    (q.next != NIL).then(|| q.wheel.nodes[q.next as usize].ev.at.as_ps());
+                let at = match rng.below(13) {
+                    0..=5 => Some(
+                        now + match rng.below(8) {
+                            0 => 0,
+                            1 => rng.below(1 << BUCKET_SHIFT),
+                            2..=4 => rng.below(HORIZON_PS),
+                            5 => HORIZON_PS - 1 + rng.below(3),
+                            6 => HORIZON_PS * (1 + rng.below(4)) + rng.below(HORIZON_PS),
+                            _ => rng.below(1_000 * HORIZON_PS),
+                        },
+                    ),
+                    6 => register
+                        .filter(|r| *r > now)
+                        .map(|r| now + rng.below(r - now)),
+                    7 => register,
+                    8 => register.map(|r| r + rng.below(HORIZON_PS)),
+                    9 => {
                         let want = reference.peek().map(|r| Time::from_ps(r.0 .0));
-                        assert_eq!(q.peek_time(), want, "{}", ctx("peek_time"));
+                        assert_eq!(q.peek_time(), want, "{}: peek_time", ctx());
+                        None
                     }
-                    _ => {
-                        let want = reference.pop().map(|r| r.0);
-                        let got = q.pop().map(|e| match e.kind {
-                            EventKind::Callback { key } => (e.at.as_ps(), e.seq, key),
-                            _ => unreachable!(),
-                        });
-                        assert_eq!(got, want.map(|(at, s)| (at, s, s)), "{}", ctx("pop"));
-                        if let Some((at, _)) = want {
+                    10 | 11 => {
+                        if let Some(at) = pop_both(&mut q, &mut reference, ctx) {
                             now = at;
                             popped += 1;
                         }
+                        None
                     }
+                    _ => {
+                        while let Some(at) = pop_both(&mut q, &mut reference, ctx) {
+                            now = at;
+                            popped += 1;
+                        }
+                        assert!(q.is_empty(), "{}: drained", ctx());
+                        Some(now + rng.below(HORIZON_PS))
+                    }
+                };
+                if let Some(at) = at {
+                    q.schedule(Time::from_ps(at), EventKind::Callback { key: seq });
+                    reference.push(std::cmp::Reverse((at, seq)));
+                    seq += 1;
                 }
-                assert_eq!(q.len(), reference.len(), "{}", ctx("len"));
-                assert_eq!(q.is_empty(), reference.is_empty(), "{}", ctx("is_empty"));
-                assert_eq!(q.processed(), popped, "{}", ctx("processed"));
+                assert_eq!(q.len(), reference.len(), "{}: len", ctx());
+                assert_eq!(q.is_empty(), reference.is_empty(), "{}: is_empty", ctx());
+                assert_eq!(q.processed(), popped, "{}: processed", ctx());
             }
-            while let Some(std::cmp::Reverse((at, s))) = reference.pop() {
-                let e = q
-                    .pop()
-                    .unwrap_or_else(|| panic!("seed {seed}: wheel drained early"));
-                assert_eq!((e.at.as_ps(), e.seq), (at, s), "seed {seed}: final drain");
-            }
+            let drain = || format!("seed {seed}: final drain");
+            while pop_both(&mut q, &mut reference, drain).is_some() {}
             assert!(q.pop().is_none(), "seed {seed}: wheel holds extra events");
         }
+    }
+
+    /// Every event is written at `schedule` and read at `pop`: it must
+    /// not grow back past 32 bytes unnoticed.
+    #[test]
+    fn events_stay_32_bytes() {
+        assert!(std::mem::size_of::<EventKind>() <= 16);
+        assert!(std::mem::size_of::<Event>() <= 32);
     }
 
     #[test]

@@ -14,22 +14,18 @@ use crate::cq::CqeStatus;
 use crate::ids::{QpId, WqId};
 use crate::verbs::Opcode;
 
-/// Payload of a request traveling initiator → responder.
-#[derive(Clone, Debug)]
+/// What a request asks of the responder. The bytes a SEND / WRITE
+/// carries are the in-flight record's [`InFlight::data`].
+#[derive(Clone, Copy, Debug)]
 pub enum Payload {
-    /// Two-sided send: consumes a RECV, scatters `bytes`.
-    Send {
-        /// Message bytes (gathered at the initiator at issue time).
-        bytes: Vec<u8>,
-    },
+    /// Two-sided send: consumes a RECV, scatters the data.
+    Send,
     /// One-sided write.
     Write {
         /// Responder-side destination.
         raddr: u64,
         /// Remote key presented.
         rkey: u32,
-        /// Data.
-        bytes: Vec<u8>,
         /// Immediate data (WRITE_IMM) — also consumes a RECV.
         imm: Option<u32>,
     },
@@ -57,50 +53,34 @@ pub enum Payload {
     },
 }
 
-impl Payload {
-    /// Bytes this payload moves initiator → responder (wire occupancy of
-    /// the request direction).
-    pub fn request_bytes(&self) -> u64 {
-        match self {
-            Payload::Send { bytes } => bytes.len() as u64,
-            Payload::Write { bytes, .. } => bytes.len() as u64,
-            Payload::Read { .. } => 16, // just the request header
-            Payload::Atomic { .. } => 24,
-        }
-    }
-
-    /// Bytes the response moves responder → initiator.
-    pub fn response_bytes(&self) -> u64 {
-        match self {
-            Payload::Read { len, .. } => *len as u64,
-            Payload::Atomic { .. } => 8,
-            _ => 0, // bare ack
-        }
-    }
-}
-
-/// One in-flight operation: created at issue, consulted at arrival
-/// (responder effects) and completion (initiator bookkeeping).
-#[derive(Clone, Debug)]
+/// One in-flight message: created when a WQE's request leaves the
+/// initiator, consulted at arrival (responder effects) and completion
+/// (initiator bookkeeping). WQEs that complete without leaving the NIC
+/// have none.
+#[derive(Debug)]
 pub struct InFlight {
     /// Initiating work queue.
     pub src_wq: WqId,
-    /// Monotonic WQE index at the initiator.
-    pub src_idx: u64,
     /// Initiating QP.
     pub src_qp: QpId,
     /// Responder QP (peer of `src_qp`; equal node for loopback).
     pub dst_qp: QpId,
+    /// Bytes moved, reported in the CQE.
+    pub byte_len: u32,
+    /// Monotonic WQE index at the initiator.
+    pub src_idx: u64,
     /// The verb that executed (post-modification).
     pub opcode: Opcode,
     /// Whether the initiator requested a CQE.
     pub signaled: bool,
-    /// Request payload.
-    pub payload: Payload,
     /// Filled at the responder: outcome of the operation.
     pub status: CqeStatus,
-    /// Filled at the responder for READ (data) / atomics (old value).
-    pub result: Vec<u8>,
+    /// What the responder is asked to do.
+    pub payload: Payload,
+    /// The message's one byte buffer, since a message never has both: a
+    /// SEND's / WRITE's request bytes until the responder places them,
+    /// then, for a READ / atomic, the data / old value it returns.
+    pub data: Vec<u8>,
     /// Initiator-side result sink for READ / atomic writeback
     /// (`(addr, lkey)`; addr 0 = discard, as RedN chains usually do).
     pub result_sink: (u64, u32),
@@ -109,47 +89,8 @@ pub struct InFlight {
     /// the table (RedN's Fig 9 uses this to land one bucket READ in two
     /// different WQE fields).
     pub result_sgl: bool,
-    /// Bytes moved, reported in the CQE.
-    pub byte_len: u32,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_byte_accounting() {
-        let send = Payload::Send {
-            bytes: vec![0; 100],
-        };
-        assert_eq!(send.request_bytes(), 100);
-        assert_eq!(send.response_bytes(), 0);
-
-        let read = Payload::Read {
-            raddr: 0,
-            rkey: 0,
-            len: 4096,
-        };
-        assert_eq!(read.request_bytes(), 16);
-        assert_eq!(read.response_bytes(), 4096);
-
-        let atomic = Payload::Atomic {
-            op: Opcode::Cas,
-            raddr: 0,
-            rkey: 0,
-            operand: 1,
-            swap: 2,
-        };
-        assert_eq!(atomic.request_bytes(), 24);
-        assert_eq!(atomic.response_bytes(), 8);
-
-        let write = Payload::Write {
-            raddr: 0,
-            rkey: 0,
-            bytes: vec![0; 64],
-            imm: Some(7),
-        };
-        assert_eq!(write.request_bytes(), 64);
-        assert_eq!(write.response_bytes(), 0);
-    }
+    /// Filled at the responder when a SEND / WRITE_IMM consumes a RECV:
+    /// the RECV's WQE index and the byte count its CQE reports. That CQE
+    /// is pushed `t_cqe` later, from this record.
+    pub recv: (u64, u32),
 }

@@ -1,8 +1,9 @@
-//! Stage 4 — completion: the initiator learns the outcome (`Complete`):
-//! READ data / atomic old values are written back, the CQE becomes
-//! *observable* (`PushCqe` for receive-side entries that pay `t_cqe`
-//! first), WAIT-parked queues wake, and host listeners are notified
-//! (`Notify`) after their pickup delay.
+//! Stage 4 — completion: the initiator learns the outcome (`Complete`,
+//! or `CompleteLocal` for a WQE that never left the NIC): READ data /
+//! atomic old values are written back, the CQE becomes *observable*
+//! (`PushCqe` for receive-side entries that pay `t_cqe` first),
+//! WAIT-parked queues wake, and host listeners are notified (`Notify`)
+//! after their pickup delay.
 
 use super::{ListenMode, Simulator};
 use crate::cq::{Cqe, CqeStatus};
@@ -10,17 +11,32 @@ use crate::engine::EventKind;
 use crate::error::Result;
 use crate::ids::{CqId, WqId};
 use crate::net::Payload;
-use crate::time::Time;
 use crate::trace::TraceEvent;
+use crate::verbs::Opcode;
 use crate::wq::WqBlock;
 
 impl Simulator {
-    /// Schedule a CQE push `delay` after now (keeps WAIT wake-ups at the
-    /// correct simulated time). `Cqe` is `Copy`, so this rides a plain
-    /// event instead of a boxed one-shot closure.
-    pub(super) fn after_cqe(&mut self, cq: CqId, cqe: Cqe, delay: Time) {
-        self.events
-            .schedule(self.now + delay, EventKind::PushCqe { cq, cqe });
+    /// Push the receive CQE of in-flight message `msg`, whose SEND /
+    /// WRITE_IMM consumed a RECV `t_cqe` ago.
+    pub(super) fn push_recv_cqe(&mut self, msg: u64) {
+        let inf = self.inflight.live_mut(msg);
+        let (qp_id, (wqe_index, byte_len), status) = (inf.dst_qp, inf.recv, inf.status);
+        let imm = match inf.payload {
+            Payload::Write { imm, .. } => imm,
+            _ => None,
+        };
+        let qp = &self.qps[qp_id.index()];
+        let cqe = Cqe {
+            wq: qp.rq,
+            qp: qp_id,
+            wqe_index,
+            opcode: Opcode::Recv,
+            status,
+            byte_len,
+            imm,
+            time: self.now,
+        };
+        self.push_cqe(qp.recv_cq, cqe);
     }
 
     /// Push a CQE: wake WAIT-parked queues and notify host listeners.
@@ -99,48 +115,60 @@ impl Simulator {
         Ok(())
     }
 
-    /// Initiator-side completion bookkeeping.
-    pub(super) fn on_complete(&mut self, wq_id: WqId, idx: u64, msg: u64) -> Result<()> {
+    /// Initiator-side completion of in-flight message `msg`: write back
+    /// its result, recycle its buffer and retire its WQE.
+    pub(super) fn on_complete(&mut self, msg: u64) -> Result<()> {
         let inf = self.inflight.remove(msg).expect("inflight");
+        let wq_id = inf.src_wq;
         let node = self.wqs[wq_id.index()].node;
         // Writebacks: READ data / atomic old value.
         let mut status = inf.status;
-        if status == CqeStatus::Success && !inf.result.is_empty() && inf.result_sink.0 != 0 {
+        if status == CqeStatus::Success && !inf.data.is_empty() && inf.result_sink.0 != 0 {
             status = if inf.result_sgl {
                 // Scatter the READ response across the local SGE table.
                 let (table, count) = inf.result_sink;
-                self.scatter_local(node, table, count as usize, &inf.result)
-                    .1
+                self.scatter_local(node, table, count as usize, &inf.data).1
             } else {
                 let (addr, lkey) = inf.result_sink;
-                self.nic_write_traced(node, lkey, addr, &inf.result, false)
+                self.nic_write_traced(node, lkey, addr, &inf.data, false)
             };
         }
+        let cqe = (inf.signaled || status != CqeStatus::Success).then_some(status);
+        self.buf_pool.put(inf.data);
+        self.finish_wqe(wq_id, inf.src_idx, inf.opcode, cqe, inf.byte_len)
+    }
+
+    /// Retire WQE `idx` of `wq_id` at the initiator — a message's or a
+    /// local completion: count it, lift a `wait_prev` fence, push its
+    /// CQE (`cqe` is the status, when one is due) and let the queue
+    /// advance.
+    pub(super) fn finish_wqe(
+        &mut self,
+        wq_id: WqId,
+        idx: u64,
+        opcode: Opcode,
+        cqe: Option<CqeStatus>,
+        byte_len: u32,
+    ) -> Result<()> {
         let wq = &mut self.wqs[wq_id.index()];
         wq.completed += 1;
         if wq.block == WqBlock::WaitPrev {
             wq.block = WqBlock::None;
         }
-        if inf.signaled || status != CqeStatus::Success {
+        if let Some(status) = cqe {
+            let qp = wq.qp;
             let cqe = Cqe {
                 wq: wq_id,
-                qp: inf.src_qp,
+                qp,
                 wqe_index: idx,
-                opcode: inf.opcode,
+                opcode,
                 status,
-                byte_len: inf.byte_len,
+                byte_len,
                 imm: None,
                 time: self.now,
             };
-            let cq = self.qps[inf.src_qp.index()].send_cq;
-            self.push_cqe(cq, cqe);
+            self.push_cqe(self.qps[qp.index()].send_cq, cqe);
         }
-        // Recycle the message's byte buffers for the next in-flight op.
-        match inf.payload {
-            Payload::Send { bytes } | Payload::Write { bytes, .. } => self.buf_pool.put(bytes),
-            Payload::Read { .. } | Payload::Atomic { .. } => {}
-        }
-        self.buf_pool.put(inf.result);
         self.advance_wq(wq_id)
     }
 }
@@ -151,6 +179,7 @@ mod tests {
     use super::*;
     use crate::mem::Access;
     use crate::qp::QpConfig;
+    use crate::time::Time;
     use crate::wqe::WorkRequest;
     use std::cell::RefCell;
     use std::rc::Rc;

@@ -6,7 +6,7 @@
 //! and handled in `completion`.
 
 use super::Simulator;
-use crate::cq::{Cqe, CqeStatus};
+use crate::cq::CqeStatus;
 use crate::engine::EventKind;
 use crate::error::Result;
 use crate::ids::{NodeId, QpId};
@@ -23,10 +23,7 @@ impl Simulator {
     /// Schedule the initiator-side `Complete` of in-flight message `msg`
     /// at `at`.
     fn complete_at(&mut self, msg: u64, at: Time) {
-        let inf = self.inflight.live_mut(msg);
-        let (wq, idx) = (inf.src_wq, inf.src_idx);
-        self.events
-            .schedule(at, EventKind::Complete { wq, idx, msg });
+        self.events.schedule(at, EventKind::Complete { msg });
     }
 
     /// Record bytes landing in host memory.
@@ -54,11 +51,11 @@ impl Simulator {
         }
     }
 
-    /// Receiver not ready: put the payload back verbatim, so the retry
-    /// re-executes exactly as the first attempt did, and park `msg` until
-    /// a RECV is posted.
-    fn park_rnr(&mut self, qp_id: QpId, msg: u64, payload: Payload) -> Result<()> {
-        self.inflight.live_mut(msg).payload = payload;
+    /// Receiver not ready: put the request bytes back verbatim, so the
+    /// retry re-executes exactly as the first attempt did, and park `msg`
+    /// until a RECV is posted.
+    fn park_rnr(&mut self, qp_id: QpId, msg: u64, bytes: Vec<u8>) -> Result<()> {
+        self.inflight.live_mut(msg).data = bytes;
         self.qps[qp_id.index()].rnr_queue.push_back(msg);
         Ok(())
     }
@@ -67,7 +64,8 @@ impl Simulator {
     pub(super) fn on_arrive(&mut self, qp_id: QpId, msg: u64) -> Result<()> {
         let qp = &self.qps[qp_id.index()];
         let (node, port, dead) = (qp.node, qp.port, qp.dead);
-        let src_qp = self.inflight.live_mut(msg).src_qp;
+        let inf = self.inflight.live_mut(msg);
+        let (src_qp, payload) = (inf.src_qp, inf.payload);
         let src_node = self.qps[src_qp.index()].node;
         let one_way = self.one_way(src_node, node).unwrap_or(Time::ZERO);
         let cfg = &self.nics[node.index()].config;
@@ -81,26 +79,20 @@ impl Simulator {
             return Ok(());
         }
 
-        // Move the payload out of the in-flight record instead of cloning
-        // it per delivery; a receiver-not-ready park puts it back.
-        let payload = std::mem::replace(
-            &mut self.inflight.live_mut(msg).payload,
-            Payload::Send { bytes: Vec::new() },
-        );
         match payload {
-            Payload::Send { bytes } => {
+            Payload::Send => {
+                // Move the bytes out of the in-flight record instead of
+                // cloning them per delivery; a receiver-not-ready park puts
+                // them back.
+                let bytes = std::mem::take(&mut self.inflight.live_mut(msg).data);
                 if !self.recv_available(qp_id) {
-                    return self.park_rnr(qp_id, msg, Payload::Send { bytes });
+                    return self.park_rnr(qp_id, msg, bytes);
                 }
                 self.consume_recv(qp_id, msg, &bytes, None, one_way)?;
                 self.buf_pool.put(bytes);
             }
-            Payload::Write {
-                raddr,
-                rkey,
-                bytes,
-                imm,
-            } => {
+            Payload::Write { raddr, rkey, imm } => {
+                let bytes = std::mem::take(&mut self.inflight.live_mut(msg).data);
                 // Responder PCIe for the payload.
                 self.nics[node.index()].pcie_occupy(self.now, bytes.len() as u64);
                 let status = self.nic_write_traced(node, rkey, raddr, &bytes, true);
@@ -110,15 +102,9 @@ impl Simulator {
                     Some(imm) if status == CqeStatus::Success => {
                         if !self.recv_available(qp_id) {
                             // The retry rewrites memory with the same
-                            // bytes, so the whole payload is restored, not
-                            // just the immediate.
-                            let payload = Payload::Write {
-                                raddr,
-                                rkey,
-                                bytes,
-                                imm: Some(imm),
-                            };
-                            return self.park_rnr(qp_id, msg, payload);
+                            // bytes, so they are restored, not just the
+                            // immediate.
+                            return self.park_rnr(qp_id, msg, bytes);
                         }
                         self.consume_recv(qp_id, msg, &[], Some(imm), one_way)?;
                     }
@@ -141,7 +127,7 @@ impl Simulator {
                 let nbytes = result.len() as u64;
                 let inf = self.inflight.live_mut(msg);
                 inf.status = status;
-                inf.result = result;
+                inf.data = result;
                 // Responder PCIe read (store-and-forward stage, gated by
                 // bus occupancy under load) + wire back + the initiator's
                 // PCIe write stage.
@@ -193,7 +179,7 @@ impl Simulator {
                 result.extend_from_slice(&old.to_le_bytes());
                 let inf = self.inflight.live_mut(msg);
                 inf.status = status;
-                inf.result = result;
+                inf.data = result;
                 let rest = t_nonposted_extra.saturating_sub(t_atomic_engine);
                 self.complete_at(msg, apply_at + rest + one_way + t_cqe);
             }
@@ -267,7 +253,7 @@ impl Simulator {
     ) -> Result<()> {
         debug_assert!(self.recv_available(qp_id));
         let qp = &mut self.qps[qp_id.index()];
-        let (node, rq_id, recv_cq, recv_idx) = (qp.node, qp.rq, qp.recv_cq, qp.recv_consumed);
+        let (node, rq_id, recv_idx) = (qp.node, qp.rq, qp.recv_consumed);
         qp.recv_consumed = recv_idx + 1;
         let rq = &mut self.wqs[rq_id.index()];
         rq.executed = recv_idx + 1;
@@ -304,26 +290,19 @@ impl Simulator {
             _ => CqeStatus::BadWqe,
         };
 
-        // Receive completion (this is what WAIT-triggered chains key on).
+        // Receive completion (this is what WAIT-triggered chains key on),
+        // observable `t_cqe` from now. The message's status was a success
+        // until now, so from here on it is the receive's as well.
         let inf = self.inflight.live_mut(msg);
-        if status != CqeStatus::Success {
-            inf.status = status;
-        }
-        let cqe = Cqe {
-            wq: rq_id,
-            qp: qp_id,
-            wqe_index: recv_idx,
-            opcode: Opcode::Recv,
-            status,
-            byte_len: if imm.is_some() {
-                inf.byte_len
-            } else {
-                scattered
-            },
-            imm,
-            time: self.now + t_cqe,
+        inf.status = status;
+        let byte_len = if imm.is_some() {
+            inf.byte_len
+        } else {
+            scattered
         };
-        self.after_cqe(recv_cq, cqe, t_cqe);
+        inf.recv = (recv_idx, byte_len);
+        self.events
+            .schedule(self.now + t_cqe, EventKind::PushCqe { msg });
         // Ack back to the initiator.
         self.complete_at(msg, self.now + one_way + t_cqe);
         Ok(())

@@ -24,7 +24,6 @@ impl Simulator {
             return Ok(());
         }
         let nic = &mut self.nics[wq.node.index()];
-        let idx = wq.fetched;
         let (done, batch) = if wq.managed {
             // Doorbell order: fetch only when this queue's pipeline is
             // empty, one WQE at a time. The per-port engine pipelines
@@ -45,7 +44,7 @@ impl Simulator {
             if wq.fetch_cache.len() >= nic.config.prefetch_batch * 2 {
                 return Ok(());
             }
-            let batch = (wq.fetch_limit() - idx).min(nic.config.prefetch_batch as u64);
+            let batch = (wq.fetch_limit() - wq.fetched).min(nic.config.prefetch_batch as u64);
             if batch == 0 {
                 return Ok(());
             }
@@ -53,27 +52,13 @@ impl Simulator {
             let bus_done = nic.pcie_occupy(self.now, batch * WQE_SIZE);
             ((self.now + lat).max(bus_done), batch)
         };
-        let managed = wq.managed;
         self.wqs[wq_id.index()].fetch_inflight = true;
-        self.events.schedule(
-            done,
-            EventKind::FetchDone {
-                wq: wq_id,
-                idx,
-                managed,
-                batch,
-            },
-        );
+        self.events
+            .schedule(done, EventKind::FetchDone { wq: wq_id, batch });
         Ok(())
     }
 
-    pub(super) fn on_fetch_done(
-        &mut self,
-        wq_id: WqId,
-        idx: u64,
-        managed: bool,
-        batch: u64,
-    ) -> Result<()> {
+    pub(super) fn on_fetch_done(&mut self, wq_id: WqId, batch: u64) -> Result<()> {
         // Snapshot the bytes *now* — this is the moment the paper's
         // consistency rules revolve around.
         let wq = &mut self.wqs[wq_id.index()];
@@ -81,7 +66,8 @@ impl Simulator {
         if wq.block == WqBlock::Dead {
             return Ok(());
         }
-        let node = wq.node;
+        // One fetch in flight per queue, so `fetched` is where it began.
+        let (node, idx, managed) = (wq.node, wq.fetched, wq.managed);
         for i in idx..idx + batch {
             let addr = self.wqs[wq_id.index()].slot_addr(i);
             let Ok(bytes) = self.mems[node.index()].read(addr, WQE_SIZE) else {

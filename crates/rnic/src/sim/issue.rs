@@ -102,7 +102,7 @@ impl Simulator {
             },
         );
         self.events
-            .schedule(finish, EventKind::IssueDone { wq: wq_id, idx });
+            .schedule(finish, EventKind::IssueDone { wq: wq_id });
         Ok(())
     }
 
@@ -117,9 +117,8 @@ impl Simulator {
         self.complete_local(wq_id, idx, Opcode::Noop, true, status, self.now + t_cqe);
     }
 
-    /// Complete WQE `idx` without anything leaving the NIC: stash an
-    /// in-flight record carrying `status` and schedule its `Complete` at
-    /// `at`.
+    /// Complete WQE `idx` without anything leaving the NIC: schedule its
+    /// `CompleteLocal` at `at`, carrying `status` when a CQE is due.
     fn complete_local(
         &mut self,
         wq: WqId,
@@ -129,23 +128,16 @@ impl Simulator {
         status: CqeStatus,
         at: Time,
     ) {
-        let qp = self.wqs[wq.index()].qp;
-        let msg = self.inflight.insert(InFlight {
-            src_wq: wq,
-            src_idx: idx,
-            src_qp: qp,
-            dst_qp: qp,
-            opcode,
-            signaled,
-            payload: Payload::Send { bytes: Vec::new() },
-            status,
-            result: Vec::new(),
-            result_sink: (0, 0),
-            result_sgl: false,
-            byte_len: 0,
-        });
-        self.events
-            .schedule(at, EventKind::Complete { wq, idx, msg });
+        let cqe = (signaled || status != CqeStatus::Success).then_some(status);
+        self.events.schedule(
+            at,
+            EventKind::CompleteLocal {
+                wq,
+                idx,
+                opcode,
+                cqe,
+            },
+        );
     }
 
     /// A verb that failed at the initiator (no peer, unreadable source
@@ -158,8 +150,10 @@ impl Simulator {
 
     /// Launch the request of WQE `idx` towards `peer`: stash its in-flight
     /// record and schedule the `Arrive`, `ready` being when the request
-    /// may leave the initiator. A READ's / atomic's result sink comes from
-    /// the WQE (`local_addr` 0 = discard).
+    /// may leave the initiator. `data` holds a SEND's / WRITE's bytes. A
+    /// READ's / atomic's result sink comes from the WQE (`local_addr` 0 =
+    /// discard).
+    #[allow(clippy::too_many_arguments)]
     fn launch(
         &mut self,
         wq_id: WqId,
@@ -167,16 +161,15 @@ impl Simulator {
         wqe: &Wqe,
         peer: QpId,
         payload: Payload,
+        data: Vec<u8>,
         ready: Time,
     ) {
         // Bytes moved (what the CQE reports) and bytes occupying the
         // egress link: a READ / atomic request is a bare header, modeled
         // as latency only.
-        let (byte_len, wire_bytes) = match &payload {
-            Payload::Send { bytes } | Payload::Write { bytes, .. } => {
-                (bytes.len() as u32, bytes.len() as u64)
-            }
-            Payload::Read { len, .. } => (*len, 0),
+        let (byte_len, wire_bytes) = match payload {
+            Payload::Send | Payload::Write { .. } => (data.len() as u32, data.len() as u64),
+            Payload::Read { len, .. } => (len, 0),
             Payload::Atomic { .. } => (8, 0),
         };
         let wq = &self.wqs[wq_id.index()];
@@ -184,20 +177,21 @@ impl Simulator {
         let result_sgl = wqe.opcode == Opcode::Read && wqe.is_sgl();
         let msg = self.inflight.insert(InFlight {
             src_wq: wq_id,
-            src_idx: idx,
             src_qp,
             dst_qp: peer,
+            byte_len,
+            src_idx: idx,
             opcode: wqe.opcode,
             signaled: wqe.signaled(),
-            payload,
             status: CqeStatus::Success,
-            result: Vec::new(),
+            payload,
+            data,
             result_sink: (
                 wqe.local_addr,
                 if result_sgl { wqe.length } else { wqe.lkey },
             ),
             result_sgl,
-            byte_len,
+            recv: (0, 0),
         });
         let to = self.qps[peer.index()].node;
         let arrive = self.wire_arrival(from, port, to, ready, wire_bytes);
@@ -205,14 +199,13 @@ impl Simulator {
             .schedule(arrive, EventKind::Arrive { qp: peer, msg });
     }
 
-    pub(super) fn on_issue_done(&mut self, wq_id: WqId, idx: u64) -> Result<()> {
+    pub(super) fn on_issue_done(&mut self, wq_id: WqId) -> Result<()> {
         let wq = &mut self.wqs[wq_id.index()];
         let (node, qp_id) = (wq.node, wq.qp);
-        let (exec_idx, wqe, start) = wq
+        let (idx, wqe, start) = wq
             .executing
             .take()
             .expect("IssueDone without executing WQE");
-        debug_assert_eq!(exec_idx, idx);
         let cfg = &self.nics[node.index()].config;
         let retire = start + cfg.t_chain_gap;
         let done_local = retire + cfg.t_cqe;
@@ -272,15 +265,14 @@ impl Simulator {
                 let src_stage = nic.pcie_stage(nbytes);
                 let depart_ready = (retire + nic.config.t_posted_extra + src_stage).max(bus_done);
                 let payload = match wqe.opcode {
-                    Opcode::Send => Payload::Send { bytes },
+                    Opcode::Send => Payload::Send,
                     op => Payload::Write {
                         raddr: wqe.remote_addr,
                         rkey: wqe.rkey,
-                        bytes,
                         imm: (op == Opcode::WriteImm).then_some(wqe.imm_or_target),
                     },
                 };
-                self.launch(wq_id, idx, &wqe, peer, payload, depart_ready);
+                self.launch(wq_id, idx, &wqe, peer, payload, bytes, depart_ready);
             }
             (Opcode::Read, Some(peer)) => {
                 // A READ may scatter its response across a local SGE table
@@ -310,7 +302,7 @@ impl Simulator {
                     rkey: wqe.rkey,
                     len: read_len,
                 };
-                self.launch(wq_id, idx, &wqe, peer, payload, retire);
+                self.launch(wq_id, idx, &wqe, peer, payload, Vec::new(), retire);
             }
             (Opcode::Cas | Opcode::FetchAdd | Opcode::Max | Opcode::Min, Some(peer)) => {
                 let payload = Payload::Atomic {
@@ -320,7 +312,7 @@ impl Simulator {
                     operand: wqe.operand,
                     swap: wqe.swap,
                 };
-                self.launch(wq_id, idx, &wqe, peer, payload, retire);
+                self.launch(wq_id, idx, &wqe, peer, payload, Vec::new(), retire);
             }
         }
         // The pipeline may proceed to the next WQE.

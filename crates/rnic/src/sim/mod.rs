@@ -18,8 +18,9 @@
 //!                                 │ t_issue(class)
 //! delivery    PCIe stages / wire / atomic engine / RECV     Arrive
 //!                                 │ bytes *placed*
-//! completion  writebacks, CQE *observable*, WAIT wake-ups,  Complete
-//!             host listeners                                PushCqe, Notify
+//! completion  writebacks, CQE *observable*, WAIT wake-ups,  Complete,
+//!             host listeners; a WQE that never left the     CompleteLocal,
+//!             NIC completes without an in-flight record     PushCqe, Notify
 //! ```
 //!
 //! `resources` (memory, MRs, CQs, QPs) and `verbs` (post, doorbell, poll,
@@ -46,7 +47,7 @@ mod verbs;
 
 use crate::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
 use crate::cq::{CompletionQueue, Cqe};
-use crate::engine::{Event, EventKind, EventQueue};
+use crate::engine::{EventKind, EventQueue};
 use crate::error::{Error, Result};
 use crate::host::Host;
 use crate::ids::{CqId, NodeId, ProcessId, WqId};
@@ -119,7 +120,7 @@ pub struct Simulator {
     inflight: Slab<InFlight>,
     callbacks: Slab<TimerCallback>,
     listeners: Slab<CqListener>,
-    /// Recycled payload/result byte buffers (see [`BufPool`]).
+    /// Recycled message data buffers (see [`BufPool`]).
     buf_pool: BufPool,
     /// Reusable scratch for WAIT wake-ups inside `push_cqe`.
     woken_buf: Vec<WqId>,
@@ -128,6 +129,8 @@ pub struct Simulator {
     /// Watched CQs that received a CQE since the last
     /// [`Simulator::drain_ready_cqs`] — each at most once.
     ready_cqs: Vec<CqId>,
+    /// Events popped, by [`EventKind::index`].
+    dispatched: [u64; EventKind::NAMES.len()],
     trace: Trace,
 }
 
@@ -155,6 +158,7 @@ impl Simulator {
             woken_buf: Vec::new(),
             notify_buf: Vec::new(),
             ready_cqs: Vec::new(),
+            dispatched: [0; EventKind::NAMES.len()],
             trace,
         }
     }
@@ -246,8 +250,8 @@ impl Simulator {
 
     /// Run until no events remain.
     pub fn run(&mut self) -> Result<()> {
-        while let Some(ev) = self.events.pop() {
-            self.handle(ev)?;
+        while let Some(handled) = self.dispatch_next() {
+            handled?;
         }
         Ok(())
     }
@@ -255,8 +259,7 @@ impl Simulator {
     /// Run until simulated time `t` (events at exactly `t` included).
     pub fn run_until(&mut self, t: Time) -> Result<()> {
         while self.events.peek_time().is_some_and(|next| next <= t) {
-            let ev = self.events.pop().expect("peeked");
-            self.handle(ev)?;
+            self.dispatch_next().expect("peeked")?;
         }
         self.now = self.now.max(t);
         Ok(())
@@ -272,30 +275,33 @@ impl Simulator {
     /// Synchronous experiment drivers use this to run until a condition
     /// (e.g. a completion) without draining the whole queue.
     pub fn step(&mut self) -> Result<bool> {
-        let Some(ev) = self.events.pop() else {
-            return Ok(false);
-        };
-        self.handle(ev)?;
-        Ok(true)
+        self.dispatch_next()
+            .map_or(Ok(false), |handled| handled.map(|()| true))
     }
 
-    /// Dispatch one popped event to the stage that owns its kind.
-    fn handle(&mut self, ev: Event) -> Result<()> {
-        if self.events.processed() > self.cfg.max_events {
-            return Err(Error::EventBudgetExhausted(self.cfg.max_events));
+    /// Pop the next event and dispatch it to the stage that owns its
+    /// kind; `None` when none remain. The event is matched where it
+    /// waited in the queue, so only the fields its kind uses are read.
+    fn dispatch_next(&mut self) -> Option<Result<()>> {
+        let over_budget = self.events.processed() >= self.cfg.max_events;
+        let ev = self.events.pop_in_place()?;
+        self.dispatched[ev.kind.index()] += 1;
+        if over_budget {
+            return Some(Err(Error::EventBudgetExhausted(self.cfg.max_events)));
         }
         self.now = ev.at;
-        match ev.kind {
+        Some(match ev.kind {
             EventKind::WqAdvance { wq } => self.advance_wq(wq),
-            EventKind::FetchDone {
+            EventKind::FetchDone { wq, batch } => self.on_fetch_done(wq, batch),
+            EventKind::IssueDone { wq } => self.on_issue_done(wq),
+            EventKind::Arrive { qp, msg } => self.on_arrive(qp, msg),
+            EventKind::Complete { msg } => self.on_complete(msg),
+            EventKind::CompleteLocal {
                 wq,
                 idx,
-                managed,
-                batch,
-            } => self.on_fetch_done(wq, idx, managed, batch),
-            EventKind::IssueDone { wq, idx } => self.on_issue_done(wq, idx),
-            EventKind::Arrive { qp, msg } => self.on_arrive(qp, msg),
-            EventKind::Complete { wq, idx, msg } => self.on_complete(wq, idx, msg),
+                opcode,
+                cqe,
+            } => self.finish_wqe(wq, idx, opcode, cqe, 0),
             EventKind::Callback { key } => {
                 if let Some(cb) = self.callbacks.remove(key) {
                     cb(self);
@@ -303,11 +309,11 @@ impl Simulator {
                 Ok(())
             }
             EventKind::Notify { key } => self.on_notify(key),
-            EventKind::PushCqe { cq, cqe } => {
-                self.push_cqe(cq, cqe);
+            EventKind::PushCqe { msg } => {
+                self.push_recv_cqe(msg);
                 Ok(())
             }
-        }
+        })
     }
 
     /// Drive a send queue: start a fetch and/or issue the next WQE.
@@ -341,6 +347,18 @@ impl Simulator {
     /// metrics in the `sim_events` bench.
     pub fn events_processed(&self) -> u64 {
         self.events.processed()
+    }
+
+    /// Of [`Simulator::events_processed`], how many of each kind, in
+    /// [`EventKind::NAMES`] order — the events each stage handled.
+    pub fn events_by_kind(&self) -> [u64; EventKind::NAMES.len()] {
+        self.dispatched
+    }
+
+    /// Of [`Simulator::events_processed`], the events that never entered
+    /// the timing wheel (see [`EventQueue::bypassed`]).
+    pub fn events_bypassing_wheel(&self) -> u64 {
+        self.events.bypassed()
     }
 
     /// The execution trace (empty unless tracing was enabled).
@@ -464,6 +482,47 @@ mod tests {
             .unwrap();
         let err = sim.run().unwrap_err();
         assert!(matches!(err, Error::EventBudgetExhausted(_)));
+    }
+
+    #[test]
+    fn pu_pin_out_of_range_is_an_error() {
+        let (mut sim, n) = solo();
+        let cq = sim.create_cq(n, 16).unwrap();
+        let allocated = sim.mem(n).allocated();
+        let pus = sim.nic_config(n).pus_per_port;
+        let err = sim.create_qp(n, QpConfig::new(cq).on_pu(pus)).unwrap_err();
+        assert!(matches!(err, Error::InvalidWr("PU index out of range")));
+        assert_eq!(sim.mem(n).allocated(), allocated, "no ring was allocated");
+        assert!(sim.create_qp(n, QpConfig::new(cq).on_pu(pus - 1)).is_ok());
+    }
+
+    #[test]
+    fn events_by_kind_and_wheel_bypasses_add_up() {
+        let (mut sim, a, b) = two_nodes();
+        let (qp_a, qp_b, _, cq_b) = qp_pair(&mut sim, a, b);
+        let buf = sim.alloc(b, 64, 8).unwrap();
+        let mr = sim.register_mr(b, buf, 64, Access::all()).unwrap();
+        sim.set_cq_listener(cq_b, ListenMode::Polling, Box::new(|_, _| {}));
+        sim.post_recv(qp_b, WorkRequest::recv(buf, mr.lkey, 64))
+            .unwrap();
+        sim.post_send_batch(
+            qp_a,
+            &[
+                WorkRequest::noop().signaled(),
+                WorkRequest::write(0, 0, 0, buf, mr.rkey).signaled(),
+                WorkRequest::send(0, 0, 0),
+            ],
+        )
+        .unwrap();
+        sim.after(Time::from_us(50), Box::new(|_| {}));
+        sim.run().unwrap();
+        let by_kind = sim.events_by_kind();
+        assert!(
+            by_kind.iter().all(|n| *n > 0),
+            "every kind ran: {by_kind:?}"
+        );
+        assert_eq!(by_kind.iter().sum::<u64>(), sim.events_processed());
+        assert!((1..sim.events_processed()).contains(&sim.events_bypassing_wheel()));
     }
 
     #[test]

@@ -111,6 +111,9 @@ impl Simulator {
         if cfg.port >= nic_cfg.ports {
             return Err(Error::InvalidWr("port out of range"));
         }
+        if cfg.pu.is_some_and(|pu| pu >= nic_cfg.pus_per_port) {
+            return Err(Error::InvalidWr("PU index out of range"));
+        }
         if cfg.sq_depth == 0
             || cfg.rq_depth == 0
             || cfg.sq_depth as usize > nic_cfg.max_wq_depth

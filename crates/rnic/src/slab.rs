@@ -55,6 +55,7 @@ impl<T> Slab<T> {
     }
 
     /// Insert a value; returns its generation-tagged key.
+    #[inline]
     pub fn insert(&mut self, value: T) -> u64 {
         self.len += 1;
         if let Some(idx) = self.free.pop() {
