@@ -320,6 +320,10 @@ pub struct FleetStats {
     pub reap_calls: u64,
     /// The polls among `reap_calls` that reaped at least one completion.
     pub reap_useful: u64,
+    /// Generator turns: each one drains the ready list, visits whoever
+    /// has news or a credit, and advances the simulator. A closed loop
+    /// turns at news, credit and deadline, not after every event.
+    pub turns: u64,
     /// Per-tenant split of the run (one entry per [`FleetSpec::tenants`]
     /// entry, in spec order; empty for a single-operator fleet). Every
     /// aggregate above is the sum/merge of these slices plus any
@@ -375,6 +379,7 @@ impl FleetStats {
             pool_leases: self.pool_leases + other.pool_leases,
             reap_calls: self.reap_calls + other.reap_calls,
             reap_useful: self.reap_useful + other.reap_useful,
+            turns: self.turns + other.turns,
             per_tenant,
         }
     }
@@ -615,6 +620,13 @@ impl Arrival {
 /// Safety net for runs wedged by a lost completion: simulated time spent
 /// past this bound aborts the run and reports the remainder as timeouts.
 const RUN_DEADLINE: Time = Time::from_secs(5);
+
+/// How far before [`CreditPacer::next_credit_at`] a closed loop's run to
+/// the next news stops. That answer is rounded up to a whole picosecond
+/// from an `f64` quotient, while a grant sums the anchor's credit in
+/// `f64` — they may disagree by rounding, never by a nanosecond's worth
+/// of credit, so no credit can be held before `next_credit_at − 1 ns`.
+const CREDIT_MARGIN: Time = Time::from_ns(1);
 
 impl ServingFleet {
     /// Deploy the spec's service mix through `ctx` (which must live on
@@ -887,8 +899,10 @@ impl ServingFleet {
     /// the ask through its tenant's pacer and fires the grant as one
     /// burst; then simulated time advances the way the mode needs. Each
     /// turn visits — in ascending client index — only the clients for
-    /// which a visit can do anything (DESIGN.md "`redn_kv::serving`" has
-    /// the argument that every skipped visit would have been a no-op).
+    /// which a visit can do anything, and a closed loop turns only when
+    /// something can have changed (DESIGN.md "`redn_kv::serving`" has the
+    /// argument that every skipped visit and turn would have been a
+    /// no-op).
     fn run(
         &mut self,
         sim: &mut Simulator,
@@ -912,8 +926,8 @@ impl ServingFleet {
         let mut todo: Vec<usize> = (0..n).collect();
         let mut queued = vec![true; n];
         // Throttled clients: the pacer cut their last ask short, and
-        // `CreditPacer::shed` counts the ask again every turn until it is
-        // met.
+        // `CreditPacer::shed` counts the ask again every turn — and every
+        // event a closed loop runs past without a turn — until it is met.
         let mut unmet: Vec<usize> = Vec::new();
         let mut ready: Vec<CqId> = Vec::new();
         // Open loop (empty otherwise): when each unthrottled client with
@@ -924,14 +938,12 @@ impl ServingFleet {
         let open = matches!(arrival, Arrival::Open(_));
         let mut next_due = vec![None::<Time>; if open { n } else { 0 }];
         let mut unfinished = if ops_per_client > 0 { n } else { 0 };
+        // The first instant past the deadline: a turn there is the last.
+        let past_deadline = deadline + Time::from_ps(1);
+        let mut turns = 0u64;
         loop {
             let now = sim.now();
-            // Every client's ask accrues its tenant's credit in `f64`,
-            // and after the first ask of a turn the rest accrue nothing:
-            // one accrual per turn keeps the sequence, whoever is visited.
-            for pacer in self.pacers.iter_mut().flatten() {
-                pacer.accrue(now);
-            }
+            turns += 1;
             sim.drain_ready_cqs(&mut ready);
             let news = ready.drain(..);
             let news = news.filter_map(|cq| self.recv_cqs.get(&cq).copied());
@@ -950,7 +962,7 @@ impl ServingFleet {
                 let c = &self.clients[ci];
                 let pacer = c.tenant.and_then(|t| self.pacers[t].as_mut());
                 let pacer = pacer.expect("only a pacer cuts an ask short");
-                if !queued[ci] && !pacer.has_credit() {
+                if !queued[ci] && !pacer.has_credit(now) {
                     pacer.defer(arrival.due(c, ci, ops_per_client, now));
                     return true;
                 }
@@ -998,11 +1010,28 @@ impl ServingFleet {
                 break;
             }
             match arrival {
-                // Closed loop: event by event, so every completion is
-                // reaped and refilled at once; when the simulator drains
-                // only paced posts remain — jump to the credit.
+                // Closed loop: run to the next news — a client's CQE, the
+                // first instant a throttled client's tenant may hold a
+                // credit, or the deadline — so every completion is reaped
+                // and refilled at once. Each event before it would have
+                // been a turn that visits nobody and sheds every
+                // throttled ask once. When the simulator drains only
+                // paced posts remain — jump to the credit.
                 Arrival::Closed { .. } => {
-                    if !sim.step()? {
+                    let credit = self.credit_wake(&unmet, now);
+                    let until = credit.map_or(past_deadline, |t| {
+                        t.saturating_sub(CREDIT_MARGIN).min(past_deadline)
+                    });
+                    let (stopped, ran) = sim.step_until_news(until)?;
+                    let idle = ran - u64::from(stopped);
+                    for &ci in &unmet {
+                        let c = &self.clients[ci];
+                        if let Some(p) = c.tenant.and_then(|t| self.pacers[t].as_mut()) {
+                            p.defer(idle * arrival.due(c, ci, ops_per_client, now));
+                        }
+                    }
+                    if !stopped {
+                        let now = sim.now();
                         let wake = self.credit_wake(&unmet, now);
                         match wake.filter(|&t| t > now && t <= deadline) {
                             Some(t) => sim.run_until(t)?,
@@ -1027,12 +1056,13 @@ impl ServingFleet {
                 }
             }
         }
-        Ok(self.finish(sim, pool, start, offered, base))
+        Ok(self.finish(sim, pool, start, offered, base, turns))
     }
 
     /// The earliest time a throttled client's tenant holds a whole credit
     /// — where a run with nothing else to do jumps to instead of
-    /// spinning. Worked out only at such a jump.
+    /// spinning, and (less [`CREDIT_MARGIN`]) where a closed loop's run
+    /// to the next news stops at the latest.
     fn credit_wake(&self, unmet: &[usize], now: Time) -> Option<Time> {
         let tenants = unmet.iter().filter_map(|&ci| self.clients[ci].tenant);
         let pacers = tenants.filter_map(|t| self.pacers[t].as_ref());
@@ -1082,6 +1112,7 @@ impl ServingFleet {
         start: Time,
         offered: Option<f64>,
         base: (u64, u64, u64),
+        turns: u64,
     ) -> FleetStats {
         let ntenants = self.spec.tenants.len();
         let mut timeouts = 0u64;
@@ -1172,6 +1203,7 @@ impl ServingFleet {
             pool_leases: pool.leases(),
             reap_calls: self.log.reap_calls,
             reap_useful: self.log.reap_useful,
+            turns,
             per_tenant,
         }
     }
@@ -1466,6 +1498,7 @@ mod tests {
             pool_leases: 7,
             reap_calls: 50,
             reap_useful: 40,
+            turns: 60,
             per_tenant: vec![],
         };
         let mut b = a.clone();
@@ -1489,6 +1522,7 @@ mod tests {
         assert_eq!(ml.max_us, 90.0, "max is exact");
         assert_eq!(m.offered_ops_per_sec, Some(3.0e6), "one-sided load kept");
         assert_eq!(m.host_arm_calls, 2);
+        assert_eq!(m.turns, 120);
         assert_eq!(m.pool_high_water, 8192);
         // Merging with an empty-latency side keeps the populated side.
         let mut c = a.clone();
@@ -1554,6 +1588,50 @@ mod tests {
             stats.ops,
             "tenant slices partition the aggregate"
         );
+    }
+
+    #[test]
+    fn rate_caps_that_never_pay_are_refused_or_never_wake_the_run() {
+        use crate::tenancy::{NicGeometry, PackError, TenantPacker, TenantSpec};
+        let (mut sim, c, server, mut ctx) = rig(512);
+        let geometry = NicGeometry::of(&sim, server.node);
+        let tenants = |cap: f64| {
+            vec![
+                TenantSpec::new("capped")
+                    .with_gets(1, 4, HashGetVariant::Sequential, true)
+                    .rate_cap(cap),
+                TenantSpec::new("free").with_gets(1, 4, HashGetVariant::Sequential, true),
+            ]
+        };
+        for cap in [0.0, -5.0, f64::NAN] {
+            let err = TenantPacker::new(geometry).pack(&tenants(cap)).unwrap_err();
+            assert!(
+                matches!(&err, PackError::InvalidRateCap { tenant, .. } if tenant == "capped"),
+                "{err}"
+            );
+            assert!(FleetSpec::tenants(geometry, &tenants(cap)).is_err());
+        }
+        // Finite and positive, but one credit is centuries away: the
+        // tenant spends its burst and the run ends when the rest is done.
+        let spec = FleetSpec::tenants(geometry, &tenants(1e-9)).unwrap();
+        let mut fleet = ServingFleet::deploy(
+            &mut sim,
+            &mut ctx,
+            &server,
+            None,
+            c,
+            spec,
+            per_client_workloads(2, 512),
+        )
+        .unwrap();
+        let stats = fleet
+            .run_closed_loop(&mut sim, ctx.pool_mut(), 10, 4)
+            .unwrap();
+        assert_eq!(stats.per_tenant[0].ops, 4, "the burst, then nothing");
+        assert!(stats.per_tenant[0].shed_posts > 0);
+        assert_eq!(stats.per_tenant[1].ops, 10);
+        assert_eq!(stats.timeouts, 0);
+        assert!(stats.elapsed < RUN_DEADLINE, "no wake at the end of time");
     }
 
     #[test]

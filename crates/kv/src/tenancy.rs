@@ -123,7 +123,8 @@ impl TenantSpec {
         self
     }
 
-    /// Set the trigger-path rate cap (ops/s).
+    /// Set the trigger-path rate cap (ops/s). [`TenantPacker::pack`]
+    /// refuses a cap that is not finite and positive.
     pub fn rate_cap(mut self, ops_per_sec: f64) -> TenantSpec {
         self.rate_cap_ops_per_sec = Some(ops_per_sec);
         self
@@ -224,6 +225,13 @@ pub enum PackError {
     /// Two tenants share a name — per-tenant stats and labels would
     /// be indistinguishable.
     DuplicateTenant(String),
+    /// A tenant's rate cap is not a finite, positive ops/s figure.
+    InvalidRateCap {
+        /// The tenant with the cap.
+        tenant: String,
+        /// The cap as given.
+        cap: f64,
+    },
 }
 
 impl fmt::Display for PackError {
@@ -242,6 +250,10 @@ impl fmt::Display for PackError {
             PackError::DuplicateTenant(name) => {
                 write!(f, "duplicate tenant name '{name}'")
             }
+            PackError::InvalidRateCap { tenant, cap } => write!(
+                f,
+                "tenant '{tenant}' has rate cap {cap} ops/s: a cap must be finite and positive"
+            ),
         }
     }
 }
@@ -325,6 +337,14 @@ impl TenantPacker {
         }
         // Admission: every tenant against its own quotas.
         for t in tenants {
+            if let Some(cap) = t.rate_cap_ops_per_sec {
+                if !(cap.is_finite() && cap > 0.0) {
+                    return Err(PackError::InvalidRateCap {
+                        tenant: t.name.clone(),
+                        cap,
+                    });
+                }
+            }
             if let Some(cap) = t.quotas.pus {
                 let demand = t.pu_demand();
                 if demand > cap {
@@ -403,76 +423,94 @@ impl TenantPacker {
 /// remainder (counted in [`CreditPacer::shed`]) until credits accrue —
 /// the caller jumps the simulator to [`CreditPacer::next_credit_at`]
 /// instead of busy-waiting.
+///
+/// The credit is held as an *anchor*: `c₀` credits at time `t₀`, so at
+/// any `t ≥ t₀` the pacer holds `min(c₀ + rate·(t − t₀), burst)`,
+/// worked out in `f64` when asked. Only a grant of at least one post
+/// moves the anchor (to the grant's time, less what it handed out). So
+/// the state is a function of the last such grant alone: asking —
+/// [`CreditPacer::grant`] for nothing, [`CreditPacer::next_credit_at`],
+/// or how often a loop polls — changes no later answer, and a caller
+/// may ask once per news instead of once per simulator event.
 #[derive(Clone, Debug)]
 pub struct CreditPacer {
     rate_per_sec: f64,
     burst: f64,
+    /// `c₀`: the credit held at `anchor`.
     credits: f64,
-    last: Time,
+    /// `t₀`: the time of the last grant of at least one post (or of
+    /// construction).
+    anchor: Time,
     shed: u64,
 }
 
 impl CreditPacer {
     /// A pacer granting `rate_per_sec` credits per simulated second,
-    /// accruing at most `burst` (>= 1) unspent credits.
+    /// accruing at most `burst` (>= 1) unspent credits. A rate that is
+    /// not positive (or NaN) grants nothing past the burst:
+    /// [`CreditPacer::next_credit_at`] then answers [`Time::MAX`].
     pub fn new(rate_per_sec: f64, burst: f64, now: Time) -> CreditPacer {
         let burst = burst.max(1.0);
         CreditPacer {
             rate_per_sec: rate_per_sec.max(f64::MIN_POSITIVE),
             burst,
             credits: burst,
-            last: now,
+            anchor: now,
             shed: 0,
         }
     }
 
-    /// Accrue the credit earned since the last accrual (none at the same
-    /// `now`): the first thing every [`CreditPacer::grant`] does.
-    pub(crate) fn accrue(&mut self, now: Time) {
-        if now > self.last {
-            let dt = (now - self.last).as_secs_f64();
-            self.credits = (self.credits + self.rate_per_sec * dt).min(self.burst);
+    /// The credit held at `now`.
+    fn credits(&self, now: Time) -> f64 {
+        if now > self.anchor {
+            let dt = (now - self.anchor).as_secs_f64();
+            (self.credits + self.rate_per_sec * dt).min(self.burst)
+        } else {
+            self.credits
         }
-        self.last = self.last.max(now);
     }
 
     /// Grant up to `want` posts at `now`. The shortfall is recorded as
     /// shed (deferred) load.
     pub fn grant(&mut self, now: Time, want: u64) -> u64 {
-        self.accrue(now);
+        let credits = self.credits(now);
         // `credits >= 0`, so the cast's truncation is `floor`.
-        let granted = (self.credits as u64).min(want);
-        self.credits -= granted as f64;
+        let granted = (credits as u64).min(want);
+        if granted > 0 {
+            self.credits = credits - granted as f64;
+            self.anchor = self.anchor.max(now);
+        }
         self.shed += want - granted;
         granted
     }
 
-    /// Whether a grant at the time of the last accrual has a whole credit
-    /// to hand out.
-    pub(crate) fn has_credit(&self) -> bool {
-        self.credits >= 1.0
+    /// Whether a grant at `now` has a whole credit to hand out.
+    pub(crate) fn has_credit(&self, now: Time) -> bool {
+        self.credits(now) >= 1.0
     }
 
-    /// Count `want` posts as shed without asking: all a
-    /// [`CreditPacer::grant`] at the time of the last accrual does while
-    /// [`CreditPacer::has_credit`] is false.
-    pub(crate) fn defer(&mut self, want: u64) {
-        debug_assert!(!self.has_credit());
-        self.shed += want;
+    /// Count `asks` posts as shed without asking: all `grant`s that find
+    /// no whole credit do, added up.
+    pub(crate) fn defer(&mut self, asks: u64) {
+        self.shed += asks;
     }
 
-    /// When (at or after `now`) at least one credit will be available.
+    /// When (at or after `now`) at least one credit will be available;
+    /// [`Time::MAX`] if not within the clock's range.
     pub fn next_credit_at(&self, now: Time) -> Time {
-        let mut credits = self.credits;
-        if now > self.last {
-            credits =
-                (credits + self.rate_per_sec * (now - self.last).as_secs_f64()).min(self.burst);
-        }
+        let credits = self.credits(now);
         if credits >= 1.0 {
             return now;
         }
         let secs = (1.0 - credits) / self.rate_per_sec;
-        now + Time::from_ps((secs * 1e12).ceil() as u64)
+        // The cast saturates: a credit past `u64::MAX` ps is never.
+        let at = now.saturating_add(Time::from_ps((secs * 1e12).ceil() as u64));
+        // The quotient is rounded up to a whole picosecond, but the sum a
+        // grant there makes can still fall a rounding short of one.
+        if at < Time::MAX && !self.has_credit(at) {
+            return at + Time::from_ps(1);
+        }
+        at
     }
 
     /// Posts deferred so far (each re-asked `want` counts again — this
@@ -620,5 +658,81 @@ mod tests {
     fn credit_pacer_next_credit_is_immediate_when_credits_remain() {
         let p = CreditPacer::new(1e6, 4.0, Time::ZERO);
         assert_eq!(p.next_credit_at(Time::from_us(3)), Time::from_us(3));
+    }
+
+    #[test]
+    fn credit_pacer_never_wakes_past_the_clock() {
+        for rate in [0.0, -5.0, f64::NAN, 1e-9] {
+            let mut p = CreditPacer::new(rate, 2.0, Time::from_secs(1));
+            assert_eq!(p.grant(Time::from_secs(1), 3), 2, "{rate}: the burst");
+            let t = Time::from_secs(2);
+            assert_eq!(p.next_credit_at(t), Time::MAX, "{rate}");
+            assert!(!p.has_credit(t));
+        }
+    }
+
+    /// A seeded xorshift64 draw in `0..n`.
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state % n
+    }
+
+    /// The anchor makes the pacer a function of its grants: asking more
+    /// often — for nothing, whether it has a credit, or when it will —
+    /// changes no grant, no `shed` and no `next_credit_at`. And
+    /// `next_credit_at(t)` is exact to a nanosecond from below, which is
+    /// what lets a closed loop run to `next_credit_at − 1 ns` unturned.
+    #[test]
+    fn credit_pacer_answers_do_not_depend_on_how_often_it_is_asked() {
+        let mut state = 0x5eed_u64;
+        for (rate, burst) in [(35e3, 1.0), (150e3, 32.0), (1e6, 4.0), (3.3e6, 16.0)] {
+            let mut schedule = Vec::new();
+            let mut t = Time::from_us(draw(&mut state, 1000));
+            for _ in 0..2000 {
+                // Gaps from none to three credits' worth.
+                let gap = (draw(&mut state, 3001) as f64 * 1e9 / rate) as u64;
+                t += Time::from_ps(gap);
+                schedule.push((t, draw(&mut state, 6)));
+            }
+            let start = Time::ZERO;
+            let mut plain = CreditPacer::new(rate, burst, start);
+            let mut asked = CreditPacer::new(rate, burst, start);
+            let mut prev = start;
+            for &(t, want) in &schedule {
+                // Extra questions at random instants since the last ask.
+                for _ in 0..draw(&mut state, 4) {
+                    let x = prev + Time::from_ps(draw(&mut state, (t - prev).as_ps() + 1));
+                    match draw(&mut state, 3) {
+                        0 => assert_eq!(asked.grant(x, 0), 0),
+                        1 => _ = asked.has_credit(x),
+                        _ => _ = asked.next_credit_at(x),
+                    }
+                    check_wake_bound(&asked, x);
+                }
+                let got = (plain.grant(t, want), plain.shed(), plain.next_credit_at(t));
+                let again = (asked.grant(t, want), asked.shed(), asked.next_credit_at(t));
+                assert_eq!(got, again, "rate {rate}, burst {burst}, at {t:?}");
+                check_wake_bound(&plain, t);
+                prev = t;
+            }
+            assert!(plain.shed() > 0, "rate {rate}: the schedule overdrives it");
+        }
+    }
+
+    /// Below one credit at `t`: the wake holds a credit and a nanosecond
+    /// before it does not.
+    fn check_wake_bound(p: &CreditPacer, t: Time) {
+        if p.has_credit(t) {
+            assert_eq!(p.next_credit_at(t), t);
+            return;
+        }
+        let wake = p.next_credit_at(t);
+        assert!(p.has_credit(wake), "no credit at the wake {wake:?}");
+        assert!(
+            !p.has_credit(wake.saturating_sub(Time::from_ns(1))),
+            "a credit before {wake:?} - 1 ns"
+        );
     }
 }

@@ -279,6 +279,28 @@ impl Simulator {
             .map_or(Ok(false), |handled| handled.map(|()| true))
     }
 
+    /// Process events until one leaves a watched CQ ready (see
+    /// [`Simulator::watch_cq`]) or brings the clock to `until` or past
+    /// it. Returns whether it stopped that way — `false` means no events
+    /// remain — and how many events it processed. Every event but the
+    /// one that stopped it readied no watched CQ and left the clock
+    /// before `until`, so a host loop that acts only on completions or
+    /// at a known time calls this where it would call
+    /// [`Simulator::step`] after every event, and treats those events
+    /// as turns with nothing to do. A ready list left undrained stops it
+    /// after one event, as [`Simulator::step`] would.
+    pub fn step_until_news(&mut self, until: Time) -> Result<(bool, u64)> {
+        let mut ran = 0;
+        while let Some(handled) = self.dispatch_next() {
+            handled?;
+            ran += 1;
+            if !self.ready_cqs.is_empty() || self.now >= until {
+                return Ok((true, ran));
+            }
+        }
+        Ok((false, ran))
+    }
+
     /// Pop the next event and dispatch it to the stage that owns its
     /// kind; `None` when none remain. The event is matched where it
     /// waited in the queue, so only the fields its kind uses are read.
@@ -482,6 +504,81 @@ mod tests {
             .unwrap();
         let err = sim.run().unwrap_err();
         assert!(matches!(err, Error::EventBudgetExhausted(_)));
+    }
+
+    /// A timer at `us` that pushes one CQE to `cq`, or does nothing.
+    fn timer_at(sim: &mut Simulator, us: u64, cq: Option<CqId>) {
+        let cqe = Cqe {
+            wq: WqId(0),
+            qp: crate::ids::QpId(0),
+            wqe_index: 0,
+            opcode: crate::verbs::Opcode::Noop,
+            status: crate::cq::CqeStatus::Success,
+            byte_len: 0,
+            imm: None,
+            time: Time::ZERO,
+        };
+        let push = move |sim: &mut Simulator| {
+            if let Some(cq) = cq {
+                sim.push_cqe(cq, cqe);
+            }
+        };
+        sim.at(Time::from_us(us), Box::new(push));
+    }
+
+    #[test]
+    fn step_until_news_stops_at_a_watched_cqe_or_the_deadline() {
+        let (mut sim, n) = solo();
+        let watched = sim.create_cq(n, 8).unwrap();
+        let plain = sim.create_cq(n, 8).unwrap();
+        sim.watch_cq(watched);
+        timer_at(&mut sim, 1, None);
+        timer_at(&mut sim, 2, Some(plain));
+        timer_at(&mut sim, 3, None);
+        timer_at(&mut sim, 4, Some(watched));
+        timer_at(&mut sim, 5, None);
+        // Right after the event that readies the watched CQ; the plain
+        // CQ's CQE at 2 us does not stop it.
+        assert_eq!(sim.step_until_news(Time::MAX).unwrap(), (true, 4));
+        assert_eq!(sim.now(), Time::from_us(4));
+        // An undrained ready list stops it after one event, as `step`
+        // would have returned.
+        assert_eq!(sim.step_until_news(Time::MAX).unwrap(), (true, 1));
+        assert_eq!(sim.now(), Time::from_us(5));
+        let mut ready = Vec::new();
+        sim.drain_ready_cqs(&mut ready);
+        assert_eq!(ready, [watched]);
+
+        // At the first event at or after `until`: exactly at it ...
+        for us in [6, 8, 10, 12, 12] {
+            timer_at(&mut sim, us, None);
+        }
+        assert_eq!(sim.step_until_news(Time::from_us(6)).unwrap(), (true, 1));
+        assert_eq!(sim.now(), Time::from_us(6));
+        // ... or past it, when no event falls on it.
+        assert_eq!(sim.step_until_news(Time::from_us(9)).unwrap(), (true, 2));
+        assert_eq!(sim.now(), Time::from_us(10));
+        // An `until` already passed stops after one event.
+        assert_eq!(sim.step_until_news(Time::ZERO).unwrap(), (true, 1));
+        // Drained: false, with the events it did process.
+        assert_eq!(sim.step_until_news(Time::MAX).unwrap(), (false, 1));
+        assert_eq!(sim.now(), Time::from_us(12));
+        assert_eq!(sim.step_until_news(Time::MAX).unwrap(), (false, 0));
+        assert!(!sim.step().unwrap());
+    }
+
+    #[test]
+    fn step_until_news_surfaces_the_event_budget() {
+        let mut sim = Simulator::new(SimConfig {
+            max_events: 3,
+            ..SimConfig::default()
+        });
+        for us in 1..=5 {
+            timer_at(&mut sim, us, None);
+        }
+        let err = sim.step_until_news(Time::MAX).unwrap_err();
+        assert!(matches!(err, Error::EventBudgetExhausted(3)));
+        assert_eq!(sim.now(), Time::from_us(3), "three events ran");
     }
 
     #[test]

@@ -99,6 +99,12 @@ impl Time {
         Time(self.0.saturating_sub(rhs.0))
     }
 
+    /// Saturating addition: [`Time::MAX`] stands for "never".
+    #[inline]
+    pub fn saturating_add(self, rhs: Time) -> Time {
+        Time(self.0.saturating_add(rhs.0))
+    }
+
     /// The later of two times.
     #[inline]
     pub fn max(self, rhs: Time) -> Time {
@@ -273,6 +279,8 @@ mod tests {
         assert_eq!(a * 3, Time::from_us(6));
         assert_eq!(b / 3, Time::from_us(1));
         assert_eq!(Time::from_us(1).saturating_sub(b), Time::ZERO);
+        assert_eq!(a.saturating_add(b), Time::from_us(5));
+        assert_eq!(Time::MAX.saturating_add(a), Time::MAX);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
     }

@@ -141,6 +141,7 @@ struct Exhaustive {
     get_arms: u64,
     tenants: Vec<Log>,
     reap_calls: u64,
+    turns: u64,
 }
 
 impl Exhaustive {
@@ -208,6 +209,7 @@ impl Exhaustive {
             all: Log::default(),
             get_arms: 0,
             reap_calls: 0,
+            turns: 0,
         })
     }
 
@@ -293,7 +295,7 @@ impl Exhaustive {
         // topped back up.
         self.all = Log::default();
         self.tenants.fill(Log::default());
-        (self.get_arms, self.reap_calls) = (0, 0);
+        (self.get_arms, self.reap_calls, self.turns) = (0, 0, 0);
         let mut pacers: Vec<Option<CreditPacer>> = (0..self.spec.tenants.len())
             .map(|t| {
                 self.spec.tenants[t].rate_cap_ops_per_sec.map(|cap| {
@@ -314,6 +316,7 @@ impl Exhaustive {
             doorbells(sim, self.client_node),
         );
         loop {
+            self.turns += 1;
             let mut all_done = true;
             let mut next_wake: Option<Time> = None;
             for ci in 0..n {
@@ -457,6 +460,7 @@ impl Exhaustive {
             pool_leases: pool.leases(),
             reap_calls: self.reap_calls,
             reap_useful: 0,
+            turns: self.turns,
             per_tenant,
         }
     }
@@ -591,10 +595,11 @@ const SHAPES: &[Shape] = &[
     },
 ];
 
-/// Everything but the poll counters, which are the point of the change.
+/// Everything but the poll and turn counters, which are the point of
+/// the change.
 fn comparable(stats: &FleetStats) -> String {
     let mut s = stats.clone();
-    (s.reap_calls, s.reap_useful) = (0, 0);
+    (s.reap_calls, s.reap_useful, s.turns) = (0, 0, 0);
     format!("{s:#?}")
 }
 
@@ -651,6 +656,19 @@ fn ready_set_generators_equal_exhaustive_visiting() {
                     got.reap_useful,
                     got.reap_calls
                 );
+                // What waking only for news buys: the reference turns
+                // after every event; a closed loop turns at most twice
+                // per op (its completion and, paced, its credit).
+                assert!(got.turns <= want.turns, "{ctx}");
+                if let Arrival::Closed { .. } = shape.arrival {
+                    assert!(
+                        got.turns <= 2 * got.ops,
+                        "{ctx}: {} turns for {} ops ({} in the reference)",
+                        got.turns,
+                        got.ops,
+                        want.turns
+                    );
+                }
             }
         }
     }
