@@ -20,7 +20,7 @@
 //! ```
 
 use crate::cluster::Cluster;
-use crate::session::{ClusterSession, PutSession};
+use crate::session::{ClusterSession, PutReap, PutSession};
 use redn_core::offloads::hash_lookup::HashGetVariant;
 use redn_core::offloads::replicate::ReplicationLog;
 use redn_kv::session::{Session, SessionOpts};
@@ -33,7 +33,7 @@ use rnic_sim::time::Time;
 use rnic_sim::wqe::WorkRequest;
 
 /// What one failover did, with simulated timestamps for the blip math.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct FailoverReport {
     /// The failed-over shard id.
     pub shard: usize,
@@ -53,6 +53,13 @@ pub struct FailoverReport {
     /// When the journal copy to the new backup completed (full
     /// redundancy restored).
     pub rereplicated_at: Time,
+    /// Every put the old session still held, resolved exactly once: a
+    /// last reap of its CQs, then each still-pending put against the
+    /// recovered journal — acked with `seq = instance + 1` if its record
+    /// is there (below `records_recovered`), failed with `RnrError` if
+    /// not. Not handed to the new session, whose chain reuses instance
+    /// numbers from `records_recovered` upward.
+    pub puts: PutReap,
 }
 
 impl FailoverReport {
@@ -98,10 +105,11 @@ impl FailoverController {
         reaped_failure: Option<CqeStatus>,
     ) -> bool {
         matches!(reaped_failure, Some(CqeStatus::RnrError))
-            || session_suspects(session, sim, s, self.heartbeat_timeout)
+            || session.put_session(s).suspect(sim, self.heartbeat_timeout)
     }
 
-    /// Fail shard `s` over to the backup holding its journal: replay
+    /// Fail shard `s` over to the backup holding its journal: resolve
+    /// the old put session's puts (see [`FailoverReport::puts`]), replay
     /// the journal into the promoted table, re-route the shard, stream
     /// the journal to a fresh backup over RDMA, and rebind the
     /// session's get/put paths to the promoted stack (the new chain
@@ -139,7 +147,7 @@ impl FailoverController {
         for i in 0..recovered {
             let (_seq, key, value) = journal
                 .read_record(sim, i)?
-                .expect("appended() counted this slot");
+                .ok_or(Error::InvalidWr("journal record vanished during replay"))?;
             if !cluster.shards[promoted]
                 .server
                 .table
@@ -149,6 +157,14 @@ impl FailoverController {
                 return Err(Error::InvalidWr("promoted table full during replay"));
             }
         }
+
+        // The old put session is dropped below: settle what it still
+        // holds against the journal. Its acks need no apply — the replay
+        // above covered every journaled record.
+        let puts = session
+            .put_session_mut(s)
+            .session_mut()
+            .settle_puts(sim, recovered);
 
         // REROUTED: the shard id keeps its key range; only its serving
         // stack changes, so no other shard's keys move.
@@ -200,14 +216,9 @@ impl FailoverController {
             started_at,
             promoted_at,
             rereplicated_at,
+            puts,
         })
     }
-}
-
-fn session_suspects(session: &ClusterSession, sim: &Simulator, s: usize, timeout: Time) -> bool {
-    // ClusterSession only hands out &mut accessors; go through a shared
-    // view for the heartbeat read.
-    session.put_session(s).suspect(sim, timeout)
 }
 
 /// Stream `records` journal records from the promoted node to the new

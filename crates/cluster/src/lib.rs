@@ -10,11 +10,12 @@
 //!   full mesh, each with its own Memcached table (holding exactly its
 //!   key partition) and offload context, behind a killable serving
 //!   process;
-//! * [`session`] — [`ClusterSession`](session::ClusterSession): typed
-//!   per-shard get sessions (the `redn_kv` `Session` API fanned out)
-//!   plus [`PutSession`](session::PutSession)s driving each shard's
-//!   NIC-resident replication chain
-//!   ([`redn_core::offloads::replicate`]);
+//! * [`session`] — [`ClusterSession`](session::ClusterSession): the
+//!   `redn_kv` `Session` API fanned out, one get session per shard and
+//!   one put session per shard driving that shard's NIC-resident
+//!   replication chain ([`redn_core::offloads::replicate`]), behind the
+//!   [`PutSession`](session::PutSession) shim that applies acked writes
+//!   to the shard's table;
 //! * [`failover`] — detect a dead primary (typed `RnrError`
 //!   completions or heartbeat silence), promote the backup holding its
 //!   journal, re-route the shard, re-replicate to a fresh backup.

@@ -46,7 +46,9 @@ use std::ops::{Deref, DerefMut};
 use crate::ctx::ClientDest;
 use crate::encode::WqeField;
 use crate::ir::{DeployOpts, EnableTarget, Kind, Loc, OpBuild, WaitCond};
-use crate::offloads::service::{FrameSpec, RecycledFrame, ServiceFrame, TriggerScatter};
+use crate::offloads::service::{
+    FrameSpec, OffloadService, RecycledFrame, ServiceFrame, TriggerScatter,
+};
 use crate::program::{ChainQueue, ConstPool};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -62,21 +64,21 @@ pub fn record_len(value_len: u32) -> u32 {
     RECORD_HEADER + value_len
 }
 
-/// Encode one record as the client wire/journal format. `seq` must be
-/// non-zero (zero marks a never-written journal slot); the value is
-/// zero-padded to `value_len`.
-pub fn encode_record(seq: u64, key: u64, value: &[u8], value_len: u32) -> Vec<u8> {
+/// Encode one record as the client wire/journal format into `rec`
+/// (cleared first, so a caller reuses one buffer for every put). `seq`
+/// must be non-zero (zero marks a never-written journal slot); the value
+/// is zero-padded to `value_len`.
+pub fn encode_record_into(rec: &mut Vec<u8>, seq: u64, key: u64, value: &[u8], value_len: u32) {
     assert!(seq != 0, "record seq 0 is reserved for empty slots");
     assert!(
         value.len() <= value_len as usize,
         "value longer than value_len"
     );
-    let mut rec = Vec::with_capacity(record_len(value_len) as usize);
+    rec.clear();
     rec.extend_from_slice(&seq.to_le_bytes());
     rec.extend_from_slice(&key.to_le_bytes());
     rec.extend_from_slice(value);
     rec.resize(record_len(value_len) as usize, 0);
-    rec
 }
 
 /// An append-only replication journal on a backup node.
@@ -457,6 +459,17 @@ impl DerefMut for ReplicationOffload {
     }
 }
 
+impl OffloadService for ReplicationOffload {
+    /// A chain is always self-recycling: the NIC re-arms every slot, so
+    /// host arming is a typed error (and [`OffloadService::prime`] a
+    /// no-op).
+    fn arm(&mut self, _sim: &mut Simulator, _pool: &mut ConstPool) -> Result<()> {
+        Err(Error::InvalidWr(
+            "replication chains are self-recycling; arm() is host-armed only",
+        ))
+    }
+}
+
 impl ReplicationOffload {
     /// Bytes per value.
     pub fn value_len(&self) -> u32 {
@@ -590,7 +603,8 @@ mod tests {
     fn put(rig: &mut Rig, key: u64, value: &[u8]) -> u64 {
         let inst = rig.repl.take_instance().unwrap();
         let slot = inst % DEPTH as u64;
-        let rec = encode_record(inst + 1, key, value, VLEN);
+        let mut rec = Vec::new();
+        encode_record_into(&mut rec, inst + 1, key, value, VLEN);
         let addr = rig.req.addr + slot * rig.repl.record_len() as u64;
         rig.sim.mem_write(rig.client, addr, &rec).unwrap();
         rig.sim

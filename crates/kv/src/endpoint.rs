@@ -4,6 +4,7 @@
 
 use std::cell::{Cell, RefCell};
 
+use redn_core::ctx::ClientDest;
 use rnic_sim::cq::Cqe;
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{CqId, NodeId, QpId};
@@ -64,16 +65,16 @@ pub struct ClientEndpoint {
     responses_reaped: Cell<u64>,
     requests_posted: Cell<u64>,
     requests_abandoned: Cell<u64>,
-    /// The trigger payload being staged (reused, so staging allocates
-    /// nothing in steady state).
-    payload: RefCell<Vec<u8>>,
+    /// The trigger payload or put record being staged (reused, so
+    /// staging allocates nothing in steady state).
+    pub(crate) payload: RefCell<Vec<u8>>,
 }
 
 impl ClientEndpoint {
     /// The response-buffer capability this client advertises to servers
     /// (what a real client would ship in its connection handshake).
-    pub fn dest(&self) -> redn_core::ctx::ClientDest {
-        redn_core::ctx::ClientDest::new(self.resp_buf, self.resp_rkey)
+    pub fn dest(&self) -> ClientDest {
+        ClientDest::new(self.resp_buf, self.resp_rkey)
     }
 
     /// Create an endpoint with buffers big enough for `max_value` bytes
@@ -92,44 +93,69 @@ impl ClientEndpoint {
         max_value: u32,
         slots: u32,
     ) -> Result<ClientEndpoint> {
+        let req_slot_len = 64 + u64::from(max_value);
+        let geometry = (slots, req_slot_len, 8, max_value);
+        ClientEndpoint::build(sim, node, geometry, Some(1024), |_, _| Ok(())).map(|(ep, ())| ep)
+    }
+
+    /// Create the queues and the registered request and response slot
+    /// arrays — `(slots, req_slot_len, req_align, max_value)`, response
+    /// slots `max_value.max(8)` bytes — running `deploy` against the
+    /// response buffer in between. `early` queues (CQs and SQ that deep,
+    /// RQ too) come first; otherwise 256-deep ones with a `slots`-deep RQ
+    /// come after `deploy`.
+    pub(crate) fn build<T>(
+        sim: &mut Simulator,
+        node: NodeId,
+        (slots, req_slot_len, req_align, max_value): (u32, u64, u64, u32),
+        early: Option<u32>,
+        deploy: impl FnOnce(&mut Simulator, ClientDest) -> Result<T>,
+    ) -> Result<(ClientEndpoint, T)> {
         if slots == 0 {
             return Err(Error::InvalidWr("an endpoint needs at least one slot"));
         }
-        let cq = sim.create_cq(node, 1024)?;
-        let recv_cq = sim.create_cq(node, 1024)?;
-        let qp = sim.create_qp(
-            node,
-            QpConfig::new(cq)
+        let queues = |sim: &mut Simulator, depth: u32, rq: u32| -> Result<(CqId, CqId, QpId)> {
+            let cq = sim.create_cq(node, depth)?;
+            let recv_cq = sim.create_cq(node, depth)?;
+            let cfg = QpConfig::new(cq)
                 .recv_cq(recv_cq)
-                .sq_depth(1024)
-                .rq_depth(1024),
-        )?;
-        let req_slot_len = 64u64 + max_value as u64;
-        let req_len = req_slot_len * slots as u64;
-        let req_buf = sim.alloc(node, req_len, 8)?;
-        let req_mr = sim.register_mr(node, req_buf, req_len, Access::all())?;
-        let resp_slot_len = max_value.max(8) as u64;
-        let resp_len = resp_slot_len * slots as u64;
-        let resp_buf = sim.alloc(node, resp_len, 8)?;
-        let resp_mr = sim.register_mr(node, resp_buf, resp_len, Access::all())?;
-        Ok(ClientEndpoint {
+                .sq_depth(depth)
+                .rq_depth(rq);
+            Ok((cq, recv_cq, sim.create_qp(node, cfg)?))
+        };
+        let early = early.map(|d| queues(sim, d, d)).transpose()?;
+        let mut mr = |len: u64, align: u64| {
+            let addr = sim.alloc(node, len * u64::from(slots), align)?;
+            sim.register_mr(node, addr, len * u64::from(slots), Access::all())
+        };
+        let (req, resp) = (
+            mr(req_slot_len, req_align)?,
+            mr(u64::from(max_value.max(8)), 8)?,
+        );
+        let service = deploy(sim, ClientDest::of(&resp))?;
+        let (cq, recv_cq, qp) = match early {
+            Some(q) => q,
+            None => queues(sim, 256, slots)?,
+        };
+        let ep = ClientEndpoint {
             node,
             qp,
             cq,
             recv_cq,
-            req_buf,
-            req_lkey: req_mr.lkey,
-            resp_buf,
-            resp_rkey: resp_mr.rkey,
-            resp_lkey: resp_mr.lkey,
+            req_buf: req.addr,
+            req_lkey: req.lkey,
+            resp_buf: resp.addr,
+            resp_rkey: resp.rkey,
+            resp_lkey: resp.lkey,
             slots,
             req_slot_len,
-            recvs_posted: Cell::new(0),
-            responses_reaped: Cell::new(0),
-            requests_posted: Cell::new(0),
-            requests_abandoned: Cell::new(0),
+            recvs_posted: Cell::default(),
+            responses_reaped: Cell::default(),
+            requests_posted: Cell::default(),
+            requests_abandoned: Cell::default(),
             payload: RefCell::default(),
-        })
+        };
+        Ok((ep, service))
     }
 
     /// Request staging address of `slot` (wraps modulo the slot count).

@@ -19,7 +19,8 @@
 //!   list-walk offload (the list-side counterpart of the hash table);
 //! * [`session`] — typed client sessions ([`Session`](session::Session))
 //!   over deployed [`OffloadService`](redn_core::offloads::OffloadService)s:
-//!   `get`/`walk` posting, typed pending handles, typed completion reaping;
+//!   `get`/`walk`/`put` posting, typed pending handles, typed completion
+//!   and put-result reaping;
 //! * [`serving`] — the pipelined multi-client serving layer: a
 //!   [`ServingFleet`](serving::ServingFleet) of per-client sessions over a
 //!   heterogeneous service mix (hash-gets + list-walks sharded across one

@@ -136,8 +136,9 @@ pub struct PendingGet {
     pub posted_at: Time,
 }
 
-/// A reaped pipelined-get completion (returned by
-/// [`Session::reap`](crate::session::Session::reap)).
+/// A reaped response completion (returned by
+/// [`Session::reap`](crate::session::Session::reap)): a get's, or, as
+/// [`ReapedWalk`](crate::session::ReapedWalk), a walk's.
 #[derive(Clone, Copy, Debug)]
 pub struct ReapedGet {
     /// The completed instance (from the response's immediate data).

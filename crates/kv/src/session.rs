@@ -11,34 +11,45 @@
 //!   (§3.4), returning [`PendingGet`] handles;
 //! * [`Session::walk`] / [`Session::walk_burst`] — linked-list
 //!   traversals (§3.3), returning [`PendingWalk`] handles;
-//! * [`Session::reap`] — drains response completions as a typed
-//!   [`Completion`] enum, so heterogeneous callers (the mixed
+//! * [`Session::put`] — replicated writes into a shard primary's
+//!   NIC-resident replication chain (this repo's §3.4 write path),
+//!   reaped by [`Session::reap_puts`] as typed [`PutAck`]s and
+//!   [`PutFailure`]s;
+//! * [`Session::reap`] — drains get and walk response completions as a
+//!   typed [`Completion`] enum, so heterogeneous callers (the mixed
 //!   [`ServingFleet`](crate::serving::ServingFleet)) can tell service
 //!   families apart without re-deriving them from context.
 //!
-//! Posting through the wrong session kind is an error, not a silent
-//! misroute: `session.walk(...)` on a get session fails before anything
-//! touches the wire.
+//! All three bodies share one endpoint, one instance window and one
+//! idle compare. Posting through the wrong session kind is an error,
+//! not a silent misroute: `session.walk(...)` on a get session fails
+//! before anything touches the wire.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use redn_core::ctx::OffloadCtx;
+use redn_core::ir::DeployOpts;
 use redn_core::offloads::hash_lookup::{HashGetOffload, HashGetVariant};
 use redn_core::offloads::list::{self, ListWalkOffload};
+use redn_core::offloads::replicate::{
+    encode_record_into, record_len, ReplicationBuilder, ReplicationLog, ReplicationOffload,
+    RECORD_HEADER,
+};
 use redn_core::offloads::service::OffloadService;
-use rnic_sim::cq::Cqe;
+use rnic_sim::cq::{Cqe, CqeStatus};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::NodeId;
 use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
+use rnic_sim::wqe::WorkRequest;
 
 use crate::cuckoo::CuckooTable;
 use crate::endpoint::ClientEndpoint;
 use crate::liststore::ListStore;
 use crate::memcached::{post_get_burst, reap_gets_into, MemcachedServer, PendingGet, ReapedGet};
 
-/// Deployment knobs shared by both session kinds (what the fleet varies
+/// Deployment knobs shared by every session kind (what the fleet varies
 /// per client when sharding services across the NIC).
 #[derive(Clone, Copy, Debug)]
 pub struct SessionOpts {
@@ -82,14 +93,9 @@ pub struct PendingWalk {
     pub posted_at: Time,
 }
 
-/// A reaped list-walk completion.
-#[derive(Clone, Copy, Debug)]
-pub struct ReapedWalk {
-    /// The completed instance's response tag (from the immediate).
-    pub instance: u64,
-    /// Simulated completion time.
-    pub at: Time,
-}
+/// A reaped list-walk completion: the same response tag and time as a
+/// get's.
+pub type ReapedWalk = ReapedGet;
 
 /// One reaped completion, typed by the service family that produced it.
 #[derive(Clone, Copy, Debug)]
@@ -106,19 +112,67 @@ impl Completion {
     /// [`Session::response_tag`] of the pending handle's instance.
     pub fn tag(&self) -> u64 {
         match self {
-            Completion::Get(g) => g.instance,
-            Completion::Walk(w) => w.instance,
+            Completion::Get(c) | Completion::Walk(c) => c.instance,
         }
     }
 
     /// Simulated completion time.
     pub fn at(&self) -> Time {
         match self {
-            Completion::Get(g) => g.at,
-            Completion::Walk(w) => w.at,
+            Completion::Get(c) | Completion::Walk(c) => c.at,
         }
     }
 }
+
+/// A successfully acked PUT.
+#[derive(Clone, Copy, Debug)]
+pub struct PutAck {
+    /// Global instance (= journal slot) of the write.
+    pub instance: u64,
+    /// The acked sequence number (`instance + 1`).
+    pub seq: u64,
+    /// The written key.
+    pub key: u64,
+    /// Simulated ack time.
+    pub at: Time,
+}
+
+/// A PUT that failed with a typed completion instead of an ack.
+#[derive(Clone, Copy, Debug)]
+pub struct PutFailure {
+    /// Global instance of the failed write.
+    pub instance: u64,
+    /// The key that was being written.
+    pub key: u64,
+    /// The CQE status the client observed (a dead primary surfaces
+    /// [`CqeStatus::RnrError`] after the dead-QP timeout).
+    pub status: CqeStatus,
+    /// Simulated failure time.
+    pub at: Time,
+}
+
+/// Everything one [`Session::reap_puts`] pass drained.
+#[derive(Clone, Debug, Default)]
+pub struct PutReap {
+    /// Acked writes.
+    pub acks: Vec<PutAck>,
+    /// Failed writes (typed errors — the §5.6 "no hangs" guarantee).
+    pub failures: Vec<PutFailure>,
+}
+
+/// One unresolved PUT occupying a window slot.
+#[derive(Clone, Copy, Debug)]
+struct PendingPut {
+    instance: u64,
+    key: u64,
+    /// Index of its SEND on the session's QP — what a send-side error
+    /// CQE names.
+    wqe_index: u64,
+    posted_at: Time,
+}
+
+/// CQEs one [`Session::reap_puts`] takes from each of its CQs at most.
+const PUT_POLL_BATCH: usize = 64;
 
 /// The service a session is bound to.
 enum Bound {
@@ -131,6 +185,47 @@ enum Bound {
     Walk {
         off: ListWalkOffload,
     },
+    Put {
+        off: ReplicationOffload,
+        /// Unresolved PUTs by window slot — `pipeline_depth` entries,
+        /// however many puts the session has carried. An ack names its
+        /// slot in the CQE immediate and must carry the sequence number
+        /// this table holds for that slot; anything else (a corrupted
+        /// ack word, a late ack for a superseded occupant) resolves
+        /// nothing.
+        pending: Vec<Option<PendingPut>>,
+    },
+}
+
+const NOT_PUT: &str = "session is not bound to a replication chain";
+
+/// Retire `put`'s window slot and record how it ended: acked when
+/// `status` is a success, failed with `status` otherwise.
+fn resolve(
+    off: &mut ReplicationOffload,
+    out: &mut PutReap,
+    put: PendingPut,
+    status: CqeStatus,
+    at: Time,
+) {
+    off.complete_instance();
+    let (instance, key) = (put.instance, put.key);
+    if status == CqeStatus::Success {
+        let seq = instance + 1;
+        out.acks.push(PutAck {
+            instance,
+            seq,
+            key,
+            at,
+        });
+    } else {
+        out.failures.push(PutFailure {
+            instance,
+            key,
+            status,
+            at,
+        });
+    }
 }
 
 /// One client's typed connection to one deployed offload service (see
@@ -142,8 +237,9 @@ pub struct Session {
     cqe_buf: Vec<Cqe>,
     /// Scratch typed-reap buffer reused across reaps.
     reap_buf: Vec<ReapedGet>,
-    /// The recv CQ's monotonic CQE count at the last poll that emptied
-    /// it: while the count stands there, the CQ holds nothing.
+    /// The polled CQs' monotonic CQE count at the last poll that emptied
+    /// them (the recv CQ; for puts, the send CQ too): while the count
+    /// stands there, they hold nothing.
     cq_seen: u64,
 }
 
@@ -219,6 +315,48 @@ impl Session {
         Session::bind(sim, ctx, ep, Bound::Walk { off })
     }
 
+    /// Deploy a replication chain through the shard primary's `ctx`
+    /// (its node and owner) forwarding to `journals`, and connect a
+    /// freshly created put endpoint on `client_node` to it: `pipeline_depth`
+    /// request slots of one record each, 8-byte ack slots, and a cyclic
+    /// ring of one ack RECV per slot. `start_slot` continues an existing
+    /// journal (post-failover rebuilds). Chains are always
+    /// self-recycling, whatever `opts.self_recycling` says.
+    pub fn connect_put(
+        sim: &mut Simulator,
+        ctx: &mut OffloadCtx,
+        client_node: NodeId,
+        journals: &[ReplicationLog],
+        start_slot: u64,
+        opts: SessionOpts,
+    ) -> Result<Session> {
+        let depth = opts.pipeline_depth;
+        let value_len = journals.first().map_or(0, |j| j.value_len);
+        let mut chain = ReplicationBuilder::new(ctx.node(), ctx.owner())
+            .value_len(value_len)
+            .pipeline_depth(depth)
+            .on_port(opts.port)
+            .on_pu(opts.pu_base)
+            .start_slot(start_slot);
+        for j in journals {
+            chain = chain.forward_to(j);
+        }
+        // The chain deploys between the endpoint's buffers and its
+        // queues, the order every resource id of a cluster follows.
+        let geometry = (depth, u64::from(record_len(value_len)), 64, 8);
+        let (ep, off) = ClientEndpoint::build(sim, client_node, geometry, None, |sim, ack| {
+            chain
+                .ack_to(ack)
+                .build_recycled(sim, ctx.pool_mut(), DeployOpts::default())
+        })?;
+        for _ in 0..depth {
+            sim.post_recv(ep.qp, WorkRequest::recv(0, 0, 0))?;
+        }
+        sim.set_rq_cyclic(ep.qp)?;
+        let pending = vec![None; depth as usize];
+        Session::bind(sim, ctx, ep, Bound::Put { off, pending })
+    }
+
     /// Connect `ep` to the freshly deployed service and prime a
     /// host-armed one to a full pipeline.
     fn bind(
@@ -250,6 +388,7 @@ impl Session {
         match &self.bound {
             Bound::Get { off, .. } => off,
             Bound::Walk { off } => off,
+            Bound::Put { off, .. } => off,
         }
     }
 
@@ -258,6 +397,16 @@ impl Session {
         match &mut self.bound {
             Bound::Get { off, .. } => off,
             Bound::Walk { off } => off,
+            Bound::Put { off, .. } => off,
+        }
+    }
+
+    /// The replication chain a put session drives (`None` for gets and
+    /// walks).
+    pub fn replication(&self) -> Option<&ReplicationOffload> {
+        match &self.bound {
+            Bound::Put { off, .. } => Some(off),
+            _ => None,
         }
     }
 
@@ -272,15 +421,12 @@ impl Session {
         self.service().ir_report()
     }
 
-    /// Optimized WQEs per request of the bound recycled service.
-    pub fn verbs_per_op(&self) -> Option<f64> {
-        self.service().verbs_per_op()
-    }
-
     /// Post one lookup (a one-element [`Session::get_burst`]).
     pub fn get(&mut self, sim: &mut Simulator, key: u64) -> Result<PendingGet> {
         let mut burst = self.get_burst(sim, &[key])?;
-        Ok(burst.pop().expect("one request posted"))
+        burst
+            .pop()
+            .ok_or(Error::InvalidWr("a one-key burst posted nothing"))
     }
 
     /// Post a burst of lookups under one doorbell. Errors on a walk
@@ -300,7 +446,7 @@ impl Session {
     ) -> Result<()> {
         let Bound::Get { off, table } = &mut self.bound else {
             return Err(Error::InvalidWr(
-                "session is bound to a list-walk service; use walk()/walk_burst()",
+                "session is not bound to a hash-get service",
             ));
         };
         post_get_burst(sim, off, &self.ep, table, keys, out)
@@ -309,7 +455,9 @@ impl Session {
     /// Post one traversal (a one-element [`Session::walk_burst`]).
     pub fn walk(&mut self, sim: &mut Simulator, head: u64, key: u64) -> Result<PendingWalk> {
         let mut burst = self.walk_burst(sim, &[(head, key)])?;
-        Ok(burst.pop().expect("one request posted"))
+        burst
+            .pop()
+            .ok_or(Error::InvalidWr("a one-walk burst posted nothing"))
     }
 
     /// Post a burst of traversals — `(head, key)` pairs — under one
@@ -334,7 +482,7 @@ impl Session {
     ) -> Result<()> {
         let Bound::Walk { off } = &mut self.bound else {
             return Err(Error::InvalidWr(
-                "session is bound to a hash-get service; use get()/get_burst()",
+                "session is not bound to a list-walk service",
             ));
         };
         let depth = off.pipeline_depth();
@@ -362,6 +510,139 @@ impl Session {
         )
     }
 
+    /// Post one PUT: claim a window slot (errors when the window is
+    /// full), stage `[seq = instance + 1][key][value]` into its request
+    /// slot and SEND it, signaled so a send-side failure names it.
+    /// Returns the claimed instance. Errors on a get or walk session and
+    /// for a value longer than the chain's.
+    pub fn put(&mut self, sim: &mut Simulator, key: u64, value: &[u8]) -> Result<u64> {
+        let Bound::Put { off, pending } = &mut self.bound else {
+            return Err(Error::InvalidWr(NOT_PUT));
+        };
+        let value_len = off.value_len();
+        if value.len() > value_len as usize {
+            return Err(Error::InvalidWr("value longer than the chain's value_len"));
+        }
+        let instance = off.take_instance()?;
+        let slot = off.slot(instance)?;
+        let addr = self.ep.req_slot(slot);
+        let mut rec = self.ep.payload.borrow_mut();
+        encode_record_into(&mut rec, instance + 1, key, value, value_len);
+        sim.mem_write(self.ep.node, addr, &rec)?;
+        let send = WorkRequest::send(addr, self.ep.req_lkey, rec.len() as u32).signaled();
+        let wqe_index = sim.post_send(self.ep.qp, send)?;
+        let posted_at = sim.now();
+        pending[slot as usize] = Some(PendingPut {
+            instance,
+            key,
+            wqe_index,
+            posted_at,
+        });
+        Ok(instance)
+    }
+
+    /// The value of `instance`'s put as staged in its request slot —
+    /// valid until the slot's next put (the host-side apply of an acked
+    /// write reads it here).
+    pub fn put_value<'a>(&self, sim: &'a mut Simulator, instance: u64) -> Result<&'a [u8]> {
+        let off = self.replication().ok_or(Error::InvalidWr(NOT_PUT))?;
+        let addr = self.ep.req_slot(off.slot(instance)?) + u64::from(RECORD_HEADER);
+        sim.mem(self.ep.node).read(addr, u64::from(off.value_len()))
+    }
+
+    /// Drain a put session's CQs: acks from the recv side, typed
+    /// failures from the send side. Does not step the simulator.
+    /// Everything the NIC wrote (the immediate, the ack word) is checked
+    /// against the session's pending table: a mismatch skips the CQE,
+    /// never panics. An idle reap — no CQE pushed to either CQ since a
+    /// reap emptied both — is one compare. Empty on a get or walk
+    /// session.
+    #[inline]
+    pub fn reap_puts(&mut self, sim: &mut Simulator) -> PutReap {
+        let total = sim.cq_total(self.ep.recv_cq) + sim.cq_total(self.ep.cq);
+        if total == self.cq_seen {
+            return PutReap::default();
+        }
+        self.drain_puts(sim, total)
+    }
+
+    /// The polls behind [`Session::reap_puts`], `total` being the two
+    /// CQs' CQE counts now.
+    fn drain_puts(&mut self, sim: &mut Simulator, total: u64) -> PutReap {
+        let mut out = PutReap::default();
+        let Bound::Put { off, pending } = &mut self.bound else {
+            return out;
+        };
+        let (ep, cqes) = (&self.ep, &mut self.cqe_buf);
+        cqes.clear();
+        let acked = sim.poll_cq_into(ep.recv_cq, PUT_POLL_BATCH, cqes);
+        let sent = sim.poll_cq_into(ep.cq, PUT_POLL_BATCH, cqes);
+        for (i, cqe) in cqes.drain(..).enumerate() {
+            let ok = cqe.status == CqeStatus::Success;
+            let put = match cqe.imm.map(u64::from) {
+                // An ack resolves its slot only if the slot's 8-byte ack
+                // word holds the occupant's seq = instance + 1.
+                Some(slot) if i < acked && ok => {
+                    let word = ep.resp_buf + slot * 8;
+                    let seq = sim.mem_read_u64(ep.node, word).unwrap_or(0);
+                    let slot = pending.get_mut(slot as usize);
+                    slot.and_then(|p| p.take_if(|p| p.instance.checked_add(1) == Some(seq)))
+                }
+                // A send-side error names the put by its SEND's index.
+                _ if i >= acked && !ok => pending
+                    .iter_mut()
+                    .find(|p| p.is_some_and(|p| p.wqe_index == cqe.wqe_index))
+                    .and_then(Option::take),
+                _ => None,
+            };
+            if let Some(put) = put {
+                resolve(off, &mut out, put, cqe.status, cqe.time);
+            }
+        }
+        // A poll that came back full may have left CQEs behind.
+        if acked.max(sent) < PUT_POLL_BATCH {
+            self.cq_seen = total;
+        }
+        out
+    }
+
+    /// Heartbeat failure suspicion for a put session (§5.6 detection):
+    /// true when puts are in flight and nothing has been heard for
+    /// longer than `timeout` — silence counted from the later of the
+    /// last ack CQE and the post of the oldest unresolved put, so quiet
+    /// from before that put was posted (an idle session, a freshly
+    /// connected one) is not evidence. False on a get or walk session.
+    pub fn suspect(&self, sim: &Simulator, timeout: Time) -> bool {
+        let Bound::Put { pending, .. } = &self.bound else {
+            return false;
+        };
+        let heard = sim.cq_last_completion(self.ep.recv_cq);
+        let oldest = pending.iter().flatten().map(|p| p.posted_at).min();
+        oldest.is_some_and(|t| sim.now() > heard.max(t) + timeout)
+    }
+
+    /// A put session's last word (failover's, before it drops the
+    /// session): reap what the CQs hold, then resolve every put still
+    /// pending against the `journaled` records its chain's journal
+    /// holds — acked with `seq = instance + 1` below that count, failed
+    /// with [`CqeStatus::RnrError`] at or above it — and empty the
+    /// window. Every put resolves exactly once across this and earlier
+    /// reaps.
+    pub fn settle_puts(&mut self, sim: &mut Simulator, journaled: u64) -> PutReap {
+        let mut out = self.reap_puts(sim);
+        if let Bound::Put { off, pending } = &mut self.bound {
+            for put in pending.iter_mut().filter_map(Option::take) {
+                let status = if put.instance < journaled {
+                    CqeStatus::Success
+                } else {
+                    CqeStatus::RnrError
+                };
+                resolve(off, &mut out, put, status, sim.now());
+            }
+        }
+        out
+    }
+
     /// Reap up to `max` completions, typed by the session's service
     /// family. Does not step the simulator.
     pub fn reap(&mut self, sim: &mut Simulator, max: usize) -> Vec<Completion> {
@@ -377,7 +658,8 @@ impl Session {
     /// poll emptied the CQ — is this one compare, inlined into the
     /// caller's loop. The count only says a CQE *may* be there; every
     /// reap that does happen polls the CQ and reads the completions as
-    /// placed.
+    /// placed. A put session's acks are not completions: it reaps
+    /// nothing here (see [`Session::reap_puts`]).
     #[inline]
     pub fn reap_into(
         &mut self,
@@ -402,21 +684,19 @@ impl Session {
         max: usize,
         out: &mut Vec<Completion>,
     ) {
+        let typed = match self.bound {
+            Bound::Get { .. } => Completion::Get,
+            Bound::Walk { .. } => Completion::Walk,
+            // Acks are not completions: they reap through reap_puts.
+            Bound::Put { .. } => return,
+        };
         self.reap_buf.clear();
         let reaped = reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, &mut self.reap_buf);
         // A poll that came back full may have left CQEs behind.
         if reaped < max {
             self.cq_seen = total;
         }
-        match self.bound {
-            Bound::Get { .. } => out.extend(self.reap_buf.drain(..).map(Completion::Get)),
-            Bound::Walk { .. } => out.extend(self.reap_buf.drain(..).map(|g| {
-                Completion::Walk(ReapedWalk {
-                    instance: g.instance,
-                    at: g.at,
-                })
-            })),
-        }
+        out.extend(self.reap_buf.drain(..).map(typed));
     }
 
     /// The response tag `instance`'s completion will carry (see
@@ -496,8 +776,114 @@ mod tests {
             assert_eq!(v[0], (p.key & 0xFF) as u8, "key {} value", p.key);
             session.complete();
         }
-        // A walk through a get session is a typed error.
+        // A walk or a put through a get session is a typed error.
         assert!(session.walk(&mut sim, 0x1000, 1).is_err());
+        assert!(matches!(
+            session.put(&mut sim, 1, &[0; 8]),
+            Err(Error::InvalidWr(_))
+        ));
+        assert!(session.reap_puts(&mut sim).acks.is_empty());
+    }
+
+    /// A client, a shard primary (serving pid) and a backup node holding
+    /// the journal, and a put session of depth 4 into the primary's
+    /// replication chain.
+    fn put_rig() -> (Simulator, Session) {
+        let mut sim = Simulator::new(SimConfig::default());
+        let mut node = |name| sim.add_node(name, HostConfig::default(), NicConfig::connectx5());
+        let nodes = [node("client"), node("primary"), node("backup")];
+        sim.connect_mesh(&nodes, LinkConfig::back_to_back());
+        let pid = sim.spawn_process(nodes[1], "serve", Some(ProcessId(0)));
+        let mut ctx = OffloadCtx::builder(nodes[1])
+            .owner(pid)
+            .build(&mut sim)
+            .unwrap();
+        let journal = ReplicationLog::create(&mut sim, nodes[2], ProcessId(0), 256, 16).unwrap();
+        let opts = SessionOpts::default();
+        let session =
+            Session::connect_put(&mut sim, &mut ctx, nodes[0], &[journal], 0, opts).unwrap();
+        (sim, session)
+    }
+
+    fn in_flight(session: &Session) -> u64 {
+        let off = session.service();
+        u64::from(off.pipeline_depth()) - off.instances_available()
+    }
+
+    #[test]
+    fn in_flight_table_stays_at_pipeline_depth() {
+        let (mut sim, mut session) = put_rig();
+        let depth = session.service().pipeline_depth() as usize;
+        for round in 0..10u8 {
+            for key in 0..depth as u64 {
+                session.put(&mut sim, key, &[round; 16]).unwrap();
+            }
+            assert_eq!(in_flight(&session), depth as u64);
+            sim.run().unwrap();
+            assert_eq!(session.reap_puts(&mut sim).acks.len(), depth);
+            let Bound::Put { pending, .. } = &session.bound else {
+                unreachable!("a put session")
+            };
+            assert_eq!(pending.len(), depth, "one entry per window slot");
+            assert!(pending.iter().all(Option::is_none));
+        }
+        assert_eq!(in_flight(&session), 0);
+    }
+
+    #[test]
+    fn corrupted_ack_word_resolves_nothing_and_does_not_panic() {
+        let (mut sim, mut session) = put_rig();
+        for key in 0..4 {
+            session.put(&mut sim, key, &[7; 16]).unwrap();
+        }
+        sim.run().unwrap();
+        // Slot 0's ack word names a sequence far outside the window,
+        // slot 1's the (valid) sequence of slot 2's occupant.
+        let (client, acks) = (session.endpoint().node, session.endpoint().resp_buf);
+        sim.mem_write_u64(client, acks, u64::MAX).unwrap();
+        sim.mem_write_u64(client, acks + 8, 3).unwrap();
+        let reaped = session.reap_puts(&mut sim);
+        let acked: Vec<u64> = reaped.acks.iter().map(|a| a.instance).collect();
+        assert_eq!(acked, [2, 3], "only acks matching their slot's put count");
+        assert!(reaped.failures.is_empty());
+        assert_eq!(
+            in_flight(&session),
+            2,
+            "the two unmatched puts stay in flight"
+        );
+    }
+
+    #[test]
+    fn put_session_serves_no_get_and_over_long_values_are_errors() {
+        let (mut sim, mut session) = put_rig();
+        assert!(matches!(session.get(&mut sim, 1), Err(Error::InvalidWr(_))));
+        assert!(matches!(
+            session.walk(&mut sim, 0x1000, 1),
+            Err(Error::InvalidWr(_))
+        ));
+        assert!(matches!(
+            session.put(&mut sim, 1, &[0; 17]),
+            Err(Error::InvalidWr(_))
+        ));
+        assert_eq!(in_flight(&session), 0, "a rejected put claims no slot");
+        let mut reaped = Vec::new();
+        let inst = session.put(&mut sim, 9, &[5; 16]).unwrap();
+        sim.run().unwrap();
+        session.reap_into(&mut sim, 16, &mut reaped);
+        assert!(reaped.is_empty(), "acks are not get/walk completions");
+        let acks = session.reap_puts(&mut sim).acks;
+        assert_eq!(
+            (acks.len(), acks[0].instance, acks[0].seq),
+            (1, inst, inst + 1)
+        );
+        assert_eq!(session.put_value(&mut sim, inst).unwrap(), [5; 16]);
+    }
+
+    #[test]
+    fn completion_keeps_its_size() {
+        // Put results have their own reap output: the get/walk reap's
+        // element stays 24 bytes.
+        assert_eq!(std::mem::size_of::<Completion>(), 24);
     }
 
     #[test]

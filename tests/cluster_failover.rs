@@ -6,6 +6,7 @@
 use redn::cluster::prelude::*;
 use redn::kv::session::SessionOpts;
 use rnic_sim::cq::CqeStatus;
+use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
 
 /// Keys owned by shard `s` that are NOT in the populated seed range, so
@@ -69,6 +70,10 @@ fn killed_primary_loses_no_acked_write() {
     let report = controller
         .fail_over(&mut sim, &mut cluster, &mut session, s)
         .unwrap();
+    assert!(
+        report.puts.acks.is_empty() && report.puts.failures.is_empty(),
+        "the reaped failure is not resolved a second time"
+    );
     assert_eq!(report.old_node, dead_node);
     assert_eq!(
         report.records_recovered, 10,
@@ -142,4 +147,143 @@ fn acked_writes_replicate_with_zero_primary_host_work() {
         posts,
         "steady-state replication posts no primary WQE"
     );
+}
+
+/// A small cluster, a connected session and the shard owning the first
+/// fresh key.
+fn small_cluster() -> (Simulator, Cluster, ClusterSession, usize) {
+    let (mut sim, mut cluster) = Cluster::deploy(ClusterSpec::small()).unwrap();
+    let session = ClusterSession::connect(&mut sim, &mut cluster, SessionOpts::default()).unwrap();
+    let s = cluster.shard_for(cluster.spec.nkeys + 1);
+    (sim, cluster, session, s)
+}
+
+/// Post one put per fresh key of shard `s`, a full window, without
+/// running the simulator. Returns the claimed instances.
+fn post_window(
+    sim: &mut Simulator,
+    cluster: &Cluster,
+    session: &mut ClusterSession,
+    s: usize,
+) -> Vec<u64> {
+    let keys = fresh_keys(cluster, s, cluster.spec.put_depth as usize);
+    keys.iter()
+        .map(|&key| {
+            let put = session.put_session_mut(s);
+            put.put(sim, key, &[key as u8; 16]).unwrap()
+        })
+        .collect()
+}
+
+/// Kill shard `s`'s primary and fail it over; then drain the simulator
+/// and reap the rebuilt session. Returns the report and that reap.
+fn kill_and_fail_over(
+    sim: &mut Simulator,
+    cluster: &mut Cluster,
+    session: &mut ClusterSession,
+    s: usize,
+) -> (FailoverReport, PutReap) {
+    let stack = &cluster.shards[cluster.serving_stack(s)];
+    assert!(sim.kill_process(stack.node, stack.pid));
+    let report = FailoverController::default()
+        .fail_over(sim, cluster, session, s)
+        .unwrap();
+    sim.run().unwrap();
+    let later = session.put_session_mut(s).reap(sim);
+    (report, later)
+}
+
+/// Every posted instance resolves exactly once across `reaps`.
+fn assert_resolved_once(posted: &[u64], reaps: &[&PutReap]) {
+    for &inst in posted {
+        let n: usize = reaps
+            .iter()
+            .map(|r| {
+                let acks = r.acks.iter().filter(|a| a.instance == inst).count();
+                acks + r.failures.iter().filter(|f| f.instance == inst).count()
+            })
+            .sum();
+        assert_eq!(n, 1, "instance {inst} resolved {n} times");
+    }
+}
+
+#[test]
+fn fail_over_acks_completed_puts_nobody_reaped() {
+    let (mut sim, mut cluster, mut session, s) = small_cluster();
+    let posted = post_window(&mut sim, &cluster, &mut session, s);
+    sim.run().unwrap();
+    let (report, later) = kill_and_fail_over(&mut sim, &mut cluster, &mut session, s);
+    assert_eq!(report.records_recovered, posted.len() as u64);
+    assert_resolved_once(&posted, &[&report.puts, &later]);
+    assert!(report.puts.failures.is_empty(), "every put was journaled");
+    for ack in &report.puts.acks {
+        assert_eq!(ack.seq, ack.instance + 1, "acked with its seq");
+    }
+    assert_eq!(report.puts.acks.len(), posted.len());
+}
+
+#[test]
+fn fail_over_fails_posted_puts_the_dead_primary_never_saw() {
+    let (mut sim, mut cluster, mut session, s) = small_cluster();
+    let posted = post_window(&mut sim, &cluster, &mut session, s);
+    let before = session.put_session_mut(s).reap(&mut sim);
+    let (report, later) = kill_and_fail_over(&mut sim, &mut cluster, &mut session, s);
+    assert_eq!(report.records_recovered, 0);
+    assert_resolved_once(&posted, &[&before, &report.puts, &later]);
+    assert!(report.puts.acks.is_empty(), "nothing reached the journal");
+    for f in &report.puts.failures {
+        assert_eq!(f.status, CqeStatus::RnrError);
+    }
+}
+
+#[test]
+fn heartbeat_counts_silence_from_the_oldest_pending_put() {
+    let controller = FailoverController::default();
+    let timeout = Time::from_us(200);
+    // An acked put, a millisecond of idle, then a put to the healthy
+    // primary: the idle millisecond predates the put and is no evidence.
+    let (mut sim, cluster, mut session, s) = small_cluster();
+    let keys = fresh_keys(&cluster, s, 2);
+    session
+        .put_blocking(&mut sim, &cluster, keys[0], &[1; 16])
+        .unwrap();
+    sim.run_for(Time::from_ms(1)).unwrap();
+    session
+        .put_session_mut(s)
+        .put(&mut sim, keys[1], &[2; 16])
+        .unwrap();
+    assert!(!session.put_session(s).suspect(&sim, timeout));
+    assert!(!controller.suspect(&sim, &session, s, None));
+    sim.run().unwrap();
+    assert_eq!(session.put_session_mut(s).reap(&mut sim).acks.len(), 1);
+
+    // A session connected at 1 ms — as fail_over rebuilds one — has an
+    // ack CQ that never completed anything: not evidence either.
+    let (mut sim, mut cluster) = Cluster::deploy(ClusterSpec::small()).unwrap();
+    sim.run_for(Time::from_ms(1)).unwrap();
+    let mut session =
+        ClusterSession::connect(&mut sim, &mut cluster, SessionOpts::default()).unwrap();
+    let key = fresh_keys(&cluster, s, 1)[0];
+    session
+        .put_session_mut(s)
+        .put(&mut sim, key, &[3; 16])
+        .unwrap();
+    assert!(!session.put_session(s).suspect(&sim, timeout));
+    assert!(!controller.suspect(&sim, &session, s, None));
+    sim.run().unwrap();
+    assert_eq!(session.put_session_mut(s).reap(&mut sim).acks.len(), 1);
+
+    // Silence past the timeout after a post to a dead primary still is.
+    let stack = &cluster.shards[cluster.serving_stack(s)];
+    assert!(sim.kill_process(stack.node, stack.pid));
+    let key = fresh_keys(&cluster, s, 2)[1];
+    session
+        .put_session_mut(s)
+        .put(&mut sim, key, &[4; 16])
+        .unwrap();
+    sim.run_for(timeout).unwrap();
+    assert!(!session.put_session(s).suspect(&sim, timeout));
+    sim.run_for(Time::from_ns(1)).unwrap();
+    assert!(session.put_session(s).suspect(&sim, timeout));
+    assert!(controller.suspect(&sim, &session, s, None));
 }
