@@ -190,7 +190,7 @@ fn break_walk() -> Result<()> {
         .pool_capacity(1 << 20)
         .build(&mut sim)?;
     let mut off = store
-        .walk_builder(&ctx)
+        .walk_builder(&ctx)?
         .respond_to(ep.dest())
         .max_nodes(6)
         .break_on_match()

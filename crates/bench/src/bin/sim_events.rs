@@ -4,6 +4,7 @@
 //! ```text
 //! cargo run -p redn_bench --release --bin sim_events                # small
 //! cargo run -p redn_bench --release --bin sim_events -- --large    # 128-client, ~1M-op sweep
+//! cargo run -p redn_bench --release --bin sim_events -- --large --threads 4
 //! cargo run -p redn_bench --release --bin sim_events -- --out x.json
 //! ```
 //!
@@ -20,7 +21,7 @@
 //!
 //! `--large` runs the 128-client, million-op closed-loop sweep as 16
 //! independent 8-client shards. Shards are distributed over
-//! `REDN_SIM_THREADS` worker threads; each shard builds its own
+//! `--threads N` worker threads (default 1); each shard builds its own
 //! simulator, so the partition — and therefore every simulated number —
 //! is identical for any thread count, and stats merge in shard order.
 
@@ -219,7 +220,7 @@ fn stages_json(sim: &Simulator) -> String {
 
 /// The `--large` sweep: `shards` independent closed-loop testbeds run on
 /// a worker pool, stats merged in shard order. The shard partition is
-/// fixed, so results are byte-identical for any `REDN_SIM_THREADS`.
+/// fixed, so results are byte-identical for any `--threads`.
 struct LargeSweep {
     clients: usize,
     total_ops: u64,
@@ -230,8 +231,22 @@ struct LargeSweep {
     wall_secs: f64,
 }
 
-fn large_sweep(shards: usize, clients_per_shard: usize, ops_per_client: u64) -> LargeSweep {
-    let threads = SimConfig::threads_from_env();
+/// Worker threads for the sharded sweeps, from `--threads N`: clamped to
+/// `1..=64`; 1 when absent or unparsable.
+fn threads_arg(args: &[String]) -> usize {
+    args.iter()
+        .position(|a| a == "--threads")
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .map_or(1, |n| n.clamp(1, 64))
+}
+
+fn large_sweep(
+    shards: usize,
+    clients_per_shard: usize,
+    ops_per_client: u64,
+    threads: usize,
+) -> LargeSweep {
     let cfg = SweepConfig {
         clients: clients_per_shard,
         pipeline_depth: 8,
@@ -300,6 +315,7 @@ fn row_json(name: &str, m: &Measured) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let large = args.iter().any(|a| a == "--large");
+    let threads = threads_arg(&args);
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -365,7 +381,7 @@ fn main() {
     // Sharded closed-loop sweeps. The small one always runs (its
     // simulated throughput is the deterministic CI anchor); `--large`
     // adds the 128-client, million-op row.
-    let sweep = large_sweep(4, 4, 128); // 16 clients, 2K ops
+    let sweep = large_sweep(4, 4, 128, threads); // 16 clients, 2K ops
     println!(
         "sweep    {} clients  {} ops  {:.0} simulated ops/s  {} timeouts  ({} threads, {:.2}s wall)",
         sweep.clients,
@@ -381,7 +397,7 @@ fn main() {
         sweep.clients, sweep.total_ops, sweep.sim_ops_per_sec, sweep.timeouts, sweep.threads, sweep.wall_secs
     ));
     if large {
-        let big = large_sweep(16, 8, 8_192); // 128 clients, ~1.05M ops
+        let big = large_sweep(16, 8, 8_192, threads); // 128 clients, ~1.05M ops
         println!(
             "large    {} clients  {} ops  {:.0} simulated ops/s  {} timeouts  ({} threads, {:.2}s wall)",
             big.clients,
@@ -399,4 +415,15 @@ fn main() {
     out.push_str("\n}\n");
     std::fs::write(&out_path, out).expect("write artifact");
     println!("# wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn threads_flag_is_clamped_to_1_through_64() {
+        let parse = |v: &str| super::threads_arg(&["--threads".into(), v.into()]);
+        assert_eq!(parse("0"), 1);
+        assert_eq!(parse("4"), 4);
+        assert_eq!(parse("1000"), 64);
+    }
 }

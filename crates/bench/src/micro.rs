@@ -238,7 +238,7 @@ fn while_ring(
         node: ctx.node(),
         owner: ctx.owner(),
         pu: None,
-        port: ctx.port(),
+        port: 0,
     });
     for wr in [
         WorkRequest::cas(word, rkey, u64::MAX, 0, 0, 0),

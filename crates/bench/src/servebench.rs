@@ -549,7 +549,7 @@ pub fn sync_baseline_ops_per_sec(
     let value_len = server.table.borrow().heap.slot_len;
     let ep = ClientEndpoint::create(sim, client_node, value_len)?;
     let mut off = server
-        .redn_builder(ctx)
+        .redn_builder(ctx)?
         .respond_to(ep.dest())
         .variant(variant)
         .build(sim)?;

@@ -20,10 +20,8 @@
 //! ```
 
 use crate::cluster::Cluster;
-use crate::session::{ClusterSession, PutReap, PutSession};
-use redn_core::offloads::hash_lookup::HashGetVariant;
+use crate::session::{ClusterSession, PutReap};
 use redn_core::offloads::replicate::ReplicationLog;
-use redn_kv::session::{Session, SessionOpts};
 use rnic_sim::cq::CqeStatus;
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -193,20 +191,10 @@ impl FailoverController {
         }
         let rereplicated_at = sim.now();
 
-        // Rebind the client: a new get session and a new put chain on
-        // the promoted stack, sequence continuing past the recovery.
-        let client = cluster.client;
-        let shard = &mut cluster.shards[promoted];
-        let get = Session::connect_get(
-            sim,
-            &mut shard.ctx,
-            &shard.server,
-            client,
-            HashGetVariant::Sequential,
-            SessionOpts::default(),
-        )?;
-        let put = PutSession::connect(sim, cluster, promoted, &[new_journal], recovered)?;
-        session.rebind(s, get, put);
+        // Rebind the client: new get sessions (every tenant lane, with
+        // the options it was connected with) and a new put chain on the
+        // promoted stack, sequence continuing past the recovery.
+        session.rebind(sim, cluster, s, promoted, &[new_journal], recovered)?;
 
         Ok(FailoverReport {
             shard: s,

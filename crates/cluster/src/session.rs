@@ -12,7 +12,7 @@
 //! [`CqeStatus::RnrError`]: rnic_sim::cq::CqeStatus::RnrError
 
 use crate::cluster::Cluster;
-use redn_core::ir::analysis::{AnalysisReport, DeploymentVerifier};
+use redn_core::ir::analysis::{self, AnalysisReport, DeploymentVerifier};
 use redn_core::offloads::hash_lookup::HashGetVariant;
 use redn_core::offloads::replicate::{ReplicationLog, ReplicationOffload};
 use redn_kv::cuckoo::CuckooTable;
@@ -139,6 +139,33 @@ impl PutSession {
     }
 }
 
+/// Connect tenant lane `t`'s get session to the shard stack at
+/// `cluster.shards[stack]`: `opts` with the lane's PUs from
+/// `opts.pu_base + 2t` onward.
+fn connect_lane(
+    sim: &mut Simulator,
+    cluster: &mut Cluster,
+    stack: usize,
+    t: usize,
+    opts: SessionOpts,
+) -> Result<Session> {
+    let client = cluster.client;
+    let shard = &mut cluster.shards[stack];
+    let npus = sim.nic_config(shard.node).pus_per_port.max(1);
+    let lane_opts = SessionOpts {
+        pu_base: (opts.pu_base + 2 * t) % npus,
+        ..opts
+    };
+    Session::connect_get(
+        sim,
+        &mut shard.ctx,
+        &shard.server,
+        client,
+        HashGetVariant::Sequential,
+        lane_opts,
+    )
+}
+
 /// A cluster-wide typed client: one get [`Session`] per shard (per
 /// tenant, when connected multi-tenant) and one [`PutSession`] per
 /// shard, fanned out by the cluster's router.
@@ -149,6 +176,9 @@ pub struct ClusterSession {
     puts: Vec<PutSession>,
     /// Tenant lanes sharing the shards (0 = untenanted).
     ntenants: usize,
+    /// The options the get lanes were connected with (failover
+    /// reconnects with them).
+    opts: SessionOpts,
     value_len: u32,
     /// Connect-time non-interference proof (clean by construction — a
     /// dirty report aborts [`ClusterSession::connect`]).
@@ -190,21 +220,7 @@ impl ClusterSession {
         let mut puts = Vec::with_capacity(n);
         for t in 0..lanes {
             for s in 0..n {
-                let client = cluster.client;
-                let shard = &mut cluster.shards[s];
-                let npus = sim.nic_config(shard.node).pus_per_port.max(1);
-                let lane_opts = SessionOpts {
-                    pu_base: (opts.pu_base + 2 * t) % npus,
-                    ..opts
-                };
-                gets.push(Session::connect_get(
-                    sim,
-                    &mut shard.ctx,
-                    &shard.server,
-                    client,
-                    HashGetVariant::Sequential,
-                    lane_opts,
-                )?);
+                gets.push(connect_lane(sim, cluster, s, t, opts)?);
             }
         }
         for s in 0..n {
@@ -251,17 +267,12 @@ impl ClusterSession {
             }
         }
         let isolation = verifier.verify();
-        if let Some(d) = isolation.diagnostics.first() {
-            return Err(Error::Verifier(format!(
-                "cluster isolation[{}]: {}",
-                d.rule.name(),
-                d.message
-            )));
-        }
+        analysis::first_error(&isolation.diagnostics, "cluster isolation")?;
         Ok(ClusterSession {
             gets,
             puts,
             ntenants: tenants.len(),
+            opts,
             value_len: cluster.spec.value_len,
             isolation,
         })
@@ -295,11 +306,25 @@ impl ClusterSession {
         &mut self.puts[s]
     }
 
-    /// Replace shard `s`'s sessions (failover rebinds them to the
-    /// promoted stack).
-    pub fn rebind(&mut self, s: usize, get: Session, put: PutSession) {
-        self.gets[s] = get;
-        self.puts[s] = put;
+    /// Rebind shard `s` to the promoted stack `stack` (failover): every
+    /// tenant lane's get session is reconnected with the connect
+    /// options, then a put session on a chain forwarding to `journals`
+    /// from `start_slot`.
+    pub fn rebind(
+        &mut self,
+        sim: &mut Simulator,
+        cluster: &mut Cluster,
+        s: usize,
+        stack: usize,
+        journals: &[ReplicationLog],
+        start_slot: u64,
+    ) -> Result<()> {
+        let n = self.puts.len();
+        for t in 0..self.ntenants.max(1) {
+            self.gets[t * n + s] = connect_lane(sim, cluster, stack, t, self.opts)?;
+        }
+        self.puts[s] = PutSession::connect(sim, cluster, stack, journals, start_slot)?;
+        Ok(())
     }
 
     /// Route, post, and drain one get. Returns the value bytes, or a
@@ -349,5 +374,35 @@ impl ClusterSession {
             ));
         }
         Err(Error::InvalidWr("put never completed (shard unreachable)"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterSpec;
+    use crate::failover::FailoverController;
+
+    #[test]
+    fn fail_over_rebinds_every_tenant_lane_of_the_shard() {
+        let (mut sim, mut cluster) = Cluster::deploy(ClusterSpec::small()).unwrap();
+        let opts = SessionOpts {
+            pipeline_depth: 2,
+            ..SessionOpts::default()
+        };
+        let mut session =
+            ClusterSession::connect_tenants(&mut sim, &mut cluster, opts, &["a", "b"]).unwrap();
+        let stack = &cluster.shards[cluster.serving_stack(1)];
+        assert!(sim.kill_process(stack.node, stack.pid));
+        FailoverController::default()
+            .fail_over(&mut sim, &mut cluster, &mut session, 1)
+            .unwrap();
+        let promoted = cluster.shards[cluster.serving_stack(1)].node;
+        let n = cluster.shards.len();
+        for t in 0..2 {
+            let lane = session.gets[t * n + 1].service();
+            assert_eq!(lane.tp.node, promoted, "tenant {t} follows the promotion");
+            assert_eq!(lane.pipeline_depth(), 2, "tenant {t} keeps its depth");
+        }
     }
 }

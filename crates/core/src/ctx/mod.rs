@@ -33,7 +33,10 @@
 //!
 //! Offload deployment collects **typed capabilities** instead of loose
 //! keys (see `caps`): `ctx.hash_get().table(t).values(v).respond_to(d)
-//! .variant(Parallel).build(&mut sim)`.
+//! .variant(Parallel).build(&mut sim)`. Hash-get, list-walk and
+//! replication share one [`OffloadBuilder`]: the frame's parameters
+//! (`respond_to`, `on_port`, `on_pu`, `pipeline_depth`) and its `build`
+//! / `build_recycled` are written once.
 //!
 //! This module is the *only* construction path: the raw constructors it
 //! replaced (`ChainQueue::create*`, `TriggerPoint::create*`,
@@ -46,10 +49,10 @@ mod program;
 mod queues;
 
 pub use caps::{ClientDest, TableRegion, ValueSource};
-pub use offloads::{HashGetBuilder, ListWalkBuilder};
+pub use offloads::{HashGet, ListWalk, OffloadBuilder, OffloadFamily, Replication};
 pub(crate) use offloads::{HashGetSpec, ListWalkSpec};
 pub use program::{ArmedProgram, ChainProgram};
-pub use queues::{ChainQueueBuilder, ConstPoolBuilder, TriggerPointBuilder};
+pub use queues::{ChainQueueBuilder, TriggerPointBuilder};
 
 use rnic_sim::error::Result;
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -70,7 +73,6 @@ const PROGRAM_ACTION_DEPTH: u32 = 2048;
 pub struct OffloadCtx {
     node: NodeId,
     owner: ProcessId,
-    port: usize,
     pool: ConstPool,
     /// Cached (ctrl, actions) queue pair backing [`OffloadCtx::chain_program`].
     program_queues: Option<(ChainQueue, ChainQueue)>,
@@ -81,7 +83,6 @@ pub struct OffloadCtx {
 pub struct OffloadCtxBuilder {
     node: NodeId,
     owner: ProcessId,
-    port: usize,
     pool_capacity: u64,
 }
 
@@ -90,12 +91,6 @@ impl OffloadCtxBuilder {
     /// experiments re-parent offloads by picking a hull process here).
     pub fn owner(mut self, owner: ProcessId) -> OffloadCtxBuilder {
         self.owner = owner;
-        self
-    }
-
-    /// Default NIC port for queues and offloads built from this context.
-    pub fn on_port(mut self, port: usize) -> OffloadCtxBuilder {
-        self.port = port;
         self
     }
 
@@ -111,7 +106,6 @@ impl OffloadCtxBuilder {
         Ok(OffloadCtx {
             node: self.node,
             owner: self.owner,
-            port: self.port,
             pool,
             program_queues: None,
         })
@@ -120,12 +114,13 @@ impl OffloadCtxBuilder {
 
 impl OffloadCtx {
     /// Start building a context for offloads living on `node`.
-    /// Defaults: owner process 0, NIC port 0, 1 MiB constant pool.
+    /// Defaults: owner process 0, 1 MiB constant pool. Queues, trigger
+    /// points and offloads built from it take NIC port 0 unless their
+    /// own builder's `on_port` says otherwise.
     pub fn builder(node: NodeId) -> OffloadCtxBuilder {
         OffloadCtxBuilder {
             node,
             owner: ProcessId(0),
-            port: 0,
             pool_capacity: DEFAULT_POOL_CAPACITY,
         }
     }
@@ -145,11 +140,6 @@ impl OffloadCtx {
         self.owner
     }
 
-    /// Default NIC port.
-    pub fn port(&self) -> usize {
-        self.port
-    }
-
     /// The context-owned constant pool.
     pub fn pool(&self) -> &ConstPool {
         &self.pool
@@ -161,15 +151,15 @@ impl OffloadCtx {
     }
 
     /// Fluent chain-queue builder, prefilled with this context's
-    /// node/owner/port.
+    /// node/owner.
     pub fn chain_queue(&self) -> ChainQueueBuilder {
-        ChainQueueBuilder::new(self.node, self.owner).on_port(self.port)
+        ChainQueueBuilder::new(self.node, self.owner)
     }
 
     /// Fluent trigger-point builder, prefilled with this context's
-    /// node/owner/port.
+    /// node/owner.
     pub fn trigger_point(&self) -> TriggerPointBuilder {
-        TriggerPointBuilder::new(self.node, self.owner).on_port(self.port)
+        TriggerPointBuilder::new(self.node, self.owner)
     }
 
     /// Start a [`ChainProgram`] over the context's cached control/action
@@ -206,14 +196,23 @@ impl OffloadCtx {
         Ok(ChainProgram::new(self, ctrl_q, act_q))
     }
 
-    /// Fluent hash-get offload deployment (Fig 9/11).
-    pub fn hash_get(&self) -> HashGetBuilder {
-        HashGetBuilder::new(self.node, self.owner, self.port)
+    /// Fluent hash-get offload deployment (Fig 9/11; depth 1 by
+    /// default).
+    pub fn hash_get(&self) -> OffloadBuilder<HashGet> {
+        OffloadBuilder::new(self, 1, HashGet::default())
     }
 
-    /// Fluent list-walk offload deployment (Fig 12/13).
-    pub fn list_walk(&self) -> ListWalkBuilder {
-        ListWalkBuilder::new(self.node, self.owner)
+    /// Fluent list-walk offload deployment (Fig 12/13; depth 1, 64-byte
+    /// values, 8 nodes by default).
+    pub fn list_walk(&self) -> OffloadBuilder<ListWalk> {
+        OffloadBuilder::new(self, 1, ListWalk::default())
+    }
+
+    /// Fluent replication-chain deployment on this shard primary (§3.4
+    /// applied to the write path; depth 4, 16-byte values by default).
+    /// Always self-recycling: deploy with `build_recycled`.
+    pub fn replication(&self) -> OffloadBuilder<Replication> {
+        OffloadBuilder::new(self, 4, Replication::default())
     }
 
     /// Compile a Turing machine to a self-modifying RDMA ring on this
@@ -248,13 +247,11 @@ mod tests {
         let (mut sim, node) = rig();
         let mut ctx = OffloadCtx::builder(node)
             .owner(ProcessId(0))
-            .on_port(0)
             .pool_capacity(4096)
             .build(&mut sim)
             .unwrap();
         assert_eq!(ctx.node(), node);
         assert_eq!(ctx.owner(), ProcessId(0));
-        assert_eq!(ctx.port(), 0);
         let q = ctx.chain_queue().depth(8).build(&mut sim).unwrap();
         assert_eq!(q.node, node);
         let a = ctx.pool_mut().push_u64(&mut sim, 3).unwrap();
@@ -297,7 +294,7 @@ mod tests {
             node: ctx.node(),
             owner: ctx.owner(),
             pu: None,
-            port: ctx.port(),
+            port: 0,
         });
         let add = Kind::FetchAdd {
             target: Loc::raw(ctr, cmr.rkey),

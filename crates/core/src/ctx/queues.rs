@@ -1,5 +1,7 @@
-//! Fluent builders for the server-side offload resources: chain queues,
-//! trigger points, and constant pools.
+//! Fluent builders for the server-side offload resources: chain queues
+//! and trigger points (a constant pool comes with every
+//! [`OffloadCtx`](crate::ctx::OffloadCtx), or from
+//! [`ConstPool::create`](crate::program::ConstPool::create)).
 //!
 //! These builders are the **only** place in the crate that performs the
 //! underlying QP/CQ/MR plumbing (the old free-standing constructors were
@@ -11,11 +13,11 @@ use rnic_sim::qp::QpConfig;
 use rnic_sim::sim::Simulator;
 
 use crate::offloads::rpc::TriggerPoint;
-use crate::program::{ChainQueue, ConstPool};
+use crate::program::ChainQueue;
 
 /// Fluent builder for a loopback [`ChainQueue`]. Obtain one from
 /// [`OffloadCtx::chain_queue`](crate::ctx::OffloadCtx::chain_queue) (which
-/// fills in node/owner/port) or standalone via [`ChainQueueBuilder::new`].
+/// fills in node/owner) or standalone via [`ChainQueueBuilder::new`].
 #[derive(Clone, Copy, Debug)]
 pub struct ChainQueueBuilder {
     node: NodeId,
@@ -188,38 +190,6 @@ impl TriggerPointBuilder {
     }
 }
 
-/// Fluent builder for an extra [`ConstPool`] beyond the one every
-/// [`OffloadCtx`](crate::ctx::OffloadCtx) owns.
-#[derive(Clone, Copy, Debug)]
-pub struct ConstPoolBuilder {
-    node: NodeId,
-    owner: ProcessId,
-    capacity: u64,
-}
-
-impl ConstPoolBuilder {
-    /// Start building a pool on `node` owned by `owner`. Default
-    /// capacity: 1 MiB.
-    pub fn new(node: NodeId, owner: ProcessId) -> ConstPoolBuilder {
-        ConstPoolBuilder {
-            node,
-            owner,
-            capacity: 1 << 20,
-        }
-    }
-
-    /// Pool capacity in bytes.
-    pub fn capacity(mut self, bytes: u64) -> ConstPoolBuilder {
-        self.capacity = bytes;
-        self
-    }
-
-    /// Allocate and register the pool.
-    pub fn build(self, sim: &mut Simulator) -> Result<ConstPool> {
-        ConstPool::create(sim, self.node, self.capacity, self.owner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,16 +232,5 @@ mod tests {
             .unwrap();
         assert_eq!(tp.node, n);
         assert_ne!(tp.recv_cq, tp.send_cq);
-    }
-
-    #[test]
-    fn const_pool_builder_round_trips() {
-        let (mut sim, n) = sim_one();
-        let mut pool = ConstPoolBuilder::new(n, ProcessId(0))
-            .capacity(256)
-            .build(&mut sim)
-            .unwrap();
-        let a = pool.push_u64(&mut sim, 0xABCD).unwrap();
-        assert_eq!(sim.mem_read_u64(n, a).unwrap(), 0xABCD);
     }
 }

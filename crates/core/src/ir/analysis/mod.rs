@@ -222,9 +222,16 @@ pub(crate) fn check(
 ) -> Result<()> {
     let mut diagnostics = Vec::new();
     run_passes(p, pm, graph, sim, &mut diagnostics);
-    match diagnostics.into_iter().next() {
+    first_error(&diagnostics, "analysis")
+}
+
+/// The one exit for a failed verification: the first of `diagnostics`
+/// becomes `Error::Verifier("{scope}[{rule}]: {message}")`; none is
+/// `Ok`. Deploys, fleets and clusters all reject through it.
+pub fn first_error(diagnostics: &[Diagnostic], scope: &str) -> Result<()> {
+    match diagnostics.first() {
         Some(d) => Err(Error::Verifier(format!(
-            "analysis[{}]: {}",
+            "{scope}[{}]: {}",
             d.rule.name(),
             d.message
         ))),

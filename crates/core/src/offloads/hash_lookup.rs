@@ -26,17 +26,17 @@
 //! retired, and how a self-recycling round is framed and re-armed is the
 //! shared frame in [`service`](crate::offloads::service), in both modes:
 //!
-//! * **host-armed** ([`HashGetBuilder::build`]): every instance is
+//! * **host-armed** ([`OffloadBuilder::build`]): every instance is
 //!   staged by a host [`OffloadService::arm`] call — the latency-bench
 //!   mode (it keeps the Fig 11 PU-parallel probes); the frame claims,
 //!   lowers, posts and triggers it, this module adds the WAIT/ENABLE
 //!   ladder;
-//! * **self-recycling** ([`HashGetBuilder::build_recycled`]): one round
+//! * **self-recycling** ([`OffloadBuilder::build_recycled`]): one round
 //!   of `pipeline_depth` instances is staged at deploy and the NIC
 //!   re-arms it forever, leaving zero host work on the serving path.
 //!
-//! [`HashGetBuilder::build`]: crate::ctx::HashGetBuilder::build
-//! [`HashGetBuilder::build_recycled`]: crate::ctx::HashGetBuilder::build_recycled
+//! [`OffloadBuilder::build`]: crate::ctx::OffloadBuilder::build
+//! [`OffloadBuilder::build_recycled`]: crate::ctx::OffloadBuilder::build_recycled
 
 use std::ops::{Deref, DerefMut};
 
@@ -68,9 +68,10 @@ pub fn encode_bucket(value_ptr: u64, key: u64) -> [u8; BUCKET_SIZE as usize] {
 }
 
 /// Probe scheduling for multi-bucket lookups (Fig 11).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum HashGetVariant {
     /// One candidate bucket (no-collision fast path of Fig 10).
+    #[default]
     Single,
     /// Two buckets probed back-to-back on one chain queue.
     Sequential,
@@ -270,7 +271,7 @@ fn probe_scatter(read: OpId, cas: OpId) -> [SgeSpec; 2] {
 
 impl HashGetOffload {
     /// Deploy the host-armed offload's queues (called by
-    /// [`HashGetBuilder`](crate::ctx::HashGetBuilder)).
+    /// [`OffloadBuilder`](crate::ctx::OffloadBuilder)).
     pub(crate) fn deploy(sim: &mut Simulator, spec: HashGetSpec) -> Result<HashGetOffload> {
         let f = spec.frame;
         let frame = ServiceFrame::host_armed(sim, f)?;

@@ -22,19 +22,19 @@
 //! framing of a self-recycling round are the shared frame in
 //! [`service`](crate::offloads::service). Two deployment modes:
 //!
-//! * **host-armed** ([`ListWalkBuilder::build`]): every walk instance is
+//! * **host-armed** ([`OffloadBuilder::build`]): every walk instance is
 //!   staged by a host [`OffloadService::arm`] call (the only mode the
 //!   `+break` variant runs in); the frame claims, lowers, posts and
 //!   triggers it, this module adds the WAIT/ENABLE ladder.
-//! * **self-recycling** ([`ListWalkBuilder::build_recycled`]): one ring
+//! * **self-recycling** ([`OffloadBuilder::build_recycled`]): one ring
 //!   of `pipeline_depth` walk instances is staged at deploy and the NIC
 //!   re-arms it forever. The R3 key-copy is folded into the trigger
 //!   RECV's scatter (the client repeats `x` once per iteration), which
 //!   caps `max_nodes` at 15 under the 16-SGE RECV limit — exactly the
 //!   trade-off §5.3 describes.
 //!
-//! [`ListWalkBuilder::build`]: crate::ctx::ListWalkBuilder::build
-//! [`ListWalkBuilder::build_recycled`]: crate::ctx::ListWalkBuilder::build_recycled
+//! [`OffloadBuilder::build`]: crate::ctx::OffloadBuilder::build
+//! [`OffloadBuilder::build_recycled`]: crate::ctx::OffloadBuilder::build_recycled
 
 use std::ops::{Deref, DerefMut};
 
@@ -356,7 +356,7 @@ fn key_cas(target: OpId, into: Opcode) -> OpBuild {
 
 impl ListWalkOffload {
     /// Deploy the host-armed offload's queues (called by
-    /// [`ListWalkBuilder`](crate::ctx::ListWalkBuilder)).
+    /// [`OffloadBuilder`](crate::ctx::OffloadBuilder)).
     pub(crate) fn deploy(sim: &mut Simulator, spec: ListWalkSpec) -> Result<ListWalkOffload> {
         let f = spec.frame;
         let frame = ServiceFrame::host_armed(sim, f)?;

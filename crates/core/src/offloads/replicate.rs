@@ -43,7 +43,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use crate::ctx::ClientDest;
+use crate::ctx::Replication;
 use crate::encode::WqeField;
 use crate::ir::{DeployOpts, EnableTarget, Kind, Loc, OpBuild, WaitCond};
 use crate::offloads::service::{
@@ -154,84 +154,7 @@ impl ReplicationLog {
     }
 }
 
-/// Builder for a [`ReplicationOffload`] on a shard primary.
-pub struct ReplicationBuilder {
-    node: NodeId,
-    owner: ProcessId,
-    value_len: u32,
-    pipeline_depth: u32,
-    port: usize,
-    pu_base: usize,
-    backups: Vec<ReplicationLog>,
-    ack: Option<ClientDest>,
-    start_slot: u64,
-}
-
-impl ReplicationBuilder {
-    /// Start building a replication chain on `node`, with all
-    /// primary-side resources owned by `owner` (so a `kill_process` of
-    /// the serving pid takes the whole chain down — the failover drill).
-    pub fn new(node: NodeId, owner: ProcessId) -> ReplicationBuilder {
-        ReplicationBuilder {
-            node,
-            owner,
-            value_len: 16,
-            pipeline_depth: 4,
-            port: 0,
-            pu_base: 0,
-            backups: Vec::new(),
-            ack: None,
-            start_slot: 0,
-        }
-    }
-
-    /// First journal slot the chain appends to (default 0). A re-built
-    /// chain after failover sets this to the number of records already
-    /// recovered into the journal, so the sequence continues instead of
-    /// overwriting history; the first claimed instance is then
-    /// `start_slot` and its record must carry `seq = start_slot + 1`.
-    pub fn start_slot(mut self, slot: u64) -> ReplicationBuilder {
-        self.start_slot = slot;
-        self
-    }
-
-    /// Bytes per value (default 16).
-    pub fn value_len(mut self, len: u32) -> ReplicationBuilder {
-        self.value_len = len;
-        self
-    }
-
-    /// In-flight PUT slots (default 4) — the client's window.
-    pub fn pipeline_depth(mut self, depth: u32) -> ReplicationBuilder {
-        self.pipeline_depth = depth;
-        self
-    }
-
-    /// NIC port for the primary-side queues.
-    pub fn on_port(mut self, port: usize) -> ReplicationBuilder {
-        self.port = port;
-        self
-    }
-
-    /// First processing unit; queues spread over consecutive PUs.
-    pub fn on_pu(mut self, pu: usize) -> ReplicationBuilder {
-        self.pu_base = pu;
-        self
-    }
-
-    /// Add a backup journal the chain forwards every acked PUT to.
-    pub fn forward_to(mut self, journal: &ReplicationLog) -> ReplicationBuilder {
-        self.backups.push(*journal);
-        self
-    }
-
-    /// Client ack buffer: `pipeline_depth` 8-byte slots receiving each
-    /// acked record's `seq` as a WRITE_IMM (immediate = slot index).
-    pub fn ack_to(mut self, dest: ClientDest) -> ReplicationBuilder {
-        self.ack = Some(dest);
-        self
-    }
-
+impl ReplicationOffload {
     /// Deploy the chain as one verifier-checked recycled IR program: the
     /// frame's round (see [`service`](crate::offloads::service); the
     /// trigger WAIT means "client PUT k landed in staging", the released
@@ -243,59 +166,54 @@ impl ReplicationBuilder {
     /// WAIT(fwd_cq_b, F_k)  per b    -- record durable on backup b
     /// FETCH_ADD(fwd_b[k].raddr, K*rec_len)  -- journal append pointer
     /// ```
-    pub fn build_recycled(
-        self,
+    ///
+    /// Called by [`OffloadBuilder`](crate::ctx::OffloadBuilder), whose
+    /// frame check has already run; the journal checks below also run
+    /// before anything is allocated.
+    pub(crate) fn deploy(
         sim: &mut Simulator,
+        spec: FrameSpec,
+        chain: Replication,
         pool: &mut ConstPool,
         opts: DeployOpts,
     ) -> Result<ReplicationOffload> {
-        let ack = self.ack.ok_or(Error::InvalidWr(
-            "replication chain needs ack_to(client dest)",
-        ))?;
-        if self.backups.is_empty() {
+        let Replication {
+            journals: backups,
+            value_len,
+            start_slot,
+        } = chain;
+        if backups.is_empty() {
             return Err(Error::InvalidWr(
                 "replication chain needs at least one forward_to(journal)",
             ));
         }
-        if self.pipeline_depth == 0 {
-            return Err(Error::InvalidWr("replication pipeline_depth must be >= 1"));
-        }
-        let k = self.pipeline_depth as u64;
-        let rec_len = record_len(self.value_len);
-        for j in &self.backups {
-            if j.node == self.node {
+        let k = u64::from(spec.depth);
+        let rec_len = record_len(value_len);
+        for j in &backups {
+            if j.node == spec.node {
                 return Err(Error::InvalidWr(
                     "backup journal must live on a different node than the primary",
                 ));
             }
-            if j.value_len != self.value_len {
+            if j.value_len != value_len {
                 return Err(Error::InvalidWr("journal value_len mismatch"));
             }
-            if j.capacity < self.start_slot + k {
+            if j.capacity < start_slot + k {
                 return Err(Error::InvalidWr(
                     "journal too small for start_slot plus one pipeline round",
                 ));
             }
         }
-        let spec = FrameSpec {
-            node: self.node,
-            owner: self.owner,
-            port: self.port,
-            pu_base: self.pu_base,
-            depth: self.pipeline_depth,
-            dest: ack,
-            stride: 8,
-        };
         // One ack WRITE_IMM per instance; the control ring takes the PU
         // after the forward queues'.
-        let mut f = RecycledFrame::begin(sim, spec, 1, 1 + self.backups.len())?;
+        let mut f = RecycledFrame::begin(sim, spec, 1, 1 + backups.len())?;
 
         // Staging ring: K record slots the trigger RECVs scatter into and
         // the forward/ack WRITEs gather from. Dies with the primary.
         let stage_len = k * rec_len as u64;
-        let stage_addr = sim.alloc(self.node, stage_len, 64)?;
+        let stage_addr = sim.alloc(spec.node, stage_len, 64)?;
         let stage =
-            sim.register_mr_owned(self.node, stage_addr, stage_len, Access::all(), self.owner)?;
+            sim.register_mr_owned(spec.node, stage_addr, stage_len, Access::all(), spec.owner)?;
         let staged = |inst: u64| stage.addr + inst * rec_len as u64;
 
         // One managed cross-node forward queue per backup. Unlike
@@ -303,16 +221,16 @@ impl ReplicationBuilder {
         // the backup node (journal-owned, so the connection's far end
         // survives the primary); the near end and its registered code
         // ring die with the primary's owner.
-        let mut fwd = Vec::with_capacity(self.backups.len());
-        for (bi, j) in self.backups.iter().enumerate() {
-            let cq = sim.create_cq(self.node, ((k as usize) * 4).max(64) as u32)?;
+        let mut fwd = Vec::with_capacity(backups.len());
+        for (bi, j) in backups.iter().enumerate() {
+            let cq = sim.create_cq(spec.node, ((k as usize) * 4).max(64) as u32)?;
             let cfg = QpConfig::new(cq)
                 .sq_depth(k as u32)
                 .rq_depth(8)
-                .on_port(self.port)
+                .on_port(spec.port)
                 .on_pu(spec.pu(sim, 1 + bi))
                 .managed();
-            let qp = sim.create_qp_owned(self.node, cfg, self.owner)?;
+            let qp = sim.create_qp_owned(spec.node, cfg, spec.owner)?;
             let pcq = sim.create_cq(j.node, 64)?;
             let peer = sim.create_qp_owned(
                 j.node,
@@ -320,7 +238,7 @@ impl ReplicationBuilder {
                 j.mr.owner,
             )?;
             sim.connect_qps(qp, peer)?;
-            let ring = sim.register_sq_ring(qp, self.owner)?;
+            let ring = sim.register_sq_ring(qp, spec.owner)?;
             fwd.push(ChainQueue {
                 qp,
                 peer,
@@ -329,7 +247,7 @@ impl ReplicationBuilder {
                 ring,
                 managed: true,
                 depth: k as u32,
-                node: self.node,
+                node: spec.node,
             });
         }
         let fwd_bases: Vec<u64> = fwd.iter().map(|q| sim.cq_total(q.cq)).collect();
@@ -355,8 +273,7 @@ impl ReplicationBuilder {
                 )
             })
             .collect();
-        let fwd_ops: Vec<Vec<_>> = self
-            .backups
+        let fwd_ops: Vec<Vec<_>> = backups
             .iter()
             .zip(&fwd_qs)
             .map(|(j, q)| {
@@ -367,7 +284,7 @@ impl ReplicationBuilder {
                             OpBuild::new(Kind::Write {
                                 src: Loc::raw(staged(inst), stage.lkey),
                                 len: rec_len,
-                                dst: Loc::raw(j.slot_addr(self.start_slot + inst), j.mr.rkey),
+                                dst: Loc::raw(j.slot_addr(start_slot + inst), j.mr.rkey),
                                 imm: None,
                             })
                             .signaled()
@@ -415,17 +332,17 @@ impl ReplicationBuilder {
 
         // Each trigger RECV scatters a whole incoming record into its
         // staging slot.
-        let name = format!("replicate(f={})@node{}", fwd.len(), self.node.0);
+        let name = format!("replicate(f={})@node{}", fwd.len(), spec.node.0);
         let scatter = TriggerScatter::Staged {
             base: stage.addr,
             lkey: stage.lkey,
             len: rec_len,
         };
-        let frame = f.finish(sim, pool, opts, name, self.start_slot, scatter)?;
+        let frame = f.finish(sim, pool, opts, name, start_slot, scatter)?;
         Ok(ReplicationOffload {
             frame,
-            value_len: self.value_len,
-            backups: self.backups,
+            value_len,
+            backups,
         })
     }
 }
@@ -498,6 +415,7 @@ impl ReplicationOffload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::{ClientDest, OffloadCtx};
     use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
     use rnic_sim::wqe::WorkRequest;
 
@@ -509,7 +427,7 @@ mod tests {
         cqp: rnic_sim::ids::QpId,
         pid: ProcessId,
         req: MemoryRegion,
-        pool: ConstPool,
+        ctx: OffloadCtx,
     }
 
     const VLEN: u32 = 16;
@@ -534,7 +452,8 @@ mod tests {
         sim.connect_mesh(&bnodes, LinkConfig::back_to_back());
 
         let pid = sim.spawn_process(primary, "primary-serve", Some(ProcessId(0)));
-        let mut pool = crate::ctx::ConstPoolBuilder::new(primary, pid)
+        let mut ctx = OffloadCtx::builder(primary)
+            .owner(pid)
             .build(&mut sim)
             .unwrap();
 
@@ -561,16 +480,15 @@ mod tests {
             )
             .unwrap();
 
-        let mut b = ReplicationBuilder::new(primary, pid)
+        let mut b = ctx
+            .replication()
             .value_len(VLEN)
             .pipeline_depth(DEPTH)
-            .ack_to(ClientDest::of(&ack));
+            .respond_to(ClientDest::of(&ack));
         for j in &backups {
             b = b.forward_to(j);
         }
-        let repl = b
-            .build_recycled(&mut sim, &mut pool, DeployOpts::default())
-            .unwrap();
+        let repl = b.build_recycled(&mut sim, ctx.pool_mut()).unwrap();
 
         // Client endpoint: connect to the trigger point, pre-post the
         // cyclic ack RECV ring.
@@ -596,7 +514,7 @@ mod tests {
             cqp,
             pid,
             req,
-            pool,
+            ctx,
         }
     }
 
@@ -710,6 +628,6 @@ mod tests {
             .unwrap()
             .expect("acked record survives");
         assert_eq!((seq, key), (1, 7));
-        let _ = &rig.pool;
+        let _ = &rig.ctx;
     }
 }

@@ -196,9 +196,10 @@ impl InstanceWindow {
     }
 }
 
-/// The deployment parameters every family shares, resolved by its
-/// builder: where the frame's queues live and how the client's response
-/// buffer is carved into window slots.
+/// The deployment parameters every family shares, resolved by
+/// [`OffloadBuilder`](crate::ctx::OffloadBuilder): where the frame's
+/// queues live and how the client's response buffer is carved into
+/// window slots.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FrameSpec {
     pub(crate) node: NodeId,

@@ -14,7 +14,7 @@
 //! with the key's low byte, so clients can verify responses without a
 //! host round trip.
 
-use redn_core::ctx::{ListWalkBuilder, OffloadCtx, TableRegion};
+use redn_core::ctx::{ListWalk, OffloadBuilder, OffloadCtx, TableRegion};
 use redn_core::offloads::list::{encode_node_into, NODE_HEADER};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -118,24 +118,26 @@ impl ListStore {
     }
 
     /// A list-walk deployment builder pre-granting this store's region
-    /// capability through `ctx` (which must live on this store's node).
-    /// Callers add the per-client pieces — `respond_to`, `max_nodes`,
+    /// capability through `ctx` (which must live on this store's node,
+    /// with this store's owner: `Error::InvalidWr` otherwise). Callers
+    /// add the per-client pieces — `respond_to`, `max_nodes`,
     /// `pipeline_depth`, `on_pu` — and `build`/`build_recycled`; the
     /// serving layer uses this to deploy one walk service per client.
-    pub fn walk_builder(&self, ctx: &OffloadCtx) -> ListWalkBuilder {
-        assert_eq!(
-            ctx.node(),
-            self.node,
-            "the offload context must live on the store's node"
-        );
-        assert_eq!(
-            ctx.owner(),
-            self.owner,
-            "the offload context's owner must match the store's"
-        );
-        ctx.list_walk()
+    pub fn walk_builder(&self, ctx: &OffloadCtx) -> Result<OffloadBuilder<ListWalk>> {
+        if ctx.node() != self.node {
+            return Err(Error::InvalidWr(
+                "the offload context must live on the store's node",
+            ));
+        }
+        if ctx.owner() != self.owner {
+            return Err(Error::InvalidWr(
+                "the offload context's owner must match the store's",
+            ));
+        }
+        Ok(ctx
+            .list_walk()
             .list(TableRegion::of(&self.mr))
-            .value_len(self.value_len)
+            .value_len(self.value_len))
     }
 
     /// The request stream for walk client `client` of `nclients`: every

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use redn_core::ctx::{ClientDest, HashGetBuilder, OffloadCtx, TableRegion, ValueSource};
+use redn_core::ctx::{ClientDest, HashGet, OffloadBuilder, OffloadCtx, TableRegion, ValueSource};
 use redn_core::offloads::hash_lookup::{HashGetOffload, HashGetVariant};
 use redn_core::offloads::OffloadService;
 use redn_core::program::ConstPool;
@@ -74,23 +74,24 @@ impl MemcachedServer {
 
     /// A hash-get deployment builder pre-granting this server's table and
     /// value-heap capabilities through `ctx` (which must live on this
-    /// server's node). Callers add the per-client pieces — `respond_to`,
+    /// server's node, with this server's owner: `Error::InvalidWr`
+    /// otherwise). Callers add the per-client pieces — `respond_to`,
     /// `variant`, `pipeline_depth`, `on_pu` — and `build`; the serving
     /// layer uses this to deploy one offload per fleet client.
-    pub fn redn_builder(&self, ctx: &OffloadCtx) -> HashGetBuilder {
-        assert_eq!(
-            ctx.node(),
-            self.node,
-            "the offload context must live on the server node"
-        );
+    pub fn redn_builder(&self, ctx: &OffloadCtx) -> Result<OffloadBuilder<HashGet>> {
+        if ctx.node() != self.node {
+            return Err(Error::InvalidWr(
+                "the offload context must live on the server node",
+            ));
+        }
         // The context's owner decides which process's death tears the
         // offload down (§5.6); deploying a non-hull server through a
         // hull-owned context would silently change the crash semantics.
-        assert_eq!(
-            ctx.owner(),
-            self.owner,
-            "the offload context's owner must match the server's"
-        );
+        if ctx.owner() != self.owner {
+            return Err(Error::InvalidWr(
+                "the offload context's owner must match the server's",
+            ));
+        }
         let (table, values) = {
             let t = self.table.borrow();
             (
@@ -98,7 +99,7 @@ impl MemcachedServer {
                 ValueSource::of(&t.heap.mr(), t.heap.slot_len),
             )
         };
-        ctx.hash_get().table(table).values(values)
+        Ok(ctx.hash_get().table(table).values(values))
     }
 
     /// Stand up the RedN get offload, deploying through `ctx`. `dest` is
@@ -111,7 +112,7 @@ impl MemcachedServer {
         dest: ClientDest,
         variant: HashGetVariant,
     ) -> Result<HashGetOffload> {
-        self.redn_builder(ctx)
+        self.redn_builder(ctx)?
             .respond_to(dest)
             .variant(variant)
             .build(sim)

@@ -40,7 +40,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use redn_core::ctx::OffloadCtx;
-use redn_core::ir::analysis::{AnalysisReport, DeploymentVerifier};
+use redn_core::ir::analysis::{self, AnalysisReport, DeploymentVerifier};
 use redn_core::offloads::hash_lookup::HashGetVariant;
 use redn_core::program::ConstPool;
 use rnic_sim::error::{Error, Result};
@@ -817,13 +817,7 @@ impl ServingFleet {
             }
         }
         let isolation = verifier.verify();
-        if let Some(d) = isolation.diagnostics.first() {
-            return Err(Error::Verifier(format!(
-                "fleet isolation[{}]: {}",
-                d.rule.name(),
-                d.message
-            )));
-        }
+        analysis::first_error(&isolation.diagnostics, "fleet isolation")?;
         Ok(ServingFleet {
             spec,
             clients,

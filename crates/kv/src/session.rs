@@ -29,12 +29,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use redn_core::ctx::OffloadCtx;
-use redn_core::ir::DeployOpts;
 use redn_core::offloads::hash_lookup::{HashGetOffload, HashGetVariant};
 use redn_core::offloads::list::{self, ListWalkOffload};
 use redn_core::offloads::replicate::{
-    encode_record_into, record_len, ReplicationBuilder, ReplicationLog, ReplicationOffload,
-    RECORD_HEADER,
+    encode_record_into, record_len, ReplicationLog, ReplicationOffload, RECORD_HEADER,
 };
 use redn_core::offloads::service::OffloadService;
 use rnic_sim::cq::{Cqe, CqeStatus};
@@ -259,7 +257,7 @@ impl Session {
         let ep =
             ClientEndpoint::create_pipelined(sim, client_node, value_len, opts.pipeline_depth)?;
         let builder = server
-            .redn_builder(ctx)
+            .redn_builder(ctx)?
             .respond_to(ep.dest())
             .variant(variant)
             .pipeline_depth(opts.pipeline_depth)
@@ -301,7 +299,7 @@ impl Session {
             ));
         }
         let builder = store
-            .walk_builder(ctx)
+            .walk_builder(ctx)?
             .respond_to(ep.dest())
             .max_nodes(max_nodes)
             .pipeline_depth(opts.pipeline_depth)
@@ -332,7 +330,8 @@ impl Session {
     ) -> Result<Session> {
         let depth = opts.pipeline_depth;
         let value_len = journals.first().map_or(0, |j| j.value_len);
-        let mut chain = ReplicationBuilder::new(ctx.node(), ctx.owner())
+        let mut chain = ctx
+            .replication()
             .value_len(value_len)
             .pipeline_depth(depth)
             .on_port(opts.port)
@@ -345,9 +344,7 @@ impl Session {
         // queues, the order every resource id of a cluster follows.
         let geometry = (depth, u64::from(record_len(value_len)), 64, 8);
         let (ep, off) = ClientEndpoint::build(sim, client_node, geometry, None, |sim, ack| {
-            chain
-                .ack_to(ack)
-                .build_recycled(sim, ctx.pool_mut(), DeployOpts::default())
+            chain.respond_to(ack).build_recycled(sim, ctx.pool_mut())
         })?;
         for _ in 0..depth {
             sim.post_recv(ep.qp, WorkRequest::recv(0, 0, 0))?;
@@ -740,6 +737,24 @@ mod tests {
         let s = sim.add_node("server", HostConfig::default(), NicConfig::connectx5());
         sim.connect_nodes(c, s, LinkConfig::back_to_back());
         (sim, c, s)
+    }
+
+    #[test]
+    fn a_context_on_the_wrong_node_is_a_typed_error() {
+        let (mut sim, c, s) = rig();
+        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
+        let store = ListStore::create(&mut sim, s, 2, 4, 64, ProcessId(0)).unwrap();
+        let mut ctx = OffloadCtx::new(&mut sim, c).unwrap();
+        for err in [
+            server.redn_builder(&ctx).err(),
+            store.walk_builder(&ctx).err(),
+        ] {
+            assert!(matches!(err, Some(Error::InvalidWr(_))), "got {err:?}");
+        }
+        let opts = SessionOpts::default();
+        let get =
+            Session::connect_get(&mut sim, &mut ctx, &server, c, HashGetVariant::Single, opts);
+        assert!(matches!(get.err(), Some(Error::InvalidWr(_))));
     }
 
     #[test]

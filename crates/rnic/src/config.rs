@@ -372,19 +372,6 @@ pub struct SimConfig {
     pub lanes: usize,
 }
 
-impl SimConfig {
-    /// Worker-thread count for sweeps that run independent simulators
-    /// side by side (`sim_events --large`), from `REDN_SIM_THREADS`:
-    /// clamped to `1..=64`; 1 when unset or unparsable. No simulator
-    /// reads it.
-    pub fn threads_from_env() -> usize {
-        std::env::var("REDN_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(1, |n| n.clamp(1, 64))
-    }
-}
-
 impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig {

@@ -287,3 +287,35 @@ fn heartbeat_counts_silence_from_the_oldest_pending_put() {
     assert!(session.put_session(s).suspect(&sim, timeout));
     assert!(controller.suspect(&sim, &session, s, None));
 }
+
+#[test]
+fn fail_over_reconnects_gets_with_the_connect_options() {
+    let (mut sim, mut cluster) = Cluster::deploy(ClusterSpec::small()).unwrap();
+    let opts = SessionOpts {
+        pipeline_depth: 2,
+        ..SessionOpts::default()
+    };
+    let mut session = ClusterSession::connect(&mut sim, &mut cluster, opts).unwrap();
+    // Only acked puts are journaled, so the key is written, not seeded.
+    let key = fresh_keys(&cluster, 0, 1)[0];
+    let value = vec![0x5A; 16];
+    session
+        .put_blocking(&mut sim, &cluster, key, &value)
+        .unwrap();
+    let stack = &cluster.shards[cluster.serving_stack(0)];
+    assert!(sim.kill_process(stack.node, stack.pid));
+    FailoverController::default()
+        .fail_over(&mut sim, &mut cluster, &mut session, 0)
+        .unwrap();
+    let rebuilt = session.get_session_mut(0).service();
+    assert_eq!(
+        rebuilt.pipeline_depth(),
+        2,
+        "rebuilt with the connect depth"
+    );
+    assert_eq!(
+        session.get_blocking(&mut sim, &cluster, key).unwrap(),
+        value,
+        "the promoted shard serves the key"
+    );
+}

@@ -21,10 +21,10 @@
 
 use std::fmt::Write as _;
 
-use redn::core::ctx::{ClientDest, ConstPoolBuilder, OffloadCtx, TableRegion, ValueSource};
+use redn::core::ctx::{ClientDest, OffloadCtx, TableRegion, ValueSource};
 use redn::core::ir::{DeployOpts, IrProgram, Kind, OpBuild, PassReport, RingSpec, WaitCond};
 use redn::core::offloads::hash_lookup::HashGetVariant;
-use redn::core::offloads::replicate::{ReplicationBuilder, ReplicationLog};
+use redn::core::offloads::replicate::ReplicationLog;
 use redn::core::offloads::OffloadService;
 use redn::core::program::ConstPool;
 use redn::core::turing::compile::CompiledTm;
@@ -187,27 +187,31 @@ fn replication(out: &mut String) {
             let mut r = rig();
             let mut mesh = vec![r.server];
             let ack = region(&mut r.sim, r.client, 4 * 8);
-            let mut builder = ReplicationBuilder::new(r.server, ProcessId(0))
-                .value_len(16)
-                .pipeline_depth(4)
-                .ack_to(ClientDest::of(&ack));
+            let mut logs = Vec::new();
             for _ in 0..nbackups {
                 let b = r
                     .sim
                     .add_node("backup", HostConfig::default(), NicConfig::connectx5());
                 mesh.push(b);
-                let log = ReplicationLog::create(&mut r.sim, b, ProcessId(0), 64, 16).unwrap();
-                builder = builder.forward_to(&log);
+                logs.push(ReplicationLog::create(&mut r.sim, b, ProcessId(0), 64, 16).unwrap());
             }
             r.sim.connect_mesh(&mesh, LinkConfig::back_to_back());
-            let mut pool = ConstPoolBuilder::new(r.server, ProcessId(0))
-                .build(&mut r.sim)
-                .unwrap();
+            // The context's pool is the chain's pool: a 1 MiB pool on
+            // the primary, created after the journals.
+            let mut ctx = OffloadCtx::builder(r.server).build(&mut r.sim).unwrap();
+            let mut builder = ctx
+                .replication()
+                .value_len(16)
+                .pipeline_depth(4)
+                .respond_to(ClientDest::of(&ack));
+            for log in &logs {
+                builder = builder.forward_to(log);
+            }
             let repl = builder
-                .build_recycled(&mut r.sim, &mut pool, opts(optimize))
+                .build_recycled_with(&mut r.sim, ctx.pool_mut(), opts(optimize))
                 .unwrap();
             let label = format!("replication f={nbackups} depth 4 optimize={optimize}");
-            dump(out, &label, &mut r, &pool, repl.ir_report());
+            dump(out, &label, &mut r, ctx.pool(), repl.ir_report());
         }
     }
 }

@@ -4,10 +4,10 @@
 //! values are the ones the per-family deploys produced before the frame
 //! existed — a refactor of the frame must not move any of them.
 
-use redn::core::ctx::{ClientDest, ConstPoolBuilder, OffloadCtx, TableRegion, ValueSource};
-use redn::core::ir::{DeployOpts, PassReport};
+use redn::core::ctx::{ClientDest, OffloadCtx, TableRegion, ValueSource};
+use redn::core::ir::PassReport;
 use redn::core::offloads::hash_lookup::HashGetVariant;
-use redn::core::offloads::replicate::{ReplicationBuilder, ReplicationLog};
+use redn::core::offloads::replicate::ReplicationLog;
 use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
 use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::mem::{Access, MemoryRegion};
@@ -87,23 +87,24 @@ fn replication_round_matches_parent() {
     for (nbackups, want) in [(1usize, (50, 49, 41, 0)), (2, (74, 73, 61, 0))] {
         let (mut sim, client, primary) = rig();
         let mut mesh = vec![primary];
-        let mut builder = ReplicationBuilder::new(primary, ProcessId(0))
-            .value_len(16)
-            .pipeline_depth(4)
-            .ack_to(ClientDest::of(&region(&mut sim, client, 4 * 8)));
+        let ack = ClientDest::of(&region(&mut sim, client, 4 * 8));
+        let mut logs = Vec::new();
         for _ in 0..nbackups {
             let b = sim.add_node("backup", HostConfig::default(), NicConfig::connectx5());
             mesh.push(b);
-            let log = ReplicationLog::create(&mut sim, b, ProcessId(0), 64, 16).unwrap();
-            builder = builder.forward_to(&log);
+            logs.push(ReplicationLog::create(&mut sim, b, ProcessId(0), 64, 16).unwrap());
         }
         sim.connect_mesh(&mesh, LinkConfig::back_to_back());
-        let mut pool = ConstPoolBuilder::new(primary, ProcessId(0))
-            .build(&mut sim)
-            .unwrap();
-        let repl = builder
-            .build_recycled(&mut sim, &mut pool, DeployOpts::default())
-            .unwrap();
+        let mut ctx = OffloadCtx::builder(primary).build(&mut sim).unwrap();
+        let mut builder = ctx
+            .replication()
+            .value_len(16)
+            .pipeline_depth(4)
+            .respond_to(ack);
+        for log in &logs {
+            builder = builder.forward_to(log);
+        }
+        let repl = builder.build_recycled(&mut sim, ctx.pool_mut()).unwrap();
         let rep = repl.ir_report().expect("chains are self-recycling");
         assert_eq!(golden(rep), want, "f={nbackups}");
         assert_eq!(repl.verbs_per_op(), want.1 as f64 / 4.0);
