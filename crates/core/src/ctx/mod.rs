@@ -38,10 +38,7 @@
 //! (`respond_to`, `on_port`, `on_pu`, `pipeline_depth`) and its `build`
 //! / `build_recycled` are written once.
 //!
-//! This module is the *only* construction path: the raw constructors it
-//! replaced (`ChainQueue::create*`, `TriggerPoint::create*`,
-//! `HashGetConfig`, `ListWalkConfig`) lived on as deprecated shims for
-//! one release and have since been removed.
+//! This module is the *only* construction path.
 
 mod caps;
 mod offloads;

@@ -22,7 +22,7 @@ use crate::ctx::caps::{ClientDest, TableRegion, ValueSource};
 use crate::ctx::OffloadCtx;
 use crate::ir::DeployOpts;
 use crate::offloads::hash_lookup::{HashGetOffload, HashGetVariant};
-use crate::offloads::list::ListWalkOffload;
+use crate::offloads::list::{ListWalkOffload, RECYCLED_MAX_NODES};
 use crate::offloads::replicate::{ReplicationLog, ReplicationOffload};
 use crate::offloads::service::FrameSpec;
 use crate::program::ConstPool;
@@ -32,7 +32,12 @@ use crate::program::ConstPool;
 pub trait OffloadFamily: Sized {
     /// The deployed offload.
     type Offload;
-    /// Check the family's parameters, then the frame's, and deploy —
+    /// The family's parameter rules for the chosen mode, run by
+    /// [`OffloadBuilder::check`] before anything is allocated.
+    fn check(_b: &OffloadBuilder<Self>, _recycled: bool) -> Result<()> {
+        Ok(())
+    }
+    /// Check the family's capabilities, then the frame's, and deploy —
     /// self-recycling into `recycled`'s pool, or host-armed (the host
     /// stages each instance with
     /// [`arm`](crate::offloads::service::OffloadService::arm)) without
@@ -109,6 +114,7 @@ impl<F: OffloadFamily> OffloadBuilder<F> {
     /// [`arm`](crate::offloads::service::OffloadService::arm)s instances.
     /// Replication chains are always self-recycling: a typed error.
     pub fn build(self, sim: &mut Simulator) -> Result<F::Offload> {
+        self.check(false)?;
         F::deploy(self, sim, None)
     }
 
@@ -123,7 +129,7 @@ impl<F: OffloadFamily> OffloadBuilder<F> {
     /// and retires them
     /// ([`complete_instance`](crate::offloads::service::InstanceWindow::complete_instance)).
     pub fn build_recycled(self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<F::Offload> {
-        F::deploy(self, sim, Some((pool, DeployOpts::default())))
+        self.build_recycled_with(sim, pool, DeployOpts::default())
     }
 
     /// As [`OffloadBuilder::build_recycled`], with explicit IR deploy
@@ -135,7 +141,16 @@ impl<F: OffloadFamily> OffloadBuilder<F> {
         pool: &mut ConstPool,
         opts: DeployOpts,
     ) -> Result<F::Offload> {
+        self.check(true)?;
         F::deploy(self, sim, Some((pool, opts)))
+    }
+
+    /// The family's parameter rules for host-armed or `recycled`
+    /// deployment; `build` and `build_recycled*` run it first. A caller
+    /// that allocates before deploying (the client endpoint whose slots
+    /// [`respond_to`](Self::respond_to) names) runs it before that.
+    pub fn check(&self, recycled: bool) -> Result<()> {
+        F::check(self, recycled)
     }
 
     /// The frame check: `errors` are the family's texts for a zero depth
@@ -153,6 +168,15 @@ impl<F: OffloadFamily> OffloadBuilder<F> {
             dest: self.dest.ok_or(Error::InvalidWr(errors[1]))?,
             stride,
         })
+    }
+}
+
+/// The text of the first broken rule of `rules` (broken, text) as a
+/// typed error.
+fn first_broken(rules: &[(bool, &'static str)]) -> Result<()> {
+    match rules.iter().find(|(broken, _)| *broken) {
+        Some(&(_, text)) => Err(Error::InvalidWr(text)),
+        None => Ok(()),
     }
 }
 
@@ -181,6 +205,12 @@ const HASH_GET_FRAME: [&str; 2] = [
 
 impl OffloadFamily for HashGet {
     type Offload = HashGetOffload;
+    fn check(b: &OffloadBuilder<HashGet>, recycled: bool) -> Result<()> {
+        first_broken(&[(
+            recycled && b.family.variant == HashGetVariant::Parallel,
+            "self-recycling hash-get runs probes on one ring; use Sequential (or Single)",
+        )])
+    }
     fn deploy(
         b: OffloadBuilder<HashGet>,
         sim: &mut Simulator,
@@ -267,20 +297,30 @@ const LIST_WALK_FRAME: [&str; 2] = [
 
 impl OffloadFamily for ListWalk {
     type Offload = ListWalkOffload;
+    fn check(b: &OffloadBuilder<ListWalk>, recycled: bool) -> Result<()> {
+        let w = &b.family;
+        first_broken(&[
+            (w.max_nodes == 0, "list-walk max_nodes must be >= 1"),
+            (
+                w.break_on_match && b.depth > 1,
+                "break_on_match walks suppress completions and are single-instance",
+            ),
+            (
+                recycled && w.break_on_match,
+                "break_on_match suppresses completions; recycled walks need absolute counts",
+            ),
+            (
+                recycled && w.max_nodes > RECYCLED_MAX_NODES,
+                "recycled list-walk folds the key into the 16-SGE trigger scatter: max_nodes <= 15",
+            ),
+        ])
+    }
     fn deploy(
         b: OffloadBuilder<ListWalk>,
         sim: &mut Simulator,
         recycled: Option<(&mut ConstPool, DeployOpts)>,
     ) -> Result<ListWalkOffload> {
         let w = b.family;
-        if w.max_nodes == 0 {
-            return Err(Error::InvalidWr("list-walk max_nodes must be >= 1"));
-        }
-        if w.break_on_match && b.depth > 1 {
-            return Err(Error::InvalidWr(
-                "break_on_match walks suppress completions and are single-instance",
-            ));
-        }
         let list = w
             .list
             .ok_or(Error::InvalidWr("list-walk deployment needs .list(...)"))?;

@@ -4,8 +4,7 @@
 //! [`ConstPool::create`](crate::program::ConstPool::create)).
 //!
 //! These builders are the **only** place in the crate that performs the
-//! underlying QP/CQ/MR plumbing (the old free-standing constructors were
-//! shims over them and have been removed).
+//! underlying QP/CQ/MR plumbing.
 
 use rnic_sim::error::Result;
 use rnic_sim::ids::{NodeId, ProcessId};

@@ -110,9 +110,9 @@ fn accesses_of(p: &IrProgram, op: OpId) -> [Option<Access<'_>>; 2] {
             access(dst, *len as u64, true, "READ sink"),
             access(src, *len as u64, false, "READ source"),
         ],
-        Kind::CasRaw { target, .. }
-        | Kind::FetchAdd { target, .. }
-        | Kind::MaxOf { target, .. } => [access(target, 8, false, "atomic target"), None],
+        Kind::FetchAdd { target, .. } | Kind::MaxOf { target, .. } => {
+            [access(target, 8, false, "atomic target"), None]
+        }
         // ReadSgl's source length is the sum of its table's entries —
         // resolved separately in `analyze`.
         _ => [None, None],
@@ -268,11 +268,7 @@ fn check_post_patch(
                 len,
                 ..
             } => (*key, *len as u64),
-            Kind::CasRaw {
-                target: Loc::Raw { key, .. },
-                ..
-            }
-            | Kind::FetchAdd {
+            Kind::FetchAdd {
                 target: Loc::Raw { key, .. },
                 ..
             }

@@ -237,9 +237,7 @@ pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footp
                     fp.writes
                         .extend(span_of(qi, dst, *len as u64, true, SpanKind::ReadSink(who)));
                 }
-                Kind::CasRaw { target, .. }
-                | Kind::FetchAdd { target, .. }
-                | Kind::MaxOf { target, .. } => {
+                Kind::FetchAdd { target, .. } | Kind::MaxOf { target, .. } => {
                     fp.writes
                         .extend(span_of(qi, target, 8, false, SpanKind::AtomicWord(who)));
                 }

@@ -536,14 +536,6 @@ impl<'p> ResolveCtx<'p> {
                 let rkey = self.queue(self.p.ops[target.0].queue).ring.rkey;
                 WorkRequest::cas(header, rkey, cond_compare(*y), cond_swap(*into, *y), 0, 0)
             }
-            Kind::CasRaw {
-                target,
-                compare,
-                swap,
-            } => {
-                let (ra, rk) = self.loc(res, target, false);
-                WorkRequest::cas(ra, rk, *compare, *swap, 0, 0)
-            }
             Kind::FetchAdd { target, delta } => {
                 let (ra, rk) = self.loc(res, target, false);
                 WorkRequest::fetch_add(ra, rk, *delta, 0, 0)

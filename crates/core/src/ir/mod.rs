@@ -250,15 +250,6 @@ pub enum Kind {
         /// Opcode installed on a match.
         into: Opcode,
     },
-    /// A raw CAS on an arbitrary location.
-    CasRaw {
-        /// The 8-byte word targeted.
-        target: Loc,
-        /// Compare value.
-        compare: u64,
-        /// Swap value.
-        swap: u64,
-    },
     /// FETCH_ADD on `target` (threshold fix-ups, counters, head moves).
     FetchAdd {
         /// The 8-byte word targeted.
@@ -289,10 +280,9 @@ impl Kind {
             Kind::Noop | Kind::Write { .. } | Kind::Read { .. } | Kind::ReadSgl { .. } => {
                 VerbClass::Copy
             }
-            Kind::Transmute { .. }
-            | Kind::CasRaw { .. }
-            | Kind::FetchAdd { .. }
-            | Kind::MaxOf { .. } => VerbClass::Atomic,
+            Kind::Transmute { .. } | Kind::FetchAdd { .. } | Kind::MaxOf { .. } => {
+                VerbClass::Atomic
+            }
             Kind::Wait(_) | Kind::Enable(_) => VerbClass::Ordering,
             Kind::Raw(wr) => wr.wqe.opcode.class(),
         }
@@ -950,11 +940,6 @@ impl IrProgram {
             c,
             off: 0,
         }
-    }
-
-    /// Ops staged on `q` so far.
-    pub fn queue_len(&self, q: QId) -> usize {
-        self.queue_ops[q.0].len()
     }
 
     pub(crate) fn op(&self, id: OpId) -> &OpBuild {

@@ -96,9 +96,9 @@ impl PatchMap {
             match &op.kind {
                 Kind::Write { dst, .. } | Kind::Read { dst, .. } => self.add_loc(Some(id), dst),
                 Kind::Transmute { target, .. } => self.add(Some(id), *target),
-                Kind::CasRaw { target, .. }
-                | Kind::FetchAdd { target, .. }
-                | Kind::MaxOf { target, .. } => self.add_loc(Some(id), target),
+                Kind::FetchAdd { target, .. } | Kind::MaxOf { target, .. } => {
+                    self.add_loc(Some(id), target)
+                }
                 _ => {}
             }
             // A restore-marked op is re-patched every round by the restore

@@ -48,7 +48,7 @@ use crate::ir::{
 };
 use crate::offloads::service::{OffloadService, RecycledFrame, ServiceFrame, TriggerScatter};
 use crate::program::{ChainQueue, ConstPool};
-use rnic_sim::error::{Error, Result};
+use rnic_sim::error::Result;
 use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::Opcode;
 
@@ -312,18 +312,14 @@ impl HashGetOffload {
     ///
     /// The response ring holds one restore-marked NOOP placeholder per
     /// probe; the optimizer merges their per-round re-arms into one
-    /// scatter WRITE.
+    /// scatter WRITE. `OffloadBuilder::check` has rejected `Parallel`
+    /// before this runs.
     pub(crate) fn deploy_recycled(
         sim: &mut Simulator,
         spec: HashGetSpec,
         pool: &mut ConstPool,
         opts: DeployOpts,
     ) -> Result<HashGetOffload> {
-        if spec.variant == HashGetVariant::Parallel {
-            return Err(Error::InvalidWr(
-                "self-recycling hash-get runs probes on one ring; use Sequential (or Single)",
-            ));
-        }
         let k = u64::from(spec.frame.depth);
         let probes = spec.variant.buckets() as u64;
         let mut f = RecycledFrame::begin(sim, spec.frame, probes, 1)?;

@@ -38,7 +38,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use rnic_sim::error::{Error, Result};
+use rnic_sim::error::Result;
 use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::Opcode;
 use rnic_sim::wqe::header_word;
@@ -399,23 +399,14 @@ impl ListWalkOffload {
     /// instance. The R3 key-copy is folded into the trigger RECV
     /// scatter: the client payload is `[N0(8B)][x(6B) × N]` (see
     /// [`ListWalkOffload::client_payload`]), capping `N` at
-    /// [`RECYCLED_MAX_NODES`].
+    /// [`RECYCLED_MAX_NODES`] — a rule `OffloadBuilder::check` enforces,
+    /// with the rest of the family's, before this runs.
     pub(crate) fn deploy_recycled(
         sim: &mut Simulator,
         spec: ListWalkSpec,
         pool: &mut ConstPool,
         opts: DeployOpts,
     ) -> Result<ListWalkOffload> {
-        if spec.break_on_match {
-            return Err(Error::InvalidWr(
-                "break_on_match suppresses completions; recycled walks need absolute counts",
-            ));
-        }
-        if spec.max_nodes > RECYCLED_MAX_NODES {
-            return Err(Error::InvalidWr(
-                "recycled list-walk folds the key into the 16-SGE trigger scatter: max_nodes <= 15",
-            ));
-        }
         let k = u64::from(spec.frame.depth);
         let n = spec.max_nodes;
         let mut f = RecycledFrame::begin(sim, spec.frame, n as u64, 1)?;

@@ -93,8 +93,7 @@ impl ClientEndpoint {
         max_value: u32,
         slots: u32,
     ) -> Result<ClientEndpoint> {
-        let req_slot_len = 64 + u64::from(max_value);
-        let geometry = (slots, req_slot_len, 8, max_value);
+        let geometry = (slots, Self::pipelined_req_slot_len(max_value), 8, max_value);
         ClientEndpoint::build(sim, node, geometry, Some(1024), |_, _| Ok(())).map(|(ep, ())| ep)
     }
 
@@ -163,10 +162,11 @@ impl ClientEndpoint {
         self.req_buf + (slot % self.slots as u64) * self.req_slot_len
     }
 
-    /// Capacity of one request slot in bytes — the most a staged
-    /// trigger payload may occupy.
-    pub fn req_slot_len(&self) -> u64 {
-        self.req_slot_len
+    /// Capacity of one request slot of a pipelined endpoint for values
+    /// of `max_value` bytes — the most a staged trigger payload may
+    /// occupy.
+    pub fn pipelined_req_slot_len(max_value: u32) -> u64 {
+        64 + u64::from(max_value)
     }
 
     // -- Trigger-burst engine (Session::get_burst / walk_burst) -------

@@ -149,13 +149,13 @@ pub struct ReapedGet {
 }
 
 /// Batched non-blocking RedN gets (the engine behind
-/// [`Session::get_burst`](crate::session::Session::get_burst) and the
-/// deprecated free-function shims): stage every request's payload and
-/// trigger SEND through [`ClientEndpoint::post_trigger_burst`], which
-/// rings **one** doorbell for the whole burst — a closed-loop generator
-/// refilling a K-deep window pays one MMIO per tick instead of K — and
-/// validates the burst against the offload's available instances
-/// *before* anything is staged. Handles are appended to `out`.
+/// [`Session::get_burst`](crate::session::Session::get_burst)): stage
+/// every request's payload and trigger SEND through
+/// [`ClientEndpoint::post_trigger_burst`], which rings **one** doorbell
+/// for the whole burst — a closed-loop generator refilling a K-deep
+/// window pays one MMIO per tick instead of K — and validates the burst
+/// against the offload's available instances *before* anything is
+/// staged. Handles are appended to `out`.
 pub(crate) fn post_get_burst(
     sim: &mut Simulator,
     off: &mut HashGetOffload,

@@ -3,9 +3,7 @@
 //! A [`Session`] is one client's connection to one serving offload: a
 //! pipelined [`ClientEndpoint`] (slotted request/response buffers sized
 //! to the service's pipeline depth) bound to the deployed service whose
-//! responses land in it. It replaced the loose free-function client API
-//! (`redn_get_nb` / `redn_get_burst` / `redn_reap` — deprecated for one
-//! release, since removed) with typed operations:
+//! responses land in it, with typed operations:
 //!
 //! * [`Session::get`] / [`Session::get_burst`] — hash-table lookups
 //!   (§3.4), returning [`PendingGet`] handles;
@@ -244,7 +242,9 @@ pub struct Session {
 impl Session {
     /// Deploy a hash-get service against `server` through `ctx` and
     /// connect a freshly created pipelined endpoint on `client_node` to
-    /// it. Host-armed services are primed to a full pipeline.
+    /// it. Host-armed services are primed to a full pipeline. The
+    /// builder's checks run before the endpoint is created, so a
+    /// rejected connect allocates nothing.
     pub fn connect_get(
         sim: &mut Simulator,
         ctx: &mut OffloadCtx,
@@ -253,16 +253,17 @@ impl Session {
         variant: HashGetVariant,
         opts: SessionOpts,
     ) -> Result<Session> {
-        let value_len = server.table.borrow().heap.slot_len;
-        let ep =
-            ClientEndpoint::create_pipelined(sim, client_node, value_len, opts.pipeline_depth)?;
         let builder = server
             .redn_builder(ctx)?
-            .respond_to(ep.dest())
             .variant(variant)
             .pipeline_depth(opts.pipeline_depth)
             .on_port(opts.port)
             .on_pu(opts.pu_base);
+        builder.check(opts.self_recycling)?;
+        let value_len = server.table.borrow().heap.slot_len;
+        let ep =
+            ClientEndpoint::create_pipelined(sim, client_node, value_len, opts.pipeline_depth)?;
+        let builder = builder.respond_to(ep.dest());
         let off = if opts.self_recycling {
             builder.build_recycled(sim, ctx.pool_mut())?
         } else {
@@ -275,6 +276,8 @@ impl Session {
     /// Deploy a list-walk service against `store` through `ctx` and
     /// connect a freshly created pipelined endpoint on `client_node` to
     /// it. `max_nodes` is the unroll factor (≤ 15 when self-recycling).
+    /// As with [`Session::connect_get`], a rejected connect allocates
+    /// nothing.
     pub fn connect_walk(
         sim: &mut Simulator,
         ctx: &mut OffloadCtx,
@@ -283,28 +286,29 @@ impl Session {
         max_nodes: usize,
         opts: SessionOpts,
     ) -> Result<Session> {
+        let builder = store
+            .walk_builder(ctx)?
+            .max_nodes(max_nodes)
+            .pipeline_depth(opts.pipeline_depth)
+            .on_port(opts.port)
+            .on_pu(opts.pu_base);
+        builder.check(opts.self_recycling)?;
+        // The recycled walk's payload repeats the key per iteration; it
+        // must fit the endpoint's request slot. Checked before anything
+        // is created, so the error path leaks nothing.
+        let payload_len = list::client_payload_len(max_nodes, opts.self_recycling) as u64;
+        if payload_len > ClientEndpoint::pipelined_req_slot_len(store.value_len) {
+            return Err(Error::InvalidWr(
+                "walk payload exceeds the endpoint's request slot",
+            ));
+        }
         let ep = ClientEndpoint::create_pipelined(
             sim,
             client_node,
             store.value_len,
             opts.pipeline_depth,
         )?;
-        // The recycled walk's payload repeats the key per iteration; it
-        // must fit the endpoint's request slot. Checked before anything
-        // deploys, so the error path leaks no queues or pool bytes.
-        let payload_len = list::client_payload_len(max_nodes, opts.self_recycling) as u64;
-        if payload_len > ep.req_slot_len() {
-            return Err(Error::InvalidWr(
-                "walk payload exceeds the endpoint's request slot",
-            ));
-        }
-        let builder = store
-            .walk_builder(ctx)?
-            .respond_to(ep.dest())
-            .max_nodes(max_nodes)
-            .pipeline_depth(opts.pipeline_depth)
-            .on_port(opts.port)
-            .on_pu(opts.pu_base);
+        let builder = builder.respond_to(ep.dest());
         let off = if opts.self_recycling {
             builder.build_recycled(sim, ctx.pool_mut())?
         } else {
@@ -755,6 +759,67 @@ mod tests {
         let get =
             Session::connect_get(&mut sim, &mut ctx, &server, c, HashGetVariant::Single, opts);
         assert!(matches!(get.err(), Some(Error::InvalidWr(_))));
+    }
+
+    /// Every rejected connect is a typed error that leaves both nodes'
+    /// allocations as they were: the checks run before the client
+    /// endpoint is created.
+    #[test]
+    fn rejected_connects_allocate_nothing() {
+        let (mut sim, c, s) = rig();
+        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
+        let store = ListStore::create(&mut sim, s, 2, 4, 64, ProcessId(0)).unwrap();
+        let narrow = ListStore::create(&mut sim, s, 2, 4, 16, ProcessId(0)).unwrap();
+        let mut server_ctx = OffloadCtx::new(&mut sim, s).unwrap();
+        let mut client_ctx = OffloadCtx::new(&mut sim, c).unwrap();
+        let recycled = SessionOpts::default();
+        let host_armed = SessionOpts {
+            self_recycling: false,
+            ..recycled
+        };
+        type Connect<'a> = Box<dyn Fn(&mut Simulator, &mut OffloadCtx) -> Result<Session> + 'a>;
+        let server = &server;
+        let get = |variant| -> Connect<'_> {
+            Box::new(move |sim, ctx| Session::connect_get(sim, ctx, server, c, variant, recycled))
+        };
+        let walk = |store, max_nodes, opts| -> Connect<'_> {
+            Box::new(move |sim, ctx| Session::connect_walk(sim, ctx, store, c, max_nodes, opts))
+        };
+        // (case, context on the client node, connect)
+        let cases = [
+            (
+                "get through a client-node context",
+                true,
+                get(HashGetVariant::Single),
+            ),
+            (
+                "recycled Parallel get",
+                false,
+                get(HashGetVariant::Parallel),
+            ),
+            ("zero-node walk", false, walk(&store, 0, host_armed)),
+            ("recycled 16-node walk", false, walk(&store, 16, recycled)),
+            (
+                "recycled walk payload over the slot",
+                false,
+                walk(&narrow, 15, recycled),
+            ),
+        ];
+        for (case, on_client, connect) in cases {
+            let ctx = if on_client {
+                &mut client_ctx
+            } else {
+                &mut server_ctx
+            };
+            let before = (sim.mem(c).allocated(), sim.mem(s).allocated());
+            let err = connect(&mut sim, ctx).err();
+            assert!(
+                matches!(err, Some(Error::InvalidWr(_))),
+                "{case}: got {err:?}"
+            );
+            let after = (sim.mem(c).allocated(), sim.mem(s).allocated());
+            assert_eq!(after, before, "{case}: (client, server) bytes allocated");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Error types for the simulator.
 
-use crate::ids::{CqId, NodeId, QpId, WqId};
+use crate::ids::{NodeId, QpId, WqId};
 use std::fmt;
 
 /// Result alias used across the crate.
@@ -41,15 +41,10 @@ pub enum Error {
     },
     /// Work queue has no free WQE slots.
     WqFull(WqId),
-    /// Completion queue overflowed.
-    CqOverrun(CqId),
     /// Host memory arena exhausted.
     OutOfMemory(NodeId),
     /// QP is not connected (or was connected twice).
     BadQpState(QpId, &'static str),
-    /// The verb is not supported by this NIC configuration (e.g. MAX on a
-    /// NIC without calc support, WAIT on an Intel-style RNIC).
-    Unsupported(&'static str),
     /// Malformed work request (bad SGE count, misaligned atomic, ...).
     InvalidWr(&'static str),
     /// A chain program was rejected by a static checker before anything
@@ -61,15 +56,10 @@ pub enum Error {
     /// the tenant and the quota — admission control rejects the spec
     /// instead of letting the overrun surface as a neighbor's stall.
     Quota(String),
-    /// A receiver had no RECV posted and the retry budget was exhausted
-    /// (receiver-not-ready).
-    RnrExhausted(QpId),
     /// The event budget was exhausted — the program may not terminate.
     /// Turing completeness has a price (halting is undecidable), so the
     /// simulator turns runaway programs into this error.
     EventBudgetExhausted(u64),
-    /// An operation referenced a crashed process's resources.
-    ProcessDead(u32),
 }
 
 impl fmt::Display for Error {
@@ -90,21 +80,15 @@ impl fmt::Display for Error {
                 "key {key:#x} does not authorize {addr:#x}+{len} on {node}: {reason}"
             ),
             Error::WqFull(wq) => write!(f, "work queue {wq} full"),
-            Error::CqOverrun(cq) => write!(f, "completion queue {cq} overrun"),
             Error::OutOfMemory(node) => write!(f, "out of simulated DRAM on {node}"),
             Error::BadQpState(qp, what) => write!(f, "{qp}: {what}"),
-            Error::Unsupported(what) => write!(f, "unsupported on this NIC: {what}"),
             Error::InvalidWr(what) => write!(f, "invalid work request: {what}"),
             Error::Verifier(what) => write!(f, "chain program rejected by verifier: {what}"),
             Error::Quota(what) => write!(f, "tenant quota exceeded: {what}"),
-            Error::RnrExhausted(qp) => {
-                write!(f, "receiver not ready on {qp} (RNR retries exhausted)")
-            }
             Error::EventBudgetExhausted(n) => write!(
                 f,
                 "simulation event budget ({n}) exhausted; offload program may not terminate"
             ),
-            Error::ProcessDead(pid) => write!(f, "process {pid} is dead"),
         }
     }
 }

@@ -1,8 +1,7 @@
 //! End-to-end coverage of the pipelined serving layer: the ISSUE-2
 //! acceptance bar (a fleet of >= 4 clients at pipeline depth >= 4
 //! sustains >= 3x the throughput of back-to-back synchronous gets on
-//! the same sim config) plus the typed Session post/reap API and the
-//! deprecated free-function shims.
+//! the same sim config) plus the typed Session post/reap API.
 
 use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
