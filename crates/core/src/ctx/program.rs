@@ -385,6 +385,67 @@ mod tests {
         );
     }
 
+    /// The trigger point's and the chain queues' CQs are counting CQs:
+    /// their counts advance and every WAIT on them releases at its
+    /// threshold, but a host poll finds nothing and nothing overruns.
+    #[test]
+    fn wait_only_cqs_count_without_keeping_entries() {
+        use rnic_sim::config::LinkConfig;
+        use rnic_sim::qp::QpConfig;
+
+        let mut sim = Simulator::new(SimConfig::default());
+        let c = sim.add_node("client", HostConfig::default(), NicConfig::connectx5());
+        let s = sim.add_node("server", HostConfig::default(), NicConfig::connectx5());
+        sim.connect_nodes(c, s, LinkConfig::back_to_back());
+        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
+        let tp = ctx.trigger_point().build(&mut sim).unwrap();
+        let ccq = sim.create_cq(c, 16).unwrap();
+        let cqp = sim.create_qp(c, QpConfig::new(ccq)).unwrap();
+        sim.connect_qps(cqp, tp.qp).unwrap();
+        let flags = sim.alloc(s, 16, 8).unwrap();
+        let fmr = sim.register_mr(s, flags, 16, Access::all()).unwrap();
+        let one = ctx.pool_mut().push_u64(&mut sim, 1).unwrap();
+        let set = |i: u64| {
+            let lkey = ctx.pool().mr().lkey;
+            WorkRequest::write(one, lkey, 8, flags + 8 * i, fmr.rkey).signaled()
+        };
+        let (first, second) = (set(0), set(1));
+
+        // Program A sets flag 0 on the first trigger; program B, on its
+        // own queues, sets flag 1 once A's control queue completes it.
+        let mut a = ctx.chain_program_sized(&mut sim, 8, 8).unwrap();
+        a.on_nth_trigger(&sim, &tp, 1);
+        a.stage_ctrl(first);
+        let a_cq = a.ctrl_queue().cq;
+        a.run(&mut sim).unwrap();
+        let mut b = ctx.chain_program_sized(&mut sim, 8, 8).unwrap();
+        b.wait_on(a_cq, 1);
+        b.stage_ctrl(second);
+        let b_cq = b.ctrl_queue().cq;
+        b.run(&mut sim).unwrap();
+        tp.post_trigger_recv(&mut sim, ctx.pool_mut(), &[]).unwrap();
+        sim.run().unwrap();
+        assert_eq!(sim.mem_read_u64(s, flags + 8).unwrap(), 0, "B parked");
+
+        let src = sim.alloc(c, 8, 8).unwrap();
+        let smr = sim.register_mr(c, src, 8, Access::all()).unwrap();
+        sim.post_send(cqp, WorkRequest::send(src, smr.lkey, 8))
+            .unwrap();
+        sim.run().unwrap();
+        assert_eq!(sim.mem_read_u64(s, flags).unwrap(), 1, "A released");
+        assert_eq!(sim.mem_read_u64(s, flags + 8).unwrap(), 1, "B released");
+        assert_eq!(sim.cq_total(tp.recv_cq), 1);
+        assert_eq!(sim.cq_total(a_cq), 1);
+        assert_eq!(sim.cq_total(b_cq), 1);
+        for cq in [tp.recv_cq, tp.send_cq, a_cq, b_cq] {
+            assert!(
+                sim.poll_cq(cq, usize::MAX).is_empty(),
+                "{cq:?} keeps no entries"
+            );
+            assert!(!sim.cq_overrun(cq));
+        }
+    }
+
     #[test]
     fn oversize_program_posts_nothing_and_leaves_its_queues_usable() {
         use rnic_sim::error::Error;

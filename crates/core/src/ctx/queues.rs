@@ -75,8 +75,9 @@ impl ChainQueueBuilder {
 
     /// Create the queue: a QP pair connected in loopback, with the
     /// send-queue ring registered for RDMA access (the "code region").
+    /// Its CQ is a counting CQ: WAITs read its count, no host polls it.
     pub fn build(self, sim: &mut Simulator) -> Result<ChainQueue> {
-        let cq = sim.create_cq(self.node, (self.depth as usize * 4).max(64) as u32)?;
+        let cq = sim.create_counting_cq(self.node);
         let mut cfg = QpConfig::new(cq)
             .sq_depth(self.depth)
             .rq_depth(8)
@@ -164,10 +165,11 @@ impl TriggerPointBuilder {
 
     /// Create the endpoint. The send queue is managed: response WQEs are
     /// NOOPs transmuted by the offload program, so they must not be
-    /// prefetched.
+    /// prefetched. Both CQs are counting CQs: the server does no host
+    /// work, so only WAIT thresholds read them.
     pub fn build(self, sim: &mut Simulator) -> Result<TriggerPoint> {
-        let recv_cq = sim.create_cq(self.node, 16384)?;
-        let send_cq = sim.create_cq(self.node, 16384)?;
+        let recv_cq = sim.create_counting_cq(self.node);
+        let send_cq = sim.create_counting_cq(self.node);
         let mut cfg = QpConfig::new(send_cq)
             .recv_cq(recv_cq)
             .sq_depth(self.sq_depth)

@@ -220,10 +220,11 @@ impl ReplicationOffload {
         // ChainQueueBuilder's loopback pairs, the peer endpoint lives on
         // the backup node (journal-owned, so the connection's far end
         // survives the primary); the near end and its registered code
-        // ring die with the primary's owner.
+        // ring die with the primary's owner. Both CQs are counting CQs:
+        // only WAITs read them.
         let mut fwd = Vec::with_capacity(backups.len());
         for (bi, j) in backups.iter().enumerate() {
-            let cq = sim.create_cq(spec.node, ((k as usize) * 4).max(64) as u32)?;
+            let cq = sim.create_counting_cq(spec.node);
             let cfg = QpConfig::new(cq)
                 .sq_depth(k as u32)
                 .rq_depth(8)
@@ -231,7 +232,7 @@ impl ReplicationOffload {
                 .on_pu(spec.pu(sim, 1 + bi))
                 .managed();
             let qp = sim.create_qp_owned(spec.node, cfg, spec.owner)?;
-            let pcq = sim.create_cq(j.node, 64)?;
+            let pcq = sim.create_counting_cq(j.node);
             let peer = sim.create_qp_owned(
                 j.node,
                 QpConfig::new(pcq).sq_depth(8).rq_depth(8),
@@ -425,6 +426,8 @@ mod tests {
         backups: Vec<ReplicationLog>,
         repl: ReplicationOffload,
         cqp: rnic_sim::ids::QpId,
+        /// The client QP's send CQ.
+        ccq: rnic_sim::ids::CqId,
         pid: ProcessId,
         req: MemoryRegion,
         ctx: OffloadCtx,
@@ -512,6 +515,7 @@ mod tests {
             backups,
             repl,
             cqp,
+            ccq,
             pid,
             req,
             ctx,
@@ -614,8 +618,7 @@ mod tests {
         assert!(rig.sim.kill_process(rig.repl.tp.node, rig.pid));
         let inst = put(&mut rig, 8, &[4; 16]);
         rig.sim.run().unwrap();
-        let send_cq = rig.sim.send_cq_of(rig.cqp);
-        let cqes = rig.sim.poll_cq(send_cq, 16);
+        let cqes = rig.sim.poll_cq(rig.ccq, 16);
         assert!(
             cqes.iter()
                 .any(|c| c.status == rnic_sim::cq::CqeStatus::RnrError),

@@ -162,6 +162,24 @@ impl ClientEndpoint {
         self.req_buf + (slot % self.slots as u64) * self.req_slot_len
     }
 
+    /// Poll up to `max` send-side completions into `cqes` (appending) and
+    /// return how many arrived: the put body reads them for typed
+    /// failures, get and walk requests drop them
+    /// ([`ClientEndpoint::drop_sends`]).
+    pub(crate) fn poll_sends(&self, sim: &mut Simulator, max: usize, cqes: &mut Vec<Cqe>) -> usize {
+        sim.poll_cq_into(self.cq, max, cqes)
+    }
+
+    /// Empty the send CQ before more trigger requests are posted, through
+    /// the scratch buffer `cqes`. Every trigger SEND is signaled, but
+    /// nothing reads its CQE — a failed trigger surfaces as a timeout or
+    /// abandon — and a CQ nobody drains overruns. Drained before every
+    /// burst, the CQ never holds more than one window of trigger SENDs.
+    pub(crate) fn drop_sends(&self, sim: &mut Simulator, cqes: &mut Vec<Cqe>) {
+        cqes.clear();
+        self.poll_sends(sim, usize::MAX, cqes);
+    }
+
     /// Capacity of one request slot of a pipelined endpoint for values
     /// of `max_value` bytes — the most a staged trigger payload may
     /// occupy.

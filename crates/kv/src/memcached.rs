@@ -233,10 +233,11 @@ pub fn redn_get(
     key: u64,
 ) -> Result<(Time, bool)> {
     off.arm(sim, pool)?;
+    let (mut cqes, mut reaped) = (Vec::new(), Vec::new());
+    ep.drop_sends(sim, &mut cqes);
     let start = sim.now();
     post_get_burst(sim, off, ep, &server.table, &[key], &mut Vec::new())?;
     let deadline = sim.now() + Time::from_us(200);
-    let (mut cqes, mut reaped) = (Vec::new(), Vec::new());
     loop {
         // A single get is outstanding, so any completion is ours.
         reap_gets_into(sim, ep, 1, &mut cqes, &mut reaped);
@@ -289,6 +290,29 @@ mod tests {
         // Miss: no response.
         let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, 9999).unwrap();
         assert!(!found);
+    }
+
+    #[test]
+    fn sync_gets_drain_the_send_cq() {
+        // More sequential gets than the endpoint's send CQ has entries:
+        // each get drains the trigger SEND CQEs before it posts.
+        let (mut sim, c, s) = setup();
+        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
+        server.populate(&mut sim, 100).unwrap();
+        let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
+        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
+        let mut off = server
+            .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
+            .unwrap();
+        sim.connect_qps(ep.qp, off.tp.qp).unwrap();
+        for k in 0..1_100u64 {
+            let key = 1 + k % 100;
+            let (_, found) =
+                redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, key).unwrap();
+            assert!(found, "key {key}");
+        }
+        assert_eq!(sim.cq_total(ep.cq), 1_100);
+        assert!(!sim.cq_overrun(ep.cq), "the send CQ overran");
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::session::{Completion, PendingWalk, Session, SessionOpts};
 use crate::tenancy::{
     pu_stride, CreditPacer, NicGeometry, Placement, TenantPacker, TenantRuntime, TenantSpec,
 };
-use crate::workload::{latency_stats, LatencyStats, Workload};
+use crate::workload::{sorted_latency_stats, LatencyStats, Workload};
 
 /// One service class in a fleet's mix (what kind of offload a block of
 /// clients drives).
@@ -423,7 +423,7 @@ struct FleetClient {
 /// One owner's (the fleet's, or one tenant's) accounting of a run: every
 /// completion's scheduled-time and post-time latency in reap order, host
 /// arm calls, and the last completion seen (a tenant's run span).
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct Log {
     sched: Vec<Time>,
     svc: Vec<Time>,
@@ -907,7 +907,7 @@ impl ServingFleet {
     ) -> Result<FleetStats> {
         let start = sim.now();
         let deadline = start + RUN_DEADLINE;
-        self.begin_run(sim, pool)?;
+        self.begin_run(sim, pool, ops_per_client)?;
         // The host-involvement counters at run start.
         let base = (
             sim.node_doorbells(self.server_node),
@@ -1063,16 +1063,32 @@ impl ServingFleet {
         pacers.map(|p| p.next_credit_at(now).max(now)).min()
     }
 
-    /// Reset per-run accounting and top every host-armed client's
+    /// Reset per-run accounting — latency logs reserved for every op the
+    /// run may reap, so they never grow — and top every host-armed client's
     /// pipeline back up to `pipeline_depth` armed, unclaimed instances.
     /// A host-armed run consumes its window's worth of armed instances
     /// (the final K posts re-arm nothing), so back-to-back runs on one
     /// fleet would otherwise drain the pipeline dry. Self-recycling
     /// services re-arm on the NIC — nothing to do.
-    fn begin_run(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
+    fn begin_run(
+        &mut self,
+        sim: &mut Simulator,
+        pool: &mut ConstPool,
+        ops_per_client: u64,
+    ) -> Result<()> {
         let ntenants = self.spec.tenants.len();
+        let log = |clients: usize| {
+            let ops = clients * ops_per_client as usize;
+            Log {
+                sched: Vec::with_capacity(ops),
+                svc: Vec::with_capacity(ops),
+                ..Log::default()
+            }
+        };
+        let clients_of = |t| self.clients.iter().filter(|c| c.tenant == Some(t)).count();
         self.log = RunLog {
-            tenants: vec![Log::default(); ntenants],
+            all: log(self.clients.len()),
+            tenants: (0..ntenants).map(|t| log(clients_of(t))).collect(),
             ..RunLog::default()
         };
         for t in 0..ntenants {
@@ -1129,12 +1145,10 @@ impl ServingFleet {
             .sum();
         let elapsed = sim.now() - start;
         let secs = elapsed.as_us_f64() / 1e6;
-        let stats_of = |v: &[Time]| {
-            if v.is_empty() {
-                None
-            } else {
-                Some(latency_stats(v))
-            }
+        // The run's own logs, sorted in place: no copy.
+        let stats_of = |v: &mut [Time]| {
+            v.sort_unstable();
+            (!v.is_empty()).then(|| sorted_latency_stats(v))
         };
         let per_tenant = (0..ntenants)
             .map(|t| {
@@ -1169,8 +1183,8 @@ impl ServingFleet {
                     } else {
                         0.0
                     },
-                    latency: stats_of(&self.log.tenants[t].sched),
-                    service_latency: stats_of(&self.log.tenants[t].svc),
+                    latency: stats_of(&mut self.log.tenants[t].sched),
+                    service_latency: stats_of(&mut self.log.tenants[t].svc),
                     host_arm_calls: self.log.tenants[t].arms,
                     timeouts: tenant_timeouts[t],
                     shed_posts: self.pacers[t].as_ref().map_or(0, |p| p.shed()),
@@ -1183,8 +1197,8 @@ impl ServingFleet {
             walk_ops: ops - get_ops,
             elapsed,
             ops_per_sec: if secs > 0.0 { ops as f64 / secs } else { 0.0 },
-            latency: stats_of(&self.log.all.sched),
-            service_latency: stats_of(&self.log.all.svc),
+            latency: stats_of(&mut self.log.all.sched),
+            service_latency: stats_of(&mut self.log.all.svc),
             timeouts,
             offered_ops_per_sec: offered,
             host_arm_calls: self.log.all.arms,

@@ -450,6 +450,7 @@ impl Session {
                 "session is not bound to a hash-get service",
             ));
         };
+        self.ep.drop_sends(sim, &mut self.cqe_buf);
         post_get_burst(sim, off, &self.ep, table, keys, out)
     }
 
@@ -486,6 +487,7 @@ impl Session {
                 "session is not bound to a list-walk service",
             ));
         };
+        self.ep.drop_sends(sim, &mut self.cqe_buf);
         let depth = off.pipeline_depth();
         let ep = &self.ep;
         ep.post_trigger_burst(
@@ -577,7 +579,7 @@ impl Session {
         let (ep, cqes) = (&self.ep, &mut self.cqe_buf);
         cqes.clear();
         let acked = sim.poll_cq_into(ep.recv_cq, PUT_POLL_BATCH, cqes);
-        let sent = sim.poll_cq_into(ep.cq, PUT_POLL_BATCH, cqes);
+        let sent = ep.poll_sends(sim, PUT_POLL_BATCH, cqes);
         for (i, cqe) in cqes.drain(..).enumerate() {
             let ok = cqe.status == CqeStatus::Success;
             let put = match cqe.imm.map(u64::from) {
@@ -863,6 +865,60 @@ mod tests {
             Err(Error::InvalidWr(_))
         ));
         assert!(session.reap_puts(&mut sim).acks.is_empty());
+    }
+
+    /// Run `n` requests one at a time through `post`, reaping each, and
+    /// check the client's send CQ: every trigger SEND completed, the CQ
+    /// never held more than one window of them, and it never overran.
+    fn serve_one_at_a_time(
+        sim: &mut Simulator,
+        session: &mut Session,
+        n: u64,
+        mut post: impl FnMut(&mut Simulator, &mut Session, u64) -> Result<u64>,
+    ) {
+        let depth = session.service().pipeline_depth() as usize;
+        for i in 0..n {
+            let instance = post(sim, session, i).unwrap();
+            sim.run().unwrap();
+            let done = session.reap(sim, 4);
+            assert_eq!(done.len(), 1, "request {i} answered");
+            assert_eq!(done[0].tag(), session.response_tag(instance));
+            session.complete();
+        }
+        let cq = session.endpoint().cq;
+        assert_eq!(sim.cq_total(cq), n, "one CQE per trigger SEND");
+        assert!(!sim.cq_overrun(cq), "the send CQ overran");
+        assert!(sim.poll_cq(cq, usize::MAX).len() <= depth);
+    }
+
+    #[test]
+    fn get_session_drains_its_send_cq() {
+        let (mut sim, c, s) = rig();
+        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
+        server.populate(&mut sim, 64).unwrap();
+        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
+        let opts = SessionOpts::default();
+        let variant = HashGetVariant::Sequential;
+        let mut session =
+            Session::connect_get(&mut sim, &mut ctx, &server, c, variant, opts).unwrap();
+        serve_one_at_a_time(&mut sim, &mut session, 3_000, |sim, s, i| {
+            s.get(sim, 1 + i % 64).map(|p| p.instance)
+        });
+    }
+
+    #[test]
+    fn walk_session_drains_its_send_cq() {
+        let (mut sim, c, s) = rig();
+        let store = ListStore::create(&mut sim, s, 4, 6, 64, ProcessId(0)).unwrap();
+        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
+        let (nodes, opts) = (store.nodes_per_list, SessionOpts::default());
+        let mut session =
+            Session::connect_walk(&mut sim, &mut ctx, &store, c, nodes, opts).unwrap();
+        serve_one_at_a_time(&mut sim, &mut session, 3_000, |sim, s, i| {
+            let list = i % 4;
+            let key = store.key_of(list, (i % 6) as usize);
+            s.walk(sim, store.head(list), key).map(|p| p.instance)
+        });
     }
 
     /// A client, a shard primary (serving pid) and a backup node holding

@@ -134,22 +134,29 @@ impl LatencyStats {
     }
 }
 
-/// Compute statistics from raw latencies.
+/// Compute statistics from raw latencies: a sorted copy, summarised by
+/// [`sorted_latency_stats`].
 pub fn latency_stats(samples: &[Time]) -> LatencyStats {
-    assert!(!samples.is_empty(), "no samples");
-    let mut v: Vec<u64> = samples.iter().map(|t| t.as_ps()).collect();
+    let mut v = samples.to_vec();
     v.sort_unstable();
-    let pick = |p: f64| -> f64 {
-        let idx = ((v.len() as f64 - 1.0) * p).round() as usize;
-        v[idx] as f64 / 1e6
-    };
-    let sum: u64 = v.iter().sum();
+    sorted_latency_stats(&v)
+}
+
+/// Compute statistics from latencies in ascending order — the one
+/// percentile rule: the `p`-quantile is the sample at index
+/// `round((n - 1) · p)`. A caller that owns its samples sorts them in
+/// place and calls this, with no copy.
+pub fn sorted_latency_stats(v: &[Time]) -> LatencyStats {
+    assert!(!v.is_empty(), "no samples");
+    let us = |t: Time| t.as_ps() as f64 / 1e6;
+    let pick = |p: f64| us(v[((v.len() as f64 - 1.0) * p).round() as usize]);
+    let sum: u64 = v.iter().map(|t| t.as_ps()).sum();
     LatencyStats {
         count: v.len(),
         avg_us: sum as f64 / v.len() as f64 / 1e6,
         p50_us: pick(0.5),
         p99_us: pick(0.99),
-        max_us: v[v.len() - 1] as f64 / 1e6,
+        max_us: us(v[v.len() - 1]),
     }
 }
 

@@ -5,6 +5,13 @@
 //! queue until a CQ's *monotonic completion count* reaches a threshold.
 //! That count never resets — the wqe_count fix-ups of §3.4 exist precisely
 //! because of this monotonicity.
+//!
+//! A CQ comes in two kinds. A *pollable* CQ keeps up to `depth` entries
+//! for a host to poll and flags an overrun when one is dropped. A
+//! *counting* CQ ([`CompletionQueue::counting`]) is for CQs whose only
+//! reader is a WAIT: it keeps the count, the completion time and the
+//! waiters, stores no entries and never overruns — what a CORE-Direct CQ
+//! created with `IBV_CREATE_CQ_ATTR_IGNORE_OVERRUN` is on hardware.
 
 use crate::ids::{CqId, NodeId, QpId, WqId};
 use crate::time::Time;
@@ -54,7 +61,8 @@ pub struct CompletionQueue {
     pub id: CqId,
     /// Node that owns (and polls) this CQ.
     pub node: NodeId,
-    /// Capacity before overrun.
+    /// Capacity before overrun; 0 for a counting CQ, which keeps no
+    /// entries and never overruns.
     pub depth: u32,
     /// Pollable entries (bounded by `depth`).
     pub entries: VecDeque<Cqe>,
@@ -99,8 +107,15 @@ impl CompletionQueue {
         }
     }
 
+    /// Create a counting CQ: the count, completion time, waiters and
+    /// host hooks of any CQ, but no pollable entries and no overrun.
+    pub fn counting(id: CqId, node: NodeId) -> CompletionQueue {
+        CompletionQueue::new(id, node, 0)
+    }
+
     /// Append a completion. Always bumps the monotonic counter; drops the
-    /// pollable entry (and flags overrun) if the queue is full. The work
+    /// pollable entry (and flags overrun) if the queue is full. A
+    /// counting CQ is always full and never flags overrun. The work
     /// queues whose WAIT threshold is now satisfied are appended to `woken`
     /// (not cleared first) — the event loop reuses one buffer across
     /// every CQE.
@@ -108,7 +123,7 @@ impl CompletionQueue {
         self.total += 1;
         self.last_completion = cqe.time;
         if self.entries.len() as u32 >= self.depth {
-            self.overrun = true;
+            self.overrun = self.depth != 0;
         } else {
             self.entries.push_back(cqe);
         }
@@ -149,7 +164,12 @@ impl CompletionQueue {
             return 0;
         }
         let n = max.min(self.entries.len());
-        out.extend(self.entries.drain(..n));
+        // Two slice copies, not an element-at-a-time extend.
+        let (front, back) = self.entries.as_slices();
+        let k = n.min(front.len());
+        out.extend_from_slice(&front[..k]);
+        out.extend_from_slice(&back[..n - k]);
+        self.entries.drain(..n);
         n
     }
 }
@@ -193,6 +213,23 @@ mod tests {
     }
 
     #[test]
+    fn poll_into_keeps_order_across_the_ring_wrap() {
+        let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 4);
+        let mut out = Vec::new();
+        let mut next = 0;
+        for (pushes, max) in [(3, 2), (3, 3), (2, 9)] {
+            for _ in 0..pushes {
+                push(&mut cq, cqe(next));
+                next += 1;
+            }
+            cq.poll_into(max, &mut out);
+        }
+        let polled: Vec<u64> = out.iter().map(|c| c.wqe_index).collect();
+        assert_eq!(polled, (0..8).collect::<Vec<_>>());
+        assert!(cq.entries.is_empty());
+    }
+
+    #[test]
     fn overrun_drops_entries_but_keeps_count() {
         let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 2);
         for i in 0..5 {
@@ -201,6 +238,31 @@ mod tests {
         assert!(cq.overrun);
         assert_eq!(cq.total, 5);
         assert_eq!(cq.entries.len(), 2);
+    }
+
+    #[test]
+    fn counting_cq_keeps_the_count_and_no_entries() {
+        let mut cq = CompletionQueue::counting(CqId(0), NodeId(0));
+        assert!(!cq.park(WqId(1), 3));
+        assert!(!cq.park(WqId(2), 100));
+        for i in 0..100u64 {
+            let mut e = cqe(i);
+            e.time = Time::from_ps(i + 1);
+            let woken = push(&mut cq, e);
+            assert_eq!(cq.total, i + 1);
+            assert_eq!(cq.last_completion, Time::from_ps(i + 1));
+            match i + 1 {
+                3 => assert_eq!(woken, [WqId(1)]),
+                100 => assert_eq!(woken, [WqId(2)]),
+                _ => assert!(woken.is_empty()),
+            }
+            assert!(cq.entries.is_empty());
+            assert!(!cq.overrun);
+        }
+        assert!(cq.waiters.is_empty());
+        assert!(cq.poll(usize::MAX).is_empty());
+        assert_eq!(cq.poll_into(usize::MAX, &mut Vec::new()), 0);
+        assert!(!cq.overrun);
     }
 
     #[test]

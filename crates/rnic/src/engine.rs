@@ -631,11 +631,6 @@ impl PoolResource {
         self.free_at.is_empty()
     }
 
-    /// How many servers are busy at `now`.
-    pub fn busy_at(&self, now: Time) -> usize {
-        self.free_at.iter().filter(|t| **t > now).count()
-    }
-
     /// Total busy time accumulated.
     pub fn busy_total(&self) -> Time {
         self.busy_total
@@ -825,7 +820,6 @@ mod tests {
         let (s2, f2) = p.acquire(Time::from_us(2), Time::from_us(1));
         assert_eq!(s2, s1);
         assert_eq!(f2, Time::from_us(3));
-        assert_eq!(p.busy_at(Time::from_ps(3_500_000)), 1);
     }
 
     #[test]

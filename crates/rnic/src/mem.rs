@@ -294,17 +294,6 @@ impl HostMemory {
         self.write(addr, &v.to_le_bytes())
     }
 
-    /// Read a little-endian u32.
-    pub fn read_u32(&self, addr: u64) -> Result<u32> {
-        let b = self.read(addr, 4)?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    /// Write a little-endian u32.
-    pub fn write_u32(&mut self, addr: u64, v: u32) -> Result<()> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
     /// Register `[addr, addr+len)` for RDMA access on behalf of `owner`.
     pub fn register(
         &mut self,
@@ -509,8 +498,6 @@ mod tests {
         let a = m.alloc(16, 8).unwrap();
         m.write_u64(a, 0x0123_4567_89ab_cdef).unwrap();
         assert_eq!(m.read_u64(a).unwrap(), 0x0123_4567_89ab_cdef);
-        m.write_u32(a + 8, 42).unwrap();
-        assert_eq!(m.read_u32(a + 8).unwrap(), 42);
     }
 
     #[test]

@@ -94,6 +94,17 @@ impl Simulator {
         Ok(id)
     }
 
+    /// Create a counting completion queue, for CQs whose only reader is
+    /// a WAIT threshold: its monotonic count, WAIT waiters, heartbeat and
+    /// trace record work as on any CQ, and a listener or the ready set
+    /// still hears of each CQE, but it keeps no pollable entries and
+    /// never overruns (`IBV_CREATE_CQ_ATTR_IGNORE_OVERRUN`).
+    pub fn create_counting_cq(&mut self, node: NodeId) -> CqId {
+        let id = CqId(self.cqs.len() as u32);
+        self.cqs.push(CompletionQueue::counting(id, node));
+        id
+    }
+
     /// Create a queue pair owned by the node's init process.
     pub fn create_qp(&mut self, node: NodeId, cfg: QpConfig) -> Result<QpId> {
         self.create_qp_owned(node, cfg, ProcessId(0))
@@ -197,11 +208,6 @@ impl Simulator {
     /// The receive queue of a QP.
     pub fn rq_of(&self, qp: QpId) -> WqId {
         self.qps[qp.index()].rq
-    }
-
-    /// Send-side CQ of a QP.
-    pub fn send_cq_of(&self, qp: QpId) -> CqId {
-        self.qps[qp.index()].send_cq
     }
 
     /// Receive-side CQ of a QP.

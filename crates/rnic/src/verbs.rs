@@ -105,11 +105,6 @@ impl Opcode {
         matches!(self, Opcode::Read) || self.is_atomic()
     }
 
-    /// Whether this verb carries payload toward the responder.
-    pub fn is_posted_data(self) -> bool {
-        matches!(self, Opcode::Send | Opcode::Write | Opcode::WriteImm)
-    }
-
     /// Whether this is a cross-channel control verb.
     pub fn is_ctrl(self) -> bool {
         matches!(self, Opcode::Wait | Opcode::Enable)
@@ -172,7 +167,6 @@ mod tests {
         assert!(!Opcode::Cas.is_calc());
         assert!(Opcode::Read.is_nonposted());
         assert!(!Opcode::Write.is_nonposted());
-        assert!(Opcode::Write.is_posted_data());
         assert!(Opcode::Wait.is_ctrl());
         assert!(Opcode::Send.is_write_class());
         assert!(!Opcode::Read.is_write_class());
