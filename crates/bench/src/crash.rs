@@ -100,7 +100,7 @@ pub fn run_crash_timeline(
 
     // The hull parent (init, pid 0) owns RDMA resources in RedN mode; in
     // vanilla mode the memcached process owns everything.
-    let memcached_pid = sim.spawn_process(s, "memcached", Some(ProcessId(0)));
+    let memcached_pid = sim.spawn_process(s);
     let owner = match path {
         CrashPath::RedN => ProcessId(0),
         CrashPath::Vanilla => memcached_pid,

@@ -115,7 +115,7 @@ impl Cluster {
         let mut value = vec![0u8; spec.value_len as usize];
         let mut shards = Vec::with_capacity(spec.nodes);
         for (i, &node) in nodes.iter().enumerate() {
-            let pid = sim.spawn_process(node, "shard-serve", Some(ProcessId(0)));
+            let pid = sim.spawn_process(node);
             let server = MemcachedServer::create(sim, node, spec.nbuckets, spec.value_len, pid)?;
             // Populate only this shard's partition, with the same value
             // convention as `MemcachedServer::populate` so get paths

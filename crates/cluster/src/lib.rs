@@ -27,6 +27,7 @@
 //! backup-owned journal.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cluster;
 pub mod failover;

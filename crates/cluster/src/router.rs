@@ -38,28 +38,13 @@ impl ShardRouter {
         ShardRouter { shards }
     }
 
-    /// The live shard indices, ascending.
-    pub fn shards(&self) -> &[usize] {
-        &self.shards
-    }
-
-    /// Number of live shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when no shard is live.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
     /// The `(key, shard)` rendezvous weight.
     fn weight(key: u64, shard: usize) -> u64 {
         mix(mix(key) ^ mix(shard as u64 + 1))
     }
 
     /// The shard owning `key`, or `None` when the member list is empty.
-    pub fn try_route(&self, key: u64) -> Option<usize> {
+    fn try_route(&self, key: u64) -> Option<usize> {
         self.shards
             .iter()
             .copied()
@@ -122,7 +107,7 @@ mod tests {
     #[test]
     fn empty_router_routes_nowhere() {
         let r = ShardRouter::new(std::iter::empty());
-        assert!(r.is_empty());
+        assert!(r.shards.is_empty());
         assert_eq!(r.try_route(7), None);
     }
 }

@@ -87,12 +87,6 @@ impl PutSession {
         self.session.put(sim, key, value)
     }
 
-    /// Window slots currently in flight.
-    pub fn in_flight(&self) -> u64 {
-        let off = self.offload();
-        u64::from(off.pipeline_depth()) - off.instances_available()
-    }
-
     /// [`Session::reap_puts`], then apply every acked record (still in
     /// its request slot) to the shard's table; an ack whose record
     /// cannot be read back becomes a failure. An idle reap stays one
@@ -278,12 +272,6 @@ impl ClusterSession {
         })
     }
 
-    /// Tenant lanes this session was connected with (0 when connected
-    /// via the single-operator [`ClusterSession::connect`]).
-    pub fn ntenants(&self) -> usize {
-        self.ntenants
-    }
-
     /// The connect-time non-interference proof over every shard's get
     /// offload and replication chain (clean by construction — a dirty
     /// report aborts [`ClusterSession::connect`]).
@@ -310,7 +298,7 @@ impl ClusterSession {
     /// tenant lane's get session is reconnected with the connect
     /// options, then a put session on a chain forwarding to `journals`
     /// from `start_slot`.
-    pub fn rebind(
+    pub(crate) fn rebind(
         &mut self,
         sim: &mut Simulator,
         cluster: &mut Cluster,

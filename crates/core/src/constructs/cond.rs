@@ -71,7 +71,7 @@ impl IfEq {
     ///
     /// With a trigger, the verb cost is exactly the paper's Table 2 `if`
     /// row: 1 copy + 1 atomic + 3 ordering verbs.
-    pub fn build(
+    pub(crate) fn build(
         p: &mut IrProgram,
         ctrl: QId,
         actions: QId,
@@ -86,7 +86,7 @@ impl IfEq {
     /// As [`IfEq::build`] with a pre-allocated action op (so outer
     /// constructs — [`IfLe`] — can aim verbs at the action before it is
     /// staged).
-    pub(crate) fn build_on(
+    fn build_on(
         p: &mut IrProgram,
         ctrl: QId,
         y: u64,

@@ -217,16 +217,6 @@ impl UnrolledWhile {
         }
         Ok(())
     }
-
-    /// Number of iterations compiled.
-    pub fn len(&self) -> usize {
-        self.responses.len()
-    }
-
-    /// Whether the loop has no iterations.
-    pub fn is_empty(&self) -> bool {
-        self.responses.is_empty()
-    }
 }
 
 /// A running CPU-free loop (§3.4 WQ recycling): the handle
@@ -235,9 +225,9 @@ impl UnrolledWhile {
 ///
 /// The ring re-executes forever — surviving host crashes, since no CPU
 /// ever touches it again — until something turns its tail ENABLE into a
-/// NOOP ([`RecycledLoop::halt`], or a compiled halt doing the same with
-/// a chain WRITE) or the simulation stops it. What one round holds, and
-/// in what order, is `redn_core::ir::lower`'s business alone.
+/// NOOP (a compiled halt does so with a chain WRITE) or the simulation
+/// stops it. What one round holds, and in what order, is
+/// `redn_core::ir::lower`'s business alone.
 #[derive(Clone, Copy, Debug)]
 pub struct RecycledLoop {
     /// The ring.
@@ -254,13 +244,6 @@ impl RecycledLoop {
     pub fn rounds(&self, sim: &Simulator) -> u64 {
         sim.wq_executed(self.queue.sq) / self.round_len
     }
-
-    /// Halt the loop host-side by patching the tail ENABLE into a NOOP.
-    /// (Compiled halts do the same with a chain WRITE.)
-    pub fn halt(&self, sim: &mut Simulator) -> Result<()> {
-        let addr = self.tail_enable + WqeField::Header.offset();
-        sim.mem_write_u64(self.queue.node, addr, header_word(Opcode::Noop, 0))
-    }
 }
 
 #[cfg(test)]
@@ -273,6 +256,13 @@ mod tests {
     use rnic_sim::ids::{NodeId, ProcessId};
     use rnic_sim::mem::{Access, MemoryRegion};
     use rnic_sim::time::Time;
+
+    /// Halt a loop host-side: patch its tail ENABLE into a NOOP.
+    fn halt(sim: &mut Simulator, lp: &RecycledLoop) {
+        let addr = lp.tail_enable + WqeField::Header.offset();
+        let noop = header_word(Opcode::Noop, 0);
+        sim.mem_write_u64(lp.queue.node, addr, noop).unwrap();
+    }
 
     struct Rig {
         sim: Simulator,
@@ -348,8 +338,7 @@ mod tests {
         // values[2] == 12 matched -> response 2 wrote 102.
         assert_eq!(r.sim.mem_read_u64(r.node, r.out).unwrap(), 102);
         assert!(!lw.break_enabled);
-        assert_eq!(lw.len(), 8);
-        assert!(!lw.is_empty());
+        assert_eq!(lw.responses.len(), 8);
         // Without break, every iteration executes.
         assert_eq!(r.sim.wq_executed(r.dyn_q.sq), 8);
     }
@@ -441,7 +430,7 @@ mod tests {
         );
 
         // Halt and drain: the counter stops, no events remain.
-        lp.halt(&mut sim).unwrap();
+        halt(&mut sim, &lp);
         sim.run().unwrap();
         assert_eq!(sim.pending_events(), 0);
         assert!(sim.mem_read_u64(node, ctr.addr).unwrap() >= rounds);
@@ -488,7 +477,7 @@ mod tests {
         assert!(lp.rounds(&sim).abs_diff(count) <= 1, "{count} adds");
         // Halted, the ring finishes its round, restore WRITE included:
         // the slot is back to its pristine image.
-        lp.halt(&mut sim).unwrap();
+        halt(&mut sim, &lp);
         sim.run().unwrap();
         assert_eq!(sim.mem_read_u64(node, header).unwrap(), pristine);
     }

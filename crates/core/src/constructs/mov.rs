@@ -48,23 +48,13 @@ impl RegisterFile {
     }
 
     /// Address of register `i`.
-    pub fn addr(&self, i: usize) -> u64 {
+    fn addr(&self, i: usize) -> u64 {
         assert!(i < self.count, "register index out of range");
         self.base + i as u64 * 8
     }
 
-    /// Number of registers.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Register files are never empty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// The memory region covering the registers.
-    pub fn mr(&self) -> MemoryRegion {
+    fn mr(&self) -> MemoryRegion {
         self.mr
     }
 
@@ -338,8 +328,7 @@ mod tests {
     #[test]
     fn register_file_layout() {
         let mut r = rig();
-        assert_eq!(r.unit.regs.len(), 8);
-        assert!(!r.unit.regs.is_empty());
+        assert_eq!(r.unit.regs.count, 8);
         assert_eq!(r.unit.regs.addr(1) - r.unit.regs.addr(0), 8);
         r.unit.regs.write(&mut r.sim, r.node, 3, 77).unwrap();
         assert_eq!(r.unit.regs.read(&r.sim, r.node, 3).unwrap(), 77);

@@ -49,7 +49,7 @@ impl TableRegion {
     }
 
     /// The remote key chain READs present.
-    pub fn rkey(&self) -> u32 {
+    pub(crate) fn rkey(&self) -> u32 {
         self.rkey
     }
 }
@@ -74,7 +74,7 @@ impl ValueSource {
     }
 
     /// The local key response WQEs gather with.
-    pub fn lkey(&self) -> u32 {
+    pub(crate) fn lkey(&self) -> u32 {
         self.lkey
     }
 }

@@ -278,9 +278,12 @@ mod tests {
 
     #[test]
     fn recycled_loop_via_ctx_runs() {
+        use crate::encode::WqeField;
         use crate::ir::{IrProgram, Kind, Loc, OpBuild, RingSpec, WaitCond};
         use rnic_sim::mem::Access;
         use rnic_sim::time::Time;
+        use rnic_sim::verbs::Opcode;
+        use rnic_sim::wqe::header_word;
         let (mut sim, node) = rig();
         let mut ctx = OffloadCtx::new(&mut sim, node).unwrap();
         let ctr = sim.alloc(node, 8, 8).unwrap();
@@ -302,7 +305,10 @@ mod tests {
         let lowered = p.deploy(&mut sim, ctx.pool_mut()).unwrap();
         sim.run_until(Time::from_us(100)).unwrap();
         assert!(sim.mem_read_u64(node, ctr).unwrap() >= 5);
-        lowered.ring().unwrap().halt(&mut sim).unwrap();
+        // Halt: turn the tail ENABLE into a NOOP.
+        let tail = lowered.ring().unwrap().tail_enable + WqeField::Header.offset();
+        let noop = header_word(Opcode::Noop, 0);
+        sim.mem_write_u64(node, tail, noop).unwrap();
         sim.run().unwrap();
     }
 }

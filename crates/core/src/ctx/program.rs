@@ -8,9 +8,7 @@
 //! and patch-point addresses stay symbolic until deployment; callers
 //! never do `next_wait_count()` arithmetic, and deployment runs the IR
 //! optimizer (WAIT elision, const deduplication) and the §3.1 static
-//! verifier before anything is posted ([`ChainProgram::deploy_with`]
-//! takes the IR's [`DeployOpts`] switches for programs the checker
-//! cannot see through).
+//! verifier before anything is posted.
 //!
 //! Deployment is two-phase, mirroring the hardware reality that injection
 //! must land *after* the action WQEs are in the ring but *before* the
@@ -23,22 +21,15 @@
 //!    `inject_x`, or a RECV scatter);
 //! 3. [`ArmedProgram::launch`] posts the control queue, which rings its
 //!    doorbell and sets the NIC off.
-//!
-//! [`ChainProgram::run`] collapses the three steps when nothing needs
-//! host-side injection.
 
 use rnic_sim::error::Result;
 use rnic_sim::ids::CqId;
 use rnic_sim::sim::Simulator;
 use rnic_sim::wqe::WorkRequest;
 
-use crate::constructs::cond::{IfEq, IfEqWide, IfLe};
-use crate::constructs::mov::{MovUnit, RegisterFile};
+use crate::constructs::cond::IfEq;
 use crate::ctx::OffloadCtx;
-use crate::ir::{
-    DeployOpts, IrProgram, Kind, Lowered, OpBuild, OpId, PassReport, QId, VerbCounts, WaitCond,
-};
-use crate::offloads::rpc::TriggerPoint;
+use crate::ir::{DeployOpts, IrProgram, Kind, Lowered, OpBuild, QId, VerbCounts, WaitCond};
 use crate::program::ChainQueue;
 
 /// A chain program under construction. Created by
@@ -73,18 +64,6 @@ impl<'c> ChainProgram<'c> {
         }
     }
 
-    /// Gate everything staged after this on the `n`-th future SEND
-    /// arriving at `tp` (1 = the next one) — the client-invocation edge of
-    /// Fig 1. The WAIT threshold is computed from the trigger CQ's live
-    /// completion count. When arming several program instances ahead of
-    /// any client SEND, instance `k` (0-based) of a batch armed
-    /// back-to-back passes `n = k + 1` — otherwise every instance waits
-    /// for the same (first) SEND.
-    pub fn on_nth_trigger(&mut self, sim: &Simulator, tp: &TriggerPoint, n: u64) -> &mut Self {
-        let count = tp.wait_count_after(sim, n);
-        self.wait_on(tp.recv_cq, count)
-    }
-
     /// Gate everything staged after this on `cq` reaching `count`
     /// completions (absolute, monotonic — §3.4 semantics).
     pub fn wait_on(&mut self, cq: CqId, count: u64) -> &mut Self {
@@ -104,64 +83,6 @@ impl<'c> ChainProgram<'c> {
         parts
     }
 
-    /// Wide-operand `if (x == y) action` via CAS chaining (§3.5),
-    /// comparing `bits` bits.
-    pub fn if_eq_wide(&mut self, y: u128, bits: u32, action: WorkRequest) -> IfEqWide {
-        let parts = IfEqWide::build(&mut self.p, self.ctrl, self.actions, y, bits, action, None);
-        self.counts = self.counts.merge(&parts.counts);
-        parts
-    }
-
-    /// `if (x <= y) action` via MAX + equality (§3.5). Scratch space is a
-    /// program constant, placed at deploy.
-    pub fn if_le(&mut self, y: u64, action: WorkRequest) -> IfLe {
-        let parts = IfLe::build(&mut self.p, self.ctrl, self.actions, y, action);
-        self.counts = self.counts.merge(&parts.counts);
-        parts
-    }
-
-    /// Allocate a register file + mov unit against `data` (Appendix A,
-    /// Table 7). Registers live in the context's constant pool.
-    pub fn mov_unit(
-        &mut self,
-        sim: &mut Simulator,
-        registers: usize,
-        data: rnic_sim::mem::MemoryRegion,
-    ) -> Result<MovUnit> {
-        let regs = RegisterFile::create(sim, self.ctx.pool_mut(), registers)?;
-        Ok(MovUnit::new(regs, data))
-    }
-
-    /// `mov Rdst, C` — immediate.
-    pub fn mov_imm(&mut self, unit: &MovUnit, dst: usize, c: u64) -> &mut Self {
-        unit.mov_imm(&mut self.p, self.ctrl, dst, c);
-        self
-    }
-
-    /// `mov Rdst, Rsrc` — register to register.
-    pub fn mov_reg(&mut self, unit: &MovUnit, dst: usize, src: usize) -> &mut Self {
-        unit.mov_reg(&mut self.p, self.ctrl, dst, src);
-        self
-    }
-
-    /// `mov Rdst, [Rsrc + off]` — indirect/indexed load.
-    pub fn mov_load(&mut self, unit: &MovUnit, dst: usize, src: usize, off: u64) -> &mut Self {
-        unit.mov_load(&mut self.p, self.ctrl, self.actions, dst, src, off);
-        self
-    }
-
-    /// `mov [Rdst + off], Rsrc` — indirect/indexed store.
-    pub fn mov_store(&mut self, unit: &MovUnit, dst: usize, src: usize, off: u64) -> &mut Self {
-        unit.mov_store(&mut self.p, self.ctrl, self.actions, dst, src, off);
-        self
-    }
-
-    /// Stage a raw verb on the control queue, alongside the combinators.
-    pub fn stage_ctrl(&mut self, wr: WorkRequest) -> OpId {
-        self.p
-            .push(self.ctrl, OpBuild::new(Kind::Raw(wr)).label("raw ctrl"))
-    }
-
     /// The control queue (CQ ids for audit trails, ring keys for
     /// scatter targets).
     pub fn ctrl_queue(&self) -> ChainQueue {
@@ -175,7 +96,8 @@ impl<'c> ChainProgram<'c> {
 
     /// Table 2 verb accounting of everything staged through the
     /// combinators — the *paper's* cost model; the deployed program's
-    /// [`PassReport`] shows what the optimizer actually staged.
+    /// [`PassReport`](crate::ir::PassReport) shows what the optimizer
+    /// actually staged.
     pub fn counts(&self) -> VerbCounts {
         self.counts
     }
@@ -184,27 +106,13 @@ impl<'c> ChainProgram<'c> {
     /// action queue (quiet). Inject runtime operands, then
     /// [`ArmedProgram::launch`].
     pub fn deploy(self, sim: &mut Simulator) -> Result<ArmedProgram> {
-        self.deploy_with(sim, DeployOpts::default())
-    }
-
-    /// Deploy with explicit IR switches. `verify: false` is the escape
-    /// hatch for programs whose ordering is established outside the IR:
-    /// it waives the three `redn_core::ir::verify` rule families *and*
-    /// the `redn_core::ir::analysis` suite (see
-    /// [`IrProgram::deploy_unchecked`]); the optimizer still runs.
-    pub fn deploy_with(self, sim: &mut Simulator, opts: DeployOpts) -> Result<ArmedProgram> {
+        let opts = DeployOpts::default();
         let mut lowered = self.p.deploy_with(sim, self.ctx.pool_mut(), opts, None)?;
         lowered.post(sim, self.actions)?;
         Ok(ArmedProgram {
             lowered,
             ctrl: self.ctrl,
         })
-    }
-
-    /// Deploy and immediately launch — for programs whose operands are
-    /// injected by RECV scatter (or that take none).
-    pub fn run(self, sim: &mut Simulator) -> Result<()> {
-        self.deploy(sim)?.launch(sim)
     }
 }
 
@@ -216,11 +124,6 @@ pub struct ArmedProgram {
 }
 
 impl ArmedProgram {
-    /// What the IR optimizer did to the program.
-    pub fn report(&self) -> PassReport {
-        self.lowered.report()
-    }
-
     /// Post the control queue (ringing its doorbell): the NIC takes over.
     pub fn launch(mut self, sim: &mut Simulator) -> Result<()> {
         self.lowered.post(sim, self.ctrl)
@@ -230,10 +133,24 @@ impl ArmedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constructs::cond::{IfEqWide, IfLe};
+    use crate::constructs::mov::{MovUnit, RegisterFile};
     use crate::ctx::OffloadCtx;
     use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
     use rnic_sim::ids::NodeId;
     use rnic_sim::mem::Access;
+
+    /// Deploy and launch at once, for programs whose operands arrive by
+    /// RECV scatter or that take none.
+    fn run(prog: ChainProgram<'_>, sim: &mut Simulator) -> Result<()> {
+        prog.deploy(sim)?.launch(sim)
+    }
+
+    /// Stage a raw verb on the control queue.
+    fn stage_ctrl(prog: &mut ChainProgram<'_>, wr: WorkRequest) {
+        let op = OpBuild::new(Kind::Raw(wr)).label("raw ctrl");
+        prog.p.push(prog.ctrl, op);
+    }
 
     fn rig() -> (Simulator, NodeId) {
         let mut sim = Simulator::new(SimConfig::default());
@@ -260,7 +177,7 @@ mod tests {
             let armed = prog.deploy(&mut sim).unwrap();
             // The optimizer stages one ordering verb fewer than the
             // paper model per conditional.
-            assert_eq!(armed.report().waits_elided, 1);
+            assert_eq!(armed.lowered.report().waits_elided, 1);
             branch.inject_x(&mut sim, x).unwrap();
             armed.launch(&mut sim).unwrap();
             sim.run().unwrap();
@@ -280,15 +197,11 @@ mod tests {
 
         let wide_val: u128 = 0x1234_5678_9ABC_DEF0_1122;
         let mut prog = ctx.chain_program(&mut sim).unwrap();
-        let wide = prog.if_eq_wide(
-            wide_val,
-            80,
-            WorkRequest::write(one, omr.lkey, 8, flags, fmr.rkey),
-        );
-        let le = prog.if_le(
-            50,
-            WorkRequest::write(one, omr.lkey, 8, flags + 8, fmr.rkey),
-        );
+        let (p, ctrl, actions) = (&mut prog.p, prog.ctrl, prog.actions);
+        let set_wide = WorkRequest::write(one, omr.lkey, 8, flags, fmr.rkey);
+        let wide = IfEqWide::build(p, ctrl, actions, wide_val, 80, set_wide, None);
+        let set_le = WorkRequest::write(one, omr.lkey, 8, flags + 8, fmr.rkey);
+        let le = IfLe::build(p, ctrl, actions, 50, set_le);
         let armed = prog.deploy(&mut sim).unwrap();
         wide.inject_x(&mut sim, wide_val).unwrap();
         le.inject_x(&mut sim, 49).unwrap();
@@ -307,12 +220,13 @@ mod tests {
         sim.mem_write_u64(node, data, data + 64).unwrap();
         sim.mem_write_u64(node, data + 64, 0x5EED).unwrap();
 
+        let regs = RegisterFile::create(&mut sim, ctx.pool_mut(), 4).unwrap();
+        let unit = MovUnit::new(regs, dmr);
         let mut prog = ctx.chain_program(&mut sim).unwrap();
-        let unit = prog.mov_unit(&mut sim, 4, dmr).unwrap();
         unit.regs.write(&mut sim, node, 1, data).unwrap();
-        prog.mov_load(&unit, 2, 1, 0);
-        prog.mov_load(&unit, 3, 2, 0);
-        prog.run(&mut sim).unwrap();
+        unit.mov_load(&mut prog.p, prog.ctrl, prog.actions, 2, 1, 0);
+        unit.mov_load(&mut prog.p, prog.ctrl, prog.actions, 3, 2, 0);
+        run(prog, &mut sim).unwrap();
         sim.run().unwrap();
         assert_eq!(unit.regs.read(&sim, node, 3).unwrap(), 0x5EED);
     }
@@ -343,13 +257,13 @@ mod tests {
         // via the RECV scatter (no host injection).
         for k in 0..2u64 {
             let mut prog = ctx.chain_program(&mut sim).unwrap();
-            prog.on_nth_trigger(&sim, &tp, k + 1);
+            prog.wait_on(tp.recv_cq, sim.cq_total(tp.recv_cq) + k + 1);
             let action_ring_lkey = prog.action_queue().ring.lkey;
             let branch = prog.if_eq(
                 7 + k,
                 WorkRequest::write(one, pool_lkey, 8, flags + 8 * k, fmr.rkey),
             );
-            prog.run(&mut sim).unwrap();
+            run(prog, &mut sim).unwrap();
             let scatter = [(branch.x_inject.addr(), action_ring_lkey, 6u32)];
             tp.post_trigger_recv(&mut sim, ctx.pool_mut(), &scatter)
                 .unwrap();
@@ -414,15 +328,15 @@ mod tests {
         // Program A sets flag 0 on the first trigger; program B, on its
         // own queues, sets flag 1 once A's control queue completes it.
         let mut a = ctx.chain_program_sized(&mut sim, 8, 8).unwrap();
-        a.on_nth_trigger(&sim, &tp, 1);
-        a.stage_ctrl(first);
+        a.wait_on(tp.recv_cq, sim.cq_total(tp.recv_cq) + 1);
+        stage_ctrl(&mut a, first);
         let a_cq = a.ctrl_queue().cq;
-        a.run(&mut sim).unwrap();
+        run(a, &mut sim).unwrap();
         let mut b = ctx.chain_program_sized(&mut sim, 8, 8).unwrap();
         b.wait_on(a_cq, 1);
-        b.stage_ctrl(second);
+        stage_ctrl(&mut b, second);
         let b_cq = b.ctrl_queue().cq;
-        b.run(&mut sim).unwrap();
+        run(b, &mut sim).unwrap();
         tp.post_trigger_recv(&mut sim, ctx.pool_mut(), &[]).unwrap();
         sim.run().unwrap();
         assert_eq!(sim.mem_read_u64(s, flags + 8).unwrap(), 0, "B parked");
@@ -468,9 +382,9 @@ mod tests {
         let mut prog = ChainProgram::new(&mut ctx, ctrl_q, act_q);
         prog.if_eq(7, copy);
         for _ in 0..4 {
-            prog.stage_ctrl(copy);
+            stage_ctrl(&mut prog, copy);
         }
-        let full = prog.run(&mut sim);
+        let full = run(prog, &mut sim);
         assert!(matches!(full, Err(Error::WqFull(wq)) if wq == ctrl_q.sq));
         for q in [ctrl_q, act_q] {
             assert_eq!(sim.sq_posted(q.qp), 0, "no orphaned WQE on {}", q.sq);
@@ -480,25 +394,11 @@ mod tests {
         // A program that fits, on the same queues, runs — and is all
         // that runs.
         let mut prog = ChainProgram::new(&mut ctx, ctrl_q, act_q);
-        prog.stage_ctrl(copy);
-        prog.run(&mut sim).unwrap();
+        stage_ctrl(&mut prog, copy);
+        run(prog, &mut sim).unwrap();
         sim.run().unwrap();
         assert_eq!(sim.mem_read_u64(node, buf + 8).unwrap(), 0x77);
         assert_eq!(sim.wq_executed(ctrl_q.sq), 1);
         assert_eq!(sim.wq_executed(act_q.sq), 0);
-    }
-
-    #[test]
-    fn run_collapses_deploy_and_launch() {
-        let (mut sim, node) = rig();
-        let mut ctx = OffloadCtx::new(&mut sim, node).unwrap();
-        let buf = sim.alloc(node, 16, 8).unwrap();
-        let mr = sim.register_mr(node, buf, 16, Access::all()).unwrap();
-        sim.mem_write_u64(node, buf, 0x77).unwrap();
-        let mut prog = ctx.chain_program(&mut sim).unwrap();
-        prog.stage_ctrl(WorkRequest::write(buf, mr.lkey, 8, buf + 8, mr.rkey).signaled());
-        prog.run(&mut sim).unwrap();
-        sim.run().unwrap();
-        assert_eq!(sim.mem_read_u64(node, buf + 8).unwrap(), 0x77);
     }
 }

@@ -48,12 +48,6 @@ impl ChainQueueBuilder {
         self
     }
 
-    /// Unmanaged mode (the default): prefetching, one doorbell per post.
-    pub fn unmanaged(mut self) -> ChainQueueBuilder {
-        self.managed = false;
-        self
-    }
-
     /// Ring depth in WQE slots.
     pub fn depth(mut self, depth: u32) -> ChainQueueBuilder {
         self.depth = depth;
@@ -68,7 +62,7 @@ impl ChainQueueBuilder {
     }
 
     /// Bind to a specific NIC port (Table 4's dual-port configuration).
-    pub fn on_port(mut self, port: usize) -> ChainQueueBuilder {
+    pub(crate) fn on_port(mut self, port: usize) -> ChainQueueBuilder {
         self.port = port;
         self
     }
@@ -126,7 +120,7 @@ pub struct TriggerPointBuilder {
 impl TriggerPointBuilder {
     /// Start building a trigger endpoint on `node` owned by `owner`.
     /// Defaults: NIC port 0, no PU pinning, 1024-deep queues.
-    pub fn new(node: NodeId, owner: ProcessId) -> TriggerPointBuilder {
+    pub(crate) fn new(node: NodeId, owner: ProcessId) -> TriggerPointBuilder {
         TriggerPointBuilder {
             node,
             owner,
@@ -139,26 +133,26 @@ impl TriggerPointBuilder {
 
     /// Response (send) ring depth. Self-recycling offloads size this to
     /// exactly one round of response WQEs so the ring wraps per round.
-    pub fn sq_depth(mut self, depth: u32) -> TriggerPointBuilder {
+    pub(crate) fn sq_depth(mut self, depth: u32) -> TriggerPointBuilder {
         self.sq_depth = depth;
         self
     }
 
     /// Trigger (receive) ring depth. Self-recycling offloads size this to
     /// one round of trigger RECVs and mark the ring cyclic.
-    pub fn rq_depth(mut self, depth: u32) -> TriggerPointBuilder {
+    pub(crate) fn rq_depth(mut self, depth: u32) -> TriggerPointBuilder {
         self.rq_depth = depth;
         self
     }
 
     /// Pin the response queue to a processing unit.
-    pub fn on_pu(mut self, pu: usize) -> TriggerPointBuilder {
+    pub(crate) fn on_pu(mut self, pu: usize) -> TriggerPointBuilder {
         self.pu = Some(pu);
         self
     }
 
     /// Bind to a specific NIC port.
-    pub fn on_port(mut self, port: usize) -> TriggerPointBuilder {
+    pub(crate) fn on_port(mut self, port: usize) -> TriggerPointBuilder {
         self.port = port;
         self
     }

@@ -14,13 +14,11 @@ use rnic_sim::wqe::{
 };
 
 /// Maximum operand width supported by a single conditional (Table 2).
-pub const OPERAND_BITS: u32 = 48;
+pub(crate) const OPERAND_BITS: u32 = 48;
 
 /// Byte offset of the `id` bits within a WQE: the header word's low 16
 /// bits hold the opcode, so the 48-bit id starts at byte 2.
-pub const OFF_ID_BYTES: u64 = OFF_HEADER + 2;
-/// Width of the id field in bytes.
-pub const ID_BYTES: u64 = 6;
+const OFF_ID_BYTES: u64 = OFF_HEADER + 2;
 
 /// Named WQE fields, for readable patch-point arithmetic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,7 +51,7 @@ pub enum WqeField {
 
 impl WqeField {
     /// Byte offset of the field within a WQE slot.
-    pub fn offset(self) -> u64 {
+    pub(crate) fn offset(self) -> u64 {
         match self {
             WqeField::Header => OFF_HEADER,
             WqeField::Id => OFF_ID_BYTES,
@@ -68,27 +66,11 @@ impl WqeField {
             WqeField::Swap => OFF_SWAP,
         }
     }
-
-    /// Width of the field in bytes.
-    pub fn len(self) -> u64 {
-        match self {
-            WqeField::Header | WqeField::LocalAddr | WqeField::RemoteAddr => 8,
-            WqeField::Operand | WqeField::Swap => 8,
-            WqeField::Id => ID_BYTES,
-            WqeField::Flags | WqeField::Lkey | WqeField::Length => 4,
-            WqeField::Rkey | WqeField::Imm => 4,
-        }
-    }
-
-    /// Fields are never zero-width.
-    pub fn is_empty(self) -> bool {
-        false
-    }
 }
 
 /// Truncate a value to the 48-bit operand width.
 #[inline]
-pub fn operand48(v: u64) -> u64 {
+pub(crate) fn operand48(v: u64) -> u64 {
     v & ID_MASK
 }
 
@@ -110,7 +92,7 @@ pub fn cond_swap(action: Opcode, y: u64) -> u64 {
 /// Conditionals wider than 48 bits chain one CAS per segment (§3.5:
 /// "we can chain together multiple CAS operations to handle different
 /// segments of a larger operand").
-pub fn wide_segments(value: u128, bits: u32) -> Vec<u64> {
+pub(crate) fn wide_segments(value: u128, bits: u32) -> Vec<u64> {
     assert!(bits > 0 && bits <= 128, "1..=128 bit operands");
     let nseg = bits.div_ceil(OPERAND_BITS);
     (0..nseg)
@@ -122,6 +104,20 @@ pub fn wide_segments(value: u128, bits: u32) -> Vec<u64> {
 mod tests {
     use super::*;
     use rnic_sim::wqe::{Wqe, WQE_SIZE};
+
+    /// Width of the id field in bytes.
+    const ID_BYTES: u64 = 6;
+
+    /// Width of a field in bytes.
+    fn width(f: WqeField) -> u64 {
+        match f {
+            WqeField::Header | WqeField::LocalAddr | WqeField::RemoteAddr => 8,
+            WqeField::Operand | WqeField::Swap => 8,
+            WqeField::Id => ID_BYTES,
+            WqeField::Flags | WqeField::Lkey | WqeField::Length => 4,
+            WqeField::Rkey | WqeField::Imm => 4,
+        }
+    }
 
     #[test]
     fn field_offsets_are_in_bounds_and_distinct() {
@@ -139,8 +135,7 @@ mod tests {
             WqeField::Swap,
         ];
         for f in fields {
-            assert!(f.offset() + f.len() <= WQE_SIZE, "{f:?} out of bounds");
-            assert!(!f.is_empty());
+            assert!(f.offset() + width(f) <= WQE_SIZE, "{f:?} out of bounds");
         }
     }
 

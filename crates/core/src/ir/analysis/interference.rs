@@ -120,7 +120,7 @@ pub struct Footprint {
     /// WQE ring slots the program owns — its patch points live here.
     pub rings: Vec<Span>,
     /// CQs owned by the program's queues (plus any trigger CQ claimed
-    /// via [`Footprint::claim_cq`]).
+    /// via `Footprint::claim_cq`).
     pub owned_cqs: Vec<CqId>,
     /// Foreign CQs the program's absolute WAIT thresholds count.
     pub wait_cqs: Vec<CqId>,
@@ -139,7 +139,7 @@ impl Footprint {
 
     /// Claim a CQ created outside the IR (a trigger point's RECV CQ) as
     /// owned by this program.
-    pub fn claim_cq(&mut self, cq: CqId) {
+    pub(crate) fn claim_cq(&mut self, cq: CqId) {
         if !self.owned_cqs.contains(&cq) {
             self.owned_cqs.push(cq);
         }
@@ -319,13 +319,8 @@ impl<'a> DeploymentVerifier<'a> {
     }
 
     /// Footprints added so far.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.programs.len()
-    }
-
-    /// No footprints added.
-    pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
     }
 
     fn fp(&self, prog: usize) -> &Footprint {

@@ -162,7 +162,7 @@ impl AnalysisReport {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

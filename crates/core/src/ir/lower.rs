@@ -95,16 +95,10 @@ impl Lowered {
         })
     }
 
-    /// The program's non-interference footprint (see
-    /// [`analysis::DeploymentVerifier`](super::analysis::DeploymentVerifier)).
-    pub fn footprint(&self) -> &Footprint {
-        &self.footprint
-    }
-
     /// The footprint by value, for a caller done with everything else
     /// the lowering produced (a serving frame keeps only this, the
     /// report and the ring).
-    pub fn into_footprint(self) -> Footprint {
+    pub(crate) fn into_footprint(self) -> Footprint {
         self.footprint
     }
 

@@ -51,22 +51,22 @@ pub use lower::Lowered;
 
 /// Handle to a queue declared in an [`IrProgram`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QId(pub(crate) usize);
+pub struct QId(pub usize);
 
 /// Handle to an op in an [`IrProgram`]. Stable across optimizer passes —
 /// symbolic references survive slot reallocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct OpId(pub(crate) usize);
+pub struct OpId(pub usize);
 
 /// Handle to a program constant (bytes, scratch cell, SGE table, or WQE
 /// image) placed in the const pool at lowering.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CId(pub(crate) usize);
+pub struct CId(pub usize);
 
 /// Handle to an external scatter list (a trigger RECV's injection
 /// targets), resolved at lowering.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScatterId(pub(crate) usize);
+pub struct ScatterId(pub usize);
 
 /// An operand location, resolved to `(address, key)` at lowering.
 #[derive(Clone, Copy, Debug)]
@@ -193,7 +193,7 @@ pub struct SgeSpec {
 /// trigger WRITE deposits over a generic region), with symbolic field
 /// patches applied after resolution.
 #[derive(Clone, Debug)]
-pub struct ImageWqe {
+pub(crate) struct ImageWqe {
     /// The verb, with concrete fields where known.
     pub wr: WorkRequest,
     /// `(field, loc)` pairs: the resolved address of `loc` is written
@@ -275,7 +275,7 @@ pub enum Kind {
 
 impl Kind {
     /// The Table 2 verb class this op lowers to.
-    pub fn class(&self) -> VerbClass {
+    fn class(&self) -> VerbClass {
         match self {
             Kind::Noop | Kind::Write { .. } | Kind::Read { .. } | Kind::ReadSgl { .. } => {
                 VerbClass::Copy
@@ -324,7 +324,7 @@ impl OpBuild {
     }
 
     /// Gate issue on every previous WQE of this queue having completed.
-    pub fn wait_prev(mut self) -> OpBuild {
+    pub(crate) fn wait_prev(mut self) -> OpBuild {
         self.wait_prev = true;
         self
     }
@@ -337,13 +337,13 @@ impl OpBuild {
     }
 
     /// Stage as a NOOP placeholder with a preset 48-bit id.
-    pub fn placeholder_id(mut self, id: u64) -> OpBuild {
+    pub(crate) fn placeholder_id(mut self, id: u64) -> OpBuild {
         self.placeholder = Some(id);
         self
     }
 
     /// Restore this slot from its pristine image every recycled round.
-    pub fn restore(mut self) -> OpBuild {
+    pub(crate) fn restore(mut self) -> OpBuild {
         self.restore = true;
         self
     }
@@ -396,14 +396,14 @@ pub(crate) enum QueueSlot {
 }
 
 impl QueueSlot {
-    pub(crate) fn bound(&self) -> Option<&ChainQueue> {
+    fn bound(&self) -> Option<&ChainQueue> {
         match self {
             QueueSlot::Bound(q) => Some(q),
             QueueSlot::Ring(_, q) => q.as_ref(),
         }
     }
 
-    pub(crate) fn managed(&self) -> bool {
+    fn managed(&self) -> bool {
         match self {
             QueueSlot::Bound(q) => q.managed,
             QueueSlot::Ring(..) => true,
@@ -436,7 +436,7 @@ pub(crate) struct SgeRun {
 }
 
 impl SgeRun {
-    pub(crate) fn of<T>(all: &[T], run: SgeRun) -> &[T] {
+    fn of<T>(all: &[T], run: SgeRun) -> &[T] {
         &all[run.start..][..run.len]
     }
 }
@@ -494,7 +494,7 @@ pub(crate) struct OpRec {
 /// Addresses assigned by lowering, shared with [`FieldRef`] handles so
 /// construct handles resolve after deploy without threading a context.
 #[derive(Default)]
-pub struct Resolution {
+pub(crate) struct Resolution {
     pub(crate) node: Option<NodeId>,
     pub(crate) op_slot: Vec<Option<u64>>,
     pub(crate) op_index: Vec<Option<u64>>,
@@ -524,19 +524,19 @@ impl std::fmt::Debug for FieldRef {
 
 impl FieldRef {
     /// The resolved absolute address. Panics before deploy.
-    pub fn addr(&self) -> u64 {
+    pub(crate) fn addr(&self) -> u64 {
         self.res.borrow().op_slot[self.op.0].expect("program not deployed yet")
             + self.field.offset()
             + self.off
     }
 
     /// The node the slot lives on. Panics before deploy.
-    pub fn node(&self) -> NodeId {
+    fn node(&self) -> NodeId {
         self.res.borrow().node.expect("program not deployed yet")
     }
 
     /// Host-side write into the resolved field (operand injection).
-    pub fn write(&self, sim: &mut Simulator, bytes: &[u8]) -> Result<()> {
+    pub(crate) fn write(&self, sim: &mut Simulator, bytes: &[u8]) -> Result<()> {
         sim.mem_write(self.node(), self.addr(), bytes)
     }
 }
@@ -564,17 +564,17 @@ impl ConstRef {
     }
 
     /// The node the cell lives on. Panics before deploy.
-    pub fn node(&self) -> NodeId {
+    fn node(&self) -> NodeId {
         self.res.borrow().node.expect("program not deployed yet")
     }
 
     /// Host-side write into the resolved cell (operand injection).
-    pub fn write(&self, sim: &mut Simulator, bytes: &[u8]) -> Result<()> {
+    pub(crate) fn write(&self, sim: &mut Simulator, bytes: &[u8]) -> Result<()> {
         sim.mem_write(self.node(), self.addr(), bytes)
     }
 }
 
-/// A content-addressed cache over [`ConstPool::push_bytes`]: identical
+/// A content-addressed cache over `ConstPool::push_bytes`: identical
 /// immutable constants (pristine images, SGE tables) resolve to one pool
 /// cell. Persist one across host-armed `arm` calls and steady-state
 /// re-arms stop consuming pool capacity — the dedup pass, applied over
@@ -630,25 +630,20 @@ fn content_hash(bytes: &[u8]) -> u64 {
 
 impl ConstInterner {
     /// An empty interner.
-    pub fn new() -> ConstInterner {
+    pub(crate) fn new() -> ConstInterner {
         ConstInterner::default()
     }
 
     /// Forget every placement (keeping the map's capacity and
     /// `saved_bytes`).
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.cells.clear();
     }
 
     /// Place `bytes` in the pool, reusing an identical earlier placement.
     /// (Two different constants with one 64-bit hash: the later one is
     /// placed but not remembered — it only loses its own dedup.)
-    pub fn intern(
-        &mut self,
-        sim: &mut Simulator,
-        pool: &mut ConstPool,
-        bytes: &[u8],
-    ) -> Result<u64> {
+    fn intern(&mut self, sim: &mut Simulator, pool: &mut ConstPool, bytes: &[u8]) -> Result<u64> {
         match self.cells.entry(content_hash(bytes)) {
             Entry::Occupied(hit) => {
                 let (addr, len) = *hit.get();
@@ -698,7 +693,7 @@ pub struct VerbCounts {
 
 impl VerbCounts {
     /// Count one verb of `class`.
-    pub(crate) fn add(&mut self, class: VerbClass) {
+    fn add(&mut self, class: VerbClass) {
         match class {
             VerbClass::Copy => self.copies += 1,
             VerbClass::Atomic => self.atomics += 1,
@@ -899,13 +894,13 @@ impl IrProgram {
     }
 
     /// The entries of an SGE table or external scatter list.
-    pub(crate) fn sges(&self, run: SgeRun) -> &[SgeSpec] {
+    fn sges(&self, run: SgeRun) -> &[SgeSpec] {
         SgeRun::of(&self.sges, run)
     }
 
     /// A block of encoded WQEs with symbolic patches (dedupable after
     /// resolution).
-    pub fn const_images(&mut self, wqes: Vec<ImageWqe>) -> CId {
+    pub(crate) fn const_images(&mut self, wqes: Vec<ImageWqe>) -> CId {
         self.consts.push(ConstSpec::Images(wqes));
         CId(self.consts.len() - 1)
     }
@@ -919,12 +914,12 @@ impl IrProgram {
     }
 
     /// A resolvable reference to `field` of `op`'s future slot.
-    pub fn field_ref(&self, op: OpId, field: WqeField) -> FieldRef {
+    pub(crate) fn field_ref(&self, op: OpId, field: WqeField) -> FieldRef {
         self.field_ref_off(op, field, 0)
     }
 
     /// As [`IrProgram::field_ref`], with an extra byte offset.
-    pub fn field_ref_off(&self, op: OpId, field: WqeField, off: u64) -> FieldRef {
+    fn field_ref_off(&self, op: OpId, field: WqeField, off: u64) -> FieldRef {
         FieldRef {
             res: Rc::clone(&self.resolution),
             op,
@@ -942,19 +937,19 @@ impl IrProgram {
         }
     }
 
-    pub(crate) fn op(&self, id: OpId) -> &OpBuild {
+    fn op(&self, id: OpId) -> &OpBuild {
         self.ops[id.0].op.as_ref().expect("op not placed")
     }
 
     /// `id`'s position on its queue; `None` while it is on no queue.
-    pub(crate) fn pos_of(&self, id: OpId) -> Option<usize> {
+    fn pos_of(&self, id: OpId) -> Option<usize> {
         let pos = self.ops[id.0].pos;
         (pos != NO_POS).then_some(pos as usize)
     }
 
     /// Take the op at `pos` of queue `q` out of the program (the
     /// WAIT-elision pass): the ops behind it move up one position.
-    pub(crate) fn detach(&mut self, q: QId, pos: usize) {
+    fn detach(&mut self, q: QId, pos: usize) {
         let id = self.queue_ops[q.0].remove(pos);
         let rec = &mut self.ops[id.0];
         (rec.op, rec.pos) = (None, NO_POS);
@@ -973,7 +968,7 @@ impl IrProgram {
 
     /// `id` as diagnostics name it. `Copy` data: an analysis carries it
     /// and formats it only into a diagnostic it actually emits.
-    pub(crate) fn name_of(&self, id: OpId) -> OpName {
+    fn name_of(&self, id: OpId) -> OpName {
         let rec = &self.ops[id.0];
         OpName {
             label: rec.op.as_ref().map(|o| o.label).unwrap_or(""),

@@ -152,14 +152,9 @@ fn err(msg: String) -> Error {
     Error::Verifier(msg)
 }
 
-/// Run the full rule set; the first diagnostic is returned as a hard
-/// error naming the offending WQE.
-pub fn verify(p: &IrProgram) -> Result<()> {
-    verify_with(p, &patch_map(p))
-}
-
-/// As [`verify`], over a precomputed patch map (deploy shares one map
-/// between the verifier and the optimizer).
+/// Run the full rule set over a precomputed patch map (deploy shares
+/// one map between the verifier and the optimizer); the first diagnostic
+/// is returned as a hard error naming the offending WQE.
 pub(crate) fn verify_with(p: &IrProgram, pm: &PatchMap) -> Result<()> {
     // Structural sanity: every allocated op was placed.
     for (i, rec) in p.ops.iter().enumerate() {

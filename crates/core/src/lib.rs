@@ -40,6 +40,7 @@
 //! `libibverbs`+`libmlx5` stack would expose.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
 pub mod constructs;

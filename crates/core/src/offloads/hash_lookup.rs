@@ -54,10 +54,6 @@ use rnic_sim::verbs::Opcode;
 
 /// Size of one bucket in bytes.
 pub const BUCKET_SIZE: u64 = 16;
-/// Offset of the value pointer within a bucket.
-pub const BUCKET_OFF_PTR: u64 = 0;
-/// Offset of the 48-bit key within a bucket.
-pub const BUCKET_OFF_KEY: u64 = 8;
 
 /// Host-side bucket encoding helper.
 pub fn encode_bucket(value_ptr: u64, key: u64) -> [u8; BUCKET_SIZE as usize] {
@@ -726,7 +722,8 @@ mod tests {
             assert_eq!(got, Some(0xA0 + g % 8), "get {g}");
         }
         assert_eq!(pool.used(), pool_used, "steady state pushes no pool bytes");
-        assert!(off.rounds(&r.sim) >= 3, "rounds {}", off.rounds(&r.sim));
+        let rounds = crate::offloads::service::tests::rounds(&r.sim, &off);
+        assert!(rounds >= 3, "rounds {rounds}");
     }
 
     #[test]

@@ -55,8 +55,6 @@ use crate::program::{ChainQueue, ConstPool};
 pub const NODE_OFF_NEXT: u64 = 0;
 /// Offset of the key in a node.
 pub const NODE_OFF_KEY: u64 = 8;
-/// Offset of the value in a node.
-pub const NODE_OFF_VALUE: u64 = 16;
 
 /// Node header size (next + key), before the value.
 pub const NODE_HEADER: u64 = 16;
@@ -64,7 +62,7 @@ pub const NODE_HEADER: u64 = 16;
 /// Most nodes a *recycled* walk may visit: the folded R3 needs one
 /// 6-byte scatter entry per iteration plus one for the head pointer,
 /// and RECVs scatter at most 16 ways (§5.3).
-pub const RECYCLED_MAX_NODES: usize = 15;
+pub(crate) const RECYCLED_MAX_NODES: usize = 15;
 
 /// Bytes of a walk's client trigger payload for unroll factor
 /// `max_nodes`: `[N0(8B)][x(6B)]` host-armed, `[N0][x(6B) × max_nodes]`
@@ -497,11 +495,6 @@ impl ListWalkOffload {
             p.extend_from_slice(&operand48(key).to_le_bytes()[..6]);
         }
     }
-
-    /// Maximum nodes walked per request — the unroll factor.
-    pub fn max_nodes(&self) -> usize {
-        self.spec.max_nodes
-    }
 }
 
 #[cfg(test)]
@@ -812,7 +805,8 @@ mod tests {
             assert_eq!(got, Some((i + 1) as u8), "walk {g}");
         }
         assert_eq!(pool.used(), pool_used, "steady state pushes no pool bytes");
-        assert!(off.rounds(&r.sim) >= 3, "rounds {}", off.rounds(&r.sim));
+        let rounds = crate::offloads::service::tests::rounds(&r.sim, &off);
+        assert!(rounds >= 3, "rounds {rounds}");
     }
 
     #[test]

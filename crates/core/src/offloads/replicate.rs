@@ -126,7 +126,7 @@ impl ReplicationLog {
     }
 
     /// Address of journal slot `i`.
-    pub fn slot_addr(&self, i: u64) -> u64 {
+    fn slot_addr(&self, i: u64) -> u64 {
         self.mr.addr + i * self.record_len() as u64
     }
 
@@ -394,11 +394,6 @@ impl ReplicationOffload {
         self.value_len
     }
 
-    /// Bytes per wire/journal record.
-    pub fn record_len(&self) -> u32 {
-        record_len(self.value_len)
-    }
-
     /// The journals this chain replicates into.
     pub fn journals(&self) -> &[ReplicationLog] {
         &self.backups
@@ -454,7 +449,7 @@ mod tests {
         sim.connect_nodes(client, primary, LinkConfig::back_to_back());
         sim.connect_mesh(&bnodes, LinkConfig::back_to_back());
 
-        let pid = sim.spawn_process(primary, "primary-serve", Some(ProcessId(0)));
+        let pid = sim.spawn_process(primary);
         let mut ctx = OffloadCtx::builder(primary)
             .owner(pid)
             .build(&mut sim)
@@ -527,12 +522,12 @@ mod tests {
         let slot = inst % DEPTH as u64;
         let mut rec = Vec::new();
         encode_record_into(&mut rec, inst + 1, key, value, VLEN);
-        let addr = rig.req.addr + slot * rig.repl.record_len() as u64;
+        let addr = rig.req.addr + slot * record_len(VLEN) as u64;
         rig.sim.mem_write(rig.client, addr, &rec).unwrap();
         rig.sim
             .post_send(
                 rig.cqp,
-                WorkRequest::send(addr, rig.req.lkey, rig.repl.record_len()).signaled(),
+                WorkRequest::send(addr, rig.req.lkey, record_len(VLEN)).signaled(),
             )
             .unwrap();
         inst

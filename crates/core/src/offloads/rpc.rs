@@ -42,7 +42,7 @@ pub struct TriggerPoint {
 impl TriggerPoint {
     /// The endpoint's managed send queue as a chain queue, so programs
     /// can stage the response WQEs they patch and release onto it.
-    pub fn response_queue(&self, sim: &Simulator) -> ChainQueue {
+    pub(crate) fn response_queue(&self, sim: &Simulator) -> ChainQueue {
         let sq = sim.sq_of(self.qp);
         ChainQueue {
             qp: self.qp,
@@ -61,7 +61,7 @@ impl TriggerPoint {
     /// Builds the SGE table in the constant pool. Returns the RECV
     /// index; more than 16 targets is refused as by
     /// [`TriggerPoint::post_trigger_recv_prebuilt`].
-    pub fn post_trigger_recv(
+    pub(crate) fn post_trigger_recv(
         &self,
         sim: &mut Simulator,
         pool: &mut ConstPool,
@@ -81,7 +81,7 @@ impl TriggerPoint {
     /// `table_addr` — the one place a trigger RECV is written. Returns
     /// the RECV index. More than 16 entries (the ConnectX scatter limit,
     /// §5.3) is an `InvalidWr`, and nothing is posted.
-    pub fn post_trigger_recv_prebuilt(
+    pub(crate) fn post_trigger_recv_prebuilt(
         &self,
         sim: &mut Simulator,
         table_addr: u64,
@@ -91,12 +91,6 @@ impl TriggerPoint {
             return Err(Error::InvalidWr("RECVs can only perform 16 scatters"));
         }
         sim.post_recv(self.qp, WorkRequest::recv_sgl(table_addr, entries))
-    }
-
-    /// The WAIT threshold that corresponds to "the next `n`-th trigger
-    /// from now" on the receive CQ.
-    pub fn wait_count_after(&self, sim: &Simulator, n: u64) -> u64 {
-        sim.cq_total(self.recv_cq) + n
     }
 }
 
@@ -150,7 +144,6 @@ mod tests {
         assert_eq!(sim.mem_read_u64(s, a1).unwrap(), 0xAABB_CCDD);
         assert_eq!(sim.mem_read_u64(s, a2).unwrap(), 0x1122_3344_5566);
         assert_eq!(sim.cq_total(tp.recv_cq), 1);
-        assert_eq!(tp.wait_count_after(&sim, 1), 2);
     }
 
     #[test]

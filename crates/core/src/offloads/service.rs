@@ -66,7 +66,6 @@ use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::sim::Simulator;
 
-use crate::constructs::loops::RecycledLoop;
 use crate::ctx::{ChainQueueBuilder, ClientDest, TriggerPointBuilder};
 use crate::ir::analysis::Footprint;
 use crate::ir::{
@@ -99,7 +98,7 @@ pub struct InstanceWindow {
 impl InstanceWindow {
     /// A self-recycling window of `depth` slots whose first instance is
     /// `start_slot`.
-    pub fn recycled(depth: u32, start_slot: u64) -> InstanceWindow {
+    fn recycled(depth: u32, start_slot: u64) -> InstanceWindow {
         InstanceWindow {
             depth: u64::from(depth),
             base: start_slot,
@@ -110,7 +109,7 @@ impl InstanceWindow {
     }
 
     /// A host-armed window over `depth` client slots, nothing armed yet.
-    pub fn host_armed(depth: u32) -> InstanceWindow {
+    fn host_armed(depth: u32) -> InstanceWindow {
         InstanceWindow {
             armed: Some(0),
             ..InstanceWindow::recycled(depth, 0)
@@ -267,7 +266,6 @@ fn trigger_wait_op(tp: &TriggerPoint, trigger_base: u64, k: u64) -> OpBuild {
 struct Round {
     report: PassReport,
     footprint: Footprint,
-    lp: RecycledLoop,
 }
 
 /// A deployed serving-offload frame (see the module docs).
@@ -386,11 +384,6 @@ impl ServiceFrame {
     pub fn verbs_per_op(&self) -> Option<f64> {
         self.ir_report()
             .map(|r| r.after.total() as f64 / f64::from(self.pipeline_depth()))
-    }
-
-    /// Recycle rounds completed (0 for host-armed offloads).
-    pub fn rounds(&self, sim: &Simulator) -> u64 {
-        self.round.as_ref().map_or(0, |r| r.lp.rounds(sim))
     }
 
     /// Client response-slot address for `instance`.
@@ -569,7 +562,6 @@ impl RecycledFrame {
         }
         sim.set_rq_cyclic(tp.qp)?;
         let report = lowered.report();
-        let lp = *lowered.ring().expect("a recycled program lowers to a ring");
         let mut footprint = lowered.into_footprint().named(name);
         for cq in [tp.recv_cq, tp.send_cq] {
             footprint.claim_cq(cq);
@@ -580,25 +572,41 @@ impl RecycledFrame {
             dest: self.spec.dest.addr,
             stride: self.spec.stride,
             trigger_base: self.trigger_base,
-            round: Some(Round {
-                report,
-                footprint,
-                lp,
-            }),
+            round: Some(Round { report, footprint }),
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::encode::WqeField;
+    use crate::ir::analysis::interference::SpanKind;
     use crate::program::ChainQueue;
     use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
-    use rnic_sim::ids::QpId;
+    use rnic_sim::ids::{QpId, WqId};
     use rnic_sim::mem::Access;
     use rnic_sim::qp::QpConfig;
-    use rnic_sim::wqe::WorkRequest;
+    use rnic_sim::wqe::{WorkRequest, WQE_SIZE};
+
+    /// The ring of a self-recycling frame, read off its footprint: its
+    /// SQ (the program's first queue), first slot's address and slots.
+    fn ring(frame: &ServiceFrame) -> (WqId, u64, u64) {
+        let fp = frame.footprint().expect("a self-recycling frame");
+        let span = fp.rings.iter().find(|s| s.what == SpanKind::RecycledRing);
+        let span = span.expect("a recycled ring");
+        (fp.owned_sqs[0], span.addr, span.len / WQE_SIZE)
+    }
+
+    /// Recycle rounds completed: the ring's executed WQEs over its slots
+    /// (0 for a host-armed frame).
+    pub(crate) fn rounds(sim: &Simulator, frame: &ServiceFrame) -> u64 {
+        if !frame.is_recycled() {
+            return 0;
+        }
+        let (sq, _, slots) = ring(frame);
+        sim.wq_executed(sq) / slots
+    }
 
     #[test]
     fn recycled_window_wraps_tags_and_frees_slots_on_completion() {
@@ -796,8 +804,8 @@ mod tests {
         );
         // Ring slot 2 is instance 0's trigger WAIT (after the two head
         // FETCH_ADDs): the §3.4 fix-up invariant, observed in ring memory.
-        let ring = frame.round.as_ref().unwrap().lp.queue;
-        let wait_operand = ring.slot_addr(2) + WqeField::Operand.offset();
+        let (_, ring_addr, _) = ring(&frame);
+        let wait_operand = ring_addr + 2 * WQE_SIZE + WqeField::Operand.offset();
         let before = r.sim.mem_read_u64(r.server, wait_operand).unwrap();
         // Warm up one round, then 3 more with the host counters flat.
         for v in 0..2 {
@@ -815,7 +823,8 @@ mod tests {
         );
         assert_eq!(r.sim.node_posts(r.server), posts, "no host posts");
         assert_eq!(pool.used(), pool_used, "no pool churn");
-        assert!(frame.rounds(&r.sim) >= 3, "rounds {}", frame.rounds(&r.sim));
+        let rounds = rounds(&r.sim, &frame);
+        assert!(rounds >= 3, "rounds {rounds}");
         let after = r.sim.mem_read_u64(r.server, wait_operand).unwrap();
         assert_eq!(
             after,
@@ -879,7 +888,7 @@ mod tests {
         r.sim.connect_qps(r.cqp, frame.tp.qp).unwrap();
         assert!(!frame.is_recycled());
         assert!(frame.footprint().is_none() && frame.ir_report().is_none());
-        assert_eq!(frame.rounds(&r.sim), 0);
+        assert_eq!(rounds(&r.sim, &frame), 0);
         let ctrl = r.spec.queue(&r.sim, 64, None).build(&mut r.sim).unwrap();
         assert!(frame.take_instance().is_err(), "nothing armed yet");
         // Three instances armed ahead of a depth-2 window: instance k

@@ -109,7 +109,7 @@ impl ConstPool {
     /// Stash raw bytes; returns their address. Errors (rather than
     /// panicking) when the pool is exhausted, matching the crate's
     /// `Result` idiom.
-    pub fn push_bytes(&mut self, sim: &mut Simulator, bytes: &[u8]) -> Result<u64> {
+    pub(crate) fn push_bytes(&mut self, sim: &mut Simulator, bytes: &[u8]) -> Result<u64> {
         // Keep everything 8-byte aligned: atomics and header words require
         // it, and alignment costs almost nothing here.
         let aligned = (self.used + 7) & !7;
@@ -174,7 +174,7 @@ impl ConstPool {
     }
 
     /// Reserve zeroed space (e.g. a register or a scratch word).
-    pub fn reserve(&mut self, sim: &mut Simulator, len: u64) -> Result<u64> {
+    pub(crate) fn reserve(&mut self, sim: &mut Simulator, len: u64) -> Result<u64> {
         // Registers and staging cells are small: no buffer per cell.
         const ZEROS: [u8; 256] = [0; 256];
         match ZEROS.get(..len as usize) {

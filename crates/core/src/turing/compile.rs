@@ -38,7 +38,7 @@
 //! the per-round completion count is rule-independent — the WAIT
 //! thresholds stay exact.
 
-use rnic_sim::error::Result;
+use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::Opcode;
@@ -52,7 +52,7 @@ use crate::program::ConstPool;
 use crate::turing::machine::{Move, TuringMachine};
 
 /// Bytes per tape cell.
-pub const CELL_SIZE: u64 = 8;
+const CELL_SIZE: u64 = 8;
 /// Number of generic action slots per step.
 const ACTION_SLOTS: usize = 5;
 
@@ -98,7 +98,7 @@ impl CompiledTm {
     /// [`OffloadCtx::compile_tm`](crate::ctx::OffloadCtx::compile_tm)
     /// uses, so the context genuinely owns the machine's resources. A
     /// machine needs roughly `tape + 64 * rules + 2 KiB` bytes of pool.
-    pub fn compile_in_pool(
+    pub(crate) fn compile_in_pool(
         sim: &mut Simulator,
         node: NodeId,
         owner: ProcessId,
@@ -119,7 +119,7 @@ impl CompiledTm {
         )
     }
 
-    /// As [`CompiledTm::compile_in_pool`], with explicit deploy switches
+    /// As `CompiledTm::compile_in_pool`, with explicit deploy switches
     /// (the equivalence property tests compare `optimize: false` against
     /// the default lowering).
     #[allow(clippy::too_many_arguments)]
@@ -369,10 +369,18 @@ impl CompiledTm {
         Ok((sim.mem_read_u64(self.node, self.sreg)? & 0xFF_FFFF) as u32)
     }
 
-    /// Current head index.
+    /// Current head index; `BadAddress` once the head has left the tape.
     pub fn head_index(&self, sim: &Simulator) -> Result<usize> {
         let addr = sim.mem_read_u64(self.node, self.head_reg)?;
-        Ok(((addr - self.tape_addr) / CELL_SIZE) as usize)
+        let cell = addr.checked_sub(self.tape_addr).map(|off| off / CELL_SIZE);
+        match cell {
+            Some(i) if i < self.tape_len as u64 => Ok(i as usize),
+            _ => Err(Error::BadAddress {
+                node: self.node,
+                addr,
+                len: CELL_SIZE,
+            }),
+        }
     }
 
     /// TM steps executed so far (ring rounds).
@@ -436,6 +444,33 @@ mod tests {
                 .sum();
             assert_eq!(got, value + 1);
         }
+    }
+
+    /// The tape is finite: a head that moves off its left edge reads as
+    /// an error, not an underflow.
+    #[test]
+    fn a_head_off_the_left_edge_is_an_error() {
+        use crate::turing::machine::{Move, Rule};
+        let (mut sim, node) = setup();
+        let rule = Rule {
+            state: 0,
+            read: 0,
+            write: 0,
+            mv: Move::Left,
+            next: 0,
+        };
+        let tm = TuringMachine {
+            states: 2,
+            symbols: 1,
+            start: 0,
+            halt: 1,
+            rules: vec![rule],
+        };
+        let compiled = CompiledTm::compile(&mut sim, node, ProcessId(0), &tm, &[0; 4], 0).unwrap();
+        // Past the edge the machine reads whatever lies before the tape;
+        // how the run ends is not the point.
+        let _ = sim.run_until(Time::from_us(50));
+        assert!(compiled.head_index(&sim).is_err());
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl TuringMachine {
     }
 
     /// Look up the rule for `(state, symbol)`.
-    pub fn rule_for(&self, state: u32, symbol: u32) -> Option<&Rule> {
+    fn rule_for(&self, state: u32, symbol: u32) -> Option<&Rule> {
         self.rules
             .iter()
             .find(|r| r.state == state && r.read == symbol)

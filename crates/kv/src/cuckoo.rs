@@ -14,7 +14,7 @@ use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::mem::{Access, MemoryRegion};
 use rnic_sim::sim::Simulator;
 
-use crate::store::{h1, h2, ValueHeap};
+use crate::store::{check_key, h1, h2, ValueHeap};
 
 /// Maximum relocation chain before declaring the table full.
 const MAX_KICKS: usize = 64;
@@ -67,22 +67,22 @@ impl CuckooTable {
     }
 
     /// The table's memory region.
-    pub fn mr(&self) -> MemoryRegion {
+    pub(crate) fn mr(&self) -> MemoryRegion {
         self.mr
     }
 
     /// Address of bucket `idx`.
-    pub fn bucket_addr(&self, idx: u64) -> u64 {
+    fn bucket_addr(&self, idx: u64) -> u64 {
         self.base + (idx % self.nbuckets) * BUCKET_SIZE
     }
 
     /// The two candidate buckets for `key`.
-    pub fn candidates(&self, key: u64) -> [u64; 2] {
+    fn candidates(&self, key: u64) -> [u64; 2] {
         [h1(key, self.nbuckets), h2(key, self.nbuckets)]
     }
 
     /// Candidate bucket addresses (client-side metadata for RedN gets).
-    pub fn candidate_addrs(&self, key: u64) -> [u64; 2] {
+    pub(crate) fn candidate_addrs(&self, key: u64) -> [u64; 2] {
         let [a, b] = self.candidates(key);
         [self.bucket_addr(a), self.bucket_addr(b)]
     }
@@ -94,9 +94,11 @@ impl CuckooTable {
     }
 
     /// Insert (or update) `key -> value`. Returns false if the kick chain
-    /// exceeded its budget (table effectively full). A value longer than
-    /// a slot is an `InvalidWr`, refused before a slot is taken.
+    /// exceeded its budget (table effectively full). A key outside
+    /// [1, 2⁴⁸) is a `BadKey`, and a value longer than a slot an
+    /// `InvalidWr`, both refused before a slot is taken.
     pub fn insert(&mut self, sim: &mut Simulator, key: u64, value: &[u8]) -> Result<bool> {
+        check_key(key)?;
         self.heap.check_fits(value)?;
         let mut cands = self.candidates(key);
         // Update in place if present.
@@ -146,8 +148,10 @@ impl CuckooTable {
         Ok(false)
     }
 
-    /// Host-side lookup: value slot address.
+    /// Host-side lookup: value slot address. `None` for a key outside
+    /// [1, 2⁴⁸), which the table never holds.
     pub fn lookup(&self, key: u64) -> Option<u64> {
+        check_key(key).ok()?;
         self.lookup_in(self.candidates(key), key)
     }
 
@@ -193,6 +197,27 @@ mod tests {
         let node = sim.add_node("s", HostConfig::default(), NicConfig::connectx5());
         let t = CuckooTable::create(&mut sim, node, n, 64, ProcessId(0)).unwrap();
         (sim, t)
+    }
+
+    /// The NIC compares 48-bit keys: `7 + 2⁴⁸` would sit in the table
+    /// as a second bucket the NIC reads as key 7.
+    #[test]
+    fn an_alias_of_a_resident_key_is_refused() {
+        let (mut sim, mut t) = table(64);
+        assert!(t.insert(&mut sim, 7, &[7; 64]).unwrap());
+        assert!(t.insert(&mut sim, 7 + (1 << 48), &[9; 64]).is_err());
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.lookup(7 + (1 << 48)), None);
+    }
+
+    /// Key 0 is the empty-bucket encoding: no lookup finds it.
+    #[test]
+    fn key_zero_is_never_found() {
+        let (mut sim, mut t) = table(64);
+        assert_eq!(t.lookup(0), None, "an empty bucket is not key 0");
+        assert!(t.insert(&mut sim, 0, &[1; 64]).is_err());
+        assert!(t.insert(&mut sim, 5, &[5; 64]).unwrap());
+        assert_eq!(t.lookup(0), None);
     }
 
     #[test]
@@ -276,13 +301,13 @@ mod tests {
         // Used to take a slot, then trip write_value's assert.
         let err = t.insert(&mut sim, 5, &[1; 65]);
         assert!(matches!(err, Err(Error::InvalidWr(_))));
-        assert_eq!((t.heap.used(), t.len()), (0, 0), "no slot, no bucket");
+        assert_eq!((t.heap.used, t.len()), (0, 0), "no slot, no bucket");
         assert!(t.insert(&mut sim, 5, &[2; 64]).unwrap());
         let slot = t.lookup(5).unwrap();
         // The update-in-place path refuses it too, leaving the value.
         assert!(t.insert(&mut sim, 5, &[3; 65]).is_err());
         assert_eq!(t.heap.read_value(&sim, slot, 64).unwrap(), [2; 64]);
-        assert_eq!(t.heap.used(), 1);
+        assert_eq!(t.heap.used, 1);
     }
 
     #[test]

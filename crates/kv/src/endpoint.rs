@@ -27,7 +27,7 @@ pub fn run_until_cqe(sim: &mut Simulator, cq: CqId) -> Result<Option<Cqe>> {
 
 /// A client endpoint: QP pair plus registered request/response buffers.
 ///
-/// An endpoint created with [`ClientEndpoint::create_pipelined`] carves
+/// An endpoint created with `ClientEndpoint::create_pipelined` carves
 /// its request and response buffers into `slots` independent slots so
 /// that many requests can be in flight at once (one slot per in-flight
 /// instance — the client-side mirror of the offload's `pipeline_depth`).
@@ -87,7 +87,7 @@ impl ClientEndpoint {
     /// for pipelined use (pair with a hash-get offload deployed with the
     /// same `pipeline_depth` and `value_len == max_value`). Zero slots is
     /// an `InvalidWr` error, with nothing created.
-    pub fn create_pipelined(
+    pub(crate) fn create_pipelined(
         sim: &mut Simulator,
         node: NodeId,
         max_value: u32,
@@ -158,7 +158,7 @@ impl ClientEndpoint {
     }
 
     /// Request staging address of `slot` (wraps modulo the slot count).
-    pub fn req_slot(&self, slot: u64) -> u64 {
+    pub(crate) fn req_slot(&self, slot: u64) -> u64 {
         self.req_buf + (slot % self.slots as u64) * self.req_slot_len
     }
 
@@ -183,7 +183,7 @@ impl ClientEndpoint {
     /// Capacity of one request slot of a pipelined endpoint for values
     /// of `max_value` bytes — the most a staged trigger payload may
     /// occupy.
-    pub fn pipelined_req_slot_len(max_value: u32) -> u64 {
+    pub(crate) fn pipelined_req_slot_len(max_value: u32) -> u64 {
         64 + u64::from(max_value)
     }
 
@@ -270,7 +270,7 @@ impl ClientEndpoint {
     /// so every live (posted, not reaped, not abandoned) request has
     /// one. Reuses RECVs stranded by earlier abandoned requests instead
     /// of posting unconditionally.
-    pub fn reserve_response_recv(&self, sim: &mut Simulator) -> Result<()> {
+    fn reserve_response_recv(&self, sim: &mut Simulator) -> Result<()> {
         let live_after = self.requests_posted.get() + 1
             - self.responses_reaped.get()
             - self.requests_abandoned.get();
@@ -283,13 +283,13 @@ impl ClientEndpoint {
     }
 
     /// Account one reaped response completion (consumed one RECV).
-    pub fn note_response_reaped(&self) {
+    pub(crate) fn note_response_reaped(&self) {
         self.responses_reaped.set(self.responses_reaped.get() + 1);
     }
 
     /// Account one request given up on (a missed key never responds);
     /// its RECV stays posted and is reused by the next request.
-    pub fn note_request_abandoned(&self) {
+    pub(crate) fn note_request_abandoned(&self) {
         self.requests_abandoned
             .set(self.requests_abandoned.get() + 1);
     }

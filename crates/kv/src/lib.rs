@@ -35,6 +35,7 @@
 //! * [`workload`] — Memtier-like request generators.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
 pub mod cuckoo;

@@ -24,7 +24,7 @@ use rnic_sim::sim::Simulator;
 /// Keys of list nodes start here — far above the `1..=n` range the
 /// Memcached population uses, so a mixed fleet's key spaces never
 /// collide.
-pub const LIST_KEY_BASE: u64 = 1 << 32;
+const LIST_KEY_BASE: u64 = 1 << 32;
 
 /// A registered region of server-side linked lists (see module docs).
 pub struct ListStore {
@@ -94,7 +94,7 @@ impl ListStore {
     }
 
     /// Bytes per node (`[next][key]` header + value).
-    pub fn node_size(&self) -> u64 {
+    fn node_size(&self) -> u64 {
         NODE_HEADER + self.value_len as u64
     }
 
@@ -110,7 +110,7 @@ impl ListStore {
     }
 
     /// The deterministic key stored at (`list`, `pos`): unique across
-    /// the store, never zero, above [`LIST_KEY_BASE`], and within the
+    /// the store, never zero, above `LIST_KEY_BASE`, and within the
     /// offload's 48-bit operand width.
     pub fn key_of(&self, list: u64, pos: usize) -> u64 {
         assert!(list < self.nlists && pos < self.nodes_per_list);

@@ -28,6 +28,7 @@ use rnic_sim::time::Time;
 
 use crate::cuckoo::CuckooTable;
 use crate::endpoint::ClientEndpoint;
+use crate::store::check_key;
 
 /// The Memcached-like store: a cuckoo table plus its registration state.
 pub struct MemcachedServer {
@@ -138,8 +139,8 @@ pub struct PendingGet {
 }
 
 /// A reaped response completion (returned by
-/// [`Session::reap`](crate::session::Session::reap)): a get's, or, as
-/// [`ReapedWalk`](crate::session::ReapedWalk), a walk's.
+/// [`Session::reap`](crate::session::Session::reap)): a get's or a
+/// walk's.
 #[derive(Clone, Copy, Debug)]
 pub struct ReapedGet {
     /// The completed instance (from the response's immediate data).
@@ -164,6 +165,7 @@ pub(crate) fn post_get_burst(
     keys: &[u64],
     out: &mut Vec<PendingGet>,
 ) -> Result<()> {
+    keys.iter().try_for_each(|&key| check_key(key))?;
     let depth = off.pipeline_depth();
     ep.post_trigger_burst(
         sim,
@@ -232,6 +234,7 @@ pub fn redn_get(
     server: &MemcachedServer,
     key: u64,
 ) -> Result<(Time, bool)> {
+    check_key(key)?;
     off.arm(sim, pool)?;
     let (mut cqes, mut reaped) = (Vec::new(), Vec::new());
     ep.drop_sends(sim, &mut cqes);
@@ -290,6 +293,30 @@ mod tests {
         // Miss: no response.
         let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, 9999).unwrap();
         assert!(!found);
+    }
+
+    /// The NIC compares 48-bit keys, so an absent key at or above 2⁴⁸
+    /// used to be answered as a hit with the value of the key its low 48
+    /// bits spell. It is refused before anything is armed or posted.
+    #[test]
+    fn a_get_outside_the_key_domain_is_an_error_not_a_hit() {
+        let (mut sim, c, s) = setup();
+        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
+        server.populate(&mut sim, 32).unwrap();
+        let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
+        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
+        let mut off = server
+            .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
+            .unwrap();
+        sim.connect_qps(ep.qp, off.tp.qp).unwrap();
+        let posted = sim.sq_posted(ep.qp);
+        for key in [7 + (1 << 48), 7 | (1 << 63), 9 + 5 * (1 << 48)] {
+            let got = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, key);
+            assert!(got.is_err(), "key {key:#x}: {got:?}");
+        }
+        assert_eq!(sim.sq_posted(ep.qp), posted, "nothing was posted");
+        let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, 7).unwrap();
+        assert!(found, "key 7 itself still hits");
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl TenantStats {
     /// Merge the same tenant's slice from two runs/fleets (counts sum,
     /// spans take the max, latency merges count-weighted — the
     /// per-tenant analogue of [`FleetStats::merge`]).
-    pub fn merge(&self, other: &TenantStats) -> TenantStats {
+    fn merge(&self, other: &TenantStats) -> TenantStats {
         debug_assert_eq!(self.tenant, other.tenant);
         let lat = |x: Option<LatencyStats>, y: Option<LatencyStats>| match (x, y) {
             (Some(a), Some(b)) => Some(a.merge(&b)),
@@ -338,10 +338,10 @@ impl FleetStats {
     /// throughputs, arm-call/doorbell/post counters and pool accounting
     /// **sum**, while `elapsed` takes the slowest node (the cluster run
     /// spans the longest per-node run). Latency summaries merge
-    /// count-weighted via [`LatencyStats::merge`] — approximate
+    /// count-weighted via `LatencyStats::merge` — approximate
     /// percentiles, exact `max_us`. Per-tenant slices union **by tenant
     /// name**: the same tenant packed on two fleets merges into one
-    /// slice (via [`TenantStats::merge`], keeping its distributions);
+    /// slice (via `TenantStats::merge`, keeping its distributions);
     /// tenants unique to one side pass through untouched.
     pub fn merge(&self, other: &FleetStats) -> FleetStats {
         let lat = |x: Option<LatencyStats>, y: Option<LatencyStats>| match (x, y) {

@@ -44,6 +44,7 @@ use crate::cuckoo::CuckooTable;
 use crate::endpoint::ClientEndpoint;
 use crate::liststore::ListStore;
 use crate::memcached::{post_get_burst, reap_gets_into, MemcachedServer, PendingGet, ReapedGet};
+use crate::store::check_key;
 
 /// Deployment knobs shared by every session kind (what the fleet varies
 /// per client when sharding services across the NIC).
@@ -91,7 +92,7 @@ pub struct PendingWalk {
 
 /// A reaped list-walk completion: the same response tag and time as a
 /// get's.
-pub type ReapedWalk = ReapedGet;
+type ReapedWalk = ReapedGet;
 
 /// One reaped completion, typed by the service family that produced it.
 #[derive(Clone, Copy, Debug)]
@@ -439,7 +440,7 @@ impl Session {
 
     /// Allocation-free [`Session::get_burst`]: appends the handles to
     /// `out`, so a generator reuses one buffer across every tick.
-    pub fn get_burst_into(
+    pub(crate) fn get_burst_into(
         &mut self,
         sim: &mut Simulator,
         keys: &[u64],
@@ -476,7 +477,7 @@ impl Session {
 
     /// Allocation-free [`Session::walk_burst`]: appends the handles to
     /// `out`.
-    pub fn walk_burst_into(
+    pub(crate) fn walk_burst_into(
         &mut self,
         sim: &mut Simulator,
         reqs: &[(u64, u64)],
@@ -487,6 +488,7 @@ impl Session {
                 "session is not bound to a list-walk service",
             ));
         };
+        reqs.iter().try_for_each(|&(_, key)| check_key(key))?;
         self.ep.drop_sends(sim, &mut self.cqe_buf);
         let depth = off.pipeline_depth();
         let ep = &self.ep;
@@ -522,6 +524,7 @@ impl Session {
         let Bound::Put { off, pending } = &mut self.bound else {
             return Err(Error::InvalidWr(NOT_PUT));
         };
+        check_key(key)?;
         let value_len = off.value_len();
         if value.len() > value_len as usize {
             return Err(Error::InvalidWr("value longer than the chain's value_len"));
@@ -867,6 +870,50 @@ mod tests {
         assert!(session.reap_puts(&mut sim).acks.is_empty());
     }
 
+    /// A burst with one key outside [1, 2⁴⁸) is refused whole: nothing is
+    /// staged, posted or taken from the window, for gets, walks and puts.
+    #[test]
+    fn keys_outside_the_domain_are_refused_before_anything_is_posted() {
+        let (mut sim, c, s) = rig();
+        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
+        server.populate(&mut sim, 8).unwrap();
+        let store = ListStore::create(&mut sim, s, 2, 2, 64, ProcessId(0)).unwrap();
+        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
+        let opts = SessionOpts::default();
+        let variant = HashGetVariant::Sequential;
+        let mut gets = Session::connect_get(&mut sim, &mut ctx, &server, c, variant, opts).unwrap();
+        let nodes = store.nodes_per_list;
+        let pu_base = opts.pu_base + 2;
+        let opts = SessionOpts { pu_base, ..opts };
+        let mut walks = Session::connect_walk(&mut sim, &mut ctx, &store, c, nodes, opts).unwrap();
+        let (head, alias) = (store.head(0), 7 + (1 << 48));
+        for bad in [0, alias, u64::MAX] {
+            let posted = (
+                sim.sq_posted(gets.endpoint().qp),
+                sim.sq_posted(walks.endpoint().qp),
+            );
+            assert!(gets.get_burst(&mut sim, &[5, bad]).is_err(), "get {bad:#x}");
+            assert!(
+                walks.walk_burst(&mut sim, &[(head, bad)]).is_err(),
+                "walk {bad:#x}"
+            );
+            let after = (
+                sim.sq_posted(gets.endpoint().qp),
+                sim.sq_posted(walks.endpoint().qp),
+            );
+            assert_eq!(after, posted, "nothing posted for {bad:#x}");
+        }
+        for session in [&gets, &walks] {
+            let off = session.service();
+            assert_eq!(off.instances_available(), u64::from(off.pipeline_depth()));
+        }
+        let (mut sim, mut puts) = put_rig();
+        for bad in [0, alias] {
+            assert!(puts.put(&mut sim, bad, &[1; 16]).is_err(), "put {bad:#x}");
+        }
+        assert_eq!(in_flight(&puts), 0, "a refused put claims no slot");
+    }
+
     /// Run `n` requests one at a time through `post`, reaping each, and
     /// check the client's send CQ: every trigger SEND completed, the CQ
     /// never held more than one window of them, and it never overran.
@@ -929,7 +976,7 @@ mod tests {
         let mut node = |name| sim.add_node(name, HostConfig::default(), NicConfig::connectx5());
         let nodes = [node("client"), node("primary"), node("backup")];
         sim.connect_mesh(&nodes, LinkConfig::back_to_back());
-        let pid = sim.spawn_process(nodes[1], "serve", Some(ProcessId(0)));
+        let pid = sim.spawn_process(nodes[1]);
         let mut ctx = OffloadCtx::builder(nodes[1])
             .owner(pid)
             .build(&mut sim)
@@ -951,7 +998,7 @@ mod tests {
         let (mut sim, mut session) = put_rig();
         let depth = session.service().pipeline_depth() as usize;
         for round in 0..10u8 {
-            for key in 0..depth as u64 {
+            for key in 1..=depth as u64 {
                 session.put(&mut sim, key, &[round; 16]).unwrap();
             }
             assert_eq!(in_flight(&session), depth as u64);
@@ -969,7 +1016,7 @@ mod tests {
     #[test]
     fn corrupted_ack_word_resolves_nothing_and_does_not_panic() {
         let (mut sim, mut session) = put_rig();
-        for key in 0..4 {
+        for key in 1..=4 {
             session.put(&mut sim, key, &[7; 16]).unwrap();
         }
         sim.run().unwrap();

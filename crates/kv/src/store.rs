@@ -15,6 +15,17 @@ pub fn hash_key(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Check that `key` lies in the key domain, [1, 2⁴⁸). The NIC compares a
+/// key as the 48-bit `id` field of a WQE header (§3.3), so a wider key
+/// would alias the key its low 48 bits spell; key 0 is the empty-bucket
+/// encoding.
+pub(crate) fn check_key(key: u64) -> Result<()> {
+    if key == 0 || key >> 48 != 0 {
+        return Err(Error::BadKey(key));
+    }
+    Ok(())
+}
+
 /// First candidate bucket for a key.
 pub fn h1(key: u64, nbuckets: u64) -> u64 {
     hash_key(key) % nbuckets
@@ -43,7 +54,8 @@ pub struct ValueHeap {
     pub slot_len: u32,
     /// Capacity in slots.
     pub slots: u64,
-    used: u64,
+    /// Slots handed out.
+    pub(crate) used: u64,
     mr: MemoryRegion,
 }
 
@@ -106,11 +118,6 @@ impl ValueHeap {
     pub fn read_value(&self, sim: &Simulator, slot_addr: u64, len: u32) -> Result<Vec<u8>> {
         sim.mem_read(self.node, slot_addr, len as u64)
     }
-
-    /// Slots handed out.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +158,7 @@ mod tests {
         assert_eq!(s1 - s0, 64);
         heap.write_value(&mut sim, s0, b"hello").unwrap();
         assert_eq!(&heap.read_value(&sim, s0, 5).unwrap(), b"hello");
-        assert_eq!(heap.used(), 2);
+        assert_eq!(heap.used, 2);
         heap.alloc_slot().unwrap();
         heap.alloc_slot().unwrap();
         assert!(heap.alloc_slot().is_none());

@@ -188,11 +188,6 @@ impl NicGeometry {
             pus_per_port: cfg.pus_per_port,
         }
     }
-
-    /// Total PUs across every port.
-    pub fn total_pus(&self) -> usize {
-        self.ports * self.pus_per_port
-    }
 }
 
 /// Where one client's service lands on the NIC.

@@ -3,67 +3,33 @@
 //! The paper benchmarks Memcached with Memtier (§5.4: "issue 1 million
 //! get operations using different key-value sizes") and, for the
 //! isolation experiment, gives each client "a distinct set of 10K keys
-//! ... accessed by the clients sequentially" (§5.5). Both patterns are
-//! reproduced here with a deterministic RNG.
+//! ... accessed by the clients sequentially" (§5.5). The sequential
+//! pattern is reproduced here.
 
-use std::collections::HashSet;
-
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use rnic_sim::time::Time;
 
-/// A deterministic request-stream generator.
+/// A deterministic request stream: a key set visited sequentially with
+/// wrap-around.
 pub struct Workload {
-    rng: StdRng,
     keys: Vec<u64>,
     cursor: usize,
-    sequential: bool,
 }
 
 impl Workload {
-    /// `nkeys` uniformly random 48-bit keys (deduplicated, never zero).
-    pub fn random(seed: u64, nkeys: usize) -> Workload {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut keys = Vec::with_capacity(nkeys);
-        // Set-based dedup: the paper's workloads are 1M keys, where a
-        // linear `contains` scan per draw (O(n^2) total) takes minutes.
-        let mut seen = HashSet::with_capacity(nkeys);
-        while keys.len() < nkeys {
-            let k = rng.random::<u64>() & 0xFFFF_FFFF_FFFF;
-            if k != 0 && seen.insert(k) {
-                keys.push(k);
-            }
-        }
-        Workload {
-            rng,
-            keys,
-            cursor: 0,
-            sequential: false,
-        }
-    }
-
     /// A disjoint sequential key range `[base, base + nkeys)` — the §5.5
     /// per-client pattern.
     pub fn sequential(base: u64, nkeys: usize) -> Workload {
         Workload {
-            rng: StdRng::seed_from_u64(base),
             keys: (base..base + nkeys as u64).collect(),
             cursor: 0,
-            sequential: true,
         }
     }
 
-    /// A workload over an explicit key set, visited sequentially with
-    /// wrap-around. The cluster layer hands each shard's fleet exactly
-    /// the keys that route to that shard.
+    /// A workload over an explicit key set. The cluster layer hands each
+    /// shard's fleet exactly the keys that route to that shard.
     pub fn from_keys(keys: Vec<u64>) -> Workload {
         assert!(!keys.is_empty(), "workload needs at least one key");
-        Workload {
-            rng: StdRng::seed_from_u64(keys[0]),
-            keys,
-            cursor: 0,
-            sequential: true,
-        }
+        Workload { keys, cursor: 0 }
     }
 
     /// Split the populated key space `[1, nkeys]` into `clients` disjoint
@@ -76,20 +42,11 @@ impl Workload {
             .collect()
     }
 
-    /// The key set (for populating the store).
-    pub fn keys(&self) -> &[u64] {
-        &self.keys
-    }
-
-    /// Next key: sequential wrap-around or uniform random.
+    /// Next key, wrapping around the key set.
     pub fn next_key(&mut self) -> u64 {
-        if self.sequential {
-            let k = self.keys[self.cursor % self.keys.len()];
-            self.cursor += 1;
-            k
-        } else {
-            self.keys[self.rng.random_range(0..self.keys.len())]
-        }
+        let k = self.keys[self.cursor % self.keys.len()];
+        self.cursor += 1;
+        k
     }
 }
 
@@ -115,7 +72,7 @@ impl LatencyStats {
     /// distributions match and conservative enough for cluster-level
     /// aggregation (`max_us` stays exact). Callers needing exact merged
     /// percentiles must pool raw samples instead.
-    pub fn merge(&self, other: &LatencyStats) -> LatencyStats {
+    pub(crate) fn merge(&self, other: &LatencyStats) -> LatencyStats {
         if self.count == 0 {
             return *other;
         }
@@ -135,7 +92,7 @@ impl LatencyStats {
 }
 
 /// Compute statistics from raw latencies: a sorted copy, summarised by
-/// [`sorted_latency_stats`].
+/// `sorted_latency_stats`.
 pub fn latency_stats(samples: &[Time]) -> LatencyStats {
     let mut v = samples.to_vec();
     v.sort_unstable();
@@ -146,7 +103,7 @@ pub fn latency_stats(samples: &[Time]) -> LatencyStats {
 /// percentile rule: the `p`-quantile is the sample at index
 /// `round((n - 1) · p)`. A caller that owns its samples sorts them in
 /// place and calls this, with no copy.
-pub fn sorted_latency_stats(v: &[Time]) -> LatencyStats {
+pub(crate) fn sorted_latency_stats(v: &[Time]) -> LatencyStats {
     assert!(!v.is_empty(), "no samples");
     let us = |t: Time| t.as_ps() as f64 / 1e6;
     let pick = |p: f64| us(v[((v.len() as f64 - 1.0) * p).round() as usize]);
@@ -163,30 +120,6 @@ pub fn sorted_latency_stats(v: &[Time]) -> LatencyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn random_workload_is_deterministic() {
-        let mut a = Workload::random(7, 100);
-        let mut b = Workload::random(7, 100);
-        for _ in 0..50 {
-            assert_eq!(a.next_key(), b.next_key());
-        }
-        assert_eq!(a.keys().len(), 100);
-        assert!(a.keys().iter().all(|&k| k != 0 && k <= 0xFFFF_FFFF_FFFF));
-    }
-
-    #[test]
-    fn random_workload_scales_to_paper_key_counts() {
-        // 200K unique keys must generate near-instantly (the old
-        // `Vec::contains` dedup was quadratic and took minutes at the
-        // paper's 1M-key scale; the set-based dedup is linear).
-        let n = 200_000;
-        let w = Workload::random(42, n);
-        assert_eq!(w.keys().len(), n);
-        let unique: std::collections::HashSet<u64> = w.keys().iter().copied().collect();
-        assert_eq!(unique.len(), n, "keys are unique");
-        assert!(w.keys().iter().all(|&k| k != 0));
-    }
 
     #[test]
     fn sequential_workload_wraps() {

@@ -50,7 +50,7 @@ impl Generation {
     /// Per-PU issue time for *write-class* verbs, chosen so that
     /// `pus_per_port / t_issue_write` reproduces Table 1:
     /// 2/0.1333 µs = 15 M, 8/0.127 µs = 63 M, 16/0.1429 µs = 112 M.
-    pub fn t_issue_write(self) -> Time {
+    fn t_issue_write(self) -> Time {
         match self {
             Generation::ConnectX3 => Time::from_ps(133_333),
             Generation::ConnectX5 => Time::from_ps(126_984),
@@ -60,7 +60,7 @@ impl Generation {
 
     /// Per-PU issue time for *read-class* verbs. Table 3 reports READ at
     /// 65 M ops/s on a CX5 port: 8 PUs / 0.12308 µs = 65 M.
-    pub fn t_issue_read(self) -> Time {
+    fn t_issue_read(self) -> Time {
         match self {
             Generation::ConnectX3 => Time::from_ps(130_000),
             Generation::ConnectX5 => Time::from_ps(123_077),
@@ -134,10 +134,10 @@ pub struct NicConfig {
     /// per WR: 0.17 + 0.02 = the 0.19 µs marginal of Fig 8.
     pub t_cqe: Time,
     /// PU occupancy per write-class verb (WRITE/SEND/NOOP). See
-    /// [`Generation::t_issue_write`].
+    /// `Generation::t_issue_write`.
     pub t_issue_write: Time,
     /// PU occupancy per read-class verb (READ/atomics/calc). See
-    /// [`Generation::t_issue_read`].
+    /// `Generation::t_issue_read`.
     pub t_issue_read: Time,
     /// PU occupancy for WAIT/ENABLE control verbs.
     pub t_issue_ctrl: Time,
@@ -236,12 +236,12 @@ impl NicConfig {
     /// slot a fetch holds while its DMA is in flight. The remaining
     /// `t_managed_fetch - slot` of latency overlaps with other queues'
     /// fetches (see [`NicConfig::managed_fetch_pipeline`]).
-    pub fn t_managed_fetch_slot(&self) -> Time {
+    pub(crate) fn t_managed_fetch_slot(&self) -> Time {
         Time::from_ps(self.t_managed_fetch.as_ps() / self.managed_fetch_pipeline.max(1) as u64)
     }
 
     /// Issue time (PU occupancy) for one verb of the given class.
-    pub fn t_issue(&self, read_class: bool) -> Time {
+    pub(crate) fn t_issue(&self, read_class: bool) -> Time {
         if read_class {
             self.t_issue_read
         } else {

@@ -8,12 +8,12 @@
 //!
 //! A CQ comes in two kinds. A *pollable* CQ keeps up to `depth` entries
 //! for a host to poll and flags an overrun when one is dropped. A
-//! *counting* CQ ([`CompletionQueue::counting`]) is for CQs whose only
+//! *counting* CQ (`CompletionQueue::counting`) is for CQs whose only
 //! reader is a WAIT: it keeps the count, the completion time and the
 //! waiters, stores no entries and never overruns — what a CORE-Direct CQ
 //! created with `IBV_CREATE_CQ_ATTR_IGNORE_OVERRUN` is on hardware.
 
-use crate::ids::{CqId, NodeId, QpId, WqId};
+use crate::ids::{NodeId, QpId, WqId};
 use crate::time::Time;
 use crate::verbs::Opcode;
 use std::collections::VecDeque;
@@ -56,9 +56,7 @@ pub struct Cqe {
 
 /// A completion queue.
 #[derive(Debug)]
-pub struct CompletionQueue {
-    /// This queue's id.
-    pub id: CqId,
+pub(crate) struct CompletionQueue {
     /// Node that owns (and polls) this CQ.
     pub node: NodeId,
     /// Capacity before overrun; 0 for a counting CQ, which keeps no
@@ -91,9 +89,8 @@ pub struct CompletionQueue {
 
 impl CompletionQueue {
     /// Create an empty CQ.
-    pub fn new(id: CqId, node: NodeId, depth: u32) -> CompletionQueue {
+    pub(crate) fn new(node: NodeId, depth: u32) -> CompletionQueue {
         CompletionQueue {
-            id,
             node,
             depth,
             entries: VecDeque::new(),
@@ -109,8 +106,8 @@ impl CompletionQueue {
 
     /// Create a counting CQ: the count, completion time, waiters and
     /// host hooks of any CQ, but no pollable entries and no overrun.
-    pub fn counting(id: CqId, node: NodeId) -> CompletionQueue {
-        CompletionQueue::new(id, node, 0)
+    pub(crate) fn counting(node: NodeId) -> CompletionQueue {
+        CompletionQueue::new(node, 0)
     }
 
     /// Append a completion. Always bumps the monotonic counter; drops the
@@ -119,7 +116,7 @@ impl CompletionQueue {
     /// queues whose WAIT threshold is now satisfied are appended to `woken`
     /// (not cleared first) — the event loop reuses one buffer across
     /// every CQE.
-    pub fn push_into(&mut self, cqe: Cqe, woken: &mut Vec<WqId>) {
+    pub(crate) fn push_into(&mut self, cqe: Cqe, woken: &mut Vec<WqId>) {
         self.total += 1;
         self.last_completion = cqe.time;
         if self.entries.len() as u32 >= self.depth {
@@ -140,7 +137,7 @@ impl CompletionQueue {
 
     /// Park `wq` until `total >= threshold`. Returns true if the threshold
     /// is already satisfied (caller should not park).
-    pub fn park(&mut self, wq: WqId, threshold: u64) -> bool {
+    pub(crate) fn park(&mut self, wq: WqId, threshold: u64) -> bool {
         if self.total >= threshold {
             return true;
         }
@@ -149,7 +146,7 @@ impl CompletionQueue {
     }
 
     /// Poll up to `max` completions, consuming them.
-    pub fn poll(&mut self, max: usize) -> Vec<Cqe> {
+    pub(crate) fn poll(&mut self, max: usize) -> Vec<Cqe> {
         let n = max.min(self.entries.len());
         self.entries.drain(..n).collect()
     }
@@ -159,7 +156,7 @@ impl CompletionQueue {
     /// Clients reuse one buffer per reap loop instead of allocating a
     /// fresh `Vec` per call. An idle poll — most polls of a busy-polling
     /// host find nothing — is one compare.
-    pub fn poll_into(&mut self, max: usize, out: &mut Vec<Cqe>) -> usize {
+    pub(crate) fn poll_into(&mut self, max: usize, out: &mut Vec<Cqe>) -> usize {
         if self.entries.is_empty() {
             return 0;
         }
@@ -200,7 +197,7 @@ mod tests {
 
     #[test]
     fn push_and_poll() {
-        let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 4);
+        let mut cq = CompletionQueue::new(NodeId(0), 4);
         push(&mut cq, cqe(0));
         push(&mut cq, cqe(1));
         assert_eq!(cq.total, 2);
@@ -214,7 +211,7 @@ mod tests {
 
     #[test]
     fn poll_into_keeps_order_across_the_ring_wrap() {
-        let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 4);
+        let mut cq = CompletionQueue::new(NodeId(0), 4);
         let mut out = Vec::new();
         let mut next = 0;
         for (pushes, max) in [(3, 2), (3, 3), (2, 9)] {
@@ -231,7 +228,7 @@ mod tests {
 
     #[test]
     fn overrun_drops_entries_but_keeps_count() {
-        let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 2);
+        let mut cq = CompletionQueue::new(NodeId(0), 2);
         for i in 0..5 {
             push(&mut cq, cqe(i));
         }
@@ -242,7 +239,7 @@ mod tests {
 
     #[test]
     fn counting_cq_keeps_the_count_and_no_entries() {
-        let mut cq = CompletionQueue::counting(CqId(0), NodeId(0));
+        let mut cq = CompletionQueue::counting(NodeId(0));
         assert!(!cq.park(WqId(1), 3));
         assert!(!cq.park(WqId(2), 100));
         for i in 0..100u64 {
@@ -267,7 +264,7 @@ mod tests {
 
     #[test]
     fn waiters_release_at_threshold() {
-        let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 16);
+        let mut cq = CompletionQueue::new(NodeId(0), 16);
         // Already satisfied: park returns true and does not enqueue.
         push(&mut cq, cqe(0));
         assert!(cq.park(WqId(1), 1));
@@ -283,7 +280,7 @@ mod tests {
 
     #[test]
     fn multiple_waiters_same_threshold() {
-        let mut cq = CompletionQueue::new(CqId(0), NodeId(0), 16);
+        let mut cq = CompletionQueue::new(NodeId(0), 16);
         assert!(!cq.park(WqId(1), 1));
         assert!(!cq.park(WqId(2), 1));
         let woken = push(&mut cq, cqe(0));

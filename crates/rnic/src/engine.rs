@@ -18,7 +18,7 @@
 //! as the large `sim_events` sweep does). See DESIGN.md "Event engine".
 
 use crate::cq::CqeStatus;
-use crate::ids::{NodeId, QpId, WqId};
+use crate::ids::{QpId, WqId};
 use crate::time::Time;
 use crate::verbs::Opcode;
 use std::cmp::Ordering;
@@ -102,7 +102,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Variant names, in [`EventKind::index`] order.
+    /// Variant names, in `EventKind::index` order.
     pub const NAMES: [&'static str; 9] = [
         "WqAdvance",
         "FetchDone",
@@ -117,7 +117,7 @@ impl EventKind {
 
     /// Dense index of the variant (per-kind counters).
     #[inline]
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             EventKind::WqAdvance { .. } => 0,
             EventKind::FetchDone { .. } => 1,
@@ -513,13 +513,13 @@ impl EventQueue {
 
     /// Events processed so far (for the runaway-program budget).
     #[inline]
-    pub fn processed(&self) -> u64 {
+    pub(crate) fn processed(&self) -> u64 {
         self.popped[0] + self.popped[1]
     }
 
     /// Of [`EventQueue::processed`], the events that went from `schedule`
     /// to `pop` through the register alone, never filed in the wheel.
-    pub fn bypassed(&self) -> u64 {
+    pub(crate) fn bypassed(&self) -> u64 {
         self.popped[1]
     }
 }
@@ -530,33 +530,28 @@ impl EventQueue {
 /// engine (Table 4's "NIC PU" bottleneck) and the atomic engine (Table 3's
 /// 8.4 M CAS/s ceiling).
 #[derive(Clone, Debug, Default)]
-pub struct FifoResource {
+pub(crate) struct FifoResource {
     free_at: Time,
     busy_total: Time,
 }
 
 impl FifoResource {
     /// Create an idle resource.
-    pub fn new() -> FifoResource {
+    pub(crate) fn new() -> FifoResource {
         FifoResource::default()
     }
 
     /// Acquire the resource at `now` for `dur`. Returns the time the work
     /// *finishes* (queueing behind earlier acquisitions if necessary).
-    pub fn acquire(&mut self, now: Time, dur: Time) -> Time {
+    pub(crate) fn acquire(&mut self, now: Time, dur: Time) -> Time {
         let start = now.max(self.free_at);
         self.free_at = start + dur;
         self.busy_total += dur;
         self.free_at
     }
 
-    /// When the resource next becomes free.
-    pub fn free_at(&self) -> Time {
-        self.free_at
-    }
-
     /// Total busy time accumulated (utilization accounting).
-    pub fn busy_total(&self) -> Time {
+    pub(crate) fn busy_total(&self) -> Time {
         self.busy_total
     }
 }
@@ -622,24 +617,15 @@ impl PoolResource {
     }
 
     /// Number of servers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.free_at.len()
     }
 
-    /// Whether the pool is empty (never true — pools have ≥ 1 server).
-    pub fn is_empty(&self) -> bool {
-        self.free_at.is_empty()
-    }
-
     /// Total busy time accumulated.
-    pub fn busy_total(&self) -> Time {
+    pub(crate) fn busy_total(&self) -> Time {
         self.busy_total
     }
 }
-
-/// Identifies a host node's core pool (newtype for readability).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CorePool(pub NodeId);
 
 #[cfg(test)]
 mod tests {

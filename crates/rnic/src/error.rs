@@ -47,6 +47,8 @@ pub enum Error {
     BadQpState(QpId, &'static str),
     /// Malformed work request (bad SGE count, misaligned atomic, ...).
     InvalidWr(&'static str),
+    /// A key outside the key-value store's key domain, [1, 2⁴⁸).
+    BadKey(u64),
     /// A chain program was rejected by a static checker before anything
     /// was posted (the deploy-time verifier of `redn_core::ir`). Carries
     /// a full diagnostic naming the offending WQE.
@@ -82,6 +84,7 @@ impl fmt::Display for Error {
             Error::WqFull(wq) => write!(f, "work queue {wq} full"),
             Error::OutOfMemory(node) => write!(f, "out of simulated DRAM on {node}"),
             Error::BadQpState(qp, what) => write!(f, "{qp}: {what}"),
+            Error::BadKey(key) => write!(f, "key {key:#x} outside [1, 2^48)"),
             Error::InvalidWr(what) => write!(f, "invalid work request: {what}"),
             Error::Verifier(what) => write!(f, "chain program rejected by verifier: {what}"),
             Error::Quota(what) => write!(f, "tenant quota exceeded: {what}"),

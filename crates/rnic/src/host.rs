@@ -8,39 +8,23 @@
 //! * a pool of cores with FIFO queueing,
 //! * context-switch and scheduler-quantum penalties once runnable threads
 //!   exceed cores (the tail-latency mechanism behind Fig 15),
-//! * processes that own RDMA resources, with the parent/"hull" ownership
-//!   trick of §5.6 (\[38\]): a crashed child's resources survive if an empty
-//!   parent process holds them.
+//! * processes that own RDMA resources; an offload registered to the
+//!   always-alive process 0 is §5.6's "hull" (\[38\]) and survives the
+//!   crash of the process that serves it.
 
 use crate::config::HostConfig;
 use crate::engine::PoolResource;
-use crate::ids::{NodeId, ProcessId};
+use crate::ids::ProcessId;
 use crate::time::Time;
 
-/// A process on a simulated host.
-#[derive(Clone, Debug)]
-pub struct Process {
-    /// Process id (node-local).
-    pub id: ProcessId,
-    /// Whether the process is running.
-    pub alive: bool,
-    /// Parent process, if any. Children of a live parent leave their
-    /// re-parented resources intact when they crash.
-    pub parent: Option<ProcessId>,
-    /// Debug name.
-    pub name: String,
-}
-
 /// One simulated host (the CPU side of a node).
-pub struct Host {
-    /// The node this host belongs to.
-    pub node: NodeId,
+pub(crate) struct Host {
     /// Host configuration.
     pub config: HostConfig,
     /// CPU cores.
     pub cores: PoolResource,
-    /// Processes, indexed by `ProcessId`.
-    pub processes: Vec<Process>,
+    /// Whether each process, indexed by `ProcessId`, is running.
+    pub alive: Vec<bool>,
     /// Number of logically-runnable host threads (polling loops, workers).
     /// Used to decide when scheduler pressure kicks in.
     pub runnable_threads: usize,
@@ -56,51 +40,29 @@ pub struct Host {
 impl Host {
     /// Create a host with one pre-spawned "init" process (pid 0), which
     /// plays the role of the always-alive resource hull.
-    pub fn new(node: NodeId, config: HostConfig) -> Host {
+    pub(crate) fn new(config: HostConfig) -> Host {
         let cores = PoolResource::new(config.cores);
         Host {
-            node,
             config,
             cores,
-            processes: vec![Process {
-                id: ProcessId(0),
-                alive: true,
-                parent: None,
-                name: "init".to_string(),
-            }],
+            alive: vec![true],
             runnable_threads: 0,
             os_alive: true,
             stat_cpu_time: Time::ZERO,
         }
     }
 
-    /// Spawn a process, optionally as a child of `parent`.
-    pub fn spawn(&mut self, name: &str, parent: Option<ProcessId>) -> ProcessId {
-        let id = ProcessId(self.processes.len() as u32);
-        self.processes.push(Process {
-            id,
-            alive: true,
-            parent,
-            name: name.to_string(),
-        });
-        id
-    }
-
-    /// Whether `pid` exists and is alive (and the OS is up).
-    pub fn is_alive(&self, pid: ProcessId) -> bool {
-        self.os_alive
-            && self
-                .processes
-                .get(pid.index())
-                .map(|p| p.alive)
-                .unwrap_or(false)
+    /// Spawn a process.
+    pub(crate) fn spawn(&mut self) -> ProcessId {
+        self.alive.push(true);
+        ProcessId(self.alive.len() as u32 - 1)
     }
 
     /// Mark a process dead. Returns true if it was alive.
-    pub fn kill(&mut self, pid: ProcessId) -> bool {
-        match self.processes.get_mut(pid.index()) {
-            Some(p) if p.alive => {
-                p.alive = false;
+    pub(crate) fn kill(&mut self, pid: ProcessId) -> bool {
+        match self.alive.get_mut(pid.index()) {
+            Some(alive) if *alive => {
+                *alive = false;
                 true
             }
             _ => false,
@@ -108,10 +70,10 @@ impl Host {
     }
 
     /// Restart a dead process (models the OS supervisor respawning it).
-    pub fn restart(&mut self, pid: ProcessId) -> bool {
-        match self.processes.get_mut(pid.index()) {
-            Some(p) if !p.alive => {
-                p.alive = true;
+    pub(crate) fn restart(&mut self, pid: ProcessId) -> bool {
+        match self.alive.get_mut(pid.index()) {
+            Some(alive) if !*alive => {
+                *alive = true;
                 true
             }
             _ => false,
@@ -119,7 +81,7 @@ impl Host {
     }
 
     /// Kernel panic: all host execution stops. NIC state is untouched.
-    pub fn os_panic(&mut self) {
+    pub(crate) fn os_panic(&mut self) {
         self.os_alive = false;
     }
 
@@ -132,7 +94,7 @@ impl Host {
     /// the deterministic analogue of CFS time-slicing. `thread_seq` is a
     /// stable per-request sequence used to spread quantum delays
     /// deterministically instead of randomly.
-    pub fn execute(&mut self, now: Time, demand: Time, thread_seq: u64) -> Time {
+    pub(crate) fn execute(&mut self, now: Time, demand: Time, thread_seq: u64) -> Time {
         debug_assert!(self.os_alive, "execute on a panicked host");
         let mut start_floor = now;
         let mut total = demand;
@@ -164,36 +126,41 @@ mod tests {
             cores,
             ..HostConfig::default()
         };
-        Host::new(NodeId(0), cfg)
+        Host::new(cfg)
+    }
+
+    /// Whether `pid` exists and is alive, and the OS is up.
+    fn is_alive(h: &Host, pid: ProcessId) -> bool {
+        h.os_alive && h.alive.get(pid.index()) == Some(&true)
     }
 
     #[test]
     fn init_process_exists_and_lives() {
         let h = host(4);
-        assert!(h.is_alive(ProcessId(0)));
-        assert!(!h.is_alive(ProcessId(9)));
+        assert!(is_alive(&h, ProcessId(0)));
+        assert!(!is_alive(&h, ProcessId(9)));
     }
 
     #[test]
     fn spawn_kill_restart_cycle() {
         let mut h = host(4);
-        let pid = h.spawn("memcached", Some(ProcessId(0)));
-        assert!(h.is_alive(pid));
+        let pid = h.spawn();
+        assert!(is_alive(&h, pid));
         assert!(h.kill(pid));
-        assert!(!h.is_alive(pid));
+        assert!(!is_alive(&h, pid));
         assert!(!h.kill(pid)); // double-kill is a no-op
         assert!(h.restart(pid));
-        assert!(h.is_alive(pid));
+        assert!(is_alive(&h, pid));
         assert!(!h.restart(pid)); // restart of a live process is a no-op
     }
 
     #[test]
     fn os_panic_kills_everything_host_side() {
         let mut h = host(4);
-        let pid = h.spawn("svc", None);
+        let pid = h.spawn();
         h.os_panic();
-        assert!(!h.is_alive(pid));
-        assert!(!h.is_alive(ProcessId(0)));
+        assert!(!is_alive(&h, pid));
+        assert!(!is_alive(&h, ProcessId(0)));
         assert!(!h.os_alive);
     }
 

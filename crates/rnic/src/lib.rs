@@ -63,6 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(rust_2018_idioms)]
 
 pub mod config;

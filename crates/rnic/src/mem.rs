@@ -18,12 +18,12 @@
 //! every page it first touches, and the OS unmaps them all again on
 //! drop. A short-lived deployment would pay that for work it never does.
 //! So a dropped [`HostMemory`] hands its block to a per-thread free list
-//! that keeps at most eight blocks, and [`HostMemory::new`] takes a spare
+//! that keeps at most eight blocks, and `HostMemory::new` takes a spare
 //! of the same capacity when there is one. It zeroes only the 4 KiB
 //! pages written since the block was last all zeros, so a new arena reads
 //! exactly as a fresh one does. The pages are tracked as one bit each,
 //! and the bitmap grows with `brk`, not with the capacity. The tracking
-//! rests on one invariant: [`HostMemory::write`] is the only code that
+//! rests on one invariant: `HostMemory::write` is the only code that
 //! mutates the arena's bytes. Every host store, NIC WRITE, scatter and
 //! atomic ends in it.
 
@@ -218,7 +218,7 @@ impl HostMemory {
     /// Create an all-zero arena of `capacity` bytes for `node`, on a
     /// recycled block when this thread dropped one of that capacity (see
     /// the module docs).
-    pub fn new(node: NodeId, capacity: u64) -> HostMemory {
+    pub(crate) fn new(node: NodeId, capacity: u64) -> HostMemory {
         HostMemory {
             node,
             block: Block::zeroed(capacity as usize),
@@ -229,7 +229,7 @@ impl HostMemory {
 
     /// Bump-allocate `len` bytes aligned to `align` (power of two).
     /// There is no free: simulations are short-lived and deterministic.
-    pub fn alloc(&mut self, len: u64, align: u64) -> Result<u64> {
+    pub(crate) fn alloc(&mut self, len: u64, align: u64) -> Result<u64> {
         debug_assert!(align.is_power_of_two());
         let addr = (self.brk + align - 1) & !(align - 1);
         let end = addr.checked_add(len).ok_or(Error::OutOfMemory(self.node))?;
@@ -276,7 +276,7 @@ impl HostMemory {
     /// through those marks only, so a new path that wrote the bytes any
     /// other way would leak them into the next arena.
     #[inline(always)]
-    pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<()> {
+    pub(crate) fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<()> {
         let off = self.offset(addr, bytes.len() as u64)?;
         self.block.data[off..off + bytes.len()].copy_from_slice(bytes);
         self.block.mark(off, bytes.len());
@@ -284,18 +284,18 @@ impl HostMemory {
     }
 
     /// Read a little-endian u64.
-    pub fn read_u64(&self, addr: u64) -> Result<u64> {
+    pub(crate) fn read_u64(&self, addr: u64) -> Result<u64> {
         let b = self.read(addr, 8)?;
         Ok(u64::from_le_bytes(b.try_into().unwrap()))
     }
 
     /// Write a little-endian u64.
-    pub fn write_u64(&mut self, addr: u64, v: u64) -> Result<()> {
+    pub(crate) fn write_u64(&mut self, addr: u64, v: u64) -> Result<()> {
         self.write(addr, &v.to_le_bytes())
     }
 
     /// Register `[addr, addr+len)` for RDMA access on behalf of `owner`.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         addr: u64,
         len: u64,
@@ -326,25 +326,11 @@ impl HostMemory {
     /// Drop every region owned by `owner` — what the OS does when a process
     /// dies and nothing else holds the RDMA resources (§5.6).
     /// Returns how many regions were reclaimed.
-    pub fn reclaim_owner(&mut self, owner: ProcessId) -> usize {
+    pub(crate) fn reclaim_owner(&mut self, owner: ProcessId) -> usize {
         let slots = self.regions.iter_mut();
         slots
             .filter_map(|slot| slot.take_if(|r| r.owner == owner))
             .count()
-    }
-
-    /// Re-parent all regions of `from` to `to` — the "empty hull parent"
-    /// trick of §5.6 (\[38\]): resources registered by the hull survive the
-    /// child's crash.
-    pub fn reparent(&mut self, from: ProcessId, to: ProcessId) -> usize {
-        let mut n = 0;
-        for r in self.regions.iter_mut().flatten() {
-            if r.owner == from {
-                r.owner = to;
-                n += 1;
-            }
-        }
-        n
     }
 
     /// The ordinal of the registration that was issued `key` as its rkey
@@ -362,13 +348,13 @@ impl HostMemory {
     /// otherwise) — the static analyzer's bounds oracle. `None` when the
     /// key is not registered on this node (e.g. a client-side key the
     /// program targets through a not-yet-connected QP).
-    pub fn region_by_key(&self, key: u32, remote: bool) -> Option<&MemoryRegion> {
+    pub(crate) fn region_by_key(&self, key: u32, remote: bool) -> Option<&MemoryRegion> {
         self.find_key(key, remote)
     }
 
     /// Validate an NIC access under `key`. `remote` selects rkey vs lkey
     /// semantics; `write`/`atomic` select the permission bit.
-    pub fn check_key(
+    fn check_key(
         &self,
         key: u32,
         addr: u64,
@@ -409,16 +395,9 @@ impl HostMemory {
         Ok(())
     }
 
-    /// NIC-side read under a key.
-    pub fn nic_read(&self, key: u32, addr: u64, len: u64, remote: bool) -> Result<Vec<u8>> {
-        self.check_key(key, addr, len, remote, false, false)?;
-        Ok(self.read(addr, len)?.to_vec())
-    }
-
-    /// Allocation-free [`HostMemory::nic_read`]: appends the bytes to
-    /// `out` (a pooled buffer on the simulator's data path). On error,
-    /// `out` is untouched.
-    pub fn nic_read_into(
+    /// NIC-side read under a key: appends the bytes to `out` (a pooled
+    /// buffer on the simulator's data path). On error, `out` is untouched.
+    pub(crate) fn nic_read_into(
         &self,
         key: u32,
         addr: u64,
@@ -432,14 +411,25 @@ impl HostMemory {
     }
 
     /// NIC-side write under a key.
-    pub fn nic_write(&mut self, key: u32, addr: u64, bytes: &[u8], remote: bool) -> Result<()> {
+    pub(crate) fn nic_write(
+        &mut self,
+        key: u32,
+        addr: u64,
+        bytes: &[u8],
+        remote: bool,
+    ) -> Result<()> {
         self.check_key(key, addr, bytes.len() as u64, remote, true, false)?;
         self.write(addr, bytes)
     }
 
     /// NIC-side 8-byte atomic under an rkey. Returns the *old* value.
     /// `op` receives the old value and produces the new one.
-    pub fn nic_atomic(&mut self, rkey: u32, addr: u64, op: impl FnOnce(u64) -> u64) -> Result<u64> {
+    pub(crate) fn nic_atomic(
+        &mut self,
+        rkey: u32,
+        addr: u64,
+        op: impl FnOnce(u64) -> u64,
+    ) -> Result<u64> {
         if !addr.is_multiple_of(8) {
             return Err(Error::InvalidWr("atomic target must be 8-byte aligned"));
         }
@@ -448,11 +438,6 @@ impl HostMemory {
         let new = op(old);
         self.write_u64(addr, new)?;
         Ok(old)
-    }
-
-    /// Number of live registrations (for tests and the failure harness).
-    pub fn region_count(&self) -> usize {
-        self.regions.iter().flatten().count()
     }
 }
 
@@ -500,6 +485,18 @@ mod tests {
         assert_eq!(m.read_u64(a).unwrap(), 0x0123_4567_89ab_cdef);
     }
 
+    /// A NIC read under a key, into a fresh buffer.
+    fn nic_read(m: &HostMemory, key: u32, addr: u64, len: u64, remote: bool) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        m.nic_read_into(key, addr, len, remote, &mut out)
+            .map(|()| out)
+    }
+
+    /// Number of live registrations.
+    fn region_count(m: &HostMemory) -> usize {
+        m.regions.iter().flatten().count()
+    }
+
     #[test]
     fn oob_access_faults() {
         let mut m = mem();
@@ -518,15 +515,15 @@ mod tests {
             .register(a, 64, Access::LOCAL_READ | Access::REMOTE_READ, P0)
             .unwrap();
         // Remote read OK, remote write denied, atomic denied.
-        assert!(m.nic_read(mr.rkey, a, 8, true).is_ok());
+        assert!(nic_read(&m, mr.rkey, a, 8, true).is_ok());
         assert!(m.nic_write(mr.rkey, a, &[1; 8], true).is_err());
         assert!(m.nic_atomic(mr.rkey, a, |v| v + 1).is_err());
         // Wrong key, wrong range.
-        assert!(m.nic_read(0xdead, a, 8, true).is_err());
-        assert!(m.nic_read(mr.rkey, a + 60, 8, true).is_err());
+        assert!(nic_read(&m, 0xdead, a, 8, true).is_err());
+        assert!(nic_read(&m, mr.rkey, a + 60, 8, true).is_err());
         // lkey is not an rkey.
-        assert!(m.nic_read(mr.lkey, a, 8, true).is_err());
-        assert!(m.nic_read(mr.lkey, a, 8, false).is_ok());
+        assert!(nic_read(&m, mr.lkey, a, 8, true).is_err());
+        assert!(nic_read(&m, mr.lkey, a, 8, false).is_ok());
     }
 
     #[test]
@@ -545,18 +542,19 @@ mod tests {
     fn crash_reclaims_regions_reparent_saves_them() {
         let mut m = mem();
         let a = m.alloc(64, 8).unwrap();
-        let mr0 = m.register(a, 32, Access::all(), P0).unwrap();
-        let _mr1 = m.register(a + 32, 32, Access::all(), P1).unwrap();
-        assert_eq!(m.region_count(), 2);
+        // The hull P1 registers what must outlive the child P0.
+        let hull = m.register(a, 32, Access::all(), P1).unwrap();
+        let child = m.register(a + 32, 32, Access::all(), P0).unwrap();
+        assert_eq!(region_count(&m), 2);
 
-        // Hull-parent trick: re-parent P0's regions to P1, then P0 dies.
-        assert_eq!(m.reparent(P0, P1), 1);
-        assert_eq!(m.reclaim_owner(P0), 0);
-        assert!(m.nic_read(mr0.rkey, a, 8, true).is_ok());
+        // P0 dies: its region goes, the hull's stays.
+        assert_eq!(m.reclaim_owner(P0), 1);
+        assert!(nic_read(&m, hull.rkey, a, 8, true).is_ok());
+        assert!(nic_read(&m, child.rkey, a + 32, 8, true).is_err());
 
         // Without a hull, the crash kills access.
-        assert_eq!(m.reclaim_owner(P1), 2);
-        assert!(m.nic_read(mr0.rkey, a, 8, true).is_err());
+        assert_eq!(m.reclaim_owner(P1), 1);
+        assert!(nic_read(&m, hull.rkey, a, 8, true).is_err());
     }
 
     #[test]
@@ -566,7 +564,7 @@ mod tests {
         let mr = m.register(a, 8, Access::all(), P0).unwrap();
         assert!(m.deregister(mr.lkey));
         assert!(!m.deregister(mr.lkey));
-        assert!(m.nic_read(mr.rkey, a, 8, true).is_err());
+        assert!(nic_read(&m, mr.rkey, a, 8, true).is_err());
     }
 
     /// The reason of the key violation `r` must be.
@@ -609,7 +607,7 @@ mod tests {
     /// Every key that was ever issued, the keys around them and the
     /// extremes resolve as the scan says, both as lkeys and as rkeys.
     fn assert_agrees(m: &HostMemory, scan: &ScanTable, issued: u32, ctx: &str) {
-        assert_eq!(m.region_count(), scan.0.len(), "{ctx}: region_count");
+        assert_eq!(region_count(m), scan.0.len(), "{ctx}: region_count");
         let around = (FIRST_KEY - 4)..(FIRST_KEY + 2 * issued + 4);
         for key in around.chain([0, 1, u32::MAX - 1, u32::MAX]) {
             for remote in [false, true] {
@@ -632,11 +630,11 @@ mod tests {
             .collect();
         assert_eq!((mrs[0].lkey, mrs[0].rkey), (FIRST_KEY, FIRST_KEY + 1));
         // An lkey presented as an rkey, and the reverse, is refused.
-        assert!(m.nic_read(mrs[1].rkey, a + 64, 8, true).is_ok());
-        assert!(m.nic_read(mrs[1].lkey, a + 64, 8, false).is_ok());
-        let swapped = m.nic_read(mrs[1].lkey, a + 64, 8, true);
+        assert!(nic_read(&m, mrs[1].rkey, a + 64, 8, true).is_ok());
+        assert!(nic_read(&m, mrs[1].lkey, a + 64, 8, false).is_ok());
+        let swapped = nic_read(&m, mrs[1].lkey, a + 64, 8, true);
         assert_eq!(violation(swapped), "key not registered");
-        let swapped = m.nic_read(mrs[1].rkey, a + 64, 8, false);
+        let swapped = nic_read(&m, mrs[1].rkey, a + 64, 8, false);
         assert_eq!(violation(swapped), "key not registered");
         // Below the first key, the extremes, one past the last issued.
         let past = mrs[3].rkey + 1;
@@ -649,29 +647,27 @@ mod tests {
         assert!(m.deregister(mrs[1].lkey));
         assert!(!m.deregister(mrs[1].rkey), "deregister takes the lkey");
         assert_eq!(
-            violation(m.nic_read(mrs[1].rkey, a + 64, 8, true)),
+            violation(nic_read(&m, mrs[1].rkey, a + 64, 8, true)),
             "key not registered"
         );
         assert_eq!(
-            violation(m.nic_read(mrs[1].lkey, a + 64, 8, false)),
+            violation(nic_read(&m, mrs[1].lkey, a + 64, 8, false)),
             "key not registered"
         );
-        assert_eq!(m.region_count(), 3);
-        // Reparenting changes no lookup.
-        assert_eq!(m.reparent(P0, P1), 1);
-        assert_eq!(m.region_by_key(mrs[0].rkey, true).unwrap().owner, P1);
+        assert_eq!(region_count(&m), 3);
+        assert_eq!(m.region_by_key(mrs[0].rkey, true).unwrap().owner, P0);
         assert_eq!(m.region_by_key(mrs[0].lkey, false).unwrap().addr, a);
         // A reclaim tombstones its owner's regions; registering afterwards
         // hands out fresh keys and the survivors still resolve.
-        let keep = m.register(a, 32, Access::all(), P0).unwrap();
-        assert_eq!(m.reclaim_owner(P1), 3);
-        assert_eq!(m.region_count(), 1);
-        let fresh = m.register(a + 32, 32, Access::all(), P1).unwrap();
+        let keep = m.register(a, 32, Access::all(), P1).unwrap();
+        assert_eq!(m.reclaim_owner(P0), 1);
+        assert_eq!(region_count(&m), 3);
+        let fresh = m.register(a + 32, 32, Access::all(), P0).unwrap();
         assert_eq!(fresh.lkey, keep.lkey + 2, "keys are never reused");
         assert_eq!(m.region_by_key(fresh.rkey, true), Some(&fresh));
         assert_eq!(m.region_by_key(keep.lkey, false), Some(&keep));
         assert_eq!(m.region_by_key(mrs[0].rkey, true), None);
-        assert_eq!(m.region_count(), 2);
+        assert_eq!(region_count(&m), 4);
     }
 
     proptest::proptest! {
@@ -693,7 +689,7 @@ mod tests {
             for step in 0..200 {
                 let ctx = format!("seed {seed}, step {step}");
                 let owner = ProcessId(below(3) as u32);
-                match below(8) {
+                match below(7) {
                     0..=3 => {
                         let (off, len) = (below(64) * 32, 1 + below(2048));
                         let access = Access(below(32) as u8);
@@ -709,16 +705,10 @@ mod tests {
                         scan.0.retain(|r| r.lkey != lkey);
                         assert_eq!(m.deregister(lkey), scan.0.len() != before, "{ctx}");
                     }
-                    6 => {
+                    _ => {
                         let before = scan.0.len();
                         scan.0.retain(|r| r.owner != owner);
                         assert_eq!(m.reclaim_owner(owner), before - scan.0.len(), "{ctx}");
-                    }
-                    _ => {
-                        let to = ProcessId(below(3) as u32);
-                        let mine = scan.0.iter_mut().filter(|r| r.owner == owner);
-                        let moved = mine.map(|r| r.owner = to).count();
-                        assert_eq!(m.reparent(owner, to), moved, "{ctx}");
                     }
                 }
                 assert_agrees(&m, &scan, issued, &ctx);
@@ -751,7 +741,7 @@ mod tests {
         assert_ne!(other.block.data.as_ptr(), block, "another capacity");
         let mut m = HostMemory::new(NodeId(0), ODD);
         assert_eq!(m.block.data.as_ptr(), block, "the spare is reused");
-        assert_eq!((m.allocated(), m.region_count()), (0, 0));
+        assert_eq!((m.allocated(), region_count(&m)), (0, 0));
         assert!(m.read(ARENA_BASE, 1).is_err(), "nothing allocated yet");
         m.alloc(ODD, 1).unwrap();
         let bytes = m.read(ARENA_BASE, ODD).unwrap();

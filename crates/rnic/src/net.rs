@@ -17,7 +17,7 @@ use crate::verbs::Opcode;
 /// What a request asks of the responder. The bytes a SEND / WRITE
 /// carries are the in-flight record's [`InFlight::data`].
 #[derive(Clone, Copy, Debug)]
-pub enum Payload {
+pub(crate) enum Payload {
     /// Two-sided send: consumes a RECV, scatters the data.
     Send,
     /// One-sided write.
@@ -58,7 +58,7 @@ pub enum Payload {
 /// (initiator bookkeeping). WQEs that complete without leaving the NIC
 /// have none.
 #[derive(Debug)]
-pub struct InFlight {
+pub(crate) struct InFlight {
     /// Initiating work queue.
     pub src_wq: WqId,
     /// Initiating QP.

@@ -11,7 +11,7 @@ use crate::engine::{FifoResource, PoolResource};
 use crate::time::Time;
 
 /// One simulated RNIC.
-pub struct Nic {
+pub(crate) struct Nic {
     /// Hardware configuration (timing model).
     pub config: NicConfig,
     /// Processing units, one pool per port.
@@ -36,7 +36,7 @@ pub struct Nic {
 
 impl Nic {
     /// Build NIC state from a configuration.
-    pub fn new(config: NicConfig) -> Nic {
+    pub(crate) fn new(config: NicConfig) -> Nic {
         let ports = config.ports;
         Nic {
             pus: (0..ports)
@@ -56,7 +56,7 @@ impl Nic {
 
     /// Assign a PU for a new work queue on `port`: explicit pin (which
     /// the caller has checked is below `pus_per_port`) or round-robin.
-    pub fn assign_pu(&mut self, port: usize, pin: Option<usize>) -> usize {
+    pub(crate) fn assign_pu(&mut self, port: usize, pin: Option<usize>) -> usize {
         match pin {
             Some(pu) => pu,
             None => {
@@ -69,7 +69,7 @@ impl Nic {
 
     /// Occupy the shared PCIe bus for a payload of `bytes`; returns the
     /// finish time. Zero-byte transfers are free.
-    pub fn pcie_occupy(&mut self, now: Time, bytes: u64) -> Time {
+    pub(crate) fn pcie_occupy(&mut self, now: Time, bytes: u64) -> Time {
         if bytes == 0 {
             return now;
         }
@@ -78,7 +78,7 @@ impl Nic {
     }
 
     /// Occupy a port's egress link; returns the finish time.
-    pub fn link_occupy(&mut self, port: usize, now: Time, bytes: u64) -> Time {
+    pub(crate) fn link_occupy(&mut self, port: usize, now: Time, bytes: u64) -> Time {
         if bytes == 0 {
             return now;
         }
@@ -87,12 +87,12 @@ impl Nic {
     }
 
     /// Store-and-forward latency of one PCIe stage for `bytes`.
-    pub fn pcie_stage(&self, bytes: u64) -> Time {
+    pub(crate) fn pcie_stage(&self, bytes: u64) -> Time {
         Time::transfer(bytes, self.config.pcie_lat_gbps)
     }
 
     /// Store-and-forward latency of the wire for `bytes`.
-    pub fn wire_stage(&self, bytes: u64) -> Time {
+    pub(crate) fn wire_stage(&self, bytes: u64) -> Time {
         Time::transfer(bytes, self.config.ib_gbps)
     }
 }

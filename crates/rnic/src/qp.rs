@@ -86,9 +86,7 @@ impl QpConfig {
 
 /// A queue pair.
 #[derive(Debug)]
-pub struct QueuePair {
-    /// This QP's id.
-    pub id: QpId,
+pub(crate) struct QueuePair {
     /// Owning node.
     pub node: NodeId,
     /// Send queue id.
@@ -115,8 +113,7 @@ pub struct QueuePair {
 
 impl QueuePair {
     /// Create an unconnected QP.
-    pub fn new(
-        id: QpId,
+    pub(crate) fn new(
         node: NodeId,
         sq: WqId,
         rq: WqId,
@@ -125,7 +122,6 @@ impl QueuePair {
         port: usize,
     ) -> QueuePair {
         QueuePair {
-            id,
             node,
             sq,
             rq,
@@ -137,12 +133,6 @@ impl QueuePair {
             rnr_queue: VecDeque::new(),
             dead: false,
         }
-    }
-
-    /// Whether this QP is connected to a peer on the same node (loopback).
-    /// Loopback traffic skips the wire but still crosses PCIe.
-    pub fn is_loopback_with(&self, peer_node: NodeId) -> bool {
-        self.node == peer_node
     }
 }
 
@@ -174,12 +164,5 @@ mod tests {
         assert_eq!(cfg.send_cq, cfg.recv_cq);
         assert!(!cfg.sq_managed);
         assert_eq!(cfg.pu, None);
-    }
-
-    #[test]
-    fn loopback_detection() {
-        let qp = QueuePair::new(QpId(0), NodeId(3), WqId(0), WqId(1), CqId(0), CqId(0), 0);
-        assert!(qp.is_loopback_with(NodeId(3)));
-        assert!(!qp.is_loopback_with(NodeId(4)));
     }
 }

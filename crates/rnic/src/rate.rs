@@ -12,7 +12,7 @@ use crate::time::Time;
 
 /// A deterministic token-bucket rate limiter.
 #[derive(Clone, Debug)]
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     /// Picoseconds credited per operation (1/rate).
     interval: Time,
     /// Maximum burst, in operations.
@@ -26,7 +26,7 @@ pub struct RateLimiter {
 
 impl RateLimiter {
     /// Limit to `ops_per_sec` with the given burst allowance.
-    pub fn new(ops_per_sec: f64, burst: u64) -> RateLimiter {
+    pub(crate) fn new(ops_per_sec: f64, burst: u64) -> RateLimiter {
         assert!(ops_per_sec > 0.0, "rate must be positive");
         let interval = Time::from_ps((1e12 / ops_per_sec).round() as u64);
         RateLimiter {
@@ -39,7 +39,7 @@ impl RateLimiter {
 
     /// Earliest time at or after `now` when one operation may proceed.
     /// Calling this *consumes* a token at the returned time.
-    pub fn admit(&mut self, now: Time) -> Time {
+    pub(crate) fn admit(&mut self, now: Time) -> Time {
         // Accrue credit since `last`, capped at the burst ceiling.
         let cap = Time::from_ps(self.interval.as_ps() * self.burst);
         let accrued = self.credit + now.saturating_sub(self.last);
@@ -54,11 +54,6 @@ impl RateLimiter {
             self.last = now + wait;
             now + wait
         }
-    }
-
-    /// The configured per-operation interval.
-    pub fn interval(&self) -> Time {
-        self.interval
     }
 }
 

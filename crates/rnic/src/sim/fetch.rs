@@ -251,9 +251,9 @@ mod tests {
             sim.poll_cq(cq, 4).is_empty(),
             "a dead queue completes nothing"
         );
-        let faults: Vec<_> = sim
-            .trace()
-            .filter(|e| matches!(e, TraceEvent::Fault { .. }))
+        let events = sim.trace().events().iter();
+        let faults: Vec<_> = events
+            .filter(|(_, e)| matches!(e, TraceEvent::Fault { .. }))
             .collect();
         assert_eq!(
             faults[0].1,

@@ -73,9 +73,9 @@ pub enum ListenMode {
 }
 
 /// Callback invoked per completion by a CQ listener.
-pub type CqCallback = Box<dyn FnMut(&mut Simulator, Cqe)>;
+type CqCallback = Box<dyn FnMut(&mut Simulator, Cqe)>;
 /// One-shot scheduled host action.
-pub type TimerCallback = Box<dyn FnOnce(&mut Simulator)>;
+type TimerCallback = Box<dyn FnOnce(&mut Simulator)>;
 
 struct CqListener {
     cq: CqId,
@@ -171,7 +171,7 @@ impl Simulator {
     pub fn add_node(&mut self, name: &str, host: HostConfig, nic: NicConfig) -> NodeId {
         let id = NodeId(self.mems.len() as u32);
         self.mems.push(HostMemory::new(id, host.dram_bytes));
-        self.hosts.push(Host::new(id, host));
+        self.hosts.push(Host::new(host));
         self.nics.push(Nic::new(nic));
         self.node_names.push(name.to_string());
         for row in &mut self.links {
@@ -378,7 +378,7 @@ impl Simulator {
     }
 
     /// Of [`Simulator::events_processed`], the events that never entered
-    /// the timing wheel (see [`EventQueue::bypassed`]).
+    /// the timing wheel (see `EventQueue::bypassed`).
     pub fn events_bypassing_wheel(&self) -> u64 {
         self.events.bypassed()
     }
@@ -441,7 +441,7 @@ mod testkit {
     use crate::qp::QpConfig;
 
     /// Two connected nodes with default CX5 NICs.
-    pub fn two_nodes() -> (Simulator, NodeId, NodeId) {
+    pub(crate) fn two_nodes() -> (Simulator, NodeId, NodeId) {
         let mut sim = Simulator::new(SimConfig::default());
         let a = sim.add_node("a", HostConfig::default(), NicConfig::connectx5());
         let b = sim.add_node("b", HostConfig::default(), NicConfig::connectx5());
@@ -450,7 +450,7 @@ mod testkit {
     }
 
     /// One node with a default CX5 NIC (loopback rigs).
-    pub fn solo() -> (Simulator, NodeId) {
+    pub(crate) fn solo() -> (Simulator, NodeId) {
         let mut sim = Simulator::new(SimConfig::default());
         let n = sim.add_node("solo", HostConfig::default(), NicConfig::connectx5());
         (sim, n)
@@ -458,7 +458,7 @@ mod testkit {
 
     /// A connected QP pair a→b with per-node CQs:
     /// `(qp_a, qp_b, cq_a, cq_b)`.
-    pub fn qp_pair(sim: &mut Simulator, a: NodeId, b: NodeId) -> (QpId, QpId, CqId, CqId) {
+    pub(crate) fn qp_pair(sim: &mut Simulator, a: NodeId, b: NodeId) -> (QpId, QpId, CqId, CqId) {
         let cq_a = sim.create_cq(a, 64).unwrap();
         let cq_b = sim.create_cq(b, 64).unwrap();
         let qp_a = sim.create_qp(a, QpConfig::new(cq_a)).unwrap();

@@ -90,7 +90,7 @@ impl Simulator {
             return Err(Error::InvalidWr("bad CQ depth"));
         }
         let id = CqId(self.cqs.len() as u32);
-        self.cqs.push(CompletionQueue::new(id, node, depth));
+        self.cqs.push(CompletionQueue::new(node, depth));
         Ok(id)
     }
 
@@ -101,7 +101,7 @@ impl Simulator {
     /// never overruns (`IBV_CREATE_CQ_ATTR_IGNORE_OVERRUN`).
     pub fn create_counting_cq(&mut self, node: NodeId) -> CqId {
         let id = CqId(self.cqs.len() as u32);
-        self.cqs.push(CompletionQueue::counting(id, node));
+        self.cqs.push(CompletionQueue::counting(node));
         id
     }
 
@@ -148,7 +148,6 @@ impl Simulator {
         let rq_id = WqId(self.wqs.len() as u32 + 1);
         let pu = self.nics[node.index()].assign_pu(cfg.port, cfg.pu);
         self.wqs.push(WorkQueue::new(
-            sq_id,
             qp_id,
             node,
             WqKind::Send,
@@ -159,7 +158,6 @@ impl Simulator {
             pu,
         ));
         self.wqs.push(WorkQueue::new(
-            rq_id,
             qp_id,
             node,
             WqKind::Recv,
@@ -170,7 +168,6 @@ impl Simulator {
             pu,
         ));
         self.qps.push(QueuePair::new(
-            qp_id,
             node,
             sq_id,
             rq_id,

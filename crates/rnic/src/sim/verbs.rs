@@ -210,13 +210,8 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     /// Spawn a process on a node.
-    pub fn spawn_process(
-        &mut self,
-        node: NodeId,
-        name: &str,
-        parent: Option<ProcessId>,
-    ) -> ProcessId {
-        self.hosts[node.index()].spawn(name, parent)
+    pub fn spawn_process(&mut self, node: NodeId) -> ProcessId {
+        self.hosts[node.index()].spawn()
     }
 
     /// Kill a process: the OS reclaims its memory registrations and frees
@@ -301,7 +296,7 @@ mod tests {
         let cq_a = sim.create_cq(a, 16).unwrap();
         let cq_b = sim.create_cq(b, 16).unwrap();
         let qp_a = sim.create_qp(a, QpConfig::new(cq_a)).unwrap();
-        let pid = sim.spawn_process(b, "victim", None);
+        let pid = sim.spawn_process(b);
         let qp_b = sim.create_qp_owned(b, QpConfig::new(cq_b), pid).unwrap();
         sim.connect_qps(qp_a, qp_b).unwrap();
         let src = sim.alloc(a, 8, 8).unwrap();

@@ -10,7 +10,7 @@
 //! instead of aliasing the new occupant — the same safety the HashMap's
 //! ever-growing `u64` keys provided, without the hashing.
 //!
-//! [`BufPool`] recycles `Vec<u8>` payload/result buffers: the data path
+//! `BufPool` recycles `Vec<u8>` payload/result buffers: the data path
 //! gathers every SEND/WRITE payload and every READ response into a byte
 //! buffer, and freeing + reallocating those per message dominated the
 //! allocator profile. Buffers return to the pool at completion and are
@@ -35,7 +35,6 @@ pub struct Slab<T> {
     entries: Vec<Entry<T>>,
     /// LIFO free list of vacant slot indices — deterministic reuse order.
     free: Vec<u32>,
-    len: usize,
 }
 
 impl<T> Default for Slab<T> {
@@ -50,14 +49,12 @@ impl<T> Slab<T> {
         Slab {
             entries: Vec::new(),
             free: Vec::new(),
-            len: 0,
         }
     }
 
     /// Insert a value; returns its generation-tagged key.
     #[inline]
     pub fn insert(&mut self, value: T) -> u64 {
-        self.len += 1;
         if let Some(idx) = self.free.pop() {
             let e = &mut self.entries[idx as usize];
             debug_assert!(e.value.is_none());
@@ -83,7 +80,7 @@ impl<T> Slab<T> {
     }
 
     /// Mutable access to the value for `key`, if it is still live.
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut T> {
         let e = self.entries.get_mut((key & INDEX_MASK) as usize)?;
         if e.generation as u64 != key >> INDEX_BITS {
             return None;
@@ -110,18 +107,7 @@ impl<T> Slab<T> {
         let v = e.value.take()?;
         e.generation = e.generation.wrapping_add(1);
         self.free.push(idx as u32);
-        self.len -= 1;
         Some(v)
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the slab holds no live entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -132,24 +118,24 @@ const POOL_CAP: usize = 4096;
 
 /// A recycling pool of byte buffers.
 #[derive(Default)]
-pub struct BufPool {
+pub(crate) struct BufPool {
     spare: Vec<Vec<u8>>,
 }
 
 impl BufPool {
     /// Create an empty pool.
-    pub fn new() -> BufPool {
+    pub(crate) fn new() -> BufPool {
         BufPool::default()
     }
 
     /// Take a cleared buffer (previous capacity retained when recycled).
-    pub fn take(&mut self) -> Vec<u8> {
+    pub(crate) fn take(&mut self) -> Vec<u8> {
         self.spare.pop().unwrap_or_default()
     }
 
     /// Return a buffer to the pool. Zero-capacity buffers (the `Vec::new`
     /// holes left by moves) and overflow beyond the cap are dropped.
-    pub fn put(&mut self, mut buf: Vec<u8>) {
+    pub(crate) fn put(&mut self, mut buf: Vec<u8>) {
         if buf.capacity() == 0 || self.spare.len() >= POOL_CAP {
             return;
         }
@@ -162,6 +148,11 @@ impl BufPool {
 mod tests {
     use super::*;
 
+    /// Number of live entries.
+    fn live<T>(s: &Slab<T>) -> usize {
+        s.entries.len() - s.free.len()
+    }
+
     #[test]
     fn insert_get_remove_round_trip() {
         let mut s: Slab<&str> = Slab::new();
@@ -170,11 +161,11 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(s.get(a), Some(&"a"));
         assert_eq!(s.get_mut(b).map(|v| *v), Some("b"));
-        assert_eq!(s.len(), 2);
+        assert_eq!(live(&s), 2);
         assert_eq!(s.remove(a), Some("a"));
         assert_eq!(s.remove(a), None, "double remove misses");
         assert_eq!(s.get(a), None);
-        assert_eq!(s.len(), 1);
+        assert_eq!(live(&s), 1);
     }
 
     #[test]

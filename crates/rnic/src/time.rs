@@ -58,7 +58,7 @@ impl Time {
     /// constants quoted in the paper, e.g. "0.54 µs per doorbell-ordered
     /// WR").
     #[inline]
-    pub fn from_us_f64(us: f64) -> Time {
+    pub(crate) fn from_us_f64(us: f64) -> Time {
         debug_assert!(us >= 0.0);
         Time((us * 1e6).round() as u64)
     }
@@ -71,7 +71,7 @@ impl Time {
 
     /// Time as fractional nanoseconds.
     #[inline]
-    pub fn as_ns_f64(self) -> f64 {
+    fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
@@ -83,7 +83,7 @@ impl Time {
 
     /// Time as fractional milliseconds.
     #[inline]
-    pub fn as_ms_f64(self) -> f64 {
+    fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -105,22 +105,10 @@ impl Time {
         Time(self.0.saturating_add(rhs.0))
     }
 
-    /// The later of two times.
-    #[inline]
-    pub fn max(self, rhs: Time) -> Time {
-        Time(self.0.max(rhs.0))
-    }
-
-    /// The earlier of two times.
-    #[inline]
-    pub fn min(self, rhs: Time) -> Time {
-        Time(self.0.min(rhs.0))
-    }
-
     /// Time needed to move `bytes` across a link of `gbps` gigabits per
     /// second. Exact to the picosecond: `bytes * 8000 / gbps` ps.
     #[inline]
-    pub fn transfer(bytes: u64, gbps: f64) -> Time {
+    pub(crate) fn transfer(bytes: u64, gbps: f64) -> Time {
         debug_assert!(gbps > 0.0);
         let ps = (bytes as f64) * 8000.0 / gbps;
         // `ps.round() as u64` without the libm call (`round` is not an

@@ -91,7 +91,7 @@ pub struct Trace {
 
 impl Trace {
     /// Create a trace; `enabled=false` makes all recording free no-ops.
-    pub fn new(enabled: bool) -> Trace {
+    pub(crate) fn new(enabled: bool) -> Trace {
         Trace {
             enabled,
             events: Vec::new(),
@@ -99,13 +99,13 @@ impl Trace {
     }
 
     /// Whether recording is active.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
     /// Record an event at `now`.
     #[inline]
-    pub fn record(&mut self, now: Time, ev: TraceEvent) {
+    pub(crate) fn record(&mut self, now: Time, ev: TraceEvent) {
         if self.enabled {
             self.events.push((now, ev));
         }
@@ -114,29 +114,6 @@ impl Trace {
     /// All recorded events in time order.
     pub fn events(&self) -> &[(Time, TraceEvent)] {
         &self.events
-    }
-
-    /// Events matching a predicate.
-    pub fn filter<'a>(
-        &'a self,
-        mut pred: impl FnMut(&TraceEvent) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a (Time, TraceEvent)> + 'a {
-        self.events.iter().filter(move |(_, e)| pred(e))
-    }
-
-    /// Clear all recorded events (keeps the enabled flag).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -148,7 +125,7 @@ mod tests {
     fn disabled_trace_records_nothing() {
         let mut t = Trace::new(false);
         t.record(Time::ZERO, TraceEvent::Doorbell { wq: WqId(0) });
-        assert!(t.is_empty());
+        assert!(t.events().is_empty());
         assert!(!t.enabled());
     }
 
@@ -164,13 +141,8 @@ mod tests {
                 opcode: Opcode::Noop,
             },
         );
-        assert_eq!(t.len(), 2);
-        let fetches: Vec<_> = t
-            .filter(|e| matches!(e, TraceEvent::Issue { .. }))
-            .collect();
-        assert_eq!(fetches.len(), 1);
-        t.clear();
-        assert!(t.is_empty());
+        assert_eq!(t.events().len(), 2);
+        assert!(matches!(t.events()[1], (_, TraceEvent::Issue { .. })));
         assert!(t.enabled());
     }
 }

@@ -50,7 +50,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Decode from the low 16 bits of a header word.
-    pub fn from_u16(v: u16) -> Result<Opcode> {
+    pub(crate) fn from_u16(v: u16) -> Result<Opcode> {
         Ok(match v {
             0 => Opcode::Noop,
             1 => Opcode::Send,
@@ -68,25 +68,9 @@ impl Opcode {
         })
     }
 
-    /// All opcodes, for exhaustive tests.
-    pub const ALL: [Opcode; 12] = [
-        Opcode::Noop,
-        Opcode::Send,
-        Opcode::Recv,
-        Opcode::Write,
-        Opcode::WriteImm,
-        Opcode::Read,
-        Opcode::Cas,
-        Opcode::FetchAdd,
-        Opcode::Max,
-        Opcode::Min,
-        Opcode::Wait,
-        Opcode::Enable,
-    ];
-
     /// Whether this is an atomic verb (serialized through the NIC's atomic
     /// engine — Table 3's 8.4 M ops/s ceiling).
-    pub fn is_atomic(self) -> bool {
+    fn is_atomic(self) -> bool {
         matches!(
             self,
             Opcode::Cas | Opcode::FetchAdd | Opcode::Max | Opcode::Min
@@ -95,30 +79,24 @@ impl Opcode {
 
     /// Whether this is a vendor calc verb (requires
     /// [`crate::config::NicConfig::supports_calc`]).
-    pub fn is_calc(self) -> bool {
+    pub(crate) fn is_calc(self) -> bool {
         matches!(self, Opcode::Max | Opcode::Min)
     }
 
     /// Whether this verb uses the non-posted PCIe path (waits for a PCIe
     /// completion — the READ/atomic latency bump in Fig 7).
-    pub fn is_nonposted(self) -> bool {
+    fn is_nonposted(self) -> bool {
         matches!(self, Opcode::Read) || self.is_atomic()
     }
 
     /// Whether this is a cross-channel control verb.
-    pub fn is_ctrl(self) -> bool {
+    pub(crate) fn is_ctrl(self) -> bool {
         matches!(self, Opcode::Wait | Opcode::Enable)
-    }
-
-    /// Whether the verb belongs to the paper's "write WR" ordering class
-    /// (SEND, WRITE, WRITE_IMM — totally ordered among themselves, §3.1).
-    pub fn is_write_class(self) -> bool {
-        matches!(self, Opcode::Send | Opcode::Write | Opcode::WriteImm)
     }
 
     /// Issue-cost class: read-class verbs (READ/atomics/calc) run at
     /// Table 3's READ rate, everything else at the WRITE rate.
-    pub fn is_read_class(self) -> bool {
+    pub(crate) fn is_read_class(self) -> bool {
         self.is_nonposted()
     }
 }
@@ -152,9 +130,25 @@ impl Opcode {
 mod tests {
     use super::*;
 
+    /// All opcodes.
+    const ALL: [Opcode; 12] = [
+        Opcode::Noop,
+        Opcode::Send,
+        Opcode::Recv,
+        Opcode::Write,
+        Opcode::WriteImm,
+        Opcode::Read,
+        Opcode::Cas,
+        Opcode::FetchAdd,
+        Opcode::Max,
+        Opcode::Min,
+        Opcode::Wait,
+        Opcode::Enable,
+    ];
+
     #[test]
     fn opcode_round_trips() {
-        for op in Opcode::ALL {
+        for op in ALL {
             assert_eq!(Opcode::from_u16(op as u16).unwrap(), op);
         }
         assert!(Opcode::from_u16(999).is_err());
@@ -168,8 +162,6 @@ mod tests {
         assert!(Opcode::Read.is_nonposted());
         assert!(!Opcode::Write.is_nonposted());
         assert!(Opcode::Wait.is_ctrl());
-        assert!(Opcode::Send.is_write_class());
-        assert!(!Opcode::Read.is_write_class());
         assert_eq!(Opcode::Noop.class(), VerbClass::Copy);
         assert_eq!(Opcode::Read.class(), VerbClass::Copy);
         assert_eq!(Opcode::FetchAdd.class(), VerbClass::Atomic);
@@ -180,7 +172,7 @@ mod tests {
 
     #[test]
     fn atomic_verbs_are_read_class() {
-        for op in Opcode::ALL {
+        for op in ALL {
             if op.is_atomic() {
                 assert!(op.is_read_class());
             }

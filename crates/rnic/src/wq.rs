@@ -1,6 +1,6 @@
 //! Work queues: circular WQE buffers living in host memory.
 //!
-//! A [`WorkQueue`] here is only *metadata* — the WQEs themselves are bytes
+//! A `WorkQueue` here is only *metadata* — the WQEs themselves are bytes
 //! in the owning node's [`crate::mem::HostMemory`], at
 //! `base_addr + (index % depth) * WQE_SIZE`. The NIC must DMA-fetch those
 //! bytes before executing them, and anything (including the program itself)
@@ -15,7 +15,7 @@
 //! raise `enabled_until` past `posted`, making the NIC wrap the ring and
 //! re-fetch (possibly self-modified) slots.
 
-use crate::ids::{CqId, NodeId, QpId, WqId};
+use crate::ids::{CqId, NodeId, QpId};
 use crate::rate::RateLimiter;
 use crate::time::Time;
 use crate::wqe::{Wqe, WQE_SIZE};
@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 
 /// Which half of a QP a queue implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WqKind {
+pub(crate) enum WqKind {
     /// Send queue: WQEs are fetched and executed by a PU.
     Send,
     /// Receive queue: WQEs are consumed by incoming SEND/WRITE_IMM.
@@ -32,7 +32,7 @@ pub enum WqKind {
 
 /// Why a send queue is currently not making progress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WqBlock {
+pub(crate) enum WqBlock {
     /// Ready to run (or nothing to do).
     None,
     /// Parked on a WAIT verb until `cq` reaches `count` completions.
@@ -51,13 +51,11 @@ pub enum WqBlock {
 /// Raw bytes of one fetched WQE — the NIC's cache holds *bytes*, and they
 /// are decoded at execution time. A WQE modified in host memory after its
 /// fetch executes stale: the prefetch-incoherence hazard of §3.1.
-pub type WqeBytes = [u8; WQE_SIZE as usize];
+pub(crate) type WqeBytes = [u8; WQE_SIZE as usize];
 
 /// Work-queue metadata. See the module docs for the memory-resident part.
 #[derive(Debug)]
-pub struct WorkQueue {
-    /// This queue's id.
-    pub id: WqId,
+pub(crate) struct WorkQueue {
     /// Owning queue pair.
     pub qp: QpId,
     /// Node whose memory holds the ring.
@@ -125,8 +123,7 @@ pub struct WorkQueue {
 impl WorkQueue {
     /// Create queue metadata for a ring at `base_addr` with `depth` slots.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        id: WqId,
+    pub(crate) fn new(
         qp: QpId,
         node: NodeId,
         kind: WqKind,
@@ -137,7 +134,6 @@ impl WorkQueue {
         pu: usize,
     ) -> WorkQueue {
         WorkQueue {
-            id,
             qp,
             node,
             kind,
@@ -165,12 +161,12 @@ impl WorkQueue {
     }
 
     /// Address of the slot that WQE index `idx` occupies (the ring wraps).
-    pub fn slot_addr(&self, idx: u64) -> u64 {
+    pub(crate) fn slot_addr(&self, idx: u64) -> u64 {
         self.base_addr + (idx % self.depth as u64) * WQE_SIZE
     }
 
     /// Total ring size in bytes.
-    pub fn ring_bytes(&self) -> u64 {
+    pub(crate) fn ring_bytes(&self) -> u64 {
         self.depth as u64 * WQE_SIZE
     }
 
@@ -178,7 +174,7 @@ impl WorkQueue {
     /// has not executed yet. (A cyclic RQ's `executed` outruns `posted`,
     /// hence the saturating differences — such rings are full by
     /// construction and never posted to again.)
-    pub fn room(&self) -> u64 {
+    pub(crate) fn room(&self) -> u64 {
         if self.cyclic {
             return 0;
         }
@@ -186,7 +182,7 @@ impl WorkQueue {
     }
 
     /// Whether the host can post another WQE.
-    pub fn has_room(&self) -> bool {
+    pub(crate) fn has_room(&self) -> bool {
         self.room() > 0
     }
 
@@ -196,7 +192,7 @@ impl WorkQueue {
     /// fetch up to their enable limit — which may *exceed* `posted`: that
     /// is WQ recycling (§3.4), the ring wraps and the NIC re-reads old
     /// slots.
-    pub fn fetch_limit(&self) -> u64 {
+    pub(crate) fn fetch_limit(&self) -> u64 {
         if self.managed {
             self.enabled_until
         } else {
@@ -205,19 +201,19 @@ impl WorkQueue {
     }
 
     /// Whether a fetch of WQE `fetched` may start now.
-    pub fn can_fetch(&self) -> bool {
+    pub(crate) fn can_fetch(&self) -> bool {
         self.fetched < self.fetch_limit()
     }
 
     /// The snapshot the queue issues next — WQE `executed` — if it has
     /// been fetched.
-    pub fn next_snapshot(&self) -> Option<&WqeBytes> {
+    pub(crate) fn next_snapshot(&self) -> Option<&WqeBytes> {
         self.fetch_cache.front()
     }
 
     /// Consume the snapshot of the next WQE to issue, if it has been
     /// fetched, and move `executed` past it.
-    pub fn take_snapshot(&mut self) -> Option<WqeBytes> {
+    pub(crate) fn take_snapshot(&mut self) -> Option<WqeBytes> {
         debug_assert_eq!(
             self.fetch_cache.len() as u64,
             self.fetched - self.executed,
@@ -230,7 +226,7 @@ impl WorkQueue {
 
     /// Record the snapshot of WQE `idx`, which must be the next in fetch
     /// order, and move `fetched` past it.
-    pub fn cache_snapshot(&mut self, idx: u64, bytes: WqeBytes) {
+    pub(crate) fn cache_snapshot(&mut self, idx: u64, bytes: WqeBytes) {
         debug_assert_eq!(idx, self.fetched, "fetch is in index order");
         self.fetch_cache.push_back(bytes);
         self.fetched = idx + 1;
@@ -243,7 +239,6 @@ mod tests {
 
     fn wq(depth: u32, managed: bool) -> WorkQueue {
         WorkQueue::new(
-            WqId(0),
             QpId(0),
             NodeId(0),
             WqKind::Send,

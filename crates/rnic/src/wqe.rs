@@ -64,7 +64,7 @@ pub const FLAG_SIGNALED: u32 = 1 << 0;
 pub const FLAG_WAIT_PREV: u32 = 1 << 1;
 /// Flag: `local_addr` points to a scatter/gather table; `length` holds the
 /// entry count (max [`crate::config::NicConfig::max_recv_sge`]).
-pub const FLAG_SGL: u32 = 1 << 2;
+const FLAG_SGL: u32 = 1 << 2;
 
 /// Mask for the 48-bit id stored in the header word.
 pub const ID_MASK: u64 = 0xFFFF_FFFF_FFFF;
@@ -93,9 +93,9 @@ pub struct Wqe {
     /// "This field can be manipulated freely without changing the behavior
     /// of the WR, allowing us to use it to store x" (§3.3).
     pub id: u64,
-    /// Flag bits ([`FLAG_SIGNALED`], [`FLAG_WAIT_PREV`], [`FLAG_SGL`]).
+    /// Flag bits ([`FLAG_SIGNALED`], [`FLAG_WAIT_PREV`], `FLAG_SGL`).
     pub flags: u32,
-    /// Local buffer (or SGE table address when [`FLAG_SGL`] is set).
+    /// Local buffer (or SGE table address when `FLAG_SGL` is set).
     pub local_addr: u64,
     /// Local key authorizing `local_addr`.
     pub lkey: u32,
@@ -184,7 +184,7 @@ impl Wqe {
     }
 
     /// Whether the local buffer is a scatter/gather table.
-    pub fn is_sgl(&self) -> bool {
+    pub(crate) fn is_sgl(&self) -> bool {
         self.flags & FLAG_SGL != 0
     }
 }
@@ -215,7 +215,7 @@ impl Sge {
     }
 
     /// Decode from 16 bytes.
-    pub fn decode(b: &[u8]) -> Result<Sge> {
+    pub(crate) fn decode(b: &[u8]) -> Result<Sge> {
         if b.len() < SGE_SIZE as usize {
             return Err(Error::InvalidWr("short SGE buffer"));
         }
@@ -619,7 +619,7 @@ mod proptests {
     use proptest::prelude::*;
 
     fn arb_opcode() -> impl Strategy<Value = Opcode> {
-        prop::sample::select(Opcode::ALL.to_vec())
+        (0u16..12).prop_map(|v| Opcode::from_u16(v).unwrap())
     }
 
     proptest! {

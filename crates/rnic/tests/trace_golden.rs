@@ -716,7 +716,7 @@ fn faults(out: &mut String) {
     // Dead responder QP: the initiator errors out after the timeout, a
     // post to the dead QP is refused, its in-flight fetch is dropped, and
     // a revive lets traffic through again.
-    let pid = sim.spawn_process(b, "victim", None);
+    let pid = sim.spawn_process(b);
     let cq_v = sim.create_cq(b, 16).unwrap();
     let qp_v = sim.create_qp_owned(b, QpConfig::new(cq_v), pid).unwrap();
     let qp_i = sim.create_qp(a, QpConfig::new(cq_a)).unwrap();

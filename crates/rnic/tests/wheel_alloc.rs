@@ -69,4 +69,6 @@ fn steady_state_wheel_never_allocates_and_retains_a_constant() {
     // heads, the slab, the run, the overflow heap) stays under 32 KB.
     assert!(live < 32 << 10, "queue retains {live} bytes");
     common::counting(false);
+    while q.pop().is_some() {}
+    assert!(q.is_empty());
 }

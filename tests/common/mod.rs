@@ -45,7 +45,7 @@ fn parse(text: &str) -> BTreeMap<String, String> {
 /// with `UPDATE_GOLDEN` set, write the entry instead (tests of one binary
 /// run on parallel threads, so updates are serialized here; cargo runs
 /// the binaries one after another).
-pub fn check_diagnostic(path: &str, key: &str, message: &str) {
+pub(crate) fn check_diagnostic(path: &str, key: &str, message: &str) {
     static LOCK: Mutex<()> = Mutex::new(());
     let _serial = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let mut entries = parse(&std::fs::read_to_string(path).unwrap_or_default());

@@ -31,6 +31,7 @@ proptest! {
                 model.insert(key, tag);
             }
         }
+        prop_assert_eq!(table.is_empty(), model.is_empty());
         for (key, tag) in &model {
             let slot = table.lookup(*key);
             prop_assert!(slot.is_some(), "key {key} lost");
