@@ -277,7 +277,7 @@ impl TwoSidedServer {
                                 let _ = t.insert(sim, key, &value);
                                 None
                             } else {
-                                t.lookup(key)
+                                t.lookup(sim, key).ok().flatten()
                             }
                         };
                         *served.borrow_mut() += 1;

@@ -179,9 +179,12 @@ mod tests {
             total += keys.len() as u64;
             assert!(!keys.is_empty(), "shard {s} owns no keys");
             for &k in &keys {
-                let stack = &cluster.shards[cluster.serving_stack(s)];
+                let table = cluster.shards[cluster.serving_stack(s)]
+                    .server
+                    .table
+                    .borrow();
                 assert!(
-                    stack.server.table.borrow().lookup(k).is_some(),
+                    table.lookup(&sim, k).unwrap().is_some(),
                     "key {k} missing from its shard table"
                 );
             }

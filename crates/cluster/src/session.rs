@@ -41,6 +41,8 @@ pub struct PutSession {
     table: Rc<RefCell<CuckooTable>>,
     /// The acked value being applied, reused across reaps.
     value_buf: Vec<u8>,
+    /// What the last reap drained and applied.
+    reaped: PutReap,
 }
 
 impl PutSession {
@@ -55,8 +57,9 @@ impl PutSession {
         journals: &[ReplicationLog],
         start_slot: u64,
     ) -> Result<PutSession> {
+        let depth = cluster.spec.put_depth;
         let opts = SessionOpts {
-            pipeline_depth: cluster.spec.put_depth,
+            pipeline_depth: depth,
             ..SessionOpts::default()
         };
         let client = cluster.client;
@@ -67,6 +70,11 @@ impl PutSession {
             session,
             table: shard.server.table.clone(),
             value_buf: Vec::new(),
+            // A reap drains at most a window of puts.
+            reaped: PutReap {
+                acks: Vec::with_capacity(depth as usize),
+                failures: Vec::with_capacity(depth as usize),
+            },
         })
     }
 
@@ -89,19 +97,23 @@ impl PutSession {
 
     /// [`Session::reap_puts`], then apply every acked record (still in
     /// its request slot) to the shard's table; an ack whose record
-    /// cannot be read back becomes a failure. An idle reap stays one
-    /// compare, inlined into the caller's loop.
+    /// cannot be read back becomes a failure. Returns what it drained
+    /// out of a buffer the next reap clears. An idle reap stays a
+    /// compare and two clears, inlined into the caller's loop.
     #[inline]
-    pub fn reap(&mut self, sim: &mut Simulator) -> PutReap {
-        let mut out = self.session.reap_puts(sim);
+    pub fn reap(&mut self, sim: &mut Simulator) -> &PutReap {
+        let drained = self.session.reap_puts(sim);
+        let out = &mut self.reaped;
+        out.acks.clone_from(&drained.acks);
+        out.failures.clone_from(&drained.failures);
         if !out.acks.is_empty() {
-            self.apply(sim, &mut out);
+            self.apply(sim);
         }
-        out
+        &self.reaped
     }
 
-    fn apply(&mut self, sim: &mut Simulator, out: &mut PutReap) {
-        let (session, value) = (&self.session, &mut self.value_buf);
+    fn apply(&mut self, sim: &mut Simulator) {
+        let (session, value, out) = (&self.session, &mut self.value_buf, &mut self.reaped);
         out.acks.retain(|ack| {
             let Ok(v) = session.put_value(sim, ack.instance) else {
                 let (instance, key, at) = (ack.instance, ack.key, ack.at);
@@ -353,7 +365,7 @@ impl ClusterSession {
         let inst = session.put(sim, key, value)?;
         sim.run()?;
         let reaped = session.reap(sim);
-        if let Some(ack) = reaped.acks.into_iter().find(|a| a.instance == inst) {
+        if let Some(&ack) = reaped.acks.iter().find(|a| a.instance == inst) {
             return Ok(ack);
         }
         if reaped.failures.iter().any(|f| f.instance == inst) {

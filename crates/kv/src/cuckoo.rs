@@ -7,6 +7,9 @@
 //!
 //! Buckets share the RedN offload layout (`[ptr][key48]`), so the same
 //! [`redn_core::offloads::hash_lookup`] program serves both table types.
+//! The bucket array in simulated server memory is the table's only
+//! copy: host-side inserts and lookups read the bytes the NIC compares,
+//! so a bucket an RDMA WRITE changed reads back changed on the host too.
 
 use redn_core::offloads::hash_lookup::{encode_bucket, BUCKET_SIZE};
 use rnic_sim::error::{Error, Result};
@@ -19,18 +22,41 @@ use crate::store::{check_key, h1, h2, ValueHeap};
 /// Maximum relocation chain before declaring the table full.
 const MAX_KICKS: usize = 64;
 
+/// Where a table's buckets sit: all a client needs to address a key's
+/// candidate buckets, without holding the table.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TableGeometry {
+    /// Bucket array base.
+    base: u64,
+    /// Bucket count (power of two).
+    nbuckets: u64,
+}
+
+impl TableGeometry {
+    /// Address of bucket `idx`.
+    fn bucket_addr(self, idx: u64) -> u64 {
+        self.base + (idx % self.nbuckets) * BUCKET_SIZE
+    }
+
+    /// The two candidate buckets for `key`.
+    fn candidates(self, key: u64) -> [u64; 2] {
+        [h1(key, self.nbuckets), h2(key, self.nbuckets)]
+    }
+
+    /// Candidate bucket addresses (client-side metadata for RedN gets).
+    pub(crate) fn candidate_addrs(self, key: u64) -> [u64; 2] {
+        self.candidates(key).map(|idx| self.bucket_addr(idx))
+    }
+}
+
 /// A cuckoo table in simulated server memory.
 pub struct CuckooTable {
     /// Node holding the table.
     pub node: NodeId,
-    /// Bucket array base.
-    pub base: u64,
-    /// Bucket count (power of two).
-    pub nbuckets: u64,
     /// Value storage.
     pub heap: ValueHeap,
+    geometry: TableGeometry,
     mr: MemoryRegion,
-    shadow: Vec<(u64, u64)>,
 }
 
 impl CuckooTable {
@@ -58,11 +84,9 @@ impl CuckooTable {
         let heap = ValueHeap::create(sim, node, nbuckets, value_len, owner)?;
         Ok(CuckooTable {
             node,
-            base,
-            nbuckets,
             heap,
+            geometry: TableGeometry { base, nbuckets },
             mr,
-            shadow: vec![(0, 0); nbuckets as usize],
         })
     }
 
@@ -71,26 +95,33 @@ impl CuckooTable {
         self.mr
     }
 
-    /// Address of bucket `idx`.
-    fn bucket_addr(&self, idx: u64) -> u64 {
-        self.base + (idx % self.nbuckets) * BUCKET_SIZE
+    /// Where the buckets sit (what a client session keeps).
+    pub(crate) fn geometry(&self) -> TableGeometry {
+        self.geometry
     }
 
-    /// The two candidate buckets for `key`.
-    fn candidates(&self, key: u64) -> [u64; 2] {
-        [h1(key, self.nbuckets), h2(key, self.nbuckets)]
+    /// The key bucket `idx` holds, as the NIC compares it (0: empty).
+    fn key_at(&self, sim: &Simulator, idx: u64) -> Result<u64> {
+        let addr = self.geometry.bucket_addr(idx) + 8;
+        Ok(sim.mem_read_u64(self.node, addr)? & 0xFFFF_FFFF_FFFF)
     }
 
-    /// Candidate bucket addresses (client-side metadata for RedN gets).
-    pub(crate) fn candidate_addrs(&self, key: u64) -> [u64; 2] {
-        let [a, b] = self.candidates(key);
-        [self.bucket_addr(a), self.bucket_addr(b)]
+    /// The value slot bucket `idx` points at.
+    fn slot_at(&self, sim: &Simulator, idx: u64) -> Result<u64> {
+        sim.mem_read_u64(self.node, self.geometry.bucket_addr(idx))
     }
 
-    fn write_bucket(&mut self, sim: &mut Simulator, idx: u64, key: u64, slot: u64) -> Result<()> {
-        sim.mem_write(self.node, self.bucket_addr(idx), &encode_bucket(slot, key))?;
-        self.shadow[idx as usize] = (key, slot);
-        Ok(())
+    /// The keys `candidates` hold.
+    fn keys_at(&self, sim: &Simulator, candidates: [u64; 2]) -> Result<[u64; 2]> {
+        Ok([
+            self.key_at(sim, candidates[0])?,
+            self.key_at(sim, candidates[1])?,
+        ])
+    }
+
+    fn write_bucket(&self, sim: &mut Simulator, idx: u64, key: u64, slot: u64) -> Result<()> {
+        let addr = self.geometry.bucket_addr(idx);
+        sim.mem_write(self.node, addr, &encode_bucket(slot, key))
     }
 
     /// Insert (or update) `key -> value`. Returns false if the kick chain
@@ -100,9 +131,11 @@ impl CuckooTable {
     pub fn insert(&mut self, sim: &mut Simulator, key: u64, value: &[u8]) -> Result<bool> {
         check_key(key)?;
         self.heap.check_fits(value)?;
-        let mut cands = self.candidates(key);
+        let mut cands = self.geometry.candidates(key);
+        let mut held = self.keys_at(sim, cands)?;
         // Update in place if present.
-        if let Some(slot) = self.lookup_in(cands, key) {
+        if let Some(c) = held.iter().position(|&k| k == key) {
+            let slot = self.slot_at(sim, cands[c])?;
             self.heap.write_value(sim, slot, value)?;
             return Ok(true);
         }
@@ -120,23 +153,19 @@ impl CuckooTable {
         let mut idx = cands[0];
         let mut undo: Vec<(u64, u64, u64)> = Vec::new(); // (idx, key, slot)
         for _ in 0..MAX_KICKS {
-            let [a, b] = cands;
-            if self.shadow[a as usize].0 == 0 {
-                self.write_bucket(sim, a, key, slot)?;
-                return Ok(true);
-            }
-            if self.shadow[b as usize].0 == 0 {
-                self.write_bucket(sim, b, key, slot)?;
+            if let Some(c) = held.iter().position(|&k| k == 0) {
+                self.write_bucket(sim, cands[c], key, slot)?;
                 return Ok(true);
             }
             // Both full: evict from `idx` and chase the victim's
             // alternate.
-            let (vk, vs) = self.shadow[idx as usize];
+            let (vk, vs) = (self.key_at(sim, idx)?, self.slot_at(sim, idx)?);
             undo.push((idx, vk, vs));
             self.write_bucket(sim, idx, key, slot)?;
             key = vk;
             slot = vs;
-            cands = self.candidates(key);
+            cands = self.geometry.candidates(key);
+            held = self.keys_at(sim, cands)?;
             let [va, vb] = cands;
             idx = if idx == va { vb } else { va };
         }
@@ -148,42 +177,45 @@ impl CuckooTable {
         Ok(false)
     }
 
-    /// Host-side lookup: value slot address. `None` for a key outside
+    /// Where `key` resides, read from the bucket bytes the NIC compares:
+    /// (which candidate, its value slot). `None` for a key outside
     /// [1, 2⁴⁸), which the table never holds.
-    pub fn lookup(&self, key: u64) -> Option<u64> {
-        check_key(key).ok()?;
-        self.lookup_in(self.candidates(key), key)
+    fn resident(&self, sim: &Simulator, key: u64) -> Result<Option<(usize, u64)>> {
+        if check_key(key).is_err() {
+            return Ok(None);
+        }
+        let cands = self.geometry.candidates(key);
+        for (c, idx) in cands.into_iter().enumerate() {
+            if self.key_at(sim, idx)? == key {
+                return Ok(Some((c, self.slot_at(sim, idx)?)));
+            }
+        }
+        Ok(None)
     }
 
-    /// [`CuckooTable::lookup`] over `key`'s already computed candidates.
-    fn lookup_in(&self, candidates: [u64; 2], key: u64) -> Option<u64> {
-        let held = candidates.map(|idx| self.shadow[idx as usize]);
-        held.into_iter()
-            .find(|&(k, _)| k == key)
-            .map(|(_, slot)| slot)
+    /// Host-side lookup: value slot address.
+    pub fn lookup(&self, sim: &Simulator, key: u64) -> Result<Option<u64>> {
+        Ok(self.resident(sim, key)?.map(|(_, slot)| slot))
     }
 
     /// Which candidate (0 or 1) holds `key`, if any — used to check the
     /// paper's claim that the offload probes at most two buckets.
-    pub fn holding_candidate(&self, key: u64) -> Option<usize> {
-        let [c1, c2] = self.candidates(key);
-        if self.shadow[c1 as usize].0 == key {
-            Some(0)
-        } else if self.shadow[c2 as usize].0 == key {
-            Some(1)
-        } else {
-            None
-        }
+    pub fn holding_candidate(&self, sim: &Simulator, key: u64) -> Result<Option<usize>> {
+        Ok(self.resident(sim, key)?.map(|(c, _)| c))
     }
 
     /// Occupied buckets.
-    pub fn len(&self) -> usize {
-        self.shadow.iter().filter(|(k, _)| *k != 0).count()
+    pub fn len(&self, sim: &Simulator) -> Result<usize> {
+        let mut n = 0;
+        for idx in 0..self.geometry.nbuckets {
+            n += usize::from(self.key_at(sim, idx)? != 0);
+        }
+        Ok(n)
     }
 
     /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn is_empty(&self, sim: &Simulator) -> Result<bool> {
+        Ok(self.len(sim)? == 0)
     }
 }
 
@@ -206,18 +238,23 @@ mod tests {
         let (mut sim, mut t) = table(64);
         assert!(t.insert(&mut sim, 7, &[7; 64]).unwrap());
         assert!(t.insert(&mut sim, 7 + (1 << 48), &[9; 64]).is_err());
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.lookup(7 + (1 << 48)), None);
+        assert_eq!(t.len(&sim).unwrap(), 1);
+        assert_eq!(t.lookup(&sim, 7 + (1 << 48)).unwrap(), None);
     }
 
     /// Key 0 is the empty-bucket encoding: no lookup finds it.
     #[test]
     fn key_zero_is_never_found() {
         let (mut sim, mut t) = table(64);
-        assert_eq!(t.lookup(0), None, "an empty bucket is not key 0");
+        assert_eq!(
+            t.lookup(&sim, 0).unwrap(),
+            None,
+            "an empty bucket is not key 0"
+        );
+        assert_eq!(t.holding_candidate(&sim, 0).unwrap(), None);
         assert!(t.insert(&mut sim, 0, &[1; 64]).is_err());
         assert!(t.insert(&mut sim, 5, &[5; 64]).unwrap());
-        assert_eq!(t.lookup(0), None);
+        assert_eq!(t.lookup(&sim, 0).unwrap(), None);
     }
 
     #[test]
@@ -226,19 +263,19 @@ mod tests {
         for k in 1..=100u64 {
             assert!(t.insert(&mut sim, k, &[k as u8; 64]).unwrap(), "key {k}");
         }
-        assert_eq!(t.len(), 100);
+        assert_eq!(t.len(&sim).unwrap(), 100);
         for k in 1..=100u64 {
-            let slot = t.lookup(k).expect("inserted");
+            let slot = t.lookup(&sim, k).unwrap().expect("inserted");
             assert_eq!(t.heap.read_value(&sim, slot, 1).unwrap()[0], k as u8);
             // Every key sits in one of its two candidates (cuckoo
             // invariant — what makes the 2-probe offload sufficient).
-            assert!(t.holding_candidate(k).is_some());
+            assert!(t.holding_candidate(&sim, k).unwrap().is_some());
         }
         // Update in place.
         assert!(t.insert(&mut sim, 7, &[0xEE; 64]).unwrap());
-        let slot = t.lookup(7).unwrap();
+        let slot = t.lookup(&sim, 7).unwrap().unwrap();
         assert_eq!(t.heap.read_value(&sim, slot, 1).unwrap()[0], 0xEE);
-        assert_eq!(t.len(), 100);
+        assert_eq!(t.len(&sim).unwrap(), 100);
     }
 
     #[test]
@@ -253,25 +290,51 @@ mod tests {
         }
         assert!(inserted.len() >= 90, "only {} fit", inserted.len());
         for &k in &inserted {
-            assert!(t.lookup(k).is_some(), "key {k} lost after kicks");
             assert!(
-                t.holding_candidate(k).is_some(),
+                t.lookup(&sim, k).unwrap().is_some(),
+                "key {k} lost after kicks"
+            );
+            assert!(
+                t.holding_candidate(&sim, k).unwrap().is_some(),
                 "key {k} outside candidates"
             );
         }
     }
 
     #[test]
-    fn memory_matches_shadow() {
+    fn inserted_bucket_holds_the_offload_layout() {
         let (mut sim, mut t) = table(64);
         t.insert(&mut sim, 42, &[9; 64]).unwrap();
-        let idx = t.candidates(42)[t.holding_candidate(42).unwrap()];
-        let bytes = sim
-            .mem_read(t.node, t.bucket_addr(idx), BUCKET_SIZE)
+        let held = t.holding_candidate(&sim, 42).unwrap().unwrap();
+        let addr = t.geometry().candidate_addrs(42)[held];
+        let bytes = sim.mem_read(t.node, addr, BUCKET_SIZE).unwrap();
+        let slot = t.lookup(&sim, 42).unwrap().unwrap();
+        assert_eq!(bytes, encode_bucket(slot, 42));
+    }
+
+    /// The host reads the bytes the NIC compares: a bucket rewritten
+    /// behind the table's back (as an RDMA WRITE would) reads back
+    /// rewritten, not as the host last wrote it.
+    #[test]
+    fn lookups_see_a_bucket_rewritten_in_simulated_memory() {
+        let (mut sim, mut t) = table(64);
+        assert!(t.insert(&mut sim, 42, &[9; 64]).unwrap());
+        let held = t.holding_candidate(&sim, 42).unwrap().unwrap();
+        let addrs = t.geometry().candidate_addrs(42);
+        // Move key 42 to its other candidate, pointing at another slot.
+        let moved = t.heap.base + 5 * u64::from(t.heap.slot_len);
+        sim.mem_write(t.node, addrs[held], &[0; BUCKET_SIZE as usize])
             .unwrap();
-        let mut kb = [0u8; 8];
-        kb[..6].copy_from_slice(&bytes[8..14]);
-        assert_eq!(u64::from_le_bytes(kb), 42);
+        sim.mem_write(t.node, addrs[1 - held], &encode_bucket(moved, 42))
+            .unwrap();
+        assert_eq!(t.holding_candidate(&sim, 42).unwrap(), Some(1 - held));
+        assert_eq!(t.lookup(&sim, 42).unwrap(), Some(moved));
+        assert_eq!(t.len(&sim).unwrap(), 1);
+        // A bucket now naming another key no longer answers for 42.
+        sim.mem_write(t.node, addrs[1 - held], &encode_bucket(moved, 43))
+            .unwrap();
+        assert_eq!(t.lookup(&sim, 42).unwrap(), None);
+        assert_eq!(t.holding_candidate(&sim, 42).unwrap(), None);
     }
 
     #[test]
@@ -301,9 +364,13 @@ mod tests {
         // Used to take a slot, then trip write_value's assert.
         let err = t.insert(&mut sim, 5, &[1; 65]);
         assert!(matches!(err, Err(Error::InvalidWr(_))));
-        assert_eq!((t.heap.used, t.len()), (0, 0), "no slot, no bucket");
+        assert_eq!(
+            (t.heap.used, t.len(&sim).unwrap()),
+            (0, 0),
+            "no slot, no bucket"
+        );
         assert!(t.insert(&mut sim, 5, &[2; 64]).unwrap());
-        let slot = t.lookup(5).unwrap();
+        let slot = t.lookup(&sim, 5).unwrap().unwrap();
         // The update-in-place path refuses it too, leaving the value.
         assert!(t.insert(&mut sim, 5, &[3; 65]).is_err());
         assert_eq!(t.heap.read_value(&sim, slot, 64).unwrap(), [2; 64]);

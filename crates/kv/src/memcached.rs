@@ -26,7 +26,7 @@ use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
 
-use crate::cuckoo::CuckooTable;
+use crate::cuckoo::{CuckooTable, TableGeometry};
 use crate::endpoint::ClientEndpoint;
 use crate::store::check_key;
 
@@ -156,12 +156,13 @@ pub struct ReapedGet {
 /// for the whole burst — a closed-loop generator refilling a K-deep
 /// window pays one MMIO per tick instead of K — and validates the burst
 /// against the offload's available instances *before* anything is
-/// staged. Handles are appended to `out`.
+/// staged. Handles are appended to `out`. `table` locates each key's
+/// candidate buckets.
 pub(crate) fn post_get_burst(
     sim: &mut Simulator,
     off: &mut HashGetOffload,
     ep: &ClientEndpoint,
-    table: &Rc<RefCell<CuckooTable>>,
+    table: TableGeometry,
     keys: &[u64],
     out: &mut Vec<PendingGet>,
 ) -> Result<()> {
@@ -176,7 +177,7 @@ pub(crate) fn post_get_burst(
         |sim, i| {
             let key = keys[i];
             let instance = off.take_instance()?;
-            let cands = table.borrow().candidate_addrs(key);
+            let cands = table.candidate_addrs(key);
             let n = off.variant().buckets();
             let slot = ep.stage_trigger(sim, instance, depth, |p| {
                 off.client_payload_into(key, &cands[..n], p)
@@ -193,27 +194,28 @@ pub(crate) fn post_get_burst(
 
 /// Reap up to `max` response completions from `ep`'s receive CQ,
 /// keeping the endpoint's RECV accounting in step: drains them through
-/// the caller's scratch `cqes` buffer and appends typed reaps to `out`.
-/// Does not step the simulator (the engine behind
+/// the caller's scratch `cqes` buffer and appends each reap, as `typed`
+/// makes it, to `out`. Does not step the simulator (the engine behind
 /// [`Session::reap_into`](crate::session::Session::reap_into)).
-/// Long-lived clients (sessions, fleet generators) reuse one pair of
-/// buffers across every reap instead of allocating two `Vec`s per poll.
-/// Returns how many completions were reaped.
-pub(crate) fn reap_gets_into(
+/// Long-lived clients (sessions, fleet generators) reuse their buffers
+/// across every reap instead of allocating per poll. Returns how many
+/// completions were reaped.
+pub(crate) fn reap_gets_into<T>(
     sim: &mut Simulator,
     ep: &ClientEndpoint,
     max: usize,
     cqes: &mut Vec<Cqe>,
-    out: &mut Vec<ReapedGet>,
+    out: &mut Vec<T>,
+    typed: impl Fn(ReapedGet) -> T,
 ) -> usize {
     cqes.clear();
     let reaped = sim.poll_cq_into(ep.recv_cq, max, cqes);
     for cqe in cqes.iter() {
         ep.note_response_reaped();
-        out.push(ReapedGet {
+        out.push(typed(ReapedGet {
             instance: cqe.imm.unwrap_or(0) as u64,
             at: cqe.time,
-        });
+        }));
     }
     reaped
 }
@@ -239,11 +241,12 @@ pub fn redn_get(
     let (mut cqes, mut reaped) = (Vec::new(), Vec::new());
     ep.drop_sends(sim, &mut cqes);
     let start = sim.now();
-    post_get_burst(sim, off, ep, &server.table, &[key], &mut Vec::new())?;
+    let table = server.table.borrow().geometry();
+    post_get_burst(sim, off, ep, table, &[key], &mut Vec::new())?;
     let deadline = sim.now() + Time::from_us(200);
     loop {
         // A single get is outstanding, so any completion is ours.
-        reap_gets_into(sim, ep, 1, &mut cqes, &mut reaped);
+        reap_gets_into(sim, ep, 1, &mut cqes, &mut reaped, |r| r);
         if !reaped.is_empty() {
             return Ok((sim.now() - start, true));
         }

@@ -49,8 +49,8 @@ use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
 
 use crate::liststore::ListStore;
-use crate::memcached::{MemcachedServer, PendingGet};
-use crate::session::{Completion, PendingWalk, Session, SessionOpts};
+use crate::memcached::MemcachedServer;
+use crate::session::{Completion, Session, SessionOpts};
 use crate::tenancy::{
     pu_stride, CreditPacer, NicGeometry, Placement, TenantPacker, TenantRuntime, TenantSpec,
 };
@@ -451,16 +451,15 @@ impl RunLog {
     }
 }
 
-/// Completion, request and handle buffers reused by every client's
+/// Completion and request buffers reused by every client's
 /// [`FleetClient::reap`] and [`FleetClient::post_burst`], so a
-/// steady-state tick allocates nothing.
+/// steady-state tick allocates nothing (the handles a burst returns live
+/// in its session).
 #[derive(Default)]
 struct PostScratch {
     done: Vec<Completion>,
     keys: Vec<u64>,
     pairs: Vec<(u64, u64)>,
-    gets: Vec<PendingGet>,
-    walks: Vec<PendingWalk>,
 }
 
 impl FleetClient {
@@ -526,9 +525,8 @@ impl FleetClient {
             Stream::Keys(w) => {
                 buf.keys.clear();
                 buf.keys.extend((0..n).map(|_| w.next_key()));
-                buf.gets.clear();
-                self.session.get_burst_into(sim, &buf.keys, &mut buf.gets)?;
-                let posted = buf.gets.iter().map(|p| pending(p.instance, p.posted_at));
+                let posted = self.session.get_burst(sim, &buf.keys)?;
+                let posted = posted.iter().map(|p| pending(p.instance, p.posted_at));
                 self.inflight.extend(posted);
             }
             Stream::Walks { reqs, cursor } => {
@@ -536,10 +534,8 @@ impl FleetClient {
                 buf.pairs
                     .extend((0..n as usize).map(|i| reqs[(*cursor + i) % reqs.len()]));
                 *cursor = (*cursor + n as usize) % reqs.len();
-                buf.walks.clear();
-                self.session
-                    .walk_burst_into(sim, &buf.pairs, &mut buf.walks)?;
-                let posted = buf.walks.iter().map(|p| pending(p.instance, p.posted_at));
+                let posted = self.session.walk_burst(sim, &buf.pairs)?;
+                let posted = posted.iter().map(|p| pending(p.instance, p.posted_at));
                 self.inflight.extend(posted);
             }
         }

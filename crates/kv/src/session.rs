@@ -23,9 +23,6 @@
 //! not a silent misroute: `session.walk(...)` on a get session fails
 //! before anything touches the wire.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use redn_core::ctx::OffloadCtx;
 use redn_core::offloads::hash_lookup::{HashGetOffload, HashGetVariant};
 use redn_core::offloads::list::{self, ListWalkOffload};
@@ -40,7 +37,7 @@ use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
 use rnic_sim::wqe::WorkRequest;
 
-use crate::cuckoo::CuckooTable;
+use crate::cuckoo::TableGeometry;
 use crate::endpoint::ClientEndpoint;
 use crate::liststore::ListStore;
 use crate::memcached::{post_get_burst, reap_gets_into, MemcachedServer, PendingGet, ReapedGet};
@@ -157,6 +154,12 @@ pub struct PutReap {
     pub failures: Vec<PutFailure>,
 }
 
+/// What an idle reap, or one on a get or walk session, drained.
+static NO_PUTS: PutReap = PutReap {
+    acks: Vec::new(),
+    failures: Vec::new(),
+};
+
 /// One unresolved PUT occupying a window slot.
 #[derive(Clone, Copy, Debug)]
 struct PendingPut {
@@ -171,16 +174,22 @@ struct PendingPut {
 /// CQEs one [`Session::reap_puts`] takes from each of its CQs at most.
 const PUT_POLL_BATCH: usize = 64;
 
-/// The service a session is bound to.
+/// The service a session is bound to. Each kind owns the buffer its
+/// posts or reaps return, sized to the pipeline depth at connect, so a
+/// session allocates nothing per op.
 enum Bound {
     Get {
         off: HashGetOffload,
-        /// Cloned table handle, so `get(key)` can resolve candidate
-        /// bucket addresses without dragging the server around.
-        table: Rc<RefCell<CuckooTable>>,
+        /// Where the server's buckets sit, taken at connect: all
+        /// `get(key)` needs to address a key's candidates.
+        table: TableGeometry,
+        /// The last burst's handles.
+        posted: Vec<PendingGet>,
     },
     Walk {
         off: ListWalkOffload,
+        /// The last burst's handles.
+        posted: Vec<PendingWalk>,
     },
     Put {
         off: ReplicationOffload,
@@ -191,6 +200,8 @@ enum Bound {
         /// ack word, a late ack for a superseded occupant) resolves
         /// nothing.
         pending: Vec<Option<PendingPut>>,
+        /// What the last reap drained.
+        reaped: PutReap,
     },
 }
 
@@ -232,8 +243,6 @@ pub struct Session {
     bound: Bound,
     /// Scratch CQE buffer reused across reaps (no per-poll allocation).
     cqe_buf: Vec<Cqe>,
-    /// Scratch typed-reap buffer reused across reaps.
-    reap_buf: Vec<ReapedGet>,
     /// The polled CQs' monotonic CQE count at the last poll that emptied
     /// them (the recv CQ; for puts, the send CQ too): while the count
     /// stands there, they hold nothing.
@@ -270,8 +279,9 @@ impl Session {
         } else {
             builder.build(sim)?
         };
-        let table = server.table.clone();
-        Session::bind(sim, ctx, ep, Bound::Get { off, table })
+        let table = server.table.borrow().geometry();
+        let posted = Vec::with_capacity(opts.pipeline_depth as usize);
+        Session::bind(sim, ctx, ep, Bound::Get { off, table, posted })
     }
 
     /// Deploy a list-walk service against `store` through `ctx` and
@@ -315,7 +325,8 @@ impl Session {
         } else {
             builder.build(sim)?
         };
-        Session::bind(sim, ctx, ep, Bound::Walk { off })
+        let posted = Vec::with_capacity(opts.pipeline_depth as usize);
+        Session::bind(sim, ctx, ep, Bound::Walk { off, posted })
     }
 
     /// Deploy a replication chain through the shard primary's `ctx`
@@ -356,7 +367,17 @@ impl Session {
         }
         sim.set_rq_cyclic(ep.qp)?;
         let pending = vec![None; depth as usize];
-        Session::bind(sim, ctx, ep, Bound::Put { off, pending })
+        // Every put resolves once, so one reap drains at most a window.
+        let reaped = PutReap {
+            acks: Vec::with_capacity(depth as usize),
+            failures: Vec::with_capacity(depth as usize),
+        };
+        let bound = Bound::Put {
+            off,
+            pending,
+            reaped,
+        };
+        Session::bind(sim, ctx, ep, bound)
     }
 
     /// Connect `ep` to the freshly deployed service and prime a
@@ -371,7 +392,6 @@ impl Session {
             ep,
             bound,
             cqe_buf: Vec::new(),
-            reap_buf: Vec::new(),
             cq_seen: 0,
         };
         sim.connect_qps(session.ep.qp, session.service().tp.qp)?;
@@ -389,7 +409,7 @@ impl Session {
     pub fn service(&self) -> &dyn OffloadService {
         match &self.bound {
             Bound::Get { off, .. } => off,
-            Bound::Walk { off } => off,
+            Bound::Walk { off, .. } => off,
             Bound::Put { off, .. } => off,
         }
     }
@@ -398,7 +418,7 @@ impl Session {
     pub fn service_mut(&mut self) -> &mut dyn OffloadService {
         match &mut self.bound {
             Bound::Get { off, .. } => off,
-            Bound::Walk { off } => off,
+            Bound::Walk { off, .. } => off,
             Bound::Put { off, .. } => off,
         }
     }
@@ -425,71 +445,55 @@ impl Session {
 
     /// Post one lookup (a one-element [`Session::get_burst`]).
     pub fn get(&mut self, sim: &mut Simulator, key: u64) -> Result<PendingGet> {
-        let mut burst = self.get_burst(sim, &[key])?;
+        let burst = self.get_burst(sim, &[key])?;
         burst
-            .pop()
+            .first()
+            .copied()
             .ok_or(Error::InvalidWr("a one-key burst posted nothing"))
     }
 
-    /// Post a burst of lookups under one doorbell. Errors on a walk
-    /// session, or when the burst exceeds the available instances.
-    pub fn get_burst(&mut self, sim: &mut Simulator, keys: &[u64]) -> Result<Vec<PendingGet>> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.get_burst_into(sim, keys, &mut out).map(|()| out)
-    }
-
-    /// Allocation-free [`Session::get_burst`]: appends the handles to
-    /// `out`, so a generator reuses one buffer across every tick.
-    pub(crate) fn get_burst_into(
-        &mut self,
-        sim: &mut Simulator,
-        keys: &[u64],
-        out: &mut Vec<PendingGet>,
-    ) -> Result<()> {
-        let Bound::Get { off, table } = &mut self.bound else {
+    /// Post a burst of lookups under one doorbell, returning their
+    /// handles — valid until the session's next burst, which reuses the
+    /// buffer. Errors on a walk session, or when the burst exceeds the
+    /// available instances.
+    pub fn get_burst(&mut self, sim: &mut Simulator, keys: &[u64]) -> Result<&[PendingGet]> {
+        let Bound::Get { off, table, posted } = &mut self.bound else {
             return Err(Error::InvalidWr(
                 "session is not bound to a hash-get service",
             ));
         };
         self.ep.drop_sends(sim, &mut self.cqe_buf);
-        post_get_burst(sim, off, &self.ep, table, keys, out)
+        posted.clear();
+        post_get_burst(sim, off, &self.ep, *table, keys, posted)?;
+        Ok(posted)
     }
 
     /// Post one traversal (a one-element [`Session::walk_burst`]).
     pub fn walk(&mut self, sim: &mut Simulator, head: u64, key: u64) -> Result<PendingWalk> {
-        let mut burst = self.walk_burst(sim, &[(head, key)])?;
+        let burst = self.walk_burst(sim, &[(head, key)])?;
         burst
-            .pop()
+            .first()
+            .copied()
             .ok_or(Error::InvalidWr("a one-walk burst posted nothing"))
     }
 
     /// Post a burst of traversals — `(head, key)` pairs — under one
-    /// doorbell. Errors on a get session, or when the burst exceeds the
+    /// doorbell, returning their handles, valid until the session's next
+    /// burst. Errors on a get session, or when the burst exceeds the
     /// available instances.
     pub fn walk_burst(
         &mut self,
         sim: &mut Simulator,
         reqs: &[(u64, u64)],
-    ) -> Result<Vec<PendingWalk>> {
-        let mut out = Vec::with_capacity(reqs.len());
-        self.walk_burst_into(sim, reqs, &mut out).map(|()| out)
-    }
-
-    /// Allocation-free [`Session::walk_burst`]: appends the handles to
-    /// `out`.
-    pub(crate) fn walk_burst_into(
-        &mut self,
-        sim: &mut Simulator,
-        reqs: &[(u64, u64)],
-        out: &mut Vec<PendingWalk>,
-    ) -> Result<()> {
-        let Bound::Walk { off } = &mut self.bound else {
+    ) -> Result<&[PendingWalk]> {
+        let Bound::Walk { off, posted } = &mut self.bound else {
             return Err(Error::InvalidWr(
                 "session is not bound to a list-walk service",
             ));
         };
         reqs.iter().try_for_each(|&(_, key)| check_key(key))?;
         self.ep.drop_sends(sim, &mut self.cqe_buf);
+        posted.clear();
         let depth = off.pipeline_depth();
         let ep = &self.ep;
         ep.post_trigger_burst(
@@ -497,7 +501,7 @@ impl Session {
             depth,
             off.instances_available(),
             reqs.len(),
-            out,
+            posted,
             |sim, i| {
                 let (head, key) = reqs[i];
                 let instance = off.take_instance()?;
@@ -512,7 +516,8 @@ impl Session {
                     posted_at: sim.now(),
                 })
             },
-        )
+        )?;
+        Ok(posted)
     }
 
     /// Post one PUT: claim a window slot (errors when the window is
@@ -521,7 +526,7 @@ impl Session {
     /// Returns the claimed instance. Errors on a get or walk session and
     /// for a value longer than the chain's.
     pub fn put(&mut self, sim: &mut Simulator, key: u64, value: &[u8]) -> Result<u64> {
-        let Bound::Put { off, pending } = &mut self.bound else {
+        let Bound::Put { off, pending, .. } = &mut self.bound else {
             return Err(Error::InvalidWr(NOT_PUT));
         };
         check_key(key)?;
@@ -557,28 +562,35 @@ impl Session {
     }
 
     /// Drain a put session's CQs: acks from the recv side, typed
-    /// failures from the send side. Does not step the simulator.
+    /// failures from the send side, returned out of a buffer the next
+    /// reap clears. Does not step the simulator.
     /// Everything the NIC wrote (the immediate, the ack word) is checked
     /// against the session's pending table: a mismatch skips the CQE,
     /// never panics. An idle reap — no CQE pushed to either CQ since a
     /// reap emptied both — is one compare. Empty on a get or walk
     /// session.
     #[inline]
-    pub fn reap_puts(&mut self, sim: &mut Simulator) -> PutReap {
+    pub fn reap_puts(&mut self, sim: &mut Simulator) -> &PutReap {
         let total = sim.cq_total(self.ep.recv_cq) + sim.cq_total(self.ep.cq);
         if total == self.cq_seen {
-            return PutReap::default();
+            return &NO_PUTS;
         }
         self.drain_puts(sim, total)
     }
 
     /// The polls behind [`Session::reap_puts`], `total` being the two
     /// CQs' CQE counts now.
-    fn drain_puts(&mut self, sim: &mut Simulator, total: u64) -> PutReap {
-        let mut out = PutReap::default();
-        let Bound::Put { off, pending } = &mut self.bound else {
-            return out;
+    fn drain_puts(&mut self, sim: &mut Simulator, total: u64) -> &PutReap {
+        let Bound::Put {
+            off,
+            pending,
+            reaped: out,
+        } = &mut self.bound
+        else {
+            return &NO_PUTS;
         };
+        out.acks.clear();
+        out.failures.clear();
         let (ep, cqes) = (&self.ep, &mut self.cqe_buf);
         cqes.clear();
         let acked = sim.poll_cq_into(ep.recv_cq, PUT_POLL_BATCH, cqes);
@@ -602,7 +614,7 @@ impl Session {
                 _ => None,
             };
             if let Some(put) = put {
-                resolve(off, &mut out, put, cqe.status, cqe.time);
+                resolve(off, out, put, cqe.status, cqe.time);
             }
         }
         // A poll that came back full may have left CQEs behind.
@@ -635,8 +647,8 @@ impl Session {
     /// window. Every put resolves exactly once across this and earlier
     /// reaps.
     pub fn settle_puts(&mut self, sim: &mut Simulator, journaled: u64) -> PutReap {
-        let mut out = self.reap_puts(sim);
-        if let Bound::Put { off, pending } = &mut self.bound {
+        let mut out = self.reap_puts(sim).clone();
+        if let Bound::Put { off, pending, .. } = &mut self.bound {
             for put in pending.iter_mut().filter_map(Option::take) {
                 let status = if put.instance < journaled {
                     CqeStatus::Success
@@ -658,7 +670,7 @@ impl Session {
     }
 
     /// Allocation-free [`Session::reap`]: appends typed completions to
-    /// `out`, recycling the session's internal scratch buffers. Fleet
+    /// `out`, recycling the session's scratch CQE buffer. Fleet
     /// generators call this with one buffer per client per run. Returns
     /// whether the CQ was polled: an idle reap — no CQE pushed since a
     /// poll emptied the CQ — is this one compare, inlined into the
@@ -696,13 +708,11 @@ impl Session {
             // Acks are not completions: they reap through reap_puts.
             Bound::Put { .. } => return,
         };
-        self.reap_buf.clear();
-        let reaped = reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, &mut self.reap_buf);
+        let reaped = reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, out, typed);
         // A poll that came back full may have left CQEs behind.
         if reaped < max {
             self.cq_seen = total;
         }
-        out.extend(self.reap_buf.drain(..).map(typed));
     }
 
     /// The response tag `instance`'s completion will carry (see
@@ -846,7 +856,7 @@ mod tests {
         )
         .unwrap();
         let keys = [3u64, 17, 42, 60];
-        let pending = session.get_burst(&mut sim, &keys).unwrap();
+        let pending = session.get_burst(&mut sim, &keys).unwrap().to_vec();
         assert_eq!(pending.len(), 4);
         sim.run().unwrap();
         let done = session.reap(&mut sim, 16);
@@ -1054,7 +1064,7 @@ mod tests {
         sim.run().unwrap();
         session.reap_into(&mut sim, 16, &mut reaped);
         assert!(reaped.is_empty(), "acks are not get/walk completions");
-        let acks = session.reap_puts(&mut sim).acks;
+        let acks = session.reap_puts(&mut sim).acks.clone();
         assert_eq!(
             (acks.len(), acks[0].instance, acks[0].seq),
             (1, inst, inst + 1)
@@ -1090,7 +1100,7 @@ mod tests {
         let reqs: Vec<(u64, u64)> = (0..4u64)
             .map(|l| (store.head(l), store.key_of(l, l as usize)))
             .collect();
-        let pending = session.walk_burst(&mut sim, &reqs).unwrap();
+        let pending = session.walk_burst(&mut sim, &reqs).unwrap().to_vec();
         sim.run().unwrap();
         let done = session.reap(&mut sim, 16);
         assert_eq!(done.len(), 4, "every walk responds");

@@ -189,7 +189,7 @@ fn kill_and_fail_over(
         .fail_over(sim, cluster, session, s)
         .unwrap();
     sim.run().unwrap();
-    let later = session.put_session_mut(s).reap(sim);
+    let later = session.put_session_mut(s).reap(sim).clone();
     (report, later)
 }
 
@@ -226,7 +226,7 @@ fn fail_over_acks_completed_puts_nobody_reaped() {
 fn fail_over_fails_posted_puts_the_dead_primary_never_saw() {
     let (mut sim, mut cluster, mut session, s) = small_cluster();
     let posted = post_window(&mut sim, &cluster, &mut session, s);
-    let before = session.put_session_mut(s).reap(&mut sim);
+    let before = session.put_session_mut(s).reap(&mut sim).clone();
     let (report, later) = kill_and_fail_over(&mut sim, &mut cluster, &mut session, s);
     assert_eq!(report.records_recovered, 0);
     assert_resolved_once(&posted, &[&before, &report.puts, &later]);

@@ -109,9 +109,9 @@ fn mixed_sessions_interleave_with_correct_values() {
         .collect();
     // Interleave: two gets, the walks, the remaining gets — one
     // simulator carries both families at once.
-    let mut get_pending = gets.get_burst(&mut sim, &get_keys[..2]).unwrap();
-    let walk_pending = walks.walk_burst(&mut sim, &walk_reqs).unwrap();
-    get_pending.extend(gets.get_burst(&mut sim, &get_keys[2..]).unwrap());
+    let mut get_pending = gets.get_burst(&mut sim, &get_keys[..2]).unwrap().to_vec();
+    let walk_pending = walks.walk_burst(&mut sim, &walk_reqs).unwrap().to_vec();
+    get_pending.extend_from_slice(gets.get_burst(&mut sim, &get_keys[2..]).unwrap());
     sim.run().unwrap();
 
     let get_done = gets.reap(&mut sim, 16);

@@ -31,18 +31,19 @@ proptest! {
                 model.insert(key, tag);
             }
         }
-        prop_assert_eq!(table.is_empty(), model.is_empty());
+        prop_assert_eq!(table.len(&sim).unwrap(), model.len());
+        prop_assert_eq!(table.is_empty(&sim).unwrap(), model.is_empty());
         for (key, tag) in &model {
-            let slot = table.lookup(*key);
+            let slot = table.lookup(&sim, *key).unwrap();
             prop_assert!(slot.is_some(), "key {key} lost");
             let v = table.heap.read_value(&sim, slot.unwrap(), 1).unwrap();
             prop_assert_eq!(v[0], *tag, "key {} value", key);
             // The 2-probe invariant the RedN offload relies on.
-            prop_assert!(table.holding_candidate(*key).is_some());
+            prop_assert!(table.holding_candidate(&sim, *key).unwrap().is_some());
         }
         // Absent keys stay absent.
         for key in 600u64..620 {
-            prop_assert!(table.lookup(key).is_none());
+            prop_assert!(table.lookup(&sim, key).unwrap().is_none());
         }
     }
 
@@ -79,5 +80,5 @@ fn cuckoo_update_in_place_does_not_grow() {
     for _ in 0..10 {
         assert!(table.insert(&mut sim, 42, &[7; 16]).unwrap());
     }
-    assert_eq!(table.len(), 1);
+    assert_eq!(table.len(&sim).unwrap(), 1);
 }
