@@ -58,7 +58,7 @@ fn main() {
         "sync baseline (1 client)",
         kops(report.sync_baseline_ops_per_sec / 1e3),
         "—",
-        "back-to-back redn_get",
+        "back-to-back Session::get_blocking",
     )];
     for p in &report.closed {
         let note = p

@@ -48,10 +48,8 @@ pub const APP_CORES: usize = 4;
 /// statistics.
 pub fn run_contention(writers: usize, reads: usize, path: ReaderPath) -> Result<LatencyStats> {
     let mut sim = Simulator::new(SimConfig::default());
-    let server_host = HostConfig {
-        cores: APP_CORES,
-        ..HostConfig::default()
-    };
+    let mut server_host = HostConfig::default();
+    server_host.cores = APP_CORES;
     let c = sim.add_node("clients", HostConfig::default(), NicConfig::connectx5());
     let s = sim.add_node("server", server_host, NicConfig::connectx5());
     sim.connect_nodes(c, s, LinkConfig::back_to_back());

@@ -15,7 +15,8 @@
 use redn_core::ctx::OffloadCtx;
 use redn_core::offloads::hash_lookup::HashGetVariant;
 use redn_kv::endpoint::ClientEndpoint;
-use redn_kv::memcached::{redn_get, MemcachedServer};
+use redn_kv::memcached::MemcachedServer;
+use redn_kv::session::{Session, SessionOpts};
 use rnic_sim::error::Result;
 use rnic_sim::ids::ProcessId;
 use rnic_sim::time::Time;
@@ -85,6 +86,14 @@ pub enum CrashPath {
     RedN,
 }
 
+/// The Fig 16 reader's client.
+enum Reader {
+    /// A blocking get session on the RedN offload.
+    RedN(Box<Session>),
+    /// An endpoint connected to the vanilla RPC server.
+    Vanilla(ClientEndpoint),
+}
+
 /// Run the Fig 16 experiment: a reader issues gets for `duration`; the
 /// Memcached process is killed at `crash_at` and restarted by the OS
 /// (vanilla needs restart + rebuild before serving again). Returns the
@@ -115,20 +124,19 @@ pub fn run_crash_timeline(
     let server = MemcachedServer::create(&mut sim, s, 1 << 12, VALUE_LEN, ProcessId(0))?;
     server.populate(&mut sim, NKEYS)?;
 
-    let ep = ClientEndpoint::create(&mut sim, c, VALUE_LEN)?;
-    let mut redn_off = None;
     let mut rpc_qp = None;
     // Offload resources (pool + queues) live in the hull parent (init).
     let mut ctx = OffloadCtx::builder(s)
         .pool_capacity(1 << 24)
         .build(&mut sim)?;
-    match path {
+    let mut reader = match path {
         CrashPath::RedN => {
-            let off = server.redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)?;
-            sim.connect_qps(ep.qp, off.tp.qp)?;
-            redn_off = Some(off);
+            let (variant, opts) = (HashGetVariant::Parallel, SessionOpts::blocking());
+            let session = Session::connect_get(&mut sim, &mut ctx, &server, c, variant, opts)?;
+            Reader::RedN(Box::new(session))
         }
         CrashPath::Vanilla => {
+            let ep = ClientEndpoint::create(&mut sim, c, VALUE_LEN)?;
             let rpc = TwoSidedServer::install(
                 &mut sim,
                 s,
@@ -139,8 +147,9 @@ pub fn run_crash_timeline(
             sim.connect_qps(ep.qp, rpc.qp)?;
             sim.set_runnable_threads(s, 1);
             rpc_qp = Some(rpc.qp);
+            Reader::Vanilla(ep)
         }
-    }
+    };
 
     // Schedule the crash and (vanilla path) the restart + rebuild.
     let host = sim.host_config(s).clone();
@@ -177,11 +186,11 @@ pub fn run_crash_timeline(
         let key = 1 + (key_cursor % NKEYS);
         key_cursor += 1;
         let before = sim.now();
-        let ok = match redn_off.as_mut() {
-            Some(off) => redn_get(&mut sim, off, ctx.pool_mut(), &ep, &server, key)?.1,
-            None => {
+        let ok = match &mut reader {
+            Reader::RedN(session) => session.get_blocking(&mut sim, ctx.pool_mut(), key)?.1,
+            Reader::Vanilla(ep) => {
                 // Bounded wait: poll for the response for up to 200 us.
-                let req = encode_request(REQ_OP_GET, key, &ep, &[]);
+                let req = encode_request(REQ_OP_GET, key, ep, &[]);
                 sim.mem_write(ep.node, ep.req_buf, &req)?;
                 if !recv_outstanding {
                     sim.post_recv(ep.qp, WorkRequest::recv(0, 0, 0))?;
@@ -242,22 +251,21 @@ pub fn run_os_panic_probe(gets_after_panic: usize) -> Result<usize> {
     const VALUE_LEN: u32 = 64;
     let server = MemcachedServer::create(&mut sim, s, 1 << 10, VALUE_LEN, ProcessId(0))?;
     server.populate(&mut sim, 64)?;
-    let ep = ClientEndpoint::create(&mut sim, c, VALUE_LEN)?;
     let mut ctx = OffloadCtx::builder(s)
         .pool_capacity(1 << 22)
         .build(&mut sim)?;
-    let mut off = server.redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)?;
-    sim.connect_qps(ep.qp, off.tp.qp)?;
+    let (variant, opts) = (HashGetVariant::Parallel, SessionOpts::blocking());
+    let mut redn = Session::connect_get(&mut sim, &mut ctx, &server, c, variant, opts)?;
 
     // Sanity get, then panic the server OS.
-    let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, 1)?;
+    let (_, found) = redn.get_blocking(&mut sim, ctx.pool_mut(), 1)?;
     assert!(found, "pre-panic get failed");
     sim.os_panic(s);
 
     let mut ok = 0;
     for i in 0..gets_after_panic {
         let key = 1 + (i as u64 % 64);
-        let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, key)?;
+        let (_, found) = redn.get_blocking(&mut sim, ctx.pool_mut(), key)?;
         if found {
             ok += 1;
         }

@@ -10,7 +10,8 @@ use rnic_sim::ids::ProcessId;
 use rnic_sim::time::Time;
 
 use redn_kv::endpoint::ClientEndpoint;
-use redn_kv::memcached::{redn_get, MemcachedServer};
+use redn_kv::memcached::MemcachedServer;
+use redn_kv::session::{Session, SessionOpts};
 
 use crate::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
 use crate::hashbench::VALUE_SIZES;
@@ -27,15 +28,14 @@ pub fn memcached_latency(value_len: u32, reps: usize) -> Result<(f64, f64, f64)>
     server.populate(&mut sim, reps as u64)?;
     sim.set_runnable_threads(s, 1);
 
-    let ep = ClientEndpoint::create(&mut sim, c, value_len)?;
     let mut ctx = OffloadCtx::builder(s)
         .pool_capacity(1 << 23)
         .build(&mut sim)?;
-    let mut off = server.redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)?;
-    sim.connect_qps(ep.qp, off.tp.qp)?;
+    let (variant, opts) = (HashGetVariant::Parallel, SessionOpts::blocking());
+    let mut redn = Session::connect_get(&mut sim, &mut ctx, &server, c, variant, opts)?;
     let mut redn_total = Time::ZERO;
     for k in 1..=reps as u64 {
-        let (lat, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, k)?;
+        let (lat, found) = redn.get_blocking(&mut sim, ctx.pool_mut(), k)?;
         assert!(found, "redn key {k}");
         redn_total += lat;
     }

@@ -7,8 +7,9 @@
 //! baseline artifact, regenerated by CI so every future perf PR has a
 //! number to move:
 //!
-//! * a **sync baseline**: back-to-back synchronous `redn_get`s on one
-//!   client (the only request path before the serving layer existed);
+//! * a **sync baseline**: back-to-back [`Session::get_blocking`] calls
+//!   on one depth-1 host-armed client (the only request path before the
+//!   serving layer existed);
 //! * a **closed-loop sweep**: fleet throughput as the per-client window
 //!   K grows (1, 2, 4, ... up to the pipeline depth);
 //! * an **open-loop sweep**: achieved throughput and latency as the
@@ -27,9 +28,8 @@ use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::sim::Simulator;
 
-use redn_kv::endpoint::ClientEndpoint;
 use redn_kv::liststore::ListStore;
-use redn_kv::memcached::{redn_get, MemcachedServer};
+use redn_kv::memcached::MemcachedServer;
 use redn_kv::serving::{FleetSpec, FleetStats, ServiceSpec, ServingFleet};
 use redn_kv::session::{Session, SessionOpts};
 use redn_kv::workload::Workload;
@@ -534,9 +534,10 @@ pub fn closed_point(cfg: &SweepConfig, k: u32) -> Result<FleetStats> {
     )
 }
 
-/// Back-to-back synchronous [`redn_get`]s on a single client — the
-/// pre-serving-layer request path, measured the same way fleet runs are
-/// so the two are directly comparable. Returns ops/sec.
+/// Back-to-back [`Session::get_blocking`] calls on a single depth-1,
+/// host-armed client — the pre-serving-layer request path, measured the
+/// same way fleet runs are so the two are directly comparable. Returns
+/// ops/sec.
 pub fn sync_baseline_ops_per_sec(
     sim: &mut Simulator,
     ctx: &mut OffloadCtx,
@@ -546,18 +547,12 @@ pub fn sync_baseline_ops_per_sec(
     ops: u64,
     workload: &mut Workload,
 ) -> Result<f64> {
-    let value_len = server.table.borrow().heap.slot_len;
-    let ep = ClientEndpoint::create(sim, client_node, value_len)?;
-    let mut off = server
-        .redn_builder(ctx)?
-        .respond_to(ep.dest())
-        .variant(variant)
-        .build(sim)?;
-    sim.connect_qps(ep.qp, off.tp.qp)?;
+    let opts = SessionOpts::blocking();
+    let mut session = Session::connect_get(sim, ctx, server, client_node, variant, opts)?;
     let start = sim.now();
     for _ in 0..ops {
         let key = workload.next_key();
-        let (_, found) = redn_get(sim, &mut off, ctx.pool_mut(), &ep, server, key)?;
+        let (_, found) = session.get_blocking(sim, ctx.pool_mut(), key)?;
         if !found {
             return Err(Error::InvalidWr("sync baseline key missed"));
         }

@@ -70,10 +70,10 @@ pub struct Cluster {
     /// Per-node serving stacks, index = home shard id.
     pub shards: Vec<Shard>,
     /// Key → shard-id router (shared by every client and controller).
-    pub router: ShardRouter,
+    pub(crate) router: ShardRouter,
     /// shard id → index into `shards` currently serving it (identity
     /// until a failover promotes a backup stack).
-    pub assignment: Vec<usize>,
+    pub(crate) assignment: Vec<usize>,
     /// The deployed spec.
     pub spec: ClusterSpec,
 }

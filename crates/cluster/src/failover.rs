@@ -33,8 +33,6 @@ use rnic_sim::wqe::WorkRequest;
 /// What one failover did, with simulated timestamps for the blip math.
 #[derive(Clone, Debug)]
 pub struct FailoverReport {
-    /// The failed-over shard id.
-    pub shard: usize,
     /// The dead primary's node.
     pub old_node: NodeId,
     /// The promoted backup's node.
@@ -44,13 +42,13 @@ pub struct FailoverReport {
     /// When the controller started (detection time — the caller
     /// typically observed an `RnrError` or heartbeat silence just
     /// before).
-    pub started_at: Time,
+    pub(crate) started_at: Time,
     /// When the journal replay + re-route finished (reads and writes
     /// can be served again from here).
-    pub promoted_at: Time,
+    pub(crate) promoted_at: Time,
     /// When the journal copy to the new backup completed (full
     /// redundancy restored).
-    pub rereplicated_at: Time,
+    pub(crate) rereplicated_at: Time,
     /// Every put the old session still held, resolved exactly once: a
     /// last reap of its CQs, then each still-pending put against the
     /// recovered journal — acked with `seq = instance + 1` if its record
@@ -80,7 +78,7 @@ pub struct FailoverController {
     /// primary suspect. The simulator's dead-QP timeout is 100 µs, so
     /// anything above that detects promptly without false positives on
     /// a healthy back-to-back fabric.
-    pub heartbeat_timeout: Time,
+    pub(crate) heartbeat_timeout: Time,
 }
 
 impl Default for FailoverController {
@@ -197,7 +195,6 @@ impl FailoverController {
         session.rebind(sim, cluster, s, promoted, &[new_journal], recovered)?;
 
         Ok(FailoverReport {
-            shard: s,
             old_node,
             new_node: journal.node,
             records_recovered: recovered,

@@ -23,9 +23,9 @@
 //! ordering is subject to the optimizer (the WAIT between the CAS and the
 //! ENABLE elides into a `wait_prev` fence) and the §3.1 verifier (an
 //! action staged on an unmanaged queue is rejected before anything is
-//! posted). The `counts` each construct reports remain the *paper's*
-//! Table 2 cost model — the pass report of the deployed program shows
-//! what actually hit the ring.
+//! posted). The `counts` [`IfEq`] reports remain the *paper's* Table 2
+//! cost model — the pass report of the deployed program shows what
+//! actually hit the ring.
 
 use rnic_sim::error::Result;
 use rnic_sim::ids::CqId;
@@ -42,17 +42,13 @@ use crate::ir::{
 /// A built `if (x == y) action` construct.
 #[derive(Clone, Debug)]
 pub struct IfEq {
-    /// The action op (staged as a NOOP placeholder in the managed queue).
-    pub action: OpId,
-    /// The CAS op that implements the branch.
-    pub cas: OpId,
     /// Where to inject the 48-bit runtime operand `x` (6 bytes,
     /// little-endian): the action WQE's id field. RECV scatter entries or
     /// chain WRITEs aim here; resolves after the program deploys.
-    pub x_inject: FieldRef,
+    pub(crate) x_inject: FieldRef,
     /// Verb accounting for Table 2 (the paper's cost model, before the
     /// optimizer).
-    pub counts: VerbCounts,
+    pub(crate) counts: VerbCounts,
 }
 
 impl IfEq {
@@ -121,7 +117,7 @@ impl IfEq {
         }
 
         // The branch: CAS on the action's header word.
-        let cas = p.push(
+        p.push(
             ctrl,
             OpBuild::new(Kind::Transmute {
                 target: staged_action,
@@ -148,12 +144,7 @@ impl IfEq {
         counts.ordering += 2;
 
         let x_inject = p.field_ref(staged_action, WqeField::Id);
-        IfEq {
-            action: staged_action,
-            cas,
-            x_inject,
-            counts,
-        }
+        IfEq { x_inject, counts }
     }
 
     /// Host-side injection of the runtime operand (tests and host-driven
@@ -176,13 +167,9 @@ impl IfEq {
 /// as NOOPs and the action never fires.
 #[derive(Clone, Debug)]
 pub struct IfEqWide {
-    /// The action op.
-    pub action: OpId,
     /// Injection points for the operand segments, least-significant
     /// first (6 bytes each); resolve after deploy.
-    pub x_injects: Vec<FieldRef>,
-    /// Verb accounting (paper cost model).
-    pub counts: VerbCounts,
+    pub(crate) x_injects: Vec<FieldRef>,
 }
 
 impl IfEqWide {
@@ -202,13 +189,11 @@ impl IfEqWide {
         let action_op = action.wqe.opcode;
         assert!(action_op != Opcode::Noop);
 
-        let mut counts = VerbCounts::default();
         if let Some((cq, count)) = trigger {
             p.push(
                 ctrl,
                 OpBuild::new(Kind::Wait(WaitCond::Absolute { cq, count })).label("wide trigger"),
             );
-            counts.ordering += 1;
         }
 
         // Stage the carriers T_1..T_{k-1} (NOOP -> CAS) and the action
@@ -225,7 +210,6 @@ impl IfEqWide {
                         .placeholder()
                         .label("wide action"),
                 );
-                counts.copies += 1;
             } else {
                 // Carrier: preset CAS fields testing segment i+1 on the
                 // next op; staged as a NOOP (id holds x_i, injected).
@@ -245,7 +229,6 @@ impl IfEqWide {
                     .placeholder()
                     .label("wide carrier"),
                 );
-                counts.atomics += 1;
             }
         }
 
@@ -261,7 +244,6 @@ impl IfEqWide {
             .signaled()
             .label("wide first CAS"),
         );
-        counts.atomics += 1;
 
         // Release the stages one at a time under doorbell ordering: each
         // stage may only be fetched once its predecessor CAS completed.
@@ -274,7 +256,6 @@ impl IfEqWide {
             OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(staged[0])))
                 .label("wide stage release"),
         );
-        counts.ordering += 2;
         for i in 1..k {
             // Carrier T_i completes (as NOOP or CAS) on the stage queue's
             // CQ; every carrier is signaled, the action placeholder not.
@@ -288,16 +269,13 @@ impl IfEqWide {
                 OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(staged[i])))
                     .label("wide stage release"),
             );
-            counts.ordering += 2;
         }
 
         IfEqWide {
-            action: staged[k - 1],
             x_injects: staged
                 .iter()
                 .map(|s| p.field_ref(*s, WqeField::Id))
                 .collect(),
-            counts,
         }
     }
 
@@ -323,11 +301,7 @@ impl IfEqWide {
 pub struct IfLe {
     /// Where the runtime operand `x` must be written (8-byte pool cell;
     /// resolves after deploy).
-    pub x_inject: ConstRef,
-    /// The underlying equality conditional.
-    pub inner: IfEq,
-    /// Verb accounting (includes the MAX and the operand-move READ).
-    pub counts: VerbCounts,
+    pub(crate) x_inject: ConstRef,
 }
 
 impl IfLe {
@@ -335,7 +309,6 @@ impl IfLe {
     pub fn build(p: &mut IrProgram, ctrl: QId, actions: QId, y: u64, action: WorkRequest) -> IfLe {
         let y = operand48(y);
         let scratch = p.const_zeroed(8);
-        let mut counts = VerbCounts::default();
 
         // The action placeholder is allocated up front so the operand-move
         // READ can target its id field before IfEq stages it.
@@ -355,8 +328,6 @@ impl IfLe {
             ctrl,
             OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)).label("le MAX wait"),
         );
-        counts.atomics += 1;
-        counts.ordering += 1;
 
         // Move the low 6 bytes of scratch into the action's id field.
         p.push(
@@ -373,16 +344,11 @@ impl IfLe {
             ctrl,
             OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)).label("le move wait"),
         );
-        counts.copies += 1;
-        counts.ordering += 1;
 
         // Equality test: max(x, y) == y  <=>  x <= y.
-        let inner = IfEq::build_on(p, ctrl, y, action, None, action_op);
-        let counts = counts.merge(&inner.counts);
+        IfEq::build_on(p, ctrl, y, action, None, action_op);
         IfLe {
             x_inject: p.const_ref(scratch),
-            inner,
-            counts,
         }
     }
 

@@ -29,7 +29,6 @@ use rnic_sim::verbs::Opcode;
 use rnic_sim::wqe::{header_word, WorkRequest};
 
 use crate::encode::{operand48, WqeField};
-use crate::ir::VerbCounts;
 use crate::program::ChainQueue;
 
 /// A built unrolled `while` loop searching for a match among `n`
@@ -42,13 +41,7 @@ pub struct UnrolledWhile {
     /// is scattered into every iteration's comparison target, which is
     /// why the paper notes RECV's 16-scatter limit caps the loop size
     /// (§5.3). Resolve after the owning program deploys.
-    pub x_injects: Vec<crate::ir::FieldRef>,
-    /// The response ops, one per iteration.
-    pub responses: Vec<crate::ir::OpId>,
-    /// Verb accounting (the paper's cost model, before the optimizer).
-    pub counts: VerbCounts,
-    /// Whether break-on-match is compiled in.
-    pub break_enabled: bool,
+    pub(crate) x_injects: Vec<crate::ir::FieldRef>,
 }
 
 impl UnrolledWhile {
@@ -70,9 +63,7 @@ impl UnrolledWhile {
     ) -> UnrolledWhile {
         use crate::ir::{EnableTarget, Kind, Loc, OpBuild, WaitCond};
         assert_eq!(values.len(), responses.len());
-        let mut counts = VerbCounts::default();
         let mut inject = Vec::new();
-        let mut resp_ops = Vec::new();
 
         for (&value, response) in values.iter().zip(responses) {
             let y = operand48(value);
@@ -103,7 +94,6 @@ impl UnrolledWhile {
                     .placeholder() // transmuted on match
                     .label("while break"),
                 );
-                counts.copies += 1;
 
                 // Response placeholder: NOOP, signaled — its completion
                 // drives the next iteration.
@@ -114,7 +104,6 @@ impl UnrolledWhile {
                         .placeholder()
                         .label("while response"),
                 );
-                counts.copies += 1;
 
                 // x is injected into the *break* WQE's id; the CAS tests it
                 // there and transmutes NOOP -> WRITE(break image).
@@ -129,7 +118,6 @@ impl UnrolledWhile {
                     .signaled()
                     .label("while CAS"),
                 );
-                counts.atomics += 1;
                 p.push(
                     ctrl,
                     OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)).label("while CAS wait"),
@@ -139,7 +127,6 @@ impl UnrolledWhile {
                     OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(brk)))
                         .label("while break release"),
                 );
-                counts.ordering += 2;
                 // Release the response only after the break (NOOP or
                 // WRITE) completed — its overwrite must land first.
                 p.push(
@@ -152,7 +139,6 @@ impl UnrolledWhile {
                     OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(resp_id)))
                         .label("while response release"),
                 );
-                counts.ordering += 2;
                 // The loop gate: proceed to iteration i+1 only once the
                 // response WQE *completed*. A break-overwritten response is
                 // unsignaled, so this WAIT starves and the loop exits.
@@ -161,8 +147,6 @@ impl UnrolledWhile {
                     OpBuild::new(Kind::Wait(WaitCond::OpDoneSignaled(resp_id)))
                         .label("while loop gate"),
                 );
-                counts.ordering += 1;
-                resp_ops.push(resp_id);
             } else {
                 // Plain unrolled iteration: CAS transmutes the response
                 // NOOP directly (Fig 5) — every iteration executes.
@@ -173,7 +157,6 @@ impl UnrolledWhile {
                         .placeholder()
                         .label("while response"),
                 );
-                counts.copies += 1;
                 inject.push(p.field_ref(resp, WqeField::Id));
                 p.push(
                     ctrl,
@@ -185,7 +168,6 @@ impl UnrolledWhile {
                     .signaled()
                     .label("while CAS"),
                 );
-                counts.atomics += 1;
                 p.push(
                     ctrl,
                     OpBuild::new(Kind::Wait(WaitCond::LocalAllSignaled)).label("while CAS wait"),
@@ -195,17 +177,10 @@ impl UnrolledWhile {
                     OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(resp)))
                         .label("while response release"),
                 );
-                counts.ordering += 2;
-                resp_ops.push(resp);
             }
         }
 
-        UnrolledWhile {
-            x_injects: inject,
-            responses: resp_ops,
-            counts,
-            break_enabled,
-        }
+        UnrolledWhile { x_injects: inject }
     }
 
     /// Host-side injection of the search operand into every iteration
@@ -231,12 +206,9 @@ impl UnrolledWhile {
 #[derive(Clone, Copy, Debug)]
 pub struct RecycledLoop {
     /// The ring.
-    pub queue: ChainQueue,
+    pub(crate) queue: ChainQueue,
     /// Slots per round (== ring depth).
-    pub round_len: u64,
-    /// Address of the tail ENABLE's slot — turn its header into a NOOP
-    /// to halt.
-    pub tail_enable: u64,
+    pub(crate) round_len: u64,
 }
 
 impl RecycledLoop {
@@ -259,7 +231,8 @@ mod tests {
 
     /// Halt a loop host-side: patch its tail ENABLE into a NOOP.
     fn halt(sim: &mut Simulator, lp: &RecycledLoop) {
-        let addr = lp.tail_enable + WqeField::Header.offset();
+        let tail_enable = lp.queue.slot_addr(lp.round_len - 1);
+        let addr = tail_enable + WqeField::Header.offset();
         let noop = header_word(Opcode::Noop, 0);
         sim.mem_write_u64(lp.queue.node, addr, noop).unwrap();
     }
@@ -333,12 +306,10 @@ mod tests {
     #[test]
     fn unrolled_search_finds_match() {
         let mut r = rig();
-        let lw = build_search(&mut r, 8, false);
+        build_search(&mut r, 8, false);
         r.sim.run().unwrap();
         // values[2] == 12 matched -> response 2 wrote 102.
         assert_eq!(r.sim.mem_read_u64(r.node, r.out).unwrap(), 102);
-        assert!(!lw.break_enabled);
-        assert_eq!(lw.responses.len(), 8);
         // Without break, every iteration executes.
         assert_eq!(r.sim.wq_executed(r.dyn_q.sq), 8);
     }
@@ -354,10 +325,9 @@ mod tests {
     #[test]
     fn break_stops_subsequent_iterations() {
         let mut r = rig();
-        let lw = build_search(&mut r, 8, true);
+        build_search(&mut r, 8, true);
         r.sim.run().unwrap();
         assert_eq!(r.sim.mem_read_u64(r.node, r.out).unwrap(), 102);
-        assert!(lw.break_enabled);
         // Iterations 3..8 never ran: the dynamic queue executed only
         // iterations 0,1,2 (2 WQEs each: break + response).
         assert_eq!(r.sim.wq_executed(r.dyn_q.sq), 6);

@@ -85,7 +85,7 @@ pub struct MovUnit {
     /// The registers.
     pub regs: RegisterFile,
     /// Region holding the data the program may address indirectly.
-    pub data_mr: MemoryRegion,
+    pub(crate) data_mr: MemoryRegion,
 }
 
 impl MovUnit {

@@ -5,7 +5,7 @@
 //! pass the wrong key to the wrong slot and impossible to see *what
 //! authority* an offload was granted. These wrappers name the three
 //! capabilities a RedN offload actually needs and carry the key together
-//! with the region geometry it came from:
+//! with what the offload needs of the region it came from:
 //!
 //! * [`TableRegion`] — remote-READ authority over a lookup structure
 //!   (hash-table buckets, list nodes): what the offload's chain READs;
@@ -20,10 +20,9 @@
 //! is only safe under careful capability scoping.
 //!
 //! Enforcement note: the *keys* are what the NIC checks at execution
-//! time. The geometry carried by [`TableRegion`] (`base`/`len`) is
-//! advisory — kept for diagnostics and for future arm-time validation of
-//! client-supplied addresses — offloads do not currently range-check
-//! bucket/node addresses against it before staging READs.
+//! time. Offloads do not range-check client-supplied bucket/node
+//! addresses before staging READs; the table's rkey bounds what a READ
+//! can reach.
 
 use rnic_sim::mem::MemoryRegion;
 
@@ -31,21 +30,13 @@ use rnic_sim::mem::MemoryRegion;
 /// offload's "data region": bucket array, list nodes, ...).
 #[derive(Clone, Copy, Debug)]
 pub struct TableRegion {
-    /// Base address of the region.
-    pub base: u64,
-    /// Region length in bytes.
-    pub len: u64,
     rkey: u32,
 }
 
 impl TableRegion {
     /// Capability over a registered region.
     pub fn of(mr: &MemoryRegion) -> TableRegion {
-        TableRegion {
-            base: mr.addr,
-            len: mr.len,
-            rkey: mr.rkey,
-        }
+        TableRegion { rkey: mr.rkey }
     }
 
     /// The remote key chain READs present.
@@ -60,7 +51,7 @@ impl TableRegion {
 pub struct ValueSource {
     lkey: u32,
     /// Bytes per value returned to the client.
-    pub value_len: u32,
+    pub(crate) value_len: u32,
 }
 
 impl ValueSource {
@@ -83,7 +74,7 @@ impl ValueSource {
 #[derive(Clone, Copy, Debug)]
 pub struct ClientDest {
     /// Response buffer address on the client.
-    pub addr: u64,
+    pub(crate) addr: u64,
     rkey: u32,
 }
 
@@ -127,7 +118,7 @@ mod tests {
             owner: ProcessId(0),
         };
         let t = TableRegion::of(&mr);
-        assert_eq!((t.base, t.len, t.rkey()), (0x2000, 128, 9));
+        assert_eq!(t.rkey(), 9);
         let v = ValueSource::of(&mr, 64);
         assert_eq!((v.lkey(), v.value_len), (7, 64));
         let d = ClientDest::of(&mr);

@@ -306,7 +306,8 @@ mod tests {
         sim.run_until(Time::from_us(100)).unwrap();
         assert!(sim.mem_read_u64(node, ctr).unwrap() >= 5);
         // Halt: turn the tail ENABLE into a NOOP.
-        let tail = lowered.ring().unwrap().tail_enable + WqeField::Header.offset();
+        let ring = lowered.ring().unwrap();
+        let tail = ring.queue.slot_addr(ring.round_len - 1) + WqeField::Header.offset();
         let noop = header_word(Opcode::Noop, 0);
         sim.mem_write_u64(node, tail, noop).unwrap();
         sim.run().unwrap();

@@ -142,12 +142,7 @@ mod tests {
     #[test]
     fn id_bytes_overlay_header_correctly() {
         // Writing 6 bytes at OFF_ID_BYTES must change exactly the id.
-        let wqe = Wqe {
-            opcode: Opcode::Noop,
-            id: 0,
-            ..Wqe::default()
-        };
-        let mut bytes = wqe.encode();
+        let mut bytes = Wqe::default().encode();
         let x: u64 = 0xAABB_CCDD_EEFF; // 48 bits
         bytes[OFF_ID_BYTES as usize..(OFF_ID_BYTES + ID_BYTES) as usize]
             .copy_from_slice(&x.to_le_bytes()[..6]);

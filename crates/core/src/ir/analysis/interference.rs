@@ -56,7 +56,7 @@ impl std::fmt::Display for Space {
 /// What a [`Span`] is: a few indices, rendered into words only when a
 /// diagnostic names the span (a clean deployment renders none).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanKind {
+pub(crate) enum SpanKind {
     /// A recycled program's whole registered ring.
     RecycledRing,
     /// The WQE slot an op occupies on a bound queue.
@@ -93,13 +93,13 @@ impl fmt::Display for SpanKind {
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
     /// Which address space `addr` is meaningful in.
-    pub space: Space,
+    pub(crate) space: Space,
     /// Start address.
-    pub addr: u64,
+    pub(crate) addr: u64,
     /// Length in bytes.
-    pub len: u64,
+    pub(crate) len: u64,
     /// What the range is (diagnostics name it).
-    pub what: SpanKind,
+    pub(crate) what: SpanKind,
 }
 
 impl Span {
@@ -116,18 +116,18 @@ pub struct Footprint {
     pub name: String,
     /// Byte ranges the program writes at run time (response slots,
     /// journal windows, staging cells, atomic words).
-    pub writes: Vec<Span>,
+    pub(crate) writes: Vec<Span>,
     /// WQE ring slots the program owns — its patch points live here.
-    pub rings: Vec<Span>,
+    pub(crate) rings: Vec<Span>,
     /// CQs owned by the program's queues (plus any trigger CQ claimed
     /// via `Footprint::claim_cq`).
-    pub owned_cqs: Vec<CqId>,
+    pub(crate) owned_cqs: Vec<CqId>,
     /// Foreign CQs the program's absolute WAIT thresholds count.
-    pub wait_cqs: Vec<CqId>,
+    pub(crate) wait_cqs: Vec<CqId>,
     /// SQs owned by the program's queues.
-    pub owned_sqs: Vec<WqId>,
+    pub(crate) owned_sqs: Vec<WqId>,
     /// Foreign SQs the program raises ENABLE horizons on.
-    pub enable_sqs: Vec<WqId>,
+    pub(crate) enable_sqs: Vec<WqId>,
 }
 
 impl Footprint {

@@ -93,7 +93,7 @@ pub struct Diagnostic {
 #[derive(Clone, Debug)]
 pub struct AnalysisReport {
     /// What was analyzed ("hash-get@shard0", "node shard1", ...).
-    pub subject: String,
+    pub(crate) subject: String,
     /// Programs covered (1 for a per-program run).
     pub programs: usize,
     /// The covered programs' names, in the order they were added. For a

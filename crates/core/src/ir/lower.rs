@@ -858,7 +858,6 @@ pub(crate) fn lower(
         lowered.ring = Some(RecycledLoop {
             queue,
             round_len: depth,
-            tail_enable: queue.slot_addr(round.tail_enable as u64),
         });
     }
     Ok(lowered)

@@ -195,11 +195,11 @@ pub struct SgeSpec {
 #[derive(Clone, Debug)]
 pub(crate) struct ImageWqe {
     /// The verb, with concrete fields where known.
-    pub wr: WorkRequest,
+    pub(crate) wr: WorkRequest,
     /// `(field, loc)` pairs: the resolved address of `loc` is written
     /// over `field` in the encoded image. A `RemoteAddr` patch makes the
     /// image a runtime *patcher* of whatever `loc` names.
-    pub patches: Vec<(WqeField, Loc)>,
+    pub(crate) patches: Vec<(WqeField, Loc)>,
 }
 
 /// The typed verb of one IR op.
@@ -589,7 +589,7 @@ pub struct ConstInterner {
     /// Content hash → `(address, length)` of the cell placed under it.
     cells: HashMap<u64, (u64, u32), BuildHasherDefault<ContentHash>>,
     /// Bytes avoided via hits (monotonic).
-    pub saved_bytes: u64,
+    pub(crate) saved_bytes: u64,
 }
 
 /// Hasher state for keys that already are [`content_hash`]es.
@@ -726,7 +726,7 @@ pub struct PassReport {
     pub after: VerbCounts,
     /// Own-queue WAITs collapsed into `wait_prev` fences (each also
     /// removes its FETCH_ADD fix-up in a recycled ring).
-    pub waits_elided: usize,
+    pub(crate) waits_elided: usize,
     /// Restore WRITEs saved by merging contiguous pristine slots.
     pub restores_merged: usize,
     /// Const-pool bytes saved by deduplication.
@@ -745,7 +745,7 @@ pub struct PassReport {
     pub pool_bytes_placed: u64,
     /// Pool leases this lowering took (allocations that did not intern
     /// to an earlier cell).
-    pub pool_leases_taken: u64,
+    pub(crate) pool_leases_taken: u64,
 }
 
 /// Deploy-time switches (the default is optimize + verify).

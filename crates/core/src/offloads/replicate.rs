@@ -93,7 +93,7 @@ pub struct ReplicationLog {
     /// The registered journal region (the forward WRITEs' target).
     pub mr: MemoryRegion,
     /// Capacity in records.
-    pub capacity: u64,
+    pub(crate) capacity: u64,
     /// Bytes per value.
     pub value_len: u32,
 }

@@ -32,9 +32,9 @@ pub struct TriggerPoint {
     /// Receive CQ — the WAIT target that fires chains.
     pub recv_cq: CqId,
     /// Send CQ of the response queue.
-    pub send_cq: CqId,
+    pub(crate) send_cq: CqId,
     /// The response ring region (response WQEs get transmuted in place).
-    pub ring: MemoryRegion,
+    pub(crate) ring: MemoryRegion,
     /// Node the endpoint lives on.
     pub node: NodeId,
 }

@@ -27,7 +27,7 @@ pub struct ChainQueue {
     /// QP whose send queue holds the chain.
     pub qp: QpId,
     /// The loopback peer QP (its node's memory is the chain's "remote").
-    pub peer: QpId,
+    pub(crate) peer: QpId,
     /// The send queue id (ENABLE verbs target this).
     pub sq: WqId,
     /// Completion queue receiving the chain's signaled completions.
@@ -37,7 +37,7 @@ pub struct ChainQueue {
     /// Whether the queue is managed (fetch gated by ENABLE).
     pub managed: bool,
     /// Ring depth in WQE slots.
-    pub depth: u32,
+    pub(crate) depth: u32,
     /// Node the queue lives on.
     pub node: NodeId,
 }

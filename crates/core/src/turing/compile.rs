@@ -59,21 +59,21 @@ const ACTION_SLOTS: usize = 5;
 /// A Turing machine compiled to an RDMA ring, already armed.
 pub struct CompiledTm {
     /// The recycled ring executing the machine.
-    pub lp: RecycledLoop,
+    pub(crate) lp: RecycledLoop,
     /// What the IR optimizer did to the step program (per round).
     pub report: PassReport,
     /// Node it runs on.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Tape base address.
-    pub tape_addr: u64,
+    pub(crate) tape_addr: u64,
     /// Tape length in cells.
-    pub tape_len: usize,
+    pub(crate) tape_len: usize,
     /// Head register (absolute cell address).
-    pub head_reg: u64,
+    pub(crate) head_reg: u64,
     /// Combined state/symbol register.
-    pub sreg: u64,
+    pub(crate) sreg: u64,
     /// Halt flag cell.
-    pub halt_flag: u64,
+    pub(crate) halt_flag: u64,
 }
 
 impl CompiledTm {

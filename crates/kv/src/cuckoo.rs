@@ -52,7 +52,7 @@ impl TableGeometry {
 /// A cuckoo table in simulated server memory.
 pub struct CuckooTable {
     /// Node holding the table.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Value storage.
     pub heap: ValueHeap,
     geometry: TableGeometry,

@@ -56,7 +56,7 @@ pub struct ClientEndpoint {
     /// lkey for the response buffer (for local reads).
     pub resp_lkey: u32,
     /// Pipelined request/response slots (1 for synchronous endpoints).
-    pub slots: u32,
+    pub(crate) slots: u32,
     req_slot_len: u64,
     /// RedN-path RECV/response bookkeeping (see `reserve_response_recv`):
     /// RECVs posted, responses reaped, requests posted, requests
@@ -270,7 +270,7 @@ impl ClientEndpoint {
     /// so every live (posted, not reaped, not abandoned) request has
     /// one. Reuses RECVs stranded by earlier abandoned requests instead
     /// of posting unconditionally.
-    fn reserve_response_recv(&self, sim: &mut Simulator) -> Result<()> {
+    pub(crate) fn reserve_response_recv(&self, sim: &mut Simulator) -> Result<()> {
         let live_after = self.requests_posted.get() + 1
             - self.responses_reaped.get()
             - self.requests_abandoned.get();

@@ -29,13 +29,13 @@ const LIST_KEY_BASE: u64 = 1 << 32;
 /// A registered region of server-side linked lists (see module docs).
 pub struct ListStore {
     /// Server node the lists live on.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Owning process (crash semantics, as for the hash table).
-    pub owner: ProcessId,
+    pub(crate) owner: ProcessId,
     /// Value bytes per node.
-    pub value_len: u32,
+    pub(crate) value_len: u32,
     /// Number of disjoint lists.
-    pub nlists: u64,
+    pub(crate) nlists: u64,
     /// Nodes per list.
     pub nodes_per_list: usize,
     base: u64,

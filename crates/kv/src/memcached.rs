@@ -16,10 +16,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use redn_core::ctx::{ClientDest, HashGet, OffloadBuilder, OffloadCtx, TableRegion, ValueSource};
-use redn_core::offloads::hash_lookup::{HashGetOffload, HashGetVariant};
-use redn_core::offloads::OffloadService;
-use redn_core::program::ConstPool;
+use redn_core::ctx::{HashGet, OffloadBuilder, OffloadCtx, TableRegion, ValueSource};
+use redn_core::offloads::hash_lookup::HashGetOffload;
 use rnic_sim::cq::Cqe;
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -76,10 +74,11 @@ impl MemcachedServer {
     /// A hash-get deployment builder pre-granting this server's table and
     /// value-heap capabilities through `ctx` (which must live on this
     /// server's node, with this server's owner: `Error::InvalidWr`
-    /// otherwise). Callers add the per-client pieces — `respond_to`,
-    /// `variant`, `pipeline_depth`, `on_pu` — and `build`; the serving
-    /// layer uses this to deploy one offload per fleet client.
-    pub fn redn_builder(&self, ctx: &OffloadCtx) -> Result<OffloadBuilder<HashGet>> {
+    /// otherwise). [`Session::connect_get`] adds the per-client pieces —
+    /// `respond_to`, `variant`, `pipeline_depth`, `on_pu` — and builds.
+    ///
+    /// [`Session::connect_get`]: crate::session::Session::connect_get
+    pub(crate) fn redn_builder(&self, ctx: &OffloadCtx) -> Result<OffloadBuilder<HashGet>> {
         if ctx.node() != self.node {
             return Err(Error::InvalidWr(
                 "the offload context must live on the server node",
@@ -101,22 +100,6 @@ impl MemcachedServer {
             )
         };
         Ok(ctx.hash_get().table(table).values(values))
-    }
-
-    /// Stand up the RedN get offload, deploying through `ctx`. `dest` is
-    /// the client-advertised response capability — see
-    /// [`ClientEndpoint::dest`].
-    pub fn redn_frontend(
-        &self,
-        sim: &mut Simulator,
-        ctx: &OffloadCtx,
-        dest: ClientDest,
-        variant: HashGetVariant,
-    ) -> Result<HashGetOffload> {
-        self.redn_builder(ctx)?
-            .respond_to(dest)
-            .variant(variant)
-            .build(sim)
     }
 }
 
@@ -144,9 +127,9 @@ pub struct PendingGet {
 #[derive(Clone, Copy, Debug)]
 pub struct ReapedGet {
     /// The completed instance (from the response's immediate data).
-    pub instance: u64,
+    pub(crate) instance: u64,
     /// Simulated completion time.
-    pub at: Time,
+    pub(crate) at: Time,
 }
 
 /// Batched non-blocking RedN gets (the engine behind
@@ -220,165 +203,119 @@ pub(crate) fn reap_gets_into<T>(
     reaped
 }
 
-/// Synchronous RedN get: arms one instance, triggers it, waits for the
-/// response WRITE_IMM. Returns `(latency, found)`.
-///
-/// A missed key produces no response at all (the CAS fails and the
-/// response WQE stays a NOOP), so the wait is bounded; the RECV posted
-/// for the missing response is *kept* and reused by the next get rather
-/// than leaked — repeated misses no longer accumulate stale RECVs until
-/// the RQ runs into RNR.
-pub fn redn_get(
-    sim: &mut Simulator,
-    off: &mut HashGetOffload,
-    pool: &mut ConstPool,
-    ep: &ClientEndpoint,
-    server: &MemcachedServer,
-    key: u64,
-) -> Result<(Time, bool)> {
-    check_key(key)?;
-    off.arm(sim, pool)?;
-    let (mut cqes, mut reaped) = (Vec::new(), Vec::new());
-    ep.drop_sends(sim, &mut cqes);
-    let start = sim.now();
-    let table = server.table.borrow().geometry();
-    post_get_burst(sim, off, ep, table, &[key], &mut Vec::new())?;
-    let deadline = sim.now() + Time::from_us(200);
-    loop {
-        // A single get is outstanding, so any completion is ours.
-        reap_gets_into(sim, ep, 1, &mut cqes, &mut reaped, |r| r);
-        if !reaped.is_empty() {
-            return Ok((sim.now() - start, true));
-        }
-        if sim.now() > deadline || !sim.step()? {
-            ep.note_request_abandoned();
-            return Ok((sim.now() - start, false));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Session, SessionOpts};
+    use redn_core::offloads::hash_lookup::{encode_bucket, HashGetVariant};
     use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
 
-    fn setup() -> (Simulator, NodeId, NodeId) {
+    /// A blocking (depth-1, host-armed) Parallel get session on a server
+    /// holding keys `1..=keys`.
+    fn blocking_rig(keys: u64) -> (Simulator, OffloadCtx, MemcachedServer, Session) {
         let mut sim = Simulator::new(SimConfig::default());
         let c = sim.add_node("client", HostConfig::default(), NicConfig::connectx5());
         let s = sim.add_node("server", HostConfig::default(), NicConfig::connectx5());
         sim.connect_nodes(c, s, LinkConfig::back_to_back());
-        (sim, c, s)
+        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
+        server.populate(&mut sim, keys).unwrap();
+        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
+        let (variant, opts) = (HashGetVariant::Parallel, SessionOpts::blocking());
+        let session = Session::connect_get(&mut sim, &mut ctx, &server, c, variant, opts).unwrap();
+        (sim, ctx, server, session)
     }
 
     #[test]
-    fn redn_get_through_memcached() {
-        let (mut sim, c, s) = setup();
-        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
-        server.populate(&mut sim, 100).unwrap();
-        let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
-        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
-        let mut off = server
-            .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
-            .unwrap();
-        sim.connect_qps(ep.qp, off.tp.qp).unwrap();
-
+    fn blocking_gets_through_memcached() {
+        let (mut sim, mut ctx, _, mut session) = blocking_rig(100);
+        let (c, resp) = (session.endpoint().node, session.endpoint().resp_buf);
         for key in [1u64, 50, 100] {
-            let (lat, found) =
-                redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, key).unwrap();
+            let (lat, found) = session.get_blocking(&mut sim, ctx.pool_mut(), key).unwrap();
             assert!(found, "key {key}");
-            assert_eq!(
-                sim.mem_read(c, ep.resp_buf, 1).unwrap()[0],
-                (key & 0xFF) as u8
-            );
+            assert_eq!(sim.mem_read(c, resp, 1).unwrap()[0], (key & 0xFF) as u8);
             let us = lat.as_us_f64();
-            assert!(us > 2.0 && us < 15.0, "redn get {us}");
+            assert!(us > 2.0 && us < 15.0, "blocking get {us}");
         }
         // Miss: no response.
-        let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, 9999).unwrap();
+        let (_, found) = session
+            .get_blocking(&mut sim, ctx.pool_mut(), 9999)
+            .unwrap();
         assert!(!found);
     }
 
-    /// The NIC compares 48-bit keys, so an absent key at or above 2⁴⁸
-    /// used to be answered as a hit with the value of the key its low 48
-    /// bits spell. It is refused before anything is armed or posted.
     #[test]
     fn a_get_outside_the_key_domain_is_an_error_not_a_hit() {
-        let (mut sim, c, s) = setup();
-        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
-        server.populate(&mut sim, 32).unwrap();
-        let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
-        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
-        let mut off = server
-            .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
-            .unwrap();
-        sim.connect_qps(ep.qp, off.tp.qp).unwrap();
-        let posted = sim.sq_posted(ep.qp);
+        let (mut sim, mut ctx, _, mut session) = blocking_rig(32);
+        let qp = session.endpoint().qp;
+        let posted = sim.sq_posted(qp);
         for key in [7 + (1 << 48), 7 | (1 << 63), 9 + 5 * (1 << 48)] {
-            let got = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, key);
+            let got = session.get_blocking(&mut sim, ctx.pool_mut(), key);
             assert!(got.is_err(), "key {key:#x}: {got:?}");
         }
-        assert_eq!(sim.sq_posted(ep.qp), posted, "nothing was posted");
-        let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, 7).unwrap();
+        assert_eq!(sim.sq_posted(qp), posted, "nothing was posted");
+        let (_, found) = session.get_blocking(&mut sim, ctx.pool_mut(), 7).unwrap();
         assert!(found, "key 7 itself still hits");
     }
 
     #[test]
     fn sync_gets_drain_the_send_cq() {
-        // More sequential gets than the endpoint's send CQ has entries:
-        // each get drains the trigger SEND CQEs before it posts.
-        let (mut sim, c, s) = setup();
-        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
-        server.populate(&mut sim, 100).unwrap();
-        let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
-        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
-        let mut off = server
-            .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
-            .unwrap();
-        sim.connect_qps(ep.qp, off.tp.qp).unwrap();
+        // More gets than the endpoint's send CQ has entries: each get
+        // drains the trigger SEND CQEs before it posts.
+        let (mut sim, mut ctx, _, mut session) = blocking_rig(100);
         for k in 0..1_100u64 {
             let key = 1 + k % 100;
-            let (_, found) =
-                redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, key).unwrap();
+            let (_, found) = session.get_blocking(&mut sim, ctx.pool_mut(), key).unwrap();
             assert!(found, "key {key}");
         }
-        assert_eq!(sim.cq_total(ep.cq), 1_100);
-        assert!(!sim.cq_overrun(ep.cq), "the send CQ overran");
+        let cq = session.endpoint().cq;
+        assert_eq!(sim.cq_total(cq), 1_100);
+        assert!(!sim.cq_overrun(cq), "the send CQ overran");
     }
 
     #[test]
     fn missed_gets_reuse_the_outstanding_recv() {
-        // Regression: the miss path used to return without consuming the
-        // posted RECV, yet the next get posted another one — every miss
-        // leaked a RECV until the RQ filled into RNR. Misses now strand
-        // exactly one RECV, which the next get reuses.
-        let (mut sim, c, s) = setup();
-        let server = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
-        server.populate(&mut sim, 10).unwrap();
-        let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
-        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
-        let mut off = server
-            .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
-            .unwrap();
-        sim.connect_qps(ep.qp, off.tp.qp).unwrap();
-
-        let before = sim.rq_posted(ep.qp);
+        // A missed key never responds, so its RECV is stranded: misses
+        // 2..5 reuse the one miss 1 stranded instead of each leaking one
+        // until the RQ runs into RNR, and the next hit consumes it.
+        let (mut sim, mut ctx, _, mut session) = blocking_rig(10);
+        let qp = session.endpoint().qp;
+        let before = sim.rq_posted(qp);
         for _ in 0..5 {
-            let (_, found) =
-                redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, 9999).unwrap();
+            let (_, found) = session
+                .get_blocking(&mut sim, ctx.pool_mut(), 9999)
+                .unwrap();
             assert!(!found);
         }
-        assert_eq!(
-            sim.rq_posted(ep.qp) - before,
-            1,
-            "misses 2..5 must reuse the RECV stranded by miss 1"
-        );
-        assert_eq!(ep.outstanding_recvs(), 1);
-        assert_eq!(ep.live_requests(), 0);
+        assert_eq!(sim.rq_posted(qp) - before, 1, "one RECV for five misses");
+        assert_eq!(session.endpoint().outstanding_recvs(), 1);
+        assert_eq!(session.endpoint().live_requests(), 0);
+        let (_, found) = session.get_blocking(&mut sim, ctx.pool_mut(), 5).unwrap();
+        assert!(found, "a hit after the misses still completes");
+        assert_eq!(sim.rq_posted(qp) - before, 1);
+        assert_eq!(session.endpoint().outstanding_recvs(), 0);
+    }
 
-        // A hit consumes the recycled RECV and still completes.
-        let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &server, 5).unwrap();
-        assert!(found);
-        assert_eq!(sim.rq_posted(ep.qp) - before, 1);
-        assert_eq!(ep.outstanding_recvs(), 0);
+    /// A table holding two buckets for key 7 answers one get of 7 twice.
+    /// The second response is a stray: it answers no later get — an
+    /// absent key still misses — and the RECV it took is replaced, so a
+    /// present key still hits.
+    #[test]
+    fn a_stray_response_answers_no_later_get() {
+        let (mut sim, mut ctx, server, mut session) = blocking_rig(100);
+        let (addrs, held, value) = {
+            let t = server.table.borrow();
+            let held = t.holding_candidate(&sim, 7).unwrap().unwrap();
+            let value = t.lookup(&sim, 7).unwrap().unwrap();
+            (t.geometry().candidate_addrs(7), held, value)
+        };
+        let twin = encode_bucket(value, 7);
+        sim.mem_write(server.node, addrs[1 - held], &twin).unwrap();
+        for (key, hit) in [(7, true), (9999, false), (5, true)] {
+            let (_, found) = session.get_blocking(&mut sim, ctx.pool_mut(), key).unwrap();
+            assert_eq!(found, hit, "key {key}");
+        }
+        let ep = session.endpoint();
+        assert_eq!(sim.cq_total(ep.recv_cq), 3, "7 answered twice, 5 once");
+        assert_eq!((ep.live_requests(), ep.outstanding_recvs()), (0, 0));
     }
 }

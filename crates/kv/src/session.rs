@@ -30,6 +30,7 @@ use redn_core::offloads::replicate::{
     encode_record_into, record_len, ReplicationLog, ReplicationOffload, RECORD_HEADER,
 };
 use redn_core::offloads::service::OffloadService;
+use redn_core::program::ConstPool;
 use rnic_sim::cq::{Cqe, CqeStatus};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::NodeId;
@@ -58,6 +59,18 @@ pub struct SessionOpts {
     pub pu_base: usize,
 }
 
+impl SessionOpts {
+    /// One host-armed instance at a time: the §5.4 synchronous client
+    /// [`Session::get_blocking`] serves.
+    pub fn blocking() -> SessionOpts {
+        SessionOpts {
+            pipeline_depth: 1,
+            self_recycling: false,
+            ..SessionOpts::default()
+        }
+    }
+}
+
 impl Default for SessionOpts {
     fn default() -> SessionOpts {
         SessionOpts {
@@ -76,12 +89,8 @@ pub struct PendingWalk {
     /// Offload instance this request consumed; the response CQE carries
     /// its tag as immediate data.
     pub instance: u64,
-    /// Head pointer the walk started from.
-    pub head: u64,
     /// The wanted key.
     pub key: u64,
-    /// Client-side request/response slot index.
-    pub slot: u64,
     /// When the request was handed to the NIC (open-loop generators may
     /// backdate this to the scheduled time).
     pub posted_at: Time,
@@ -170,6 +179,10 @@ struct PendingPut {
     wqe_index: u64,
     posted_at: Time,
 }
+
+/// How long [`Session::get_blocking`] waits for its response: a missed
+/// key produces none.
+const BLOCKING_DEADLINE: Time = Time::from_us(200);
 
 /// CQEs one [`Session::reap_puts`] takes from each of its CQs at most.
 const PUT_POLL_BATCH: usize = 64;
@@ -452,6 +465,53 @@ impl Session {
             .ok_or(Error::InvalidWr("a one-key burst posted nothing"))
     }
 
+    /// One synchronous lookup (§5.4's blocking client): top the window
+    /// up, post `key`, and step until the response tagged for it lands
+    /// (a hit) or 200 µs pass (a miss, whose RECV the next request
+    /// reuses). A response tagged for any other instance — a late one,
+    /// or a second one from a table holding two buckets for one key — is
+    /// a stray: it answers nothing, and the RECV it consumed is
+    /// replaced. Nothing else may be in flight on the session. Returns
+    /// `(latency, found)`.
+    pub fn get_blocking(
+        &mut self,
+        sim: &mut Simulator,
+        pool: &mut ConstPool,
+        key: u64,
+    ) -> Result<(Time, bool)> {
+        check_key(key)?;
+        if self.ep.live_requests() > 0 {
+            return Err(Error::InvalidWr(
+                "a blocking get needs a session with nothing in flight",
+            ));
+        }
+        self.service_mut().prime(sim, pool)?;
+        let start = sim.now();
+        let instance = self.get(sim, key)?.instance;
+        let tag = self.response_tag(instance);
+        let deadline = sim.now() + BLOCKING_DEADLINE;
+        let mut reaped = Vec::with_capacity(1);
+        loop {
+            reaped.clear();
+            self.reap_into(sim, 1, &mut reaped);
+            match reaped.first() {
+                Some(c) if c.tag() == tag => {
+                    self.complete();
+                    return Ok((sim.now() - start, true));
+                }
+                // A stray, reaped already, counts as one more request
+                // posted and answered: the pending get, whose RECV it
+                // took, gets a fresh one.
+                Some(_) => self.ep.reserve_response_recv(sim)?,
+                None if sim.now() > deadline || !sim.step()? => {
+                    self.abandon();
+                    return Ok((sim.now() - start, false));
+                }
+                None => {}
+            }
+        }
+    }
+
     /// Post a burst of lookups under one doorbell, returning their
     /// handles — valid until the session's next burst, which reuses the
     /// buffer. Errors on a walk session, or when the burst exceeds the
@@ -505,14 +565,12 @@ impl Session {
             |sim, i| {
                 let (head, key) = reqs[i];
                 let instance = off.take_instance()?;
-                let slot = ep.stage_trigger(sim, instance, depth, |p| {
+                ep.stage_trigger(sim, instance, depth, |p| {
                     off.client_payload_into(head, key, p)
                 })?;
                 Ok(PendingWalk {
                     instance,
-                    head,
                     key,
-                    slot,
                     posted_at: sim.now(),
                 })
             },
@@ -881,7 +939,10 @@ mod tests {
     }
 
     /// A burst with one key outside [1, 2⁴⁸) is refused whole: nothing is
-    /// staged, posted or taken from the window, for gets, walks and puts.
+    /// staged, posted or taken from the window, for gets, blocking gets,
+    /// walks and puts. The NIC compares 48-bit keys, so an absent key at
+    /// or above 2⁴⁸ would be answered as a hit with the value of the key
+    /// its low 48 bits spell.
     #[test]
     fn keys_outside_the_domain_are_refused_before_anything_is_posted() {
         let (mut sim, c, s) = rig();
@@ -896,27 +957,32 @@ mod tests {
         let pu_base = opts.pu_base + 2;
         let opts = SessionOpts { pu_base, ..opts };
         let mut walks = Session::connect_walk(&mut sim, &mut ctx, &store, c, nodes, opts).unwrap();
+        let (variant, pu_base) = (HashGetVariant::Parallel, pu_base + 2);
+        let opts = SessionOpts {
+            pu_base,
+            ..SessionOpts::blocking()
+        };
+        let mut sync = Session::connect_get(&mut sim, &mut ctx, &server, c, variant, opts).unwrap();
         let (head, alias) = (store.head(0), 7 + (1 << 48));
-        for bad in [0, alias, u64::MAX] {
-            let posted = (
-                sim.sq_posted(gets.endpoint().qp),
-                sim.sq_posted(walks.endpoint().qp),
-            );
+        let qps = [gets.endpoint().qp, walks.endpoint().qp, sync.endpoint().qp];
+        let sq_posted = |sim: &Simulator| qps.map(|qp| sim.sq_posted(qp));
+        for bad in [0, alias, 7 | (1 << 63), 9 + 5 * (1 << 48), u64::MAX] {
+            let posted = sq_posted(&sim);
             assert!(gets.get_burst(&mut sim, &[5, bad]).is_err(), "get {bad:#x}");
             assert!(
                 walks.walk_burst(&mut sim, &[(head, bad)]).is_err(),
                 "walk {bad:#x}"
             );
-            let after = (
-                sim.sq_posted(gets.endpoint().qp),
-                sim.sq_posted(walks.endpoint().qp),
-            );
-            assert_eq!(after, posted, "nothing posted for {bad:#x}");
+            let got = sync.get_blocking(&mut sim, ctx.pool_mut(), bad);
+            assert!(got.is_err(), "blocking get {bad:#x}: {got:?}");
+            assert_eq!(sq_posted(&sim), posted, "nothing posted for {bad:#x}");
         }
-        for session in [&gets, &walks] {
+        for session in [&gets, &walks, &sync] {
             let off = session.service();
             assert_eq!(off.instances_available(), u64::from(off.pipeline_depth()));
         }
+        let (_, found) = sync.get_blocking(&mut sim, ctx.pool_mut(), 7).unwrap();
+        assert!(found, "key 7 itself still hits");
         let (mut sim, mut puts) = put_rig();
         for bad in [0, alias] {
             assert!(puts.put(&mut sim, bad, &[1; 16]).is_err(), "put {bad:#x}");

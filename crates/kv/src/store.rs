@@ -47,13 +47,13 @@ pub fn h2(key: u64, nbuckets: u64) -> u64 {
 /// slots are handed out sequentially by [`ValueHeap::alloc_slot`].
 pub struct ValueHeap {
     /// Node the heap lives on.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Base address.
     pub base: u64,
     /// Slot size in bytes.
     pub slot_len: u32,
     /// Capacity in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Slots handed out.
     pub(crate) used: u64,
     mr: MemoryRegion,

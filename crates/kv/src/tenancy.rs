@@ -70,10 +70,10 @@ pub struct TenantSpec {
     pub name: String,
     /// The tenant's service blocks (same shape as a single-operator
     /// fleet's mix).
-    pub services: Vec<ServiceSpec>,
+    pub(crate) services: Vec<ServiceSpec>,
     /// Completed-request rate cap, ops/s, enforced by credit pacing on
     /// the trigger path (`None` = unpaced).
-    pub rate_cap_ops_per_sec: Option<f64>,
+    pub(crate) rate_cap_ops_per_sec: Option<f64>,
     /// Admission quotas.
     pub quotas: TenantQuotas,
 }
@@ -268,9 +268,9 @@ pub struct TenantRuntime {
     /// Trigger-path rate cap, ops/s.
     pub rate_cap_ops_per_sec: Option<f64>,
     /// Exact ring-slot budget re-checked after lowering.
-    pub ring_slot_quota: Option<u64>,
+    pub(crate) ring_slot_quota: Option<u64>,
     /// Const-pool byte budget enforced during lowering.
-    pub const_pool_quota: Option<u64>,
+    pub(crate) const_pool_quota: Option<u64>,
 }
 
 /// An admitted multi-tenant placement: tenant-tagged services in deploy
@@ -279,16 +279,13 @@ pub struct TenantRuntime {
 #[derive(Clone, Debug)]
 pub struct Packing {
     /// Tenant-tagged service blocks, in deploy order.
-    pub services: Vec<ServiceSpec>,
+    pub(crate) services: Vec<ServiceSpec>,
     /// One placement per client, in deploy order.
     pub placements: Vec<Placement>,
     /// Runtime knobs, indexed by the services' tenant tags.
-    pub tenants: Vec<TenantRuntime>,
+    pub(crate) tenants: Vec<TenantRuntime>,
     /// PUs claimed per tenant (admission accounting).
     pub pus_claimed: Vec<usize>,
-    /// Whether physical PUs ran out and ranges wrapped (tenants
-    /// time-share PUs past this point — safe, but contended).
-    pub pus_shared: bool,
 }
 
 impl Packing {
@@ -371,7 +368,6 @@ impl TenantPacker {
         let mut placements = Vec::new();
         let mut runtimes = Vec::new();
         let mut pus_claimed = vec![0usize; tenants.len()];
-        let mut pus_shared = false;
         for (ti, t) in tenants.iter().enumerate() {
             for svc in &t.services {
                 let stride = pu_stride(svc);
@@ -382,9 +378,6 @@ impl TenantPacker {
                     let port = (0..ports)
                         .min_by_key(|&p| (pu_next[p], p))
                         .expect("ports >= 1");
-                    if pu_next[port] + stride > npus {
-                        pus_shared = true;
-                    }
                     placements.push(Placement {
                         port,
                         pu_base: pu_next[port] % npus,
@@ -405,13 +398,12 @@ impl TenantPacker {
             placements,
             tenants: runtimes,
             pus_claimed,
-            pus_shared,
         })
     }
 }
 
 /// A token bucket over simulated time: the trigger-path rate limiter
-/// behind [`TenantSpec::rate_cap_ops_per_sec`].
+/// behind [`TenantSpec::rate_cap`].
 ///
 /// The serving loops call [`CreditPacer::grant`] before posting a paced
 /// tenant's trigger batch; a grant smaller than the ask defers the
@@ -538,7 +530,7 @@ mod tests {
         assert_eq!(packing.services.len(), 2);
         assert_eq!(packing.services[0].tenant, Some(0));
         assert_eq!(packing.services[1].tenant, Some(1));
-        assert!(!packing.pus_shared, "8 PUs claimed, 16 available");
+        assert_eq!(packing.pus_claimed, [4, 4], "8 PUs claimed, 16 available");
         // No two clients on one port share a PU.
         for (i, a) in packing.placements.iter().enumerate() {
             for b in &packing.placements[i + 1..] {
@@ -631,8 +623,11 @@ mod tests {
             .collect();
         // 5 tenants x 2 clients x stride 2 = 20 PUs > 16 physical.
         let packing = TenantPacker::new(two_pu_geometry()).pack(&tenants).unwrap();
-        assert!(packing.pus_shared);
-        assert!(packing.placements.iter().all(|p| p.pu_base < 8));
+        assert_eq!(packing.pus_claimed.iter().sum::<usize>(), 20);
+        assert!(
+            packing.placements.iter().all(|p| p.pu_base < 8),
+            "ranges wrapped"
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub struct LatencyStats {
     /// 99th percentile, microseconds.
     pub p99_us: f64,
     /// Maximum, microseconds.
-    pub max_us: f64,
+    pub(crate) max_us: f64,
 }
 
 impl LatencyStats {

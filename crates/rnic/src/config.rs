@@ -90,8 +90,6 @@ impl Generation {
 /// Configuration of one simulated RNIC.
 #[derive(Clone, Debug)]
 pub struct NicConfig {
-    /// Hardware generation preset.
-    pub generation: Generation,
     /// Number of ports (the paper's CX5 testbed has dual-port NICs but
     /// most experiments use a single port; Table 4 sweeps both).
     pub ports: usize,
@@ -101,20 +99,20 @@ pub struct NicConfig {
     /// MMIO doorbell ring + NIC arm cost. Calibrated so a single NOOP
     /// completes in 1.21 µs (Fig 8): 0.67 + 0.35 (fetch) + 0.17 (issue)
     /// + 0.02 (CQE) = 1.21 µs.
-    pub t_doorbell: Time,
+    pub(crate) t_doorbell: Time,
     /// DMA latency of one *prefetch batch* WQE fetch on an unmanaged queue.
-    pub t_fetch_batch: Time,
+    pub(crate) t_fetch_batch: Time,
     /// WQEs fetched per prefetch DMA on unmanaged queues. Mellanox's
     /// prefetch depth is proprietary (§5.1.2 footnote); 16 keeps the fetch
     /// pipeline off the critical path as the paper's Fig 8 implies.
-    pub prefetch_batch: usize,
+    pub(crate) prefetch_batch: usize,
     /// End-to-end latency of one *managed* (doorbell-ordered) WQE fetch —
     /// a serialized 64 B DMA round trip. A managed queue cannot overlap
     /// fetch with its own execution, so its per-WR marginal is
     /// `t_issue + t_managed_fetch` = 0.123 + 0.417 = the paper's 0.54 µs
     /// doorbell-order marginal (Fig 8). The engine behind it is shared per
     /// port and is the "NIC PU" bottleneck of Table 4.
-    pub t_managed_fetch: Time,
+    pub(crate) t_managed_fetch: Time,
     /// Outstanding managed fetches the per-port fetch engine pipelines.
     /// PCIe non-posted reads overlap (tag-level parallelism), so fetches
     /// of *independent* managed queues need not serialize at full DMA
@@ -124,50 +122,50 @@ pub struct NicConfig {
     /// the full per-WR latency (its own fetch/execute dependency — the
     /// Fig 8 doorbell-order marginal and the Table 4 single-offload
     /// ceilings are unchanged); only cross-queue contention is relieved.
-    pub managed_fetch_pipeline: usize,
+    pub(crate) managed_fetch_pipeline: usize,
     /// Minimum start-to-start gap between consecutive WQEs of the *same*
     /// WQ (serial chain bookkeeping). This is the 0.17 µs WQ-order marginal
     /// of Fig 8; it exceeds the raw PU issue time because a single chain
     /// cannot overlap WQE boundaries the way independent queues can.
-    pub t_chain_gap: Time,
+    pub(crate) t_chain_gap: Time,
     /// CQE generation/delivery cost. Completion ordering adds one of these
     /// per WR: 0.17 + 0.02 = the 0.19 µs marginal of Fig 8.
-    pub t_cqe: Time,
+    pub(crate) t_cqe: Time,
     /// PU occupancy per write-class verb (WRITE/SEND/NOOP). See
     /// `Generation::t_issue_write`.
-    pub t_issue_write: Time,
+    pub(crate) t_issue_write: Time,
     /// PU occupancy per read-class verb (READ/atomics/calc). See
     /// `Generation::t_issue_read`.
-    pub t_issue_read: Time,
+    pub(crate) t_issue_read: Time,
     /// PU occupancy for WAIT/ENABLE control verbs.
-    pub t_issue_ctrl: Time,
+    pub(crate) t_issue_ctrl: Time,
     /// Serialized atomic-engine occupancy per atomic verb. Table 3: CAS and
     /// ADD sustain 8.4 M ops/s per port → 0.119 µs each. PCIe atomics
     /// require memory synchronization across the bus (§5.1.3).
-    pub t_atomic_engine: Time,
+    pub(crate) t_atomic_engine: Time,
     /// Extra latency of the posted (one-way) data path: WRITE/SEND beyond a
     /// NOOP, net of the network round trip. Fig 7: 1.6 µs (WRITE) − 1.21 µs
     /// (NOOP) − 0.25 µs (back-to-back RTT) = 0.14 µs at 64 B.
-    pub t_posted_extra: Time,
+    pub(crate) t_posted_extra: Time,
     /// Extra latency of the non-posted data path: READ/CAS/ADD/MAX wait for
     /// a PCIe completion at the responder. Fig 7: 1.8 − 1.21 − 0.25 =
     /// 0.34 µs at 64 B.
-    pub t_nonposted_extra: Time,
+    pub(crate) t_nonposted_extra: Time,
     /// Usable InfiniBand bandwidth per port, Gbps. The paper reports
     /// "~92 Gbps" on 100 Gbps links (Table 4).
-    pub ib_gbps: f64,
+    pub(crate) ib_gbps: f64,
     /// Store-and-forward stage bandwidth of one PCIe transfer (latency
     /// model). PCIe 3.0 ×16 raw ≈ 126 Gbps. Calibrated against Fig 10's
     /// "Ideal" 64 KB READ ≈ 15–16 µs.
-    pub pcie_lat_gbps: f64,
+    pub(crate) pcie_lat_gbps: f64,
     /// Sustained PCIe bus throughput (resource model). Lower than the raw
     /// stage rate because of TLP overheads and bidirectional contention;
     /// calibrated against Table 4's dual-port 64 KB ceiling of 190 K ops/s
     /// (64 KiB / 100 Gbps ≈ 5.24 µs per op shared bus).
-    pub pcie_bw_gbps: f64,
+    pub(crate) pcie_bw_gbps: f64,
     /// Maximum scatter entries a RECV may carry. The paper relies on the
     /// ConnectX limit of 16 (§5.3).
-    pub max_recv_sge: usize,
+    pub(crate) max_recv_sge: usize,
     /// Whether the NIC supports cross-channel WAIT/ENABLE (ConnectX-3 and
     /// later; Intel RNICs do not — §6 "Intel RNICs").
     pub supports_wait_enable: bool,
@@ -176,9 +174,9 @@ pub struct NicConfig {
     /// ConnectX NICs").
     pub supports_calc: bool,
     /// Send/recv queue depth limit (WQE slots per queue).
-    pub max_wq_depth: usize,
+    pub(crate) max_wq_depth: usize,
     /// Completion queue depth limit.
-    pub max_cq_depth: usize,
+    pub(crate) max_cq_depth: usize,
 }
 
 impl NicConfig {
@@ -191,7 +189,6 @@ impl NicConfig {
             _ => (126.0, 100.0),
         };
         NicConfig {
-            generation,
             ports: 1,
             pus_per_port: generation.pus_per_port(),
             t_doorbell: Time::from_ps(670_000),
@@ -273,17 +270,17 @@ pub struct HostConfig {
     /// DRAM capacity in bytes (bump-allocated by the simulator).
     pub dram_bytes: u64,
     /// Cost for a polling thread to notice and pick up a new CQE.
-    pub t_poll_pickup: Time,
+    pub(crate) t_poll_pickup: Time,
     /// Interrupt + scheduler wake latency for an event-driven (blocking)
     /// thread. Dominates the event-based curve in Fig 10 (3.8× worse than
     /// RedN).
-    pub t_event_wake: Time,
+    pub(crate) t_event_wake: Time,
     /// Context-switch cost once a core is multiplexed between threads.
-    pub t_context_switch: Time,
+    pub(crate) t_context_switch: Time,
     /// OS scheduling quantum: when runnable threads exceed cores, a thread
     /// may wait up to this long for a slice. Drives the tail blow-up in
     /// Fig 15.
-    pub t_sched_quantum: Time,
+    pub(crate) t_sched_quantum: Time,
     /// CPU time to execute a hash lookup in the two-sided RPC handler
     /// (hash, bucket walk, cache misses, response marshaling). Calibrated
     /// so the polling two-sided path sits above RedN at small IO (Fig 10).
@@ -338,7 +335,7 @@ impl Default for HostConfig {
 pub struct LinkConfig {
     /// One-way propagation + switching latency. The paper measures a
     /// 0.25 µs round trip between back-to-back nodes (Fig 7).
-    pub one_way: Time,
+    pub(crate) one_way: Time,
 }
 
 impl LinkConfig {

@@ -35,7 +35,7 @@ pub enum CqeStatus {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cqe {
     /// Queue whose WQE completed.
-    pub wq: WqId,
+    pub(crate) wq: WqId,
     /// Owning QP.
     pub qp: QpId,
     /// Monotonic index of the completed WQE within its queue.
@@ -43,7 +43,7 @@ pub struct Cqe {
     /// The verb that completed (post-modification opcode — what actually
     /// executed, which for self-modifying programs may differ from what
     /// was posted; §3.5 notes offloads are auditable through completions).
-    pub opcode: Opcode,
+    pub(crate) opcode: Opcode,
     /// Completion status.
     pub status: CqeStatus,
     /// Bytes moved (receives and reads).
@@ -58,33 +58,33 @@ pub struct Cqe {
 #[derive(Debug)]
 pub(crate) struct CompletionQueue {
     /// Node that owns (and polls) this CQ.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Capacity before overrun; 0 for a counting CQ, which keeps no
     /// entries and never overruns.
-    pub depth: u32,
+    pub(crate) depth: u32,
     /// Pollable entries (bounded by `depth`).
-    pub entries: VecDeque<Cqe>,
+    pub(crate) entries: VecDeque<Cqe>,
     /// Monotonic count of CQEs ever generated — the WAIT target value.
-    pub total: u64,
+    pub(crate) total: u64,
     /// Simulated time of the most recent completion ([`Time::ZERO`] if
     /// none yet) — the heartbeat a failure detector compares against
     /// `now` to decide a peer has gone silent (§5.6 failover).
-    pub last_completion: Time,
+    pub(crate) last_completion: Time,
     /// Work queues parked by WAIT verbs: `(wq, threshold)` pairs released
     /// when `total >= threshold`.
-    pub waiters: Vec<(WqId, u64)>,
+    pub(crate) waiters: Vec<(WqId, u64)>,
     /// Set when a CQE had to be dropped because the queue was full.
-    pub overrun: bool,
+    pub(crate) overrun: bool,
     /// Optional host listener registered via the simulator (polling or
     /// event-driven thread). Stored as a slab index into the simulator's
     /// callback table.
-    pub listener: Option<u64>,
+    pub(crate) listener: Option<u64>,
     /// Whether a host watches this CQ (see `Simulator::watch_cq`); an
     /// unwatched CQ — the default — records nothing.
-    pub watched: bool,
+    pub(crate) watched: bool,
     /// Whether the CQ already sits in the simulator's ready list: a
     /// watched CQ is listed once per drain, however many CQEs arrive.
-    pub ready: bool,
+    pub(crate) ready: bool,
 }
 
 impl CompletionQueue {

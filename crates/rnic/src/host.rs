@@ -20,21 +20,21 @@ use crate::time::Time;
 /// One simulated host (the CPU side of a node).
 pub(crate) struct Host {
     /// Host configuration.
-    pub config: HostConfig,
+    pub(crate) config: HostConfig,
     /// CPU cores.
-    pub cores: PoolResource,
+    pub(crate) cores: PoolResource,
     /// Whether each process, indexed by `ProcessId`, is running.
-    pub alive: Vec<bool>,
+    pub(crate) alive: Vec<bool>,
     /// Number of logically-runnable host threads (polling loops, workers).
     /// Used to decide when scheduler pressure kicks in.
-    pub runnable_threads: usize,
+    pub(crate) runnable_threads: usize,
     /// Whether the OS is up. An OS panic stops all host-side execution but
     /// leaves memory (and therefore NIC offloads) intact — the §5.6
     /// observation that "RNICs can still access memory even in the
     /// presence of an OS failure".
-    pub os_alive: bool,
+    pub(crate) os_alive: bool,
     /// CPU time consumed (all cores).
-    pub stat_cpu_time: Time,
+    pub(crate) stat_cpu_time: Time,
 }
 
 impl Host {

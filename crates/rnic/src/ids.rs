@@ -69,9 +69,9 @@ id_type!(
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MrKey {
     /// Local key.
-    pub lkey: u32,
+    pub(crate) lkey: u32,
     /// Remote key.
-    pub rkey: u32,
+    pub(crate) rkey: u32,
 }
 
 impl fmt::Debug for MrKey {

@@ -60,37 +60,37 @@ pub(crate) enum Payload {
 #[derive(Debug)]
 pub(crate) struct InFlight {
     /// Initiating work queue.
-    pub src_wq: WqId,
+    pub(crate) src_wq: WqId,
     /// Initiating QP.
-    pub src_qp: QpId,
+    pub(crate) src_qp: QpId,
     /// Responder QP (peer of `src_qp`; equal node for loopback).
-    pub dst_qp: QpId,
+    pub(crate) dst_qp: QpId,
     /// Bytes moved, reported in the CQE.
-    pub byte_len: u32,
+    pub(crate) byte_len: u32,
     /// Monotonic WQE index at the initiator.
-    pub src_idx: u64,
+    pub(crate) src_idx: u64,
     /// The verb that executed (post-modification).
-    pub opcode: Opcode,
+    pub(crate) opcode: Opcode,
     /// Whether the initiator requested a CQE.
-    pub signaled: bool,
+    pub(crate) signaled: bool,
     /// Filled at the responder: outcome of the operation.
-    pub status: CqeStatus,
+    pub(crate) status: CqeStatus,
     /// What the responder is asked to do.
-    pub payload: Payload,
+    pub(crate) payload: Payload,
     /// The message's one byte buffer, since a message never has both: a
     /// SEND's / WRITE's request bytes until the responder places them,
     /// then, for a READ / atomic, the data / old value it returns.
-    pub data: Vec<u8>,
+    pub(crate) data: Vec<u8>,
     /// Initiator-side result sink for READ / atomic writeback
     /// (`(addr, lkey)`; addr 0 = discard, as RedN chains usually do).
-    pub result_sink: (u64, u32),
+    pub(crate) result_sink: (u64, u32),
     /// When set, `result_sink.0` is an SGE table address and
     /// `result_sink.1` its entry count: the READ response scatters across
     /// the table (RedN's Fig 9 uses this to land one bucket READ in two
     /// different WQE fields).
-    pub result_sgl: bool,
+    pub(crate) result_sgl: bool,
     /// Filled at the responder when a SEND / WRITE_IMM consumes a RECV:
     /// the RECV's WQE index and the byte count its CQE reports. That CQE
     /// is pushed `t_cqe` later, from this record.
-    pub recv: (u64, u32),
+    pub(crate) recv: (u64, u32),
 }

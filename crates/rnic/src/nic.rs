@@ -13,25 +13,25 @@ use crate::time::Time;
 /// One simulated RNIC.
 pub(crate) struct Nic {
     /// Hardware configuration (timing model).
-    pub config: NicConfig,
+    pub(crate) config: NicConfig,
     /// Processing units, one pool per port.
-    pub pus: Vec<PoolResource>,
+    pub(crate) pus: Vec<PoolResource>,
     /// Serialized managed-WQE fetch engine, per port.
-    pub fetch_engine: Vec<FifoResource>,
+    pub(crate) fetch_engine: Vec<FifoResource>,
     /// Serialized atomic engine, per port (Table 3's 8.4 M ops/s).
-    pub atomic_engine: Vec<FifoResource>,
+    pub(crate) atomic_engine: Vec<FifoResource>,
     /// Egress link serializer, per port (~92 Gbps usable).
-    pub link_tx: Vec<FifoResource>,
+    pub(crate) link_tx: Vec<FifoResource>,
     /// Shared PCIe bus (sustained-throughput resource).
-    pub pcie_bus: FifoResource,
+    pub(crate) pcie_bus: FifoResource,
     /// Round-robin cursor for PU assignment, per port.
-    pub next_pu: Vec<usize>,
+    pub(crate) next_pu: Vec<usize>,
     /// Verbs executed (all ports).
-    pub stat_verbs: u64,
+    pub(crate) stat_verbs: u64,
     /// Managed fetches performed.
-    pub stat_managed_fetches: u64,
+    pub(crate) stat_managed_fetches: u64,
     /// Bytes pushed to the wire.
-    pub stat_tx_bytes: u64,
+    pub(crate) stat_tx_bytes: u64,
 }
 
 impl Nic {

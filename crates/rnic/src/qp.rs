@@ -13,23 +13,23 @@ use std::collections::VecDeque;
 #[derive(Clone, Copy, Debug)]
 pub struct QpConfig {
     /// CQ receiving send-side completions.
-    pub send_cq: CqId,
+    pub(crate) send_cq: CqId,
     /// CQ receiving receive-side completions (defaults to `send_cq`).
-    pub recv_cq: CqId,
+    pub(crate) recv_cq: CqId,
     /// Send-queue depth in WQE slots.
-    pub sq_depth: u32,
+    pub(crate) sq_depth: u32,
     /// Receive-queue depth in WQE slots.
-    pub rq_depth: u32,
+    pub(crate) rq_depth: u32,
     /// Managed send queue: prefetch disabled, fetch gated by ENABLE —
     /// required for any queue whose WQEs get modified in place
     /// ("initialized with a special 'managed' flag", §5 "NIC setup").
-    pub sq_managed: bool,
+    pub(crate) sq_managed: bool,
     /// Port to bind to (0-based; must be < NIC's port count).
-    pub port: usize,
+    pub(crate) port: usize,
     /// Pin the SQ to a specific processing unit on that port. RedN uses
     /// explicit placement to parallelize independent chains (§3.5
     /// "Parallelism", Fig 11's RedN-Parallel). `None` = round-robin.
-    pub pu: Option<usize>,
+    pub(crate) pu: Option<usize>,
 }
 
 impl QpConfig {
@@ -88,27 +88,27 @@ impl QpConfig {
 #[derive(Debug)]
 pub(crate) struct QueuePair {
     /// Owning node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Send queue id.
-    pub sq: WqId,
+    pub(crate) sq: WqId,
     /// Receive queue id.
-    pub rq: WqId,
+    pub(crate) rq: WqId,
     /// Send-side CQ.
-    pub send_cq: CqId,
+    pub(crate) send_cq: CqId,
     /// Receive-side CQ.
-    pub recv_cq: CqId,
+    pub(crate) recv_cq: CqId,
     /// Connected peer QP (None until `connect_qps`).
-    pub peer: Option<QpId>,
+    pub(crate) peer: Option<QpId>,
     /// Bound port.
-    pub port: usize,
+    pub(crate) port: usize,
     /// Monotonic count of RECVs consumed (the RQ's execution pointer).
-    pub recv_consumed: u64,
+    pub(crate) recv_consumed: u64,
     /// In-flight message keys waiting for a RECV (receiver-not-ready
     /// queue; RC retries delivery when a RECV is posted).
-    pub rnr_queue: VecDeque<u64>,
+    pub(crate) rnr_queue: VecDeque<u64>,
     /// Set when the owning process died and the OS reclaimed this QP's
     /// resources. Arrivals fail, the queues freeze (§5.6).
-    pub dead: bool,
+    pub(crate) dead: bool,
 }
 
 impl QueuePair {

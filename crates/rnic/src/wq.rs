@@ -57,67 +57,67 @@ pub(crate) type WqeBytes = [u8; WQE_SIZE as usize];
 #[derive(Debug)]
 pub(crate) struct WorkQueue {
     /// Owning queue pair.
-    pub qp: QpId,
+    pub(crate) qp: QpId,
     /// Node whose memory holds the ring.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Send or receive half.
-    pub kind: WqKind,
+    pub(crate) kind: WqKind,
     /// Ring buffer base address in host memory.
-    pub base_addr: u64,
+    pub(crate) base_addr: u64,
     /// Ring capacity in WQE slots.
-    pub depth: u32,
+    pub(crate) depth: u32,
     /// Managed mode: prefetch disabled; WQEs only fetched below
     /// `enabled_until` (the paper's "managed" flag, §5 "NIC setup").
-    pub managed: bool,
+    pub(crate) managed: bool,
     /// Monotonic count of WQEs posted by the host.
-    pub posted: u64,
+    pub(crate) posted: u64,
     /// Monotonic NIC fetch pointer: WQEs `< fetched` have been snapshotted.
-    pub fetched: u64,
+    pub(crate) fetched: u64,
     /// Monotonic execution pointer: WQEs `< executed` have been issued.
-    pub executed: u64,
+    pub(crate) executed: u64,
     /// Fetch limit for managed queues (raised by ENABLE verbs). Ignored
     /// when unmanaged.
-    pub enabled_until: u64,
+    pub(crate) enabled_until: u64,
     /// Snapshots of the fetched-but-not-yet-executed WQEs — exactly
     /// indices `[executed, fetched)`, oldest first: fetches append in
     /// index order and issue consumes from the front. This models the
     /// NIC's WQE cache: execution uses these bytes, not host memory ("the
     /// execution outcome reflects the WRs at the time they were
     /// fetched", §3.1).
-    pub fetch_cache: VecDeque<WqeBytes>,
+    pub(crate) fetch_cache: VecDeque<WqeBytes>,
     /// Whether a fetch DMA is currently in flight.
-    pub fetch_inflight: bool,
+    pub(crate) fetch_inflight: bool,
     /// The WQE currently being issued: `(index, decoded wqe, issue start)`.
-    pub executing: Option<(u64, Wqe, Time)>,
+    pub(crate) executing: Option<(u64, Wqe, Time)>,
     /// Port this queue's QP is bound to.
-    pub port: usize,
+    pub(crate) port: usize,
     /// Processing unit (port-local index) executing this queue.
-    pub pu: usize,
+    pub(crate) pu: usize,
     /// Current blocking state.
-    pub block: WqBlock,
+    pub(crate) block: WqBlock,
     /// Completion bookkeeping: monotonic count of this queue's WQEs that
     /// have fully completed (for FLAG_WAIT_PREV gating).
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Earliest time the next WQE may issue (chain-gap pacing and rate
     /// limiting).
-    pub next_issue_at: Time,
+    pub(crate) next_issue_at: Time,
     /// Optional rate limit in operations per second
     /// (`ibv_modify_qp_rate_limit`, used by §3.5 "Isolation").
-    pub rate_ops_per_sec: Option<f64>,
+    pub(crate) rate_ops_per_sec: Option<f64>,
     /// Token bucket enforcing `rate_ops_per_sec`, consulted at issue. Lives
     /// on the queue (not in a simulator-side map) so the per-event path
     /// never hashes a queue id to find it.
-    pub rate_limiter: Option<RateLimiter>,
+    pub(crate) rate_limiter: Option<RateLimiter>,
     /// Statistics: WQEs executed (including recycled re-executions).
-    pub stat_executed: u64,
+    pub(crate) stat_executed: u64,
     /// Statistics: doorbells observed.
-    pub stat_doorbells: u64,
+    pub(crate) stat_doorbells: u64,
     /// Cyclic receive ring (receive queues only): once fully posted, the
     /// NIC re-arms consumed RECVs as the ring wraps — no further host
     /// posts needed. This is how a recycled offload's trigger RECVs
     /// persist without CPU (the RQ analogue of §3.4's WQ recycling; real
     /// NICs offer it as cyclic/striding receive buffers).
-    pub cyclic: bool,
+    pub(crate) cyclic: bool,
 }
 
 impl WorkQueue {

@@ -96,18 +96,18 @@ pub struct Wqe {
     /// Flag bits ([`FLAG_SIGNALED`], [`FLAG_WAIT_PREV`], `FLAG_SGL`).
     pub flags: u32,
     /// Local buffer (or SGE table address when `FLAG_SGL` is set).
-    pub local_addr: u64,
+    pub(crate) local_addr: u64,
     /// Local key authorizing `local_addr`.
     pub lkey: u32,
     /// Transfer length in bytes (or SGE entry count when SGL).
-    pub length: u32,
+    pub(crate) length: u32,
     /// Remote address for one-sided verbs.
     pub remote_addr: u64,
     /// Remote key authorizing `remote_addr`.
     pub rkey: u32,
     /// Immediate data (WRITE_IMM) or target queue id (WAIT → CQ,
     /// ENABLE → WQ).
-    pub imm_or_target: u32,
+    pub(crate) imm_or_target: u32,
     /// CAS compare / ADD addend / MAX-MIN operand / WAIT-ENABLE count.
     pub operand: u64,
     /// CAS swap value.

@@ -8,7 +8,8 @@
 use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::kv::endpoint::ClientEndpoint;
-use redn::kv::memcached::{redn_get, MemcachedServer};
+use redn::kv::memcached::MemcachedServer;
+use redn::kv::session::{Session, SessionOpts};
 use redn::prelude::*;
 use redn_bench::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
 use redn_bench::hopscotch::{HopscotchTable, NEIGHBORHOOD};
@@ -27,20 +28,18 @@ fn main() {
     sim.set_runnable_threads(server, 1);
 
     // RedN frontend: gets answered by the NIC. The offload context owns
-    // the server-side resources; the client only hands over a typed
-    // response capability (no raw keys).
-    let ep = ClientEndpoint::create(&mut sim, client, 64).unwrap();
+    // the server-side resources; the session's client endpoint only hands
+    // over a typed response capability (no raw keys), and a blocking get
+    // matches the response to its request by tag.
     let mut ctx = OffloadCtx::builder(server)
         .pool_capacity(1 << 20)
         .build(&mut sim)
         .unwrap();
-    let mut off = mc
-        .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
-        .unwrap();
-    sim.connect_qps(ep.qp, off.tp.qp).unwrap();
-    let (redn_lat, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &mc, 42).unwrap();
+    let (variant, opts) = (HashGetVariant::Parallel, SessionOpts::blocking());
+    let mut redn = Session::connect_get(&mut sim, &mut ctx, &mc, client, variant, opts).unwrap();
+    let (redn_lat, found) = redn.get_blocking(&mut sim, ctx.pool_mut(), 42).unwrap();
     assert!(found);
-    let v = sim.mem_read(client, ep.resp_buf, 1).unwrap()[0];
+    let v = sim.mem_read(client, redn.endpoint().resp_buf, 1).unwrap()[0];
     println!(
         "RedN get(42)      -> value {v:#04x} in {:.2} us (zero server CPU)",
         redn_lat.as_us_f64()

@@ -6,7 +6,8 @@
 use redn::core::ctx::{ClientDest, OffloadCtx, TableRegion, ValueSource};
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::kv::endpoint::ClientEndpoint;
-use redn::kv::memcached::{redn_get, MemcachedServer};
+use redn::kv::memcached::MemcachedServer;
+use redn::kv::session::{Session, SessionOpts};
 use redn::prelude::*;
 use redn_bench::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
 use redn_bench::hopscotch::{HopscotchTable, NEIGHBORHOOD};
@@ -23,20 +24,16 @@ fn hash_get_deployed_via_ctx_round_trips_against_baselines() {
     sim.set_runnable_threads(server, 1);
 
     // RedN frontend, deployed through the fluent context.
-    let ep = ClientEndpoint::create(&mut sim, client, 64).unwrap();
     let mut ctx = OffloadCtx::builder(server)
         .owner(ProcessId(0))
         .pool_capacity(1 << 20)
         .build(&mut sim)
         .unwrap();
-    let mut off = mc
-        .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
-        .unwrap();
-    assert_eq!(off.variant(), HashGetVariant::Parallel);
-    sim.connect_qps(ep.qp, off.tp.qp).unwrap();
-    let (redn_lat, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &mc, 42).unwrap();
+    let (variant, opts) = (HashGetVariant::Parallel, SessionOpts::blocking());
+    let mut redn = Session::connect_get(&mut sim, &mut ctx, &mc, client, variant, opts).unwrap();
+    let (redn_lat, found) = redn.get_blocking(&mut sim, ctx.pool_mut(), 42).unwrap();
     assert!(found, "RedN get must hit");
-    let redn_value = sim.mem_read(client, ep.resp_buf, 1).unwrap()[0];
+    let redn_value = sim.mem_read(client, redn.endpoint().resp_buf, 1).unwrap()[0];
     assert_eq!(redn_value, 42, "value round-trips through the NIC");
 
     // Two-sided VMA baseline on the same store.

@@ -4,7 +4,8 @@
 use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::kv::endpoint::ClientEndpoint;
-use redn::kv::memcached::{redn_get, MemcachedServer};
+use redn::kv::memcached::MemcachedServer;
+use redn::kv::session::{Session, SessionOpts};
 use redn_bench::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
 use redn_bench::hopscotch::{HopscotchTable, NEIGHBORHOOD};
 use redn_bench::testbed;
@@ -20,18 +21,15 @@ fn memcached_get_three_frontends_agree() {
     sim.set_runnable_threads(s, 1);
 
     // RedN.
-    let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
     let mut ctx = OffloadCtx::builder(s)
         .pool_capacity(1 << 20)
         .build(&mut sim)
         .unwrap();
-    let mut off = mc
-        .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
-        .unwrap();
-    sim.connect_qps(ep.qp, off.tp.qp).unwrap();
-    let (redn_lat, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &mc, 7).unwrap();
+    let (variant, opts) = (HashGetVariant::Parallel, SessionOpts::blocking());
+    let mut redn = Session::connect_get(&mut sim, &mut ctx, &mc, c, variant, opts).unwrap();
+    let (redn_lat, found) = redn.get_blocking(&mut sim, ctx.pool_mut(), 7).unwrap();
     assert!(found);
-    let redn_value = sim.mem_read(c, ep.resp_buf, 1).unwrap()[0];
+    let redn_value = sim.mem_read(c, redn.endpoint().resp_buf, 1).unwrap()[0];
 
     // Two-sided through the VMA socket stack (the Fig 14 baseline; the
     // paper calls raw polling RPC "competitive", so the decisive gap is
@@ -78,25 +76,22 @@ fn offload_serves_many_sequential_requests() {
     let (mut sim, c, s) = testbed();
     let mc = MemcachedServer::create(&mut sim, s, 2048, 64, ProcessId(0)).unwrap();
     mc.populate(&mut sim, 64).unwrap();
-    let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
     let mut ctx = OffloadCtx::builder(s)
         .pool_capacity(1 << 22)
         .build(&mut sim)
         .unwrap();
-    let mut off = mc
-        .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Sequential)
-        .unwrap();
-    sim.connect_qps(ep.qp, off.tp.qp).unwrap();
+    let (variant, opts) = (HashGetVariant::Sequential, SessionOpts::blocking());
+    let mut redn = Session::connect_get(&mut sim, &mut ctx, &mc, c, variant, opts).unwrap();
     for i in 0..50u64 {
         let key = 1 + (i % 64);
-        let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &mc, key).unwrap();
+        let (_, found) = redn.get_blocking(&mut sim, ctx.pool_mut(), key).unwrap();
         assert!(found, "request {i} key {key}");
         assert_eq!(
-            sim.mem_read(c, ep.resp_buf, 1).unwrap()[0],
+            sim.mem_read(c, redn.endpoint().resp_buf, 1).unwrap()[0],
             (key & 0xFF) as u8
         );
     }
-    assert_eq!(off.armed(), 50);
+    assert_eq!(redn.service().armed(), 50);
 }
 
 #[test]
@@ -104,18 +99,15 @@ fn get_miss_never_responds_but_server_stays_healthy() {
     let (mut sim, c, s) = testbed();
     let mc = MemcachedServer::create(&mut sim, s, 1024, 64, ProcessId(0)).unwrap();
     mc.populate(&mut sim, 8).unwrap();
-    let ep = ClientEndpoint::create(&mut sim, c, 64).unwrap();
     let mut ctx = OffloadCtx::builder(s)
         .pool_capacity(1 << 20)
         .build(&mut sim)
         .unwrap();
-    let mut off = mc
-        .redn_frontend(&mut sim, &ctx, ep.dest(), HashGetVariant::Parallel)
-        .unwrap();
-    sim.connect_qps(ep.qp, off.tp.qp).unwrap();
+    let (variant, opts) = (HashGetVariant::Parallel, SessionOpts::blocking());
+    let mut redn = Session::connect_get(&mut sim, &mut ctx, &mc, c, variant, opts).unwrap();
     // Miss, then hit: the failed CAS must not wedge the offload.
-    let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &mc, 4040).unwrap();
+    let (_, found) = redn.get_blocking(&mut sim, ctx.pool_mut(), 4040).unwrap();
     assert!(!found);
-    let (_, found) = redn_get(&mut sim, &mut off, ctx.pool_mut(), &ep, &mc, 3).unwrap();
+    let (_, found) = redn.get_blocking(&mut sim, ctx.pool_mut(), 3).unwrap();
     assert!(found);
 }

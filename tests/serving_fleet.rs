@@ -133,10 +133,10 @@ fn session_post_reap_round_trips_values_through_instance_slots() {
     }
 }
 
-/// Successor of the removed free-function shim test (`redn_get_nb` /
-/// `redn_get_burst` / `redn_reap` are gone): the same single + burst +
-/// reap flow, expressed through the typed Session API that replaced
-/// them.
+/// Successor of the removed free-function shim test (the non-blocking
+/// get, burst and reap free functions are gone): the same single +
+/// burst + reap flow, expressed through the typed Session API that
+/// replaced them.
 #[test]
 fn session_api_covers_the_old_free_function_flow() {
     use redn::kv::session::{Session, SessionOpts};
