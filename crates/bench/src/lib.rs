@@ -4,8 +4,8 @@
 //! just did not know it yet!" (NSDI '22). Every function returns
 //! structured rows carrying both the **measured** (simulated) value and
 //! the **paper's** value, so `cargo run -p redn_bench --bin repro`
-//! regenerates the full evaluation with a side-by-side comparison, and
-//! `EXPERIMENTS.md` records the outcome.
+//! regenerates the full evaluation with a side-by-side comparison;
+//! `tests/golden/repro.txt` holds its committed output.
 //!
 //! The comparison points those artifacts measure RedN against are
 //! experiment rigs, not system code, so they live here too, next to the

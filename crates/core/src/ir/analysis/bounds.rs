@@ -29,9 +29,9 @@ use rnic_sim::ids::NodeId;
 use rnic_sim::sim::Simulator;
 use rnic_sim::wqe::{SGE_SIZE, WQE_SIZE};
 
+use super::patch::PatchMap;
 use super::{Diagnostic, Rule};
 use crate::encode::WqeField;
-use crate::ir::verify::PatchMap;
 use crate::ir::{CId, ConstSpec, IrProgram, Kind, Loc, OpId, OpName, QueueSlot, SgeSpec};
 
 /// Byte extent of a constant's pool cell.

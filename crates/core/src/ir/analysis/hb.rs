@@ -20,16 +20,17 @@
 //!
 //! `WAIT(Absolute)` gets no in-edge: the count is raised by something
 //! outside the program (a trigger RECV, a foreign offload). Its safety
-//! inside a ring is the *induction rule*'s job ([`induction`]): every
-//! per-round bump must equal the count one round actually produces.
+//! inside a ring is the `recycled-induction` rule's job
+//! ([`super::local::recycled`]): every per-round bump must exist and
+//! equal the count one round actually produces.
 //!
 //! Any cycle is a deadlock. A cycle through a release edge means an
 //! ENABLE transitively waits on ops it must itself release — a horizon
 //! that can never be raised.
 
+use super::patch::PatchMap;
 use super::{Diagnostic, Rule};
-use crate::ir::verify::PatchMap;
-use crate::ir::{EnableTarget, IrProgram, Kind, Mode, OpId, QId, WaitCond};
+use crate::ir::{IrProgram, Kind, OpId, QId, WaitCond};
 
 /// Edge provenance (drives cycle classification).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,8 +72,9 @@ pub(crate) struct Graph {
     /// Node `u`'s out-edges are `adj[start[u]..start[u + 1]]`.
     start: Vec<u32>,
     adj: Vec<(u32, Edge)>,
-    /// Ascending `(queue, horizon, the ENABLE raising it)`.
-    horizons: Vec<(usize, usize, OpId)>,
+    /// Ascending `(queue, horizon, the ENABLE raising it)`, filled by
+    /// [`super::local::enables`].
+    pub(super) horizons: Vec<(usize, usize, OpId)>,
     /// DFS colors: 0 = white, 1 = on stack, 2 = done.
     color: Vec<u8>,
     /// DFS stack: `(node, next out-edge, edge kind that led here)`.
@@ -86,10 +88,7 @@ fn for_each_edge(
     horizons: &[(usize, usize, OpId)],
     mut edge: impl FnMut(u32, u32, Edge),
 ) {
-    let ring = match p.mode {
-        Mode::Recycled { ring } => Some(ring),
-        Mode::Linear => None,
-    };
+    let ring = p.ring();
 
     for ops in p.queue_ops.iter() {
         for (pos, id) in ops.iter().enumerate() {
@@ -122,8 +121,8 @@ fn for_each_edge(
     // ENABLE releases: a managed op issues only once the first covering
     // horizon is raised. "First" = the ENABLE with the smallest horizon
     // past the op, the lowest op id among equals (exactly the one that
-    // releases it when horizons rise monotonically, as the PR 5
-    // verifier's rule 3 enforces for rings). `horizons` is sorted, so
+    // releases it when horizons rise monotonically, as the
+    // recycled-induction rule enforces for rings). `horizons` is sorted, so
     // each next op's releaser is found by moving one cursor forward.
     let mut next = 0;
     for (qi, ops) in p.queue_ops.iter().enumerate() {
@@ -160,7 +159,8 @@ fn for_each_edge(
     }
 }
 
-/// Build the HB graph in `g` and report the first cycle (if any).
+/// Build the HB graph in `g` — whose `horizons` [`super::local::enables`]
+/// has filled — and report the first cycle (if any).
 pub(crate) fn analyze(
     p: &IrProgram,
     pm: &PatchMap,
@@ -168,16 +168,6 @@ pub(crate) fn analyze(
     out: &mut Vec<Diagnostic>,
 ) -> HbStats {
     let n = p.ops.len() * 2;
-    g.horizons.clear();
-    for (i, rec) in p.ops.iter().enumerate() {
-        let Some(op) = rec.op.as_ref() else { continue };
-        if let Kind::Enable(EnableTarget::OpsThrough(t)) = &op.kind {
-            if let Some(pos) = p.pos_of(*t) {
-                g.horizons.push((p.ops[t.0].queue.0, pos + 1, OpId(i)));
-            }
-        }
-    }
-    g.horizons.sort_unstable();
 
     // Count, prefix-sum, place: `start[u]` is node `u`'s fill cursor
     // during placement and is shifted back down one node afterwards.
@@ -292,87 +282,6 @@ fn report_cycle(p: &IrProgram, cycle: &[(usize, Edge)]) -> Diagnostic {
                 },
                 chain
             ),
-        }
-    }
-}
-
-/// The recycled-ring inductive threshold invariant: round `n+1`'s
-/// thresholds are round `n`'s plus the bump, so each bump must equal
-/// the count one round actually produces —
-///
-/// * an `ENABLE(OpsThrough(t)).bump(d)` re-releases `t`'s queue every
-///   round, so `d` must equal that queue's per-round op count;
-/// * a `WAIT(Absolute { cq }).bump(d)` on a CQ fed by this program's
-///   own bound queues must bump by exactly the signaled ops one round
-///   completes on that CQ (foreign CQs — trigger RECVs — are advanced
-///   by the outside and are not checkable here).
-pub(crate) fn induction(p: &IrProgram, out: &mut Vec<Diagnostic>) {
-    let Mode::Recycled { ring } = p.mode else {
-        return;
-    };
-    for id in &p.queue_ops[ring.0] {
-        let op = p.op(*id);
-        match &op.kind {
-            Kind::Enable(EnableTarget::OpsThrough(t)) => {
-                let Some(d) = op.bump else { continue };
-                let tq = p.ops[t.0].queue;
-                if tq == ring || !p.queues[tq.0].managed() {
-                    continue;
-                }
-                let per_round = p.queue_ops[tq.0].len() as u64;
-                if d != per_round {
-                    out.push(Diagnostic {
-                        rule: Rule::RecycledInduction,
-                        message: format!(
-                            "recycled induction failure: {} advances queue q{}'s horizon \
-                             by {} per round, but the queue re-executes {} ops per round \
-                             — after one cycle the horizon is {} the ops it must release",
-                            p.name_of(*id),
-                            tq.0,
-                            d,
-                            per_round,
-                            if d < per_round { "behind" } else { "ahead of" },
-                        ),
-                    });
-                }
-            }
-            Kind::Wait(WaitCond::Absolute { cq, .. }) => {
-                let Some(d) = op.bump else { continue };
-                let mut signaled_per_round = 0u64;
-                for (qi, slot) in p.queues.iter().enumerate() {
-                    if QId(qi) == ring {
-                        continue;
-                    }
-                    let Some(q) = slot.bound() else { continue };
-                    if q.cq != *cq {
-                        continue;
-                    }
-                    signaled_per_round += p.queue_ops[qi]
-                        .iter()
-                        .filter(|o| p.op(**o).signaled)
-                        .count() as u64;
-                }
-                if signaled_per_round > 0 && d != signaled_per_round {
-                    out.push(Diagnostic {
-                        rule: Rule::RecycledInduction,
-                        message: format!(
-                            "recycled induction failure: {} bumps its absolute CQ \
-                             threshold by {} per round, but one round completes {} \
-                             signaled ops on that CQ — round 2 waits on a count the \
-                             ring {} reach",
-                            p.name_of(*id),
-                            d,
-                            signaled_per_round,
-                            if d > signaled_per_round {
-                                "can never"
-                            } else {
-                                "has already passed; it would fire early and"
-                            },
-                        ),
-                    });
-                }
-            }
-            _ => {}
         }
     }
 }

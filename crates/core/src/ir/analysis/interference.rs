@@ -31,7 +31,7 @@ use rnic_sim::ids::{CqId, NodeId, WqId};
 use rnic_sim::sim::Simulator;
 
 use super::{AnalysisReport, Diagnostic, Rule};
-use crate::ir::{ConstSpec, IrProgram, Kind, Loc, Mode, Resolution, WaitCond};
+use crate::ir::{ConstSpec, IrProgram, Kind, Loc, Resolution, WaitCond};
 use crate::ir::{EnableTarget, OpName, QId};
 
 /// The address space a [`Span`] lives in.
@@ -150,10 +150,7 @@ impl Footprint {
 /// slots, constants, and scatters are resolved).
 pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footprint {
     let mut fp = Footprint::default();
-    let ring = match p.mode {
-        Mode::Recycled { ring } => Some(ring),
-        Mode::Linear => None,
-    };
+    let ring = p.ring();
 
     // Per-queue space resolution for remote raw operands.
     let remote_space = |qi: usize, key: u32| -> Space {

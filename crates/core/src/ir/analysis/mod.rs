@@ -1,34 +1,38 @@
-//! # `ir::analysis` — whole-deployment static analysis
+//! # `ir::analysis` — the static verifier
 //!
-//! PR 5's verifier ([`super::verify`]) rejects three *local* hazard
-//! shapes. This module is the global layer on top of it:
+//! Every check a program must pass before a single WQE is staged, as one
+//! rule set with one report. Each diagnostic names exactly one [`Rule`]:
 //!
-//! 1. **Happens-before analysis** (`hb`) — an explicit HB graph built
+//! 1. **Local rules** (`local`) — `malformed` (an unplaced op, a bump or
+//!    restore mark the program's mode cannot honour), `fetch-horizon`
+//!    (§3.1: a runtime patch onto an unmanaged queue),
+//!    `unreachable-enable` (a managed op no ENABLE horizon covers) and
+//!    `recycled-induction` (§3.4: every ring threshold advances by
+//!    exactly one round's count).
+//! 2. **Happens-before analysis** (`hb`) — an explicit HB graph built
 //!    from WAIT conditions, ENABLE horizons, `wait_prev` fences, and
 //!    (for linear programs) runtime patch edges. Any cycle is a
 //!    deadlock the NIC would park in forever: a circular wait, or an
 //!    ENABLE whose horizon can never be raised because it transitively
-//!    waits on the very ops it must release. Recycled rings add the
-//!    *inductive threshold invariant*: every per-round bump must equal
-//!    the count the round actually produces, or round `n+1` waits on a
-//!    threshold round `n` can never reach.
-//! 2. **Symbolic bounds analysis** (`bounds`) — every READ / WRITE /
+//!    waits on the very ops it must release.
+//! 3. **Symbolic bounds analysis** (`bounds`) — every READ / WRITE /
 //!    atomic / scatter target is resolved symbolically (constants to
 //!    their pool extents, patch points to trailing WQE-slot extents,
 //!    raw addresses to live registered regions, and post-patch values
 //!    propagated through `Loc::Field { RemoteAddr }` patch writes) and
 //!    proven in-bounds *before* a single WQE is staged.
-//! 3. **Non-interference** (`interference`) — [`DeploymentVerifier`]
+//! 4. **Non-interference** (`interference`) — [`DeploymentVerifier`]
 //!    takes the write/ring/CQ [`Footprint`] of every program co-resident
 //!    on a node and proves no program's patch points, response slots,
 //!    journal windows, or CQ thresholds alias another's.
 //!
-//! Per-program passes (1)–(2) run automatically inside
+//! Per-program passes (1)–(3) run inside
 //! [`IrProgram::deploy`](super::IrProgram::deploy) whenever
-//! `DeployOpts::verify` is set (the default); clearing it
+//! `DeployOpts::verify` is set (the default), and [`analyze`] runs the
+//! same passes to a report; clearing the switch
 //! ([`IrProgram::deploy_unchecked`](super::IrProgram::deploy_unchecked))
-//! waives them together with the PR 5 rules. Pass (3) runs at fleet/cluster
-//! deployment, over the [`Footprint`]s lowering collects for free.
+//! waives them all. Pass (4) runs at fleet/cluster deployment, over the
+//! [`Footprint`]s lowering collects for free.
 //!
 //! Everything reports through [`AnalysisReport`], which renders to JSON
 //! ([`AnalysisReport::to_json`]) for the `redn-verify` CI gate.
@@ -36,26 +40,38 @@
 pub(crate) mod bounds;
 pub(crate) mod hb;
 pub(crate) mod interference;
+mod local;
+pub(crate) mod patch;
 
 use rnic_sim::error::{Error, Result};
 use rnic_sim::sim::Simulator;
 
-use super::verify::{self, PatchMap};
 use super::IrProgram;
+use patch::PatchMap;
 
 pub use interference::{DeploymentVerifier, Footprint, Space, Span};
 
 /// The analysis rule families (one diagnostic names exactly one).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rule {
+    /// An op allocated but never placed, or a per-round bump or restore
+    /// mark the program's mode cannot honour.
+    Malformed,
+    /// A runtime patch whose target lives on an unmanaged queue, which
+    /// may prefetch it before the patch lands (§3.1).
+    FetchHorizon,
+    /// A managed op no ENABLE horizon ever covers, or an ENABLE aimed at
+    /// an unmanaged queue.
+    UnreachableEnable,
     /// A cycle in the happens-before graph whose edges are all waits and
     /// fences — a circular wait.
     WaitCycle,
     /// An HB cycle passing through an ENABLE's release edge — the
     /// horizon can never be raised.
     UnraisableHorizon,
-    /// A recycled ring whose per-round bump does not equal the count the
-    /// round produces — the inductive threshold invariant fails.
+    /// A recycled-ring threshold with no positive per-round bump, or
+    /// whose bump does not equal the count the round produces — the
+    /// inductive threshold invariant fails.
     RecycledInduction,
     /// An access proven to land outside its constant's extent, its
     /// trailing WQE slots, or its registered region (including
@@ -70,6 +86,9 @@ impl Rule {
     /// Stable machine-readable rule name.
     pub fn name(&self) -> &'static str {
         match self {
+            Rule::Malformed => "malformed",
+            Rule::FetchHorizon => "fetch-horizon",
+            Rule::UnreachableEnable => "unreachable-enable",
             Rule::WaitCycle => "wait-cycle",
             Rule::UnraisableHorizon => "unraisable-horizon",
             Rule::RecycledInduction => "recycled-induction",
@@ -178,11 +197,12 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Run the per-program pass suite (happens-before + recycled induction +
-/// symbolic bounds) over a program that has not been lowered yet.
+/// Run the per-program rule set (local rules + happens-before +
+/// symbolic bounds) over a program that has not been lowered yet — the
+/// rules `deploy` rejects by, reported in full.
 pub fn analyze(p: &IrProgram, sim: &Simulator, subject: &str) -> AnalysisReport {
     let mut diagnostics = Vec::new();
-    let pm = verify::patch_map(p);
+    let pm = patch::patch_map(p);
     let mut graph = hb::Graph::default();
     let (stats, checked) = run_passes(p, &pm, &mut graph, sim, &mut diagnostics);
     AnalysisReport {
@@ -196,10 +216,11 @@ pub fn analyze(p: &IrProgram, sim: &Simulator, subject: &str) -> AnalysisReport 
     }
 }
 
-/// The three passes, over a precomputed patch map (deploy shares one
-/// map between the verifier, the analyzer, and the optimizer) and a
-/// reusable happens-before workspace. Returns the HB graph's size and
-/// the number of accesses proven.
+/// Every rule, over a precomputed patch map (deploy shares one map
+/// between the rules and the optimizer) and a reusable happens-before
+/// workspace, in the order a deploy reports them. A program with an
+/// unplaced op is judged by nothing else. Returns the HB graph's size
+/// and the number of accesses proven.
 fn run_passes(
     p: &IrProgram,
     pm: &PatchMap,
@@ -207,13 +228,19 @@ fn run_passes(
     sim: &Simulator,
     out: &mut Vec<Diagnostic>,
 ) -> (hb::HbStats, usize) {
+    if !local::placed(p, out) {
+        return (hb::HbStats { nodes: 0, edges: 0 }, 0);
+    }
+    local::fetch_horizon(p, pm, out);
+    // Fills the sorted release list the HB graph is built from.
+    local::enables(p, &mut graph.horizons, out);
+    local::recycled(p, out);
     let stats = hb::analyze(p, pm, graph, out);
-    hb::induction(p, out);
     (stats, bounds::analyze(p, pm, sim, out))
 }
 
-/// Deploy-time gate: the first diagnostic is a hard error, exactly like
-/// the PR 5 verifier's rules. A clean program allocates nothing here.
+/// Deploy-time gate: the first diagnostic is a hard error. A clean
+/// program allocates nothing here.
 pub(crate) fn check(
     p: &IrProgram,
     pm: &PatchMap,

@@ -37,10 +37,10 @@ use rnic_sim::sim::Simulator;
 use rnic_sim::verbs::{Opcode, VerbClass};
 use rnic_sim::wqe::{WorkRequest, FLAG_SIGNALED, FLAG_WAIT_PREV, ID_MASK};
 
+use super::analysis::patch::PatchMap;
 use super::analysis::Footprint;
-use super::verify::PatchMap;
 use super::{
-    ConstInterner, ConstSpec, DeployOpts, EnableTarget, ImageWqe, IrProgram, Kind, Loc, Mode, OpId,
+    ConstInterner, ConstSpec, DeployOpts, EnableTarget, ImageWqe, IrProgram, Kind, Loc, OpId,
     PassReport, QId, QueueSlot, Resolution, ScatterId, SgeRun, SgeSpec, VerbCounts, WaitCond,
 };
 use crate::constructs::loops::RecycledLoop;
@@ -607,10 +607,7 @@ pub(crate) fn lower(
         bytes,
         interner: local_interner,
     } = ws;
-    let ring = match p.mode {
-        Mode::Recycled { ring } => Some(ring),
-        Mode::Linear => None,
-    };
+    let ring = p.ring();
     let mut report = PassReport {
         // The naive lowering: no pass run, a restore WRITE per marked slot.
         before: {
@@ -866,7 +863,7 @@ pub(crate) fn lower(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{verify, OpBuild, RingSpec};
+    use crate::ir::{analysis, OpBuild, RingSpec};
     use proptest::prelude::*;
     use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
     use rnic_sim::ids::{NodeId, ProcessId};
@@ -913,7 +910,7 @@ mod tests {
                 prop_assert!(agrees(&p), "after {action} on queue {q}");
             }
             let placed = p.queue_ops.iter().map(Vec::len).sum::<usize>();
-            let pm = verify::patch_map(&p);
+            let pm = analysis::patch::patch_map(&p);
             let elided = elide_waits(&mut p, &pm, &mut Vec::new());
             prop_assert!(agrees(&p), "after eliding {elided} WAITs");
             let unplaced = (0..p.ops.len()).filter(|i| p.pos_of(OpId(*i)).is_none()).count();

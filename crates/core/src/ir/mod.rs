@@ -19,8 +19,8 @@
 //! Because nothing is an address until [`IrProgram::deploy`], the IR can
 //! be **optimized** (WAIT elision, constant-pool deduplication, restore
 //! merging — see [`lower`]) and **verified** (the §3.1 fetch-horizon
-//! hazard, unreachable ENABLEs, non-monotonic recycled WAIT thresholds —
-//! see [`verify`]) before a single WQE exists. [`lower`] is then the
+//! hazard, unreachable ENABLEs, recycled-ring thresholds, deadlocks,
+//! bounds — one rule set, see [`analysis`]) before a single WQE exists. [`lower`] is then the
 //! one place ops become WQEs: it lays every queue out slot by slot (the
 //! recycled ring's §3.4 round included), allocates const-pool offsets
 //! and absolute CQ thresholds against the live simulator, and posts —
@@ -31,7 +31,6 @@
 
 pub mod analysis;
 pub mod lower;
-pub mod verify;
 
 use std::cell::RefCell;
 use std::collections::hash_map::{Entry, HashMap};
@@ -675,7 +674,7 @@ impl ConstInterner {
 /// deploy to the next: every user clears what it reads.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    pm: verify::PatchMap,
+    pm: analysis::patch::PatchMap,
     hb: analysis::hb::Graph,
     lower: lower::Workspace,
 }
@@ -754,7 +753,8 @@ pub struct DeployOpts {
     /// Run the optimizer passes (WAIT elision, const dedup, restore
     /// merging).
     pub optimize: bool,
-    /// Run the static verifier (hard error on any diagnostic).
+    /// Run the static verifier, [`analysis`] (hard error on any
+    /// diagnostic).
     pub verify: bool,
 }
 
@@ -966,6 +966,14 @@ impl IrProgram {
             .position(|x| *x == id)
     }
 
+    /// The recycled ring, if the program has one.
+    fn ring(&self) -> Option<QId> {
+        match self.mode {
+            Mode::Recycled { ring } => Some(ring),
+            Mode::Linear => None,
+        }
+    }
+
     /// `id` as diagnostics name it. `Copy` data: an analysis carries it
     /// and formats it only into a diagnostic it actually emits.
     fn name_of(&self, id: OpId) -> OpName {
@@ -987,13 +995,12 @@ impl IrProgram {
     /// Deploy without the static checks — the escape hatch for programs
     /// the checker cannot (yet) see through. The optimizer still runs.
     ///
-    /// **Waived rules**: all three [`verify`] families (§3.1
-    /// fetch-horizon hazard, unreachable ENABLE targets, non-monotonic
-    /// recycled thresholds) *and* the [`analysis`] suite (happens-before
-    /// deadlock/horizon cycles, recycled induction, symbolic bounds).
-    /// Nothing in the shipped tree deploys through this path; it exists
-    /// for tests seeding hazards and for user programs whose ordering is
-    /// established outside the IR.
+    /// **Waived rules**: every per-program [`analysis`] rule — malformed
+    /// programs, the §3.1 fetch-horizon hazard, unreachable ENABLE
+    /// targets, recycled-ring thresholds, happens-before deadlock and
+    /// horizon cycles, and symbolic bounds. Nothing in the shipped tree
+    /// deploys through this path; it exists for tests seeding hazards and
+    /// for user programs whose ordering is established outside the IR.
     pub fn deploy_unchecked(self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<Lowered> {
         self.deploy_with(
             sim,
@@ -1030,13 +1037,12 @@ impl IrProgram {
         interner: Option<&mut ConstInterner>,
         scratch: &mut Scratch,
     ) -> Result<Lowered> {
-        // The patch-edge map feeds the verifier, the analyzer, and the
-        // WAIT-elision pass; compute it once (host-armed offloads deploy
-        // a program per armed instance, so this is on the serving path).
+        // The patch-edge map feeds the verifier and the WAIT-elision
+        // pass; compute it once (host-armed offloads deploy a program per
+        // armed instance, so this is on the serving path).
         let Scratch { pm, hb, lower } = scratch;
         pm.rebuild(self);
         if opts.verify {
-            verify::verify_with(self, pm)?;
             analysis::check(self, pm, hb, sim)?;
         }
         lower::lower(self, sim, pool, opts, pm, lower, interner)

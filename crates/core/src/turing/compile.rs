@@ -89,8 +89,11 @@ impl CompiledTm {
         tape: &[u32],
         head: usize,
     ) -> Result<CompiledTm> {
+        // Refuse before the pool takes simulated DRAM.
+        check_input(tm, tape, head)?;
         let mut pool = ConstPool::create(sim, node, 1 << 17, owner)?;
-        CompiledTm::compile_in_pool(sim, node, owner, &mut pool, tm, tape, head)
+        let opts = DeployOpts::default();
+        CompiledTm::build(sim, node, owner, &mut pool, tm, tape, head, opts)
     }
 
     /// As [`CompiledTm::compile`], placing the machine's memory (tape,
@@ -133,8 +136,22 @@ impl CompiledTm {
         head: usize,
         opts: DeployOpts,
     ) -> Result<CompiledTm> {
-        tm.validate().expect("machine must be valid");
-        assert!(!tape.is_empty() && head < tape.len());
+        check_input(tm, tape, head)?;
+        CompiledTm::build(sim, node, owner, pool, tm, tape, head, opts)
+    }
+
+    /// The compiler proper, over a checked machine and tape.
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        sim: &mut Simulator,
+        node: NodeId,
+        owner: ProcessId,
+        pool: &mut ConstPool,
+        tm: &TuringMachine,
+        tape: &[u32],
+        head: usize,
+        opts: DeployOpts,
+    ) -> Result<CompiledTm> {
         let nrules = tm.rules.len();
         let pool_mr = pool.mr();
 
@@ -389,6 +406,16 @@ impl CompiledTm {
     }
 }
 
+/// An invalid machine is a verifier error; an empty tape or a head past
+/// its end is a malformed request.
+fn check_input(tm: &TuringMachine, tape: &[u32], head: usize) -> Result<()> {
+    tm.validate().map_err(Error::Verifier)?;
+    if head >= tape.len() {
+        return Err(Error::InvalidWr("TM head must lie on a non-empty tape"));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,6 +471,49 @@ mod tests {
                 .sum();
             assert_eq!(got, value + 1);
         }
+    }
+
+    /// Compile a request the compiler must refuse: the error, after
+    /// checking that the refused compile took no simulated DRAM.
+    fn refused(tm: &TuringMachine, tape: &[u32], head: usize) -> Error {
+        let (mut sim, node) = setup();
+        let before = sim.mem(node).allocated();
+        let err = CompiledTm::compile(&mut sim, node, ProcessId(0), tm, tape, head).err();
+        assert_eq!(sim.mem(node).allocated(), before, "no DRAM taken");
+        err.expect("the compile is refused")
+    }
+
+    #[test]
+    fn an_empty_tape_is_an_error() {
+        let err = refused(&TuringMachine::busy_beaver_2(), &[], 0);
+        assert!(matches!(err, Error::InvalidWr(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_head_past_the_tape_is_an_error() {
+        let tm = TuringMachine::busy_beaver_2();
+        let err = refused(&tm, &[0; 4], 4);
+        assert!(matches!(err, Error::InvalidWr(_)), "{err:?}");
+        // The caller-owned pool path refuses it too.
+        let (mut sim, node) = setup();
+        let mut pool = ConstPool::create(&mut sim, node, 1 << 17, ProcessId(0)).unwrap();
+        let opts = DeployOpts::default();
+        let owner = ProcessId(0);
+        let err = CompiledTm::compile_in_pool_with(
+            &mut sim, node, owner, &mut pool, &tm, &[0; 2], 2, opts,
+        );
+        assert!(matches!(err, Err(Error::InvalidWr(_))));
+    }
+
+    #[test]
+    fn a_rule_firing_from_the_halt_state_is_a_verifier_error() {
+        let mut tm = TuringMachine::busy_beaver_2();
+        tm.rules[0].state = tm.halt;
+        let err = refused(&tm, &[0; 4], 0);
+        assert!(
+            matches!(&err, Error::Verifier(msg) if msg.contains("halt")),
+            "{err:?}"
+        );
     }
 
     /// The tape is finite: a head that moves off its left edge reads as

@@ -18,7 +18,6 @@ use std::rc::Rc;
 
 use redn_core::ctx::{HashGet, OffloadBuilder, OffloadCtx, TableRegion, ValueSource};
 use redn_core::offloads::hash_lookup::HashGetOffload;
-use rnic_sim::cq::Cqe;
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::sim::Simulator;
@@ -121,17 +120,6 @@ pub struct PendingGet {
     pub posted_at: Time,
 }
 
-/// A reaped response completion (returned by
-/// [`Session::reap`](crate::session::Session::reap)): a get's or a
-/// walk's.
-#[derive(Clone, Copy, Debug)]
-pub struct ReapedGet {
-    /// The completed instance (from the response's immediate data).
-    pub(crate) instance: u64,
-    /// Simulated completion time.
-    pub(crate) at: Time,
-}
-
 /// Batched non-blocking RedN gets (the engine behind
 /// [`Session::get_burst`](crate::session::Session::get_burst)): stage
 /// every request's payload and trigger SEND through
@@ -173,34 +161,6 @@ pub(crate) fn post_get_burst(
             })
         },
     )
-}
-
-/// Reap up to `max` response completions from `ep`'s receive CQ,
-/// keeping the endpoint's RECV accounting in step: drains them through
-/// the caller's scratch `cqes` buffer and appends each reap, as `typed`
-/// makes it, to `out`. Does not step the simulator (the engine behind
-/// [`Session::reap_into`](crate::session::Session::reap_into)).
-/// Long-lived clients (sessions, fleet generators) reuse their buffers
-/// across every reap instead of allocating per poll. Returns how many
-/// completions were reaped.
-pub(crate) fn reap_gets_into<T>(
-    sim: &mut Simulator,
-    ep: &ClientEndpoint,
-    max: usize,
-    cqes: &mut Vec<Cqe>,
-    out: &mut Vec<T>,
-    typed: impl Fn(ReapedGet) -> T,
-) -> usize {
-    cqes.clear();
-    let reaped = sim.poll_cq_into(ep.recv_cq, max, cqes);
-    for cqe in cqes.iter() {
-        ep.note_response_reaped();
-        out.push(typed(ReapedGet {
-            instance: cqe.imm.unwrap_or(0) as u64,
-            at: cqe.time,
-        }));
-    }
-    reaped
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! * every client drives its service through a typed
 //!   [`Session`]: requests are posted with
 //!   `get_burst`/`walk_burst` (one doorbell per generator tick) and
-//!   reaped as typed [`Completion`]s; reaping retires the instance slot;
+//!   reaped as [`Completion`]s; reaping retires the instance slot;
 //! * two load generators: **closed-loop** (each client keeps K requests
 //!   outstanding, the Memtier-style generator of §5.4) and **open-loop**
 //!   (each client fires at a fixed offered rate; latency is charged from

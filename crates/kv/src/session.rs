@@ -13,10 +13,9 @@
 //!   NIC-resident replication chain (this repo's §3.4 write path),
 //!   reaped by [`Session::reap_puts`] as typed [`PutAck`]s and
 //!   [`PutFailure`]s;
-//! * [`Session::reap`] — drains get and walk response completions as a
-//!   typed [`Completion`] enum, so heterogeneous callers (the mixed
-//!   [`ServingFleet`](crate::serving::ServingFleet)) can tell service
-//!   families apart without re-deriving them from context.
+//! * [`Session::reap`] — drains get and walk response completions as
+//!   [`Completion`]s (response tag and time; the session reaped says
+//!   which family answered).
 //!
 //! All three bodies share one endpoint, one instance window and one
 //! idle compare. Posting through the wrong session kind is an error,
@@ -41,7 +40,7 @@ use rnic_sim::wqe::WorkRequest;
 use crate::cuckoo::TableGeometry;
 use crate::endpoint::ClientEndpoint;
 use crate::liststore::ListStore;
-use crate::memcached::{post_get_burst, reap_gets_into, MemcachedServer, PendingGet, ReapedGet};
+use crate::memcached::{post_get_burst, MemcachedServer, PendingGet};
 use crate::store::check_key;
 
 /// Deployment knobs shared by every session kind (what the fleet varies
@@ -96,17 +95,12 @@ pub struct PendingWalk {
     pub posted_at: Time,
 }
 
-/// A reaped list-walk completion: the same response tag and time as a
-/// get's.
-type ReapedWalk = ReapedGet;
-
-/// One reaped completion, typed by the service family that produced it.
+/// One reaped get or walk response completion.
 #[derive(Clone, Copy, Debug)]
-pub enum Completion {
-    /// A hash-get response.
-    Get(ReapedGet),
-    /// A list-walk response.
-    Walk(ReapedWalk),
+pub struct Completion {
+    /// The response's immediate data.
+    tag: u64,
+    at: Time,
 }
 
 impl Completion {
@@ -114,16 +108,12 @@ impl Completion {
     /// self-recycling) — match against
     /// [`Session::response_tag`] of the pending handle's instance.
     pub fn tag(&self) -> u64 {
-        match self {
-            Completion::Get(c) | Completion::Walk(c) => c.instance,
-        }
+        self.tag
     }
 
     /// Simulated completion time.
     pub fn at(&self) -> Time {
-        match self {
-            Completion::Get(c) | Completion::Walk(c) => c.at,
-        }
+        self.at
     }
 }
 
@@ -719,16 +709,16 @@ impl Session {
         out
     }
 
-    /// Reap up to `max` completions, typed by the session's service
-    /// family. Does not step the simulator.
+    /// Reap up to `max` get or walk completions. Does not step the
+    /// simulator.
     pub fn reap(&mut self, sim: &mut Simulator, max: usize) -> Vec<Completion> {
         let mut out = Vec::new();
         self.reap_into(sim, max, &mut out);
         out
     }
 
-    /// Allocation-free [`Session::reap`]: appends typed completions to
-    /// `out`, recycling the session's scratch CQE buffer. Fleet
+    /// Allocation-free [`Session::reap`]: appends completions to `out`,
+    /// recycling the session's scratch CQE buffer. Fleet
     /// generators call this with one buffer per client per run. Returns
     /// whether the CQ was polled: an idle reap — no CQE pushed since a
     /// poll emptied the CQ — is this one compare, inlined into the
@@ -760,13 +750,19 @@ impl Session {
         max: usize,
         out: &mut Vec<Completion>,
     ) {
-        let typed = match self.bound {
-            Bound::Get { .. } => Completion::Get,
-            Bound::Walk { .. } => Completion::Walk,
-            // Acks are not completions: they reap through reap_puts.
-            Bound::Put { .. } => return,
-        };
-        let reaped = reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, out, typed);
+        // Acks are not completions: they reap through reap_puts.
+        if let Bound::Put { .. } = self.bound {
+            return;
+        }
+        self.cqe_buf.clear();
+        let reaped = sim.poll_cq_into(self.ep.recv_cq, max, &mut self.cqe_buf);
+        for cqe in &self.cqe_buf {
+            self.ep.note_response_reaped();
+            out.push(Completion {
+                tag: cqe.imm.unwrap_or(0) as u64,
+                at: cqe.time,
+            });
+        }
         // A poll that came back full may have left CQEs behind.
         if reaped < max {
             self.cq_seen = total;
@@ -920,7 +916,6 @@ mod tests {
         let done = session.reap(&mut sim, 16);
         assert_eq!(done.len(), 4);
         for c in &done {
-            assert!(matches!(c, Completion::Get(_)), "typed as a get");
             let p = pending
                 .iter()
                 .find(|p| session.response_tag(p.instance) == c.tag())
@@ -1141,8 +1136,8 @@ mod tests {
     #[test]
     fn completion_keeps_its_size() {
         // Put results have their own reap output: the get/walk reap's
-        // element stays 24 bytes.
-        assert_eq!(std::mem::size_of::<Completion>(), 24);
+        // element stays a tag and a time, 16 bytes.
+        assert_eq!(std::mem::size_of::<Completion>(), 16);
     }
 
     #[test]
@@ -1171,7 +1166,6 @@ mod tests {
         let done = session.reap(&mut sim, 16);
         assert_eq!(done.len(), 4, "every walk responds");
         for c in &done {
-            assert!(matches!(c, Completion::Walk(_)), "typed as a walk");
             let p = pending
                 .iter()
                 .find(|p| session.response_tag(p.instance) == c.tag())

@@ -1,11 +1,16 @@
-//! The `redn_core::ir` layer, exercised end to end: the static verifier's
-//! three rule families on hand-built programs (including the seeded §3.1
-//! hazard), and the golden optimized WQE counts of the shipped offloads.
+//! The `redn_core::ir` layer, exercised end to end: the verifier's local
+//! rules (`malformed`, `fetch-horizon`, `unreachable-enable`,
+//! `recycled-induction`) on hand-built programs, including the seeded
+//! §3.1 hazard — each negative is rejected by `deploy` and reported by
+//! `analysis::analyze` under one rule name — and the golden optimized WQE
+//! counts of the shipped offloads. `tests/ir_analysis.rs` holds the
+//! whole-program rules' negatives.
 
 use redn::core::ctx::{ChainQueueBuilder, ClientDest, OffloadCtx, TableRegion, ValueSource};
 use redn::core::encode::WqeField;
 use redn::core::ir::{
-    DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, RingSpec, VerbCounts, WaitCond,
+    analysis, DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, RingSpec, VerbCounts,
+    WaitCond,
 };
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::core::program::ConstPool;
@@ -23,6 +28,21 @@ fn golden(key: &str, message: &str) {
         "/tests/golden/analysis_diagnostics.txt"
     );
     common::check_diagnostic(path, &format!("ir_programs::{key}"), message);
+}
+
+/// `analyze` reports `p`'s one hazard under `rule`; `deploy` must then
+/// fail with exactly that diagnostic, which the caller checks with the
+/// returned error text.
+fn analysis_rejects(p: &IrProgram, sim: &Simulator, rule: &str) -> String {
+    let report = analysis::analyze(p, sim, "negative");
+    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+    let first = &report.diagnostics[0];
+    assert_eq!(first.rule.name(), rule, "{:?}", report.diagnostics);
+    assert!(report.to_json().contains("\"clean\":false"));
+    format!(
+        "chain program rejected by verifier: analysis[{rule}]: {}",
+        first.message
+    )
 }
 
 fn rig() -> (Simulator, NodeId, ConstPool) {
@@ -70,11 +90,13 @@ fn seeded_section_3_1_hazard_is_rejected_naming_the_wqe() {
         .label("hazardous CAS"),
     );
 
+    let reported = analysis_rejects(&p, &sim, "fetch-horizon");
     let err = match p.deploy(&mut sim, &mut pool) {
         Err(e) => e,
         Ok(_) => panic!("the verifier must reject the §3.1 hazard"),
     };
     let msg = format!("{err}");
+    assert_eq!(msg, reported, "deploy and analyze judge alike");
     assert!(
         msg.contains("\u{a7}3.1"),
         "diagnostic names the rule: {msg}"
@@ -152,11 +174,13 @@ fn unreachable_enable_target_is_rejected() {
         ctrl_q,
         OpBuild::new(Kind::Enable(EnableTarget::OpsThrough(first))),
     );
+    let reported = analysis_rejects(&p, &sim, "unreachable-enable");
     let err = match p.deploy(&mut sim, &mut pool) {
         Err(e) => e,
         Ok(_) => panic!("the verifier must reject the unreachable op"),
     };
     let msg = format!("{err}");
+    assert_eq!(msg, reported, "deploy and analyze judge alike");
     assert!(msg.contains("unreachable ENABLE"), "{msg}");
     assert!(msg.contains("orphan"), "{msg}");
     golden("unreachable_enable_target", &msg);
@@ -183,14 +207,59 @@ fn non_monotonic_recycled_wait_is_rejected() {
         .label("stale wait"), // no .bump(...)
     );
     p.push(ring, OpBuild::new(Kind::Noop).signaled());
+    let reported = analysis_rejects(&p, &sim, "recycled-induction");
     let err = match p.deploy(&mut sim, &mut pool) {
         Err(e) => e,
         Ok(_) => panic!("the verifier must reject the unbumped ring WAIT"),
     };
     let msg = format!("{err}");
+    assert_eq!(msg, reported, "deploy and analyze judge alike");
     assert!(msg.contains("non-monotonic WAIT"), "{msg}");
     assert!(msg.contains("stale wait"), "{msg}");
     golden("non_monotonic_recycled_wait", &msg);
+}
+
+/// An op allocated for a forward reference but never placed leaves the
+/// CAS that patches it aimed at nothing — `malformed`, and no other rule
+/// judges the program.
+#[test]
+fn unplaced_patch_target_is_malformed() {
+    let (mut sim, node, mut pool) = rig();
+    let ctrl = ChainQueueBuilder::new(node, ProcessId(0))
+        .depth(32)
+        .build(&mut sim)
+        .unwrap();
+    let managed = ChainQueueBuilder::new(node, ProcessId(0))
+        .managed()
+        .depth(32)
+        .build(&mut sim)
+        .unwrap();
+    let mut p = IrProgram::linear();
+    let ctrl_q = p.chain(ctrl);
+    let act_q = p.chain(managed);
+    let never = p.alloc(act_q);
+    p.push(
+        ctrl_q,
+        OpBuild::new(Kind::Transmute {
+            target: never,
+            y: 7,
+            into: rnic_sim::verbs::Opcode::Write,
+        })
+        .signaled()
+        .label("dangling CAS"),
+    );
+    let reported = analysis_rejects(&p, &sim, "malformed");
+    let err = match p.deploy(&mut sim, &mut pool) {
+        Err(e) => e,
+        Ok(_) => panic!("the verifier must reject the unplaced op"),
+    };
+    let msg = format!("{err}");
+    assert_eq!(msg, reported, "deploy and analyze judge alike");
+    assert!(
+        msg.contains("op 0 was allocated on queue q1 but never placed"),
+        "{msg}"
+    );
+    assert_eq!(sim.node_posts(node), 0, "nothing was staged");
 }
 
 /// `deploy_unchecked` is the escape hatch: the same seeded hazard lowers

@@ -7,7 +7,7 @@ use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::kv::memcached::MemcachedServer;
 use redn::kv::serving::{FleetSpec, ServingFleet};
-use redn::kv::session::{Completion, Session, SessionOpts};
+use redn::kv::session::{Session, SessionOpts};
 use redn::kv::workload::Workload;
 use redn_bench::servebench::sync_baseline_ops_per_sec;
 use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
@@ -116,7 +116,6 @@ fn session_post_reap_round_trips_values_through_instance_slots() {
     assert_eq!(session.endpoint().live_requests(), 0);
     assert_eq!(session.endpoint().outstanding_recvs(), 0);
     for done in reaped {
-        assert!(matches!(done, Completion::Get(_)), "typed get completion");
         let p = pending
             .iter()
             .find(|p| session.response_tag(p.instance) == done.tag())
