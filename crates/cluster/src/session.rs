@@ -12,7 +12,7 @@
 //! [`CqeStatus::RnrError`]: rnic_sim::cq::CqeStatus::RnrError
 
 use crate::cluster::Cluster;
-use redn_core::ir::analysis::{self, AnalysisReport, DeploymentVerifier};
+use redn_core::ir::analysis::{self, AnalysisReport, DeploymentVerifier, Owner};
 use redn_core::offloads::hash_lookup::HashGetVariant;
 use redn_core::offloads::replicate::{ReplicationLog, ReplicationOffload};
 use redn_kv::cuckoo::CuckooTable;
@@ -265,11 +265,8 @@ impl ClusterSession {
         for (i, session) in lanes.enumerate() {
             let (t, s) = (i / n, i % n);
             if let Some(fp) = session.service().footprint() {
-                let label = match tenants.get(t) {
-                    Some(name) => format!("{}/shard{}: {}", name, s, fp.name),
-                    None => format!("shard {}: {}", s, fp.name),
-                };
-                verifier.add_labelled(fp, label);
+                let tenant = tenants.get(t).copied();
+                verifier.add_labelled(fp, Owner::Shard { tenant, index: s });
             }
         }
         let isolation = verifier.verify();

@@ -32,7 +32,7 @@ use rnic_sim::sim::Simulator;
 
 use super::{AnalysisReport, Diagnostic, Rule};
 use crate::ir::{ConstSpec, IrProgram, Kind, Loc, Resolution, WaitCond};
-use crate::ir::{EnableTarget, OpName, QId};
+use crate::ir::{EnableTarget, OpId, OpName, QId, SgeSpec};
 
 /// The address space a [`Span`] lives in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -136,20 +136,108 @@ impl Footprint {
         self.name = name.into();
         self
     }
+}
 
-    /// Claim a CQ created outside the IR (a trigger point's RECV CQ) as
-    /// owned by this program.
-    pub(crate) fn claim_cq(&mut self, cq: CqId) {
-        if !self.owned_cqs.contains(&cq) {
-            self.owned_cqs.push(cq);
+/// Whether an operand at `loc` lands in a span of the footprint: patch
+/// points into the program's own slots do not (its ring spans own them).
+fn lands(loc: &Loc) -> bool {
+    matches!(loc, Loc::Raw { .. } | Loc::Const { .. })
+}
+
+/// What an op writes at run time: the operand, its length, whether it
+/// is local (a READ's sink) and what the span is — `None` for ops that
+/// write nothing.
+type Written<'k> = (&'k Loc, u64, bool, fn(OpName) -> SpanKind);
+
+fn written(kind: &Kind) -> Option<Written<'_>> {
+    match kind {
+        Kind::Write { len, dst, .. } => Some((dst, u64::from(*len), false, SpanKind::WriteDst)),
+        Kind::Read { dst, len, .. } => Some((dst, u64::from(*len), true, SpanKind::ReadSink)),
+        Kind::FetchAdd { target, .. } | Kind::MaxOf { target, .. } => {
+            Some((target, 8, false, SpanKind::AtomicWord))
         }
+        _ => None,
     }
 }
 
+/// The program's SGE-table and external-scatter entries, as
+/// `(span kind, entry)` in footprint order.
+fn sge_entries(p: &IrProgram) -> impl Iterator<Item = (SpanKind, &SgeSpec)> {
+    let tables = p.consts.iter().enumerate().filter_map(|(ci, c)| match c {
+        ConstSpec::Sges(run) => Some((ci, *run)),
+        _ => None,
+    });
+    let tables = tables.flat_map(move |(ci, run)| {
+        let entries = p.sges(run).iter().enumerate();
+        entries.map(move |(ei, e)| (SpanKind::SgeEntry(ci as u32, ei as u32), e))
+    });
+    let scatters = p.scatters.iter().enumerate().flat_map(move |(si, run)| {
+        let entries = p.sges(*run).iter().enumerate();
+        entries.map(move |(ei, e)| (SpanKind::ScatterEntry(si as u32, ei as u32), e))
+    });
+    tables.chain(scatters)
+}
+
+/// How many ring spans and write spans [`collect`] finds in `p`.
+fn span_counts(p: &IrProgram) -> (usize, usize) {
+    let (mut rings, mut writes) = (0, 0);
+    for (qi, ops) in p.queue_ops.iter().enumerate() {
+        rings += if Some(QId(qi)) == p.ring() {
+            1
+        } else {
+            ops.len()
+        };
+        let lands_op = |id: &OpId| written(&p.op(*id).kind).is_some_and(|(loc, ..)| lands(loc));
+        writes += ops.iter().filter(|id| lands_op(id)).count();
+    }
+    if !p.queues.is_empty() {
+        writes += sge_entries(p).filter(|(_, e)| lands(&e.target)).count();
+    }
+    (rings, writes)
+}
+
+/// The distinct items of `items` in first-seen order, in a list of
+/// exactly that length (counted first; the id lists are short).
+fn distinct<T: Copy + PartialEq>(items: impl Iterator<Item = T> + Clone) -> Vec<T> {
+    let firsts = items
+        .clone()
+        .enumerate()
+        .filter(|&(i, x)| !items.clone().take(i).any(|y| y == x))
+        .map(|(_, x)| x);
+    let mut out = Vec::with_capacity(firsts.clone().count());
+    out.extend(firsts);
+    out
+}
+
 /// Collect a deployed program's footprint (called by lowering once
-/// slots, constants, and scatters are resolved).
+/// slots, constants, and scatters are resolved). A serving frame keeps
+/// its footprint for as long as it serves, so every list is allocated
+/// once, at its exact length.
 pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footprint {
-    let mut fp = Footprint::default();
+    let queues = || p.queues.iter().map(|q| *q.bound().expect("lowered"));
+    let kinds = || p.queue_ops.iter().flatten().map(|id| &p.op(*id).kind);
+    // Waits on own CQs are self-pacing, not cross-program thresholds,
+    // and CQs created outside the IR that the program claims (a trigger
+    // point's) are owned too — though a WAIT on one still counts as a
+    // WAIT on a foreign CQ.
+    let waits = kinds().filter_map(|k| match k {
+        Kind::Wait(WaitCond::Absolute { cq, .. }) => Some(*cq),
+        _ => None,
+    });
+    let enables = kinds().filter_map(|k| match k {
+        Kind::Enable(EnableTarget::Foreign { sq, .. }) => Some(*sq),
+        _ => None,
+    });
+    let (nrings, nwrites) = span_counts(p);
+    let mut fp = Footprint {
+        name: String::new(),
+        writes: Vec::with_capacity(nwrites),
+        rings: Vec::with_capacity(nrings),
+        owned_cqs: distinct(queues().map(|q| q.cq).chain(p.claimed_cqs.iter().copied())),
+        wait_cqs: distinct(waits.filter(|cq| !queues().any(|q| q.cq == *cq))),
+        owned_sqs: distinct(queues().map(|q| q.sq)),
+        enable_sqs: distinct(enables.filter(|sq| !queues().any(|q| q.sq == *sq))),
+    };
     let ring = p.ring();
 
     // Per-queue space resolution for remote raw operands.
@@ -184,14 +272,12 @@ pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footp
                 len,
                 what,
             }),
-            // Patch points into the program's own slots: the ring spans
-            // below own them.
+            // Not `lands`: the ring spans own the program's patch points.
             Loc::Field { .. } | Loc::TailEnable { .. } => None,
         }
     };
 
-    for (qi, ops) in p.queue_ops.iter().enumerate() {
-        let q = *p.queues[qi].bound().expect("lowered");
+    for (qi, (ops, q)) in p.queue_ops.iter().zip(queues()).enumerate() {
         // Ring slots: the recycled ring owns its whole registered ring
         // (tail fix-ups included); bound queues own the slots this
         // program's ops occupy.
@@ -206,81 +292,102 @@ pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footp
             for id in ops {
                 fp.rings.push(Span {
                     space: Space::Node(q.node),
-                    addr: res.op_slot[id.0].expect("lowered"),
+                    addr: res.slot(*id),
                     len: rnic_sim::wqe::WQE_SIZE,
                     what: SpanKind::Slot(p.name_of(*id)),
                 });
             }
         }
-        if !fp.owned_cqs.contains(&q.cq) {
-            fp.owned_cqs.push(q.cq);
-        }
-        if !fp.owned_sqs.contains(&q.sq) {
-            fp.owned_sqs.push(q.sq);
-        }
         for id in ops {
-            let who = p.name_of(*id);
-            match &p.op(*id).kind {
-                Kind::Write { len, dst, .. } => {
-                    fp.writes.extend(span_of(
-                        qi,
-                        dst,
-                        *len as u64,
-                        false,
-                        SpanKind::WriteDst(who),
-                    ));
-                }
-                Kind::Read { dst, len, .. } => {
-                    fp.writes
-                        .extend(span_of(qi, dst, *len as u64, true, SpanKind::ReadSink(who)));
-                }
-                Kind::FetchAdd { target, .. } | Kind::MaxOf { target, .. } => {
-                    fp.writes
-                        .extend(span_of(qi, target, 8, false, SpanKind::AtomicWord(who)));
-                }
-                Kind::Wait(WaitCond::Absolute { cq, .. }) if !fp.wait_cqs.contains(cq) => {
-                    fp.wait_cqs.push(*cq);
-                }
-                Kind::Enable(EnableTarget::Foreign { sq, .. }) if !fp.enable_sqs.contains(sq) => {
-                    fp.enable_sqs.push(*sq);
-                }
-                _ => {}
+            if let Some((loc, len, local, what)) = written(&p.op(*id).kind) {
+                let what = what(p.name_of(*id));
+                fp.writes.extend(span_of(qi, loc, len, local, what));
             }
         }
     }
-    // SGE tables and external scatter lists land bytes at run time.
-    if p.queues.is_empty() {
-        return fp;
-    }
-    let home_qi = 0usize;
-    for (ci, c) in p.consts.iter().enumerate() {
-        if let ConstSpec::Sges(run) = c {
-            for (ei, e) in p.sges(*run).iter().enumerate() {
-                let what = SpanKind::SgeEntry(ci as u32, ei as u32);
-                fp.writes
-                    .extend(span_of(home_qi, &e.target, e.len as u64, true, what));
-            }
-        }
-    }
-    for (si, run) in p.scatters.iter().enumerate() {
-        for (ei, e) in p.sges(*run).iter().enumerate() {
-            let what = SpanKind::ScatterEntry(si as u32, ei as u32);
+    // SGE tables and external scatter lists land bytes at run time (on
+    // the first queue's node).
+    if !p.queues.is_empty() {
+        for (what, e) in sge_entries(p) {
             fp.writes
-                .extend(span_of(home_qi, &e.target, e.len as u64, true, what));
+                .extend(span_of(0, &e.target, u64::from(e.len), true, what));
         }
     }
-    // Waits on own CQs are self-pacing, not cross-program thresholds.
-    fp.wait_cqs.retain(|cq| !fp.owned_cqs.contains(cq));
-    fp.enable_sqs.retain(|sq| !fp.owned_sqs.contains(sq));
-    // A serving frame keeps its footprint for as long as it serves:
-    // hand it over without the lists' growth slack.
-    fp.writes.shrink_to_fit();
-    fp.rings.shrink_to_fit();
-    fp.owned_cqs.shrink_to_fit();
-    fp.wait_cqs.shrink_to_fit();
-    fp.owned_sqs.shrink_to_fit();
-    fp.enable_sqs.shrink_to_fit();
     fp
+}
+
+/// Whose a co-resident program is, as a deployment names it: data until
+/// a diagnostic or a report renders it around the footprint's own name
+/// (as [`OpName`] is), so a clean deploy formats nothing per program.
+#[derive(Clone, Copy, Debug)]
+pub enum Owner<'a> {
+    /// A fleet's client `index`, of `tenant` in a packed fleet:
+    /// `tenant/name (client index)`, or `client index: name`.
+    Client {
+        /// The tenant's name.
+        tenant: Option<&'a str>,
+        /// The client's index in the fleet.
+        index: usize,
+    },
+    /// The lane of shard `index`, of `tenant` when tenants share the
+    /// cluster: `tenant/shard{index}: name`, or `shard index: name`.
+    Shard {
+        /// The tenant's name.
+        tenant: Option<&'a str>,
+        /// The shard id.
+        index: usize,
+    },
+}
+
+/// A program's name in a diagnostic or a report: its footprint's name,
+/// qualified by its [`Owner`] if it has one.
+#[derive(Clone, Copy)]
+struct ProgramName<'v> {
+    name: &'v str,
+    owner: Option<Owner<'v>>,
+}
+
+impl fmt::Display for ProgramName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.name;
+        match self.owner {
+            Some(Owner::Client {
+                tenant: Some(t),
+                index,
+            }) => write!(f, "{t}/{name} (client {index})"),
+            Some(Owner::Client {
+                tenant: None,
+                index,
+            }) => write!(f, "client {index}: {name}"),
+            Some(Owner::Shard {
+                tenant: Some(t),
+                index,
+            }) => write!(f, "{t}/shard{index}: {name}"),
+            Some(Owner::Shard {
+                tenant: None,
+                index,
+            }) => write!(f, "shard {index}: {name}"),
+            None if name.is_empty() => f.write_str("unnamed program"),
+            None => f.write_str(name),
+        }
+    }
+}
+
+/// `d` rendered into a string allocated once, at its exact length.
+fn render(d: impl fmt::Display) -> String {
+    /// Counts what would be written.
+    struct Len(usize);
+    impl fmt::Write for Len {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut len = Len(0);
+    let _ = fmt::write(&mut len, format_args!("{d}"));
+    let mut out = String::with_capacity(len.0);
+    let _ = fmt::write(&mut out, format_args!("{d}"));
+    out
 }
 
 /// Proves pairwise non-interference across all programs co-resident on
@@ -289,9 +396,9 @@ pub(crate) fn collect(p: &IrProgram, sim: &Simulator, res: &Resolution) -> Footp
 /// owns only the ones handed to it by value.
 pub struct DeploymentVerifier<'a> {
     subject: String,
-    /// Each program's footprint, and the label diagnostics name it by
-    /// when that is not the footprint's own name.
-    programs: Vec<(Cow<'a, Footprint>, Option<String>)>,
+    /// Each program's footprint, and whose it is when diagnostics name
+    /// it by more than the footprint's own name.
+    programs: Vec<(Cow<'a, Footprint>, Option<Owner<'a>>)>,
 }
 
 impl<'a> DeploymentVerifier<'a> {
@@ -308,11 +415,11 @@ impl<'a> DeploymentVerifier<'a> {
         self.programs.push((Cow::Owned(fp), None));
     }
 
-    /// Add one program's footprint where it lives, under `label` instead
-    /// of its own name (a fleet's `tenant/offload` names): nothing of it
-    /// is copied.
-    pub fn add_labelled(&mut self, fp: &'a Footprint, label: String) {
-        self.programs.push((Cow::Borrowed(fp), Some(label)));
+    /// Add one program's footprint where it lives, named as `owner`'s
+    /// (a fleet's `tenant/offload` names): nothing of it is copied, and
+    /// the name is only rendered into a diagnostic or the report.
+    pub fn add_labelled(&mut self, fp: &'a Footprint, owner: Owner<'a>) {
+        self.programs.push((Cow::Borrowed(fp), Some(owner)));
     }
 
     /// Footprints added so far.
@@ -325,11 +432,11 @@ impl<'a> DeploymentVerifier<'a> {
     }
 
     /// The name diagnostics and the report give program `prog`.
-    fn name(&self, prog: usize) -> &str {
-        let (fp, label) = &self.programs[prog];
-        match label.as_deref().unwrap_or(&fp.name) {
-            "" => "unnamed program",
-            name => name,
+    fn name(&self, prog: usize) -> ProgramName<'_> {
+        let (fp, owner) = &self.programs[prog];
+        ProgramName {
+            name: &fp.name,
+            owner: *owner,
         }
     }
 
@@ -349,7 +456,7 @@ impl<'a> DeploymentVerifier<'a> {
         AnalysisReport {
             subject: self.subject.clone(),
             programs: n,
-            labels: (0..n).map(|prog| self.name(prog).to_string()).collect(),
+            labels: (0..n).map(|prog| render(self.name(prog))).collect(),
             hb_nodes: 0,
             hb_edges: 0,
             checked: n * n.saturating_sub(1) / 2,
@@ -782,13 +889,41 @@ mod tests {
             let mut borrowed = DeploymentVerifier::new("random");
             let mut renamed = DeploymentVerifier::new("random");
             for i in 0..owned.len() {
-                let label = if i % 5 == 3 {
-                    String::new()
-                } else {
-                    format!("tenant/p{i}")
+                // The renamed copy spells out what the fleet and the
+                // cluster formatted before owners were data.
+                let (fp, tenant) = (owned.fp(i), ["alpha", "beta"][i % 2]);
+                let (owner, label) = match i % 4 {
+                    0 => (
+                        Owner::Client {
+                            tenant: Some(tenant),
+                            index: i,
+                        },
+                        format!("{}/{} (client {})", tenant, fp.name, i),
+                    ),
+                    1 => (
+                        Owner::Client {
+                            tenant: None,
+                            index: i,
+                        },
+                        format!("client {}: {}", i, fp.name),
+                    ),
+                    2 => (
+                        Owner::Shard {
+                            tenant: Some(tenant),
+                            index: i,
+                        },
+                        format!("{}/shard{}: {}", tenant, i, fp.name),
+                    ),
+                    _ => (
+                        Owner::Shard {
+                            tenant: None,
+                            index: i,
+                        },
+                        format!("shard {}: {}", i, fp.name),
+                    ),
                 };
-                borrowed.add_labelled(owned.fp(i), label.clone());
-                renamed.add(owned.fp(i).clone().named(label));
+                borrowed.add_labelled(fp, owner);
+                renamed.add(fp.clone().named(label));
             }
             let (b, r) = (borrowed.verify(), renamed.verify());
             assert_eq!(b.labels, r.labels, "seed {seed}");

@@ -49,7 +49,7 @@ use rnic_sim::sim::Simulator;
 use super::IrProgram;
 use patch::PatchMap;
 
-pub use interference::{DeploymentVerifier, Footprint, Space, Span};
+pub use interference::{DeploymentVerifier, Footprint, Owner, Space, Span};
 
 /// The analysis rule families (one diagnostic names exactly one).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -29,6 +29,7 @@
 //!    protocol requires.
 
 use std::cell::{Ref, RefCell};
+use std::ops::Range;
 use std::rc::Rc;
 
 use rnic_sim::error::{Error, Result};
@@ -41,7 +42,8 @@ use super::analysis::patch::PatchMap;
 use super::analysis::Footprint;
 use super::{
     ConstInterner, ConstSpec, DeployOpts, EnableTarget, ImageWqe, IrProgram, Kind, Loc, OpId,
-    PassReport, QId, QueueSlot, Resolution, ScatterId, SgeRun, SgeSpec, VerbCounts, WaitCond,
+    PassReport, Placed, QId, QueueSlot, Resolution, ScatterId, SgeRun, SgeSpec, VerbCounts,
+    WaitCond,
 };
 use crate::constructs::loops::RecycledLoop;
 use crate::ctx::ChainQueueBuilder;
@@ -52,8 +54,11 @@ use crate::program::{ChainQueue, ConstPool};
 /// its report and footprint, and its WQEs — already posted and running
 /// for a recycled program, awaiting [`Lowered::post`] for a linear one.
 pub struct Lowered {
-    /// Per [`QId`]: the queue's work requests until they are posted.
-    staged: Vec<Option<(ChainQueue, Vec<WorkRequest>)>>,
+    /// Per [`QId`] of a linear program: the queue and the run of `wrs`
+    /// holding its work requests, until they are posted. Empty for a
+    /// recycled program, posted whole by deploy.
+    staged: Vec<Option<(ChainQueue, Range<usize>)>>,
+    wrs: Vec<WorkRequest>,
     ring: Option<RecycledLoop>,
     report: PassReport,
     res: Rc<RefCell<Resolution>>,
@@ -67,12 +72,8 @@ impl Lowered {
     /// before triggers, ...). A queue that is already posted — every
     /// queue of a recycled program is, by deploy — is left alone.
     pub fn post(&mut self, sim: &mut Simulator, q: QId) -> Result<()> {
-        if let Some((queue, wrs)) = &self.staged[q.0] {
-            if !wrs.is_empty() {
-                check_room(sim, queue, wrs.len())?;
-                sim.post_send_batch(queue.qp, wrs)?;
-            }
-            self.staged[q.0] = None;
+        if let Some(Some((queue, run))) = self.staged.get_mut(q.0).map(Option::take) {
+            post_run(sim, &queue, &self.wrs[run])?;
         }
         Ok(())
     }
@@ -84,7 +85,7 @@ impl Lowered {
 
     /// Resolved absolute address of `field` of `op`'s WQE slot.
     pub fn addr_of(&self, op: OpId, field: WqeField) -> u64 {
-        self.res.borrow().op_slot[op.0].expect("lowered") + field.offset()
+        self.res.borrow().slot(op) + field.offset()
     }
 
     /// A resolved external scatter list (trigger-RECV injection targets),
@@ -106,6 +107,15 @@ impl Lowered {
     pub fn ring(&self) -> Option<&RecycledLoop> {
         self.ring.as_ref()
     }
+}
+
+/// Post `wrs` onto `queue`, all or none (doorbell for unmanaged queues).
+fn post_run(sim: &mut Simulator, queue: &ChainQueue, wrs: &[WorkRequest]) -> Result<()> {
+    if !wrs.is_empty() {
+        check_room(sim, queue, wrs.len())?;
+        sim.post_send_batch(queue.qp, wrs)?;
+    }
+    Ok(())
 }
 
 /// `Err(WqFull)` unless `q` can take `n` more WQEs right now (none
@@ -408,7 +418,7 @@ impl<'p> ResolveCtx<'p> {
             Loc::Field { op, field, off } => {
                 let q = self.queue(self.p.ops[op.0].queue);
                 (
-                    res.op_slot[op.0].expect("op placed") + field.offset() + off,
+                    res.slot(*op) + field.offset() + off,
                     if local { q.ring.lkey } else { q.ring.rkey },
                 )
             }
@@ -483,10 +493,7 @@ impl<'p> ResolveCtx<'p> {
         match cond {
             WaitCond::Absolute { cq, count } => (*cq, *count),
             WaitCond::LocalAllSignaled => (self.queue(queue_of(id)).cq, all_signaled),
-            WaitCond::OpDonePosted(x) => (
-                self.queue(queue_of(*x)).cq,
-                res.op_index[x.0].expect("op placed") + 1,
-            ),
+            WaitCond::OpDonePosted(x) => (self.queue(queue_of(*x)).cq, res.index(*x) + 1),
             WaitCond::OpDoneSignaled(x) => {
                 let xq = queue_of(*x);
                 // No count exists for an op that is on no queue.
@@ -526,7 +533,7 @@ impl<'p> ResolveCtx<'p> {
                 WorkRequest::read_sgl(table_addr, *entries, ra, rk)
             }
             Kind::Transmute { target, y, into } => {
-                let header = res.op_slot[target.0].expect("op placed") + WqeField::Header.offset();
+                let header = res.slot(*target) + WqeField::Header.offset();
                 let rkey = self.queue(self.p.ops[target.0].queue).ring.rkey;
                 WorkRequest::cas(header, rkey, cond_compare(*y), cond_swap(*into, *y), 0, 0)
             }
@@ -543,10 +550,9 @@ impl<'p> ResolveCtx<'p> {
                 WorkRequest::wait(cq, count)
             }
             Kind::Enable(EnableTarget::Foreign { sq, count }) => WorkRequest::enable(*sq, *count),
-            Kind::Enable(EnableTarget::OpsThrough(x)) => WorkRequest::enable(
-                self.queue(self.p.ops[x.0].queue).sq,
-                res.op_index[x.0].expect("op placed") + 1,
-            ),
+            Kind::Enable(EnableTarget::OpsThrough(x)) => {
+                WorkRequest::enable(self.queue(self.p.ops[x.0].queue).sq, res.index(*x) + 1)
+            }
             Kind::Raw(wr) => *wr,
         };
         if op.signaled {
@@ -583,6 +589,11 @@ pub(crate) struct Workspace {
     signaled_through: Vec<u64>,
     /// The constant (SGE table, WQE images, restore image) being placed.
     bytes: Vec<u8>,
+    /// Per [`QId`]: the queue and its run of `wrs` (see [`Lowered`]); a
+    /// linear program takes both lists with it.
+    staged: Vec<Option<(ChainQueue, Range<usize>)>>,
+    /// Every staged work request, queue after queue.
+    wrs: Vec<WorkRequest>,
     /// Deduplicates one program's constants when the caller brought no
     /// interner of its own; cleared per program, so what a program
     /// places never depends on what was deployed before it.
@@ -605,6 +616,8 @@ pub(crate) fn lower(
         bases,
         signaled_through,
         bytes,
+        staged,
+        wrs,
         interner: local_interner,
     } = ws;
     let ring = p.ring();
@@ -655,8 +668,7 @@ pub(crate) fn lower(
     let nops = p.ops.len();
     {
         let mut res = p.resolution.borrow_mut();
-        res.op_slot = vec![None; nops];
-        res.op_index = vec![None; nops];
+        res.placed = vec![Placed::NOWHERE; nops];
         res.const_addr = vec![None; p.consts.len()];
     }
     bases.clear();
@@ -674,8 +686,8 @@ pub(crate) fn lower(
         for (pos, slot) in queue_slots(p, qi, round).enumerate() {
             if let Slot::Body(id) = slot {
                 let index = base_index + pos as u64;
-                res.op_index[id.0] = Some(index);
-                res.op_slot[id.0] = Some(q.slot_addr(index));
+                let slot = q.slot_addr(index);
+                res.placed[id.0] = Placed { slot, index };
             }
         }
         let mut signaled = 0;
@@ -767,38 +779,42 @@ pub(crate) fn lower(
         let s = r.slots.iter().filter(|slot| slot.signaled(p)).count();
         (r.slots.len() as u64, s as u64)
     });
-    let mut staged: Vec<Option<(ChainQueue, Vec<WorkRequest>)>> = vec![None; p.queues.len()];
+    staged.clear();
+    staged.reserve_exact(p.queues.len());
+    staged.resize(p.queues.len(), None);
+    wrs.clear();
+    let nslots = (0..p.queues.len()).map(|qi| queue_slots(p, qi, round).size_hint().0);
+    wrs.reserve_exact(nslots.sum());
     for qi in bound_then_ring() {
         let q = *ctx.queue(QId(qi));
         let (_, cq_base) = bases[qi];
         let res = p.resolution.borrow();
-        let slots = queue_slots(p, qi, round);
-        let mut wrs: Vec<WorkRequest> = Vec::with_capacity(slots.size_hint().0);
+        let start = wrs.len();
         // What the queue's CQ reaches once everything staged so far is done.
         let mut all_signaled = cq_base;
-        for slot in slots {
+        for slot in queue_slots(p, qi, round) {
             let wr = match slot {
                 Slot::Body(id) => ctx.wr_of(&res, id, all_signaled),
                 Slot::Noop => WorkRequest::noop().signaled(),
                 Slot::Restore(n) => {
                     let (first, len) = runs[n];
                     let tq = p.ops[first.0].queue;
-                    let at = res.op_index[first.0].expect("op placed") - bases[tq.0].0;
+                    let at = res.index(first) - bases[tq.0].0;
                     // The run's own queue is either staged already or
                     // the ring being staged right now.
-                    let pristine = match &staged[tq.0] {
-                        Some((_, wrs)) => wrs,
-                        None => &wrs,
+                    let from = match &staged[tq.0] {
+                        Some((_, run)) => run.start,
+                        None => start,
                     };
                     bytes.clear();
-                    for wr in &pristine[at as usize..][..len] {
+                    for wr in &wrs[from + at as usize..][..len] {
                         bytes.extend_from_slice(&wr.wqe.encode());
                     }
                     WorkRequest::write(
                         place(sim, pool, bytes)?,
                         ctx.pool_lkey,
                         bytes.len() as u32,
-                        res.op_slot[first.0].expect("op placed"),
+                        res.slot(first),
                         ctx.queue(tq).ring.rkey,
                     )
                     .signaled()
@@ -828,7 +844,7 @@ pub(crate) fn lower(
             wrs.push(wr);
         }
         drop(res);
-        staged[qi] = Some((q, wrs));
+        staged[qi] = Some((q, start..wrs.len()));
     }
     report.const_bytes_saved = interner.saved_bytes - interner_base_saved;
     report.pool_high_water = pool.high_water();
@@ -836,26 +852,36 @@ pub(crate) fn lower(
     report.pool_leases_taken = pool.leases() - pool_leases_base;
 
     // ---- posting: the whole program or nothing ------------------------
-    for (q, wrs) in staged.iter().flatten() {
-        check_room(sim, q, wrs.len())?;
+    for (q, run) in staged.iter().flatten() {
+        check_room(sim, q, run.len())?;
     }
     let mut lowered = Lowered {
-        staged,
+        staged: Vec::new(),
+        wrs: Vec::new(),
         ring: None,
         report,
         res: Rc::clone(&p.resolution),
         footprint,
     };
-    if let Some(round) = round {
-        for qi in bound_then_ring() {
-            lowered.post(sim, QId(qi))?;
+    match round {
+        // A recycled program is posted here, from the workspace's lists.
+        Some(round) => {
+            for qi in bound_then_ring() {
+                if let Some((queue, run)) = staged[qi].take() {
+                    post_run(sim, &queue, &wrs[run])?;
+                }
+            }
+            let queue = *ctx.queue(round.ring);
+            sim.host_enable(queue.qp, depth)?;
+            lowered.ring = Some(RecycledLoop {
+                queue,
+                round_len: depth,
+            });
         }
-        let queue = *ctx.queue(round.ring);
-        sim.host_enable(queue.qp, depth)?;
-        lowered.ring = Some(RecycledLoop {
-            queue,
-            round_len: depth,
-        });
+        None => {
+            lowered.staged = std::mem::take(staged);
+            lowered.wrs = std::mem::take(wrs);
+        }
     }
     Ok(lowered)
 }

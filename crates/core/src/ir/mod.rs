@@ -495,13 +495,50 @@ pub(crate) struct OpRec {
 #[derive(Default)]
 pub(crate) struct Resolution {
     pub(crate) node: Option<NodeId>,
-    pub(crate) op_slot: Vec<Option<u64>>,
-    pub(crate) op_index: Vec<Option<u64>>,
+    /// Per op: where lowering placed it ([`Placed::NOWHERE`]: on no
+    /// queue).
+    pub(crate) placed: Vec<Placed>,
     pub(crate) const_addr: Vec<Option<u64>>,
     /// Every external scatter list, resolved to `(addr, lkey, len)`, end
     /// to end; list `s` is the run `scatters[s]` of it.
     pub(crate) scatter_entries: Vec<(u64, u32, u32)>,
     pub(crate) scatters: Vec<SgeRun>,
+}
+
+/// Where lowering placed an op.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Placed {
+    /// Its WQE slot's address.
+    pub(crate) slot: u64,
+    /// Its monotonic WQE index on its queue.
+    pub(crate) index: u64,
+}
+
+impl Placed {
+    /// An op on no queue (no WQE index reaches `u64::MAX`).
+    pub(crate) const NOWHERE: Placed = Placed {
+        slot: 0,
+        index: u64::MAX,
+    };
+}
+
+impl Resolution {
+    /// Where `op` was placed: `None` before deploy, or for an op lowering
+    /// put on no queue.
+    fn placement(&self, op: OpId) -> Option<Placed> {
+        let placed = self.placed.get(op.0).copied();
+        placed.filter(|p| p.index != Placed::NOWHERE.index)
+    }
+
+    /// `op`'s WQE slot address. Panics if it was not placed.
+    pub(crate) fn slot(&self, op: OpId) -> u64 {
+        self.placement(op).expect("op placed").slot
+    }
+
+    /// `op`'s WQE index on its queue. Panics if it was not placed.
+    pub(crate) fn index(&self, op: OpId) -> u64 {
+        self.placement(op).expect("op placed").index
+    }
 }
 
 /// A resolvable reference to a field of an op's (future) WQE slot — what
@@ -524,9 +561,8 @@ impl std::fmt::Debug for FieldRef {
 impl FieldRef {
     /// The resolved absolute address. Panics before deploy.
     pub(crate) fn addr(&self) -> u64 {
-        self.res.borrow().op_slot[self.op.0].expect("program not deployed yet")
-            + self.field.offset()
-            + self.off
+        let placed = self.res.borrow().placement(self.op);
+        placed.expect("program not deployed yet").slot + self.field.offset() + self.off
     }
 
     /// The node the slot lives on. Panics before deploy.
@@ -666,7 +702,8 @@ impl ConstInterner {
 }
 
 /// The working memory of a deploy: the patch map, the happens-before
-/// graph and search stacks, and lowering's lists. It lives in the
+/// graph and search stacks, lowering's lists and the last deployed
+/// program's own, emptied. It lives in the
 /// [`ConstPool`] a program deploys onto — the one object every deploy of
 /// a fleet or a cluster shard already threads through — so the programs
 /// of a deployment grow it once and reuse it, and no caller sizes,
@@ -677,6 +714,12 @@ pub(crate) struct Scratch {
     pm: analysis::patch::PatchMap,
     hb: analysis::hb::Graph,
     lower: lower::Workspace,
+    /// The last program deployed onto the pool, emptied with its lists'
+    /// capacity kept — the per-queue op lists too, cleared rather than
+    /// dropped: the next program opened on the pool
+    /// ([`IrProgram::linear_in`], [`IrProgram::recycled_in`]) is built in
+    /// them, so a fleet's programs after the first grow no list.
+    spent: Option<IrProgram>,
 }
 
 /// Verb-class accounting, as in the paper's Table 2.
@@ -772,6 +815,9 @@ pub struct IrProgram {
     pub(crate) mode: Mode,
     pub(crate) queues: Vec<QueueSlot>,
     pub(crate) queue_ops: Vec<Vec<OpId>>,
+    /// Cleared op lists [`IrProgram::chain`] reuses before growing new
+    /// ones (a program opened on a pool brings the last one's).
+    spare_queue_ops: Vec<Vec<OpId>>,
     pub(crate) ops: Vec<OpRec>,
     pub(crate) consts: Vec<ConstSpec>,
     pub(crate) scatters: Vec<SgeRun>,
@@ -781,6 +827,9 @@ pub struct IrProgram {
     /// (host_enable or a pre-existing chain) — exempt from the
     /// unreachable-ENABLE check.
     pub(crate) external_enable: Vec<QId>,
+    /// CQs created outside the IR that the program owns all the same
+    /// (a trigger point's): its footprint lists them after its queues'.
+    pub(crate) claimed_cqs: Vec<CqId>,
     pub(crate) resolution: Rc<RefCell<Resolution>>,
 }
 
@@ -791,12 +840,14 @@ impl IrProgram {
             mode: Mode::Linear,
             queues: Vec::new(),
             queue_ops: Vec::new(),
+            spare_queue_ops: Vec::new(),
             ops: Vec::new(),
             consts: Vec::new(),
             scatters: Vec::new(),
             sges: Vec::new(),
             external_enable: Vec::new(),
-            resolution: Rc::new(RefCell::new(Resolution::default())),
+            claimed_cqs: Vec::new(),
+            resolution: Rc::default(),
         }
     }
 
@@ -804,19 +855,71 @@ impl IrProgram {
     /// [`QId`] form one round of a self-re-arming ring whose queue is
     /// created at lowering with exactly the post-optimization depth.
     pub fn recycled(spec: RingSpec) -> (IrProgram, QId) {
-        let mut p = IrProgram::linear();
-        p.queues.push(QueueSlot::Ring(spec, None));
-        p.queue_ops.push(Vec::new());
-        let ring = QId(0);
-        p.mode = Mode::Recycled { ring };
-        (p, ring)
+        IrProgram::linear().with_ring(spec)
+    }
+
+    /// [`IrProgram::linear`], built in the lists of the last program
+    /// deployed onto `pool` (see [`Scratch`]): the same program, only
+    /// its lists' capacity differs.
+    pub(crate) fn linear_in(pool: &mut ConstPool) -> IrProgram {
+        match pool.scratch.as_mut().and_then(|s| s.spent.take()) {
+            Some(mut p) => {
+                p.resolution = Rc::default();
+                p
+            }
+            None => IrProgram::linear(),
+        }
+    }
+
+    /// [`IrProgram::recycled`], built in `pool`'s spent lists.
+    pub(crate) fn recycled_in(pool: &mut ConstPool, spec: RingSpec) -> (IrProgram, QId) {
+        IrProgram::linear_in(pool).with_ring(spec)
+    }
+
+    fn with_ring(mut self, spec: RingSpec) -> (IrProgram, QId) {
+        let ring = QId(self.queues.len());
+        self.queues.push(QueueSlot::Ring(spec, None));
+        let ops = self.spare_queue_ops.pop().unwrap_or_default();
+        self.queue_ops.push(ops);
+        self.mode = Mode::Recycled { ring };
+        (self, ring)
+    }
+
+    /// Empty the program for the next one, keeping every list's capacity;
+    /// the per-queue op lists move to the spares.
+    fn clear(&mut self) {
+        // What the lists own goes first, so moving the op lists to the
+        // spares never holds more than the program did.
+        self.consts.clear();
+        self.ops.clear();
+        self.queues.clear();
+        self.scatters.clear();
+        self.sges.clear();
+        self.external_enable.clear();
+        self.claimed_cqs.clear();
+        self.spare_queue_ops.reserve_exact(self.queue_ops.len());
+        for mut ops in self.queue_ops.drain(..) {
+            ops.clear();
+            self.spare_queue_ops.push(ops);
+        }
+        self.mode = Mode::Linear;
     }
 
     /// Declare a deployed queue the program stages onto.
     pub fn chain(&mut self, q: ChainQueue) -> QId {
         self.queues.push(QueueSlot::Bound(q));
-        self.queue_ops.push(Vec::new());
+        let ops = self.spare_queue_ops.pop().unwrap_or_default();
+        self.queue_ops.push(ops);
         QId(self.queues.len() - 1)
+    }
+
+    /// Count `cq`, created outside the IR, as owned by this program in
+    /// its footprint (a trigger point's CQs: two programs sharing one is
+    /// interference).
+    pub(crate) fn claim_cq(&mut self, cq: CqId) {
+        if !self.claimed_cqs.contains(&cq) {
+            self.claimed_cqs.push(cq);
+        }
     }
 
     /// Exempt `q` from the unreachable-ENABLE check: its fetch horizon is
@@ -1022,9 +1125,12 @@ impl IrProgram {
         opts: DeployOpts,
         interner: Option<&mut ConstInterner>,
     ) -> Result<Lowered> {
-        // The pool lends its scratch for the duration (see [`Scratch`]).
+        // The pool lends its scratch for the duration (see [`Scratch`]),
+        // and gets this program's emptied lists back with it.
         let mut scratch = pool.scratch.take().unwrap_or_default();
         let lowered = self.deploy_in(sim, pool, opts, interner, &mut scratch);
+        self.clear();
+        scratch.spent = Some(self);
         pool.scratch = Some(scratch);
         lowered
     }
@@ -1040,7 +1146,7 @@ impl IrProgram {
         // The patch-edge map feeds the verifier and the WAIT-elision
         // pass; compute it once (host-armed offloads deploy a program per
         // armed instance, so this is on the serving path).
-        let Scratch { pm, hb, lower } = scratch;
+        let Scratch { pm, hb, lower, .. } = scratch;
         pm.rebuild(self);
         if opts.verify {
             analysis::check(self, pm, hb, sim)?;

@@ -140,7 +140,7 @@ impl OffloadService for HashGetOffload {
     /// symbolic; the verifier checks them against the §3.1 rule on every
     /// arm.
     fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        let mut arm = self.frame.begin_arm(sim)?;
+        let mut arm = self.frame.begin_arm(sim, pool)?;
         let host = self.host.as_mut().expect("host-armed frame has queues");
         let seq_two = self.spec.variant == HashGetVariant::Sequential;
         let probes = if seq_two { 2 } else { host.chains.len() };
@@ -318,7 +318,7 @@ impl HashGetOffload {
     ) -> Result<HashGetOffload> {
         let k = u64::from(spec.frame.depth);
         let probes = spec.variant.buckets() as u64;
-        let mut f = RecycledFrame::begin(sim, spec.frame, probes, 1)?;
+        let mut f = RecycledFrame::begin(sim, pool, spec.frame, probes, 1)?;
         let mut resp_ops = Vec::with_capacity((k * probes) as usize);
         for inst in 0..k {
             for _ in 0..probes {

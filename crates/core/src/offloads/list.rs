@@ -133,7 +133,7 @@ impl OffloadService for ListWalkOffload {
     /// managed chain queue, and the WAIT/ENABLE doorbell ladder on the
     /// unmanaged control queue.
     fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        let mut arm = self.frame.begin_arm(sim)?;
+        let mut arm = self.frame.begin_arm(sim, pool)?;
         let tp = self.frame.tp;
         let host = self.host.expect("host-armed frame has queues");
         let spec = self.spec;
@@ -407,7 +407,7 @@ impl ListWalkOffload {
     ) -> Result<ListWalkOffload> {
         let k = u64::from(spec.frame.depth);
         let n = spec.max_nodes;
-        let mut f = RecycledFrame::begin(sim, spec.frame, n as u64, 1)?;
+        let mut f = RecycledFrame::begin(sim, pool, spec.frame, n as u64, 1)?;
 
         // Per-(instance, iteration) value staging buffers plus a shared
         // scrap sink for final next pointers and key pads. Mutable cells:

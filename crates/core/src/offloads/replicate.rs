@@ -206,7 +206,7 @@ impl ReplicationOffload {
         }
         // One ack WRITE_IMM per instance; the control ring takes the PU
         // after the forward queues'.
-        let mut f = RecycledFrame::begin(sim, spec, 1, 1 + backups.len())?;
+        let mut f = RecycledFrame::begin(sim, pool, spec, 1, 1 + backups.len())?;
 
         // Staging ring: K record slots the trigger RECVs scatter into and
         // the forward/ack WRITEs gather from. Dies with the primary.

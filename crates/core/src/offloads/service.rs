@@ -316,11 +316,11 @@ impl ServiceFrame {
     /// trigger count, and start its linear program with the trigger QP's
     /// response queue chained. Errors on a self-recycling frame, which
     /// is primed once at deploy.
-    pub(crate) fn begin_arm(&self, sim: &Simulator) -> Result<HostArm> {
+    pub(crate) fn begin_arm(&self, sim: &Simulator, pool: &mut ConstPool) -> Result<HostArm> {
         let instance = self.window.armed.ok_or(Error::InvalidWr(
             "self-recycling offloads are primed once at deploy; arm() is host-armed only",
         ))?;
-        let mut p = IrProgram::linear();
+        let mut p = IrProgram::linear_in(pool);
         let resp_q = p.chain(self.tp.response_queue(sim));
         Ok(HostArm {
             p,
@@ -474,6 +474,7 @@ impl RecycledFrame {
     /// ring on the `ring_pu`-th PU of the offload's range.
     pub(crate) fn begin(
         sim: &mut Simulator,
+        pool: &mut ConstPool,
         spec: FrameSpec,
         responses: u64,
         ring_pu: usize,
@@ -484,12 +485,13 @@ impl RecycledFrame {
             .sq_depth(resp_slots as u32)
             .rq_depth(spec.depth)
             .build(sim)?;
-        let (mut p, ring) = IrProgram::recycled(RingSpec {
+        let ring_spec = RingSpec {
             node: spec.node,
             owner: spec.owner,
             pu: Some(spec.pu(sim, ring_pu)),
             port: spec.port,
-        });
+        };
+        let (mut p, ring) = IrProgram::recycled_in(pool, ring_spec);
         let resp_q = p.chain(tp.response_queue(sim));
         Ok(RecycledFrame {
             p,
@@ -547,6 +549,9 @@ impl RecycledFrame {
             .bump(self.resp_slots)
             .label("responses-executed wait"),
         );
+        for cq in [tp.recv_cq, tp.send_cq] {
+            self.p.claim_cq(cq);
+        }
         let lowered = self.p.deploy_with(sim, pool, opts, None)?;
         for inst in 0..u64::from(self.spec.depth) {
             match &scatter {
@@ -562,10 +567,7 @@ impl RecycledFrame {
         }
         sim.set_rq_cyclic(tp.qp)?;
         let report = lowered.report();
-        let mut footprint = lowered.into_footprint().named(name);
-        for cq in [tp.recv_cq, tp.send_cq] {
-            footprint.claim_cq(cq);
-        }
+        let footprint = lowered.into_footprint().named(name);
         Ok(ServiceFrame {
             tp,
             window: InstanceWindow::recycled(self.spec.depth, start_slot),
@@ -732,7 +734,7 @@ pub(crate) mod tests {
     /// it straight back into the instance's client slot.
     fn deploy_echo(r: &mut Rig, pool: &mut ConstPool, start_slot: u64) -> ServiceFrame {
         let spec = r.spec;
-        let mut f = RecycledFrame::begin(&mut r.sim, spec, 1, 1).unwrap();
+        let mut f = RecycledFrame::begin(&mut r.sim, pool, spec, 1, 1).unwrap();
         let mut scatters = Vec::new();
         for inst in 0..u64::from(spec.depth) {
             let cell = f.p.const_zeroed(8);
@@ -792,7 +794,7 @@ pub(crate) mod tests {
         let mut frame = deploy_echo(&mut r, &mut pool, 0);
         assert!(frame.is_recycled());
         assert!(
-            frame.begin_arm(&r.sim).is_err(),
+            frame.begin_arm(&r.sim, &mut pool).is_err(),
             "arming is host-armed only"
         );
         assert_eq!(frame.footprint().unwrap().name, "echo");
@@ -833,6 +835,35 @@ pub(crate) mod tests {
         );
     }
 
+    /// A frame keeps its footprint for as long as it serves, so lowering
+    /// allocates every list of it once, at its exact length. The trigger
+    /// point's CQs are owned, though the trigger WAITs still count as
+    /// WAITs on a foreign CQ.
+    #[test]
+    fn the_footprint_is_sized_once_and_owns_the_trigger_cqs() {
+        let mut r = rig(2);
+        let mut pool = ConstPool::create(&mut r.sim, r.server, 1 << 16, ProcessId(0)).unwrap();
+        let frame = deploy_echo(&mut r, &mut pool, 0);
+        let fp = frame.footprint().unwrap();
+        let lens = [fp.writes.len(), fp.rings.len(), fp.owned_cqs.len()];
+        let caps = [
+            fp.writes.capacity(),
+            fp.rings.capacity(),
+            fp.owned_cqs.capacity(),
+        ];
+        assert_eq!(caps, lens);
+        let lens = [fp.wait_cqs.len(), fp.owned_sqs.len(), fp.enable_sqs.len()];
+        let caps = [
+            fp.wait_cqs.capacity(),
+            fp.owned_sqs.capacity(),
+            fp.enable_sqs.capacity(),
+        ];
+        assert_eq!(caps, lens);
+        let tp = frame.tp;
+        assert!(fp.owned_cqs.contains(&tp.recv_cq) && fp.owned_cqs.contains(&tp.send_cq));
+        assert_eq!(fp.wait_cqs, [tp.recv_cq]);
+    }
+
     #[test]
     fn recycled_frame_with_a_start_slot_resumes_the_sequence() {
         let mut r = rig(2);
@@ -852,7 +883,7 @@ pub(crate) mod tests {
     /// released by an ENABLE on the unmanaged `ctrl` queue once the
     /// trigger has landed the payload in the instance's cell.
     fn arm_echo(r: &mut Rig, frame: &mut ServiceFrame, pool: &mut ConstPool, ctrl: ChainQueue) {
-        let mut arm = frame.begin_arm(&r.sim).unwrap();
+        let mut arm = frame.begin_arm(&r.sim, pool).unwrap();
         let ctrl = arm.p.chain(ctrl);
         let cell = arm.p.const_zeroed(8);
         let resp = arm.p.push(

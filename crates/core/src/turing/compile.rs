@@ -166,12 +166,13 @@ impl CompiledTm {
         let sreg = pool.push_u64(sim, tm.start as u64)?; // symbol filled per step
         let halt_flag = pool.reserve(sim, 8)?;
 
-        let (mut p, ring) = IrProgram::recycled(RingSpec {
+        let ring_spec = RingSpec {
             node,
             owner,
             pu: None,
             port: 0,
-        });
+        };
+        let (mut p, ring) = IrProgram::recycled_in(pool, ring_spec);
 
         // Rule constants are IR consts: identical written symbols / next
         // states across rules deduplicate into one pool cell each.

@@ -40,7 +40,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use redn_core::ctx::OffloadCtx;
-use redn_core::ir::analysis::{self, AnalysisReport, DeploymentVerifier};
+use redn_core::ir::analysis::{self, AnalysisReport, DeploymentVerifier, Owner};
 use redn_core::offloads::hash_lookup::HashGetVariant;
 use redn_core::program::ConstPool;
 use rnic_sim::error::{Error, Result};
@@ -803,13 +803,8 @@ impl ServingFleet {
                 // program (and so every interference diagnostic) names
                 // its owner as `tenant/offload`, so a cross-tenant
                 // overlap reads as "who hit whom", not "client 3 vs 7".
-                let label = match c.tenant {
-                    Some(t) => {
-                        format!("{}/{} (client {})", spec.tenants[t].name, fp.name, ci)
-                    }
-                    None => format!("client {}: {}", ci, fp.name),
-                };
-                verifier.add_labelled(fp, label);
+                let tenant = c.tenant.map(|t| spec.tenants[t].name.as_str());
+                verifier.add_labelled(fp, Owner::Client { tenant, index: ci });
             }
         }
         let isolation = verifier.verify();

@@ -365,3 +365,56 @@ fn lowering_matches_golden() {
         );
     }
 }
+
+/// A program built in the buffers an earlier deploy handed back to the
+/// pool's scratch lowers exactly as one built from nothing: a list walk
+/// and then a hash-get onto one pool, against the same two with the
+/// scratch released in between (same simulator state and pool
+/// addresses, cold scratch). Every posted WQE, the pool's bytes, the
+/// hash-get's `PassReport` and its footprint must match.
+#[test]
+fn a_warm_scratch_leaks_nothing_into_the_next_program() {
+    let deploy = |release: bool| {
+        let mut r = rig();
+        let lmr = region(&mut r.sim, r.server, 4 * 80);
+        let tmr = region(&mut r.sim, r.server, 8 * 16);
+        let vmr = region(&mut r.sim, r.server, 8 * 64);
+        let walk_dest = region(&mut r.sim, r.client, 4 * 64);
+        let get_dest = region(&mut r.sim, r.client, 8 * 8);
+        let mut ctx = OffloadCtx::builder(r.server).build(&mut r.sim).unwrap();
+        let walk = ctx
+            .list_walk()
+            .list(TableRegion::of(&lmr))
+            .value_len(64)
+            .respond_to(ClientDest::of(&walk_dest))
+            .max_nodes(4)
+            .pipeline_depth(4)
+            .build_recycled(&mut r.sim, ctx.pool_mut())
+            .unwrap();
+        if release {
+            ctx.pool_mut().release_scratch();
+        }
+        let get = ctx
+            .hash_get()
+            .table(TableRegion::of(&tmr))
+            .values(ValueSource::of(&vmr, 8))
+            .respond_to(ClientDest::of(&get_dest))
+            .variant(HashGetVariant::Sequential)
+            .pipeline_depth(8)
+            .build_recycled(&mut r.sim, ctx.pool_mut())
+            .unwrap();
+        let mut out = String::new();
+        dump(
+            &mut out,
+            "hash-get after a list walk",
+            &mut r,
+            ctx.pool(),
+            get.ir_report(),
+        );
+        writeln!(out, "footprint: {:?}", get.footprint()).unwrap();
+        drop(walk);
+        out
+    };
+    let (warm, cold) = (deploy(false), deploy(true));
+    assert!(warm == cold, "warm scratch:\n{warm}\ncold scratch:\n{cold}");
+}
