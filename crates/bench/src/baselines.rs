@@ -2,9 +2,9 @@
 //! against the RedN offload in Fig 10/11/14/15/16.
 //!
 //! * **One-sided** (FaRM / Pilaf style): the client issues a READ of the
-//!   candidate bucket (or its whole neighborhood), parses it locally, then
-//!   a second READ for the value — two network round trips, zero server
-//!   CPU.
+//!   candidate bucket (or a [`NEIGHBORHOOD`] of the cuckoo bucket array
+//!   starting at it), parses it locally, then a second READ for the
+//!   value — two network round trips, zero server CPU.
 //! * **Two-sided** (RPC over RDMA): the client SENDs a request; a server
 //!   thread picks the completion up (busy-polling or event-driven), walks
 //!   the table on the CPU, and WRITEs the value back. One round trip plus
@@ -19,8 +19,9 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use redn_core::offloads::hash_lookup::BUCKET_SIZE;
-use redn_kv::cuckoo::CuckooTable;
-use redn_kv::endpoint::{run_until_cqe, ClientEndpoint};
+use redn_kv::cuckoo::{CuckooTable, TableGeometry};
+use redn_kv::endpoint::ClientEndpoint;
+use redn_kv::memcached::MemcachedServer;
 use rnic_sim::cq::Cqe;
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{CqId, NodeId, ProcessId, QpId};
@@ -30,11 +31,17 @@ use rnic_sim::sim::{ListenMode, Simulator};
 use rnic_sim::time::Time;
 use rnic_sim::wqe::WorkRequest;
 
-use crate::hopscotch::{HopscotchTable, NEIGHBORHOOD};
+use crate::run_until_cqe;
 
 // ---------------------------------------------------------------------
 // One-sided baseline
 // ---------------------------------------------------------------------
+
+/// FaRM's default neighborhood size: the one-sided client of Fig 10/11
+/// reads this many buckets of the cuckoo bucket array per candidate
+/// ("the neighborhood size is set to 6 by default, implying a 6×
+/// overhead for RDMA metadata operations", §5.2).
+pub const NEIGHBORHOOD: u64 = 6;
 
 /// FaRM-style one-sided lookup client.
 pub struct OneSidedClient {
@@ -44,55 +51,48 @@ pub struct OneSidedClient {
     /// Scratch buffer holding the probed buckets (one neighborhood).
     meta_buf: u64,
     meta_lkey: u32,
-    /// Table geometry (mirrored client-side, as FaRM clients cache it).
-    table_base: u64,
+    /// Where the buckets sit (cached client-side, as FaRM clients do).
+    table: TableGeometry,
     table_rkey: u32,
-    nbuckets: u64,
     value_rkey: u32,
     value_len: u32,
 }
 
 impl OneSidedClient {
-    /// Build a one-sided client on `node` for `table`, connected to a
-    /// passive QP on the table's node.
+    /// Build a one-sided client on `node` for `server`'s bucket array,
+    /// connected to a passive QP on the server's node.
     pub fn create(
         sim: &mut Simulator,
         node: NodeId,
-        table: &HopscotchTable,
+        server: &MemcachedServer,
     ) -> Result<OneSidedClient> {
-        let ep = ClientEndpoint::create(sim, node, table.heap.slot_len)?;
+        let t = server.table.borrow();
+        let ep = ClientEndpoint::create(sim, node, t.heap.slot_len)?;
         let meta_len = NEIGHBORHOOD * BUCKET_SIZE;
         let meta_buf = sim.alloc(node, meta_len, 8)?;
         let meta_mr = sim.register_mr(node, meta_buf, meta_len, Access::all())?;
-        let server_cq = sim.create_cq(table.node, 16)?;
-        let server_qp = sim.create_qp(table.node, QpConfig::new(server_cq))?;
+        let server_cq = sim.create_cq(server.node, 16)?;
+        let server_qp = sim.create_qp(server.node, QpConfig::new(server_cq))?;
         sim.connect_qps(ep.qp, server_qp)?;
         Ok(OneSidedClient {
             ep,
             meta_buf,
             meta_lkey: meta_mr.lkey,
-            table_base: table.base,
-            table_rkey: table.mr().rkey,
-            nbuckets: table.nbuckets,
-            value_rkey: table.heap.mr().rkey,
-            value_len: table.heap.slot_len,
+            table: t.geometry(),
+            table_rkey: t.mr().rkey,
+            value_rkey: t.heap.mr().rkey,
+            value_len: t.heap.slot_len,
         })
     }
 
-    /// Synchronous get: returns `(latency, value_found)`. Each candidate
-    /// costs one READ of `span` buckets starting at it — [`NEIGHBORHOOD`]
-    /// for FaRM's hopscotch neighborhood (§5.2), 1 for the §5.4 cuckoo
-    /// probe — and a hit costs one more READ for the value. The
+    /// Synchronous get: returns `(latency, value_found)`. Each of the
+    /// key's two candidate buckets costs one READ of `span` buckets
+    /// starting at it — [`NEIGHBORHOOD`] for FaRM (§5.2), 1 for the §5.4
+    /// cuckoo probe — and a hit costs one more READ for the value. The
     /// client-side poll-parse-post cost is paid between dependent steps
     /// (that software gap is why two RTTs cost more than twice one RTT —
     /// §5.2).
-    pub fn get(
-        &self,
-        sim: &mut Simulator,
-        key: u64,
-        candidates: &[u64; 2],
-        span: u64,
-    ) -> Result<(Time, bool)> {
+    pub fn get(&self, sim: &mut Simulator, key: u64, span: u64) -> Result<(Time, bool)> {
         let start = sim.now();
         let t_client = sim.host_config(self.ep.node).t_client_op;
         let qp = self.ep.qp;
@@ -101,8 +101,7 @@ impl OneSidedClient {
             run_until_cqe(sim, self.ep.cq)?.ok_or(Error::InvalidWr("no completion"))?;
             Ok(())
         };
-        for &cand in candidates {
-            let bucket = self.table_base + (cand % self.nbuckets) * BUCKET_SIZE;
+        for bucket in self.table.candidate_addrs(key) {
             let len = (span * BUCKET_SIZE) as u32;
             read(
                 sim,
@@ -411,14 +410,15 @@ mod tests {
     #[test]
     fn one_sided_get_two_rtts() {
         let (mut sim, c, s) = testbed();
-        let mut table = HopscotchTable::create(&mut sim, s, 256, 64, ProcessId(0)).unwrap();
-        table
+        let server = MemcachedServer::create(&mut sim, s, 256, 64, ProcessId(0)).unwrap();
+        let placed = server
+            .table
+            .borrow_mut()
             .insert_at_candidate(&mut sim, 42, &[7u8; 64], 0)
-            .unwrap()
             .unwrap();
-        let client = OneSidedClient::create(&mut sim, c, &table).unwrap();
-        let cands = table.candidates(42);
-        let (lat, found) = client.get(&mut sim, 42, &cands, NEIGHBORHOOD).unwrap();
+        assert!(placed);
+        let client = OneSidedClient::create(&mut sim, c, &server).unwrap();
+        let (lat, found) = client.get(&mut sim, 42, NEIGHBORHOOD).unwrap();
         assert!(found);
         assert_eq!(sim.mem_read(c, client.ep.resp_buf, 1).unwrap()[0], 7);
         // Two RTTs: roughly 2x a single READ (~1.8 us) plus parse time.
@@ -426,9 +426,7 @@ mod tests {
         assert!(us > 3.0 && us < 8.0, "one-sided latency {us}");
 
         // Miss: probes both candidates (up to 4 READs).
-        let (lat_miss, found) = client
-            .get(&mut sim, 999, &table.candidates(999), NEIGHBORHOOD)
-            .unwrap();
+        let (lat_miss, found) = client.get(&mut sim, 999, NEIGHBORHOOD).unwrap();
         assert!(!found);
         assert!(lat_miss > lat);
     }

@@ -1,30 +1,53 @@
 //! Hash-lookup offload benchmarks: Fig 10, Fig 11, Table 4, Table 5
 //! (paper §5.2).
 
-use redn_core::ctx::{OffloadCtx, TableRegion, ValueSource};
+use redn_core::ctx::OffloadCtx;
 use redn_core::offloads::hash_lookup::HashGetVariant;
-use redn_core::offloads::{rpc, OffloadService};
 use rnic_sim::config::NicConfig;
 use rnic_sim::error::Result;
-use rnic_sim::ids::ProcessId;
+use rnic_sim::ids::{NodeId, ProcessId};
 use rnic_sim::mem::Access;
 use rnic_sim::qp::QpConfig;
+use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
 use rnic_sim::wqe::WorkRequest;
 
-use redn_kv::endpoint::{run_until_cqe, ClientEndpoint};
+use redn_kv::endpoint::ClientEndpoint;
 use redn_kv::memcached::MemcachedServer;
+use redn_kv::session::{Session, SessionOpts};
 use redn_kv::workload::latency_stats;
 
-use crate::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
-use crate::hopscotch::{HopscotchTable, NEIGHBORHOOD};
+use crate::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer, NEIGHBORHOOD};
 use crate::report::{bytes_label, Row};
 use crate::{testbed, testbed_with};
 
 /// The value sizes both Fig 10 and Fig 14 sweep.
 pub const VALUE_SIZES: [u32; 5] = [64, 1024, 4096, 16384, 65536];
 
-/// A synchronous RedN hash get against a hopscotch table. Returns
+/// A Memcached store on `s` whose keys `1..=n` all sit in candidate
+/// bucket `placement` (0 = first, Fig 10; 1 = second, Fig 11), each
+/// valued with its key's low byte.
+fn placed_server(
+    sim: &mut Simulator,
+    s: NodeId,
+    nbuckets: u64,
+    value_len: u32,
+    placement: usize,
+    n: u64,
+) -> Result<MemcachedServer> {
+    let server = MemcachedServer::create(sim, s, nbuckets, value_len, ProcessId(0))?;
+    for k in 1..=n {
+        let value = vec![(k & 0xFF) as u8; value_len as usize];
+        let placed = server
+            .table
+            .borrow_mut()
+            .insert_at_candidate(sim, k, &value, placement)?;
+        assert!(placed, "placement collision; adjust key set");
+    }
+    Ok(server)
+}
+
+/// Synchronous RedN hash gets through a blocking [`Session`]. Returns
 /// latencies over `reps` gets of keys placed at `placement` (0 = first
 /// bucket, Fig 10; 1 = second bucket, Fig 11).
 pub fn redn_hash_latencies(
@@ -34,46 +57,17 @@ pub fn redn_hash_latencies(
     reps: usize,
 ) -> Result<Vec<Time>> {
     let (mut sim, c, s) = testbed();
-    let mut table = HopscotchTable::create(&mut sim, s, 4096, value_len, ProcessId(0))?;
-    let keys: Vec<u64> = (1..=reps as u64).collect();
-    for &k in &keys {
-        table
-            .insert_at_candidate(
-                &mut sim,
-                k,
-                &vec![(k & 0xFF) as u8; value_len as usize],
-                placement,
-            )?
-            .expect("placement collision; adjust key set");
-    }
-    let ep = ClientEndpoint::create(&mut sim, c, value_len)?;
+    let server = placed_server(&mut sim, s, 4096, value_len, placement, reps as u64)?;
     let mut ctx = OffloadCtx::builder(s)
         .pool_capacity(1 << 22)
         .build(&mut sim)?;
-    let mut off = ctx
-        .hash_get()
-        .table(TableRegion::of(&table.mr()))
-        .values(ValueSource::of(&table.heap.mr(), value_len))
-        .respond_to(ep.dest())
-        .variant(variant)
-        .build(&mut sim)?;
-    sim.connect_qps(ep.qp, off.tp.qp)?;
-
+    let opts = SessionOpts::blocking();
+    let mut session = Session::connect_get(&mut sim, &mut ctx, &server, c, variant, opts)?;
     let mut lats = Vec::with_capacity(reps);
-    for &k in &keys {
-        off.arm(&mut sim, ctx.pool_mut())?;
-        sim.post_recv(ep.qp, WorkRequest::recv(0, 0, 0))?;
-        let cands = table.candidate_addrs(k);
-        let n = variant.buckets();
-        let payload = off.client_payload(k, &cands[..n]);
-        sim.mem_write(c, ep.req_buf, &payload)?;
-        let start = sim.now();
-        sim.post_send(
-            ep.qp,
-            rpc::trigger_send(ep.req_buf, ep.req_lkey, payload.len() as u32),
-        )?;
-        let cqe = run_until_cqe(&mut sim, ep.recv_cq)?.expect("response");
-        lats.push(cqe.time - start);
+    for k in 1..=reps as u64 {
+        let (lat, found) = session.get_blocking(&mut sim, ctx.pool_mut(), k)?;
+        assert!(found, "key {k}");
+        lats.push(lat);
     }
     Ok(lats)
 }
@@ -100,20 +94,15 @@ pub fn ideal_read_latency(value_len: u32) -> Result<f64> {
     Ok((cqe.time - start).as_us_f64())
 }
 
-/// One-sided hopscotch get latency (keys at `placement`).
+/// One-sided get latency: FaRM's neighborhood reads of the cuckoo
+/// bucket array (keys at `placement`).
 pub fn one_sided_latency(value_len: u32, placement: usize, reps: usize) -> Result<f64> {
     let (mut sim, c, s) = testbed();
-    let mut table = HopscotchTable::create(&mut sim, s, 4096, value_len, ProcessId(0))?;
-    let keys: Vec<u64> = (1..=reps as u64).collect();
-    for &k in &keys {
-        table
-            .insert_at_candidate(&mut sim, k, &vec![1u8; value_len as usize], placement)?
-            .expect("placement collision");
-    }
-    let client = OneSidedClient::create(&mut sim, c, &table)?;
+    let server = placed_server(&mut sim, s, 4096, value_len, placement, reps as u64)?;
+    let client = OneSidedClient::create(&mut sim, c, &server)?;
     let mut total = Time::ZERO;
-    for &k in &keys {
-        let (lat, found) = client.get(&mut sim, k, &table.candidates(k), NEIGHBORHOOD)?;
+    for k in 1..=reps as u64 {
+        let (lat, found) = client.get(&mut sim, k, NEIGHBORHOOD)?;
         assert!(found);
         total += lat;
     }
@@ -217,59 +206,40 @@ pub fn hash_throughput(value_len: u32, ports: usize, requests: usize) -> Result<
         NicConfig::connectx5()
     };
     let (mut sim, c, s) = testbed_with(nic);
-    let mut table = HopscotchTable::create(&mut sim, s, 8192, value_len, ProcessId(0))?;
-    table
-        .insert_at_candidate(&mut sim, 1, &vec![1u8; value_len as usize], 0)?
-        .expect("empty table cannot collide");
+    let server = placed_server(&mut sim, s, 8192, value_len, 0, 1)?;
     let mut ctx = OffloadCtx::builder(s)
         .pool_capacity(1 << 24)
         .build(&mut sim)?;
 
-    // One offload (and one client endpoint) per port.
-    let mut offs = Vec::new();
-    let mut eps = Vec::new();
+    // One pipelined host-armed session per port, primed with every
+    // request it will carry.
+    let per_port = requests / ports;
+    let mut sessions = Vec::with_capacity(ports);
     for port in 0..ports {
-        let ep = ClientEndpoint::create(&mut sim, c, value_len)?;
-        let off = ctx
-            .hash_get()
-            .table(TableRegion::of(&table.mr()))
-            .values(ValueSource::of(&table.heap.mr(), value_len))
-            .respond_to(ep.dest())
-            .variant(HashGetVariant::Single)
-            .on_port(port)
-            .build(&mut sim)?;
-        sim.connect_qps(ep.qp, off.tp.qp)?;
-        offs.push(off);
-        eps.push(ep);
+        let opts = SessionOpts {
+            pipeline_depth: per_port as u32,
+            self_recycling: false,
+            port,
+            pu_base: 0,
+        };
+        let variant = HashGetVariant::Single;
+        sessions.push(Session::connect_get(
+            &mut sim, &mut ctx, &server, c, variant, opts,
+        )?);
     }
 
-    // Arm and fire all requests back to back (pipelined).
-    let per_port = requests / ports;
-    for p in 0..ports {
-        for i in 0..per_port {
-            offs[p].arm(&mut sim, ctx.pool_mut())?;
-            sim.post_recv(eps[p].qp, WorkRequest::recv(0, 0, 0))?;
-            let _ = i;
-        }
-    }
+    // Fire all requests back to back (pipelined), one burst per port.
     let start = sim.now();
-    for p in 0..ports {
-        let key = 1u64;
-        let cands = table.candidate_addrs(key);
-        let payload = offs[p].client_payload(key, &cands[..1]);
-        // Stage one request payload per port; every trigger reuses it
-        // (same key every time keeps the payload buffer stable).
-        sim.mem_write(c, eps[p].req_buf, &payload)?;
-        for _ in 0..per_port {
-            sim.post_send(
-                eps[p].qp,
-                rpc::trigger_send(eps[p].req_buf, eps[p].req_lkey, payload.len() as u32),
-            )?;
-        }
+    let keys = vec![1; per_port];
+    for session in &mut sessions {
+        session.get_burst(&mut sim, &keys)?;
     }
     sim.run()?;
     let elapsed = (sim.now() - start).as_us_f64();
-    let total: u64 = eps.iter().map(|ep| sim.cq_total(ep.recv_cq)).sum();
+    let total: u64 = sessions
+        .iter()
+        .map(|session| sim.cq_total(session.endpoint().recv_cq))
+        .sum();
     assert_eq!(total as usize, per_port * ports, "lost responses");
     let kops = total as f64 / elapsed * 1000.0;
 

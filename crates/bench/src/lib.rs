@@ -28,7 +28,6 @@
 //! | rig module | used by |
 //! |---|---|
 //! | [`baselines`] | one-sided (FaRM) and two-sided (RPC / VMA) gets: Fig 10, 11, 14, 15, 16 |
-//! | [`hopscotch`] | the §5.2 hopscotch table the one-sided client and Fig 10/11, Table 4/5 read |
 
 #![warn(missing_docs)]
 
@@ -38,7 +37,6 @@ pub mod contention;
 pub mod crash;
 pub mod hashbench;
 pub mod heapqueue;
-pub mod hopscotch;
 pub mod listbench;
 pub mod mcbench;
 pub mod micro;
@@ -48,7 +46,9 @@ pub mod tenantbench;
 pub mod turingbench;
 
 use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
-use rnic_sim::ids::NodeId;
+use rnic_sim::cq::Cqe;
+use rnic_sim::error::Result;
+use rnic_sim::ids::{CqId, NodeId};
 use rnic_sim::sim::Simulator;
 
 /// Standard two-node testbed (client + server, back-to-back CX5s) — the
@@ -64,6 +64,20 @@ pub fn testbed_with(server_nic: NicConfig) -> (Simulator, NodeId, NodeId) {
     let server = sim.add_node("server", HostConfig::default(), server_nic);
     sim.connect_nodes(client, server, LinkConfig::back_to_back());
     (sim, client, server)
+}
+
+/// Run the simulator until `cq` produces a completion (or events run
+/// dry): the wait of the baselines that are not offloads and of the
+/// `break_on_match` walks, which no session drives.
+pub fn run_until_cqe(sim: &mut Simulator, cq: CqId) -> Result<Option<Cqe>> {
+    loop {
+        if let Some(c) = sim.poll_cq(cq, 1).pop() {
+            return Ok(Some(c));
+        }
+        if !sim.step()? {
+            return Ok(None);
+        }
+    }
 }
 
 #[cfg(test)]

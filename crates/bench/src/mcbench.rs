@@ -15,14 +15,13 @@ use redn_kv::session::{Session, SessionOpts};
 
 use crate::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
 use crate::hashbench::VALUE_SIZES;
-use crate::hopscotch::HopscotchTable;
 use crate::testbed;
 
 /// Average Memcached get latency for one value size:
 /// `(redn, one_sided, two_sided_vma)`.
 pub fn memcached_latency(value_len: u32, reps: usize) -> Result<(f64, f64, f64)> {
-    // RedN + VMA share a testbed; one-sided gets its own (it uses the
-    // hopscotch helper with cuckoo-style one-bucket candidate probes).
+    // RedN + VMA share a testbed; one-sided gets its own, whose keys
+    // sit in alternating candidates.
     let (mut sim, c, s) = testbed();
     let server = MemcachedServer::create(&mut sim, s, 4096, value_len, ProcessId(0))?;
     server.populate(&mut sim, reps as u64)?;
@@ -56,26 +55,22 @@ pub fn memcached_latency(value_len: u32, reps: usize) -> Result<(f64, f64, f64)>
         vma_total += lat;
     }
 
-    // One-sided on a cuckoo-compatible layout (2 candidate probes).
+    // One-sided: one-bucket cuckoo probes of the same bucket array.
     let (mut sim2, c2, s2) = testbed();
-    let mut table = HopscotchTable::create(&mut sim2, s2, 4096, value_len, ProcessId(0))?;
+    let server2 = MemcachedServer::create(&mut sim2, s2, 4096, value_len, ProcessId(0))?;
     for k in 1..=reps as u64 {
         // Alternate candidate placement: real cuckoo tables hold keys in
         // either candidate, so the one-sided client probes ~1.5 buckets
         // on average.
-        table
-            .insert_at_candidate(
-                &mut sim2,
-                k,
-                &vec![1u8; value_len as usize],
-                (k % 2) as usize,
-            )?
-            .expect("collision");
+        let value = vec![1u8; value_len as usize];
+        let mut table = server2.table.borrow_mut();
+        let placed = table.insert_at_candidate(&mut sim2, k, &value, (k % 2) as usize)?;
+        assert!(placed, "collision");
     }
-    let client = OneSidedClient::create(&mut sim2, c2, &table)?;
+    let client = OneSidedClient::create(&mut sim2, c2, &server2)?;
     let mut one_total = Time::ZERO;
     for k in 1..=reps as u64 {
-        let (lat, found) = client.get(&mut sim2, k, &table.candidates(k), 1)?;
+        let (lat, found) = client.get(&mut sim2, k, 1)?;
         assert!(found, "one-sided key {k}");
         one_total += lat;
     }

@@ -25,7 +25,7 @@ const MAX_KICKS: usize = 64;
 /// Where a table's buckets sit: all a client needs to address a key's
 /// candidate buckets, without holding the table.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct TableGeometry {
+pub struct TableGeometry {
     /// Bucket array base.
     base: u64,
     /// Bucket count (power of two).
@@ -43,8 +43,9 @@ impl TableGeometry {
         [h1(key, self.nbuckets), h2(key, self.nbuckets)]
     }
 
-    /// Candidate bucket addresses (client-side metadata for RedN gets).
-    pub(crate) fn candidate_addrs(self, key: u64) -> [u64; 2] {
+    /// Candidate bucket addresses (client-side metadata for RedN gets
+    /// and one-sided probes).
+    pub fn candidate_addrs(self, key: u64) -> [u64; 2] {
         self.candidates(key).map(|idx| self.bucket_addr(idx))
     }
 }
@@ -91,12 +92,12 @@ impl CuckooTable {
     }
 
     /// The table's memory region.
-    pub(crate) fn mr(&self) -> MemoryRegion {
+    pub fn mr(&self) -> MemoryRegion {
         self.mr
     }
 
     /// Where the buckets sit (what a client session keeps).
-    pub(crate) fn geometry(&self) -> TableGeometry {
+    pub fn geometry(&self) -> TableGeometry {
         self.geometry
     }
 
@@ -175,6 +176,35 @@ impl CuckooTable {
             self.write_bucket(sim, idx, k, s)?;
         }
         Ok(false)
+    }
+
+    /// Insert `key -> value` into candidate `which` (0 or 1) exactly,
+    /// never kicking: the experiment control for Fig 10 ("all keys found
+    /// in the first bucket") and Fig 11 ("always found in the second
+    /// bucket"). Returns false, taking no slot, when that bucket is
+    /// occupied; a `which` above 1 is an `InvalidWr`.
+    pub fn insert_at_candidate(
+        &mut self,
+        sim: &mut Simulator,
+        key: u64,
+        value: &[u8],
+        which: usize,
+    ) -> Result<bool> {
+        check_key(key)?;
+        self.heap.check_fits(value)?;
+        let cands = self.geometry.candidates(key);
+        let idx = *cands
+            .get(which)
+            .ok_or(Error::InvalidWr("a key has two candidate buckets"))?;
+        if self.key_at(sim, idx)? != 0 {
+            return Ok(false);
+        }
+        let Some(slot) = self.heap.alloc_slot() else {
+            return Ok(false);
+        };
+        self.heap.write_value(sim, slot, value)?;
+        self.write_bucket(sim, idx, key, slot)?;
+        Ok(true)
     }
 
     /// Where `key` resides, read from the bucket bytes the NIC compares:
@@ -310,6 +340,25 @@ mod tests {
         let bytes = sim.mem_read(t.node, addr, BUCKET_SIZE).unwrap();
         let slot = t.lookup(&sim, 42).unwrap().unwrap();
         assert_eq!(bytes, encode_bucket(slot, 42));
+    }
+
+    /// The Fig 10/11 placement control puts a key in the candidate it
+    /// names, and refuses an occupied bucket without taking a slot.
+    #[test]
+    fn insert_at_candidate_controls_placement() {
+        let (mut sim, mut t) = table(256);
+        for (key, which) in [(5, 1), (6, 0)] {
+            assert!(t
+                .insert_at_candidate(&mut sim, key, &[1; 64], which)
+                .unwrap());
+            assert_eq!(t.holding_candidate(&sim, key).unwrap(), Some(which));
+        }
+        let [_, c2] = t.geometry().candidates(5);
+        let rival = (1..).find(|&k| k != 5 && t.geometry().candidates(k)[0] == c2);
+        let placed = t.insert_at_candidate(&mut sim, rival.unwrap(), &[2; 64], 0);
+        assert!(!placed.unwrap(), "bucket {c2} holds key 5");
+        assert!(t.insert_at_candidate(&mut sim, 7, &[1; 64], 2).is_err());
+        assert_eq!((t.heap.used, t.len(&sim).unwrap()), (2, 2));
     }
 
     /// The host reads the bytes the NIC compares: a bucket rewritten

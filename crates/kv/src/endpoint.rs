@@ -1,6 +1,5 @@
 //! Client endpoints: the QP, CQs and registered request/response slots a
-//! client drives offloads through, and the blocking wait every
-//! synchronous request path shares.
+//! client drives offloads through.
 
 use std::cell::{Cell, RefCell};
 
@@ -12,18 +11,6 @@ use rnic_sim::mem::Access;
 use rnic_sim::qp::QpConfig;
 use rnic_sim::sim::Simulator;
 use rnic_sim::wqe::WorkRequest;
-
-/// Run the simulator until `cq` produces a completion (or events run dry).
-pub fn run_until_cqe(sim: &mut Simulator, cq: CqId) -> Result<Option<Cqe>> {
-    loop {
-        if let Some(c) = sim.poll_cq(cq, 1).pop() {
-            return Ok(Some(c));
-        }
-        if !sim.step()? {
-            return Ok(None);
-        }
-    }
-}
 
 /// A client endpoint: QP pair plus registered request/response buffers.
 ///

@@ -5,8 +5,8 @@
 //! [`rnic_sim`] and [`redn_core`]: the store, its Memcached-like server
 //! (§5.4), and the clients and serving layers that drive it through the
 //! NIC. The comparison points the paper measures it against (one-sided
-//! and two-sided baselines, the hopscotch table, the §5.5 contention and
-//! §5.6 crash rigs) live with the figures they feed, in `redn_bench`.
+//! and two-sided baselines, the §5.5 contention and §5.6 crash rigs)
+//! live with the figures they feed, in `redn_bench`.
 //!
 //! * [`store`] — a registered value heap and deterministic hashing;
 //! * [`cuckoo`] — the cuckoo table the paper's modified Memcached uses

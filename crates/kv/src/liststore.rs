@@ -65,7 +65,7 @@ impl ListStore {
             .and_then(|nodes| nodes.checked_mul(node_size))
             .ok_or(Error::OutOfMemory(node))?;
         let base = sim.alloc(node, total, 64)?;
-        let mr = sim.register_mr(node, base, total, Access::all())?;
+        let mr = sim.register_mr_owned(node, base, total, Access::all(), owner)?;
         let store = ListStore {
             node,
             owner,
@@ -91,6 +91,11 @@ impl ListStore {
             }
         }
         Ok(store)
+    }
+
+    /// The list region (what a one-sided client READs).
+    pub fn mr(&self) -> MemoryRegion {
+        self.mr
     }
 
     /// Bytes per node (`[next][key]` header + value).
@@ -164,8 +169,42 @@ impl ListStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cuckoo::CuckooTable;
     use redn_core::offloads::list::{NODE_OFF_KEY, NODE_OFF_NEXT};
-    use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
+    use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
+    use rnic_sim::cq::CqeStatus;
+    use rnic_sim::qp::QpConfig;
+    use rnic_sim::wqe::WorkRequest;
+
+    /// The region belongs to the store's owner, as a cuckoo table's does:
+    /// once that process dies, a one-sided READ of either faults.
+    #[test]
+    fn the_region_dies_with_its_owner() {
+        let mut sim = Simulator::new(SimConfig::default());
+        let c = sim.add_node("client", HostConfig::default(), NicConfig::connectx5());
+        let s = sim.add_node("server", HostConfig::default(), NicConfig::connectx5());
+        sim.connect_nodes(c, s, LinkConfig::back_to_back());
+        let owner = sim.spawn_process(s);
+        let store = ListStore::create(&mut sim, s, 1, 2, 16, owner).unwrap();
+        let table = CuckooTable::create(&mut sim, s, 8, 16, owner).unwrap();
+        let cq = sim.create_cq(c, 16).unwrap();
+        let qp = sim.create_qp(c, QpConfig::new(cq)).unwrap();
+        let scq = sim.create_cq(s, 16).unwrap();
+        let sqp = sim.create_qp(s, QpConfig::new(scq)).unwrap();
+        sim.connect_qps(qp, sqp).unwrap();
+        let buf = sim.alloc(c, 16, 8).unwrap();
+        let lkey = sim.register_mr(c, buf, 16, Access::all()).unwrap().lkey;
+        sim.kill_process(s, owner);
+        let mut read = |mr: MemoryRegion| {
+            let wr = WorkRequest::read(buf, lkey, 16, mr.addr, mr.rkey).signaled();
+            sim.post_send(qp, wr).unwrap();
+            sim.run().unwrap();
+            sim.poll_cq(cq, 1).pop().expect("a completion").status
+        };
+        let (table_read, list_read) = (read(table.mr()), read(store.mr()));
+        assert_ne!(table_read, CqeStatus::Success, "the table's owner is dead");
+        assert_eq!(list_read, table_read, "so is the list region's");
+    }
 
     #[test]
     fn store_lays_out_disjoint_terminated_lists() {

@@ -170,8 +170,8 @@ struct PendingPut {
     posted_at: Time,
 }
 
-/// How long [`Session::get_blocking`] waits for its response: a missed
-/// key produces none.
+/// How long [`Session::get_blocking`] and [`Session::walk_blocking`]
+/// wait for their response: a missed key produces none.
 const BLOCKING_DEADLINE: Time = Time::from_us(200);
 
 /// CQEs one [`Session::reap_puts`] takes from each of its CQs at most.
@@ -470,14 +470,42 @@ impl Session {
         key: u64,
     ) -> Result<(Time, bool)> {
         check_key(key)?;
+        self.blocking(sim, pool, |s, sim| Ok(s.get(sim, key)?.instance))
+    }
+
+    /// One synchronous traversal of the list at `head` for `key`, as
+    /// [`Session::get_blocking`] is one lookup: the same deadline, and
+    /// the same stray rule — a list holding `key` twice answers a
+    /// non-breaking walk twice, and the second answer answers no later
+    /// walk. Returns `(latency, found)`.
+    pub fn walk_blocking(
+        &mut self,
+        sim: &mut Simulator,
+        pool: &mut ConstPool,
+        head: u64,
+        key: u64,
+    ) -> Result<(Time, bool)> {
+        check_key(key)?;
+        self.blocking(sim, pool, |s, sim| Ok(s.walk(sim, head, key)?.instance))
+    }
+
+    /// The wait behind both blocking requests: prime, `post` one request
+    /// (returning its instance), then match responses by tag until the
+    /// deadline.
+    fn blocking(
+        &mut self,
+        sim: &mut Simulator,
+        pool: &mut ConstPool,
+        post: impl FnOnce(&mut Session, &mut Simulator) -> Result<u64>,
+    ) -> Result<(Time, bool)> {
         if self.ep.live_requests() > 0 {
             return Err(Error::InvalidWr(
-                "a blocking get needs a session with nothing in flight",
+                "a blocking request needs a session with nothing in flight",
             ));
         }
         self.service_mut().prime(sim, pool)?;
         let start = sim.now();
-        let instance = self.get(sim, key)?.instance;
+        let instance = post(self, sim)?;
         let tag = self.response_tag(instance);
         let deadline = sim.now() + BLOCKING_DEADLINE;
         let mut reaped = Vec::with_capacity(1);
@@ -490,8 +518,8 @@ impl Session {
                     return Ok((sim.now() - start, true));
                 }
                 // A stray, reaped already, counts as one more request
-                // posted and answered: the pending get, whose RECV it
-                // took, gets a fresh one.
+                // posted and answered: the pending request, whose RECV
+                // it took, gets a fresh one.
                 Some(_) => self.ep.reserve_response_recv(sim)?,
                 None if sim.now() > deadline || !sim.step()? => {
                     self.abandon();
@@ -801,6 +829,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redn_core::offloads::list::{encode_node_into, NODE_OFF_NEXT};
     use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
     use rnic_sim::ids::ProcessId;
 
@@ -1176,6 +1205,82 @@ mod tests {
         }
         // A get through a walk session is a typed error.
         assert!(session.get(&mut sim, 1).is_err());
+    }
+
+    /// A blocking (depth-1, host-armed) walk session over two lists of
+    /// four nodes.
+    fn blocking_walk_rig() -> (Simulator, OffloadCtx, ListStore, Session) {
+        let (mut sim, c, s) = rig();
+        let store = ListStore::create(&mut sim, s, 2, 4, 64, ProcessId(0)).unwrap();
+        let mut ctx = OffloadCtx::new(&mut sim, s).unwrap();
+        let opts = SessionOpts::blocking();
+        let session = Session::connect_walk(&mut sim, &mut ctx, &store, c, 4, opts).unwrap();
+        (sim, ctx, store, session)
+    }
+
+    #[test]
+    fn blocking_walk_hits() {
+        let (mut sim, mut ctx, store, mut session) = blocking_walk_rig();
+        let (c, resp) = (session.endpoint().node, session.endpoint().resp_buf);
+        for (list, pos) in [(0, 0), (0, 3), (1, 2)] {
+            let key = store.key_of(list, pos);
+            let (lat, found) = session
+                .walk_blocking(&mut sim, ctx.pool_mut(), store.head(list), key)
+                .unwrap();
+            assert!(found, "list {list} position {pos}");
+            assert_eq!(sim.mem_read(c, resp, 1).unwrap()[0], (key & 0xFF) as u8);
+            let us = lat.as_us_f64();
+            assert!(us > 2.0 && us < 30.0, "blocking walk {us}");
+        }
+    }
+
+    /// A key the list does not hold gets no response: the walk gives up
+    /// by the deadline, and its RECV serves the next walk.
+    #[test]
+    fn a_missed_walk_gives_up_by_the_deadline() {
+        let (mut sim, mut ctx, store, mut session) = blocking_walk_rig();
+        let (head, absent) = (store.head(0), store.key_of(1, 0));
+        let (lat, found) = session
+            .walk_blocking(&mut sim, ctx.pool_mut(), head, absent)
+            .unwrap();
+        assert!(!found);
+        assert!(lat <= BLOCKING_DEADLINE + Time::from_us(1), "{lat:?}");
+        assert_eq!(session.endpoint().outstanding_recvs(), 1);
+        let (_, found) = session
+            .walk_blocking(&mut sim, ctx.pool_mut(), head, store.key_of(0, 2))
+            .unwrap();
+        assert!(found, "the next walk still hits");
+        let ep = session.endpoint();
+        assert_eq!((ep.live_requests(), ep.outstanding_recvs()), (0, 0));
+    }
+
+    /// A list holding key `k` twice answers one walk for `k` twice. The
+    /// second response is a stray: it answers no later walk — an absent
+    /// key still misses — and the RECV it took is replaced.
+    #[test]
+    fn a_stray_response_answers_no_later_walk() {
+        let (mut sim, mut ctx, store, mut session) = blocking_walk_rig();
+        let (s, head, twin) = (store.node, store.head(0), store.key_of(0, 1));
+        let mut tail = head;
+        for _ in 0..3 {
+            tail = sim.mem_read_u64(s, tail + NODE_OFF_NEXT).unwrap();
+        }
+        let mut bytes = Vec::new();
+        encode_node_into(&mut bytes, 0, twin, &[(twin & 0xFF) as u8; 64]);
+        sim.mem_write(s, tail, &bytes).unwrap();
+        for (key, hit) in [
+            (twin, true),
+            (store.key_of(1, 0), false),
+            (store.key_of(0, 2), true),
+        ] {
+            let (_, found) = session
+                .walk_blocking(&mut sim, ctx.pool_mut(), head, key)
+                .unwrap();
+            assert_eq!(found, hit, "key {key}");
+        }
+        let ep = session.endpoint();
+        assert_eq!(sim.cq_total(ep.recv_cq), 3, "the twin answered twice");
+        assert_eq!((ep.live_requests(), ep.outstanding_recvs()), (0, 0));
     }
 
     #[test]

@@ -11,8 +11,9 @@ use redn::kv::endpoint::ClientEndpoint;
 use redn::kv::memcached::MemcachedServer;
 use redn::kv::session::{Session, SessionOpts};
 use redn::prelude::*;
-use redn_bench::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
-use redn_bench::hopscotch::{HopscotchTable, NEIGHBORHOOD};
+use redn_bench::baselines::{
+    two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer, NEIGHBORHOOD,
+};
 use rnic_sim::config::{LinkConfig, SimConfig};
 use rnic_sim::ids::ProcessId;
 
@@ -63,13 +64,10 @@ fn main() {
         vma_lat.as_us_f64()
     );
 
-    // One-sided baseline on a hopscotch table with the same data.
-    let mut hs = HopscotchTable::create(&mut sim, server, 1024, 64, ProcessId(0)).unwrap();
-    hs.insert(&mut sim, 42, &[42u8; 64]).unwrap();
-    let one = OneSidedClient::create(&mut sim, client, &hs).unwrap();
-    let (one_lat, found) = one
-        .get(&mut sim, 42, &hs.candidates(42), NEIGHBORHOOD)
-        .unwrap();
+    // One-sided baseline: FaRM's 6-bucket neighborhood reads of the same
+    // cuckoo bucket array.
+    let one = OneSidedClient::create(&mut sim, client, &mc).unwrap();
+    let (one_lat, found) = one.get(&mut sim, 42, NEIGHBORHOOD).unwrap();
     assert!(found);
     println!(
         "one-sided get(42) -> {:.2} us across two READ round trips",

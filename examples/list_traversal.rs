@@ -5,16 +5,19 @@
 //! cargo run --example list_traversal
 //! ```
 
-use redn::core::ctx::{OffloadCtx, TableRegion};
-use redn::core::offloads::list::{encode_node_into, NODE_HEADER};
+use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::rpc;
-use redn::kv::endpoint::{run_until_cqe, ClientEndpoint};
+use redn::kv::endpoint::ClientEndpoint;
+use redn::kv::liststore::ListStore;
+use redn::kv::session::{Session, SessionOpts};
 use redn::prelude::*;
+use redn_bench::run_until_cqe;
 use rnic_sim::config::{LinkConfig, SimConfig};
+use rnic_sim::ids::ProcessId;
 use rnic_sim::wqe::WorkRequest;
 
 const VALUE_LEN: u32 = 64;
-const LIST_LEN: u64 = 8;
+const LIST_LEN: usize = 8;
 
 fn main() {
     for with_break in [false, true] {
@@ -23,63 +26,61 @@ fn main() {
         let server = sim.add_node("server", HostConfig::default(), NicConfig::connectx5());
         sim.connect_nodes(client, server, LinkConfig::back_to_back());
 
-        // Build an 8-node list; node i has key 100+i, value byte i+1.
-        let node_size = NODE_HEADER + VALUE_LEN as u64;
-        let base = sim.alloc(server, LIST_LEN * node_size, 64).unwrap();
-        let mr = sim
-            .register_mr(server, base, LIST_LEN * node_size, Access::all())
-            .unwrap();
-        let mut bytes = Vec::new();
-        for i in 0..LIST_LEN {
-            let addr = base + i * node_size;
-            let next = if i + 1 < LIST_LEN {
-                addr + node_size
-            } else {
-                0
-            };
-            let value = [(i + 1) as u8; VALUE_LEN as usize];
-            encode_node_into(&mut bytes, next, 100 + i, &value);
-            sim.mem_write(server, addr, &bytes).unwrap();
-        }
-
-        let ep = ClientEndpoint::create(&mut sim, client, VALUE_LEN).unwrap();
+        // One 8-node list; node i's value is filled with its key's low
+        // byte, i + 1.
+        let store =
+            ListStore::create(&mut sim, server, 1, LIST_LEN, VALUE_LEN, ProcessId(0)).unwrap();
+        let (head, key) = (store.head(0), store.key_of(0, 2));
         let mut ctx = OffloadCtx::builder(server)
             .pool_capacity(1 << 20)
             .build(&mut sim)
             .unwrap();
-        let mut builder = ctx
-            .list_walk()
-            .list(TableRegion::of(&mr))
-            .value_len(VALUE_LEN)
-            .respond_to(ep.dest())
-            .max_nodes(LIST_LEN as usize);
-        if with_break {
-            builder = builder.break_on_match();
-        }
-        let mut off = builder.build(&mut sim).unwrap();
-        sim.connect_qps(ep.qp, off.tp.qp).unwrap();
-        off.arm(&mut sim, ctx.pool_mut()).unwrap();
 
-        // Walk for key 102 (third node).
+        // Walk for the third node's key.
         let before = sim.verbs_executed(server);
-        sim.post_recv(ep.qp, WorkRequest::recv(0, 0, 0)).unwrap();
-        let payload = off.client_payload(base, 102);
-        sim.mem_write(client, ep.req_buf, &payload).unwrap();
-        let start = sim.now();
-        sim.post_send(
-            ep.qp,
-            rpc::trigger_send(ep.req_buf, ep.req_lkey, payload.len() as u32),
-        )
-        .unwrap();
-        let cqe = run_until_cqe(&mut sim, ep.recv_cq)
-            .unwrap()
-            .expect("response");
-        let latency = cqe.time - start;
-        let value = sim.mem_read(client, ep.resp_buf, 1).unwrap()[0];
+        let (latency, value) = if with_break {
+            // A break walk is single-shot and suppresses completions, so
+            // it is a builder deployment, not a session.
+            let ep = ClientEndpoint::create(&mut sim, client, VALUE_LEN).unwrap();
+            let mut off = store
+                .walk_builder(&ctx)
+                .unwrap()
+                .respond_to(ep.dest())
+                .max_nodes(LIST_LEN)
+                .break_on_match()
+                .build(&mut sim)
+                .unwrap();
+            sim.connect_qps(ep.qp, off.tp.qp).unwrap();
+            off.arm(&mut sim, ctx.pool_mut()).unwrap();
+            sim.post_recv(ep.qp, WorkRequest::recv(0, 0, 0)).unwrap();
+            let payload = off.client_payload(head, key);
+            sim.mem_write(client, ep.req_buf, &payload).unwrap();
+            let start = sim.now();
+            sim.post_send(
+                ep.qp,
+                rpc::trigger_send(ep.req_buf, ep.req_lkey, payload.len() as u32),
+            )
+            .unwrap();
+            let cqe = run_until_cqe(&mut sim, ep.recv_cq)
+                .unwrap()
+                .expect("response");
+            let value = sim.mem_read(client, ep.resp_buf, 1).unwrap()[0];
+            (cqe.time - start, value)
+        } else {
+            let opts = SessionOpts::blocking();
+            let mut walks =
+                Session::connect_walk(&mut sim, &mut ctx, &store, client, LIST_LEN, opts).unwrap();
+            let (latency, found) = walks
+                .walk_blocking(&mut sim, ctx.pool_mut(), head, key)
+                .unwrap();
+            assert!(found);
+            let resp = walks.endpoint().resp_buf;
+            (latency, sim.mem_read(client, resp, 1).unwrap()[0])
+        };
         sim.run().unwrap(); // drain the abandoned tail, if any
         let executed = sim.verbs_executed(server) - before;
         println!(
-            "{}: key 102 -> node #{value} in {:.2} us, {executed} verbs executed",
+            "{}: key {key:#x} -> node #{value} in {:.2} us, {executed} verbs executed",
             if with_break {
                 "RedN +break "
             } else {

@@ -12,7 +12,7 @@
 //!   NIC-resident chain replication and failover.
 //!
 //! The paper's comparison points (one- and two-sided baselines, the
-//! hopscotch table, the Fig 15/16 contention and crash rigs) are not
+//! Fig 15/16 contention and crash rigs) are not
 //! re-exported: they live with the figures in `redn_bench`, which the
 //! examples and integration tests use directly.
 //!

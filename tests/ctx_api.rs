@@ -9,8 +9,9 @@ use redn::kv::endpoint::ClientEndpoint;
 use redn::kv::memcached::MemcachedServer;
 use redn::kv::session::{Session, SessionOpts};
 use redn::prelude::*;
-use redn_bench::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
-use redn_bench::hopscotch::{HopscotchTable, NEIGHBORHOOD};
+use redn_bench::baselines::{
+    two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer, NEIGHBORHOOD,
+};
 use redn_bench::testbed;
 use rnic_sim::ids::ProcessId;
 
@@ -54,13 +55,10 @@ fn hash_get_deployed_via_ctx_round_trips_against_baselines() {
         redn_value
     );
 
-    // One-sided baseline on a hopscotch table holding the same key.
-    let mut hs = HopscotchTable::create(&mut sim, server, 1024, 64, ProcessId(0)).unwrap();
-    hs.insert(&mut sim, 42, &[42u8; 64]).unwrap();
-    let one = OneSidedClient::create(&mut sim, client, &hs).unwrap();
-    let (one_lat, found) = one
-        .get(&mut sim, 42, &hs.candidates(42), NEIGHBORHOOD)
-        .unwrap();
+    // One-sided baseline: FaRM's neighborhood reads of the same bucket
+    // array.
+    let one = OneSidedClient::create(&mut sim, client, &mc).unwrap();
+    let (one_lat, found) = one.get(&mut sim, 42, NEIGHBORHOOD).unwrap();
     assert!(found);
     assert_eq!(
         sim.mem_read(client, one.ep.resp_buf, 1).unwrap()[0],

@@ -6,8 +6,9 @@ use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::kv::endpoint::ClientEndpoint;
 use redn::kv::memcached::MemcachedServer;
 use redn::kv::session::{Session, SessionOpts};
-use redn_bench::baselines::{two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer};
-use redn_bench::hopscotch::{HopscotchTable, NEIGHBORHOOD};
+use redn_bench::baselines::{
+    two_sided_get, OneSidedClient, TwoSidedMode, TwoSidedServer, NEIGHBORHOOD,
+};
 use redn_bench::testbed;
 use rnic_sim::ids::ProcessId;
 
@@ -53,16 +54,16 @@ fn memcached_get_three_frontends_agree() {
 #[test]
 fn one_sided_and_redn_read_identical_bytes() {
     let (mut sim, c, s) = testbed();
-    let mut table = HopscotchTable::create(&mut sim, s, 512, 64, ProcessId(0)).unwrap();
-    table
+    let mc = MemcachedServer::create(&mut sim, s, 512, 64, ProcessId(0)).unwrap();
+    let placed = mc
+        .table
+        .borrow_mut()
         .insert_at_candidate(&mut sim, 99, &[0xAB; 64], 0)
-        .unwrap()
         .unwrap();
+    assert!(placed);
 
-    let one = OneSidedClient::create(&mut sim, c, &table).unwrap();
-    let (_, found) = one
-        .get(&mut sim, 99, &table.candidates(99), NEIGHBORHOOD)
-        .unwrap();
+    let one = OneSidedClient::create(&mut sim, c, &mc).unwrap();
+    let (_, found) = one.get(&mut sim, 99, NEIGHBORHOOD).unwrap();
     assert!(found);
     assert_eq!(
         sim.mem_read(c, one.ep.resp_buf, 64).unwrap(),
